@@ -5,7 +5,8 @@
 
 Exit codes: 0 success, 2 stability or coarseness violation (the violated
 inequality is printed), 3 configuration error, 1 failed checks or unexpected
-errors.  WAVECOMPACT_JOBS is the fallback for --jobs.
+errors.  WAVECOMPACT_JOBS is the fallback for --jobs; a value that is not an
+integer is a configuration error.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ def main(argv=None) -> int:
         if args.jobs is not None:
             config.jobs = args.jobs
         elif "WAVECOMPACT_JOBS" in os.environ:
-            config.jobs = int(os.environ["WAVECOMPACT_JOBS"])
+            raw_jobs = os.environ["WAVECOMPACT_JOBS"]
+            try:
+                config.jobs = int(raw_jobs)
+            except ValueError:
+                raise ConfigurationError(
+                    f"WAVECOMPACT_JOBS must be an integer, got {raw_jobs!r}") from None
 
         if kind == "solve":
             result = experiments.run_solve(config)

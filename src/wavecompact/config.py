@@ -15,7 +15,6 @@ A config file is a single JSON object:
       "variant": "v2" | "v0" | "v1" | "all",
       "v0_mode": "node_samples" | "qh_average",
       "mode": "node_sampled" | "q2h_filtered",
-      "norms": ["energy", "dx", "l1"],
       "alpha": 2.0,
       "out_dir": "out",
       ...tuning keys with defaults (seed, n_random, n_pairs, fold_groups,
@@ -34,10 +33,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import DataSpec, Forcing, Profile, TimeProfile
+from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ConfigurationError
-from .grid import MeshSpec, build_mesh
+from .grid import MeshSpec, build_mesh, check_stable
 from .oracle import HarmonicData
+from .scheme import ERROR_MODES, V0_MODES
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
 
@@ -130,7 +130,6 @@ class ExperimentConfig:
     variant: str = "v2"
     v0_mode: str = "node_samples"
     mode: str = "node_sampled"
-    norms: tuple[str, ...] = ("energy", "dx", "l1")
     alpha: float = 2.0
     out_dir: Path = Path("out")
     jobs: int = 1
@@ -151,21 +150,17 @@ class ExperimentConfig:
             raise ConfigurationError("the mesh ladder is empty")
         if self.kind == "converge" and len(self.rungs) < 3:
             raise ConfigurationError("convergence studies need a ladder of >= 3 rungs")
-        if self.variant not in ("v0", "v1", "v2", "all"):
+        if self.variant not in (*U1_VARIANTS, "all"):
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if self.mode not in ("node_sampled", "q2h_filtered"):
+        if self.mode not in ERROR_MODES:
             raise ConfigurationError(f"unknown error mode {self.mode!r}")
-        if self.v0_mode not in ("node_samples", "qh_average"):
+        if self.v0_mode not in V0_MODES:
             raise ConfigurationError(f"unknown v0 mode {self.v0_mode!r}")
-        bad_norms = set(self.norms) - {"energy", "dx", "l1"}
-        if bad_norms:
-            raise ConfigurationError(f"unknown norms requested: {sorted(bad_norms)}")
         if self.kind == "sharpness" and self.sharpness_j is None:
             raise ConfigurationError("sharpness runs need data: {'harmonic': {'j': ...}}")
         if self.kind == "oracle_check" and self.harmonic is None:
             raise ConfigurationError("oracle checks need harmonic data")
         for mesh in self.rungs:
-            from .grid import check_stable
             check_stable(mesh)
         return self
 
@@ -252,7 +247,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         variant=str(raw.get("variant", "v2")),
         v0_mode=str(raw.get("v0_mode", "node_samples")),
         mode=str(raw.get("mode", "node_sampled")),
-        norms=tuple(raw.get("norms", ("energy", "dx", "l1"))),
         alpha=float(raw.get("alpha", 2.0)),
         out_dir=Path(raw.get("out_dir", "out")),
         jobs=int(raw.get("jobs", 1)),

@@ -30,11 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataSpec, Forcing, Profile, TimeProfile
+from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ContractViolation, InvariantError, MeshTooCoarseError
 from .grid import MeshSpec, check_stable
-
-U1_VARIANTS = ("v0", "v1", "v2")
 
 
 def canonical_mesh(mesh: MeshSpec) -> MeshSpec:

@@ -52,7 +52,7 @@ class SchemeRun:
     mesh: MeshSpec
     u1_variant: str
     v0_mode: str
-    trajectory: Trajectory | None
+    trajectory: Trajectory
     residual_max: np.ndarray  # residual_max[m-1] belongs to the step producing v^m
 
 
@@ -84,69 +84,71 @@ def _step_residual(mesh: MeshSpec, lhs_fn: GridFn, rhs: GridFn) -> float:
     return res
 
 
-def initial_step(mesh: MeshSpec, v0, u1h, fh0=None,
-                 check_residual: bool = True) -> GridFn:
-    """First time level from the implicit two-level initial condition."""
-    check_stable(mesh)
-    v0 = require_dirichlet(v0, mesh, "v0")
-    u1h = require_dirichlet(u1h, mesh, "u1h")
-    tau, a = mesh.tau, mesh.a
-    rhs = 0.5 * tau * a ** 2 * stencil("laplacian", v0, mesh) + u1h
-    if fh0 is not None:
-        rhs = rhs + 0.5 * tau * require_dirichlet(fh0, mesh, "fh0")
-    dt0 = solve_implicit(rhs, mesh)
-    if check_residual:
-        _step_residual(mesh, apply_implicit(dt0, mesh), rhs)
-    return v0 + tau * dt0
+# The two recurrences of the scheme.  The level functions trust their inputs:
+# callers validate the mesh and the boundary values once, before stepping, so
+# no step pays for validation.
 
-
-def time_step(mesh: MeshSpec, v_prev, v_curr, fh_m=None,
-              check_residual: bool = True) -> GridFn:
-    """Advance one level of the main recurrence."""
-    check_stable(mesh)
-    v_prev = require_dirichlet(v_prev, mesh, "v_prev")
-    v_curr = require_dirichlet(v_curr, mesh, "v_curr")
-    tau, a = mesh.tau, mesh.a
-    rhs = a ** 2 * stencil("laplacian", v_curr, mesh)
-    if fh_m is not None:
-        rhs = rhs + require_dirichlet(fh_m, mesh, "fh_m")
-    lam_t = solve_implicit(rhs, mesh)
-    if check_residual:
-        _step_residual(mesh, apply_implicit(lam_t, mesh), rhs)
-    return tau ** 2 * lam_t + 2.0 * v_curr - v_prev
-
-
-def iterate_slices(mesh: MeshSpec, v0, u1h, fh=None,
-                   check_residuals: bool = True,
-                   residual_out: list | None = None) -> Iterator[GridFn]:
-    """Yield v^0 .. v^M one slice at a time (streaming form of evolve)."""
-    check_stable(mesh)
-    v0 = require_dirichlet(np.array(v0, dtype=float), mesh, "v0")
-    fh0 = None if fh is None else fh[0]
-    yield v0
+def _first_level(mesh: MeshSpec, v0: GridFn, u1h: GridFn, fh0) -> tuple[GridFn, float]:
+    """(v^1, residual) from the two-level initial condition."""
     tau, a = mesh.tau, mesh.a
     rhs = 0.5 * tau * a ** 2 * stencil("laplacian", v0, mesh) + u1h
     if fh0 is not None:
         rhs = rhs + 0.5 * tau * fh0
     dt0 = solve_implicit(rhs, mesh)
-    if check_residuals or residual_out is not None:
-        r = _step_residual(mesh, apply_implicit(dt0, mesh), rhs)
-        if residual_out is not None:
-            residual_out.append(r)
-    v_prev, v_curr = v0, v0 + tau * dt0
-    yield v_curr
+    residual = _step_residual(mesh, apply_implicit(dt0, mesh), rhs)
+    return v0 + tau * dt0, residual
+
+
+def _next_level(mesh: MeshSpec, v_prev: GridFn, v_curr: GridFn,
+                fh_m) -> tuple[GridFn, float]:
+    """(v^{m+1}, residual) from the three-level main recurrence."""
+    tau, a = mesh.tau, mesh.a
+    rhs = a ** 2 * stencil("laplacian", v_curr, mesh)
+    if fh_m is not None:
+        rhs = rhs + fh_m
+    lam_t = solve_implicit(rhs, mesh)
+    residual = _step_residual(mesh, apply_implicit(lam_t, mesh), rhs)
+    return tau ** 2 * lam_t + 2.0 * v_curr - v_prev, residual
+
+
+def _march(mesh: MeshSpec, v0: GridFn, u1h: GridFn, fh) -> Iterator[tuple[GridFn, float]]:
+    """Yield (v^m, residual of the step producing v^m) for m = 1 .. M."""
+    v_prev = v0
+    v_curr, residual = _first_level(mesh, v0, u1h, None if fh is None else fh[0])
+    yield v_curr, residual
     for m in range(1, mesh.M):
-        rhs = a ** 2 * stencil("laplacian", v_curr, mesh)
-        if fh is not None:
-            rhs = rhs + fh[m]
-        lam_t = solve_implicit(rhs, mesh)
-        if check_residuals or residual_out is not None:
-            r = _step_residual(mesh, apply_implicit(lam_t, mesh), rhs)
-            if residual_out is not None:
-                residual_out.append(r)
-        v_next = tau ** 2 * lam_t + 2.0 * v_curr - v_prev
+        v_next, residual = _next_level(mesh, v_prev, v_curr, None if fh is None else fh[m])
         v_prev, v_curr = v_curr, v_next
-        yield v_curr
+        yield v_curr, residual
+
+
+def initial_step(mesh: MeshSpec, v0, u1h, fh0=None) -> GridFn:
+    """First time level from the implicit two-level initial condition."""
+    check_stable(mesh)
+    v0 = require_dirichlet(v0, mesh, "v0")
+    u1h = require_dirichlet(u1h, mesh, "u1h")
+    if fh0 is not None:
+        fh0 = require_dirichlet(fh0, mesh, "fh0")
+    return _first_level(mesh, v0, u1h, fh0)[0]
+
+
+def time_step(mesh: MeshSpec, v_prev, v_curr, fh_m=None) -> GridFn:
+    """Advance one level of the main recurrence."""
+    check_stable(mesh)
+    v_prev = require_dirichlet(v_prev, mesh, "v_prev")
+    v_curr = require_dirichlet(v_curr, mesh, "v_curr")
+    if fh_m is not None:
+        fh_m = require_dirichlet(fh_m, mesh, "fh_m")
+    return _next_level(mesh, v_prev, v_curr, fh_m)[0]
+
+
+def iterate_slices(mesh: MeshSpec, v0, u1h, fh=None) -> Iterator[GridFn]:
+    """Yield v^0 .. v^M one slice at a time (streaming form of evolve)."""
+    check_stable(mesh)
+    v0 = require_dirichlet(np.array(v0, dtype=float), mesh, "v0")
+    yield v0
+    for v, _ in _march(mesh, v0, u1h, fh):
+        yield v
 
 
 def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
@@ -165,28 +167,24 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
 
 
 def evolve(mesh: MeshSpec, data: data_mod.DataSpec, variant: str = "v2",
-           v0_mode: str = "node_samples", store: bool = True,
-           check_residuals: bool = True) -> SchemeRun:
-    """Run the integrator over the whole time mesh.
+           v0_mode: str = "node_samples") -> SchemeRun:
+    """Run the integrator over the whole time mesh and store every slice.
 
-    store=False drops the trajectory (two-slice streaming); use
-    iterate_slices directly when the slices are consumed on the fly.
+    Every step checks its defining-equation residual against RESIDUAL_RTOL;
+    residual_max[m-1] records it for the step producing v^m.  Use
+    iterate_slices to consume the slices on the fly without storing them.
     """
     v0, u1h, fh = prepare_inputs(mesh, data, variant, v0_mode)
-    residuals: list[float] = []
-    slices = iterate_slices(mesh, v0, u1h, fh, check_residuals=check_residuals,
-                            residual_out=residuals)
-    if store:
-        arr = np.empty((mesh.M + 1, mesh.N + 1))
-        for m, v in enumerate(slices):
-            arr[m] = v
-        trajectory = Trajectory(slices=arr, mesh=mesh)
-    else:
-        for _ in slices:
-            pass
-        trajectory = None
+    check_stable(mesh)
+    slices = np.empty((mesh.M + 1, mesh.N + 1))
+    slices[0] = require_dirichlet(v0, mesh, "v0")
+    residuals = np.empty(mesh.M)
+    for m, (v, residual) in enumerate(_march(mesh, slices[0], u1h, fh), start=1):
+        slices[m] = v
+        residuals[m - 1] = residual
     return SchemeRun(mesh=mesh, u1_variant=variant, v0_mode=v0_mode,
-                     trajectory=trajectory, residual_max=np.asarray(residuals))
+                     trajectory=Trajectory(slices=slices, mesh=mesh),
+                     residual_max=residuals)
 
 
 def measure_error(mesh: MeshSpec, slices: Iterable[GridFn],
@@ -236,7 +234,4 @@ def measure_error(mesh: MeshSpec, slices: Iterable[GridFn],
 def error_report(run: SchemeRun, reference: SliceReference,
                  mode: str = "node_sampled") -> ErrorReport:
     """Error norms of a stored run against a reference solution."""
-    if run.trajectory is None:
-        raise ContractViolation("error_report needs a stored trajectory; "
-                                "use measure_error with iterate_slices for streaming runs")
     return measure_error(run.mesh, run.trajectory.slices, reference, mode)

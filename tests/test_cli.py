@@ -129,3 +129,16 @@ def test_jobs_env_fallback(tmp_path, monkeypatch):
     })
     monkeypatch.setenv("WAVECOMPACT_JOBS", "2")
     assert main(["converge", "--config", str(cfg)]) == 0
+
+
+def test_jobs_env_not_an_integer_exits_3(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path, {
+        "kind": "converge",
+        "mesh": _mesh(8, refinements=2),
+        "data": {"harmonic": {"j": 0, "k": 1}},
+        "out_dir": str(tmp_path / "out"),
+    })
+    monkeypatch.setenv("WAVECOMPACT_JOBS", "two")
+    assert main(["converge", "--config", str(cfg)]) == 3
+    assert "WAVECOMPACT_JOBS must be an integer, got 'two'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 """Order fitting, presets, data norms, stability sides, runner behavior."""
 
+import csv
 import json
 import math
 
@@ -296,11 +297,17 @@ def test_run_stability_probe_no_violations(tmp_path):
         "n_random": 3,
         "n_pairs": 10,
         "out_dir": str(tmp_path),
-        "seed": 7,
+        "seed": 7,  # draws forcing, so data_norm_bound_sides adds ||f||_L21
     })
     rows = run_stability_probe(cfg)
     assert all(r.passed for r in rows)
-    assert (tmp_path / "stability.csv").exists()
+    with (tmp_path / "stability.csv").open(newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert len(written) == len(rows)
+    for row, back in zip(rows, written):
+        # plain float reprs: every number parses with float() and round-trips
+        assert [float(back[k]) for k in ("lhs", "rhs", "margin")] == [
+            row.lhs, row.rhs, row.margin]
 
 
 def test_sharpness_measurement_oracle_self_consistency():
@@ -317,7 +324,7 @@ def test_sharpness_measurement_oracle_self_consistency():
     k = choose_k_h(2.0, mesh)
     kind = HarmonicData(j=0, k=k)
     ref = HarmonicReference(mesh, kind)
-    run = evolve(mesh, harmonic_dataspec(kind, mesh), check_residuals=False)
+    run = evolve(mesh, harmonic_dataspec(kind, mesh))
     stepper = error_report(run, ref).l1_spacetime_error
     closed = measure_error(mesh, discrete_harmonic_trajectory(kind, mesh, "v2"),
                            ref).l1_spacetime_error
