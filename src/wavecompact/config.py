@@ -201,6 +201,18 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
     return [one(N * 2 ** r, M * 2 ** r) for r in range(refinements + 1)]
 
 
+def _positive_int(raw: dict, key: str, default):
+    """raw[key] as an integer >= 1, or None where None is the default."""
+    value = raw.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -253,8 +265,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         seed=int(raw.get("seed", 0)),
         n_random=int(raw.get("n_random", 20)),
         n_pairs=int(raw.get("n_pairs", 100)),
-        fold_groups=int(raw.get("fold_groups", 64)),
-        n_modes=raw.get("n_modes"),
+        fold_groups=_positive_int(raw, "fold_groups", 64),
+        n_modes=_positive_int(raw, "n_modes", None),
         fit_drop_coarsest=int(raw.get("fit_drop_coarsest", 1)),
         tail_fraction=float(raw.get("tail_fraction", 0.01)),
         decimate=int(raw.get("decimate", 32)),

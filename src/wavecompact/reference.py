@@ -4,18 +4,27 @@ A reference object serves two views of the exact solution u: raw node values
 u(x_i, t_m) and hat-averaged values (q_h u(., t_m))_i, the latter feeding the
 q_2h-filtered error norms.
 
-SeriesReference builds u by sine-mode superposition
+SeriesReference builds u by sine-mode superposition in the canonical frame,
 
-    u(x, t) = sum_k [a_k cos(k t') + (b_k / k) sin(k t')] sin(k x'),
+    u(x, t) = sum_k [A_k cos(k t) + B_k sin(k t)] sin(k x),  A_k = a_k, B_k = b_k / k.
 
-in the canonical frame.  On the grid, mode k is indistinguishable from its
-alias: sin(k x_i) folds onto sin(r x_i) with r = k mod 2N (up to sign), and
-when T' = pi the time factors fold with period lcm(2N, 2M) as well.  The
-superposition is therefore summed class by class over that joint period,
-which makes the truncation tail decay like the amplitude tail itself (the
-mesh caps difference quotients at 2/h), instead of like a continuous
-derivative series.  The remaining tail is estimated from the fitted decay of
-the supplied coefficients and reported for gating.
+On the grid, sin(k x_i) folds onto sin(r x_i) with r = k mod 2N (up to sign),
+and when T' = pi the time factors fold with period L = lcm(2N, 2M) too, so
+the modes are summed class by class over L with one reshape.  The truncation
+tail then decays like the amplitude tail itself (the mesh caps difference
+quotients at 2/h); it is estimated from the fitted decay of the supplied
+coefficients and reported for gating.  With alpha = L/2M, beta = L/2N and
+indices mod L, the product-to-sum identities give
+
+    u(x_i, t_m) = [S(beta i + alpha m) + S(beta i - alpha m)] / 2
+                + [C(beta i - alpha m) - C(beta i + alpha m)] / 2
+
+for S = -Im FFT_L(A) (odd) and C = Re FFT_L(B) (even); that is,
+u = [D(beta i - alpha m) - D(-beta i - alpha m)] / 2 with D = Re FFT_L(B + iA),
+one length-L FFT per view.  The q_h view weights A and B by the hat average's
+eigenfactor.  For T' != pi, the time rows A_k cos(k t_m) + B_k sin(k t_m) of
+8N modes (by default) are summed over k mod 2N and a length-2N FFT evaluates
+the sine series at the nodes.
 """
 
 from __future__ import annotations
@@ -23,10 +32,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import dst
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import fft, rfft
 
 from .data import DataSpec, Profile, average_qh, hat_average_factor, sine_coefficients
-from .errors import ContractViolation
+from .errors import ConfigurationError, ContractViolation
 from .grid import GridFn, MeshSpec
 from .oracle import HarmonicData, canonical_mesh, exact_time_coefficients
 
@@ -125,6 +135,45 @@ def _tail_amp_sq(amps: np.ndarray) -> float:
     return c ** 2 * big_k ** (1.0 - p) / (p - 1.0)
 
 
+def _mode_classes(amps: np.ndarray, period: int) -> np.ndarray:
+    """Amplitudes (..., K) of modes k = 1..K, padded to (..., groups, period).
+
+    Entry [..., g, r] holds mode g * period + r, or 0 where there is none."""
+    n_modes = amps.shape[-1]
+    groups = n_modes // period + 1
+    padded = np.zeros(amps.shape[:-1] + (groups * period,))
+    padded[..., 1:n_modes + 1] = amps
+    return padded.reshape(amps.shape[:-1] + (groups, period))
+
+
+def _views_folded(amps: np.ndarray, n: int, m: int, period: int) -> np.ndarray:
+    """(view, 2, K) amplitudes -> (view, M+1, N+1) node values when T' = pi."""
+    classes = _mode_classes(amps, period).sum(axis=-2)
+    # D = C + S from the class sums of A (row 0) and B (row 1)
+    d = fft(classes[:, 1] + 1j * classes[:, 0], axis=-1).real
+    alpha, beta = period // (2 * m), period // (2 * n)
+    # u = (D(beta i - alpha m) - D(-beta i - alpha m)) / 2, read as strided
+    # views of D repeated twice: windows[:, s, w] = D((s + w) mod L)
+    windows = sliding_window_view(np.concatenate([d, d], axis=-1), period // 2 + 1, axis=-1)
+    plus = windows[:, period::-alpha][:, :m + 1, ::beta]
+    minus = windows[:, period // 2::-alpha][:, :m + 1, ::-beta]
+    return 0.5 * (plus - minus)
+
+
+def _views_direct(amps: np.ndarray, n: int, times: np.ndarray) -> np.ndarray:
+    """(view, 2, K) amplitudes -> (view, M+1, N+1) node values at any times."""
+    period = 2 * n
+    classes = _mode_classes(amps, period)
+    rows = np.zeros((amps.shape[0], len(times), period))
+    # stop before a last group that holds only residue 0, zero at every node
+    for g in range((amps.shape[-1] - 1) // period + 1):
+        phases = np.outer(times, np.arange(g * period, (g + 1) * period))
+        rows += (classes[:, 0, g, None, :] * np.cos(phases)
+                 + classes[:, 1, g, None, :] * np.sin(phases))
+    # sum_r rows[r] sin(pi r i / N) over the residues r = k mod 2N, i = 0..N
+    return -rfft(rows).imag
+
+
 class SeriesReference:
     """Truncated sine-series superposition of the exact solution.
 
@@ -140,7 +189,6 @@ class SeriesReference:
                 "series reference supports zero forcing; use a harmonic or callable reference")
         self.mesh = mesh
         cm = canonical_mesh(mesh)
-        self._cm = cm
         n, m = mesh.N, mesh.M
 
         # plain canonical amplitudes: a_k from u0, b_k from the rescaled u1
@@ -150,74 +198,25 @@ class SeriesReference:
             n_modes = fold_groups * joint if exact_fold else 8 * n
         root = math.sqrt(2.0 / mesh.X)
         scale_t = mesh.a * math.pi / mesh.X
-        a = sine_coefficients(data.u0, n_modes) * root
-        b = sine_coefficients(data.u1, n_modes) * root / scale_t
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = sine_coefficients(data.u0, n_modes) * root
+            b = sine_coefficients(data.u1, n_modes) * root / scale_t
+        for name, amps in (("u0", a), ("u1", b)):
+            if not np.all(np.isfinite(amps)):
+                raise ConfigurationError(f"the sine amplitudes of {name} are not finite")
         k = np.arange(1, n_modes + 1)
         qh_fac = hat_average_factor(k * cm.h)
 
         self.tail_estimate = self._estimate_tail(a, b, k, cm)
 
+        # (view, cos/sin, k): time-cosine and time-sine amplitudes of each
+        # mode, plain and hat-averaged
+        amps = np.stack([a, b / k])
+        amps = np.stack([amps, amps * qh_fac])
         if exact_fold:
-            values, qh_values = self._synthesize_folded(a, b, k, qh_fac, joint)
+            self._values, self._qh = _views_folded(amps, n, m, joint)
         else:
-            values, qh_values = self._synthesize_direct(a, b, k, qh_fac)
-        self._values = values
-        self._qh = qh_values
-
-    # -- synthesis ---------------------------------------------------------
-    def _space_fold(self, freqs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Fold rows (one per frequency) onto the N-1 discrete sine modes."""
-        n = self.mesh.N
-        r = freqs % (2 * n)
-        folded = np.zeros((n + 1, rows.shape[1]))
-        low = r < n
-        np.add.at(folded, np.where(low, r, 0), np.where(low[:, None], rows, 0.0))
-        high = r > n
-        np.subtract.at(folded, np.where(high, 2 * n - r, 0),
-                       np.where(high[:, None], rows, 0.0))
-        folded[0] = 0.0
-        return folded[1:n]
-
-    def _from_mode_coeffs(self, folded: np.ndarray) -> np.ndarray:
-        """(N-1, M+1) discrete sine coefficients -> (M+1, N+1) node values."""
-        vals = dst(folded, type=1, axis=0) / 2.0
-        out = np.zeros((self.mesh.M + 1, self.mesh.N + 1))
-        out[:, 1:-1] = vals.T
-        return out
-
-    def _synthesize_folded(self, a, b, k, qh_fac, joint):
-        # collapse every continuous mode onto its joint space-time alias class
-        classes = k % joint
-        amp_cos = np.zeros(joint)
-        amp_sin = np.zeros(joint)
-        amp_cos_qh = np.zeros(joint)
-        amp_sin_qh = np.zeros(joint)
-        np.add.at(amp_cos, classes, a)
-        np.add.at(amp_sin, classes, b / k)
-        np.add.at(amp_cos_qh, classes, a * qh_fac)
-        np.add.at(amp_sin_qh, classes, b / k * qh_fac)
-        q = np.arange(joint)
-        return self._synthesize(q, amp_cos, amp_sin, amp_cos_qh, amp_sin_qh)
-
-    def _synthesize_direct(self, a, b, k, qh_fac):
-        return self._synthesize(k, a, b / k, a * qh_fac, b / k * qh_fac)
-
-    def _synthesize(self, freqs, amp_cos, amp_sin, amp_cos_qh, amp_sin_qh,
-                    chunk: int = 2048):
-        times = self._cm.times()
-        n1 = self.mesh.N - 1
-        folded = np.zeros((n1, len(times)))
-        folded_qh = np.zeros((n1, len(times)))
-        for lo in range(0, len(freqs), chunk):
-            fc = freqs[lo:lo + chunk]
-            phases = np.outer(fc, times)
-            cos_t, sin_t = np.cos(phases), np.sin(phases)
-            rows = amp_cos[lo:lo + chunk, None] * cos_t + amp_sin[lo:lo + chunk, None] * sin_t
-            rows_qh = (amp_cos_qh[lo:lo + chunk, None] * cos_t
-                       + amp_sin_qh[lo:lo + chunk, None] * sin_t)
-            folded += self._space_fold(fc, rows)
-            folded_qh += self._space_fold(fc, rows_qh)
-        return self._from_mode_coeffs(folded), self._from_mode_coeffs(folded_qh)
+            self._values, self._qh = _views_direct(amps, n, cm.times())
 
     # -- tail --------------------------------------------------------------
     def _estimate_tail(self, a, b, k, cm) -> float:

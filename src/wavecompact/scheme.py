@@ -78,7 +78,7 @@ class SliceReference(Protocol):
 def _step_residual(mesh: MeshSpec, lhs_fn: GridFn, rhs: GridFn) -> float:
     res = float(np.max(np.abs(lhs_fn[1:-1] - rhs[1:-1])))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if res > RESIDUAL_RTOL * scale:
+    if not res <= RESIDUAL_RTOL * scale:  # a NaN residual fails too
         raise InvariantError(f"defining-equation residual {res:.3e} exceeds "
                              f"{RESIDUAL_RTOL:.0e} * {scale:.3e}")
     return res

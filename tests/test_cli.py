@@ -142,3 +142,32 @@ def test_jobs_env_not_an_integer_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["converge", "--config", str(cfg)]) == 3
     assert "WAVECOMPACT_JOBS must be an integer, got 'two'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_bad_reference_sizes_exit_3(tmp_path, capsys):
+    for key, bad in [("fold_groups", 0), ("n_modes", "x")]:
+        cfg = _write_config(tmp_path, {
+            "kind": "converge",
+            "mesh": _mesh(8, refinements=2),
+            "data": {"preset": "hat_step"},
+            key: bad,
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert main(["converge", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_data_exits_3_without_traceback(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "kind": "converge",
+        "mesh": _mesh(8, refinements=2),
+        "data": {"u0": {"form": "piecewise", "breakpoints": [0.0, math.pi],
+                        "pieces": [[1e308]]}},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["converge", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "u0" in err and "not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -115,3 +115,17 @@ def test_descriptor_tree_parses_to_dataspec():
     assert cfg.data.u0.form == "piecewise"
     assert cfg.data.u1.k == 2
     assert cfg.data.f.time.coeffs == (0.0, 1.0)
+
+
+def test_reference_sizes_are_checked():
+    base = {"kind": "converge",
+            "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16, "refinements": 2},
+            "data": {"preset": "hat_step"}}
+    cfg = config_from_dict({**base, "fold_groups": 32.0, "n_modes": None})
+    assert (cfg.fold_groups, cfg.n_modes) == (32, None)
+    assert config_from_dict({**base, "n_modes": 101}).n_modes == 101
+    for key, bad in [("fold_groups", 0), ("fold_groups", 2.5), ("fold_groups", "64"),
+                     ("fold_groups", None), ("fold_groups", True),
+                     ("n_modes", "x"), ("n_modes", 0), ("n_modes", -3)]:
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict({**base, key: bad})

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from wavecompact.data import DataSpec, Profile, average_qh
-from wavecompact.errors import ContractViolation
+from wavecompact.data import DataSpec, Profile, average_qh, sine_coefficients
+from wavecompact.errors import ConfigurationError, ContractViolation
+from wavecompact.experiments import PRESETS
 from wavecompact.grid import build_mesh
 from wavecompact.oracle import HarmonicData, exact_harmonic_solution
 from wavecompact.reference import (CallableReference, GridReference,
@@ -59,8 +60,8 @@ def test_callable_reference():
                                fac * expected[1:-1], rtol=1e-10)
 
 
-def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes):
-    """Direct mode-sum of the exact solution at the grid points."""
+def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes, qh=False):
+    """Direct mode-sum of the exact solution (or its hat averages) at the grid points."""
     x, t = mesh.nodes(), mesh.times()
     root = math.sqrt(2.0 / mesh.X)
     vals = np.zeros((mesh.M + 1, mesh.N + 1))
@@ -70,9 +71,29 @@ def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes):
         if a == 0.0 and b == 0.0:
             continue
         shape = np.sin(k * x)
+        if qh:
+            shape *= (math.sin(k * mesh.h / 2) / (k * mesh.h / 2)) ** 2
         vals += np.outer(a * np.cos(k * t) + b / k * np.sin(k * t), shape)
     vals[:, 0] = vals[:, -1] = 0.0
     return vals
+
+
+@pytest.mark.parametrize("T, n_modes, k_total", [
+    (0.8 * math.pi, None, 8 * 8),     # T' != pi: 8N direct modes
+    (math.pi, None, 64 * 32),         # exact fold, default 64 groups of L = 32
+    (math.pi, 3 * 32 + 5, 3 * 32 + 5),  # exact fold, last group partly filled
+], ids=["direct", "folded", "folded_partial_group"])
+def test_series_reference_paths_match_brute_force(T, n_modes, k_total):
+    mesh = build_mesh(math.pi, T, 8, 16)
+    data = PRESETS["hat_step"].make(math.pi)
+    ref = SeriesReference(mesh, data, n_modes=n_modes)
+    c0 = sine_coefficients(data.u0, k_total)
+    c1 = sine_coefficients(data.u1, k_total)
+    values = _brute_series_reference(mesh, c0, c1, k_total)
+    qh_values = _brute_series_reference(mesh, c0, c1, k_total, qh=True)
+    for m in range(mesh.M + 1):
+        np.testing.assert_allclose(ref.slice_values(m), values[m], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.qh_slice_values(m), qh_values[m], rtol=0, atol=1e-12)
 
 
 def test_series_reference_matches_brute_force_superposition():
@@ -148,3 +169,12 @@ def test_series_reference_rejects_forcing():
                               time=TimeProfile.harmonic_sin(1.0)))
     with pytest.raises(ContractViolation):
         SeriesReference(mesh, data)
+
+
+@pytest.mark.parametrize("name", ["u0", "u1"])
+def test_series_reference_rejects_non_finite_amplitudes(name):
+    mesh = build_mesh(math.pi, math.pi, 4, 8)
+    profiles = {"u0": Profile.zero(math.pi), "u1": Profile.zero(math.pi)}
+    profiles[name] = Profile.piecewise_poly((0.0, math.pi), ((1e308,),))
+    with pytest.raises(ConfigurationError, match=name):
+        SeriesReference(mesh, DataSpec(**profiles))

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from wavecompact.data import DataSpec, Forcing, Profile, TimeProfile
-from wavecompact.errors import ContractViolation, UnstableMeshError
+from wavecompact.errors import ContractViolation, InvariantError, UnstableMeshError
 from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
 from wavecompact.reference import GridReference, HarmonicReference
-from wavecompact.scheme import (error_report, evolve, initial_step, iterate_slices,
-                                measure_error, time_step)
+from wavecompact.scheme import (_step_residual, error_report, evolve, initial_step,
+                                iterate_slices, measure_error, time_step)
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 
@@ -238,3 +238,12 @@ def test_one_stepping_kernel_behind_every_path():
     assert np.array_equal(run.trajectory.slices, np.array(manual))
     assert run.residual_max.shape == (mesh.M,)
     assert np.all(run.residual_max <= RESIDUAL_RTOL)
+
+
+def test_step_residual_rejects_nan():
+    rhs = np.linspace(0.0, 1.0, MESH.N + 1)
+    assert _step_residual(MESH, rhs.copy(), rhs) == 0.0
+    lhs = rhs.copy()
+    lhs[3] = np.nan
+    with pytest.raises(InvariantError):
+        _step_residual(MESH, lhs, rhs)
