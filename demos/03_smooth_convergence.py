@@ -8,8 +8,8 @@ data allows it.
 
 import math
 
-from wavecompact import (HarmonicData, HarmonicReference, build_mesh, error_report,
-                         evolve, fit_order, harmonic_dataspec)
+from wavecompact import (HarmonicData, HarmonicReference, build_mesh, evolve,
+                         fit_order, harmonic_dataspec, measure_error)
 
 kind = HarmonicData(j=1, k=1)  # u = sin t sin x exactly
 points = []
@@ -18,7 +18,7 @@ prev = None
 for n in (16, 32, 64, 128):
     mesh = build_mesh(math.pi, math.pi, n, 2 * n)
     run = evolve(mesh, harmonic_dataspec(kind, mesh))
-    rep = error_report(run, HarmonicReference(mesh, kind))
+    rep = measure_error(mesh, run.trajectory.slices, HarmonicReference(mesh, kind))
     err = rep.max_energy_error
     ratio = prev / err if prev else float("nan")
     order = math.log2(ratio) if prev else float("nan")

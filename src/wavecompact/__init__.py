@@ -21,10 +21,9 @@ from .oracle import (DispersionRecord, HarmonicCoefficients, HarmonicData,
                      asymptotic_constant, choose_k_h, discrete_harmonic_solution,
                      discrete_harmonic_trajectory, dispersion, exact_harmonic_solution,
                      harmonic_coefficients, harmonic_dataspec, sharpness_prediction)
-from .reference import (CallableReference, GridReference, HarmonicReference,
-                        SeriesReference)
-from .scheme import (ErrorReport, SchemeRun, error_report, evolve, initial_step,
-                     iterate_slices, measure_error, time_step)
+from .reference import GridReference, HarmonicReference, SeriesReference
+from .scheme import (ErrorReport, SchemeRun, evolve, initial_step, iterate_slices,
+                     measure_error, time_step)
 from .experiments import (PRESETS, OrderFit, fit_order, random_dataspec,
                           run_convergence, run_oracle_check, run_sharpness,
                           run_solve, run_stability_probe)

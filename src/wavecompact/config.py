@@ -98,13 +98,13 @@ def dataspec_from_dict(d: dict, X: float) -> DataSpec:
     try:
         u0 = profile_from_dict(d["u0"], X) if d.get("u0") else Profile.zero(X)
         u1 = profile_from_dict(d["u1"], X) if d.get("u1") else Profile.zero(X)
+        f = None
+        if d.get("f"):
+            fd = d["f"]
+            f = Forcing(space=profile_from_dict(fd["space"], X),
+                        time=time_profile_from_dict(fd["time"]))
     except KeyError as exc:
         raise ConfigurationError(f"missing data key: {exc}") from exc
-    f = None
-    if d.get("f"):
-        fd = d["f"]
-        f = Forcing(space=profile_from_dict(fd["space"], X),
-                    time=time_profile_from_dict(fd["time"]))
     return DataSpec(u0=u0, u1=u1, f=f)
 
 
@@ -165,6 +165,16 @@ class ExperimentConfig:
         return self
 
 
+def _integer(value, key: str, minimum: int) -> int:
+    """value as an integer >= minimum (integral floats accepted), else a
+    ConfigurationError naming key."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
     try:
         X = float(mesh_cfg["X"])
@@ -179,15 +189,18 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
 
     if "rungs" in mesh_cfg:
         pairs = mesh_cfg["rungs"]
-        if not pairs:
-            raise ConfigurationError("mesh.rungs must not be empty")
-        return [one(int(n), int(m)) for n, m in pairs]
+        if not (isinstance(pairs, (list, tuple)) and pairs
+                and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
+            raise ConfigurationError(
+                f"mesh.rungs must be a nonempty list of [N, M] pairs, got {pairs!r}")
+        return [one(_integer(n, "mesh.rungs N", 2), _integer(m, "mesh.rungs M", 1))
+                for n, m in pairs]
 
     if "N" not in mesh_cfg:
         raise ConfigurationError("mesh section needs N (or explicit rungs)")
-    N = int(mesh_cfg["N"])
+    N = _integer(mesh_cfg["N"], "mesh.N", 2)
     if "M" in mesh_cfg:
-        M = int(mesh_cfg["M"])
+        M = _integer(mesh_cfg["M"], "mesh.M", 1)
     elif "tau_over_h" in mesh_cfg:
         ratio = float(mesh_cfg["tau_over_h"])
         m_exact = T * N / (ratio * X)
@@ -197,20 +210,8 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
                 f"tau_over_h = {ratio} gives a non-integer M = {m_exact}")
     else:
         raise ConfigurationError("mesh section needs M or tau_over_h")
-    refinements = int(mesh_cfg.get("refinements", 0))
+    refinements = _integer(mesh_cfg.get("refinements", 0), "mesh.refinements", 0)
     return [one(N * 2 ** r, M * 2 ** r) for r in range(refinements + 1)]
-
-
-def _positive_int(raw: dict, key: str, default):
-    """raw[key] as an integer >= 1, or None where None is the default."""
-    value = raw.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(f"{key} must be an integer >= 1, got {value!r}")
-    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -263,13 +264,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         out_dir=Path(raw.get("out_dir", "out")),
         jobs=int(raw.get("jobs", 1)),
         seed=int(raw.get("seed", 0)),
-        n_random=int(raw.get("n_random", 20)),
-        n_pairs=int(raw.get("n_pairs", 100)),
-        fold_groups=_positive_int(raw, "fold_groups", 64),
-        n_modes=_positive_int(raw, "n_modes", None),
+        n_random=_integer(raw.get("n_random", 20), "n_random", 1),
+        n_pairs=_integer(raw.get("n_pairs", 100), "n_pairs", 1),
+        fold_groups=_integer(raw.get("fold_groups", 64), "fold_groups", 1),
+        n_modes=(None if raw.get("n_modes") is None
+                 else _integer(raw["n_modes"], "n_modes", 1)),
         fit_drop_coarsest=int(raw.get("fit_drop_coarsest", 1)),
         tail_fraction=float(raw.get("tail_fraction", 0.01)),
-        decimate=int(raw.get("decimate", 32)),
+        decimate=_integer(raw.get("decimate", 32), "decimate", 1),
         echo=dict(raw),
     )
     return cfg.validated()

@@ -381,10 +381,11 @@ def average_qtau(g: TimeProfile, mesh: MeshSpec, m: int | None = None):
 
 
 def q2h_from_qh(qh_values, mesh: MeshSpec) -> GridFn:
-    """Numerov-corrected average from already computed q_h values."""
-    qh_values = require_dirichlet(qh_values, mesh, "q_h values")
-    out = mesh.zeros()
-    out[1:-1] = (-qh_values[:-2] + 14.0 * qh_values[1:-1] - qh_values[2:]) / 12.0
+    """Numerov-corrected average from already computed q_h values (one level
+    or a stack of levels)."""
+    q = require_dirichlet(qh_values, mesh, "q_h values")
+    out = np.zeros_like(q)
+    out[..., 1:-1] = (-q[..., :-2] + 14.0 * q[..., 1:-1] - q[..., 2:]) / 12.0
     return out
 
 

@@ -20,7 +20,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,7 @@ from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, choose_k_h, discrete_harmonic_trajectory,
                      dispersion, harmonic_dataspec, sharpness_prediction)
 from .reference import HarmonicReference, SeriesReference
-from .scheme import ErrorReport, evolve, error_report, iterate_slices, prepare_inputs
+from .scheme import ErrorReport, evolve, iterate_slices, measure_error, prepare_inputs
 
 
 # --------------------------------------------------------------------------
@@ -231,24 +230,22 @@ def forcing_l21_norm(f: Forcing, T: float) -> float:
 # --------------------------------------------------------------------------
 # stability inequalities (used by the probe runner and the acceptance suite)
 
-def energy_bound_sides(mesh: MeshSpec, data: DataSpec, variant: str = "v2",
-                       v0_mode: str = "node_samples"):
+def energy_bound_sides(mesh: MeshSpec, data: DataSpec):
     """(LHS, RHS) of the discrete energy stability bound.
 
     LHS: max over levels of the two-level energy norm of the run.
     RHS: sqrt(a^2 ||dx v0||^2 + eps0^-2 ||B^-1/2 u1h||^2)
          + eps0^-1 (tau ||B^-1/2 fh0|| + 2 tau sum_{m=1}^{M-1} ||B^-1/2 fh^m||).
     """
-    v0, u1h, fh = prepare_inputs(mesh, data, variant, v0_mode)
-    lhs = max(energy_norm_pair(v_prev, v_curr, mesh)
-              for v_prev, v_curr in pairwise(iterate_slices(mesh, v0, u1h, fh)))
+    v0, u1h, fh = prepare_inputs(mesh, data, "v2", "node_samples")
+    slices = np.array(list(iterate_slices(mesh, v0, u1h, fh)))
+    lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
     e0 = mesh.eps0
     rhs = math.sqrt(mesh.a ** 2 * space_norm(v0, "stiffness", mesh) ** 2
                     + mass_inv_half_norm(u1h, mesh) ** 2 / e0 ** 2)
     if fh is not None:
-        rhs += (mass_inv_half_norm(fh[0], mesh) * mesh.tau
-                + 2.0 * mesh.tau * sum(mass_inv_half_norm(fh[m], mesh)
-                                       for m in range(1, mesh.M))) / e0
+        fh_norms = mass_inv_half_norm(fh, mesh).tolist()
+        rhs += (fh_norms[0] * mesh.tau + 2.0 * mesh.tau * sum(fh_norms[1:])) / e0
     return lhs, rhs
 
 
@@ -258,13 +255,9 @@ def data_norm_bound_sides(mesh: MeshSpec, data: DataSpec):
     LHS: eps0 max( max_m ||dt v^m||_mass, max_m a/sqrt(6) ||dx v^m||_diff_l2 ).
     RHS: sqrt(a^2 ||dx u0||_L2^2 + eps0^-2 ||u1||_L2^2) + 2 eps0^-1 ||f||_L21.
     """
-    run = evolve(mesh, data, variant="v2", v0_mode="node_samples")
-    slices = run.trajectory.slices
-    tau = mesh.tau
-    max_dt = max(space_norm((slices[m] - slices[m - 1]) / tau, "mass", mesh)
-                 for m in range(1, mesh.M + 1))
-    max_dx = max(space_norm(slices[m], "diff_l2", mesh)
-                 for m in range(mesh.M + 1))
+    slices = evolve(mesh, data, variant="v2", v0_mode="node_samples").trajectory.slices
+    max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))
+    max_dx = float(np.max(space_norm(slices, "diff_l2", mesh)))
     e0 = mesh.eps0
     lhs = e0 * max(max_dt, mesh.a / math.sqrt(6.0) * max_dx)
     rhs = math.sqrt(mesh.a ** 2 * profile_h01_norm(data.u0) ** 2
@@ -275,7 +268,8 @@ def data_norm_bound_sides(mesh: MeshSpec, data: DataSpec):
 
 
 def energy_lower_bound_margins(mesh: MeshSpec, v_prev, v_curr):
-    """Margins (>= 0 when satisfied) of the two lower energy inequalities."""
+    """Margins (>= 0 when satisfied) of the two lower energy inequalities,
+    for one pair of levels or for stacks of pairs (one margin per row)."""
     e_sq = energy_norm_pair(v_prev, v_curr, mesh) ** 2
     tau, a, e0 = mesh.tau, mesh.a, mesh.eps0
     dtv = (v_curr - v_prev) / tau
@@ -393,7 +387,7 @@ def _converge_rung(payload) -> ErrorReport:
     data = _resolve_data(config, mesh)
     reference = _reference_for(config, mesh, data)
     run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
-    report = error_report(run, reference, mode=config.mode)
+    report = measure_error(mesh, run.trajectory.slices, reference, mode=config.mode)
     tail = getattr(reference, "tail_estimate", 0.0)
     gate = max(report.max_energy_error, report.max_dx_error)
     if gate > 0 and tail > config.tail_fraction * gate:
@@ -452,11 +446,12 @@ def run_solve(config: ExperimentConfig, emit: bool = True) -> SolveResult:
     started = time.perf_counter()
     mesh = config.rungs[0]
     data = _resolve_data(config, mesh)
-    run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
+    # the reference first: it names non-finite data before the stepper meets it
     reference = _reference_for(config, mesh, data, required=False)
+    run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
     report = None
     if reference is not None:
-        report = error_report(run, reference, mode=config.mode)
+        report = measure_error(mesh, run.trajectory.slices, reference, mode=config.mode)
     outputs: list[str] = []
     if emit and config.out_dir is not None:
         out = config.out_dir
@@ -528,7 +523,7 @@ def _sharpness_rung(payload):
     data = harmonic_dataspec(kind, mesh)
     reference = HarmonicReference(mesh, kind)
     run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
-    report = error_report(run, reference, mode="node_sampled")
+    report = measure_error(mesh, run.trajectory.slices, reference, mode="node_sampled")
     rec = dispersion(k_h, mesh)
     shift = rec.mu_k - (k_h - config.alpha)
     rows = []
@@ -640,13 +635,12 @@ def run_stability_probe(config: ExperimentConfig, emit: bool = True) -> list[Sta
             slack2 = STABILITY_SLACK * max(1.0, abs(rhs2))
             rows.append(StabilityProbeRow(mesh.N, mesh.M, "data_norm_bound", lhs2, rhs2,
                                           rhs2 - lhs2, lhs2 <= rhs2 + slack2))
-        for _ in range(config.n_pairs):
-            v_prev = mesh.zeros()
-            v_curr = mesh.zeros()
-            v_prev[1:-1] = rng.standard_normal(mesh.N - 1)
-            v_curr[1:-1] = rng.standard_normal(mesh.N - 1)
-            first, second = energy_lower_bound_margins(mesh, v_prev, v_curr)
-            for name, margin in (("lower_bound_1", first), ("lower_bound_2", second)):
+        # (pair, v_prev/v_curr, node): the draws of n_pairs successive pairs
+        pairs = np.zeros((config.n_pairs, 2, mesh.N + 1))
+        pairs[..., 1:-1] = rng.standard_normal((config.n_pairs, 2, mesh.N - 1))
+        first, second = energy_lower_bound_margins(mesh, pairs[:, 0], pairs[:, 1])
+        for margins in zip(first.tolist(), second.tolist()):
+            for name, margin in zip(("lower_bound_1", "lower_bound_2"), margins):
                 rows.append(StabilityProbeRow(mesh.N, mesh.M, name, -margin, 0.0,
                                               margin, margin >= -STABILITY_SLACK))
     if emit and config.out_dir is not None:

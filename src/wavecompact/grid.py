@@ -117,22 +117,43 @@ def build_mesh(X: float, T: float, N: int, M: int, a: float = 1.0,
                     eps0=float(eps0))
 
 
-def require_gridfn(w, mesh: MeshSpec) -> GridFn:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (mesh.N + 1,):
+def _levels(w, size: int) -> np.ndarray:
+    """w as one level of `size` values or a stack (L, size) of levels.
+
+    The result is C-contiguous, so every reduction over the last axis sums
+    each level in the same order as a call on that level alone."""
+    w = np.ascontiguousarray(w, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != size:
         raise ContractViolation(
-            f"grid function must have {mesh.N + 1} values, got shape {w.shape}")
+            f"expected {size} values per level, one level or a stack, got shape {w.shape}")
     return w
 
 
+def require_gridfn(w, mesh: MeshSpec) -> GridFn:
+    """w as a grid function: one level (N+1,) or a stack of levels (L, N+1)."""
+    return _levels(w, mesh.N + 1)
+
+
+def _reduced(values):
+    """A float for one level, the array of L values for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def require_dirichlet(w, mesh: MeshSpec, what: str = "grid function") -> GridFn:
-    """Check that w lives on the mesh nodes and vanishes at both ends."""
+    """Check that w, one level or a stack of levels, lives on the mesh nodes and
+    vanishes at both ends of every level; a failure names the first bad row."""
     w = require_gridfn(w, mesh)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if abs(w[0]) > _DIRICHLET_RTOL * scale or abs(w[-1]) > _DIRICHLET_RTOL * scale:
+    rows = np.atleast_2d(w)
+    edges = np.abs(rows[:, ::mesh.N])  # w[0] and w[N] of every level
+    if not edges.any():  # exact zeros pass at any scale
+        return w
+    scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+    bad = np.flatnonzero(edges.max(axis=1) > _DIRICHLET_RTOL * scale)
+    if bad.size:
+        r = bad[0]
         raise ContractViolation(
-            f"{what} must vanish at the boundary nodes, got "
-            f"w[0]={w[0]:.3e}, w[N]={w[-1]:.3e}")
+            f"{what}{f' (row {r})' if w.ndim == 2 else ''} must vanish at the boundary "
+            f"nodes, got w[0]={rows[r, 0]:.3e}, w[N]={rows[r, -1]:.3e}")
     return w
 
 
@@ -148,7 +169,7 @@ class Trajectory:
         if self.slices.shape != expected:
             raise ContractViolation(
                 f"trajectory must have shape {expected}, got {self.slices.shape}")
-        scale = max(1.0, float(np.max(np.abs(self.slices))))
+        scale = max(1.0, self.slices.max(), -self.slices.min())
         edges = np.abs(self.slices[:, [0, -1]])
         if np.max(edges) > _DIRICHLET_RTOL * scale:
             raise ContractViolation("trajectory slices must vanish at the boundary nodes")
@@ -158,31 +179,34 @@ class Trajectory:
 
 
 # --------------------------------------------------------------------------
-# quadratic forms of the spatial operators (kept local so the norms below do
-# not depend on the operators module)
+# quadratic forms of the spatial operators, reduced over the last axis (kept
+# local so the norms below do not depend on the operators module)
 
-def _mass_form(w: GridFn, h: float) -> float:
+def _mass_form(w: np.ndarray, h: float):
     """(B w, w)_h with the interior stencil (w[i-1] + 4 w[i] + w[i+1]) / 6."""
-    inner = w[1:-1]
-    return float(np.sum(((w[:-2] + 4.0 * inner + w[2:]) / 6.0) * inner) * h)
+    inner = w[..., 1:-1]
+    return np.sum(((w[..., :-2] + 4.0 * inner + w[..., 2:]) / 6.0) * inner, axis=-1) * h
 
-def _stiffness_form(w: GridFn, h: float) -> float:
+def _stiffness_form(w: np.ndarray, h: float):
     """(-Lap w, w)_h computed through the second-difference stencil."""
-    inner = w[1:-1]
-    lap = (w[:-2] - 2.0 * inner + w[2:]) / h ** 2
-    return float(-np.sum(lap * inner) * h)
+    inner = w[..., 1:-1]
+    lap = (w[..., :-2] - 2.0 * inner + w[..., 2:]) / h ** 2
+    return -np.sum(lap * inner, axis=-1) * h
 
-def _backward_diff_sq(w: GridFn, h: float) -> float:
+def _backward_diff_sq(w: np.ndarray, h: float):
     """sum_{i=1..N} ((w[i] - w[i-1]) / h)^2 h."""
-    d = np.diff(w) / h
-    return float(np.sum(d * d) * h)
+    d = np.diff(w, axis=-1) / h
+    return np.sum(d * d, axis=-1) * h
 
 
 SPACE_NORM_KINDS = ("l2", "diff_l2", "l1", "l1_midpoint", "mass", "stiffness")
 
 
-def space_norm(w, kind: str, mesh: MeshSpec) -> float:
-    """Discrete spatial norm of a grid function.
+def space_norm(w, kind: str, mesh: MeshSpec):
+    """Discrete spatial norm of a grid function, or of each level of a stack.
+
+    w is one level, shape (N+1,), and the norm is a float, or a stack of
+    levels, shape (L, N+1), and the norms are an array of L values.
 
     Kinds
     -----
@@ -198,26 +222,22 @@ def space_norm(w, kind: str, mesh: MeshSpec) -> float:
     The l1 kinds use backward differences / cells indexed 1..N throughout.
     """
     if kind == "l1_midpoint":
-        w = np.asarray(w, dtype=float)
-        if w.shape != (mesh.N,):
-            raise ContractViolation(
-                f"l1_midpoint expects the {mesh.N} half-node samples, got shape {w.shape}")
-        return float(np.sum(np.abs(w)) * mesh.h)
+        return _reduced(np.sum(np.abs(_levels(w, mesh.N)), axis=-1) * mesh.h)
     if kind in ("mass", "stiffness"):
         w = require_dirichlet(w, mesh, what=f"{kind}-norm argument")
     else:
         w = require_gridfn(w, mesh)
     h = mesh.h
     if kind == "l2":
-        return float(np.sqrt(np.sum(w[1:-1] ** 2) * h))
+        return _reduced(np.sqrt(np.sum(w[..., 1:-1] ** 2, axis=-1) * h))
     if kind == "diff_l2":
-        return float(np.sqrt(_backward_diff_sq(w, h)))
+        return _reduced(np.sqrt(_backward_diff_sq(w, h)))
     if kind == "l1":
-        return float(np.sum(0.5 * (np.abs(w[:-1]) + np.abs(w[1:])) * h))
+        return _reduced(np.sum(0.5 * (np.abs(w[..., :-1]) + np.abs(w[..., 1:])) * h, axis=-1))
     if kind == "mass":
-        return float(np.sqrt(max(_mass_form(w, h), 0.0)))
+        return _reduced(np.sqrt(np.maximum(_mass_form(w, h), 0.0)))
     if kind == "stiffness":
-        return float(np.sqrt(max(_stiffness_form(w, h), 0.0)))
+        return _reduced(np.sqrt(np.maximum(_stiffness_form(w, h), 0.0)))
     raise ContractViolation(f"unknown space norm kind {kind!r}; expected one of {SPACE_NORM_KINDS}")
 
 
@@ -252,12 +272,14 @@ def time_aggregate(series, kind: str, mesh: MeshSpec) -> float:
         f"unknown time aggregate kind {kind!r}; expected one of {TIME_AGGREGATE_KINDS}")
 
 
-def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec) -> float:
+def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec):
     """Two-level energy norm of the slice pair (v_prev, v_curr).
 
-    Requires a stable mesh: the norm may lose definiteness otherwise.  The
-    radicand is evaluated in full; a negative value beyond -1e-12 times its
-    own scale indicates a broken invariant and raises.
+    v_prev and v_curr are single levels (a float is returned) or stacks of
+    levels paired row by row (an array of L norms).  Requires a stable mesh:
+    the norm may lose definiteness otherwise.  The radicand is evaluated in
+    full; a negative value beyond -1e-12 times its own scale indicates a
+    broken invariant and raises, naming the first such row of a stack.
     """
     if not mesh.stable:
         raise ContractViolation(
@@ -271,11 +293,14 @@ def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec) -> float:
     term_mid = (mesh.sigma - 0.25) * tau ** 2 * a ** 2 * _stiffness_form(dtv, h)
     term_avg = a ** 2 * _stiffness_form(stv, h)
     total = term_b + term_mid + term_avg
-    scale = abs(term_b) + abs(term_mid) + abs(term_avg)
-    if total < -1e-12 * max(scale, 1e-300):
+    scale = np.abs(term_b) + np.abs(term_mid) + np.abs(term_avg)
+    bad = np.flatnonzero(total < -1e-12 * np.maximum(scale, 1e-300))
+    if bad.size:
+        r = bad[0]
         raise InvariantError(
-            f"energy radicand {total:.3e} is negative beyond tolerance (scale {scale:.3e})")
-    return float(np.sqrt(max(total, 0.0)))
+            f"energy radicand {np.ravel(total)[r]:.3e} is negative beyond tolerance"
+            f"{f' in row {r}' if np.ndim(total) else ''} (scale {np.ravel(scale)[r]:.3e})")
+    return _reduced(np.sqrt(np.maximum(total, 0.0)))
 
 
 def check_stable(mesh: MeshSpec) -> None:

@@ -1,7 +1,8 @@
 """Spatial averaging and difference operators, and the implicit level solver.
 
 Interior three-point stencils, all acting in the Dirichlet space (output
-boundary rows are zero):
+boundary rows are zero) on one level (N+1,) or on each level of a stack
+(L, N+1):
 
     numerov    (w[i-1] + 10 w[i] + w[i+1]) / 12   = I + (h^2/12) laplacian
     mass       (w[i-1] +  4 w[i] + w[i+1]) / 6    = I + (h^2/6)  laplacian
@@ -41,13 +42,13 @@ def stencil(kind: str, w, mesh: MeshSpec) -> GridFn:
     """
     w = require_gridfn(w, mesh)
     out = np.zeros_like(w)
-    inner = w[1:-1]
+    inner = w[..., 1:-1]
     if kind == "numerov":
-        out[1:-1] = (w[:-2] + 10.0 * inner + w[2:]) / 12.0
+        out[..., 1:-1] = (w[..., :-2] + 10.0 * inner + w[..., 2:]) / 12.0
     elif kind == "mass":
-        out[1:-1] = (w[:-2] + 4.0 * inner + w[2:]) / 6.0
+        out[..., 1:-1] = (w[..., :-2] + 4.0 * inner + w[..., 2:]) / 6.0
     elif kind == "laplacian":
-        out[1:-1] = (w[:-2] - 2.0 * inner + w[2:]) / mesh.h ** 2
+        out[..., 1:-1] = (w[..., :-2] - 2.0 * inner + w[..., 2:]) / mesh.h ** 2
     else:
         raise ContractViolation(
             f"unknown spatial operator {kind!r}; expected one of {SPATIAL_OP_KINDS}")
@@ -102,7 +103,7 @@ def solve_implicit(rhs, mesh: MeshSpec) -> GridFn:
     """
     rhs = require_dirichlet(rhs, mesh, what="implicit right-hand side")
     out = np.zeros_like(rhs)
-    out[1:-1] = cho_solve_banded((_implicit_factor(mesh), False), rhs[1:-1])
+    out[..., 1:-1] = cho_solve_banded((_implicit_factor(mesh), False), rhs[..., 1:-1].T).T
     return out
 
 
@@ -110,12 +111,14 @@ def solve_mass(rhs, mesh: MeshSpec) -> GridFn:
     """Solve mass * w = rhs on the interior; used by the stability bounds."""
     rhs = require_dirichlet(rhs, mesh, what="mass right-hand side")
     out = np.zeros_like(rhs)
-    out[1:-1] = cho_solve_banded((_mass_factor(mesh), False), rhs[1:-1])
+    out[..., 1:-1] = cho_solve_banded((_mass_factor(mesh), False), rhs[..., 1:-1].T).T
     return out
 
 
-def mass_inv_half_norm(w, mesh: MeshSpec) -> float:
-    """||B^(-1/2) w||_h = (B^{-1} w, w)_h^(1/2)."""
+def mass_inv_half_norm(w, mesh: MeshSpec):
+    """||B^(-1/2) w||_h = (B^{-1} w, w)_h^(1/2) of one level (a float) or of
+    each level of a stack (an array)."""
     w = require_dirichlet(w, mesh, what="mass_inv_half_norm argument")
     z = solve_mass(w, mesh)
-    return float(np.sqrt(max(np.sum(z[1:-1] * w[1:-1]) * mesh.h, 0.0)))
+    norm = np.sqrt(np.maximum(np.sum(z[..., 1:-1] * w[..., 1:-1], axis=-1) * mesh.h, 0.0))
+    return float(norm) if w.ndim == 1 else norm

@@ -1,8 +1,10 @@
-"""Reference solutions evaluated slice by slice on a fixed mesh.
+"""Reference solutions on a fixed mesh.
 
 A reference object serves two views of the exact solution u: raw node values
-u(x_i, t_m) and hat-averaged values (q_h u(., t_m))_i, the latter feeding the
-q_2h-filtered error norms.
+u(x_i, t_m) through values(levels) and hat-averaged values (q_h u(., t_m))_i
+through qh_values(levels), the latter feeding the q_2h-filtered error norms.
+levels is a time level or a slice of levels, as in numpy indexing; the
+array-backed references return read-only views.
 
 SeriesReference builds u by sine-mode superposition in the canonical frame,
 
@@ -35,10 +37,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, rfft
 
-from .data import DataSpec, Profile, average_qh, hat_average_factor, sine_coefficients
+from .data import DataSpec, hat_average_factor, sine_coefficients
 from .errors import ConfigurationError, ContractViolation
-from .grid import GridFn, MeshSpec
+from .grid import MeshSpec
 from .oracle import HarmonicData, canonical_mesh, exact_time_coefficients
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 class GridReference:
@@ -49,16 +57,16 @@ class GridReference:
         if values.shape != (mesh.M + 1, mesh.N + 1):
             raise ContractViolation("reference array shape does not match the mesh")
         self.mesh = mesh
-        self._values = values
-        self._qh = qh_values
+        self._values = _read_only(values)
+        self._qh = None if qh_values is None else _read_only(qh_values)
 
-    def slice_values(self, m: int) -> GridFn:
-        return self._values[m].copy()
+    def values(self, levels) -> np.ndarray:
+        return self._values[levels]
 
-    def qh_slice_values(self, m: int) -> GridFn:
+    def qh_values(self, levels) -> np.ndarray:
         if self._qh is None:
             raise ContractViolation("this reference carries no hat-averaged slices")
-        return self._qh[m].copy()
+        return self._qh[levels]
 
 
 class HarmonicReference:
@@ -74,33 +82,11 @@ class HarmonicReference:
         self._shape = shape
         self._qh_factor = float(hat_average_factor(kind.k * cm.h))
 
-    def slice_values(self, m: int) -> GridFn:
-        return self._coeffs[m] * self._shape
+    def values(self, levels) -> np.ndarray:
+        return self._coeffs[levels, None] * self._shape
 
-    def qh_slice_values(self, m: int) -> GridFn:
-        return self._qh_factor * self._coeffs[m] * self._shape
-
-
-class CallableReference:
-    """Reference from a vectorized evaluator u(x, t); hat averages by quadrature."""
-
-    def __init__(self, mesh: MeshSpec, func, quadrature_nodes: int = 8):
-        self.mesh = mesh
-        self._func = func
-        self._nodes = mesh.nodes()
-        self._times = mesh.times()
-        self._qnodes = quadrature_nodes
-
-    def slice_values(self, m: int) -> GridFn:
-        out = np.asarray(self._func(self._nodes, self._times[m]), dtype=float)
-        out[0] = out[-1] = 0.0
-        return out
-
-    def qh_slice_values(self, m: int) -> GridFn:
-        t = self._times[m]
-        profile = Profile.from_callable(lambda x: self._func(x, t), self.mesh.X,
-                                        quadrature_nodes=self._qnodes)
-        return average_qh(profile, self.mesh)
+    def qh_values(self, levels) -> np.ndarray:
+        return self._qh_factor * self._coeffs[levels, None] * self._shape
 
 
 def _fit_decay(amps: np.ndarray):
@@ -177,16 +163,16 @@ def _views_direct(amps: np.ndarray, n: int, times: np.ndarray) -> np.ndarray:
 class SeriesReference:
     """Truncated sine-series superposition of the exact solution.
 
-    Supports f = None only; forcing references come from HarmonicReference or
-    a manufactured CallableReference.  n_modes defaults to fold_groups times
-    the joint alias period when T' = pi (exact folding), else to 8 N.
+    Supports f = None only; forcing references come from HarmonicReference.
+    n_modes defaults to fold_groups times the joint alias period when T' = pi
+    (exact folding), else to 8 N.
     """
 
     def __init__(self, mesh: MeshSpec, data: DataSpec, n_modes: int | None = None,
                  fold_groups: int = 64):
         if data.f is not None:
             raise ContractViolation(
-                "series reference supports zero forcing; use a harmonic or callable reference")
+                "series reference supports zero forcing; use a harmonic reference")
         self.mesh = mesh
         cm = canonical_mesh(mesh)
         n, m = mesh.N, mesh.M
@@ -214,9 +200,10 @@ class SeriesReference:
         amps = np.stack([a, b / k])
         amps = np.stack([amps, amps * qh_fac])
         if exact_fold:
-            self._values, self._qh = _views_folded(amps, n, m, joint)
+            views = _views_folded(amps, n, m, joint)
         else:
-            self._values, self._qh = _views_direct(amps, n, cm.times())
+            views = _views_direct(amps, n, cm.times())
+        self._values, self._qh = _read_only(views)
 
     # -- tail --------------------------------------------------------------
     def _estimate_tail(self, a, b, k, cm) -> float:
@@ -228,9 +215,9 @@ class SeriesReference:
         cap = 2.0 / cm.h + 2.0 / cm.tau
         return math.sqrt(math.pi / 2.0 * tail_sq) * cap
 
-    # -- protocol ----------------------------------------------------------
-    def slice_values(self, m: int) -> GridFn:
-        return self._values[m].copy()
+    # -- views -------------------------------------------------------------
+    def values(self, levels) -> np.ndarray:
+        return self._values[levels]
 
-    def qh_slice_values(self, m: int) -> GridFn:
-        return self._qh[m].copy()
+    def qh_values(self, levels) -> np.ndarray:
+        return self._qh[levels]

@@ -18,7 +18,7 @@ from wavecompact.operators import apply_implicit, apply_spatial, solve_implicit
 from wavecompact.oracle import (HarmonicData, discrete_harmonic_trajectory,
                                 dispersion, harmonic_dataspec)
 from wavecompact.reference import HarmonicReference
-from wavecompact.scheme import error_report, evolve
+from wavecompact.scheme import evolve, measure_error
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -61,7 +61,8 @@ def test_acceptance_2_smooth_fourth_order():
     for n in (16, 32, 64, 128):
         mesh = build_mesh(math.pi, math.pi, n, 2 * n)
         run = evolve(mesh, harmonic_dataspec(kind, mesh))
-        rep = error_report(run, HarmonicReference(mesh, kind), mode="node_sampled")
+        rep = measure_error(mesh, run.trajectory.slices, HarmonicReference(mesh, kind),
+                            mode="node_sampled")
         points.append((mesh.h, rep.max_energy_error))
     fit = fit_order(points)
     _report("2 smooth fourth order", 3.7 <= fit.slope <= 4.3,

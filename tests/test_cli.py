@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from wavecompact.cli import main
 
 
@@ -170,4 +172,39 @@ def test_non_finite_data_exits_3_without_traceback(tmp_path, capsys):
     assert main(["converge", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "u0" in err and "not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_non_finite_data_exits_3_without_traceback(tmp_path, capsys):
+    # the reference is built before the stepper runs, so it names u0 first
+    cfg = _write_config(tmp_path, {
+        "kind": "solve",
+        "mesh": _mesh(8),
+        "data": {"u0": {"form": "piecewise", "breakpoints": [0.0, math.pi],
+                        "pieces": [[1e308]]}},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["solve", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "u0" in err and "not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+_NO_SPACE_FORCING = {"u0": None, "u1": None,
+                     "f": {"time": {"form": "polynomial", "coeffs": [1.0]}}}
+
+
+@pytest.mark.parametrize("kind, key, edit", [
+    ("solve", "mesh.N", {"mesh": _mesh(16, N="abc")}),
+    ("stability_probe", "n_pairs", {"n_pairs": "x"}),
+    ("solve", "space", {"data": _NO_SPACE_FORCING}),
+    ("solve", "decimate", {"decimate": 0}),
+], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate"])
+def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
+    cfg = _write_config(tmp_path, {
+        "kind": kind, "mesh": _mesh(16), "data": None,
+        "out_dir": str(tmp_path / "out"), **edit})
+    assert main([kind.replace("_", "-"), "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()

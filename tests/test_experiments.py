@@ -317,7 +317,7 @@ def test_sharpness_measurement_oracle_self_consistency():
     from wavecompact.oracle import (HarmonicData, choose_k_h,
                                     discrete_harmonic_trajectory)
     from wavecompact.reference import HarmonicReference
-    from wavecompact.scheme import error_report, evolve, measure_error
+    from wavecompact.scheme import evolve, measure_error
     from wavecompact.oracle import harmonic_dataspec
 
     mesh = build_mesh(math.pi, math.pi, 128, 256)
@@ -325,7 +325,7 @@ def test_sharpness_measurement_oracle_self_consistency():
     kind = HarmonicData(j=0, k=k)
     ref = HarmonicReference(mesh, kind)
     run = evolve(mesh, harmonic_dataspec(kind, mesh))
-    stepper = error_report(run, ref).l1_spacetime_error
+    stepper = measure_error(mesh, run.trajectory.slices, ref).l1_spacetime_error
     closed = measure_error(mesh, discrete_harmonic_trajectory(kind, mesh, "v2"),
                            ref).l1_spacetime_error
     assert abs(stepper - closed) / closed < 1e-8

@@ -7,7 +7,7 @@ import pytest
 
 from wavecompact.errors import ConfigurationError, ContractViolation, UnstableMeshError
 from wavecompact.grid import (Trajectory, build_mesh, energy_norm_pair,
-                              space_norm, time_aggregate)
+                              require_dirichlet, space_norm, time_aggregate)
 
 
 def test_build_mesh_derived_quantities():
@@ -127,6 +127,42 @@ def test_operator_bound_inequalities_randomized():
             stiff_sq = space_norm(w, "stiffness", mesh) ** 2
             assert l2_sq / 3.0 - 1e-12 * l2_sq <= mass_sq <= l2_sq * (1 + 1e-12)
             assert 0.0 < stiff_sq <= 4.0 / mesh.h ** 2 * l2_sq * (1 + 1e-12)
+
+
+def test_stacked_norms_equal_row_by_row_calls():
+    # a stack of levels reduces over its last axis, bit for bit as per level
+    rng = np.random.default_rng(13)
+    mesh = build_mesh(math.pi, math.pi, 32, 64)
+    stack = rng.standard_normal((9, mesh.N + 1))
+    stack[:, 0] = stack[:, -1] = 0.0
+    for kind in ("l2", "diff_l2", "l1", "mass", "stiffness"):
+        norms = space_norm(stack, kind, mesh)
+        assert norms.shape == (9,)
+        assert norms.tolist() == [space_norm(w, kind, mesh) for w in stack]
+        # a column-major stack sums each level in the same order
+        assert space_norm(np.asfortranarray(stack), kind, mesh).tolist() == norms.tolist()
+    mids = rng.standard_normal((9, mesh.N))
+    assert space_norm(mids, "l1_midpoint", mesh).tolist() == [
+        space_norm(w, "l1_midpoint", mesh) for w in mids]
+    assert energy_norm_pair(stack[:-1], stack[1:], mesh).tolist() == [
+        energy_norm_pair(p, c, mesh) for p, c in zip(stack[:-1], stack[1:])]
+    assert isinstance(space_norm(stack[0], "mass", mesh), float)
+    assert isinstance(energy_norm_pair(stack[0], stack[1], mesh), float)
+
+
+def test_stack_with_one_non_dirichlet_row_names_it():
+    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    stack = np.zeros((6, mesh.N + 1))
+    stack[:, 1:-1] = 1.0
+    stack[4, -1] = 1e-6
+    with pytest.raises(ContractViolation, match="row 4"):
+        require_dirichlet(stack, mesh)
+    with pytest.raises(ContractViolation, match="row 4"):
+        space_norm(stack, "stiffness", mesh)
+    with pytest.raises(ContractViolation, match="row 3"):
+        energy_norm_pair(stack[1:], stack[:-1], mesh)
+    with pytest.raises(ContractViolation):
+        space_norm(np.zeros((2, 3, mesh.N + 1)), "l2", mesh)
 
 
 # --------------------------------------------------------------------------

@@ -124,6 +124,17 @@ def test_solve_implicit_residual_contract():
     assert np.max(np.abs(res[1:-1])) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
+def test_operators_act_on_each_level_of_a_stack():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((5, MESH.N + 1))
+    stack[:, 0] = stack[:, -1] = 0.0
+    for op in (lambda w: stencil("numerov", w, MESH), lambda w: apply_implicit(w, MESH),
+               lambda w: solve_implicit(w, MESH), lambda w: solve_mass(w, MESH)):
+        assert np.array_equal(op(stack), np.array([op(w) for w in stack]))
+    assert mass_inv_half_norm(stack, MESH).tolist() == [
+        mass_inv_half_norm(w, MESH) for w in stack]
+
+
 def test_implicit_matrix_row_dominance():
     # |diag| - 2|off| = min(1/3 + 4s, 1) >= 1/3 for every s > 0
     for mesh in (MESH, build_mesh(1.0, 1.0, 16, 64, a=3.0, eps0=0.5)):

@@ -10,8 +10,7 @@ from wavecompact.errors import ConfigurationError, ContractViolation
 from wavecompact.experiments import PRESETS
 from wavecompact.grid import build_mesh
 from wavecompact.oracle import HarmonicData, exact_harmonic_solution
-from wavecompact.reference import (CallableReference, GridReference,
-                                   HarmonicReference, SeriesReference)
+from wavecompact.reference import GridReference, HarmonicReference, SeriesReference
 
 
 def test_grid_reference_round_trip():
@@ -19,9 +18,9 @@ def test_grid_reference_round_trip():
     values = np.zeros((9, 5))
     values[:, 2] = np.arange(9)
     ref = GridReference(mesh, values)
-    np.testing.assert_array_equal(ref.slice_values(3), values[3])
+    np.testing.assert_array_equal(ref.values(3), values[3])
     with pytest.raises(ContractViolation):
-        ref.qh_slice_values(0)
+        ref.qh_values(0)
     with pytest.raises(ContractViolation):
         GridReference(mesh, np.zeros((3, 5)))
 
@@ -32,7 +31,7 @@ def test_harmonic_reference_matches_exact_solution():
     ref = HarmonicReference(mesh, kind)
     x, t = mesh.nodes(), mesh.times()
     for m in (0, 5, mesh.M):
-        np.testing.assert_allclose(ref.slice_values(m),
+        np.testing.assert_allclose(ref.values(m),
                                    exact_harmonic_solution(kind, mesh, x, t[m]),
                                    rtol=1e-13, atol=1e-14)
 
@@ -44,20 +43,8 @@ def test_harmonic_reference_qh_slices_by_quadrature():
     t = mesh.times()[7]
     profile = Profile.from_callable(
         lambda x: exact_harmonic_solution(kind, mesh, x, t), math.pi)
-    np.testing.assert_allclose(ref.qh_slice_values(7), average_qh(profile, mesh),
+    np.testing.assert_allclose(ref.qh_values(7), average_qh(profile, mesh),
                                rtol=1e-12, atol=1e-13)
-
-
-def test_callable_reference():
-    mesh = build_mesh(math.pi, math.pi, 8, 32)
-    ref = CallableReference(mesh, lambda x, t: np.sin(x) * math.cos(t))
-    m = 3
-    expected = np.sin(mesh.nodes()) * math.cos(mesh.times()[m])
-    expected[0] = expected[-1] = 0.0
-    np.testing.assert_allclose(ref.slice_values(m), expected, atol=1e-15)
-    fac = (math.sin(mesh.h / 2) / (mesh.h / 2)) ** 2
-    np.testing.assert_allclose(ref.qh_slice_values(m)[1:-1],
-                               fac * expected[1:-1], rtol=1e-10)
 
 
 def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes, qh=False):
@@ -92,8 +79,8 @@ def test_series_reference_paths_match_brute_force(T, n_modes, k_total):
     values = _brute_series_reference(mesh, c0, c1, k_total)
     qh_values = _brute_series_reference(mesh, c0, c1, k_total, qh=True)
     for m in range(mesh.M + 1):
-        np.testing.assert_allclose(ref.slice_values(m), values[m], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ref.qh_slice_values(m), qh_values[m], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.values(m), values[m], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.qh_values(m), qh_values[m], rtol=0, atol=1e-12)
 
 
 def test_series_reference_matches_brute_force_superposition():
@@ -106,7 +93,7 @@ def test_series_reference_matches_brute_force_superposition():
     ref = SeriesReference(mesh, data)
     brute = _brute_series_reference(mesh, c0, c1, 6)
     for m in (0, 1, 9, mesh.M):
-        np.testing.assert_allclose(ref.slice_values(m), brute[m], rtol=1e-11,
+        np.testing.assert_allclose(ref.values(m), brute[m], rtol=1e-11,
                                    atol=1e-12)
 
 
@@ -121,10 +108,10 @@ def test_series_reference_folded_vs_direct_paths():
     k_total = 128 * math.lcm(2 * mesh.N, 2 * mesh.M)
     direct = SeriesReference(mesh, data, n_modes=k_total)
     for m in (0, 3, mesh.M):
-        np.testing.assert_allclose(folded.slice_values(m), direct.slice_values(m),
+        np.testing.assert_allclose(folded.values(m), direct.values(m),
                                    rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(folded.qh_slice_values(m),
-                                   direct.qh_slice_values(m), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(folded.qh_values(m),
+                                   direct.qh_values(m), rtol=1e-10, atol=1e-12)
 
 
 def test_series_reference_qh_slices_by_quadrature():
@@ -137,7 +124,7 @@ def test_series_reference_qh_slices_by_quadrature():
     profile = Profile.from_callable(
         lambda x: sum(c0[k - 1] * math.sqrt(2 / math.pi) * np.cos(k * t) * np.sin(k * x)
                       for k in (1, 2, 3)), math.pi)
-    np.testing.assert_allclose(ref.qh_slice_values(m), average_qh(profile, mesh),
+    np.testing.assert_allclose(ref.qh_values(m), average_qh(profile, mesh),
                                rtol=1e-11, atol=1e-12)
 
 
@@ -152,7 +139,7 @@ def test_series_reference_initial_slice_is_data():
     ref = SeriesReference(mesh, data)
     samples = hat(mesh.nodes())
     samples[0] = samples[-1] = 0.0
-    diff = np.abs(ref.slice_values(0) - samples)
+    diff = np.abs(ref.values(0) - samples)
     kink = mesh.N // 2
     assert diff[kink] < 1e-4
     off_kink = np.delete(diff, kink)

@@ -11,8 +11,8 @@ from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
 from wavecompact.reference import GridReference, HarmonicReference
-from wavecompact.scheme import (_step_residual, error_report, evolve, initial_step,
-                                iterate_slices, measure_error, time_step)
+from wavecompact.scheme import (_step_residual, evolve, initial_step, iterate_slices,
+                                measure_error, time_step)
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 
@@ -140,22 +140,28 @@ def test_error_report_self_reference_is_zero():
     kind = HarmonicData(j=1, k=2)
     run = evolve(MESH, harmonic_dataspec(kind, MESH))
     ref = GridReference(MESH, run.trajectory.slices.copy())
-    rep = error_report(run, ref, mode="node_sampled")
+    rep = measure_error(MESH, run.trajectory.slices, ref, mode="node_sampled")
     assert rep.max_energy_error == pytest.approx(0.0, abs=1e-13)
     assert rep.max_dx_error == pytest.approx(0.0, abs=1e-13)
     assert rep.l1_spacetime_error == pytest.approx(0.0, abs=1e-13)
     assert rep.l1_spacetime_dx_error == pytest.approx(0.0, abs=1e-13)
 
 
-def test_error_report_brute_force_norms():
+# M = 16 fits in one block of measure_error; M = 150 spans three blocks, the
+# last one partial, so the pair norms cross two seams
+SEAM_MESHES = pytest.mark.parametrize("m_levels", [16, 150], ids=["one_block", "three_blocks"])
+
+
+@SEAM_MESHES
+def test_error_report_brute_force_norms(m_levels):
     # all four fields recomputed with plain loops on a tiny run
-    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    mesh = build_mesh(math.pi, math.pi, 8, m_levels)
     kind = HarmonicData(j=0, k=2)
     run = evolve(mesh, harmonic_dataspec(kind, mesh))
     ref = HarmonicReference(mesh, kind)
-    rep = error_report(run, ref, mode="node_sampled")
+    rep = measure_error(mesh, run.trajectory.slices, ref, mode="node_sampled")
 
-    errs = [ref.slice_values(m) - run.trajectory.slices[m] for m in range(mesh.M + 1)]
+    errs = [ref.values(m) - run.trajectory.slices[m] for m in range(mesh.M + 1)]
     h, tau = mesh.h, mesh.tau
     e_energy = max(energy_norm_pair(errs[m - 1], errs[m], mesh)
                    for m in range(1, mesh.M + 1))
@@ -173,21 +179,38 @@ def test_error_report_brute_force_norms():
     assert rep.l1_spacetime_dx_error == pytest.approx(e_l1dx, rel=1e-12)
 
 
-def test_error_report_q2h_mode_brute_force():
+@SEAM_MESHES
+def test_error_report_q2h_mode_brute_force(m_levels):
     from wavecompact.data import q2h_from_qh
-    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    mesh = build_mesh(math.pi, math.pi, 8, m_levels)
     kind = HarmonicData(j=1, k=1)
     run = evolve(mesh, harmonic_dataspec(kind, mesh))
     ref = HarmonicReference(mesh, kind)
-    rep = error_report(run, ref, mode="q2h_filtered")
-    filt = [q2h_from_qh(ref.qh_slice_values(m), mesh) - run.trajectory.slices[m]
+    rep = measure_error(mesh, run.trajectory.slices, ref, mode="q2h_filtered")
+    filt = [q2h_from_qh(ref.qh_values(m), mesh) - run.trajectory.slices[m]
             for m in range(mesh.M + 1)]
-    node = [ref.slice_values(m) - run.trajectory.slices[m] for m in range(mesh.M + 1)]
+    node = [ref.values(m) - run.trajectory.slices[m] for m in range(mesh.M + 1)]
     expected = max(
         space_norm((filt[m] - filt[m - 1]) / mesh.tau, "l2", mesh)
         + space_norm(node[m], "diff_l2", mesh)
         for m in range(1, mesh.M + 1))
     assert rep.max_energy_error == pytest.approx(expected, rel=1e-12)
+
+
+def test_measure_error_sees_the_pair_across_a_block_seam():
+    # the error is +w on the last level of the first block and -w on the next
+    # level, so the largest pair norm lies on the seam between the blocks
+    from wavecompact.scheme import _BLOCK_LEVELS
+    mesh = build_mesh(math.pi, math.pi, 8, 3 * _BLOCK_LEVELS)
+    run = evolve(mesh, _zero_data())
+    w = mesh.zeros()
+    w[1:-1] = np.random.default_rng(2).standard_normal(mesh.N - 1)
+    exact = run.trajectory.slices.copy()
+    exact[_BLOCK_LEVELS] += w
+    exact[_BLOCK_LEVELS + 1] -= w
+    rep = measure_error(mesh, run.trajectory.slices, GridReference(mesh, exact))
+    assert rep.max_energy_error == energy_norm_pair(w, -w, mesh)
+    assert rep.max_energy_error > energy_norm_pair(mesh.zeros(), w, mesh)
 
 
 def test_smooth_manufactured_solution_fourth_order():
@@ -198,26 +221,13 @@ def test_smooth_manufactured_solution_fourth_order():
         mesh = build_mesh(math.pi, math.pi, n, 2 * n)
         kind = HarmonicData(j=1, k=1)
         run = evolve(mesh, harmonic_dataspec(kind, mesh))
-        rep = error_report(run, HarmonicReference(mesh, kind))
+        rep = measure_error(mesh, run.trajectory.slices, HarmonicReference(mesh, kind))
         errors.append(rep.max_energy_error)
         hs.append(mesh.h)
     order1 = math.log2(errors[0] / errors[1])
     order2 = math.log2(errors[1] / errors[2])
     assert order1 == pytest.approx(4.0, abs=0.4)
     assert order2 == pytest.approx(4.0, abs=0.2)
-
-
-def test_measure_error_streaming_matches_stored():
-    mesh = build_mesh(math.pi, math.pi, 12, 36)
-    kind = HarmonicData(j=1, k=2)
-    data = harmonic_dataspec(kind, mesh)
-    run = evolve(mesh, data)
-    ref = HarmonicReference(mesh, kind)
-    stored = error_report(run, ref)
-    from wavecompact.scheme import prepare_inputs
-    v0, u1h, fh = prepare_inputs(mesh, data, "v2", "node_samples")
-    streamed = measure_error(mesh, iterate_slices(mesh, v0, u1h, fh), ref)
-    assert streamed == stored
 
 
 def test_one_stepping_kernel_behind_every_path():
