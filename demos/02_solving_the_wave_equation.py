@@ -38,6 +38,6 @@ for m in range(0, mesh.M + 1, mesh.M // 8):
           f"{v[3 * quarter]:8.4f}")
 print()
 print("energy-ish diagnostics: the solution stays bounded by the data norms")
-from wavecompact.experiments import data_norm_bound_sides
-lhs, rhs = data_norm_bound_sides(mesh, rough)
+from wavecompact.experiments import stability_bound_sides
+_, (lhs, rhs) = stability_bound_sides(mesh, rough)
 print(f"  scaled solution maximum {lhs:.4f} <= data bound {rhs:.4f}")

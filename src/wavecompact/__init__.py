@@ -22,7 +22,7 @@ from .oracle import (DispersionRecord, HarmonicCoefficients, HarmonicData,
                      discrete_harmonic_trajectory, dispersion, exact_harmonic_solution,
                      harmonic_coefficients, harmonic_dataspec, sharpness_prediction)
 from .reference import GridReference, HarmonicReference, SeriesReference
-from .scheme import (ErrorReport, SchemeRun, evolve, initial_step, iterate_slices,
+from .scheme import (ErrorReport, SchemeRun, evolve, evolve_grid, initial_step,
                      measure_error, time_step)
 from .experiments import (PRESETS, OrderFit, fit_order, random_dataspec,
                           run_convergence, run_oracle_check, run_sharpness,

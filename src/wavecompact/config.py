@@ -30,6 +30,7 @@ configuration raises ConfigurationError (exit code 3).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +51,7 @@ def profile_from_dict(d: dict, X: float) -> Profile:
         raise ConfigurationError(f"profile must be an object with a 'form' key, got {d!r}")
     form = d["form"]
     if form == "harmonic":
-        return Profile.harmonic_mode(int(d["k"]), X)
+        return Profile.harmonic_mode(_integer(d["k"], "profile k"), X)
     if form == "sine_series":
         return Profile.sine_series(d.get("coeffs", ()), X,
                                    decay_exponent=d.get("decay_exponent"))
@@ -80,7 +81,7 @@ def profile_to_dict(p: Profile) -> dict:
 def time_profile_from_dict(d: dict) -> TimeProfile:
     form = d.get("form")
     if form == "harmonic_sin":
-        return TimeProfile.harmonic_sin(float(d["omega"]))
+        return TimeProfile.harmonic_sin(_number(d["omega"], "time profile omega"))
     if form == "polynomial":
         return TimeProfile.polynomial(d.get("coeffs", ()))
     raise ConfigurationError(f"unknown or unserializable time profile form {form!r}")
@@ -165,24 +166,39 @@ class ExperimentConfig:
         return self
 
 
-def _integer(value, key: str, minimum: int) -> int:
-    """value as an integer >= minimum (integral floats accepted), else a
-    ConfigurationError naming key."""
+def _integer(value, key: str, minimum: int | None = None) -> int:
+    """value as an integer >= minimum, if one is given (integral floats
+    accepted), else a ConfigurationError naming key."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigurationError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{key} must be an integer{bound}, got {value!r}")
     return value
+
+
+def _number(value, key: str) -> float:
+    """value as a finite float (a JSON number), else a ConfigurationError
+    naming key."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
 
 
 def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
     try:
-        X = float(mesh_cfg["X"])
-        T = float(mesh_cfg["T"])
+        X = _number(mesh_cfg["X"], "mesh.X")
+        T = _number(mesh_cfg["T"], "mesh.T")
     except KeyError as exc:
         raise ConfigurationError(f"mesh section is missing {exc}") from exc
-    a = float(mesh_cfg.get("a", 1.0))
-    eps0 = float(mesh_cfg.get("eps0", 1.0))
+    a = _number(mesh_cfg.get("a", 1.0), "mesh.a")
+    eps0 = _number(mesh_cfg.get("eps0", 1.0), "mesh.eps0")
 
     def one(N: int, M: int) -> MeshSpec:
         return build_mesh(X, T, N, M, a, eps0)
@@ -202,7 +218,7 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
     if "M" in mesh_cfg:
         M = _integer(mesh_cfg["M"], "mesh.M", 1)
     elif "tau_over_h" in mesh_cfg:
-        ratio = float(mesh_cfg["tau_over_h"])
+        ratio = _number(mesh_cfg["tau_over_h"], "mesh.tau_over_h")
         m_exact = T * N / (ratio * X)
         M = round(m_exact)
         if abs(m_exact - M) > 1e-9 * max(1.0, abs(m_exact)):
@@ -235,14 +251,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("'data' must be an object or null")
     elif "harmonic" in data_cfg:
         hc = data_cfg["harmonic"]
-        j = int(hc.get("j", 0))
+        if not isinstance(hc, dict):
+            raise ConfigurationError(f"data.harmonic must be an object, got {hc!r}")
+        j = _integer(hc.get("j", 0), "data.harmonic.j")
         if kind == "sharpness":
             sharpness_j = j
             if j not in (0, 1, 2):
                 raise ConfigurationError("harmonic j must be 0, 1 or 2")
         else:
             try:
-                harmonic = HarmonicData(j=j, k=int(hc.get("k", 1)))
+                harmonic = HarmonicData(j=j, k=_integer(hc.get("k", 1), "data.harmonic.k"))
             except ValueError as exc:
                 raise ConfigurationError(f"invalid harmonic data: {exc}") from exc
     elif "preset" in data_cfg:
@@ -260,17 +278,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         variant=str(raw.get("variant", "v2")),
         v0_mode=str(raw.get("v0_mode", "node_samples")),
         mode=str(raw.get("mode", "node_sampled")),
-        alpha=float(raw.get("alpha", 2.0)),
+        alpha=_number(raw.get("alpha", 2.0), "alpha"),
         out_dir=Path(raw.get("out_dir", "out")),
-        jobs=int(raw.get("jobs", 1)),
-        seed=int(raw.get("seed", 0)),
+        jobs=_integer(raw.get("jobs", 1), "jobs"),
+        seed=_integer(raw.get("seed", 0), "seed", 0),
         n_random=_integer(raw.get("n_random", 20), "n_random", 1),
         n_pairs=_integer(raw.get("n_pairs", 100), "n_pairs", 1),
         fold_groups=_integer(raw.get("fold_groups", 64), "fold_groups", 1),
         n_modes=(None if raw.get("n_modes") is None
                  else _integer(raw["n_modes"], "n_modes", 1)),
-        fit_drop_coarsest=int(raw.get("fit_drop_coarsest", 1)),
-        tail_fraction=float(raw.get("tail_fraction", 0.01)),
+        fit_drop_coarsest=_integer(raw.get("fit_drop_coarsest", 1),
+                                   "fit_drop_coarsest"),
+        tail_fraction=_number(raw.get("tail_fraction", 0.01), "tail_fraction"),
         decimate=_integer(raw.get("decimate", 32), "decimate", 1),
         echo=dict(raw),
     )

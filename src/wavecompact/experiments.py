@@ -34,7 +34,7 @@ from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, choose_k_h, discrete_harmonic_trajectory,
                      dispersion, harmonic_dataspec, sharpness_prediction)
 from .reference import HarmonicReference, SeriesReference
-from .scheme import ErrorReport, evolve, iterate_slices, measure_error, prepare_inputs
+from .scheme import ErrorReport, evolve, evolve_grid, measure_error, prepare_inputs
 
 
 # --------------------------------------------------------------------------
@@ -230,41 +230,36 @@ def forcing_l21_norm(f: Forcing, T: float) -> float:
 # --------------------------------------------------------------------------
 # stability inequalities (used by the probe runner and the acceptance suite)
 
-def energy_bound_sides(mesh: MeshSpec, data: DataSpec):
-    """(LHS, RHS) of the discrete energy stability bound.
+def stability_bound_sides(mesh: MeshSpec, data: DataSpec):
+    """((LHS, RHS), (LHS, RHS)) of the energy bound and of the data-norm bound,
+    both read from one run of the scheme.
 
-    LHS: max over levels of the two-level energy norm of the run.
-    RHS: sqrt(a^2 ||dx v0||^2 + eps0^-2 ||B^-1/2 u1h||^2)
-         + eps0^-1 (tau ||B^-1/2 fh0|| + 2 tau sum_{m=1}^{M-1} ||B^-1/2 fh^m||).
+    Energy bound (discrete data):
+      LHS: max over levels of the two-level energy norm of the run.
+      RHS: sqrt(a^2 ||dx v0||^2 + eps0^-2 ||B^-1/2 u1h||^2)
+           + eps0^-1 (tau ||B^-1/2 fh0|| + 2 tau sum_{m=1}^{M-1} ||B^-1/2 fh^m||).
+    Data-norm bound (u1 through its hat average):
+      LHS: eps0 max( max_m ||dt v^m||_mass, max_m a/sqrt(6) ||dx v^m||_diff_l2 ).
+      RHS: sqrt(a^2 ||dx u0||_L2^2 + eps0^-2 ||u1||_L2^2) + 2 eps0^-1 ||f||_L21.
     """
     v0, u1h, fh = prepare_inputs(mesh, data, "v2", "node_samples")
-    slices = np.array(list(iterate_slices(mesh, v0, u1h, fh)))
-    lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
+    slices = evolve_grid(mesh, v0, u1h, fh).trajectory.slices
     e0 = mesh.eps0
+    lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
     rhs = math.sqrt(mesh.a ** 2 * space_norm(v0, "stiffness", mesh) ** 2
                     + mass_inv_half_norm(u1h, mesh) ** 2 / e0 ** 2)
     if fh is not None:
         fh_norms = mass_inv_half_norm(fh, mesh).tolist()
         rhs += (fh_norms[0] * mesh.tau + 2.0 * mesh.tau * sum(fh_norms[1:])) / e0
-    return lhs, rhs
 
-
-def data_norm_bound_sides(mesh: MeshSpec, data: DataSpec):
-    """(LHS, RHS) of the data-norm energy bound (u1 through its hat average).
-
-    LHS: eps0 max( max_m ||dt v^m||_mass, max_m a/sqrt(6) ||dx v^m||_diff_l2 ).
-    RHS: sqrt(a^2 ||dx u0||_L2^2 + eps0^-2 ||u1||_L2^2) + 2 eps0^-1 ||f||_L21.
-    """
-    slices = evolve(mesh, data, variant="v2", v0_mode="node_samples").trajectory.slices
     max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))
     max_dx = float(np.max(space_norm(slices, "diff_l2", mesh)))
-    e0 = mesh.eps0
-    lhs = e0 * max(max_dt, mesh.a / math.sqrt(6.0) * max_dx)
-    rhs = math.sqrt(mesh.a ** 2 * profile_h01_norm(data.u0) ** 2
-                    + profile_l2_norm(data.u1) ** 2 / e0 ** 2)
+    lhs2 = e0 * max(max_dt, mesh.a / math.sqrt(6.0) * max_dx)
+    rhs2 = math.sqrt(mesh.a ** 2 * profile_h01_norm(data.u0) ** 2
+                     + profile_l2_norm(data.u1) ** 2 / e0 ** 2)
     if data.f is not None:
-        rhs += 2.0 / e0 * forcing_l21_norm(data.f, mesh.T)
-    return lhs, rhs
+        rhs2 += 2.0 / e0 * forcing_l21_norm(data.f, mesh.T)
+    return (lhs, rhs), (lhs2, rhs2)
 
 
 def energy_lower_bound_margins(mesh: MeshSpec, v_prev, v_curr):
@@ -324,7 +319,8 @@ def _resolve_jobs(config: ExperimentConfig) -> int:
 
 def _map_rungs(fn, payloads, jobs: int):
     if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # no more workers than rungs: the pool may start all of them at once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 
@@ -627,14 +623,11 @@ def run_stability_probe(config: ExperimentConfig, emit: bool = True) -> list[Sta
     for mesh in config.rungs:
         for _ in range(config.n_random):
             data = random_dataspec(rng, mesh.X)
-            lhs, rhs = energy_bound_sides(mesh, data)
-            slack = STABILITY_SLACK * max(1.0, abs(rhs))
-            rows.append(StabilityProbeRow(mesh.N, mesh.M, "energy_bound", lhs, rhs,
-                                          rhs - lhs, lhs <= rhs + slack))
-            lhs2, rhs2 = data_norm_bound_sides(mesh, data)
-            slack2 = STABILITY_SLACK * max(1.0, abs(rhs2))
-            rows.append(StabilityProbeRow(mesh.N, mesh.M, "data_norm_bound", lhs2, rhs2,
-                                          rhs2 - lhs2, lhs2 <= rhs2 + slack2))
+            sides = stability_bound_sides(mesh, data)
+            for check, (lhs, rhs) in zip(("energy_bound", "data_norm_bound"), sides):
+                slack = STABILITY_SLACK * max(1.0, abs(rhs))
+                rows.append(StabilityProbeRow(mesh.N, mesh.M, check, lhs, rhs,
+                                              rhs - lhs, lhs <= rhs + slack))
         # (pair, v_prev/v_curr, node): the draws of n_pairs successive pairs
         pairs = np.zeros((config.n_pairs, 2, mesh.N + 1))
         pairs[..., 1:-1] = rng.standard_normal((config.n_pairs, 2, mesh.N - 1))

@@ -28,7 +28,6 @@ Error reports compare a run against a reference solution in two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -50,11 +49,9 @@ _BLOCK_LEVELS = 64
 
 @dataclass(frozen=True)
 class SchemeRun:
-    """One integrator run: mesh, configuration, trajectory, diagnostics."""
+    """One integrator run: mesh, trajectory, diagnostics."""
 
     mesh: MeshSpec
-    u1_variant: str
-    v0_mode: str
     trajectory: Trajectory
     residual_max: np.ndarray  # residual_max[m-1] belongs to the step producing v^m
 
@@ -104,17 +101,6 @@ def _next_level(mesh: MeshSpec, v_prev: GridFn, v_curr: GridFn,
     return tau ** 2 * lam_t + 2.0 * v_curr - v_prev, residual
 
 
-def _march(mesh: MeshSpec, v0: GridFn, u1h: GridFn, fh) -> Iterator[tuple[GridFn, float]]:
-    """Yield (v^m, residual of the step producing v^m) for m = 1 .. M."""
-    v_prev = v0
-    v_curr, residual = _first_level(mesh, v0, u1h, None if fh is None else fh[0])
-    yield v_curr, residual
-    for m in range(1, mesh.M):
-        v_next, residual = _next_level(mesh, v_prev, v_curr, None if fh is None else fh[m])
-        v_prev, v_curr = v_curr, v_next
-        yield v_curr, residual
-
-
 def initial_step(mesh: MeshSpec, v0, u1h, fh0=None) -> GridFn:
     """First time level from the implicit two-level initial condition."""
     check_stable(mesh)
@@ -135,15 +121,6 @@ def time_step(mesh: MeshSpec, v_prev, v_curr, fh_m=None) -> GridFn:
     return _next_level(mesh, v_prev, v_curr, fh_m)[0]
 
 
-def iterate_slices(mesh: MeshSpec, v0, u1h, fh=None) -> Iterator[GridFn]:
-    """Yield v^0 .. v^M one slice at a time (streaming form of evolve)."""
-    check_stable(mesh)
-    v0 = require_dirichlet(np.array(v0, dtype=float), mesh, "v0")
-    yield v0
-    for v, _ in _march(mesh, v0, u1h, fh):
-        yield v
-
-
 def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
                    v0_mode: str):
     """Assemble (v0, u1h, fh) grid data from the descriptors."""
@@ -159,25 +136,29 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
     return v0, u1h, fh
 
 
-def evolve(mesh: MeshSpec, data: data_mod.DataSpec, variant: str = "v2",
-           v0_mode: str = "node_samples") -> SchemeRun:
-    """Run the integrator over the whole time mesh and store every slice.
+def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
+    """Run the integrator from grid data (v0, u1h, fh) and store every slice.
 
     Every step checks its defining-equation residual against RESIDUAL_RTOL;
-    residual_max[m-1] records it for the step producing v^m.  Use
-    iterate_slices to consume the slices on the fly without storing them.
+    residual_max[m-1] records it for the step producing v^m.
     """
-    v0, u1h, fh = prepare_inputs(mesh, data, variant, v0_mode)
     check_stable(mesh)
     slices = np.empty((mesh.M + 1, mesh.N + 1))
-    slices[0] = require_dirichlet(v0, mesh, "v0")
     residuals = np.empty(mesh.M)
-    for m, (v, residual) in enumerate(_march(mesh, slices[0], u1h, fh), start=1):
-        slices[m] = v
-        residuals[m - 1] = residual
-    return SchemeRun(mesh=mesh, u1_variant=variant, v0_mode=v0_mode,
-                     trajectory=Trajectory(slices=slices, mesh=mesh),
+    slices[0] = require_dirichlet(v0, mesh, "v0")
+    slices[1], residuals[0] = _first_level(mesh, slices[0], u1h,
+                                           None if fh is None else fh[0])
+    for m in range(1, mesh.M):
+        slices[m + 1], residuals[m] = _next_level(mesh, slices[m - 1], slices[m],
+                                                  None if fh is None else fh[m])
+    return SchemeRun(mesh=mesh, trajectory=Trajectory(slices=slices, mesh=mesh),
                      residual_max=residuals)
+
+
+def evolve(mesh: MeshSpec, data: data_mod.DataSpec, variant: str = "v2",
+           v0_mode: str = "node_samples") -> SchemeRun:
+    """Assemble the grid data of the descriptors and run evolve_grid on it."""
+    return evolve_grid(mesh, *prepare_inputs(mesh, data, variant, v0_mode))
 
 
 def measure_error(mesh: MeshSpec, slices, reference,

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from wavecompact.config import config_from_dict
-from wavecompact.experiments import (data_norm_bound_sides, energy_bound_sides,
-                                     energy_lower_bound_margins, fit_order,
-                                     random_dataspec, run_convergence)
+from wavecompact.experiments import (energy_lower_bound_margins, fit_order,
+                                     random_dataspec, run_convergence,
+                                     stability_bound_sides)
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import apply_implicit, apply_spatial, solve_implicit
 from wavecompact.oracle import (HarmonicData, discrete_harmonic_trajectory,
@@ -123,10 +123,9 @@ def test_acceptance_5_stability_bounds():
         mesh = build_mesh(math.pi, math.pi, n, 2 * n)
         for trial in range(20):
             data = random_dataspec(rng, math.pi)
-            lhs, rhs = energy_bound_sides(mesh, data)
+            (lhs, rhs), (lhs2, rhs2) = stability_bound_sides(mesh, data)
             if lhs > rhs * (1 + slack):
                 violations.append(f"energy bound N={n} trial={trial}")
-            lhs2, rhs2 = data_norm_bound_sides(mesh, data)
             if lhs2 > rhs2 * (1 + slack):
                 violations.append(f"data-norm bound N={n} trial={trial}")
         for trial in range(100):

@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wavecompact.cli import main
 
@@ -199,7 +205,25 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("stability_probe", "n_pairs", {"n_pairs": "x"}),
     ("solve", "space", {"data": _NO_SPACE_FORCING}),
     ("solve", "decimate", {"decimate": 0}),
-], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate"])
+    ("solve", "mesh.X", {"mesh": _mesh(16, X="abc")}),
+    ("solve", "mesh.X", {"mesh": _mesh(16, X=None)}),
+    ("solve", "mesh.T", {"mesh": _mesh(16, T="abc")}),
+    ("solve", "mesh.a", {"mesh": _mesh(16, a="fast")}),
+    ("solve", "mesh.eps0", {"mesh": _mesh(16, eps0="x")}),
+    ("solve", "mesh.tau_over_h", {"mesh": {"X": math.pi, "T": math.pi, "N": 16,
+                                           "tau_over_h": "x"}}),
+    ("sharpness", "alpha", {"alpha": "x", "data": {"harmonic": {"j": 0}}}),
+    ("converge", "tail_fraction", {"tail_fraction": "x"}),
+    ("converge", "jobs", {"jobs": "x"}),
+    ("converge", "fit_drop_coarsest", {"fit_drop_coarsest": "x"}),
+    ("stability_probe", "seed", {"seed": "x"}),
+    ("stability_probe", "seed", {"seed": -1}),
+    ("sharpness", "data.harmonic.j", {"data": {"harmonic": {"j": "x"}}}),
+    ("solve", "data.harmonic.k", {"data": {"harmonic": {"j": 1, "k": "x"}}}),
+], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate", "mesh_X",
+        "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_tau_over_h", "alpha",
+        "tail_fraction", "jobs", "fit_drop_coarsest", "seed", "seed_negative",
+        "harmonic_j", "harmonic_k"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     cfg = _write_config(tmp_path, {
         "kind": kind, "mesh": _mesh(16), "data": None,
@@ -208,3 +232,36 @@ def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# every numeric key, as (section, key): None is the top level
+_NUMERIC_KEYS = [("mesh", k) for k in ("X", "T", "N", "M", "a", "eps0", "tau_over_h",
+                                       "refinements")] + [
+    ("harmonic", k) for k in ("j", "k")] + [
+    (None, k) for k in ("alpha", "tail_fraction", "jobs", "seed", "fit_drop_coarsest",
+                        "n_random", "n_pairs", "fold_groups", "n_modes", "decimate")]
+
+_NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=4)
+                 | st.lists(st.integers(), max_size=2)
+                 | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_NUMERIC_KEYS), _NOT_A_NUMBER)
+def test_non_numeric_value_in_any_numeric_key_exits_3(section_key, value):
+    section, key = section_key
+    assume(not (key == "n_modes" and value is None))  # null means "the default"
+    mesh = {"X": math.pi, "T": math.pi, "N": 8, "M": 16}
+    if key == "tau_over_h":
+        del mesh["M"]  # an explicit M would win over tau_over_h
+    payload = {"kind": "solve", "mesh": mesh, "data": {"harmonic": {"j": 1, "k": 1}}}
+    target = {"mesh": mesh, "harmonic": payload["data"]["harmonic"], None: payload}
+    target[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        payload["out_dir"] = str(Path(tmp) / "out")
+        cfg = _write_config(Path(tmp), payload)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["solve", "--config", str(cfg)]) == 3
+        assert f"{key} must be" in err.getvalue()
+        assert not (Path(tmp) / "out").exists()

@@ -129,3 +129,25 @@ def test_reference_sizes_are_checked():
                      ("n_modes", "x"), ("n_modes", 0), ("n_modes", -3)]:
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({**base, key: bad})
+
+
+def test_scalar_keys_take_json_numbers():
+    # integers and floats stay accepted wherever they were; an integer key
+    # takes an integral float; non-finite numbers are refused at the door
+    base = {"kind": "converge",
+            "mesh": {"X": 3, "T": 3.0, "N": 8, "M": 16, "a": 1, "eps0": 0.5,
+                     "refinements": 2},
+            "data": {"preset": "hat_step"}}
+    cfg = config_from_dict({**base, "alpha": 2, "tail_fraction": 1, "jobs": 2.0,
+                            "seed": 5, "fit_drop_coarsest": -1})
+    assert (cfg.rungs[0].X, cfg.rungs[0].T, cfg.rungs[0].a) == (3.0, 3.0, 1.0)
+    assert (cfg.alpha, cfg.tail_fraction) == (2.0, 1.0)
+    assert (cfg.jobs, cfg.seed, cfg.fit_drop_coarsest) == (2, 5, -1)
+    assert all(type(v) is int for v in (cfg.jobs, cfg.seed, cfg.fit_drop_coarsest))
+    for key, bad in [("tail_fraction", math.nan), ("alpha", math.inf), ("jobs", 2.5),
+                     ("seed", -1), ("seed", True), ("alpha", "2.0")]:
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict({**base, key: bad})
+    for bad in (math.inf, 10 ** 400, "3"):
+        with pytest.raises(ConfigurationError, match="mesh.X"):
+            config_from_dict({**base, "mesh": {**base["mesh"], "X": bad}})

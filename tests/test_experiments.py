@@ -11,14 +11,13 @@ from scipy.integrate import quad
 from wavecompact.config import config_from_dict
 from wavecompact.data import Forcing, Profile, TimeProfile, sine_coefficients
 from wavecompact.errors import ConfigurationError, ContractViolation
-from wavecompact.experiments import (PRESETS, data_norm_bound_sides,
-                                     energy_lower_bound_margins, fit_order,
+from wavecompact.experiments import (PRESETS, energy_lower_bound_margins, fit_order,
                                      forcing_l21_norm, hat_profile, profile_h01_norm,
                                      profile_l2_norm, quad_spline_profile,
                                      random_dataspec, run_convergence,
                                      run_oracle_check, run_sharpness, run_solve,
-                                     run_stability_probe, step_profile,
-                                     energy_bound_sides, time_l1_norm)
+                                     run_stability_probe, stability_bound_sides,
+                                     step_profile, time_l1_norm)
 from wavecompact.grid import build_mesh
 
 
@@ -140,9 +139,8 @@ def test_stability_bounds_randomized_small():
     mesh = build_mesh(math.pi, math.pi, 16, 32)
     for _ in range(5):
         data = random_dataspec(rng, math.pi)
-        lhs, rhs = energy_bound_sides(mesh, data)
+        (lhs, rhs), (lhs2, rhs2) = stability_bound_sides(mesh, data)
         assert lhs <= rhs * (1 + 1e-11)
-        lhs2, rhs2 = data_norm_bound_sides(mesh, data)
         assert lhs2 <= rhs2 * (1 + 1e-11)
 
 
@@ -297,7 +295,7 @@ def test_run_stability_probe_no_violations(tmp_path):
         "n_random": 3,
         "n_pairs": 10,
         "out_dir": str(tmp_path),
-        "seed": 7,  # draws forcing, so data_norm_bound_sides adds ||f||_L21
+        "seed": 7,  # draws forcing, so the data-norm bound adds ||f||_L21
     })
     rows = run_stability_probe(cfg)
     assert all(r.passed for r in rows)
@@ -308,6 +306,31 @@ def test_run_stability_probe_no_violations(tmp_path):
         # plain float reprs: every number parses with float() and round-trips
         assert [float(back[k]) for k in ("lhs", "rhs", "margin")] == [
             row.lhs, row.rhs, row.margin]
+
+
+def test_stability_probe_steps_each_data_set_once(monkeypatch):
+    # both bounds of a random data set read one run: one implicit solve per
+    # time step of every data set, and none for the lower-bound pairs
+    import wavecompact.scheme as scheme
+    solves = 0
+    solve_implicit = scheme.solve_implicit
+
+    def counting(rhs, mesh):
+        nonlocal solves
+        solves += 1
+        return solve_implicit(rhs, mesh)
+
+    monkeypatch.setattr(scheme, "solve_implicit", counting)
+    cfg = config_from_dict({
+        "kind": "stability_probe",
+        "mesh": _base_mesh_cfg(8, refinements=1),
+        "n_random": 3,
+        "n_pairs": 4,
+        "seed": 7,
+    })
+    rows = run_stability_probe(cfg, emit=False)
+    assert all(r.passed for r in rows)
+    assert solves == cfg.n_random * sum(mesh.M for mesh in cfg.rungs)
 
 
 def test_sharpness_measurement_oracle_self_consistency():
@@ -338,6 +361,31 @@ def test_random_dataspec_properties():
         assert data.u0(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
         assert data.u0(np.array([math.pi]))[0] == pytest.approx(0.0, abs=1e-12)
         assert data.X == pytest.approx(math.pi)
+
+
+def test_rung_pool_has_no_more_workers_than_rungs(monkeypatch):
+    # a huge jobs value must not become a huge pool; the fake pool starts no
+    # process and maps in this one
+    import wavecompact.experiments as experiments
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    assert experiments._map_rungs(abs, [-1, -2, -3], 10 ** 6) == [1, 2, 3]
+    assert experiments._map_rungs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert sizes == [3, 2]
 
 
 def test_parallel_rungs_match_sequential():

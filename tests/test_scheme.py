@@ -11,7 +11,7 @@ from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
 from wavecompact.reference import GridReference, HarmonicReference
-from wavecompact.scheme import (_step_residual, evolve, initial_step, iterate_slices,
+from wavecompact.scheme import (_step_residual, evolve, evolve_grid, initial_step,
                                 measure_error, time_step)
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
@@ -80,7 +80,7 @@ def test_free_evolution_energy_bound():
     mesh = build_mesh(math.pi, math.pi, 16, 64)
     rng = np.random.default_rng(1)
     v0 = mesh.zeros(); v0[1:-1] = rng.standard_normal(mesh.N - 1)
-    slices = list(iterate_slices(mesh, v0, mesh.zeros()))
+    slices = evolve_grid(mesh, v0, mesh.zeros()).trajectory.slices
     bound = mesh.a * space_norm(v0, "stiffness", mesh)
     for m in range(1, mesh.M + 1):
         assert energy_norm_pair(slices[m - 1], slices[m], mesh) <= bound * (1 + 1e-11)
@@ -231,7 +231,7 @@ def test_smooth_manufactured_solution_fourth_order():
 
 
 def test_one_stepping_kernel_behind_every_path():
-    # evolve, iterate_slices and a manual initial_step/time_step loop share one
+    # evolve, evolve_grid and a manual initial_step/time_step loop share one
     # kernel: on forced rough data their slices agree bit for bit
     from wavecompact.experiments import random_dataspec
     from wavecompact.scheme import RESIDUAL_RTOL, prepare_inputs
@@ -240,11 +240,12 @@ def test_one_stepping_kernel_behind_every_path():
     assert data.f is not None
     run = evolve(mesh, data)
     v0, u1h, fh = prepare_inputs(mesh, data, "v2", "node_samples")
-    streamed = np.array(list(iterate_slices(mesh, v0, u1h, fh)))
+    grid = evolve_grid(mesh, v0, u1h, fh)
     manual = [v0, initial_step(mesh, v0, u1h, fh[0])]
     for m in range(1, mesh.M):
         manual.append(time_step(mesh, manual[-2], manual[-1], fh[m]))
-    assert np.array_equal(run.trajectory.slices, streamed)
+    assert np.array_equal(run.trajectory.slices, grid.trajectory.slices)
+    assert np.array_equal(run.residual_max, grid.residual_max)
     assert np.array_equal(run.trajectory.slices, np.array(manual))
     assert run.residual_max.shape == (mesh.M,)
     assert np.all(run.residual_max <= RESIDUAL_RTOL)
