@@ -10,17 +10,17 @@ orders, stability inequalities, and error-constant sharpness.
 
 __version__ = "0.1.0"
 
-from .data import DataSpec, Forcing, Profile, TimeProfile, average_q2h, average_qh, \
-    average_qtau, build_fh, build_u1h, fractional_norm, sine_coefficients
+from .data import (DataSpec, Forcing, Profile, TimeProfile, average_qh, average_qtau,
+                   build_fh, build_u1h, sine_coefficients)
 from .errors import (ConfigurationError, ContractViolation, InvariantError,
                      MeshTooCoarseError, QuadratureError, UnstableMeshError)
 from .grid import (GridFn, MeshSpec, Trajectory, build_mesh, energy_norm_pair,
                    space_norm, time_aggregate)
 from .operators import apply_spatial, solve_implicit
 from .oracle import (DispersionRecord, HarmonicCoefficients, HarmonicData,
-                     asymptotic_constant, choose_k_h, discrete_harmonic_solution,
-                     discrete_harmonic_trajectory, dispersion, exact_harmonic_solution,
-                     harmonic_coefficients, harmonic_dataspec, sharpness_prediction)
+                     asymptotic_constant, choose_k_h, discrete_harmonic_trajectory,
+                     dispersion, exact_harmonic_solution, harmonic_coefficients,
+                     harmonic_dataspec, sharpness_prediction)
 from .reference import GridReference, HarmonicReference, SeriesReference
 from .scheme import (ErrorReport, SchemeRun, evolve, evolve_grid, initial_step,
                      measure_error, time_step)

@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, validation, descriptor round trips.
+"""Experiment configuration: JSON schema, validation, descriptor parsing.
 
 A config file is a single JSON object:
 
@@ -21,10 +21,11 @@ A config file is a single JSON object:
          fit_drop_coarsest, tail_fraction, jobs, decimate)
     }
 
-Profile dictionaries use the forms of data.Profile; "callable" cannot appear
-in a file.  Every ladder rung must satisfy the stability condition; a rung
-that violates it raises UnstableMeshError (CLI exit code 2), while malformed
-configuration raises ConfigurationError (exit code 3).
+Profile dictionaries use the forms of data.Profile and time profiles those of
+data.TimeProfile; every entry must be a JSON number.  Every ladder rung must
+satisfy the stability condition; a rung that violates it raises
+UnstableMeshError (CLI exit code 2), while malformed configuration raises
+ConfigurationError (exit code 3).
 """
 
 from __future__ import annotations
@@ -44,55 +45,48 @@ KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
 
 
 # --------------------------------------------------------------------------
-# descriptor (de)serialization
+# descriptor parsing
+
+def _list(value, key: str) -> list:
+    """value as a JSON list, else a ConfigurationError naming key."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    """value as a tuple of finite numbers, else a ConfigurationError naming key."""
+    return tuple(_number(v, key) for v in _list(value, key))
+
+
+def _object(value, what: str) -> dict:
+    """value as an object with a 'form' key, else a ConfigurationError naming what."""
+    if not isinstance(value, dict) or "form" not in value:
+        raise ConfigurationError(f"{what} must be an object with a 'form' key, got {value!r}")
+    return value
+
 
 def profile_from_dict(d: dict, X: float) -> Profile:
-    if not isinstance(d, dict) or "form" not in d:
-        raise ConfigurationError(f"profile must be an object with a 'form' key, got {d!r}")
-    form = d["form"]
+    form = _object(d, "profile")["form"]
     if form == "harmonic":
         return Profile.harmonic_mode(_integer(d["k"], "profile k"), X)
     if form == "sine_series":
-        return Profile.sine_series(d.get("coeffs", ()), X,
-                                   decay_exponent=d.get("decay_exponent"))
+        return Profile.sine_series(_numbers(d.get("coeffs", []), "profile coeffs"), X)
     if form == "piecewise":
-        return Profile.piecewise_poly(d["breakpoints"], d["pieces"],
-                                      node_convention=d.get("node_convention", "mean"),
-                                      decay_exponent=d.get("decay_exponent"))
-    if form == "callable":
-        raise ConfigurationError("callable profiles cannot be configured from a file")
+        return Profile.piecewise_poly(
+            _numbers(d["breakpoints"], "profile breakpoints"),
+            [_numbers(p, "profile pieces") for p in _list(d["pieces"], "profile pieces")],
+            node_convention=d.get("node_convention", "mean"))
     raise ConfigurationError(f"unknown profile form {form!r}")
 
 
-def profile_to_dict(p: Profile) -> dict:
-    if p.form == "harmonic":
-        return {"form": "harmonic", "k": p.k}
-    if p.form == "sine_series":
-        return {"form": "sine_series", "coeffs": list(p.coeffs),
-                "decay_exponent": p.decay_exponent}
-    if p.form == "piecewise":
-        return {"form": "piecewise", "breakpoints": list(p.breakpoints),
-                "pieces": [list(c) for c in p.pieces],
-                "node_convention": p.node_convention,
-                "decay_exponent": p.decay_exponent}
-    raise ConfigurationError("callable profiles cannot be serialized")
-
-
 def time_profile_from_dict(d: dict) -> TimeProfile:
-    form = d.get("form")
+    form = _object(d, "time profile")["form"]
     if form == "harmonic_sin":
         return TimeProfile.harmonic_sin(_number(d["omega"], "time profile omega"))
     if form == "polynomial":
-        return TimeProfile.polynomial(d.get("coeffs", ()))
-    raise ConfigurationError(f"unknown or unserializable time profile form {form!r}")
-
-
-def time_profile_to_dict(g: TimeProfile) -> dict:
-    if g.form == "harmonic_sin":
-        return {"form": "harmonic_sin", "omega": g.omega}
-    if g.form == "polynomial":
-        return {"form": "polynomial", "coeffs": list(g.coeffs)}
-    raise ConfigurationError("callable time profiles cannot be serialized")
+        return TimeProfile.polynomial(_numbers(d.get("coeffs", []), "time profile coeffs"))
+    raise ConfigurationError(f"unknown time profile form {form!r}")
 
 
 def dataspec_from_dict(d: dict, X: float) -> DataSpec:
@@ -102,19 +96,13 @@ def dataspec_from_dict(d: dict, X: float) -> DataSpec:
         f = None
         if d.get("f"):
             fd = d["f"]
+            if not isinstance(fd, dict):
+                raise ConfigurationError(f"data.f must be an object, got {fd!r}")
             f = Forcing(space=profile_from_dict(fd["space"], X),
                         time=time_profile_from_dict(fd["time"]))
     except KeyError as exc:
         raise ConfigurationError(f"missing data key: {exc}") from exc
     return DataSpec(u0=u0, u1=u1, f=f)
-
-
-def dataspec_to_dict(spec: DataSpec) -> dict:
-    out = {"u0": profile_to_dict(spec.u0), "u1": profile_to_dict(spec.u1)}
-    if spec.f is not None:
-        out["f"] = {"space": profile_to_dict(spec.f.space),
-                    "time": time_profile_to_dict(spec.f.time)}
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +177,13 @@ def _number(value, key: str) -> float:
         if math.isfinite(number):
             return number
     raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+
+
+def _string(value, key: str) -> str:
+    """value as a string, else a ConfigurationError naming key."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
@@ -279,7 +274,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         v0_mode=str(raw.get("v0_mode", "node_samples")),
         mode=str(raw.get("mode", "node_sampled")),
         alpha=_number(raw.get("alpha", 2.0), "alpha"),
-        out_dir=Path(raw.get("out_dir", "out")),
+        out_dir=Path(_string(raw.get("out_dir", "out"), "out_dir")),
         jobs=_integer(raw.get("jobs", 1), "jobs"),
         seed=_integer(raw.get("seed", 0), "seed", 0),
         n_random=_integer(raw.get("n_random", 20), "n_random", 1),

@@ -14,10 +14,11 @@ second-level average q_2h combines q_h with the Numerov correction,
     (q_2h w)_i = (-q_h w_{i-1} + 14 q_h w_i - q_h w_{i+1}) / 12.
 
 Quadrature policy: integration cells are split at descriptor breakpoints and
-each panel uses Gauss-Legendre with a configurable node count (default 8), so
-piecewise polynomials of degree <= 14 integrate exactly against the hats and
-mollification of discontinuous data adds no quadrature noise.  Harmonic
-profiles use the exact eigenfactor (sin(wh/2)/(wh/2))^2 instead of panels.
+each panel uses 8-node Gauss-Legendre (more for a time polynomial of higher
+degree), so piecewise polynomials of degree <= 14 integrate exactly against
+the hats and mollification of discontinuous data adds no quadrature noise.
+Harmonic profiles use the exact eigenfactor (sin(wh/2)/(wh/2))^2 instead of
+panels.
 
 Sine analysis uses the orthonormal basis sqrt(2/X) sin(pi k x / X): a
 sine_series profile stores exactly the coefficients that sine_coefficients
@@ -26,9 +27,8 @@ returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -37,9 +37,13 @@ from .errors import ConfigurationError, ContractViolation, QuadratureError
 from .grid import GridFn, MeshSpec, require_dirichlet
 from .operators import stencil
 
-PROFILE_FORMS = ("harmonic", "sine_series", "piecewise", "callable")
-TIME_FORMS = ("harmonic_sin", "polynomial", "callable")
+PROFILE_FORMS = ("harmonic", "sine_series", "piecewise")
+TIME_FORMS = ("harmonic_sin", "polynomial")
 U1_VARIANTS = ("v0", "v1", "v2")
+NODE_CONVENTIONS = (None, "mean", "left", "right")
+
+#: Gauss-Legendre nodes per quadrature panel
+_QUADRATURE_NODES = 8
 
 
 # --------------------------------------------------------------------------
@@ -56,13 +60,11 @@ class Profile:
     piecewise    polynomial pieces between strictly increasing breakpoints
                  spanning [0, X]; coefficients are in ascending powers of the
                  global coordinate
-    callable     arbitrary evaluator of x
 
     node_convention resolves pointwise evaluation exactly on an interior
     breakpoint of a discontinuous piecewise profile: "mean" (default) takes
     the average of the one-sided values, "left"/"right" take a side, None
-    refuses and raises.  decay_exponent, when known, documents |c_k| ~ k^-q
-    and enables truncation-tail estimates downstream.
+    refuses and raises.
     """
 
     X: float
@@ -71,10 +73,7 @@ class Profile:
     coeffs: tuple[float, ...] | None = None
     breakpoints: tuple[float, ...] | None = None
     pieces: tuple[tuple[float, ...], ...] | None = None
-    func: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
     node_convention: str | None = "mean"
-    decay_exponent: float | None = None
-    quadrature_nodes: int = 8
 
     def __post_init__(self):
         if self.X <= 0:
@@ -93,8 +92,10 @@ class Profile:
                 raise ConfigurationError("breakpoints must start at 0 and end at X")
             if np.any(np.diff(b) <= 0):
                 raise ConfigurationError("breakpoints must be strictly increasing")
-        if self.form == "callable" and self.func is None:
-            raise ConfigurationError("callable profile needs an evaluator")
+        if self.node_convention not in NODE_CONVENTIONS:
+            raise ConfigurationError(
+                f"node_convention must be one of {NODE_CONVENTIONS}, "
+                f"got {self.node_convention!r}")
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -102,23 +103,16 @@ class Profile:
         return Profile(X=float(X), form="harmonic", k=int(k))
 
     @staticmethod
-    def sine_series(coeffs, X: float, decay_exponent: float | None = None) -> "Profile":
+    def sine_series(coeffs, X: float) -> "Profile":
         return Profile(X=float(X), form="sine_series",
-                       coeffs=tuple(float(c) for c in coeffs),
-                       decay_exponent=decay_exponent)
+                       coeffs=tuple(float(c) for c in coeffs))
 
     @staticmethod
-    def piecewise_poly(breakpoints, pieces, node_convention: str | None = "mean",
-                       decay_exponent: float | None = None) -> "Profile":
+    def piecewise_poly(breakpoints, pieces, node_convention: str | None = "mean") -> "Profile":
         bp = tuple(float(b) for b in breakpoints)
         return Profile(X=bp[-1], form="piecewise", breakpoints=bp,
                        pieces=tuple(tuple(float(c) for c in p) for p in pieces),
-                       node_convention=node_convention, decay_exponent=decay_exponent)
-
-    @staticmethod
-    def from_callable(func, X: float, quadrature_nodes: int = 8) -> "Profile":
-        return Profile(X=float(X), form="callable", func=func,
-                       quadrature_nodes=quadrature_nodes)
+                       node_convention=node_convention)
 
     @staticmethod
     def zero(X: float) -> "Profile":
@@ -136,8 +130,6 @@ class Profile:
                 if c != 0.0:
                     out += c * root * np.sin(np.pi * k * x / self.X)
             return out
-        if self.form == "callable":
-            return np.asarray(self.func(x), dtype=float)
         return self._piecewise_eval(x)
 
     def _piecewise_eval(self, x: np.ndarray) -> np.ndarray:
@@ -170,25 +162,18 @@ class Profile:
                     "convention; set node_convention to 'left', 'right' or 'mean'")
         return out
 
-    def interior_breakpoints(self) -> tuple[float, ...]:
-        if self.form == "piecewise":
-            return tuple(self.breakpoints[1:-1])
-        return ()
-
 
 @dataclass(frozen=True)
 class TimeProfile:
     """Separable time factor of the forcing on (0, T).
 
     Forms: harmonic_sin -> sin(omega t); polynomial with ascending
-    coefficients; callable.
+    coefficients.
     """
 
     form: str
     omega: float | None = None
     coeffs: tuple[float, ...] | None = None
-    func: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-    quadrature_nodes: int = 8
 
     def __post_init__(self):
         if self.form not in TIME_FORMS:
@@ -197,8 +182,6 @@ class TimeProfile:
             raise ConfigurationError("harmonic_sin needs omega")
         if self.form == "polynomial" and self.coeffs is None:
             raise ConfigurationError("polynomial time profile needs coefficients")
-        if self.form == "callable" and self.func is None:
-            raise ConfigurationError("callable time profile needs an evaluator")
 
     @staticmethod
     def harmonic_sin(omega: float) -> "TimeProfile":
@@ -208,17 +191,11 @@ class TimeProfile:
     def polynomial(coeffs) -> "TimeProfile":
         return TimeProfile(form="polynomial", coeffs=tuple(float(c) for c in coeffs))
 
-    @staticmethod
-    def from_callable(func, quadrature_nodes: int = 8) -> "TimeProfile":
-        return TimeProfile(form="callable", func=func, quadrature_nodes=quadrature_nodes)
-
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.form == "harmonic_sin":
             return np.sin(self.omega * t)
-        if self.form == "polynomial":
-            return npoly.polyval(t, self.coeffs)
-        return np.asarray(self.func(t), dtype=float)
+        return npoly.polyval(t, self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -338,7 +315,7 @@ def average_qh(w: Profile, mesh: MeshSpec) -> GridFn:
                 out += c * root * hat_average_factor(omega * mesh.h) * np.sin(omega * x)
     else:
         i_rise, i_fall = _hat_cell_integrals(
-            w, mesh.nodes(), w.interior_breakpoints(), w.quadrature_nodes, "q_h profile")
+            w, mesh.nodes(), w.breakpoints[1:-1], _QUADRATURE_NODES, "q_h profile")
         out[1:-1] = (i_rise[:-1] + i_fall[1:]) / mesh.h
     out[0] = out[-1] = 0.0
     return out
@@ -371,8 +348,7 @@ def average_qtau(g: TimeProfile, mesh: MeshSpec, m: int | None = None):
         out[1:] = hat_average_factor(omega * mesh.tau) * np.sin(omega * t[1:mesh.M])
         return out
 
-    nodes = max(g.quadrature_nodes,
-                (len(g.coeffs) + 2) // 2 + 1 if g.form == "polynomial" else 0)
+    nodes = max(_QUADRATURE_NODES, (len(g.coeffs) + 2) // 2 + 1)
     i_rise, i_fall = _hat_cell_integrals(g, mesh.times(), (), nodes, "q_tau profile")
     all_levels = np.empty(mesh.M)
     all_levels[0] = 2.0 / mesh.tau * i_fall[0]
@@ -387,11 +363,6 @@ def q2h_from_qh(qh_values, mesh: MeshSpec) -> GridFn:
     out = np.zeros_like(q)
     out[..., 1:-1] = (-q[..., :-2] + 14.0 * q[..., 1:-1] - q[..., 2:]) / 12.0
     return out
-
-
-def average_q2h(w: Profile, mesh: MeshSpec) -> GridFn:
-    """q_2h w = q_h w - (h^2/12) laplacian(q_h w)."""
-    return q2h_from_qh(average_qh(w, mesh), mesh)
 
 
 def sample_nodes(w: Profile, mesh: MeshSpec) -> GridFn:
@@ -479,8 +450,7 @@ def poly_sin_integral(coeffs, omegas, lo: float, hi: float) -> np.ndarray:
 def sine_coefficients(w: Profile, K: int) -> np.ndarray:
     """First K coefficients of w in the orthonormal sine basis.
 
-    Exact for harmonic, sine_series, and piecewise profiles; callables use
-    adaptive oscillatory quadrature.
+    Exact for every profile form.
     """
     if K < 1:
         raise ContractViolation("K must be at least 1")
@@ -496,40 +466,7 @@ def sine_coefficients(w: Profile, K: int) -> np.ndarray:
     root = np.sqrt(2.0 / w.X)
     ks = np.arange(1, K + 1)
     omegas = np.pi * ks / w.X
-    if w.form == "piecewise":
-        b = w.breakpoints
-        for p, coeffs in enumerate(w.pieces):
-            out += root * poly_sin_integral(coeffs, omegas, b[p], b[p + 1])
-        return out
-    from scipy.integrate import quad
-    for i, om in enumerate(omegas):
-        val, _ = quad(w.func, 0.0, w.X, weight="sin", wvar=om, limit=400)
-        out[i] = root * val
+    b = w.breakpoints
+    for p, coeffs in enumerate(w.pieces):
+        out += root * poly_sin_integral(coeffs, omegas, b[p], b[p + 1])
     return out
-
-
-def fractional_norm(coeffs, alpha: float, X: float) -> float:
-    """Spectrally defined smoothness norm: (sum (pi k / X)^(2 alpha) c_k^2)^(1/2).
-
-    alpha = 0 reduces to the L2 norm of the series.  This is the partial sum
-    over the supplied coefficients; see truncation_tail for the remainder.
-    """
-    if alpha < 0:
-        raise ContractViolation("alpha must be nonnegative")
-    c = np.asarray(coeffs, dtype=float)
-    k = np.arange(1, len(c) + 1)
-    return float(np.sqrt(np.sum((np.pi * k / X) ** (2.0 * alpha) * c ** 2)))
-
-
-def truncation_tail(K: int, alpha: float, X: float, decay_exponent: float,
-                    decay_constant: float = 1.0) -> float:
-    """Estimate of the norm tail beyond K for |c_k| <= C k^-q.
-
-    Returns (sum_{k>K} (pi k/X)^(2 alpha) C^2 k^(-2q))^(1/2); infinite when
-    the exponent 2q - 2 alpha does not exceed 1.
-    """
-    p = 2.0 * decay_exponent - 2.0 * alpha
-    if p <= 1.0:
-        return float("inf")
-    scale = (np.pi / X) ** (2.0 * alpha)
-    return float(np.sqrt(scale * decay_constant ** 2 * K ** (1.0 - p) / (p - 1.0)))

@@ -74,16 +74,14 @@ def hat_profile(X: float) -> Profile:
     """Continuous piecewise-linear bump, peak 1 at X/2; coefficients ~ k^-2."""
     return Profile.piecewise_poly(
         (0.0, X / 2.0, X),
-        ((0.0, 2.0 / X), (2.0, -2.0 / X)),
-        decay_exponent=2.0)
+        ((0.0, 2.0 / X), (2.0, -2.0 / X)))
 
 
 def step_profile(X: float) -> Profile:
     """Centered step: +1 on (0, X/2), -1 on (X/2, X); coefficients ~ k^-1."""
     return Profile.piecewise_poly(
         (0.0, X / 2.0, X),
-        ((1.0,), (-1.0,)),
-        decay_exponent=1.0)
+        ((1.0,), (-1.0,)))
 
 
 def quad_spline_profile(X: float) -> Profile:
@@ -91,8 +89,7 @@ def quad_spline_profile(X: float) -> Profile:
     zero mean slope); coefficients ~ k^-3."""
     return Profile.piecewise_poly(
         (0.0, X / 2.0, X),
-        ((0.0, -0.5, 1.0 / X), (-X / 2.0, 1.5, -1.0 / X)),
-        decay_exponent=3.0)
+        ((0.0, -0.5, 1.0 / X), (-X / 2.0, 1.5, -1.0 / X)))
 
 
 @dataclass(frozen=True)
@@ -163,17 +160,13 @@ def _piece_l2_sq(coeffs, lo: float, hi: float) -> float:
 
 
 def profile_l2_norm(p: Profile) -> float:
-    """L2(0, X) norm of a profile (exact for series and piecewise forms)."""
+    """L2(0, X) norm of a profile (exact)."""
     if p.form in ("harmonic", "sine_series"):
         c = sine_coefficients(p, p.k if p.form == "harmonic" else max(1, len(p.coeffs)))
         return float(np.sqrt(np.sum(c ** 2)))
-    if p.form == "piecewise":
-        total = sum(_piece_l2_sq(p.pieces[i], p.breakpoints[i], p.breakpoints[i + 1])
-                    for i in range(len(p.pieces)))
-        return math.sqrt(total)
-    from scipy.integrate import quad
-    val, _ = quad(lambda x: p(np.array([x]))[0] ** 2, 0.0, p.X, limit=200)
-    return math.sqrt(val)
+    total = sum(_piece_l2_sq(p.pieces[i], p.breakpoints[i], p.breakpoints[i + 1])
+                for i in range(len(p.pieces)))
+    return math.sqrt(total)
 
 
 def profile_h01_norm(p: Profile) -> float:
@@ -182,13 +175,11 @@ def profile_h01_norm(p: Profile) -> float:
         c = sine_coefficients(p, p.k if p.form == "harmonic" else max(1, len(p.coeffs)))
         k = np.arange(1, len(c) + 1)
         return float(np.sqrt(np.sum((np.pi * k / p.X) ** 2 * c ** 2)))
-    if p.form == "piecewise":
-        total = 0.0
-        for i in range(len(p.pieces)):
-            d = npoly.polyder(p.pieces[i]) if len(p.pieces[i]) > 1 else (0.0,)
-            total += _piece_l2_sq(d, p.breakpoints[i], p.breakpoints[i + 1])
-        return math.sqrt(total)
-    raise ContractViolation("H1 seminorm of a callable profile is not supported")
+    total = 0.0
+    for i in range(len(p.pieces)):
+        d = npoly.polyder(p.pieces[i]) if len(p.pieces[i]) > 1 else (0.0,)
+        total += _piece_l2_sq(d, p.breakpoints[i], p.breakpoints[i + 1])
+    return math.sqrt(total)
 
 
 def _poly_abs_integral(coeffs, lo: float, hi: float) -> float:
@@ -211,15 +202,11 @@ def time_l1_norm(g: TimeProfile, T: float) -> float:
     """Integral of |g| over (0, T)."""
     if g.form == "polynomial":
         return _poly_abs_integral(g.coeffs, 0.0, T)
-    if g.form == "harmonic_sin":
-        w = abs(g.omega)
-        if w == 0.0:
-            return 0.0
-        periods = math.floor(w * T / math.pi)
-        return (2.0 * periods + 1.0 - math.cos(w * T - periods * math.pi)) / w
-    from scipy.integrate import quad
-    val, _ = quad(lambda t: abs(g(np.array([t]))[0]), 0.0, T, limit=400)
-    return val
+    w = abs(g.omega)
+    if w == 0.0:
+        return 0.0
+    periods = math.floor(w * T / math.pi)
+    return (2.0 * periods + 1.0 - math.cos(w * T - periods * math.pi)) / w
 
 
 def forcing_l21_norm(f: Forcing, T: float) -> float:

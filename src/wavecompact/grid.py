@@ -102,10 +102,6 @@ class MeshSpec:
     def times(self) -> np.ndarray:
         return np.arange(self.M + 1) * self.tau
 
-    def midpoints(self) -> np.ndarray:
-        """Half-node coordinates x_{i-1/2}, i = 1..N."""
-        return (np.arange(self.N) + 0.5) * self.h
-
     def zeros(self) -> GridFn:
         return np.zeros(self.N + 1)
 
@@ -117,21 +113,16 @@ def build_mesh(X: float, T: float, N: int, M: int, a: float = 1.0,
                     eps0=float(eps0))
 
 
-def _levels(w, size: int) -> np.ndarray:
-    """w as one level of `size` values or a stack (L, size) of levels.
+def require_gridfn(w, mesh: MeshSpec) -> GridFn:
+    """w as a grid function: one level (N+1,) or a stack of levels (L, N+1).
 
     The result is C-contiguous, so every reduction over the last axis sums
     each level in the same order as a call on that level alone."""
     w = np.ascontiguousarray(w, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] != size:
+    if w.ndim not in (1, 2) or w.shape[-1] != mesh.N + 1:
         raise ContractViolation(
-            f"expected {size} values per level, one level or a stack, got shape {w.shape}")
+            f"expected {mesh.N + 1} values per level, one level or a stack, got shape {w.shape}")
     return w
-
-
-def require_gridfn(w, mesh: MeshSpec) -> GridFn:
-    """w as a grid function: one level (N+1,) or a stack of levels (L, N+1)."""
-    return _levels(w, mesh.N + 1)
 
 
 def _reduced(values):
@@ -174,9 +165,6 @@ class Trajectory:
         if np.max(edges) > _DIRICHLET_RTOL * scale:
             raise ContractViolation("trajectory slices must vanish at the boundary nodes")
 
-    def __getitem__(self, m: int) -> GridFn:
-        return self.slices[m]
-
 
 # --------------------------------------------------------------------------
 # quadratic forms of the spatial operators, reduced over the last axis (kept
@@ -199,7 +187,7 @@ def _backward_diff_sq(w: np.ndarray, h: float):
     return np.sum(d * d, axis=-1) * h
 
 
-SPACE_NORM_KINDS = ("l2", "diff_l2", "l1", "l1_midpoint", "mass", "stiffness")
+SPACE_NORM_KINDS = ("l2", "diff_l2", "l1", "mass", "stiffness")
 
 
 def space_norm(w, kind: str, mesh: MeshSpec):
@@ -213,16 +201,12 @@ def space_norm(w, kind: str, mesh: MeshSpec):
     l2           (sum_{i=1..N-1} w_i^2 h)^(1/2)
     diff_l2      l2 norm of the backward differences over cells i = 1..N
     l1           trapezoid sum of |w| over all cells
-    l1_midpoint  sum |w_{i-1/2}| h of half-node samples; w must then hold the
-                 N midpoint values rather than node values
     mass         (B w, w)_h^(1/2), mass-weighted; requires Dirichlet w
     stiffness    (-Lap w, w)_h^(1/2); requires Dirichlet w and then equals
                  diff_l2 exactly (summation by parts)
 
-    The l1 kinds use backward differences / cells indexed 1..N throughout.
+    diff_l2 and l1 use backward differences / cells indexed 1..N throughout.
     """
-    if kind == "l1_midpoint":
-        return _reduced(np.sum(np.abs(_levels(w, mesh.N)), axis=-1) * mesh.h)
     if kind in ("mass", "stiffness"):
         w = require_dirichlet(w, mesh, what=f"{kind}-norm argument")
     else:
@@ -241,35 +225,12 @@ def space_norm(w, kind: str, mesh: MeshSpec):
     raise ContractViolation(f"unknown space norm kind {kind!r}; expected one of {SPACE_NORM_KINDS}")
 
 
-TIME_AGGREGATE_KINDS = ("l1", "max", "sum_interior")
-
-
-def time_aggregate(series, kind: str, mesh: MeshSpec) -> float:
-    """Aggregate a per-time-level scalar series.
-
-    l1            trapezoid sum of |y| over the time cells (series on 0..M)
-    max           maximum over the supplied range
-    sum_interior  tau * sum_{m=1..M-1} y_m: for a 0..M series both end levels
-                  are dropped; for a 0..M-1 series (forcing levels) only the
-                  first; an already-interior series is summed as is
-    """
+def time_aggregate(series, mesh: MeshSpec) -> float:
+    """Trapezoid sum of |y| over the time cells of a per-level series on 0..M."""
     y = np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ContractViolation("time series must be a nonempty 1d sequence")
-    if kind == "l1":
-        if y.size < 2:
-            raise ContractViolation("l1 time aggregate needs at least two levels")
-        return float(np.sum(0.5 * (np.abs(y[:-1]) + np.abs(y[1:])) * mesh.tau))
-    if kind == "max":
-        return float(np.max(y))
-    if kind == "sum_interior":
-        if y.size == mesh.M + 1:
-            y = y[1:-1]
-        elif y.size == mesh.M:
-            y = y[1:]
-        return float(np.sum(y) * mesh.tau)
-    raise ContractViolation(
-        f"unknown time aggregate kind {kind!r}; expected one of {TIME_AGGREGATE_KINDS}")
+    if y.ndim != 1 or y.size < 2:
+        raise ContractViolation("time aggregate needs a 1d series of at least two levels")
+    return float(np.sum(0.5 * (np.abs(y[:-1]) + np.abs(y[1:])) * mesh.tau))
 
 
 def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec):

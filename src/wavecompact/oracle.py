@@ -202,15 +202,6 @@ def discrete_time_coefficients(kind: HarmonicData, mesh: MeshSpec,
     return coeff.gamma_1k / kind.k * y
 
 
-def discrete_harmonic_solution(kind: HarmonicData, mesh: MeshSpec, variant: str,
-                               i, m):
-    """Closed-form scheme solution at node(s) i, level(s) m."""
-    coeffs = discrete_time_coefficients(kind, mesh, variant)
-    cm = canonical_mesh(mesh)
-    x = np.asarray(i) * cm.h
-    return coeffs[np.asarray(m)] * np.sin(kind.k * x)
-
-
 def discrete_harmonic_trajectory(kind: HarmonicData, mesh: MeshSpec,
                                  variant: str = "v2") -> np.ndarray:
     """Full (M+1, N+1) closed-form scheme solution."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from .errors import ContractViolation, InvariantError
+from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
 from .grid import (GridFn, MeshSpec, Trajectory, check_stable, energy_norm_pair,
                    require_dirichlet, space_norm, time_aggregate)
 from .operators import apply_implicit, solve_implicit, stencil
@@ -42,6 +42,9 @@ ERROR_MODES = ("node_sampled", "q2h_filtered")
 
 #: defining-equation residual contract, relative to max(1, |rhs|_inf)
 RESIDUAL_RTOL = 1e-11
+
+#: largest grid-data magnitude prepare_inputs accepts: the norms square it
+_DATA_BOUND = float(np.sqrt(np.finfo(float).max))
 
 #: time levels per block of measure_error; consecutive blocks share a level
 _BLOCK_LEVELS = 64
@@ -123,17 +126,36 @@ def time_step(mesh: MeshSpec, v_prev, v_curr, fh_m=None) -> GridFn:
 
 def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
                    v0_mode: str):
-    """Assemble (v0, u1h, fh) grid data from the descriptors."""
+    """Assemble (v0, u1h, fh) grid data from the descriptors.
+
+    This is where grid data enters the scheme: a datum whose quadrature fails,
+    or whose grid data is not finite or beyond _DATA_BOUND in magnitude, is a
+    ConfigurationError naming it.
+    """
     if v0_mode not in V0_MODES:
         raise ContractViolation(f"unknown v0 mode {v0_mode!r}; expected one of {V0_MODES}")
-    if v0_mode == "node_samples":
-        v0 = data_mod.sample_nodes(data.u0, mesh)
-        v0[0] = v0[-1] = 0.0
-    else:
-        v0 = data_mod.average_qh(data.u0, mesh)
-    u1h = data_mod.build_u1h(variant, data.u1, mesh)
-    fh = data_mod.build_fh(data.f, mesh) if data.f is not None else None
-    return v0, u1h, fh
+
+    def v0():
+        if v0_mode == "qh_average":
+            return data_mod.average_qh(data.u0, mesh)
+        samples = data_mod.sample_nodes(data.u0, mesh)
+        samples[0] = samples[-1] = 0.0
+        return samples
+
+    def checked(name, build):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = build()
+        except QuadratureError as exc:
+            raise ConfigurationError(f"the grid data of {name} are not finite: {exc}") from exc
+        if not -_DATA_BOUND <= values.min() <= values.max() <= _DATA_BOUND:  # NaN fails too
+            raise ConfigurationError(f"the grid data of {name} are not finite or exceed "
+                                     f"{_DATA_BOUND:.1e} in magnitude")
+        return values
+
+    return (checked("u0", v0),
+            checked("u1", lambda: data_mod.build_u1h(variant, data.u1, mesh)),
+            None if data.f is None else checked("f", lambda: data_mod.build_fh(data.f, mesh)))
 
 
 def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
@@ -200,7 +222,7 @@ def measure_error(mesh: MeshSpec, slices, reference,
     return ErrorReport(
         max_energy_error=max_energy,
         max_dx_error=max_dx,
-        l1_spacetime_error=time_aggregate(l1_series, "l1", mesh),
-        l1_spacetime_dx_error=time_aggregate(l1_dx_series, "l1", mesh),
+        l1_spacetime_error=time_aggregate(l1_series, mesh),
+        l1_spacetime_dx_error=time_aggregate(l1_dx_series, mesh),
         mode=mode,
     )

@@ -220,10 +220,21 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("stability_probe", "seed", {"seed": -1}),
     ("sharpness", "data.harmonic.j", {"data": {"harmonic": {"j": "x"}}}),
     ("solve", "data.harmonic.k", {"data": {"harmonic": {"j": 1, "k": "x"}}}),
+    ("solve", "coeffs", {"data": {"u0": {"form": "sine_series", "coeffs": ["x"]}}}),
+    ("solve", "breakpoints", {"data": {"u0": {"form": "piecewise", "breakpoints": [0, "a"],
+                                              "pieces": [[1.0]]}}}),
+    ("solve", "pieces", {"data": {"u0": {"form": "piecewise", "breakpoints": [0, math.pi],
+                                         "pieces": [1]}}}),
+    ("solve", "time", {"data": {"f": {"space": {"form": "harmonic", "k": 1}, "time": "x"}}}),
+    ("solve", "data.f", {"data": {"f": "x"}}),
+    ("solve", "out_dir", {"out_dir": 5}),
+    ("solve", "out_dir", {"out_dir": None}),
 ], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_tau_over_h", "alpha",
         "tail_fraction", "jobs", "fit_drop_coarsest", "seed", "seed_negative",
-        "harmonic_j", "harmonic_k"])
+        "harmonic_j", "harmonic_k", "profile_coeffs", "profile_breakpoints",
+        "profile_pieces", "time_not_object", "forcing_not_object", "out_dir_number",
+        "out_dir_null"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     cfg = _write_config(tmp_path, {
         "kind": kind, "mesh": _mesh(16), "data": None,
@@ -231,6 +242,27 @@ def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     assert main([kind.replace("_", "-"), "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+_HUGE = [1e308, 1e308]
+_UNIT_TIME = {"form": "polynomial", "coeffs": [1.0]}
+
+
+@pytest.mark.parametrize("name, data", [
+    ("u0", {"u0": {"form": "sine_series", "coeffs": _HUGE}}),
+    ("u1", {"u1": {"form": "sine_series", "coeffs": _HUGE}}),
+    ("f", {"f": {"space": {"form": "piecewise", "breakpoints": [0.0, math.pi],
+                           "pieces": [_HUGE]}, "time": _UNIT_TIME}}),
+    ("f", {"f": {"space": {"form": "sine_series", "coeffs": _HUGE}, "time": _UNIT_TIME}}),
+], ids=["u0_sine_series", "u1_sine_series", "f_piecewise", "f_sine_series"])
+def test_overflowing_grid_data_exits_3(tmp_path, capsys, name, data):
+    cfg = _write_config(tmp_path, {
+        "kind": "solve", "mesh": _mesh(16), "data": data,
+        "out_dir": str(tmp_path / "out")})
+    assert main(["solve", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"grid data of {name} are not finite" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,26 +1,26 @@
-"""Config parsing, validation, and descriptor serialization round trips."""
+"""Config parsing, validation, and descriptor parsing."""
 
 import math
 
 import pytest
 
-from wavecompact.config import (config_from_dict, dataspec_from_dict,
-                                dataspec_to_dict, profile_from_dict,
-                                profile_to_dict)
+from wavecompact.config import config_from_dict, dataspec_from_dict, profile_from_dict
 from wavecompact.data import DataSpec, Forcing, Profile, TimeProfile
 from wavecompact.errors import ConfigurationError, UnstableMeshError
 
 
 def test_profile_round_trips():
     X = math.pi
-    profiles = [
-        Profile.harmonic_mode(3, X),
-        Profile.sine_series((0.1, -0.2, 0.0, 0.4), X, decay_exponent=2.0),
-        Profile.piecewise_poly((0.0, 1.0, X), ((0.5,), (0.0, 1.0)),
-                               node_convention="left"),
+    cases = [
+        ({"form": "harmonic", "k": 3}, Profile.harmonic_mode(3, X)),
+        ({"form": "sine_series", "coeffs": [0.1, -0.2, 0.0, 0.4]},
+         Profile.sine_series((0.1, -0.2, 0.0, 0.4), X)),
+        ({"form": "piecewise", "breakpoints": [0.0, 1.0, X], "pieces": [[0.5], [0.0, 1.0]],
+          "node_convention": "left"},
+         Profile.piecewise_poly((0.0, 1.0, X), ((0.5,), (0.0, 1.0)), node_convention="left")),
     ]
-    for p in profiles:
-        assert profile_from_dict(profile_to_dict(p), X) == p
+    for d, p in cases:
+        assert profile_from_dict(d, X) == p
 
 
 def test_dataspec_round_trip():
@@ -30,15 +30,11 @@ def test_dataspec_round_trip():
         u1=Profile.sine_series((1.0, 2.0), X),
         f=Forcing(space=Profile.piecewise_poly((0.0, X), ((1.0,),)),
                   time=TimeProfile.harmonic_sin(2.0)))
-    assert dataspec_from_dict(dataspec_to_dict(spec), X) == spec
-
-
-def test_callable_profiles_are_not_serializable():
-    p = Profile.from_callable(lambda x: x, 1.0)
-    with pytest.raises(ConfigurationError):
-        profile_to_dict(p)
-    with pytest.raises(ConfigurationError):
-        profile_from_dict({"form": "callable"}, 1.0)
+    d = {"u0": {"form": "harmonic", "k": 1},
+         "u1": {"form": "sine_series", "coeffs": [1.0, 2.0]},
+         "f": {"space": {"form": "piecewise", "breakpoints": [0.0, X], "pieces": [[1.0]]},
+               "time": {"form": "harmonic_sin", "omega": 2.0}}}
+    assert dataspec_from_dict(d, X) == spec
 
 
 def test_tau_over_h_derives_m():

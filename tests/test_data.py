@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavecompact.data import (DataSpec, Forcing, Profile, TimeProfile, average_q2h,
-                              average_qh, average_qtau, build_fh, build_u1h,
-                              fractional_norm, sample_nodes, sine_coefficients,
-                              truncation_tail)
+from wavecompact.data import (DataSpec, Forcing, Profile, TimeProfile, average_qh,
+                              average_qtau, build_fh, build_u1h, q2h_from_qh,
+                              sample_nodes, sine_coefficients)
 from wavecompact.errors import ConfigurationError, ContractViolation
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import stencil
@@ -53,6 +52,8 @@ def test_piecewise_node_convention():
                                     node_convention=None)
     with pytest.raises(ContractViolation):
         strict(np.array([0.5]))
+    with pytest.raises(ConfigurationError, match="middle"):
+        Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), (-1.0,)), node_convention="middle")
 
 
 def test_dataspec_requires_shared_domain():
@@ -93,22 +94,14 @@ def test_qh_piecewise_step_exact_integration():
     np.testing.assert_allclose(got[5:-1], 1.0)  # fully right
 
 
-def test_qh_callable_failure_names_the_cell():
+def test_qh_overflow_names_the_cell():
     from wavecompact.errors import QuadratureError
     mesh = build_mesh(1.0, 1.0, 4, 16)
-    bad = Profile.from_callable(
-        lambda x: np.where(x > 0.6, np.nan, x), 1.0)
-    with pytest.raises(QuadratureError) as err:
+    # 1e308 (1 + x) overflows for x > 0.8, inside the last cell only
+    bad = Profile.piecewise_poly((0.0, 1.0), ((1e308, 1e308),))
+    with pytest.raises(QuadratureError) as err, np.errstate(over="ignore"):
         average_qh(bad, mesh)
-    assert err.value.cell is not None
-
-
-def test_qh_callable_matches_piecewise():
-    mesh = build_mesh(1.0, 1.0, 6, 24)
-    poly = Profile.piecewise_poly((0.0, 1.0), ((0.0, 1.0, -1.0),))  # x - x^2
-    call = Profile.from_callable(lambda x: x - x ** 2, 1.0)
-    np.testing.assert_allclose(average_qh(poly, mesh), average_qh(call, mesh),
-                               rtol=1e-13, atol=1e-14)
+    assert err.value.cell == 3
 
 
 def test_qh_laplacian_identity_for_smooth_data():
@@ -184,10 +177,10 @@ def test_qtau_rejects_out_of_range_level():
 # q_2h
 
 def test_q2h_zero_and_sine_diagonal():
-    assert np.all(average_q2h(Profile.zero(math.pi), MESH) == 0.0)
+    assert np.all(q2h_from_qh(average_qh(Profile.zero(math.pi), MESH), MESH) == 0.0)
     # q_2h is diagonal on the sine basis: (lam_k/k^2)(1 + h^2 lam_k / 12)
     k = 2
-    got = average_q2h(Profile.harmonic_mode(k, math.pi), MESH)
+    got = q2h_from_qh(average_qh(Profile.harmonic_mode(k, math.pi), MESH), MESH)
     lam = (2.0 / MESH.h * math.sin(k * MESH.h / 2.0)) ** 2
     factor = lam / k ** 2 * (1.0 + MESH.h ** 2 * lam / 12.0)
     np.testing.assert_allclose(got[1:-1], factor * np.sin(k * MESH.nodes())[1:-1],
@@ -200,7 +193,7 @@ def test_q2h_fourth_order_on_smooth_profile():
     for n in (8, 16, 32):
         mesh = build_mesh(math.pi, math.pi, n, 4 * n)
         w = Profile.harmonic_mode(1, math.pi)
-        diff = sample_nodes(w, mesh) - average_q2h(w, mesh)
+        diff = sample_nodes(w, mesh) - q2h_from_qh(average_qh(w, mesh), mesh)
         diff[0] = diff[-1] = 0.0
         errs.append(space_norm(diff, "l2", mesh))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.1)
@@ -320,35 +313,3 @@ def test_sine_series_round_trip():
     w = Profile.sine_series(coeffs, math.pi)
     np.testing.assert_allclose(sine_coefficients(w, 4), coeffs, atol=1e-15)
     np.testing.assert_allclose(sine_coefficients(w, 6)[4:], 0.0)
-
-
-def test_fractional_norm_values_and_monotonicity():
-    # single mode sin(kx) on (0, pi): norm = k^alpha sqrt(pi/2)
-    for k, alpha in ((1, 0.0), (3, 0.5), (4, 2.0)):
-        c = sine_coefficients(Profile.harmonic_mode(k, math.pi), k)
-        assert fractional_norm(c, alpha, math.pi) == pytest.approx(
-            k ** alpha * math.sqrt(math.pi / 2.0), rel=1e-13)
-    coeffs = np.array([0.5, 0.4, 0.3, 0.2])
-    norms = [fractional_norm(coeffs, a, math.pi) for a in (0.0, 0.5, 1.0, 2.0)]
-    assert norms == sorted(norms)
-    assert norms[0] == pytest.approx(float(np.sqrt(np.sum(coeffs ** 2))))
-
-
-def test_fractional_norm_step_borderline_growth():
-    # step profile at alpha = 1/2: partial sums grow like log K
-    step = Profile.piecewise_poly((0.0, math.pi / 2, math.pi), ((1.0,), (-1.0,)))
-    increments = []
-    prev = fractional_norm(sine_coefficients(step, 64), 0.5, math.pi) ** 2
-    for K in (128, 256, 512, 1024):
-        cur = fractional_norm(sine_coefficients(step, K), 0.5, math.pi) ** 2
-        increments.append(cur - prev)
-        prev = cur
-    # log growth: roughly equal increments per octave, never dying out
-    assert min(increments) > 0
-    assert max(increments) / min(increments) < 1.5
-
-
-def test_truncation_tail_estimate():
-    assert truncation_tail(100, 0.0, math.pi, decay_exponent=2.0) == pytest.approx(
-        math.sqrt(1.0 / (3.0 * 100 ** 3)), rel=1e-12)
-    assert truncation_tail(100, 0.5, math.pi, decay_exponent=0.5) == float("inf")

@@ -61,7 +61,6 @@ def test_space_norm_zero_for_all_kinds():
     z = MESH.zeros()
     for kind in ("l2", "diff_l2", "l1", "mass", "stiffness"):
         assert space_norm(z, kind, MESH) == 0.0
-    assert space_norm(np.zeros(MESH.N), "l1_midpoint", MESH) == 0.0
 
 
 def test_l2_norm_of_sine_brute_force():
@@ -102,13 +101,6 @@ def test_l1_norm_is_exact_trapezoid_and_scales():
             3.5 * space_norm(w, kind, MESH), rel=1e-13)
 
 
-def test_l1_midpoint_takes_half_node_samples():
-    mids = np.ones(MESH.N)
-    assert space_norm(mids, "l1_midpoint", MESH) == pytest.approx(math.pi)
-    with pytest.raises(ContractViolation):
-        space_norm(np.ones(MESH.N + 1), "l1_midpoint", MESH)
-
-
 def test_dirichlet_required_for_operator_norms():
     w = np.ones(MESH.N + 1)
     for kind in ("mass", "stiffness"):
@@ -141,9 +133,6 @@ def test_stacked_norms_equal_row_by_row_calls():
         assert norms.tolist() == [space_norm(w, kind, mesh) for w in stack]
         # a column-major stack sums each level in the same order
         assert space_norm(np.asfortranarray(stack), kind, mesh).tolist() == norms.tolist()
-    mids = rng.standard_normal((9, mesh.N))
-    assert space_norm(mids, "l1_midpoint", mesh).tolist() == [
-        space_norm(w, "l1_midpoint", mesh) for w in mids]
     assert energy_norm_pair(stack[:-1], stack[1:], mesh).tolist() == [
         energy_norm_pair(p, c, mesh) for p, c in zip(stack[:-1], stack[1:])]
     assert isinstance(space_norm(stack[0], "mass", mesh), float)
@@ -170,28 +159,22 @@ def test_stack_with_one_non_dirichlet_row_names_it():
 
 def test_time_aggregate_constant_and_zero():
     series = np.ones(MESH.M + 1)
-    assert time_aggregate(series, "l1", MESH) == pytest.approx(math.pi)
-    assert time_aggregate(np.zeros(MESH.M + 1), "l1", MESH) == 0.0
-    assert time_aggregate(np.zeros(MESH.M + 1), "max", MESH) == 0.0
-    assert time_aggregate(np.zeros(MESH.M + 1), "sum_interior", MESH) == 0.0
+    assert time_aggregate(series, MESH) == pytest.approx(math.pi)
+    assert time_aggregate(np.zeros(MESH.M + 1), MESH) == 0.0
 
 
 def test_time_aggregate_identity_trapezoid():
     m = build_mesh(1.0, 1.0, 4, 4, eps0=0.5)
     series = m.times()  # y_j = t_j
     brute = sum(0.5 * (series[j - 1] + series[j]) * m.tau for j in range(1, 5))
-    assert time_aggregate(series, "l1", m) == pytest.approx(0.5)
-    assert time_aggregate(series, "l1", m) == pytest.approx(brute)
+    assert time_aggregate(series, m) == pytest.approx(0.5)
+    assert time_aggregate(series, m) == pytest.approx(brute)
 
 
-def test_time_aggregate_interior_sum_and_errors():
-    series = np.arange(MESH.M + 1, dtype=float)
-    expected = MESH.tau * series[1:-1].sum()
-    assert time_aggregate(series, "sum_interior", MESH) == pytest.approx(expected)
-    with pytest.raises(ContractViolation):
-        time_aggregate([], "l1", MESH)
-    with pytest.raises(ContractViolation):
-        time_aggregate(series, "median", MESH)
+def test_time_aggregate_rejects_short_series():
+    for series in ([], [1.0], np.ones((2, MESH.M + 1))):
+        with pytest.raises(ContractViolation):
+            time_aggregate(series, MESH)
 
 
 # --------------------------------------------------------------------------

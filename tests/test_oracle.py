@@ -10,8 +10,7 @@ from wavecompact.data import build_u1h, Profile
 from wavecompact.errors import ContractViolation, MeshTooCoarseError
 from wavecompact.grid import build_mesh
 from wavecompact.oracle import (HarmonicData, asymptotic_constant, canonical_mesh,
-                                choose_k_h, discrete_harmonic_solution,
-                                discrete_harmonic_trajectory, dispersion,
+                                choose_k_h, discrete_harmonic_trajectory, dispersion,
                                 exact_harmonic_solution, forced_mode_response,
                                 harmonic_coefficients, harmonic_dataspec,
                                 sharpness_prediction, variant_amplitude)
@@ -180,12 +179,10 @@ def test_discrete_solution_first_levels():
     kind = HarmonicData(j=0, k=3)
     mesh = MESH
     mu = dispersion(3, mesh).mu_k
-    i = np.arange(mesh.N + 1)
-    np.testing.assert_allclose(discrete_harmonic_solution(kind, mesh, "v2", i, 0),
-                               np.sin(3 * mesh.nodes()), atol=1e-14)
+    traj = discrete_harmonic_trajectory(kind, mesh, "v2")
+    np.testing.assert_allclose(traj[0], np.sin(3 * mesh.nodes()), atol=1e-14)
     np.testing.assert_allclose(
-        discrete_harmonic_solution(kind, mesh, "v2", i, 1),
-        math.cos(mu * mesh.tau) * np.sin(3 * mesh.nodes()), rtol=1e-13, atol=1e-14)
+        traj[1], math.cos(mu * mesh.tau) * np.sin(3 * mesh.nodes()), rtol=1e-13, atol=1e-14)
 
 
 def test_interpolated_convolution_against_direct_construction():

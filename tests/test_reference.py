@@ -4,13 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from wavecompact.data import DataSpec, Profile, average_qh, sine_coefficients
+from wavecompact.data import DataSpec, Profile, sine_coefficients
 from wavecompact.errors import ConfigurationError, ContractViolation
 from wavecompact.experiments import PRESETS
 from wavecompact.grid import build_mesh
 from wavecompact.oracle import HarmonicData, exact_harmonic_solution
 from wavecompact.reference import GridReference, HarmonicReference, SeriesReference
+
+
+def _qh_oracle(func, mesh):
+    """(q_h w)_i by adaptive quadrature of w against the hats."""
+    out = mesh.zeros()
+    x = mesh.nodes()
+    for i in range(1, mesh.N):
+        hat = lambda s: max(1.0 - abs(s / mesh.h - i), 0.0)
+        val, _ = quad(lambda s: func(s) * hat(s), x[i - 1], x[i + 1],
+                      points=[x[i]], limit=200)
+        out[i] = val / mesh.h
+    return out
 
 
 def test_grid_reference_round_trip():
@@ -41,10 +54,8 @@ def test_harmonic_reference_qh_slices_by_quadrature():
     kind = HarmonicData(j=0, k=2)
     ref = HarmonicReference(mesh, kind)
     t = mesh.times()[7]
-    profile = Profile.from_callable(
-        lambda x: exact_harmonic_solution(kind, mesh, x, t), math.pi)
-    np.testing.assert_allclose(ref.qh_values(7), average_qh(profile, mesh),
-                               rtol=1e-12, atol=1e-13)
+    oracle = _qh_oracle(lambda x: exact_harmonic_solution(kind, mesh, x, t), mesh)
+    np.testing.assert_allclose(ref.qh_values(7), oracle, rtol=1e-12, atol=1e-13)
 
 
 def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes, qh=False):
@@ -121,11 +132,10 @@ def test_series_reference_qh_slices_by_quadrature():
     ref = SeriesReference(mesh, data)
     m = 4
     t = mesh.times()[m]
-    profile = Profile.from_callable(
-        lambda x: sum(c0[k - 1] * math.sqrt(2 / math.pi) * np.cos(k * t) * np.sin(k * x)
-                      for k in (1, 2, 3)), math.pi)
-    np.testing.assert_allclose(ref.qh_values(m), average_qh(profile, mesh),
-                               rtol=1e-11, atol=1e-12)
+    oracle = _qh_oracle(
+        lambda x: sum(c0[k - 1] * math.sqrt(2 / math.pi) * math.cos(k * t) * math.sin(k * x)
+                      for k in (1, 2, 3)), mesh)
+    np.testing.assert_allclose(ref.qh_values(m), oracle, rtol=1e-11, atol=1e-12)
 
 
 def test_series_reference_initial_slice_is_data():
