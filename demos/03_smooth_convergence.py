@@ -18,7 +18,7 @@ prev = None
 for n in (16, 32, 64, 128):
     mesh = build_mesh(math.pi, math.pi, n, 2 * n)
     run = evolve(mesh, harmonic_dataspec(kind, mesh))
-    rep = measure_error(mesh, run.trajectory.slices, HarmonicReference(mesh, kind))
+    rep = measure_error(mesh, run.slices, HarmonicReference(mesh, kind))
     err = rep.max_energy_error
     ratio = prev / err if prev else float("nan")
     order = math.log2(ratio) if prev else float("nan")

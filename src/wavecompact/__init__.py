@@ -14,16 +14,15 @@ from .data import (DataSpec, Forcing, Profile, TimeProfile, average_qh, average_
                    build_fh, build_u1h, sine_coefficients)
 from .errors import (ConfigurationError, ContractViolation, InvariantError,
                      MeshTooCoarseError, QuadratureError, UnstableMeshError)
-from .grid import (GridFn, MeshSpec, Trajectory, build_mesh, energy_norm_pair,
-                   space_norm, time_aggregate)
+from .grid import (GridFn, MeshSpec, build_mesh, energy_norm_pair, space_norm,
+                   time_aggregate)
 from .operators import apply_spatial, solve_implicit
 from .oracle import (DispersionRecord, HarmonicCoefficients, HarmonicData,
                      asymptotic_constant, choose_k_h, discrete_harmonic_trajectory,
                      dispersion, exact_harmonic_solution, harmonic_coefficients,
                      harmonic_dataspec, sharpness_prediction)
 from .reference import GridReference, HarmonicReference, SeriesReference
-from .scheme import (ErrorReport, SchemeRun, evolve, evolve_grid, initial_step,
-                     measure_error, time_step)
+from .scheme import ErrorReport, SchemeRun, evolve, evolve_grid, measure_error
 from .experiments import (PRESETS, OrderFit, fit_order, random_dataspec,
                           run_convergence, run_oracle_check, run_sharpness,
                           run_solve, run_stability_probe)

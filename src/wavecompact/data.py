@@ -76,22 +76,28 @@ class Profile:
     node_convention: str | None = "mean"
 
     def __post_init__(self):
-        if self.X <= 0:
-            raise ConfigurationError(f"domain length must be positive, got {self.X}")
         if self.form not in PROFILE_FORMS:
             raise ConfigurationError(f"unknown profile form {self.form!r}")
-        if self.form == "harmonic" and (self.k is None or self.k < 1):
-            raise ConfigurationError("harmonic profile needs an integer k >= 1")
-        if self.form == "sine_series" and self.coeffs is None:
-            raise ConfigurationError("sine_series profile needs coefficients")
-        if self.form == "piecewise":
+        if self.form == "piecewise":  # before X, which is read off the breakpoints
             b = self.breakpoints
-            if b is None or self.pieces is None or len(b) != len(self.pieces) + 1:
+            if b is None or self.pieces is None:
                 raise ConfigurationError("piecewise profile needs breakpoints and pieces")
+            if len(b) < 2 or len(b) != len(self.pieces) + 1:
+                raise ConfigurationError(
+                    f"piecewise profile needs at least two breakpoints and one piece "
+                    f"between each two, got {len(b)} breakpoints and {len(self.pieces)} pieces")
+            if not all(self.pieces):
+                raise ConfigurationError("piecewise profile pieces must not be empty")
             if b[0] != 0.0 or abs(b[-1] - self.X) > 1e-12 * self.X:
                 raise ConfigurationError("breakpoints must start at 0 and end at X")
             if np.any(np.diff(b) <= 0):
                 raise ConfigurationError("breakpoints must be strictly increasing")
+        if self.X <= 0:
+            raise ConfigurationError(f"domain length must be positive, got {self.X}")
+        if self.form == "harmonic" and (self.k is None or self.k < 1):
+            raise ConfigurationError("harmonic profile needs an integer k >= 1")
+        if self.form == "sine_series" and self.coeffs is None:
+            raise ConfigurationError("sine_series profile needs coefficients")
         if self.node_convention not in NODE_CONVENTIONS:
             raise ConfigurationError(
                 f"node_convention must be one of {NODE_CONVENTIONS}, "
@@ -110,7 +116,7 @@ class Profile:
     @staticmethod
     def piecewise_poly(breakpoints, pieces, node_convention: str | None = "mean") -> "Profile":
         bp = tuple(float(b) for b in breakpoints)
-        return Profile(X=bp[-1], form="piecewise", breakpoints=bp,
+        return Profile(X=bp[-1] if bp else 0.0, form="piecewise", breakpoints=bp,
                        pieces=tuple(tuple(float(c) for c in p) for p in pieces),
                        node_convention=node_convention)
 
@@ -247,24 +253,21 @@ def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes: int,
         I_rise[j] = int f(x) (x - left)  / width dx,
         I_fall[j] = int f(x) (right - x) / width dx,
 
-    splitting every cell at the supplied interior breakpoints.
+    splitting every cell at the supplied breakpoints that lie inside it, more
+    than 1e-14 * width from its edges.
     """
     ncells = len(edges) - 1
     width = edges[1] - edges[0]
-    splits = np.asarray(sorted(splits), dtype=float)
-    # panel boundaries per cell
-    panel_lo, panel_hi, panel_cell = [], [], []
-    for j in range(ncells):
-        lo, hi = edges[j], edges[j + 1]
-        inside = splits[(splits > lo + 1e-14 * width) & (splits < hi - 1e-14 * width)]
-        bounds = np.concatenate([[lo], inside, [hi]])
-        for p in range(len(bounds) - 1):
-            panel_lo.append(bounds[p])
-            panel_hi.append(bounds[p + 1])
-            panel_cell.append(j)
-    panel_lo = np.asarray(panel_lo)
-    panel_hi = np.asarray(panel_hi)
-    panel_cell = np.asarray(panel_cell, dtype=int)
+    splits = np.asarray(splits, dtype=float)
+    cell = np.searchsorted(edges, splits, side="right") - 1
+    inside = (cell >= 0) & (cell < ncells)
+    cell, splits = cell[inside], splits[inside]
+    keep = ((splits > edges[cell] + 1e-14 * width)
+            & (splits < edges[cell + 1] - 1e-14 * width))
+    # panel boundaries: the cell edges and the kept splits, in order
+    bounds = np.sort(np.concatenate([edges, splits[keep]]))
+    panel_lo, panel_hi = bounds[:-1], bounds[1:]
+    panel_cell = np.searchsorted(edges, panel_lo, side="right") - 1
 
     gn, gw = _gauss_rule(n_nodes)
     half = 0.5 * (panel_hi - panel_lo)
@@ -279,11 +282,8 @@ def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes: int,
     base = vals * gw[None, :] * half[:, None]
     rise = np.sum(base * rise_w, axis=1)
     fall = np.sum(base * (1.0 - rise_w), axis=1)
-    i_rise = np.zeros(ncells)
-    i_fall = np.zeros(ncells)
-    np.add.at(i_rise, panel_cell, rise)
-    np.add.at(i_fall, panel_cell, fall)
-    return i_rise, i_fall
+    return (np.bincount(panel_cell, rise, ncells),
+            np.bincount(panel_cell, fall, ncells))
 
 
 def hat_average_factor(y):

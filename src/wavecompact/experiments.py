@@ -1,12 +1,10 @@
 """Batch experiment drivers: solve, convergence, sharpness, oracle and
 stability checks, plus the order-fitting and data-preset utilities they share.
 
-Each runner takes an ExperimentConfig, returns a result record, and (when the
-config names an output directory) writes plain columnar CSV plus a JSON run
-summary.  CSV headers are fixed:
-
-    converge:  N,M,h,tau,err_energy,err_dx,err_l1,order_energy
-    sharpness: N,k_h,measured,predicted,ratio
+Each runner takes an ExperimentConfig, returns a result record, and (when
+emit is set) writes plain columnar CSV plus a JSON run summary to the
+config's output directory.  A table's header is the field names of its row
+record, and every cell is the repr of its field (strings as they are).
 
 Ladder rungs are independent and run in a process pool when jobs > 1.
 """
@@ -19,7 +17,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +30,7 @@ from .errors import ConfigurationError, ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, choose_k_h, discrete_harmonic_trajectory,
-                     dispersion, harmonic_dataspec, sharpness_prediction)
+                     harmonic_dataspec, sharpness_prediction)
 from .reference import HarmonicReference, SeriesReference
 from .scheme import ErrorReport, evolve, evolve_grid, measure_error, prepare_inputs
 
@@ -230,7 +228,7 @@ def stability_bound_sides(mesh: MeshSpec, data: DataSpec):
       RHS: sqrt(a^2 ||dx u0||_L2^2 + eps0^-2 ||u1||_L2^2) + 2 eps0^-1 ||f||_L21.
     """
     v0, u1h, fh = prepare_inputs(mesh, data, "v2", "node_samples")
-    slices = evolve_grid(mesh, v0, u1h, fh).trajectory.slices
+    slices = evolve_grid(mesh, v0, u1h, fh).slices
     e0 = mesh.eps0
     lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
     rhs = math.sqrt(mesh.a ** 2 * space_norm(v0, "stiffness", mesh) ** 2
@@ -274,6 +272,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_rows(path: Path, row_class, rows) -> None:
+    """One CSV row per record: the header is row_class's field names, and each
+    cell is the repr of its field, or the field itself if it is a string."""
+    names = [f.name for f in fields(row_class)]
+    _write_csv(path, names, [[v if isinstance(v, str) else repr(v)
+                              for v in (getattr(r, name) for name in names)]
+                             for r in rows])
 
 
 def _write_summary(out_dir: Path, config: ExperimentConfig, extra: dict,
@@ -332,7 +339,6 @@ class ConvergenceResult:
     rows: list[ConvergenceRow]
     fitted_order: float
     fit_residual: float
-    reports: list[ErrorReport]
 
 
 def _resolve_data(config: ExperimentConfig, mesh: MeshSpec) -> DataSpec:
@@ -370,7 +376,7 @@ def _converge_rung(payload) -> ErrorReport:
     data = _resolve_data(config, mesh)
     reference = _reference_for(config, mesh, data)
     run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
-    report = measure_error(mesh, run.trajectory.slices, reference, mode=config.mode)
+    report = measure_error(mesh, run.slices, reference, mode=config.mode)
     tail = getattr(reference, "tail_estimate", 0.0)
     gate = max(report.max_energy_error, report.max_dx_error)
     if gate > 0 and tail > config.tail_fraction * gate:
@@ -400,15 +406,11 @@ def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceR
     fit_rows = rows[max(drop, 0):]
     fit = fit_order([(r.h, r.err_energy) for r in fit_rows])
     result = ConvergenceResult(rows=rows, fitted_order=fit.slope,
-                               fit_residual=fit.residual, reports=reports)
-    if emit and config.out_dir is not None:
+                               fit_residual=fit.residual)
+    if emit:
         out = config.out_dir
         csv_path = out / "converge.csv"
-        _write_csv(csv_path,
-                   ["N", "M", "h", "tau", "err_energy", "err_dx", "err_l1", "order_energy"],
-                   [[r.N, r.M, f"{r.h!r}", f"{r.tau!r}", f"{r.err_energy!r}",
-                     f"{r.err_dx!r}", f"{r.err_l1!r}", f"{r.order_energy!r}"]
-                    for r in rows])
+        _write_rows(csv_path, ConvergenceRow, rows)
         _write_summary(out, config,
                        {"fitted_order": fit.slope, "fit_residual": fit.residual},
                        started, [str(csv_path)])
@@ -434,20 +436,20 @@ def run_solve(config: ExperimentConfig, emit: bool = True) -> SolveResult:
     run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
     report = None
     if reference is not None:
-        report = measure_error(mesh, run.trajectory.slices, reference, mode=config.mode)
+        report = measure_error(mesh, run.slices, reference, mode=config.mode)
     outputs: list[str] = []
-    if emit and config.out_dir is not None:
+    if emit:
         out = config.out_dir
         out.mkdir(parents=True, exist_ok=True)
         npz_path = out / "trajectory.npz"
         np.savez_compressed(npz_path, x=mesh.nodes(), t=mesh.times(),
-                            v=run.trajectory.slices)
+                            v=run.slices)
         outputs.append(str(npz_path))
         stride = max(1, mesh.M // max(1, config.decimate))
         levels = list(range(0, mesh.M + 1, stride))
         csv_path = out / "trajectory.csv"
         header = ["x"] + [f"v_t{mesh.times()[m]:.6g}" for m in levels]
-        body = [[f"{x!r}"] + [f"{run.trajectory.slices[m][i]!r}" for m in levels]
+        body = [[f"{x!r}"] + [f"{run.slices[m][i]!r}" for m in levels]
                 for i, x in enumerate(mesh.nodes())]
         _write_csv(csv_path, header, body)
         outputs.append(str(csv_path))
@@ -471,8 +473,6 @@ class SharpnessRow:
     measured: float
     predicted: float
     ratio: float
-    l: int
-    frequency_shift: float
 
 
 @dataclass(frozen=True)
@@ -506,15 +506,12 @@ def _sharpness_rung(payload):
     data = harmonic_dataspec(kind, mesh)
     reference = HarmonicReference(mesh, kind)
     run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
-    report = measure_error(mesh, run.trajectory.slices, reference, mode="node_sampled")
-    rec = dispersion(k_h, mesh)
-    shift = rec.mu_k - (k_h - config.alpha)
+    report = measure_error(mesh, run.slices, reference, mode="node_sampled")
     rows = []
     for l, measured in ((0, report.l1_spacetime_error), (1, report.l1_spacetime_dx_error)):
         predicted = sharpness_prediction(j, l, k_h, mesh.T * mesh.a * math.pi / mesh.X)
         rows.append(SharpnessRow(N=mesh.N, k_h=k_h, measured=measured,
-                                 predicted=predicted, ratio=measured / predicted,
-                                 l=l, frequency_shift=shift))
+                                 predicted=predicted, ratio=measured / predicted))
     return rows
 
 
@@ -528,15 +525,12 @@ def run_sharpness(config: ExperimentConfig, emit: bool = True) -> SharpnessResul
     trend = [r.ratio for r in rows]
     result = SharpnessResult(rows=rows, rows_dx=rows_dx, j=config.sharpness_j,
                              extrapolated_ratio=_extrapolate_ratios(trend))
-    if emit and config.out_dir is not None:
+    if emit:
         out = config.out_dir
-        header = ["N", "k_h", "measured", "predicted", "ratio"]
         paths = []
         for name, block in (("sharpness.csv", rows), ("sharpness_dx.csv", rows_dx)):
             path = out / name
-            _write_csv(path, header,
-                       [[r.N, r.k_h, f"{r.measured!r}", f"{r.predicted!r}", f"{r.ratio!r}"]
-                        for r in block])
+            _write_rows(path, SharpnessRow, block)
             paths.append(str(path))
         _write_summary(out, config,
                        {"ratios": trend, "j": config.sharpness_j,
@@ -572,14 +566,13 @@ def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[Oracle
             run = evolve(mesh, data, variant=variant, v0_mode=config.v0_mode)
             closed = discrete_harmonic_trajectory(kind, mesh, variant)
             scale = max(1.0, float(np.max(np.abs(closed))))
-            dev = float(np.max(np.abs(run.trajectory.slices - closed))) / scale
+            dev = float(np.max(np.abs(run.slices - closed))) / scale
             rows.append(OracleCheckRow(N=mesh.N, M=mesh.M, variant=variant,
                                        deviation=dev, passed=dev <= ORACLE_TOLERANCE))
-    if emit and config.out_dir is not None:
+    if emit:
         out = config.out_dir
         path = out / "oracle_check.csv"
-        _write_csv(path, ["N", "M", "variant", "deviation", "passed"],
-                   [[r.N, r.M, r.variant, f"{r.deviation!r}", r.passed] for r in rows])
+        _write_rows(path, OracleCheckRow, rows)
         _write_summary(out, config, {"all_passed": all(r.passed for r in rows)},
                        started, [str(path)])
     return rows
@@ -623,12 +616,10 @@ def run_stability_probe(config: ExperimentConfig, emit: bool = True) -> list[Sta
             for name, margin in zip(("lower_bound_1", "lower_bound_2"), margins):
                 rows.append(StabilityProbeRow(mesh.N, mesh.M, name, -margin, 0.0,
                                               margin, margin >= -STABILITY_SLACK))
-    if emit and config.out_dir is not None:
+    if emit:
         out = config.out_dir
         path = out / "stability.csv"
-        _write_csv(path, ["N", "M", "check", "lhs", "rhs", "margin", "passed"],
-                   [[r.N, r.M, r.check, f"{r.lhs!r}", f"{r.rhs!r}", f"{r.margin!r}",
-                     r.passed] for r in rows])
+        _write_rows(path, StabilityProbeRow, rows)
         _write_summary(out, config,
                        {"violations": sum(not r.passed for r in rows)},
                        started, [str(path)])

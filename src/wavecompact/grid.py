@@ -3,8 +3,9 @@
 The spatial mesh has nodes x_i = i*h, 0 <= i <= N, with h = X/N; the time mesh
 has t_m = m*tau, 0 <= m <= M, with tau = T/M.  A grid function is a plain
 float array of length N+1; members of the Dirichlet space vanish at i = 0 and
-i = N.  Nodes are always generated as i*h from the exact divisions X/N, T/M,
-never by cumulative addition.
+i = N.  A stack of levels is a float array of shape (L, N+1); a run of the
+scheme is the stack of its levels 0..M.  Nodes are always generated as i*h
+from the exact divisions X/N, T/M, never by cumulative addition.
 
 The implicit weight of the scheme is sigma = (1 + h^2/(a^2 tau^2)) / 12, and
 the time step is admissible when
@@ -146,24 +147,6 @@ def require_dirichlet(w, mesh: MeshSpec, what: str = "grid function") -> GridFn:
             f"{what}{f' (row {r})' if w.ndim == 2 else ''} must vanish at the boundary "
             f"nodes, got w[0]={rows[r, 0]:.3e}, w[N]={rows[r, -1]:.3e}")
     return w
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time sequence of grid functions v^0 .. v^M produced by the scheme."""
-
-    slices: np.ndarray  # shape (M+1, N+1)
-    mesh: MeshSpec
-
-    def __post_init__(self):
-        expected = (self.mesh.M + 1, self.mesh.N + 1)
-        if self.slices.shape != expected:
-            raise ContractViolation(
-                f"trajectory must have shape {expected}, got {self.slices.shape}")
-        scale = max(1.0, self.slices.max(), -self.slices.min())
-        edges = np.abs(self.slices[:, [0, -1]])
-        if np.max(edges) > _DIRICHLET_RTOL * scale:
-            raise ContractViolation("trajectory slices must vanish at the boundary nodes")
 
 
 # --------------------------------------------------------------------------

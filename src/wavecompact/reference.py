@@ -56,7 +56,6 @@ class GridReference:
                  qh_values: np.ndarray | None = None):
         if values.shape != (mesh.M + 1, mesh.N + 1):
             raise ContractViolation("reference array shape does not match the mesh")
-        self.mesh = mesh
         self._values = _read_only(values)
         self._qh = None if qh_values is None else _read_only(qh_values)
 
@@ -73,8 +72,6 @@ class HarmonicReference:
     """Exact solution of a single-harmonic data family."""
 
     def __init__(self, mesh: MeshSpec, kind: HarmonicData):
-        self.mesh = mesh
-        self.kind = kind
         cm = canonical_mesh(mesh)
         self._coeffs = exact_time_coefficients(kind, cm.times())
         shape = np.sin(kind.k * cm.nodes())
@@ -118,7 +115,7 @@ def _tail_amp_sq(amps: np.ndarray) -> float:
     if p <= 1.0:
         return float("inf")
     big_k = len(amps)
-    return c ** 2 * big_k ** (1.0 - p) / (p - 1.0)
+    return c * c * big_k ** (1.0 - p) / (p - 1.0)  # c * c overflows to inf, c ** 2 raises
 
 
 def _mode_classes(amps: np.ndarray, period: int) -> np.ndarray:
@@ -168,12 +165,15 @@ class SeriesReference:
     (exact folding), else to 8 N.
     """
 
+    # finite but huge data may overflow to non-finite amplitudes, an infinite
+    # tail estimate or infinite views: the checks below, the tail gate and
+    # prepare_inputs refuse such data
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, mesh: MeshSpec, data: DataSpec, n_modes: int | None = None,
                  fold_groups: int = 64):
         if data.f is not None:
             raise ContractViolation(
                 "series reference supports zero forcing; use a harmonic reference")
-        self.mesh = mesh
         cm = canonical_mesh(mesh)
         n, m = mesh.N, mesh.M
 
@@ -184,9 +184,8 @@ class SeriesReference:
             n_modes = fold_groups * joint if exact_fold else 8 * n
         root = math.sqrt(2.0 / mesh.X)
         scale_t = mesh.a * math.pi / mesh.X
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = sine_coefficients(data.u0, n_modes) * root
-            b = sine_coefficients(data.u1, n_modes) * root / scale_t
+        a = sine_coefficients(data.u0, n_modes) * root
+        b = sine_coefficients(data.u1, n_modes) * root / scale_t
         for name, amps in (("u0", a), ("u1", b)):
             if not np.all(np.isfinite(amps)):
                 raise ConfigurationError(f"the sine amplitudes of {name} are not finite")

@@ -13,6 +13,9 @@ applicable to rough initial velocities.  v^0 is taken as node samples of u0
 by default, with a hat-average alternative for data that has no meaningful
 point values.
 
+evolve_grid is the one way to step: it runs both recurrences on grid data
+(v0, u1h, fh) and returns the stored slices and the residual of every step.
+
 Error reports compare a run against a reference solution in two modes:
 
     node_sampled   errors r^m = u(x_i, t_m) - v^m enter every norm; the
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
-from .grid import (GridFn, MeshSpec, Trajectory, check_stable, energy_norm_pair,
+from .grid import (GridFn, MeshSpec, check_stable, energy_norm_pair,
                    require_dirichlet, space_norm, time_aggregate)
 from .operators import apply_implicit, solve_implicit, stencil
 
@@ -52,10 +55,9 @@ _BLOCK_LEVELS = 64
 
 @dataclass(frozen=True)
 class SchemeRun:
-    """One integrator run: mesh, trajectory, diagnostics."""
+    """One integrator run: its levels and the residual of every step."""
 
-    mesh: MeshSpec
-    trajectory: Trajectory
+    slices: np.ndarray        # (M+1, N+1): slices[m] is v^m
     residual_max: np.ndarray  # residual_max[m-1] belongs to the step producing v^m
 
 
@@ -68,7 +70,7 @@ class ErrorReport:
     mode: str
 
 
-def _step_residual(mesh: MeshSpec, lhs_fn: GridFn, rhs: GridFn) -> float:
+def _step_residual(lhs_fn: GridFn, rhs: GridFn) -> float:
     res = float(np.max(np.abs(lhs_fn[1:-1] - rhs[1:-1])))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if not res <= RESIDUAL_RTOL * scale:  # a NaN residual fails too
@@ -78,8 +80,8 @@ def _step_residual(mesh: MeshSpec, lhs_fn: GridFn, rhs: GridFn) -> float:
 
 
 # The two recurrences of the scheme.  The level functions trust their inputs:
-# callers validate the mesh and the boundary values once, before stepping, so
-# no step pays for validation.
+# evolve_grid validates the mesh and the boundary values once, before
+# stepping, so no step pays for validation.
 
 def _first_level(mesh: MeshSpec, v0: GridFn, u1h: GridFn, fh0) -> tuple[GridFn, float]:
     """(v^1, residual) from the two-level initial condition."""
@@ -88,7 +90,7 @@ def _first_level(mesh: MeshSpec, v0: GridFn, u1h: GridFn, fh0) -> tuple[GridFn, 
     if fh0 is not None:
         rhs = rhs + 0.5 * tau * fh0
     dt0 = solve_implicit(rhs, mesh)
-    residual = _step_residual(mesh, apply_implicit(dt0, mesh), rhs)
+    residual = _step_residual(apply_implicit(dt0, mesh), rhs)
     return v0 + tau * dt0, residual
 
 
@@ -100,28 +102,8 @@ def _next_level(mesh: MeshSpec, v_prev: GridFn, v_curr: GridFn,
     if fh_m is not None:
         rhs = rhs + fh_m
     lam_t = solve_implicit(rhs, mesh)
-    residual = _step_residual(mesh, apply_implicit(lam_t, mesh), rhs)
+    residual = _step_residual(apply_implicit(lam_t, mesh), rhs)
     return tau ** 2 * lam_t + 2.0 * v_curr - v_prev, residual
-
-
-def initial_step(mesh: MeshSpec, v0, u1h, fh0=None) -> GridFn:
-    """First time level from the implicit two-level initial condition."""
-    check_stable(mesh)
-    v0 = require_dirichlet(v0, mesh, "v0")
-    u1h = require_dirichlet(u1h, mesh, "u1h")
-    if fh0 is not None:
-        fh0 = require_dirichlet(fh0, mesh, "fh0")
-    return _first_level(mesh, v0, u1h, fh0)[0]
-
-
-def time_step(mesh: MeshSpec, v_prev, v_curr, fh_m=None) -> GridFn:
-    """Advance one level of the main recurrence."""
-    check_stable(mesh)
-    v_prev = require_dirichlet(v_prev, mesh, "v_prev")
-    v_curr = require_dirichlet(v_curr, mesh, "v_curr")
-    if fh_m is not None:
-        fh_m = require_dirichlet(fh_m, mesh, "fh_m")
-    return _next_level(mesh, v_prev, v_curr, fh_m)[0]
 
 
 def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
@@ -161,20 +143,25 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
 def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
     """Run the integrator from grid data (v0, u1h, fh) and store every slice.
 
-    Every step checks its defining-equation residual against RESIDUAL_RTOL;
-    residual_max[m-1] records it for the step producing v^m.
+    v0 and u1h are levels and fh, if given, holds the forcing levels
+    0..M-1; each must vanish at both ends, and a failure names it.  The
+    recurrences keep those boundary values, so every stored slice vanishes at
+    both ends too.  Every step checks its defining-equation residual against
+    RESIDUAL_RTOL; residual_max[m-1] records it for the step producing v^m.
     """
     check_stable(mesh)
     slices = np.empty((mesh.M + 1, mesh.N + 1))
     residuals = np.empty(mesh.M)
     slices[0] = require_dirichlet(v0, mesh, "v0")
+    u1h = require_dirichlet(u1h, mesh, "u1h")
+    if fh is not None:
+        fh = require_dirichlet(fh, mesh, "fh")
     slices[1], residuals[0] = _first_level(mesh, slices[0], u1h,
                                            None if fh is None else fh[0])
     for m in range(1, mesh.M):
         slices[m + 1], residuals[m] = _next_level(mesh, slices[m - 1], slices[m],
                                                   None if fh is None else fh[m])
-    return SchemeRun(mesh=mesh, trajectory=Trajectory(slices=slices, mesh=mesh),
-                     residual_max=residuals)
+    return SchemeRun(slices=slices, residual_max=residuals)
 
 
 def evolve(mesh: MeshSpec, data: data_mod.DataSpec, variant: str = "v2",
@@ -183,6 +170,7 @@ def evolve(mesh: MeshSpec, data: data_mod.DataSpec, variant: str = "v2",
     return evolve_grid(mesh, *prepare_inputs(mesh, data, variant, v0_mode))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # data too large to measure is refused below
 def measure_error(mesh: MeshSpec, slices, reference,
                   mode: str = "node_sampled") -> ErrorReport:
     """Error norms of a stored (M+1, N+1) trajectory against a reference.
@@ -199,30 +187,28 @@ def measure_error(mesh: MeshSpec, slices, reference,
         raise ContractViolation(
             f"slices must have shape {(mesh.M + 1, mesh.N + 1)}, got {slices.shape}")
     h = mesh.h
-    max_energy = max_dx = 0.0
-    l1_series = np.empty(mesh.M + 1)
-    l1_dx_series = np.empty(mesh.M + 1)
+    energy = np.empty(mesh.M)  # energy[m-1] belongs to the pair (v^{m-1}, v^m)
+    dx, l1, l1_dx = np.empty((3, mesh.M + 1))
     for start in range(0, mesh.M, _BLOCK_LEVELS):
-        levels = slice(start, min(start + _BLOCK_LEVELS, mesh.M) + 1)
+        stop = min(start + _BLOCK_LEVELS, mesh.M)
+        levels = slice(start, stop + 1)
         v = slices[levels]
         err = reference.values(levels) - v
         err[:, 0] = err[:, -1] = 0.0
-        l1_series[levels] = space_norm(err, "l1", mesh)
-        l1_dx_series[levels] = np.sum(np.abs(np.diff(err) / h), axis=-1) * h
-        dx_norms = space_norm(err, "diff_l2", mesh)
-        max_dx = max(max_dx, float(np.max(dx_norms)))
+        l1[levels] = space_norm(err, "l1", mesh)
+        l1_dx[levels] = np.sum(np.abs(np.diff(err) / h), axis=-1) * h
+        dx[levels] = space_norm(err, "diff_l2", mesh)
         if mode == "q2h_filtered":
             filt = data_mod.q2h_from_qh(reference.qh_values(levels), mesh) - v
             filt[:, 0] = filt[:, -1] = 0.0
-            pair_norms = (space_norm(np.diff(filt, axis=0) / mesh.tau, "l2", mesh)
-                          + dx_norms[1:])
+            energy[start:stop] = (space_norm(np.diff(filt, axis=0) / mesh.tau, "l2", mesh)
+                                  + dx[start + 1:stop + 1])
         else:
-            pair_norms = energy_norm_pair(err[:-1], err[1:], mesh)
-        max_energy = max(max_energy, float(np.max(pair_norms)))
-    return ErrorReport(
-        max_energy_error=max_energy,
-        max_dx_error=max_dx,
-        l1_spacetime_error=time_aggregate(l1_series, mesh),
-        l1_spacetime_dx_error=time_aggregate(l1_dx_series, mesh),
-        mode=mode,
-    )
+            energy[start:stop] = energy_norm_pair(err[:-1], err[1:], mesh)
+    norms = (float(np.max(energy)), float(np.max(dx)),
+             time_aggregate(l1, mesh), time_aggregate(l1_dx, mesh))
+    if not np.all(np.isfinite(norms)):
+        raise ConfigurationError(
+            f"the error norms on the N={mesh.N}, M={mesh.M} mesh are not finite: "
+            "the data are too large to measure")
+    return ErrorReport(*norms, mode=mode)

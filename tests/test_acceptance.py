@@ -44,7 +44,7 @@ def test_acceptance_1_oracle_equivalence():
                     run = evolve(mesh, data, variant=variant)
                     closed = discrete_harmonic_trajectory(kind, mesh, variant)
                     scale = max(1.0, float(np.max(np.abs(closed))))
-                    dev = float(np.max(np.abs(run.trajectory.slices - closed))) / scale
+                    dev = float(np.max(np.abs(run.slices - closed))) / scale
                     if dev > worst:
                         worst = dev
                         worst_case = f"j={j} k={k} {variant} N={n}"
@@ -61,7 +61,7 @@ def test_acceptance_2_smooth_fourth_order():
     for n in (16, 32, 64, 128):
         mesh = build_mesh(math.pi, math.pi, n, 2 * n)
         run = evolve(mesh, harmonic_dataspec(kind, mesh))
-        rep = measure_error(mesh, run.trajectory.slices, HarmonicReference(mesh, kind),
+        rep = measure_error(mesh, run.slices, HarmonicReference(mesh, kind),
                             mode="node_sampled")
         points.append((mesh.h, rep.max_energy_error))
     fit = fit_order(points)

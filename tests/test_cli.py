@@ -229,12 +229,16 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("solve", "data.f", {"data": {"f": "x"}}),
     ("solve", "out_dir", {"out_dir": 5}),
     ("solve", "out_dir", {"out_dir": None}),
+    ("solve", "breakpoints", {"data": {"u0": {"form": "piecewise", "breakpoints": [],
+                                              "pieces": [[1.0]]}}}),
+    ("solve", "pieces", {"data": {"u0": {"form": "piecewise", "breakpoints": [0, math.pi],
+                                         "pieces": [[]]}}}),
 ], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_tau_over_h", "alpha",
         "tail_fraction", "jobs", "fit_drop_coarsest", "seed", "seed_negative",
         "harmonic_j", "harmonic_k", "profile_coeffs", "profile_breakpoints",
         "profile_pieces", "time_not_object", "forcing_not_object", "out_dir_number",
-        "out_dir_null"])
+        "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     cfg = _write_config(tmp_path, {
         "kind": kind, "mesh": _mesh(16), "data": None,
@@ -262,7 +266,24 @@ def test_overflowing_grid_data_exits_3(tmp_path, capsys, name, data):
         "out_dir": str(tmp_path / "out")})
     assert main(["solve", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
-    assert f"grid data of {name} are not finite" in err and "Traceback" not in err
+    assert f"grid data of {name} are not finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("amplitude", [1e152, 1e153, 1e154])
+def test_data_too_large_to_measure_exits_3(tmp_path, capsys, amplitude):
+    # grid data below the bound of prepare_inputs whose error norms overflow:
+    # a rung that measures inf or NaN is refused, never written or fitted
+    cfg = _write_config(tmp_path, {
+        "kind": "converge", "mesh": _mesh(64, refinements=2),
+        "data": {"u1": {"form": "piecewise", "breakpoints": [0.0, math.pi / 2, math.pi],
+                        "pieces": [[amplitude], [-amplitude]]}},
+        "out_dir": str(tmp_path / "out")})
+    assert main(["converge", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err and "N=" in err and "M=" in err
+    assert "Traceback" not in err and "Warning" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -38,6 +38,12 @@ def test_profile_validation():
         Profile.piecewise_poly((0.0, 0.5), ((1.0,), (2.0,)))  # count mismatch
     with pytest.raises(ConfigurationError):
         Profile.piecewise_poly((0.1, 0.5, 1.0), ((1.0,), (2.0,)))  # must start at 0
+    with pytest.raises(ConfigurationError, match="breakpoints"):
+        Profile.piecewise_poly((), ((1.0,),))
+    with pytest.raises(ConfigurationError, match="breakpoints"):
+        Profile.piecewise_poly((1.0,), ())
+    with pytest.raises(ConfigurationError, match="pieces"):
+        Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), ()))
 
 
 def test_piecewise_node_convention():
@@ -92,6 +98,44 @@ def test_qh_piecewise_step_exact_integration():
     np.testing.assert_allclose(got[1:-1], oracle[1:-1], atol=1e-12)
     assert np.all(got[1:4] == 0.0)      # fully left of the jump
     np.testing.assert_allclose(got[5:-1], 1.0)  # fully right
+
+
+def _hat_cell_integrals_by_loop(evaluate, edges, splits, n_nodes):
+    """The per-cell reference: panels cell by cell, summed in panel order."""
+    from wavecompact.data import _gauss_rule
+    width = edges[1] - edges[0]
+    splits = np.sort(np.asarray(splits, dtype=float))
+    gn, gw = _gauss_rule(n_nodes)
+    i_rise, i_fall = np.zeros(len(edges) - 1), np.zeros(len(edges) - 1)
+    for j in range(len(edges) - 1):
+        lo, hi = edges[j], edges[j + 1]
+        inside = splits[(splits > lo + 1e-14 * width) & (splits < hi - 1e-14 * width)]
+        bounds = np.concatenate([[lo], inside, [hi]])
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            half, mid = 0.5 * (b - a), 0.5 * (b + a)
+            pts = mid + half * gn
+            rise_w = (pts - lo) / width
+            base = evaluate(pts) * gw * half
+            i_rise[j] += np.sum(base * rise_w)
+            i_fall[j] += np.sum(base * (1.0 - rise_w))
+    return i_rise, i_fall
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_hat_cell_integrals_match_the_per_cell_loop(n):
+    # splits on a node, within 1e-14 width of one, repeated, outside the
+    # domain and several in one cell: the panels and their sums are the loop's
+    from wavecompact.data import _hat_cell_integrals
+    mesh = build_mesh(1.0, 1.0, n, 2 * n)
+    h = mesh.h
+    rng = np.random.default_rng(n)
+    splits = [0.5, 0.25 + 1e-16, 3 * h - 1e-17, 0.3, 0.3, -0.1, 1.2,
+              *rng.uniform(0.0, 1.0, 5), h / 3, 2 * h / 3]
+    f = Profile.piecewise_poly((0.0, 0.3, 1.0), ((1.0, -2.0, 3.0), (0.5, 1.0)))
+    for evaluate, cuts in ((f, splits), (f, ()), (np.cos, splits)):
+        got = _hat_cell_integrals(evaluate, mesh.nodes(), cuts, 8, "test")
+        want = _hat_cell_integrals_by_loop(evaluate, mesh.nodes(), cuts, 8)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_qh_overflow_names_the_cell():

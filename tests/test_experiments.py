@@ -189,7 +189,6 @@ def test_run_solve_golden_error_report(tmp_path):
     # closed-form discrete solution and the exact solution
     from wavecompact.oracle import HarmonicData, discrete_harmonic_trajectory
     from wavecompact.reference import HarmonicReference
-    from wavecompact.grid import Trajectory
     from wavecompact.scheme import measure_error
 
     cfg = config_from_dict({
@@ -254,6 +253,9 @@ def test_run_oracle_check_pass_and_resonance_rejection(tmp_path):
     rows = run_oracle_check(cfg)
     assert len(rows) == 3  # all three variants
     assert all(r.passed for r in rows)
+    lines = (tmp_path / "oracle_check.csv").read_text().strip().splitlines()
+    assert lines[0] == "N,M,variant,deviation,passed"
+    assert [line.split(",")[2] for line in lines[1:]] == ["v0", "v1", "v2"]
     with pytest.raises(ConfigurationError):
         config_from_dict({
             "kind": "oracle_check",
@@ -300,6 +302,8 @@ def test_run_stability_probe_no_violations(tmp_path):
     rows = run_stability_probe(cfg)
     assert all(r.passed for r in rows)
     with (tmp_path / "stability.csv").open(newline="") as fh:
+        assert fh.readline().strip() == "N,M,check,lhs,rhs,margin,passed"
+        fh.seek(0)
         written = list(csv.DictReader(fh))
     assert len(written) == len(rows)
     for row, back in zip(rows, written):
@@ -336,7 +340,6 @@ def test_stability_probe_steps_each_data_set_once(monkeypatch):
 def test_sharpness_measurement_oracle_self_consistency():
     # replacing the stepper by the closed-form discrete solution changes the
     # measured ratio by less than 1e-8
-    from wavecompact.grid import Trajectory
     from wavecompact.oracle import (HarmonicData, choose_k_h,
                                     discrete_harmonic_trajectory)
     from wavecompact.reference import HarmonicReference
@@ -348,7 +351,7 @@ def test_sharpness_measurement_oracle_self_consistency():
     kind = HarmonicData(j=0, k=k)
     ref = HarmonicReference(mesh, kind)
     run = evolve(mesh, harmonic_dataspec(kind, mesh))
-    stepper = measure_error(mesh, run.trajectory.slices, ref).l1_spacetime_error
+    stepper = measure_error(mesh, run.slices, ref).l1_spacetime_error
     closed = measure_error(mesh, discrete_harmonic_trajectory(kind, mesh, "v2"),
                            ref).l1_spacetime_error
     assert abs(stepper - closed) / closed < 1e-8

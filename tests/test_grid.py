@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from wavecompact.errors import ConfigurationError, ContractViolation, UnstableMeshError
-from wavecompact.grid import (Trajectory, build_mesh, energy_norm_pair,
-                              require_dirichlet, space_norm, time_aggregate)
+from wavecompact.grid import (build_mesh, energy_norm_pair, require_dirichlet,
+                              space_norm, time_aggregate)
 
 
 def test_build_mesh_derived_quantities():
@@ -234,18 +234,6 @@ def test_energy_lower_bounds_on_random_pairs():
                 + space_norm(v_curr, "stiffness", mesh) ** 2)
             assert first <= e_sq * (1 + 1e-11) + 1e-13
             assert second <= e_sq * (1 + 1e-11) + 1e-13
-
-
-def test_trajectory_validates_shape_and_boundaries():
-    mesh = build_mesh(1.0, 1.0, 4, 3, eps0=0.5)
-    good = np.zeros((4, 5))
-    Trajectory(slices=good, mesh=mesh)
-    with pytest.raises(ContractViolation):
-        Trajectory(slices=np.zeros((3, 5)), mesh=mesh)
-    bad = good.copy()
-    bad[2, 0] = 1.0
-    with pytest.raises(ContractViolation):
-        Trajectory(slices=bad, mesh=mesh)
 
 
 def test_unstable_mesh_error_message_names_inequality():

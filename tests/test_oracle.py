@@ -212,7 +212,7 @@ def test_oracle_equivalence_spot_checks(j, k):
         run = evolve(mesh, harmonic_dataspec(kind, mesh), variant=variant)
         closed = discrete_harmonic_trajectory(kind, mesh, variant)
         scale = max(1.0, float(np.max(np.abs(closed))))
-        assert np.max(np.abs(run.trajectory.slices - closed)) / scale < 1e-10
+        assert np.max(np.abs(run.slices - closed)) / scale < 1e-10
 
 
 def test_oracle_equivalence_on_rescaled_mesh():
@@ -222,7 +222,7 @@ def test_oracle_equivalence_on_rescaled_mesh():
         run = evolve(mesh, harmonic_dataspec(kind, mesh))
         closed = discrete_harmonic_trajectory(kind, mesh, "v2")
         scale = max(1.0, float(np.max(np.abs(closed))))
-        assert np.max(np.abs(run.trajectory.slices - closed)) / scale < 1e-10
+        assert np.max(np.abs(run.slices - closed)) / scale < 1e-10
 
 
 # --------------------------------------------------------------------------

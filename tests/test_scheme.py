@@ -11,8 +11,7 @@ from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
 from wavecompact.reference import GridReference, HarmonicReference
-from wavecompact.scheme import (_step_residual, evolve, evolve_grid, initial_step,
-                                measure_error, time_step)
+from wavecompact.scheme import _step_residual, evolve, evolve_grid, measure_error
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 
@@ -21,58 +20,69 @@ def _zero_data(X=math.pi):
     return DataSpec(u0=Profile.zero(X), u1=Profile.zero(X))
 
 
-def test_initial_step_zero_data():
-    v1 = initial_step(MESH, MESH.zeros(), MESH.zeros(), MESH.zeros())
-    assert np.all(v1 == 0.0)
+def _harmonic_shape(mesh, k):
+    shape = np.sin(k * mesh.nodes())
+    shape[0] = shape[-1] = 0.0
+    return shape
 
 
-def test_initial_step_harmonic_closed_form():
-    # v0 = sin(kx), u1h = 0, fh0 = 0 -> v1 = cos(mu_k tau) sin(kx)
+def test_evolve_grid_zero_data():
+    fh = np.zeros((MESH.M, MESH.N + 1))
+    run = evolve_grid(MESH, MESH.zeros(), MESH.zeros(), fh)
+    assert np.all(run.slices == 0.0)
+
+
+def test_evolve_grid_first_level_harmonic_closed_form():
+    # v0 = sin(kx), u1h = 0, fh = 0 -> v1 = cos(mu_k tau) sin(kx)
     mesh = build_mesh(math.pi, math.pi, 16, 64)
-    k = 3
-    v0 = np.sin(k * mesh.nodes())
-    v0[0] = v0[-1] = 0.0
-    v1 = initial_step(mesh, v0, mesh.zeros())
-    mu = dispersion(k, mesh).mu_k
+    v0 = _harmonic_shape(mesh, 3)
+    v1 = evolve_grid(mesh, v0, mesh.zeros()).slices[1]
+    mu = dispersion(3, mesh).mu_k
     np.testing.assert_allclose(v1, math.cos(mu * mesh.tau) * v0, rtol=1e-12,
                                atol=1e-14)
 
 
-def test_initial_step_satisfies_defining_equation():
+def test_evolve_grid_first_level_satisfies_defining_equation():
     rng = np.random.default_rng(0)
     mesh = MESH
     v0 = mesh.zeros(); v0[1:-1] = rng.standard_normal(mesh.N - 1)
     u1h = mesh.zeros(); u1h[1:-1] = rng.standard_normal(mesh.N - 1)
-    fh0 = mesh.zeros(); fh0[1:-1] = rng.standard_normal(mesh.N - 1)
-    v1 = initial_step(mesh, v0, u1h, fh0)
+    fh = np.zeros((mesh.M, mesh.N + 1)); fh[:, 1:-1] = rng.standard_normal((mesh.M, mesh.N - 1))
+    v1 = evolve_grid(mesh, v0, u1h, fh).slices[1]
     dt0 = (v1 - v0) / mesh.tau
     lhs = apply_implicit(dt0, mesh)
     rhs = (0.5 * mesh.tau * mesh.a ** 2 * stencil("laplacian", v0, mesh)
-           + u1h + 0.5 * mesh.tau * fh0)
+           + u1h + 0.5 * mesh.tau * fh[0])
     scale = max(1.0, float(np.max(np.abs(rhs))))
     assert np.max(np.abs(lhs[1:-1] - rhs[1:-1])) <= 1e-11 * scale
 
 
-def test_initial_step_refuses_unstable_mesh():
+def test_evolve_grid_refuses_unstable_mesh():
     unstable = build_mesh(1.0, 1.0, 10, 10)
     with pytest.raises(UnstableMeshError):
-        initial_step(unstable, unstable.zeros(), unstable.zeros())
+        evolve_grid(unstable, unstable.zeros(), unstable.zeros())
 
 
-def test_time_step_zero_and_free_harmonic_recurrence():
-    assert np.all(time_step(MESH, MESH.zeros(), MESH.zeros()) == 0.0)
-    # three consecutive closed-form slices satisfy the recurrence
+def test_evolve_grid_free_harmonic_recurrence():
+    # from v0 = sin(kx) at rest, every level is the closed form cos(mu_k t_m) sin(kx)
     mesh = build_mesh(math.pi, math.pi, 16, 64)
-    k = 3
-    mu = dispersion(k, mesh).mu_k
-    shape = np.sin(k * mesh.nodes()); shape[0] = shape[-1] = 0.0
-    t = mesh.times()
-    for m in (1, 7, 30):
-        v_prev = math.cos(mu * t[m - 1]) * shape
-        v_curr = math.cos(mu * t[m]) * shape
-        got = time_step(mesh, v_prev, v_curr)
-        np.testing.assert_allclose(got, math.cos(mu * t[m + 1]) * shape,
-                                   rtol=1e-11, atol=1e-12)
+    shape = _harmonic_shape(mesh, 3)
+    mu = dispersion(3, mesh).mu_k
+    slices = evolve_grid(mesh, shape, mesh.zeros()).slices
+    np.testing.assert_allclose(slices, np.cos(mu * mesh.times())[:, None] * shape,
+                               rtol=1e-11, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
+def test_evolve_grid_names_bad_input(bad):
+    inputs = {"v0": MESH.zeros(), "u1h": MESH.zeros(), "fh": np.zeros((MESH.M, MESH.N + 1))}
+    target = inputs[bad]
+    if target.ndim == 2:
+        target[MESH.M // 2, 0] = 1.0  # one forcing level with a non-zero end
+    else:
+        target[-1] = 1.0
+    with pytest.raises(ContractViolation, match=f"^{bad}.* must vanish at the boundary"):
+        evolve_grid(MESH, **inputs)
 
 
 def test_free_evolution_energy_bound():
@@ -80,7 +90,7 @@ def test_free_evolution_energy_bound():
     mesh = build_mesh(math.pi, math.pi, 16, 64)
     rng = np.random.default_rng(1)
     v0 = mesh.zeros(); v0[1:-1] = rng.standard_normal(mesh.N - 1)
-    slices = evolve_grid(mesh, v0, mesh.zeros()).trajectory.slices
+    slices = evolve_grid(mesh, v0, mesh.zeros()).slices
     bound = mesh.a * space_norm(v0, "stiffness", mesh)
     for m in range(1, mesh.M + 1):
         assert energy_norm_pair(slices[m - 1], slices[m], mesh) <= bound * (1 + 1e-11)
@@ -88,7 +98,7 @@ def test_free_evolution_energy_bound():
 
 def test_evolve_zero_data_and_diagnostics():
     run = evolve(MESH, _zero_data())
-    assert np.all(run.trajectory.slices == 0.0)
+    assert np.all(run.slices == 0.0)
     assert run.residual_max.shape == (MESH.M,)
     assert np.all(run.residual_max <= 1e-11)
 
@@ -97,7 +107,7 @@ def test_evolve_residuals_nonzero_data():
     kind = HarmonicData(j=2, k=3)
     run = evolve(MESH, harmonic_dataspec(kind, MESH))
     assert np.max(run.residual_max) <= 1e-11 * max(
-        1.0, float(np.max(np.abs(run.trajectory.slices))))
+        1.0, float(np.max(np.abs(run.slices))))
 
 
 def test_evolve_superposition():
@@ -118,9 +128,9 @@ def test_evolve_superposition():
     run1 = evolve(mesh, d1)
     run2 = evolve(mesh, d2)
     run12 = evolve(mesh, both)
-    scale = max(1.0, np.max(np.abs(run12.trajectory.slices)))
-    assert np.max(np.abs(run1.trajectory.slices + run2.trajectory.slices
-                         - run12.trajectory.slices)) <= 1e-11 * scale
+    scale = max(1.0, np.max(np.abs(run12.slices)))
+    assert np.max(np.abs(run1.slices + run2.slices
+                         - run12.slices)) <= 1e-11 * scale
 
 
 def test_evolve_v0_mode_switch():
@@ -129,8 +139,8 @@ def test_evolve_v0_mode_switch():
     samples = evolve(MESH, data, v0_mode="node_samples")
     averaged = evolve(MESH, data, v0_mode="qh_average")
     fac = (math.sin(2 * MESH.h / 2) / (2 * MESH.h / 2)) ** 2
-    np.testing.assert_allclose(averaged.trajectory.slices[0],
-                               fac * samples.trajectory.slices[0],
+    np.testing.assert_allclose(averaged.slices[0],
+                               fac * samples.slices[0],
                                rtol=1e-12, atol=1e-14)
     with pytest.raises(ContractViolation):
         evolve(MESH, data, v0_mode="nearest")
@@ -139,8 +149,8 @@ def test_evolve_v0_mode_switch():
 def test_error_report_self_reference_is_zero():
     kind = HarmonicData(j=1, k=2)
     run = evolve(MESH, harmonic_dataspec(kind, MESH))
-    ref = GridReference(MESH, run.trajectory.slices.copy())
-    rep = measure_error(MESH, run.trajectory.slices, ref, mode="node_sampled")
+    ref = GridReference(MESH, run.slices.copy())
+    rep = measure_error(MESH, run.slices, ref, mode="node_sampled")
     assert rep.max_energy_error == pytest.approx(0.0, abs=1e-13)
     assert rep.max_dx_error == pytest.approx(0.0, abs=1e-13)
     assert rep.l1_spacetime_error == pytest.approx(0.0, abs=1e-13)
@@ -159,9 +169,9 @@ def test_error_report_brute_force_norms(m_levels):
     kind = HarmonicData(j=0, k=2)
     run = evolve(mesh, harmonic_dataspec(kind, mesh))
     ref = HarmonicReference(mesh, kind)
-    rep = measure_error(mesh, run.trajectory.slices, ref, mode="node_sampled")
+    rep = measure_error(mesh, run.slices, ref, mode="node_sampled")
 
-    errs = [ref.values(m) - run.trajectory.slices[m] for m in range(mesh.M + 1)]
+    errs = [ref.values(m) - run.slices[m] for m in range(mesh.M + 1)]
     h, tau = mesh.h, mesh.tau
     e_energy = max(energy_norm_pair(errs[m - 1], errs[m], mesh)
                    for m in range(1, mesh.M + 1))
@@ -186,10 +196,10 @@ def test_error_report_q2h_mode_brute_force(m_levels):
     kind = HarmonicData(j=1, k=1)
     run = evolve(mesh, harmonic_dataspec(kind, mesh))
     ref = HarmonicReference(mesh, kind)
-    rep = measure_error(mesh, run.trajectory.slices, ref, mode="q2h_filtered")
-    filt = [q2h_from_qh(ref.qh_values(m), mesh) - run.trajectory.slices[m]
+    rep = measure_error(mesh, run.slices, ref, mode="q2h_filtered")
+    filt = [q2h_from_qh(ref.qh_values(m), mesh) - run.slices[m]
             for m in range(mesh.M + 1)]
-    node = [ref.values(m) - run.trajectory.slices[m] for m in range(mesh.M + 1)]
+    node = [ref.values(m) - run.slices[m] for m in range(mesh.M + 1)]
     expected = max(
         space_norm((filt[m] - filt[m - 1]) / mesh.tau, "l2", mesh)
         + space_norm(node[m], "diff_l2", mesh)
@@ -205,10 +215,10 @@ def test_measure_error_sees_the_pair_across_a_block_seam():
     run = evolve(mesh, _zero_data())
     w = mesh.zeros()
     w[1:-1] = np.random.default_rng(2).standard_normal(mesh.N - 1)
-    exact = run.trajectory.slices.copy()
+    exact = run.slices.copy()
     exact[_BLOCK_LEVELS] += w
     exact[_BLOCK_LEVELS + 1] -= w
-    rep = measure_error(mesh, run.trajectory.slices, GridReference(mesh, exact))
+    rep = measure_error(mesh, run.slices, GridReference(mesh, exact))
     assert rep.max_energy_error == energy_norm_pair(w, -w, mesh)
     assert rep.max_energy_error > energy_norm_pair(mesh.zeros(), w, mesh)
 
@@ -221,7 +231,7 @@ def test_smooth_manufactured_solution_fourth_order():
         mesh = build_mesh(math.pi, math.pi, n, 2 * n)
         kind = HarmonicData(j=1, k=1)
         run = evolve(mesh, harmonic_dataspec(kind, mesh))
-        rep = measure_error(mesh, run.trajectory.slices, HarmonicReference(mesh, kind))
+        rep = measure_error(mesh, run.slices, HarmonicReference(mesh, kind))
         errors.append(rep.max_energy_error)
         hs.append(mesh.h)
     order1 = math.log2(errors[0] / errors[1])
@@ -231,30 +241,28 @@ def test_smooth_manufactured_solution_fourth_order():
 
 
 def test_one_stepping_kernel_behind_every_path():
-    # evolve, evolve_grid and a manual initial_step/time_step loop share one
-    # kernel: on forced rough data their slices agree bit for bit
+    # evolve and evolve_grid share one kernel: on forced rough data their
+    # slices agree bit for bit, and every stored slice vanishes exactly at
+    # both ends
     from wavecompact.experiments import random_dataspec
     from wavecompact.scheme import RESIDUAL_RTOL, prepare_inputs
     mesh = build_mesh(math.pi, math.pi, 32, 64)
     data = random_dataspec(np.random.default_rng(1), mesh.X)
     assert data.f is not None
     run = evolve(mesh, data)
-    v0, u1h, fh = prepare_inputs(mesh, data, "v2", "node_samples")
-    grid = evolve_grid(mesh, v0, u1h, fh)
-    manual = [v0, initial_step(mesh, v0, u1h, fh[0])]
-    for m in range(1, mesh.M):
-        manual.append(time_step(mesh, manual[-2], manual[-1], fh[m]))
-    assert np.array_equal(run.trajectory.slices, grid.trajectory.slices)
+    grid = evolve_grid(mesh, *prepare_inputs(mesh, data, "v2", "node_samples"))
+    assert np.array_equal(run.slices, grid.slices)
     assert np.array_equal(run.residual_max, grid.residual_max)
-    assert np.array_equal(run.trajectory.slices, np.array(manual))
+    assert run.slices.shape == (mesh.M + 1, mesh.N + 1)
+    assert np.all(run.slices[:, [0, -1]] == 0.0)
     assert run.residual_max.shape == (mesh.M,)
     assert np.all(run.residual_max <= RESIDUAL_RTOL)
 
 
 def test_step_residual_rejects_nan():
     rhs = np.linspace(0.0, 1.0, MESH.N + 1)
-    assert _step_residual(MESH, rhs.copy(), rhs) == 0.0
+    assert _step_residual(rhs.copy(), rhs) == 0.0
     lhs = rhs.copy()
     lhs[3] = np.nan
     with pytest.raises(InvariantError):
-        _step_residual(MESH, lhs, rhs)
+        _step_residual(lhs, rhs)
