@@ -4,9 +4,12 @@
                 --config PATH [--out DIR] [--jobs INT]
 
 Exit codes: 0 success, 2 stability or coarseness violation (the violated
-inequality is printed), 3 configuration error, 1 failed checks or unexpected
-errors.  WAVECOMPACT_JOBS is the fallback for --jobs; a value that is not an
-integer is a configuration error.
+inequality is printed), 3 configuration error, 1 failed checks, a violated
+internal invariant or unexpected errors.  An InvariantError, such as a step
+whose defining-equation residual exceeds its bound, is printed on stderr as
+"invariant violated: ..." naming the level and the mesh, without a traceback.
+WAVECOMPACT_JOBS is the fallback for --jobs; a value that is not an integer is
+a configuration error.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from pathlib import Path
 
 from . import experiments
 from .config import load_config
-from .errors import ConfigurationError, MeshTooCoarseError, UnstableMeshError
+from .errors import (ConfigurationError, InvariantError, MeshTooCoarseError,
+                     UnstableMeshError)
 
 _COMMANDS = {
     "solve": "solve",
@@ -105,6 +109,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,10 @@ s = sigma tau^2 a^2 / h^2.  The matrix is symmetric positive definite and
 strictly diagonally dominant (|diag| - 2 |off| >= 1/3 for every s > 0), so a
 banded Cholesky factorization without pivoting cannot break down.  The
 factorization depends only on the mesh and is cached per MeshSpec, which
-amortizes the setup across all M time steps.
+amortizes the setup across all M time steps.  solve_implicit solves with it
+through cho_solve_banded; scheme.evolve_grid uses the same cached factor
+directly, calling LAPACK dpbtrs (the routine cho_solve_banded calls) once per
+step on its own buffers, together with the stencil kernel _three_point.
 """
 
 from __future__ import annotations
@@ -33,6 +36,20 @@ from .grid import GridFn, MeshSpec, require_dirichlet, require_gridfn
 SPATIAL_OP_KINDS = ("numerov", "mass", "laplacian")
 
 
+def _three_point(out, w, centre: float, divisor: float):
+    """(w[i-1] + centre w[i] + w[i+1]) / divisor on the interior nodes of one
+    level or of each level of a stack, written into out and returned.
+
+    This is the one stencil kernel: stencil calls it, and so does the
+    stepping loop of scheme.evolve_grid on its preallocated buffers, so both
+    produce the same bits.  centre = -2 with divisor h^2 is the laplacian.
+    """
+    np.multiply(w[..., 1:-1], centre, out=out)
+    np.add(w[..., :-2], out, out=out)
+    np.add(out, w[..., 2:], out=out)
+    return np.divide(out, divisor, out=out)
+
+
 def stencil(kind: str, w, mesh: MeshSpec) -> GridFn:
     """Raw three-point stencil on the interior nodes; no Dirichlet check.
 
@@ -41,17 +58,13 @@ def stencil(kind: str, w, mesh: MeshSpec) -> GridFn:
     does not vanish at the ends.  Output boundary rows are zero.
     """
     w = require_gridfn(w, mesh)
-    out = np.zeros_like(w)
-    inner = w[..., 1:-1]
-    if kind == "numerov":
-        out[..., 1:-1] = (w[..., :-2] + 10.0 * inner + w[..., 2:]) / 12.0
-    elif kind == "mass":
-        out[..., 1:-1] = (w[..., :-2] + 4.0 * inner + w[..., 2:]) / 6.0
-    elif kind == "laplacian":
-        out[..., 1:-1] = (w[..., :-2] - 2.0 * inner + w[..., 2:]) / mesh.h ** 2
-    else:
+    if kind not in SPATIAL_OP_KINDS:
         raise ContractViolation(
             f"unknown spatial operator {kind!r}; expected one of {SPATIAL_OP_KINDS}")
+    centre, divisor = {"numerov": (10.0, 12.0), "mass": (4.0, 6.0),
+                       "laplacian": (-2.0, mesh.h ** 2)}[kind]
+    out = np.zeros_like(w)
+    _three_point(out[..., 1:-1], w, centre, divisor)
     return out
 
 

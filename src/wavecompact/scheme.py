@@ -13,8 +13,9 @@ applicable to rough initial velocities.  v^0 is taken as node samples of u0
 by default, with a hat-average alternative for data that has no meaningful
 point values.
 
-evolve_grid is the one way to step: it runs both recurrences on grid data
-(v0, u1h, fh) and returns the stored slices and the residual of every step.
+evolve_grid is the one way to step: it checks the shapes, finiteness and zero
+ends of (v0, u1h, fh) once, on entry, and each step calls LAPACK dpbtrs on the
+cached factor of A, in buffers allocated once per run.
 
 Error reports compare a run against a reference solution in two modes:
 
@@ -33,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrs
 
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
 from .grid import (GridFn, MeshSpec, check_stable, energy_norm_pair,
                    require_dirichlet, space_norm, time_aggregate)
-from .operators import apply_implicit, solve_implicit, stencil
+from .operators import _implicit_factor, _three_point
 
 V0_MODES = ("node_samples", "qh_average")
 ERROR_MODES = ("node_sampled", "q2h_filtered")
@@ -68,42 +70,6 @@ class ErrorReport:
     l1_spacetime_error: float
     l1_spacetime_dx_error: float
     mode: str
-
-
-def _step_residual(lhs_fn: GridFn, rhs: GridFn) -> float:
-    res = float(np.max(np.abs(lhs_fn[1:-1] - rhs[1:-1])))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if not res <= RESIDUAL_RTOL * scale:  # a NaN residual fails too
-        raise InvariantError(f"defining-equation residual {res:.3e} exceeds "
-                             f"{RESIDUAL_RTOL:.0e} * {scale:.3e}")
-    return res
-
-
-# The two recurrences of the scheme.  The level functions trust their inputs:
-# evolve_grid validates the mesh and the boundary values once, before
-# stepping, so no step pays for validation.
-
-def _first_level(mesh: MeshSpec, v0: GridFn, u1h: GridFn, fh0) -> tuple[GridFn, float]:
-    """(v^1, residual) from the two-level initial condition."""
-    tau, a = mesh.tau, mesh.a
-    rhs = 0.5 * tau * a ** 2 * stencil("laplacian", v0, mesh) + u1h
-    if fh0 is not None:
-        rhs = rhs + 0.5 * tau * fh0
-    dt0 = solve_implicit(rhs, mesh)
-    residual = _step_residual(apply_implicit(dt0, mesh), rhs)
-    return v0 + tau * dt0, residual
-
-
-def _next_level(mesh: MeshSpec, v_prev: GridFn, v_curr: GridFn,
-                fh_m) -> tuple[GridFn, float]:
-    """(v^{m+1}, residual) from the three-level main recurrence."""
-    tau, a = mesh.tau, mesh.a
-    rhs = a ** 2 * stencil("laplacian", v_curr, mesh)
-    if fh_m is not None:
-        rhs = rhs + fh_m
-    lam_t = solve_implicit(rhs, mesh)
-    residual = _step_residual(apply_implicit(lam_t, mesh), rhs)
-    return tau ** 2 * lam_t + 2.0 * v_curr - v_prev, residual
 
 
 def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
@@ -140,27 +106,61 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
             None if data.f is None else checked("f", lambda: data_mod.build_fh(data.f, mesh)))
 
 
+def _entry_datum(name: str, w, shape: tuple, mesh: MeshSpec) -> GridFn:
+    """w as float data of the given shape, finite and vanishing at both ends."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != shape:
+        raise ContractViolation(f"{name} must have shape {shape}, got {w.shape}")
+    if not -np.inf < w.min() <= w.max() < np.inf:  # reads only; NaN fails too
+        raise ConfigurationError(f"{name} has values that are not finite")
+    return require_dirichlet(w, mesh, name)
+
+
 def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
     """Run the integrator from grid data (v0, u1h, fh) and store every slice.
 
-    v0 and u1h are levels and fh, if given, holds the forcing levels
-    0..M-1; each must vanish at both ends, and a failure names it.  The
-    recurrences keep those boundary values, so every stored slice vanishes at
-    both ends too.  Every step checks its defining-equation residual against
-    RESIDUAL_RTOL; residual_max[m-1] records it for the step producing v^m.
+    v0, u1h (N+1,) and fh (M, N+1), the forcing levels 0..M-1, are checked
+    once, on entry, for shape, finiteness and zero ends (every slice keeps
+    those of v0); a failure names the datum.  Each step calls LAPACK dpbtrs
+    on the cached factor of A and checks its residual against RESIDUAL_RTOL *
+    max(1, |rhs|_inf): residual_max[m-1] is that of the step producing v^m,
+    and a failure is an InvariantError naming the level.
     """
     check_stable(mesh)
-    slices = np.empty((mesh.M + 1, mesh.N + 1))
-    residuals = np.empty(mesh.M)
-    slices[0] = require_dirichlet(v0, mesh, "v0")
-    u1h = require_dirichlet(u1h, mesh, "u1h")
+    N, M, tau, a2, h2 = mesh.N, mesh.M, mesh.tau, mesh.a ** 2, mesh.h ** 2
+    v0, u1h = _entry_datum("v0", v0, (N + 1,), mesh), _entry_datum("u1h", u1h, (N + 1,), mesh)
     if fh is not None:
-        fh = require_dirichlet(fh, mesh, "fh")
-    slices[1], residuals[0] = _first_level(mesh, slices[0], u1h,
-                                           None if fh is None else fh[0])
-    for m in range(1, mesh.M):
-        slices[m + 1], residuals[m] = _next_level(mesh, slices[m - 1], slices[m],
-                                                  None if fh is None else fh[m])
+        fh = _entry_datum("fh", fh, (M, N + 1), mesh)
+    edge = np.zeros(M) if fh is None else np.abs(fh[:, ::N]).max(axis=1)  # |rhs| at the ends
+    edge[0] = np.abs(u1h[::N] + (0.0 if fh is None else 0.5 * tau * fh[0, ::N])).max()
+    factor, c = _implicit_factor(mesh), mesh.sigma * tau ** 2 * a2
+    slices, residuals = np.empty((M + 1, N + 1)), np.empty(M)
+    slices[0], slices[1:, ::N] = v0, v0[::N] + 0.0  # v0 + tau * 0: the ends that stay
+    lam, (rhs, t1, t2) = np.zeros(N + 1), np.empty((3, N - 1))  # lam keeps zero ends
+    for m in range(M):
+        v, nxt = slices[m], slices[m + 1, 1:-1]
+        _three_point(rhs, v, -2.0, h2)  # the recurrences' rhs, in the operator calls' order
+        rhs *= a2 if m else 0.5 * tau * a2
+        if m == 0:
+            rhs += u1h[1:-1]
+        if fh is not None:
+            rhs += fh[m, 1:-1] if m else np.multiply(fh[0, 1:-1], 0.5 * tau, out=t1)
+        lam[1:-1] = rhs  # a failed dpbtrs (info != 0) leaves it, and the residual refuses it
+        lam[1:-1] = dpbtrs(factor, lam[1:-1], overwrite_b=1)[0]
+        lhs = _three_point(t1, lam, 4.0, 6.0)  # (mass - c laplacian) lam - rhs
+        lhs -= np.multiply(_three_point(t2, lam, -2.0, h2), c, out=t2)
+        lhs -= rhs
+        residuals[m] = res = np.abs(lhs, out=lhs).max()
+        if not (res <= RESIDUAL_RTOL  # the scale is >= 1; a NaN residual fails
+                or res <= RESIDUAL_RTOL * (scale := max(1.0, np.abs(rhs).max(), edge[m]))):
+            raise InvariantError(
+                f"defining-equation residual {res:.3e} of the step to level {m + 1} on "
+                f"the N={N}, M={M} mesh exceeds {RESIDUAL_RTOL:.0e} * {scale:.3e}")
+        # v^1 = tau lam + v^0, and v^{m+1} = tau^2 lam + 2 v^m - v^{m-1}
+        np.multiply(lam[1:-1], tau ** 2 if m else tau, out=nxt)
+        nxt += np.multiply(v[1:-1], 2.0, out=t2) if m else v[1:-1]
+        if m:
+            nxt -= slices[m - 1, 1:-1]
     return SchemeRun(slices=slices, residual_max=residuals)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -38,6 +39,24 @@ def test_solve_succeeds_and_writes_outputs(tmp_path, capsys):
     assert "max energy error" in out
     assert (tmp_path / "out" / "trajectory.npz").exists()
     assert (tmp_path / "out" / "run_summary.json").exists()
+
+
+def test_residual_violation_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    # the residual bound is read when the run starts: at 0 every step with a
+    # rounding error fails, and the message names the level and the mesh
+    import wavecompact.scheme as scheme
+    monkeypatch.setattr(scheme, "RESIDUAL_RTOL", 0.0)
+    cfg = _write_config(tmp_path, {
+        "kind": "solve",
+        "mesh": _mesh(8),
+        "data": {"harmonic": {"j": 1, "k": 1}},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violated: defining-equation residual")
+    assert re.search(r"of the step to level \d+ on the N=8, M=16 mesh exceeds 0e\+00", err)
+    assert "Traceback" not in err
 
 
 def test_unstable_mesh_exits_2_without_outputs(tmp_path, capsys):

@@ -313,18 +313,18 @@ def test_run_stability_probe_no_violations(tmp_path):
 
 
 def test_stability_probe_steps_each_data_set_once(monkeypatch):
-    # both bounds of a random data set read one run: one implicit solve per
-    # time step of every data set, and none for the lower-bound pairs
-    import wavecompact.scheme as scheme
-    solves = 0
-    solve_implicit = scheme.solve_implicit
+    # both bounds of a random data set read one run: the time steps of all
+    # evolve_grid calls are one run per data set, and none for the lower-bound pairs
+    import wavecompact.experiments as experiments
+    steps = 0
+    evolve_grid = experiments.evolve_grid
 
-    def counting(rhs, mesh):
-        nonlocal solves
-        solves += 1
-        return solve_implicit(rhs, mesh)
+    def counting(mesh, *args):
+        nonlocal steps
+        steps += mesh.M
+        return evolve_grid(mesh, *args)
 
-    monkeypatch.setattr(scheme, "solve_implicit", counting)
+    monkeypatch.setattr(experiments, "evolve_grid", counting)
     cfg = config_from_dict({
         "kind": "stability_probe",
         "mesh": _base_mesh_cfg(8, refinements=1),
@@ -334,7 +334,7 @@ def test_stability_probe_steps_each_data_set_once(monkeypatch):
     })
     rows = run_stability_probe(cfg, emit=False)
     assert all(r.passed for r in rows)
-    assert solves == cfg.n_random * sum(mesh.M for mesh in cfg.rungs)
+    assert steps == cfg.n_random * sum(mesh.M for mesh in cfg.rungs)
 
 
 def test_sharpness_measurement_oracle_self_consistency():

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from wavecompact.data import DataSpec, Forcing, Profile, TimeProfile
-from wavecompact.errors import ContractViolation, InvariantError, UnstableMeshError
+import wavecompact.scheme as scheme
+from wavecompact.data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
+from wavecompact.errors import (ConfigurationError, ContractViolation, InvariantError,
+                                UnstableMeshError)
+from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
-from wavecompact.operators import apply_implicit, stencil
+from wavecompact.operators import apply_implicit, solve_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
 from wavecompact.reference import GridReference, HarmonicReference
-from wavecompact.scheme import _step_residual, evolve, evolve_grid, measure_error
+from wavecompact.scheme import V0_MODES, evolve, evolve_grid, measure_error, prepare_inputs
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 
@@ -244,8 +247,7 @@ def test_one_stepping_kernel_behind_every_path():
     # evolve and evolve_grid share one kernel: on forced rough data their
     # slices agree bit for bit, and every stored slice vanishes exactly at
     # both ends
-    from wavecompact.experiments import random_dataspec
-    from wavecompact.scheme import RESIDUAL_RTOL, prepare_inputs
+    from wavecompact.scheme import RESIDUAL_RTOL
     mesh = build_mesh(math.pi, math.pi, 32, 64)
     data = random_dataspec(np.random.default_rng(1), mesh.X)
     assert data.f is not None
@@ -259,10 +261,103 @@ def test_one_stepping_kernel_behind_every_path():
     assert np.all(run.residual_max <= RESIDUAL_RTOL)
 
 
-def test_step_residual_rejects_nan():
-    rhs = np.linspace(0.0, 1.0, MESH.N + 1)
-    assert _step_residual(rhs.copy(), rhs) == 0.0
-    lhs = rhs.copy()
-    lhs[3] = np.nan
-    with pytest.raises(InvariantError):
-        _step_residual(lhs, rhs)
+def test_step_residual_rejects_nan(monkeypatch):
+    # a NaN in one step's solution makes its residual NaN, and the loop's
+    # residual check refuses it, naming the level
+    dpbtrs = scheme.dpbtrs
+    calls = 0
+
+    def poisoned(ab, b, **kwargs):
+        nonlocal calls
+        calls += 1
+        x, info = dpbtrs(ab, b, **kwargs)
+        if calls == 3:
+            x[2] = np.nan
+        return x, info
+
+    monkeypatch.setattr(scheme, "dpbtrs", poisoned)
+    with pytest.raises(InvariantError, match=r"nan of the step to level 3 on the N=16, M=64 "):
+        evolve_grid(MESH, _harmonic_shape(MESH, 3), MESH.zeros())
+
+
+def _operator_loop(mesh, v0, u1h, fh):
+    """The stepping loop composed of the operator calls, kept as the bit-exact
+    reference: stencil, solve_implicit and apply_implicit on full levels."""
+    tau, a = mesh.tau, mesh.a
+    slices = np.empty((mesh.M + 1, mesh.N + 1))
+    residuals = np.empty(mesh.M)
+
+    def residual(lhs_fn, rhs):
+        return float(np.max(np.abs(lhs_fn[1:-1] - rhs[1:-1])))
+
+    rhs = 0.5 * tau * a ** 2 * stencil("laplacian", v0, mesh) + u1h
+    if fh is not None:
+        rhs = rhs + 0.5 * tau * fh[0]
+    dt0 = solve_implicit(rhs, mesh)
+    residuals[0] = residual(apply_implicit(dt0, mesh), rhs)
+    slices[0], slices[1] = v0, v0 + tau * dt0
+    for m in range(1, mesh.M):
+        rhs = a ** 2 * stencil("laplacian", slices[m], mesh)
+        if fh is not None:
+            rhs = rhs + fh[m]
+        lam_t = solve_implicit(rhs, mesh)
+        residuals[m] = residual(apply_implicit(lam_t, mesh), rhs)
+        slices[m + 1] = tau ** 2 * lam_t + 2.0 * slices[m] - slices[m - 1]
+    return slices, residuals
+
+
+def test_evolve_grid_matches_the_operator_loop_bit_for_bit():
+    cases = []
+    mesh = build_mesh(math.pi, math.pi, 64, 128)
+    for j in (0, 1, 2):
+        data = harmonic_dataspec(HarmonicData(j=j, k=3), mesh)
+        cases.append((mesh, prepare_inputs(mesh, data, "v2", "node_samples")))
+    mesh = build_mesh(math.pi, math.pi, 32, 64)
+    for seed in range(6):
+        data = random_dataspec(np.random.default_rng(seed), mesh.X)
+        for variant in U1_VARIANTS:
+            for v0_mode in V0_MODES:
+                cases.append((mesh, prepare_inputs(mesh, data, variant, v0_mode)))
+    assert {inputs[2] is None for _, inputs in cases} == {True, False}  # fh and none
+    for mesh, inputs in cases:
+        run = evolve_grid(mesh, *inputs)
+        slices, residuals = _operator_loop(mesh, *inputs)
+        assert np.array_equal(run.slices, slices)
+        assert np.array_equal(run.residual_max, residuals)
+
+
+@pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
+def test_evolve_grid_refuses_non_finite_input(bad):
+    inputs = {"v0": MESH.zeros(), "u1h": MESH.zeros(), "fh": np.zeros((MESH.M, MESH.N + 1))}
+    inputs[bad].flat[MESH.N // 2] = np.nan if bad == "u1h" else np.inf
+    with pytest.raises(ConfigurationError, match=f"^{bad} has values that are not finite"):
+        evolve_grid(MESH, **inputs)
+
+
+@pytest.mark.parametrize("rows", [3, 40])
+def test_evolve_grid_checks_the_fh_shape(rows):
+    # too few forcing levels failed mid-run; too many were silently dropped
+    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    with pytest.raises(ContractViolation,
+                       match=rf"^fh must have shape \(16, 9\), got \({rows}, 9\)"):
+        evolve_grid(mesh, mesh.zeros(), mesh.zeros(), np.zeros((rows, mesh.N + 1)))
+
+
+def test_evolve_grid_validates_once(monkeypatch):
+    # the boundary values are checked on entry, never per step
+    calls = []
+    require_dirichlet = scheme.require_dirichlet
+
+    def counting(w, mesh, what="grid function"):
+        calls.append(what)
+        return require_dirichlet(w, mesh, what)
+
+    monkeypatch.setattr(scheme, "require_dirichlet", counting)
+    counts = []
+    for m_levels in (16, 256):
+        mesh = build_mesh(math.pi, math.pi, 8, m_levels)
+        calls.clear()
+        evolve_grid(mesh, _harmonic_shape(mesh, 2), mesh.zeros(),
+                    np.zeros((mesh.M, mesh.N + 1)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3
