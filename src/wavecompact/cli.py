@@ -20,17 +20,9 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .config import load_config
+from .config import KINDS, load_config
 from .errors import (ConfigurationError, InvariantError, MeshTooCoarseError,
                      UnstableMeshError)
-
-_COMMANDS = {
-    "solve": "solve",
-    "converge": "converge",
-    "sharpness": "sharpness",
-    "oracle-check": "oracle_check",
-    "stability-probe": "stability_probe",
-}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -38,8 +30,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="wavecompact",
         description="Compact fourth-order wave-equation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
+    for kind in KINDS:
+        p = sub.add_parser(kind.replace("_", "-"))
         p.add_argument("--config", type=Path, required=True,
                        help="path to the JSON experiment config")
         p.add_argument("--out", type=Path, default=None,
@@ -53,7 +45,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        kind = _COMMANDS[args.command]
+        kind = args.command.replace("-", "_")
         if config.kind != kind:
             raise ConfigurationError(
                 f"config kind {config.kind!r} does not match subcommand {args.command!r}")

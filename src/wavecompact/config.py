@@ -21,8 +21,10 @@ A config file is a single JSON object:
          fit_drop_coarsest, tail_fraction, jobs, decimate)
     }
 
-Profile dictionaries use the forms of data.Profile and time profiles those of
-data.TimeProfile; every entry must be a JSON number.  Every ladder rung must
+Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
+plus {"form": "harmonic", "k": k}, which parses to the one-coefficient sine
+series Profile.harmonic_mode(k, X); time profiles use the forms of
+data.TimeProfile.  Every entry must be a JSON number.  Every ladder rung must
 satisfy the stability condition; a rung that violates it raises
 UnstableMeshError (CLI exit code 2), while malformed configuration raises
 ConfigurationError (exit code 3).

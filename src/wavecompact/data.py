@@ -11,18 +11,21 @@ accept merely integrable data:
 with e_i the hat centered at node i.  Boundary entries of q_h are zero.  The
 second-level average q_2h combines q_h with the Numerov correction,
 
-    (q_2h w)_i = (-q_h w_{i-1} + 14 q_h w_i - q_h w_{i+1}) / 12.
+    (q_2h w)_i = (-q_h w_{i-1} + 14 q_h w_i - q_h w_{i+1}) / 12,
+
+the negated (-14, 12) case of the three-point kernel grid._three_point.
 
 Quadrature policy: integration cells are split at descriptor breakpoints and
 each panel uses 8-node Gauss-Legendre (more for a time polynomial of higher
 degree), so piecewise polynomials of degree <= 14 integrate exactly against
 the hats and mollification of discontinuous data adds no quadrature noise.
-Harmonic profiles use the exact eigenfactor (sin(wh/2)/(wh/2))^2 instead of
-panels.
+Sine series use the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each mode
+instead of panels.
 
 Sine analysis uses the orthonormal basis sqrt(2/X) sin(pi k x / X): a
 sine_series profile stores exactly the coefficients that sine_coefficients
-returns.
+returns, and a single mode sin(pi k x / X) is the one-coefficient series
+with c_k = sqrt(X/2).
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, ContractViolation, QuadratureError
-from .grid import GridFn, MeshSpec, require_dirichlet
+from .grid import GridFn, MeshSpec, _three_point, require_dirichlet
 from .operators import stencil
 
-PROFILE_FORMS = ("harmonic", "sine_series", "piecewise")
+PROFILE_FORMS = ("sine_series", "piecewise")
 TIME_FORMS = ("harmonic_sin", "polynomial")
 U1_VARIANTS = ("v0", "v1", "v2")
 NODE_CONVENTIONS = (None, "mean", "left", "right")
@@ -55,8 +58,8 @@ class Profile:
 
     Forms
     -----
-    harmonic     sin(pi k x / X)
-    sine_series  sum_k c_k sqrt(2/X) sin(pi k x / X) with orthonormal c_k
+    sine_series  sum_k c_k sqrt(2/X) sin(pi k x / X) with orthonormal c_k;
+                 harmonic_mode(k, X) is the single mode sin(pi k x / X)
     piecewise    polynomial pieces between strictly increasing breakpoints
                  spanning [0, X]; coefficients are in ascending powers of the
                  global coordinate
@@ -69,7 +72,6 @@ class Profile:
 
     X: float
     form: str
-    k: int | None = None
     coeffs: tuple[float, ...] | None = None
     breakpoints: tuple[float, ...] | None = None
     pieces: tuple[tuple[float, ...], ...] | None = None
@@ -94,8 +96,6 @@ class Profile:
                 raise ConfigurationError("breakpoints must be strictly increasing")
         if self.X <= 0:
             raise ConfigurationError(f"domain length must be positive, got {self.X}")
-        if self.form == "harmonic" and (self.k is None or self.k < 1):
-            raise ConfigurationError("harmonic profile needs an integer k >= 1")
         if self.form == "sine_series" and self.coeffs is None:
             raise ConfigurationError("sine_series profile needs coefficients")
         if self.node_convention not in NODE_CONVENTIONS:
@@ -106,7 +106,11 @@ class Profile:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def harmonic_mode(k: int, X: float) -> "Profile":
-        return Profile(X=float(X), form="harmonic", k=int(k))
+        """sin(pi k x / X) as the one-coefficient sine series."""
+        if k < 1:
+            raise ConfigurationError("harmonic profile needs an integer k >= 1")
+        amplitude = np.sqrt(max(X, 0.0) / 2.0)  # the constructor refuses X <= 0
+        return Profile.sine_series((0.0,) * (k - 1) + (amplitude,), X)
 
     @staticmethod
     def sine_series(coeffs, X: float) -> "Profile":
@@ -127,8 +131,6 @@ class Profile:
     # -- pointwise evaluation ---------------------------------------------
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.form == "harmonic":
-            return np.sin(np.pi * self.k * x / self.X)
         if self.form == "sine_series":
             out = np.zeros_like(x)
             root = np.sqrt(2.0 / self.X)
@@ -303,10 +305,7 @@ def average_qh(w: Profile, mesh: MeshSpec) -> GridFn:
     if abs(w.X - mesh.X) > 1e-12 * mesh.X:
         raise ContractViolation("profile and mesh domain lengths differ")
     out = mesh.zeros()
-    if w.form == "harmonic":
-        omega = np.pi * w.k / mesh.X
-        out[:] = hat_average_factor(omega * mesh.h) * np.sin(omega * mesh.nodes())
-    elif w.form == "sine_series":
+    if w.form == "sine_series":
         root = np.sqrt(2.0 / mesh.X)
         x = mesh.nodes()
         for k, c in enumerate(w.coeffs, start=1):
@@ -321,39 +320,23 @@ def average_qh(w: Profile, mesh: MeshSpec) -> GridFn:
     return out
 
 
-def average_qtau(g: TimeProfile, mesh: MeshSpec, m: int | None = None):
-    """Hat average of the time factor at level m, or all of 0..M-1 when m is None.
+def average_qtau(g: TimeProfile, mesh: MeshSpec) -> np.ndarray:
+    """Hat averages of the time factor at the levels 0..M-1.
 
     The first level uses the one-sided weight: (q_tau g)_0 = (2/tau) times the
     integral of g against the falling half hat on [0, tau].
     """
-    if m is not None and not (0 <= m <= mesh.M - 1):
-        raise ContractViolation(f"time average level must lie in 0..{mesh.M - 1}, got {m}")
+    out = np.empty(mesh.M)
     if g.form == "harmonic_sin":
-        omega = g.omega
-        t = mesh.times()
-
-        def level0() -> float:
-            y = omega * mesh.tau
-            if y == 0.0:
-                return 0.0
-            return float(2.0 / y * (1.0 - np.sin(y) / y))
-
-        if m == 0:
-            return level0()
-        if m is not None:
-            return float(hat_average_factor(omega * mesh.tau) * np.sin(omega * t[m]))
-        out = np.empty(mesh.M)
-        out[0] = level0()
-        out[1:] = hat_average_factor(omega * mesh.tau) * np.sin(omega * t[1:mesh.M])
+        y = g.omega * mesh.tau
+        out[0] = 0.0 if y == 0.0 else 2.0 / y * (1.0 - np.sin(y) / y)
+        out[1:] = hat_average_factor(y) * np.sin(g.omega * mesh.times()[1:mesh.M])
         return out
-
     nodes = max(_QUADRATURE_NODES, (len(g.coeffs) + 2) // 2 + 1)
     i_rise, i_fall = _hat_cell_integrals(g, mesh.times(), (), nodes, "q_tau profile")
-    all_levels = np.empty(mesh.M)
-    all_levels[0] = 2.0 / mesh.tau * i_fall[0]
-    all_levels[1:] = (i_rise[: mesh.M - 1] + i_fall[1: mesh.M]) / mesh.tau
-    return all_levels if m is None else float(all_levels[m])
+    out[0] = 2.0 / mesh.tau * i_fall[0]
+    out[1:] = (i_rise[: mesh.M - 1] + i_fall[1: mesh.M]) / mesh.tau
+    return out
 
 
 def q2h_from_qh(qh_values, mesh: MeshSpec) -> GridFn:
@@ -361,7 +344,8 @@ def q2h_from_qh(qh_values, mesh: MeshSpec) -> GridFn:
     or a stack of levels)."""
     q = require_dirichlet(qh_values, mesh, "q_h values")
     out = np.zeros_like(q)
-    out[..., 1:-1] = (-q[..., :-2] + 14.0 * q[..., 1:-1] - q[..., 2:]) / 12.0
+    inner = out[..., 1:-1]
+    np.negative(_three_point(inner, q, -14.0, 12.0), out=inner)
     return out
 
 
@@ -397,13 +381,9 @@ def build_u1h(variant: str, u1: Profile, mesh: MeshSpec) -> GridFn:
     return out
 
 
-def build_fh(f: Forcing | None, mesh: MeshSpec) -> np.ndarray:
+def build_fh(f: Forcing, mesh: MeshSpec) -> np.ndarray:
     """Forcing slices (q_h q_tau f)^m for m = 0..M-1 (separable product)."""
-    if f is None:
-        return np.zeros((mesh.M, mesh.N + 1))
-    qh_space = average_qh(f.space, mesh)
-    qtau = average_qtau(f.time, mesh, None)
-    return np.outer(qtau, qh_space)
+    return np.outer(average_qtau(f.time, mesh), average_qh(f.space, mesh))
 
 
 # --------------------------------------------------------------------------
@@ -455,10 +435,6 @@ def sine_coefficients(w: Profile, K: int) -> np.ndarray:
     if K < 1:
         raise ContractViolation("K must be at least 1")
     out = np.zeros(K)
-    if w.form == "harmonic":
-        if w.k <= K:
-            out[w.k - 1] = np.sqrt(w.X / 2.0)
-        return out
     if w.form == "sine_series":
         upto = min(K, len(w.coeffs))
         out[:upto] = w.coeffs[:upto]

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 from numpy.polynomial import polynomial as npoly
 
 from . import __version__
@@ -29,7 +30,7 @@ from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile, sine_coe
 from .errors import ConfigurationError, ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
-from .oracle import (HarmonicData, choose_k_h, discrete_harmonic_trajectory,
+from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_harmonic_trajectory,
                      harmonic_dataspec, sharpness_prediction)
 from .reference import HarmonicReference, SeriesReference
 from .scheme import ErrorReport, evolve, evolve_grid, measure_error, prepare_inputs
@@ -113,13 +114,13 @@ PRESETS = {
 }
 
 
-def random_dataspec(rng: np.random.Generator, X: float, with_forcing: bool = True,
-                    max_breaks: int = 3) -> DataSpec:
+def random_dataspec(rng: np.random.Generator, X: float) -> DataSpec:
     """Random piecewise-polynomial data: continuous u0 with zero ends,
-    discontinuous u1, optional separable forcing with a polynomial time factor."""
+    discontinuous u1 and, with probability 0.7, a separable forcing with a
+    polynomial time factor."""
 
     def random_breaks() -> tuple[float, ...]:
-        inner = np.sort(rng.uniform(0.15 * X, 0.85 * X, rng.integers(1, max_breaks + 1)))
+        inner = np.sort(rng.uniform(0.15 * X, 0.85 * X, rng.integers(1, 4)))
         return (0.0, *inner, X)
 
     def continuous_zero_ends(breaks) -> Profile:
@@ -142,7 +143,7 @@ def random_dataspec(rng: np.random.Generator, X: float, with_forcing: bool = Tru
     u0 = continuous_zero_ends(random_breaks())
     u1 = rough(random_breaks())
     f = None
-    if with_forcing and rng.random() < 0.7:
+    if rng.random() < 0.7:
         f = Forcing(space=rough(random_breaks()),
                     time=TimeProfile.polynomial(rng.uniform(-1.0, 1.0, 3)))
     return DataSpec(u0=u0, u1=u1, f=f)
@@ -159,8 +160,8 @@ def _piece_l2_sq(coeffs, lo: float, hi: float) -> float:
 
 def profile_l2_norm(p: Profile) -> float:
     """L2(0, X) norm of a profile (exact)."""
-    if p.form in ("harmonic", "sine_series"):
-        c = sine_coefficients(p, p.k if p.form == "harmonic" else max(1, len(p.coeffs)))
+    if p.form == "sine_series":
+        c = sine_coefficients(p, max(1, len(p.coeffs)))
         return float(np.sqrt(np.sum(c ** 2)))
     total = sum(_piece_l2_sq(p.pieces[i], p.breakpoints[i], p.breakpoints[i + 1])
                 for i in range(len(p.pieces)))
@@ -169,8 +170,8 @@ def profile_l2_norm(p: Profile) -> float:
 
 def profile_h01_norm(p: Profile) -> float:
     """||dx w||_L2 for a profile vanishing at the ends."""
-    if p.form in ("harmonic", "sine_series"):
-        c = sine_coefficients(p, p.k if p.form == "harmonic" else max(1, len(p.coeffs)))
+    if p.form == "sine_series":
+        c = sine_coefficients(p, max(1, len(p.coeffs)))
         k = np.arange(1, len(c) + 1)
         return float(np.sqrt(np.sum((np.pi * k / p.X) ** 2 * c ** 2)))
     total = 0.0
@@ -292,23 +293,15 @@ def _write_summary(out_dir: Path, config: ExperimentConfig, extra: dict,
             "wavecompact": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
         "wall_time_s": time.perf_counter() - started,
         "outputs": outputs,
         **extra,
     }
-    try:
-        import scipy
-        summary["versions"]["scipy"] = scipy.version.version
-    except Exception:
-        pass
     path = out_dir / "run_summary.json"
     path.write_text(json.dumps(summary, indent=2, default=str))
     return path
-
-
-def _resolve_jobs(config: ExperimentConfig) -> int:
-    return max(1, config.jobs)
 
 
 def _map_rungs(fn, payloads, jobs: int):
@@ -389,8 +382,7 @@ def _converge_rung(payload) -> ErrorReport:
 def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceResult:
     """Ladder study: error norms per rung, pairwise orders, fitted slope."""
     started = time.perf_counter()
-    jobs = _resolve_jobs(config)
-    reports = _map_rungs(_converge_rung, [(config, mesh) for mesh in config.rungs], jobs)
+    reports = _map_rungs(_converge_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
     rows = []
     for i, (mesh, rep) in enumerate(zip(config.rungs, reports)):
         if i > 0 and rep.max_energy_error > 0 and reports[i - 1].max_energy_error > 0:
@@ -507,9 +499,10 @@ def _sharpness_rung(payload):
     reference = HarmonicReference(mesh, kind)
     run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
     report = measure_error(mesh, run.slices, reference, mode="node_sampled")
+    T = canonical_mesh(mesh).T  # the final time in the frame of the prediction
     rows = []
     for l, measured in ((0, report.l1_spacetime_error), (1, report.l1_spacetime_dx_error)):
-        predicted = sharpness_prediction(j, l, k_h, mesh.T * mesh.a * math.pi / mesh.X)
+        predicted = sharpness_prediction(j, l, k_h, T)
         rows.append(SharpnessRow(N=mesh.N, k_h=k_h, measured=measured,
                                  predicted=predicted, ratio=measured / predicted))
     return rows
@@ -518,8 +511,7 @@ def _sharpness_rung(payload):
 def run_sharpness(config: ExperimentConfig, emit: bool = True) -> SharpnessResult:
     """Measured vs predicted space-time L1 error norms at the selected modes."""
     started = time.perf_counter()
-    jobs = _resolve_jobs(config)
-    pairs = _map_rungs(_sharpness_rung, [(config, mesh) for mesh in config.rungs], jobs)
+    pairs = _map_rungs(_sharpness_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
     rows = [p[0] for p in pairs]
     rows_dx = [p[1] for p in pairs]
     trend = [r.ratio for r in rows]

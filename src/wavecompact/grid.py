@@ -7,6 +7,11 @@ i = N.  A stack of levels is a float array of shape (L, N+1); a run of the
 scheme is the stack of its levels 0..M.  Nodes are always generated as i*h
 from the exact divisions X/N, T/M, never by cumulative addition.
 
+_three_point, (w[i-1] + c w[i] + w[i+1]) / d on the interior nodes, is the
+package's one three-point kernel: the mass and stiffness forms below, the
+operators module's stencils, the q_2h average and the stepping loop all call
+it.
+
 The implicit weight of the scheme is sigma = (1 + h^2/(a^2 tau^2)) / 12, and
 the time step is admissible when
 
@@ -150,19 +155,30 @@ def require_dirichlet(w, mesh: MeshSpec, what: str = "grid function") -> GridFn:
 
 
 # --------------------------------------------------------------------------
-# quadratic forms of the spatial operators, reduced over the last axis (kept
-# local so the norms below do not depend on the operators module)
+# the three-point stencil kernel and the quadratic forms built on it
+
+def _three_point(out, w, centre: float, divisor: float):
+    """(w[i-1] + centre w[i] + w[i+1]) / divisor on the interior nodes of one
+    level or of each level of a stack, written into out and returned.
+
+    Every caller computes the same bits; centre = -2 with divisor h^2 is the
+    laplacian.
+    """
+    np.multiply(w[..., 1:-1], centre, out=out)
+    np.add(w[..., :-2], out, out=out)
+    np.add(out, w[..., 2:], out=out)
+    return np.divide(out, divisor, out=out)
+
 
 def _mass_form(w: np.ndarray, h: float):
     """(B w, w)_h with the interior stencil (w[i-1] + 4 w[i] + w[i+1]) / 6."""
     inner = w[..., 1:-1]
-    return np.sum(((w[..., :-2] + 4.0 * inner + w[..., 2:]) / 6.0) * inner, axis=-1) * h
+    return np.sum(_three_point(np.empty_like(inner), w, 4.0, 6.0) * inner, axis=-1) * h
 
 def _stiffness_form(w: np.ndarray, h: float):
     """(-Lap w, w)_h computed through the second-difference stencil."""
     inner = w[..., 1:-1]
-    lap = (w[..., :-2] - 2.0 * inner + w[..., 2:]) / h ** 2
-    return -np.sum(lap * inner, axis=-1) * h
+    return -np.sum(_three_point(np.empty_like(inner), w, -2.0, h ** 2) * inner, axis=-1) * h
 
 def _backward_diff_sq(w: np.ndarray, h: float):
     """sum_{i=1..N} ((w[i] - w[i-1]) / h)^2 h."""

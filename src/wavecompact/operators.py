@@ -20,7 +20,7 @@ factorization depends only on the mesh and is cached per MeshSpec, which
 amortizes the setup across all M time steps.  solve_implicit solves with it
 through cho_solve_banded; scheme.evolve_grid uses the same cached factor
 directly, calling LAPACK dpbtrs (the routine cho_solve_banded calls) once per
-step on its own buffers, together with the stencil kernel _three_point.
+step on its own buffers.  Every stencil here is the kernel grid._three_point.
 """
 
 from __future__ import annotations
@@ -31,23 +31,9 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ContractViolation
-from .grid import GridFn, MeshSpec, require_dirichlet, require_gridfn
+from .grid import GridFn, MeshSpec, _three_point, require_dirichlet, require_gridfn
 
 SPATIAL_OP_KINDS = ("numerov", "mass", "laplacian")
-
-
-def _three_point(out, w, centre: float, divisor: float):
-    """(w[i-1] + centre w[i] + w[i+1]) / divisor on the interior nodes of one
-    level or of each level of a stack, written into out and returned.
-
-    This is the one stencil kernel: stencil calls it, and so does the
-    stepping loop of scheme.evolve_grid on its preallocated buffers, so both
-    produce the same bits.  centre = -2 with divisor h^2 is the laplacian.
-    """
-    np.multiply(w[..., 1:-1], centre, out=out)
-    np.add(w[..., :-2], out, out=out)
-    np.add(out, w[..., 2:], out=out)
-    return np.divide(out, divisor, out=out)
 
 
 def stencil(kind: str, w, mesh: MeshSpec) -> GridFn:

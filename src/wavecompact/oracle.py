@@ -56,7 +56,6 @@ class DispersionRecord:
 
 @dataclass(frozen=True)
 class HarmonicCoefficients:
-    a_1k: float          # initial-velocity scaling of the chosen u1 variant
     gamma_hat_1k: float  # discrete velocity amplitude
     gamma_1k: float      # discrete forcing amplitude
 
@@ -125,7 +124,6 @@ def harmonic_coefficients(k: int, mesh: MeshSpec, variant: str = "v2") -> Harmon
     t = math.tan(half)
     a1k = variant_amplitude(variant, k, mesh)
     return HarmonicCoefficients(
-        a_1k=a1k,
         gamma_hat_1k=a1k * (2.0 * k / (rec.lambda_k * tau)) * t,
         gamma_1k=2.0 / (k * tau) * t,
     )

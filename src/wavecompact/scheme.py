@@ -15,7 +15,8 @@ point values.
 
 evolve_grid is the one way to step: it checks the shapes, finiteness and zero
 ends of (v0, u1h, fh) once, on entry, and each step calls LAPACK dpbtrs on the
-cached factor of A, in buffers allocated once per run.
+cached factor of A and the stencil kernel grid._three_point, in buffers
+allocated once per run.
 
 Error reports compare a run against a reference solution in two modes:
 
@@ -38,9 +39,9 @@ from scipy.linalg.lapack import dpbtrs
 
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
-from .grid import (GridFn, MeshSpec, check_stable, energy_norm_pair,
+from .grid import (GridFn, MeshSpec, _three_point, check_stable, energy_norm_pair,
                    require_dirichlet, space_norm, time_aggregate)
-from .operators import _implicit_factor, _three_point
+from .operators import _implicit_factor
 
 V0_MODES = ("node_samples", "qh_average")
 ERROR_MODES = ("node_sampled", "q2h_filtered")

@@ -109,7 +109,7 @@ def test_descriptor_tree_parses_to_dataspec():
         },
     })
     assert cfg.data.u0.form == "piecewise"
-    assert cfg.data.u1.k == 2
+    assert cfg.data.u1 == Profile.harmonic_mode(2, math.pi)
     assert cfg.data.f.time.coeffs == (0.0, 1.0)
 
 

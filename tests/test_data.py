@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from wavecompact.data import (DataSpec, Forcing, Profile, TimeProfile, average_qh,
-                              average_qtau, build_fh, build_u1h, q2h_from_qh,
-                              sample_nodes, sine_coefficients)
+                              average_qtau, build_fh, build_u1h, hat_average_factor,
+                              q2h_from_qh, sample_nodes, sine_coefficients)
 from wavecompact.errors import ConfigurationError, ContractViolation
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import stencil
@@ -60,6 +60,26 @@ def test_piecewise_node_convention():
         strict(np.array([0.5]))
     with pytest.raises(ConfigurationError, match="middle"):
         Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), (-1.0,)), node_convention="middle")
+
+
+def test_harmonic_mode_is_a_one_coefficient_sine_series():
+    # at X = pi, sqrt(X/2) sqrt(2/X) is exactly 1: the series reproduces the
+    # direct sin(pi k x / X) arithmetic of a single mode bit for bit
+    X = math.pi
+    mesh = build_mesh(X, X, 16, 64)
+    x = mesh.nodes()
+    for k in range(1, 8):
+        w = Profile.harmonic_mode(k, X)
+        assert w.form == "sine_series"
+        assert w == Profile.sine_series([0.0] * (k - 1) + [math.sqrt(X / 2)], X)
+        assert sample_nodes(w, mesh).tobytes() == np.sin(np.pi * k * x / X).tobytes()
+        omega = np.pi * k / X
+        qh = hat_average_factor(omega * mesh.h) * np.sin(omega * x)
+        qh[0] = qh[-1] = 0.0
+        assert average_qh(w, mesh).tobytes() == qh.tobytes()
+        one_hot = np.zeros(9)
+        one_hot[k - 1] = np.sqrt(X / 2.0)
+        assert sine_coefficients(w, 9).tobytes() == one_hot.tobytes()
 
 
 def test_dataspec_requires_shared_domain():
@@ -176,8 +196,7 @@ def test_qh_l2_contraction():
 
 def test_qtau_constant_is_one_including_level_zero():
     g = TimeProfile.polynomial((1.0,))
-    all_levels = average_qtau(g, MESH, None)
-    np.testing.assert_allclose(all_levels, 1.0, rtol=1e-14)
+    np.testing.assert_allclose(average_qtau(g, MESH), 1.0, rtol=1e-14)
 
 
 def test_qtau_linear_level_zero_closed_form():
@@ -185,16 +204,18 @@ def test_qtau_linear_level_zero_closed_form():
     mesh = build_mesh(1.0, 1.0, 40, 10, eps0=0.5)
     assert mesh.tau == pytest.approx(0.1)
     g = TimeProfile.polynomial((0.0, 1.0))
-    assert average_qtau(g, mesh, 0) == pytest.approx(mesh.tau / 3.0, rel=1e-13)
-    assert average_qtau(g, mesh, 0) == pytest.approx(0.03333, abs=5e-6)
+    level0 = average_qtau(g, mesh)[0]
+    assert level0 == pytest.approx(mesh.tau / 3.0, rel=1e-13)
+    assert level0 == pytest.approx(0.03333, abs=5e-6)
 
 
 def test_qtau_harmonic_interior_eigenfactor_and_quadrature():
     omega = 3.0
     g = TimeProfile.harmonic_sin(omega)
     t = MESH.times()
+    levels = average_qtau(g, MESH)
     for m in (1, 5, MESH.M - 1):
-        got = average_qtau(g, MESH, m)
+        got = levels[m]
         factor = (math.sin(omega * MESH.tau / 2) / (omega * MESH.tau / 2)) ** 2
         assert got == pytest.approx(factor * math.sin(omega * t[m]), rel=1e-12)
         hat = lambda s: max(1.0 - abs(s / MESH.tau - m), 0.0)
@@ -208,13 +229,7 @@ def test_qtau_harmonic_level_zero_quadrature():
     g = TimeProfile.harmonic_sin(omega)
     ref, _ = quad(lambda s: math.sin(omega * s) * (1.0 - s / MESH.tau),
                   0.0, MESH.tau, limit=200)
-    assert average_qtau(g, MESH, 0) == pytest.approx(2.0 * ref / MESH.tau, rel=1e-12)
-
-
-def test_qtau_rejects_out_of_range_level():
-    g = TimeProfile.polynomial((1.0,))
-    with pytest.raises(ContractViolation):
-        average_qtau(g, MESH, MESH.M)
+    assert average_qtau(g, MESH)[0] == pytest.approx(2.0 * ref / MESH.tau, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +303,6 @@ def test_build_u1h_rejects_unknown_variant():
 # forcing slices
 
 def test_build_fh_zero_and_separable_product():
-    assert np.all(build_fh(None, MESH) == 0.0)
     # f = sin(kx) * 1: every slice is (lam_k / k^2) sin(k x)
     k = 2
     f = Forcing(space=Profile.harmonic_mode(k, math.pi),

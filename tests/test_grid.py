@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from wavecompact.data import q2h_from_qh
 from wavecompact.errors import ConfigurationError, ContractViolation, UnstableMeshError
-from wavecompact.grid import (build_mesh, energy_norm_pair, require_dirichlet,
-                              space_norm, time_aggregate)
+from wavecompact.grid import (_mass_form, _stiffness_form, build_mesh, energy_norm_pair,
+                              require_dirichlet, space_norm, time_aggregate)
+from wavecompact.operators import stencil
 
 
 def test_build_mesh_derived_quantities():
@@ -137,6 +139,30 @@ def test_stacked_norms_equal_row_by_row_calls():
         energy_norm_pair(p, c, mesh) for p, c in zip(stack[:-1], stack[1:])]
     assert isinstance(space_norm(stack[0], "mass", mesh), float)
     assert isinstance(energy_norm_pair(stack[0], stack[1], mesh), float)
+
+
+def test_norm_forms_share_the_stencil_kernel():
+    # the forms, q_2h and the stencils all call one kernel; each is compared
+    # with its former inline arithmetic, kept here as the reference
+    rng = np.random.default_rng(29)
+    mesh = build_mesh(math.pi, math.pi, 32, 64)
+    h = mesh.h
+    stack = rng.standard_normal((7, mesh.N + 1))
+    stack[:, 0] = stack[:, -1] = 0.0
+    stack[2, 5:20] = 0.0  # exact-zero runs, inside a level and as whole levels
+    stack[4] = 0.0
+    for w in (stack, stack[3]):
+        inner = w[..., 1:-1]
+        mass = np.sum(((w[..., :-2] + 4.0 * inner + w[..., 2:]) / 6.0) * inner, axis=-1) * h
+        lap = (w[..., :-2] - 2.0 * inner + w[..., 2:]) / h ** 2
+        assert _mass_form(w, h).tobytes() == mass.tobytes()
+        assert _stiffness_form(w, h).tobytes() == (-np.sum(lap * inner, axis=-1) * h).tobytes()
+        q = q2h_from_qh(w, mesh)
+        old = np.zeros_like(w)
+        old[..., 1:-1] = (-w[..., :-2] + 14.0 * inner - w[..., 2:]) / 12.0
+        assert np.array_equal(q, old)
+    for w in stack:
+        assert _mass_form(w, h) == np.sum(stencil("mass", w, mesh)[1:-1] * w[1:-1]) * h
 
 
 def test_stack_with_one_non_dirichlet_row_names_it():

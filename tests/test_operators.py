@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from wavecompact import operators
+from wavecompact.data import DataSpec, Forcing, Profile, TimeProfile
 from wavecompact.errors import ContractViolation
+from wavecompact.experiments import stability_bound_sides
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import (apply_implicit, apply_spatial, mass_inv_half_norm,
                                    solve_implicit, solve_mass, stencil)
+from wavecompact.scheme import evolve
 
 MESH = build_mesh(math.pi, math.pi, 8, 32)
 
@@ -157,3 +161,23 @@ def test_solve_mass_and_inverse_norm():
     # sits between |w| and sqrt(3)|w| since 1/3 <= B <= 1
     l2 = space_norm(w, "l2", MESH)
     assert l2 * (1 - 1e-12) <= mass_inv_half_norm(w, MESH) <= math.sqrt(3) * l2 * (1 + 1e-12)
+
+
+def test_factors_are_cached_per_mesh():
+    # the per-mesh factor cache: a mesh no other test builds starts cold
+    mesh = build_mesh(math.pi, 1.0471975, 12, 29)
+    X = mesh.X
+    data = DataSpec(u0=Profile.harmonic_mode(1, X), u1=Profile.harmonic_mode(2, X),
+                    f=Forcing(Profile.harmonic_mode(3, X), TimeProfile.polynomial((1.0, -0.5))))
+
+    def misses():
+        return (operators._implicit_factor.cache_info().misses,
+                operators._mass_factor.cache_info().misses)
+
+    before = misses()
+    evolve(mesh, data)
+    assert misses() == (before[0] + 1, before[1])
+    evolve(mesh, data)
+    assert misses() == (before[0] + 1, before[1])
+    stability_bound_sides(mesh, data)  # u1h and fh both go through the mass factor
+    assert misses() == (before[0] + 1, before[1] + 1)
