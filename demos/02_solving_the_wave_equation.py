@@ -13,7 +13,7 @@ import numpy as np
 
 from wavecompact import (DataSpec, HarmonicData, build_mesh,
                          discrete_harmonic_trajectory, evolve, harmonic_dataspec)
-from wavecompact.experiments import hat_profile, step_profile
+from wavecompact.data import hat_profile, step_profile
 
 mesh = build_mesh(X=math.pi, T=math.pi, N=32, M=64)
 

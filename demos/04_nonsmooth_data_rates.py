@@ -16,7 +16,7 @@ import math
 import time
 
 from wavecompact import config_from_dict, run_convergence
-from wavecompact.experiments import PRESETS
+from wavecompact.data import PRESETS
 
 for preset in ("hat_step", "quad_spline_hat"):
     expected = PRESETS[preset].expected_order

@@ -14,7 +14,8 @@ from pathlib import Path
 
 from wavecompact.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="wavecompact_demo_"))
+tmp = tempfile.TemporaryDirectory(prefix="wavecompact_demo_")
+workdir = Path(tmp.name)
 out_dir = workdir / "out"
 
 config = {
@@ -46,3 +47,4 @@ bad_path = workdir / "unstable.json"
 bad_path.write_text(json.dumps(bad))
 sys.stdout.flush()
 print(f"\nunstable config exit code: {main(['converge', '--config', str(bad_path)])}")
+tmp.cleanup()

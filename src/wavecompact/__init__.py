@@ -10,8 +10,8 @@ orders, stability inequalities, and error-constant sharpness.
 
 __version__ = "0.1.0"
 
-from .data import (DataSpec, Forcing, Profile, TimeProfile, average_qh, average_qtau,
-                   build_fh, build_u1h, sine_coefficients)
+from .data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, average_qh,
+                   average_qtau, build_fh, build_u1h, sine_coefficients)
 from .errors import (ConfigurationError, ContractViolation, InvariantError,
                      MeshTooCoarseError, QuadratureError, UnstableMeshError)
 from .grid import (GridFn, MeshSpec, build_mesh, energy_norm_pair, space_norm,
@@ -23,9 +23,9 @@ from .oracle import (DispersionRecord, HarmonicCoefficients, HarmonicData,
                      harmonic_dataspec, sharpness_prediction)
 from .reference import GridReference, HarmonicReference, SeriesReference
 from .scheme import ErrorReport, SchemeRun, evolve, evolve_grid, measure_error
-from .experiments import (PRESETS, OrderFit, fit_order, random_dataspec,
-                          run_convergence, run_oracle_check, run_sharpness,
-                          run_solve, run_stability_probe)
+from .experiments import (OrderFit, fit_order, random_dataspec, run_convergence,
+                          run_oracle_check, run_sharpness, run_solve,
+                          run_stability_probe)
 from .config import ExperimentConfig, config_from_dict, load_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

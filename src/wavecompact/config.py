@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, validation, descriptor parsing.
+"""Experiment configuration: JSON schema, descriptor parsing and checks.
 
 A config file is a single JSON object:
 
@@ -12,7 +12,7 @@ A config file is a single JSON object:
               | {"preset": "hat_step"}
               | {"u0": {...}, "u1": {...}, "f": {...}}
               | null,
-      "variant": "v2" | "v0" | "v1" | "all",
+      "variant": "v2" | "v0" | "v1" | "all",                     # "all": oracle_check only
       "v0_mode": "node_samples" | "qh_average",
       "mode": "node_sampled" | "q2h_filtered",
       "alpha": 2.0,
@@ -28,6 +28,11 @@ data.TimeProfile.  Every entry must be a JSON number.  Every ladder rung must
 satisfy the stability condition; a rung that violates it raises
 UnstableMeshError (CLI exit code 2), while malformed configuration raises
 ConfigurationError (exit code 3).
+
+config_from_dict parses and checks a config in one pass.  The data section
+becomes config.data, the DataSpec every rung steps: zero data for null,
+PRESETS[name].make(X), the descriptor tree, or harmonic_dataspec (sharpness
+keeps only j).  A converge with zero or forced non-harmonic data is refused.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
+from .data import PRESETS, U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ConfigurationError
 from .grid import MeshSpec, build_mesh, check_stable
-from .oracle import HarmonicData
+from .oracle import HarmonicData, harmonic_dataspec
 from .scheme import ERROR_MODES, V0_MODES
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
@@ -112,11 +117,14 @@ def dataspec_from_dict(d: dict, X: float) -> DataSpec:
 
 @dataclass
 class ExperimentConfig:
+    """A checked experiment.  data is what every rung steps: None only for
+    sharpness, whose mode k_h each rung chooses from sharpness_j.  harmonic
+    is set when data is a single-harmonic family with a closed form."""
+
     kind: str
     rungs: list[MeshSpec]
     data: DataSpec | None = None
     harmonic: HarmonicData | None = None
-    preset: str | None = None
     sharpness_j: int | None = None
     variant: str = "v2"
     v0_mode: str = "node_samples"
@@ -133,27 +141,6 @@ class ExperimentConfig:
     tail_fraction: float = 0.01
     decimate: int = 32
     echo: dict = field(default_factory=dict)
-
-    def validated(self) -> "ExperimentConfig":
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.rungs:
-            raise ConfigurationError("the mesh ladder is empty")
-        if self.kind == "converge" and len(self.rungs) < 3:
-            raise ConfigurationError("convergence studies need a ladder of >= 3 rungs")
-        if self.variant not in (*U1_VARIANTS, "all"):
-            raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if self.mode not in ERROR_MODES:
-            raise ConfigurationError(f"unknown error mode {self.mode!r}")
-        if self.v0_mode not in V0_MODES:
-            raise ConfigurationError(f"unknown v0 mode {self.v0_mode!r}")
-        if self.kind == "sharpness" and self.sharpness_j is None:
-            raise ConfigurationError("sharpness runs need data: {'harmonic': {'j': ...}}")
-        if self.kind == "oracle_check" and self.harmonic is None:
-            raise ConfigurationError("oracle checks need harmonic data")
-        for mesh in self.rungs:
-            check_stable(mesh)
-        return self
 
 
 def _integer(value, key: str, minimum: int | None = None) -> int:
@@ -181,10 +168,12 @@ def _number(value, key: str) -> float:
     raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
 
 
-def _string(value, key: str) -> str:
-    """value as a string, else a ConfigurationError naming key."""
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{key} must be a string, got {value!r}")
+def _choice(value, key: str, allowed: tuple | None) -> str:
+    """value as a string, one of allowed unless that is None, else a
+    ConfigurationError naming key."""
+    if not isinstance(value, str) or (allowed is not None and value not in allowed):
+        wanted = "a string" if allowed is None else f"one of {allowed}"
+        raise ConfigurationError(f"{key} must be {wanted}, got {value!r}")
     return value
 
 
@@ -228,11 +217,10 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Parse and check a config in one pass; the data section becomes config.data."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    kind = raw.get("kind")
-    if kind not in KINDS:
-        raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}")
+    kind = _choice(raw.get("kind"), "kind", KINDS)
     mesh_cfg = raw.get("mesh")
     if not isinstance(mesh_cfg, dict):
         raise ConfigurationError("config needs a 'mesh' object")
@@ -240,8 +228,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     X = rungs[0].X
 
     data_cfg = raw.get("data")
-    data = harmonic = preset = None
-    sharpness_j = None
+    harmonic = sharpness_j = None
     if data_cfg is None:
         data = DataSpec(u0=Profile.zero(X), u1=Profile.zero(X))
     elif not isinstance(data_cfg, dict):
@@ -252,31 +239,33 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError(f"data.harmonic must be an object, got {hc!r}")
         j = _integer(hc.get("j", 0), "data.harmonic.j")
         if kind == "sharpness":
-            sharpness_j = j
             if j not in (0, 1, 2):
                 raise ConfigurationError("harmonic j must be 0, 1 or 2")
+            sharpness_j, data = j, None
         else:
             try:
                 harmonic = HarmonicData(j=j, k=_integer(hc.get("k", 1), "data.harmonic.k"))
             except ValueError as exc:
                 raise ConfigurationError(f"invalid harmonic data: {exc}") from exc
+            # valid on every rung: it reads only X and a, which the rungs share
+            data = harmonic_dataspec(harmonic, rungs[0])
     elif "preset" in data_cfg:
-        preset = str(data_cfg["preset"])
+        data = PRESETS[_choice(data_cfg["preset"], "data.preset", tuple(PRESETS))].make(X)
     else:
         data = dataspec_from_dict(data_cfg, X)
 
+    variants = (*U1_VARIANTS, "all") if kind == "oracle_check" else U1_VARIANTS
     cfg = ExperimentConfig(
         kind=kind,
         rungs=rungs,
         data=data,
         harmonic=harmonic,
-        preset=preset,
         sharpness_j=sharpness_j,
-        variant=str(raw.get("variant", "v2")),
-        v0_mode=str(raw.get("v0_mode", "node_samples")),
-        mode=str(raw.get("mode", "node_sampled")),
+        variant=_choice(raw.get("variant", "v2"), "variant", variants),
+        v0_mode=_choice(raw.get("v0_mode", "node_samples"), "v0_mode", V0_MODES),
+        mode=_choice(raw.get("mode", "node_sampled"), "mode", ERROR_MODES),
         alpha=_number(raw.get("alpha", 2.0), "alpha"),
-        out_dir=Path(_string(raw.get("out_dir", "out"), "out_dir")),
+        out_dir=Path(_choice(raw.get("out_dir", "out"), "out_dir", None)),
         jobs=_integer(raw.get("jobs", 1), "jobs"),
         seed=_integer(raw.get("seed", 0), "seed", 0),
         n_random=_integer(raw.get("n_random", 20), "n_random", 1),
@@ -290,7 +279,23 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         decimate=_integer(raw.get("decimate", 32), "decimate", 1),
         echo=dict(raw),
     )
-    return cfg.validated()
+    if kind == "converge":
+        if len(rungs) < 3:
+            raise ConfigurationError("convergence studies need a ladder of >= 3 rungs")
+        if data.f is not None and harmonic is None:
+            raise ConfigurationError(
+                "no exact reference for forced non-harmonic data; use harmonic "
+                "data or drop the forcing")
+        if data.f is None and not any(any(p.coeffs or ()) or any(map(any, p.pieces or ()))
+                                      for p in (data.u0, data.u1)):
+            raise ConfigurationError("convergence studies need nonzero data to fit an order")
+    if kind == "sharpness" and sharpness_j is None:
+        raise ConfigurationError("sharpness runs need data: {'harmonic': {'j': ...}}")
+    if kind == "oracle_check" and harmonic is None:
+        raise ConfigurationError("oracle checks need harmonic data")
+    for mesh in rungs:
+        check_stable(mesh)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -26,12 +26,18 @@ Sine analysis uses the orthonormal basis sqrt(2/X) sin(pi k x / X): a
 sine_series profile stores exactly the coefficients that sine_coefficients
 returns, and a single mode sin(pi k x / X) is the one-coefficient series
 with c_k = sqrt(X/2).
+
+Descriptors refuse non-finite entries with a ConfigurationError naming the
+entry.  PRESETS holds the rough data of the convergence studies, hat_step
+(smoothness 3/2) and quad_spline_hat (5/2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -51,6 +57,13 @@ _QUADRATURE_NODES = 8
 
 # --------------------------------------------------------------------------
 # descriptors
+
+def _require_finite(what: str, values) -> None:
+    """Refuse a descriptor entry that is not a finite number, naming it."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ConfigurationError(f"{what} must be finite, got {v!r}")
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -80,7 +93,10 @@ class Profile:
     def __post_init__(self):
         if self.form not in PROFILE_FORMS:
             raise ConfigurationError(f"unknown profile form {self.form!r}")
-        if self.form == "piecewise":  # before X, which is read off the breakpoints
+        # the breakpoints first: X is read off them
+        _require_finite("profile breakpoints", self.breakpoints or ())
+        _require_finite("profile pieces", (c for p in self.pieces or () for c in p))
+        if self.form == "piecewise":
             b = self.breakpoints
             if b is None or self.pieces is None:
                 raise ConfigurationError("piecewise profile needs breakpoints and pieces")
@@ -94,10 +110,11 @@ class Profile:
                 raise ConfigurationError("breakpoints must start at 0 and end at X")
             if np.any(np.diff(b) <= 0):
                 raise ConfigurationError("breakpoints must be strictly increasing")
-        if self.X <= 0:
-            raise ConfigurationError(f"domain length must be positive, got {self.X}")
+        if not 0.0 < self.X < math.inf:
+            raise ConfigurationError(f"domain length must be positive and finite, got {self.X}")
         if self.form == "sine_series" and self.coeffs is None:
             raise ConfigurationError("sine_series profile needs coefficients")
+        _require_finite("profile coefficients", self.coeffs or ())
         if self.node_convention not in NODE_CONVENTIONS:
             raise ConfigurationError(
                 f"node_convention must be one of {NODE_CONVENTIONS}, "
@@ -109,7 +126,7 @@ class Profile:
         """sin(pi k x / X) as the one-coefficient sine series."""
         if k < 1:
             raise ConfigurationError("harmonic profile needs an integer k >= 1")
-        amplitude = np.sqrt(max(X, 0.0) / 2.0)  # the constructor refuses X <= 0
+        amplitude = np.sqrt(max(X, 0.0) / 2.0)  # the constructor refuses X <= 0 and inf
         return Profile.sine_series((0.0,) * (k - 1) + (amplitude,), X)
 
     @staticmethod
@@ -186,6 +203,8 @@ class TimeProfile:
     def __post_init__(self):
         if self.form not in TIME_FORMS:
             raise ConfigurationError(f"unknown time profile form {self.form!r}")
+        _require_finite("time profile omega", () if self.omega is None else (self.omega,))
+        _require_finite("time profile coefficients", self.coeffs or ())
         if self.form == "harmonic_sin" and self.omega is None:
             raise ConfigurationError("harmonic_sin needs omega")
         if self.form == "polynomial" and self.coeffs is None:
@@ -213,9 +232,6 @@ class Forcing:
     space: Profile
     time: TimeProfile
 
-    def __call__(self, x, t):
-        return self.space(x) * self.time(t)
-
 
 @dataclass(frozen=True)
 class DataSpec:
@@ -235,6 +251,48 @@ class DataSpec:
     @property
     def X(self) -> float:
         return self.u0.X
+
+
+# --------------------------------------------------------------------------
+# data presets
+
+def hat_profile(X: float) -> Profile:
+    """Continuous piecewise-linear bump, peak 1 at X/2; coefficients ~ k^-2."""
+    return Profile.piecewise_poly((0.0, X / 2.0, X), ((0.0, 2.0 / X), (2.0, -2.0 / X)))
+
+
+def step_profile(X: float) -> Profile:
+    """Centered step: +1 on (0, X/2), -1 on (X/2, X); coefficients ~ k^-1."""
+    return Profile.piecewise_poly((0.0, X / 2.0, X), ((1.0,), (-1.0,)))
+
+
+def quad_spline_profile(X: float) -> Profile:
+    """C^1 piecewise quadratic with a derivative kink at X/2 (integrated hat,
+    zero mean slope); coefficients ~ k^-3."""
+    return Profile.piecewise_poly((0.0, X / 2.0, X),
+                                  ((0.0, -0.5, 1.0 / X), (-X / 2.0, 1.5, -1.0 / X)))
+
+
+@dataclass(frozen=True)
+class DataPreset:
+    """Unforced rough data (u0(X), u1(X)) of a known smoothness."""
+
+    smoothness: float  # data smoothness exponent driving the expected rate
+    u0: Callable[[float], Profile]
+    u1: Callable[[float], Profile]
+
+    @property
+    def expected_order(self) -> float:
+        return 4.0 * (self.smoothness - 1.0) / 5.0
+
+    def make(self, X: float) -> DataSpec:
+        return DataSpec(u0=self.u0(X), u1=self.u1(X))
+
+
+PRESETS = {
+    "hat_step": DataPreset(1.5, hat_profile, step_profile),
+    "quad_spline_hat": DataPreset(2.5, quad_spline_profile, hat_profile),
+}
 
 
 # --------------------------------------------------------------------------

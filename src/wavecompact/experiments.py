@@ -1,10 +1,12 @@
 """Batch experiment drivers: solve, convergence, sharpness, oracle and
-stability checks, plus the order-fitting and data-preset utilities they share.
+stability checks, plus the order fit and the random data they use.
 
-Each runner takes an ExperimentConfig, returns a result record, and (when
-emit is set) writes plain columnar CSV plus a JSON run summary to the
-config's output directory.  A table's header is the field names of its row
-record, and every cell is the repr of its field (strings as they are).
+Each runner takes an ExperimentConfig and returns a result record.  solve,
+converge and sharpness evolve and measure through _measured, under the
+reference-tail gate.  With emit set, _emit writes plain columnar CSV plus a
+JSON run summary to the config's output directory (solve writes its
+trajectory itself).  A table's header is the field names of its row record,
+and every cell is the repr of its field (strings as they are).
 
 Ladder rungs are independent and run in a process pool when jobs > 1.
 """
@@ -56,8 +58,7 @@ def fit_order(points) -> OrderFit:
         raise ContractViolation("order fit needs at least two points")
     if any(h <= 0 or e <= 0 for h, e in pts):
         raise ContractViolation("order fit needs positive mesh sizes and errors")
-    hs = np.array([p[0] for p in pts])
-    es = np.array([p[1] for p in pts])
+    hs, es = np.array(pts).T
     if np.allclose(hs, hs[0]):
         raise ContractViolation("order fit needs distinct mesh sizes")
     design = np.vstack([np.log(hs), np.ones_like(hs)]).T
@@ -67,52 +68,7 @@ def fit_order(points) -> OrderFit:
 
 
 # --------------------------------------------------------------------------
-# data presets
-
-def hat_profile(X: float) -> Profile:
-    """Continuous piecewise-linear bump, peak 1 at X/2; coefficients ~ k^-2."""
-    return Profile.piecewise_poly(
-        (0.0, X / 2.0, X),
-        ((0.0, 2.0 / X), (2.0, -2.0 / X)))
-
-
-def step_profile(X: float) -> Profile:
-    """Centered step: +1 on (0, X/2), -1 on (X/2, X); coefficients ~ k^-1."""
-    return Profile.piecewise_poly(
-        (0.0, X / 2.0, X),
-        ((1.0,), (-1.0,)))
-
-
-def quad_spline_profile(X: float) -> Profile:
-    """C^1 piecewise quadratic with a derivative kink at X/2 (integrated hat,
-    zero mean slope); coefficients ~ k^-3."""
-    return Profile.piecewise_poly(
-        (0.0, X / 2.0, X),
-        ((0.0, -0.5, 1.0 / X), (-X / 2.0, 1.5, -1.0 / X)))
-
-
-@dataclass(frozen=True)
-class DataPreset:
-    name: str
-    smoothness: float  # data smoothness exponent driving the expected rate
-
-    @property
-    def expected_order(self) -> float:
-        return 4.0 * (self.smoothness - 1.0) / 5.0
-
-    def make(self, X: float) -> DataSpec:
-        if self.name == "hat_step":
-            return DataSpec(u0=hat_profile(X), u1=step_profile(X))
-        if self.name == "quad_spline_hat":
-            return DataSpec(u0=quad_spline_profile(X), u1=hat_profile(X))
-        raise ConfigurationError(f"unknown data preset {self.name!r}")
-
-
-PRESETS = {
-    "hat_step": DataPreset("hat_step", smoothness=1.5),
-    "quad_spline_hat": DataPreset("quad_spline_hat", smoothness=2.5),
-}
-
+# random data
 
 def random_dataspec(rng: np.random.Generator, X: float) -> DataSpec:
     """Random piecewise-polynomial data: continuous u0 with zero ends,
@@ -284,9 +240,9 @@ def _write_rows(path: Path, row_class, rows) -> None:
                              for r in rows])
 
 
-def _write_summary(out_dir: Path, config: ExperimentConfig, extra: dict,
-                   started: float, outputs: list[str]) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_summary(config: ExperimentConfig, extra: dict, started: float,
+                   outputs: list[str]) -> None:
+    """run_summary.json, written after the outputs, which made the directory."""
     summary = {
         "config": config.echo,
         "versions": {
@@ -299,9 +255,14 @@ def _write_summary(out_dir: Path, config: ExperimentConfig, extra: dict,
         "outputs": outputs,
         **extra,
     }
-    path = out_dir / "run_summary.json"
-    path.write_text(json.dumps(summary, indent=2, default=str))
-    return path
+    (config.out_dir / "run_summary.json").write_text(json.dumps(summary, indent=2, default=str))
+
+
+def _emit(config: ExperimentConfig, started: float, tables, extra: dict) -> None:
+    """Write each (file name, row class, rows) table and the run summary."""
+    for name, row_class, rows in tables:
+        _write_rows(config.out_dir / name, row_class, rows)
+    _write_summary(config, extra, started, [str(config.out_dir / t[0]) for t in tables])
 
 
 def _map_rungs(fn, payloads, jobs: int):
@@ -334,49 +295,37 @@ class ConvergenceResult:
     fit_residual: float
 
 
-def _resolve_data(config: ExperimentConfig, mesh: MeshSpec) -> DataSpec:
-    if config.harmonic is not None:
-        return harmonic_dataspec(config.harmonic, mesh)
-    if config.preset is not None:
-        if config.preset not in PRESETS:
-            raise ConfigurationError(
-                f"unknown preset {config.preset!r}; available: {sorted(PRESETS)}")
-        return PRESETS[config.preset].make(mesh.X)
-    return config.data
-
-
-def _reference_for(config: ExperimentConfig, mesh: MeshSpec, data: DataSpec,
-                   required: bool = True):
-    """Exact-solution reference for the configured data, or None.
-
-    Harmonic data has a closed form; anything else gets a folded series
-    reference, which exists only for zero forcing.
-    """
+def _reference_for(config: ExperimentConfig, mesh: MeshSpec):
+    """Exact-solution reference of config.data: the closed form of harmonic
+    data, else a folded series, which exists only for zero forcing (else None)."""
     if config.harmonic is not None:
         return HarmonicReference(mesh, config.harmonic)
-    if data.f is not None:
-        if required:
-            raise ConfigurationError(
-                "no exact reference for forced non-harmonic data; use harmonic "
-                "data or drop the forcing")
+    if config.data.f is not None:
         return None
-    return SeriesReference(mesh, data, n_modes=config.n_modes,
+    return SeriesReference(mesh, config.data, n_modes=config.n_modes,
                            fold_groups=config.fold_groups)
 
 
-def _converge_rung(payload) -> ErrorReport:
-    config, mesh = payload
-    data = _resolve_data(config, mesh)
-    reference = _reference_for(config, mesh, data)
+def _measured(config: ExperimentConfig, mesh: MeshSpec, data: DataSpec, reference,
+              mode: str):
+    """(run, report) of data on mesh, report None without a reference; a
+    report whose reference tail exceeds tail_fraction of the error is refused."""
     run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
-    report = measure_error(mesh, run.slices, reference, mode=config.mode)
+    if reference is None:
+        return run, None
+    report = measure_error(mesh, run.slices, reference, mode=mode)
     tail = getattr(reference, "tail_estimate", 0.0)
     gate = max(report.max_energy_error, report.max_dx_error)
     if gate > 0 and tail > config.tail_fraction * gate:
         raise ConfigurationError(
             f"reference truncation tail {tail:.3e} exceeds {config.tail_fraction:.0%} "
             f"of the measured error {gate:.3e}; increase fold_groups or n_modes")
-    return report
+    return run, report
+
+
+def _converge_rung(payload) -> ErrorReport:
+    config, mesh = payload
+    return _measured(config, mesh, config.data, _reference_for(config, mesh), config.mode)[1]
 
 
 def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceResult:
@@ -400,12 +349,8 @@ def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceR
     result = ConvergenceResult(rows=rows, fitted_order=fit.slope,
                                fit_residual=fit.residual)
     if emit:
-        out = config.out_dir
-        csv_path = out / "converge.csv"
-        _write_rows(csv_path, ConvergenceRow, rows)
-        _write_summary(out, config,
-                       {"fitted_order": fit.slope, "fit_residual": fit.residual},
-                       started, [str(csv_path)])
+        _emit(config, started, [("converge.csv", ConvergenceRow, rows)],
+              {"fitted_order": fit.slope, "fit_residual": fit.residual})
     return result
 
 
@@ -422,13 +367,9 @@ def run_solve(config: ExperimentConfig, emit: bool = True) -> SolveResult:
     """Single run on the first rung; writes the trajectory and the error report."""
     started = time.perf_counter()
     mesh = config.rungs[0]
-    data = _resolve_data(config, mesh)
     # the reference first: it names non-finite data before the stepper meets it
-    reference = _reference_for(config, mesh, data, required=False)
-    run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
-    report = None
-    if reference is not None:
-        report = measure_error(mesh, run.slices, reference, mode=config.mode)
+    reference = _reference_for(config, mesh)
+    run, report = _measured(config, mesh, config.data, reference, config.mode)
     outputs: list[str] = []
     if emit:
         out = config.out_dir
@@ -437,7 +378,7 @@ def run_solve(config: ExperimentConfig, emit: bool = True) -> SolveResult:
         np.savez_compressed(npz_path, x=mesh.nodes(), t=mesh.times(),
                             v=run.slices)
         outputs.append(str(npz_path))
-        stride = max(1, mesh.M // max(1, config.decimate))
+        stride = max(1, mesh.M // config.decimate)
         levels = list(range(0, mesh.M + 1, stride))
         csv_path = out / "trajectory.csv"
         header = ["x"] + [f"v_t{mesh.times()[m]:.6g}" for m in levels]
@@ -451,7 +392,7 @@ def run_solve(config: ExperimentConfig, emit: bool = True) -> SolveResult:
             rep_path.write_text(json.dumps(asdict(report), indent=2))
             outputs.append(str(rep_path))
             extra["error_report"] = asdict(report)
-        _write_summary(out, config, extra, started, outputs)
+        _write_summary(config, extra, started, outputs)
     return SolveResult(report=report, outputs=outputs)
 
 
@@ -495,10 +436,8 @@ def _sharpness_rung(payload):
     j = config.sharpness_j
     k_h = choose_k_h(config.alpha, mesh)
     kind = HarmonicData(j=j, k=k_h)
-    data = harmonic_dataspec(kind, mesh)
-    reference = HarmonicReference(mesh, kind)
-    run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
-    report = measure_error(mesh, run.slices, reference, mode="node_sampled")
+    _, report = _measured(config, mesh, harmonic_dataspec(kind, mesh),
+                          HarmonicReference(mesh, kind), "node_sampled")
     T = canonical_mesh(mesh).T  # the final time in the frame of the prediction
     rows = []
     for l, measured in ((0, report.l1_spacetime_error), (1, report.l1_spacetime_dx_error)):
@@ -518,16 +457,10 @@ def run_sharpness(config: ExperimentConfig, emit: bool = True) -> SharpnessResul
     result = SharpnessResult(rows=rows, rows_dx=rows_dx, j=config.sharpness_j,
                              extrapolated_ratio=_extrapolate_ratios(trend))
     if emit:
-        out = config.out_dir
-        paths = []
-        for name, block in (("sharpness.csv", rows), ("sharpness_dx.csv", rows_dx)):
-            path = out / name
-            _write_rows(path, SharpnessRow, block)
-            paths.append(str(path))
-        _write_summary(out, config,
-                       {"ratios": trend, "j": config.sharpness_j,
-                        "extrapolated_ratio": result.extrapolated_ratio},
-                       started, paths)
+        _emit(config, started, [("sharpness.csv", SharpnessRow, rows),
+                                ("sharpness_dx.csv", SharpnessRow, rows_dx)],
+              {"ratios": trend, "j": config.sharpness_j,
+               "extrapolated_ratio": result.extrapolated_ratio})
     return result
 
 
@@ -549,24 +482,20 @@ ORACLE_TOLERANCE = 1e-9
 def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[OracleCheckRow]:
     """Max relative deviation of the stepper from the closed-form solution."""
     started = time.perf_counter()
-    kind = config.harmonic
     variants = U1_VARIANTS if config.variant == "all" else (config.variant,)
     rows = []
     for mesh in config.rungs:
-        data = harmonic_dataspec(kind, mesh)
         for variant in variants:
-            run = evolve(mesh, data, variant=variant, v0_mode=config.v0_mode)
-            closed = discrete_harmonic_trajectory(kind, mesh, variant)
+            # the closed form first: it refuses a mode the mesh cannot resolve
+            closed = discrete_harmonic_trajectory(config.harmonic, mesh, variant)
+            run = evolve(mesh, config.data, variant=variant, v0_mode=config.v0_mode)
             scale = max(1.0, float(np.max(np.abs(closed))))
             dev = float(np.max(np.abs(run.slices - closed))) / scale
             rows.append(OracleCheckRow(N=mesh.N, M=mesh.M, variant=variant,
                                        deviation=dev, passed=dev <= ORACLE_TOLERANCE))
     if emit:
-        out = config.out_dir
-        path = out / "oracle_check.csv"
-        _write_rows(path, OracleCheckRow, rows)
-        _write_summary(out, config, {"all_passed": all(r.passed for r in rows)},
-                       started, [str(path)])
+        _emit(config, started, [("oracle_check.csv", OracleCheckRow, rows)],
+              {"all_passed": all(r.passed for r in rows)})
     return rows
 
 
@@ -609,10 +538,6 @@ def run_stability_probe(config: ExperimentConfig, emit: bool = True) -> list[Sta
                 rows.append(StabilityProbeRow(mesh.N, mesh.M, name, -margin, 0.0,
                                               margin, margin >= -STABILITY_SLACK))
     if emit:
-        out = config.out_dir
-        path = out / "stability.csv"
-        _write_rows(path, StabilityProbeRow, rows)
-        _write_summary(out, config,
-                       {"violations": sum(not r.passed for r in rows)},
-                       started, [str(path)])
+        _emit(config, started, [("stability.csv", StabilityProbeRow, rows)],
+              {"violations": sum(not r.passed for r in rows)})
     return rows

@@ -90,7 +90,9 @@ def _fit_decay(amps: np.ndarray):
     """Fit |amp_k| ~ C k^-q on the top quarter of the index range.
 
     Coefficients that vanish up to roundoff (closed-form integration leaves
-    ~1e-17 garbage in exactly-zero entries) are excluded from the fit.
+    ~1e-17 garbage in exactly-zero entries) are excluded from the fit.  No
+    point left is a series that ends before the top quarter, a zero tail
+    (C = 0); one to three are too few to fit, an unknown tail (C = inf).
     """
     k = np.arange(1, len(amps) + 1)
     scale = float(np.max(np.abs(amps), initial=0.0))
@@ -98,8 +100,9 @@ def _fit_decay(amps: np.ndarray):
         return 0.0, float("inf")
     lo = max(1, (3 * len(amps)) // 4)
     mask = (k >= lo) & (np.abs(amps) > 1e-13 * scale)
-    if np.count_nonzero(mask) < 4:
-        return 0.0, float("inf")
+    usable = np.count_nonzero(mask)
+    if usable < 4:
+        return (0.0, float("inf")) if usable == 0 else (float("inf"), 0.0)
     lk = np.log(k[mask])
     la = np.log(np.abs(amps[mask]))
     slope, intercept = np.polyfit(lk, la, 1)

@@ -122,6 +122,51 @@ def test_oracle_check_command(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_oracle_mode_above_the_mesh_exits_2_without_traceback(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "kind": "oracle_check",
+        "mesh": _mesh(16),
+        "data": {"harmonic": {"j": 0, "k": 16}},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["oracle-check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "k = 16" in err and "N - 1 = 15" in err and "N >= 32" in err
+    assert "Traceback" not in err
+
+
+def test_zero_data_converge_exits_3_without_traceback(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "kind": "converge",
+        "mesh": _mesh(8, refinements=2),
+        "data": None,
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["converge", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "nonzero data" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, n, n_modes", [
+    ("solve", 64, 200),  # the tail is 8.4e-2 against an error of 4.9e-1
+    ("solve", 64, 8),    # too few amplitudes to fit: an unknown tail
+    ("converge", 16, 8),
+], ids=["solve_200_modes", "solve_8_modes", "converge_8_modes"])
+def test_reference_tail_gate_holds_on_every_measured_run(tmp_path, capsys, kind, n, n_modes):
+    cfg = _write_config(tmp_path, {
+        "kind": kind,
+        "mesh": _mesh(n, refinements=2 if kind == "converge" else 0),
+        "data": {"preset": "hat_step"},
+        "n_modes": n_modes,
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main([kind, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "reference truncation tail" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stability_probe_command(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "kind": "stability_probe",
@@ -252,12 +297,20 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
                                               "pieces": [[1.0]]}}}),
     ("solve", "pieces", {"data": {"u0": {"form": "piecewise", "breakpoints": [0, math.pi],
                                          "pieces": [[]]}}}),
+    ("converge", "variant", {"variant": "all"}),
+    ("solve", "variant", {"variant": 3}),
+    ("converge", "mode", {"mode": None}),
+    ("solve", "v0_mode", {"v0_mode": "x"}),
+    ("converge", "data.preset", {"data": {"preset": None}}),
+    ("solve", "data.preset", {"data": {"preset": "nope"}}),
 ], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_tau_over_h", "alpha",
         "tail_fraction", "jobs", "fit_drop_coarsest", "seed", "seed_negative",
         "harmonic_j", "harmonic_k", "profile_coeffs", "profile_breakpoints",
         "profile_pieces", "time_not_object", "forcing_not_object", "out_dir_number",
-        "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty"])
+        "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty",
+        "variant_all_on_converge", "variant_number", "mode_null", "v0_mode_unknown",
+        "preset_null", "preset_unknown"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     cfg = _write_config(tmp_path, {
         "kind": kind, "mesh": _mesh(16), "data": None,
@@ -316,6 +369,35 @@ _NUMERIC_KEYS = [("mesh", k) for k in ("X", "T", "N", "M", "a", "eps0", "tau_ove
 _NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=4)
                  | st.lists(st.integers(), max_size=2)
                  | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+_STRING_KEYS = {"kind": ("solve", "converge", "sharpness", "oracle_check", "stability_probe"),
+                "variant": ("v0", "v1", "v2"),
+                "v0_mode": ("node_samples", "qh_average"),
+                "mode": ("node_sampled", "q2h_filtered"),
+                "data.preset": ("hat_step", "quad_spline_hat")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_STRING_KEYS)), _NOT_A_NUMBER | st.integers()
+       | st.sampled_from(["all", "v3", "", "hat"]))
+def test_malformed_value_in_any_string_key_exits_3(key, value):
+    assume(value not in _STRING_KEYS[key])
+    payload = {"kind": "solve", "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16},
+               "data": {"preset": "hat_step"}}
+    if key == "data.preset":
+        payload["data"]["preset"] = value
+    else:
+        payload[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        payload["out_dir"] = str(Path(tmp) / "out")
+        cfg = _write_config(Path(tmp), payload)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["solve", "--config", str(cfg)]) == 3
+        assert f"{key} must be one of" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not (Path(tmp) / "out").exists()
 
 
 @settings(max_examples=60, deadline=None)

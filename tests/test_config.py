@@ -5,8 +5,9 @@ import math
 import pytest
 
 from wavecompact.config import config_from_dict, dataspec_from_dict, profile_from_dict
-from wavecompact.data import DataSpec, Forcing, Profile, TimeProfile
+from wavecompact.data import PRESETS, DataSpec, Forcing, Profile, TimeProfile
 from wavecompact.errors import ConfigurationError, UnstableMeshError
+from wavecompact.oracle import HarmonicData, harmonic_dataspec
 
 
 def test_profile_round_trips():
@@ -147,3 +148,56 @@ def test_scalar_keys_take_json_numbers():
     for bad in (math.inf, 10 ** 400, "3"):
         with pytest.raises(ConfigurationError, match="mesh.X"):
             config_from_dict({**base, "mesh": {**base["mesh"], "X": bad}})
+
+
+def test_data_is_decided_at_load():
+    mesh = {"X": 2.0, "T": 2.0, "N": 8, "M": 32, "a": 1.5, "refinements": 2}
+    base = {"kind": "converge", "mesh": mesh}
+    cfg = config_from_dict({**base, "data": {"preset": "quad_spline_hat"}})
+    assert cfg.data == PRESETS["quad_spline_hat"].make(2.0) and cfg.harmonic is None
+    cfg = config_from_dict({**base, "data": {"harmonic": {"j": 2, "k": 3}}})
+    assert cfg.harmonic == HarmonicData(j=2, k=3)
+    # one DataSpec serves every rung: it reads only X and a, which they share
+    assert all(cfg.data == harmonic_dataspec(cfg.harmonic, r) for r in cfg.rungs)
+    zero = config_from_dict({**base, "kind": "solve", "data": None}).data
+    assert zero == DataSpec(u0=Profile.zero(2.0), u1=Profile.zero(2.0))
+    sharp = config_from_dict({**base, "kind": "sharpness", "data": {"harmonic": {"j": 1}}})
+    assert (sharp.data, sharp.harmonic, sharp.sharpness_j) == (None, None, 1)
+
+
+def test_converge_refuses_data_it_cannot_measure_at_load():
+    base = {"kind": "converge",
+            "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16, "refinements": 2}}
+    forced = {"u0": {"form": "piecewise", "breakpoints": [0.0, math.pi], "pieces": [[0.0, 1.0]]},
+              "f": {"space": {"form": "piecewise", "breakpoints": [0.0, 1.0, math.pi],
+                              "pieces": [[1.0], [-1.0]]},
+                    "time": {"form": "polynomial", "coeffs": [1.0]}}}
+    with pytest.raises(ConfigurationError, match="no exact reference for forced"):
+        config_from_dict({**base, "data": forced})
+    # solve takes the same data and measures nothing
+    assert config_from_dict({**base, "kind": "solve", "data": forced}).data.f is not None
+    for zero in (None, {}, {"u0": {"form": "sine_series", "coeffs": [0.0, 0.0]},
+                            "u1": {"form": "piecewise", "breakpoints": [0.0, math.pi],
+                                   "pieces": [[0.0, 0.0]]}}):
+        with pytest.raises(ConfigurationError, match="nonzero data"):
+            config_from_dict({**base, "data": zero})
+    # a key error is named before the ladder, and the ladder before the data
+    with pytest.raises(ConfigurationError, match="^mode must be one of"):
+        config_from_dict({**base, "mesh": {**base["mesh"], "refinements": 0},
+                          "data": forced, "mode": "x"})
+    with pytest.raises(ConfigurationError, match=">= 3 rungs"):
+        config_from_dict({**base, "mesh": {**base["mesh"], "refinements": 0}, "data": forced})
+
+
+def test_string_keys_take_one_of_their_values():
+    base = {"kind": "oracle_check", "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16},
+            "data": {"harmonic": {"j": 0, "k": 1}}}
+    assert config_from_dict({**base, "variant": "all"}).variant == "all"
+    for key, bad in [("kind", None), ("kind", "Solve"), ("variant", "V2"), ("variant", 2),
+                     ("v0_mode", ["qh_average"]), ("mode", True)]:
+        with pytest.raises(ConfigurationError, match=f"^{key} must be one of"):
+            config_from_dict({**base, key: bad})
+    with pytest.raises(ConfigurationError, match="^variant must be one of"):
+        config_from_dict({**base, "kind": "solve", "variant": "all"})
+    with pytest.raises(ConfigurationError, match=r"^data.preset must be one of \('hat_step'"):
+        config_from_dict({**base, "kind": "solve", "data": {"preset": "None"}})

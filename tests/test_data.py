@@ -44,6 +44,23 @@ def test_profile_validation():
         Profile.piecewise_poly((1.0,), ())
     with pytest.raises(ConfigurationError, match="pieces"):
         Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), ()))
+    # non-finite entries are refused where they enter, naming the entry;
+    # finite but huge ones stay accepted
+    nan, inf = math.nan, math.inf
+    for make, what in [
+            (lambda: Profile.sine_series((1.0,), nan), "domain length"),
+            (lambda: Profile.harmonic_mode(1, inf), "domain length"),
+            (lambda: Profile.sine_series((1.0, -inf), 1.0), "profile coefficients"),
+            (lambda: Profile.piecewise_poly((0.0, nan), ((1.0,),)), "profile breakpoints"),
+            (lambda: Profile.piecewise_poly((0.0, nan, 1.0), ((1.0,), (2.0,))),
+             "profile breakpoints"),
+            (lambda: Profile.piecewise_poly((0.0, 1.0), ((1.0, nan),)), "profile pieces"),
+            (lambda: TimeProfile.harmonic_sin(nan), "time profile omega"),
+            (lambda: TimeProfile.polynomial((0.0, inf)), "time profile coefficients")]:
+        with pytest.raises(ConfigurationError, match=f"^{what} must be"):
+            make()
+    assert Profile.sine_series((1e308,), 1e308).coeffs == (1e308,)
+    assert Profile.piecewise_poly((0.0, 1.0), ((1e308, -1e308),)).pieces == ((1e308, -1e308),)
 
 
 def test_piecewise_node_convention():

@@ -9,15 +9,15 @@ import pytest
 from scipy.integrate import quad
 
 from wavecompact.config import config_from_dict
-from wavecompact.data import Forcing, Profile, TimeProfile, sine_coefficients
+from wavecompact.data import (PRESETS, Forcing, Profile, TimeProfile, hat_profile,
+                              quad_spline_profile, sine_coefficients, step_profile)
 from wavecompact.errors import ConfigurationError, ContractViolation
-from wavecompact.experiments import (PRESETS, energy_lower_bound_margins, fit_order,
-                                     forcing_l21_norm, hat_profile, profile_h01_norm,
-                                     profile_l2_norm, quad_spline_profile,
-                                     random_dataspec, run_convergence,
+from wavecompact.experiments import (energy_lower_bound_margins, fit_order,
+                                     forcing_l21_norm, profile_h01_norm,
+                                     profile_l2_norm, random_dataspec, run_convergence,
                                      run_oracle_check, run_sharpness, run_solve,
                                      run_stability_probe, stability_bound_sides,
-                                     step_profile, time_l1_norm)
+                                     time_l1_norm)
 from wavecompact.grid import build_mesh
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavecompact.data import DataSpec, Profile, sine_coefficients
+from wavecompact.data import PRESETS, DataSpec, Profile, sine_coefficients
 from wavecompact.errors import ConfigurationError, ContractViolation
-from wavecompact.experiments import PRESETS
 from wavecompact.grid import build_mesh
 from wavecompact.oracle import HarmonicData, exact_harmonic_solution
 from wavecompact.reference import GridReference, HarmonicReference, SeriesReference
