@@ -6,10 +6,10 @@ h^0.4 instead.  One derivative more in the data (a quadratic spline bump and
 a hat velocity) raises the observed order to 1.2.  The error is measured in
 the mixed form that matches the rough-data regime: the time difference is
 compared after a Numerov-corrected hat filter of the exact solution, the
-space difference on raw node values.  The exact reference is a folded sine
-superposition: on the grid, every continuous mode aliases onto one of
-finitely many classes, so the whole (huge) truncated series is summed exactly
-in a few thousand classes.
+space difference on raw node values.  The exact reference is d'Alembert's
+formula, evaluated exactly for the piecewise-polynomial data: the odd
+extension of u0 and the antiderivative of the odd extension of u1, and
+their hat averages, on one period of the lattice that x_i +- t_m share.
 """
 
 import math

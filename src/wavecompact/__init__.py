@@ -21,7 +21,7 @@ from .oracle import (DispersionRecord, HarmonicCoefficients, HarmonicData,
                      asymptotic_constant, choose_k_h, discrete_harmonic_trajectory,
                      dispersion, exact_harmonic_solution, harmonic_coefficients,
                      harmonic_dataspec, sharpness_prediction)
-from .reference import GridReference, HarmonicReference, SeriesReference
+from .reference import GridReference, HarmonicReference, dalembert_reference
 from .scheme import ErrorReport, SchemeRun, evolve, evolve_grid, measure_error
 from .experiments import (OrderFit, fit_order, random_dataspec, run_convergence,
                           run_oracle_check, run_sharpness, run_solve,

@@ -17,9 +17,12 @@ A config file is a single JSON object:
       "mode": "node_sampled" | "q2h_filtered",
       "alpha": 2.0,
       "out_dir": "out",
-      ...tuning keys with defaults (seed, n_random, n_pairs, fold_groups,
-         fit_drop_coarsest, tail_fraction, jobs, decimate)
+      ...tuning keys with defaults (seed, n_random, n_pairs,
+         fit_drop_coarsest, jobs, decimate)
     }
+
+Keys outside this schema are ignored, the removed reference keys n_modes,
+fold_groups and tail_fraction included.
 
 Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
 plus {"form": "harmonic", "k": k}, which parses to the one-coefficient sine
@@ -135,10 +138,7 @@ class ExperimentConfig:
     seed: int = 0
     n_random: int = 20
     n_pairs: int = 100
-    fold_groups: int = 64
-    n_modes: int | None = None
     fit_drop_coarsest: int = 1
-    tail_fraction: float = 0.01
     decimate: int = 32
     echo: dict = field(default_factory=dict)
 
@@ -270,12 +270,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         seed=_integer(raw.get("seed", 0), "seed", 0),
         n_random=_integer(raw.get("n_random", 20), "n_random", 1),
         n_pairs=_integer(raw.get("n_pairs", 100), "n_pairs", 1),
-        fold_groups=_integer(raw.get("fold_groups", 64), "fold_groups", 1),
-        n_modes=(None if raw.get("n_modes") is None
-                 else _integer(raw["n_modes"], "n_modes", 1)),
         fit_drop_coarsest=_integer(raw.get("fit_drop_coarsest", 1),
                                    "fit_drop_coarsest"),
-        tail_fraction=_number(raw.get("tail_fraction", 0.01), "tail_fraction"),
         decimate=_integer(raw.get("decimate", 32), "decimate", 1),
         echo=dict(raw),
     )

@@ -2,8 +2,9 @@
 stability checks, plus the order fit and the random data they use.
 
 Each runner takes an ExperimentConfig and returns a result record.  solve,
-converge and sharpness evolve and measure through _measured, under the
-reference-tail gate.  With emit set, _emit writes plain columnar CSV plus a
+converge and sharpness evolve and measure through _measured, against an
+exact reference: the closed form of harmonic data, else d'Alembert's formula
+for unforced data.  With emit set, _emit writes plain columnar CSV plus a
 JSON run summary to the config's output directory (solve writes its
 trajectory itself).  A table's header is the field names of its row record,
 and every cell is the repr of its field (strings as they are).
@@ -29,12 +30,12 @@ from numpy.polynomial import polynomial as npoly
 from . import __version__
 from .config import ExperimentConfig
 from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile, sine_coefficients
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_harmonic_trajectory,
                      harmonic_dataspec, sharpness_prediction)
-from .reference import HarmonicReference, SeriesReference
+from .reference import HarmonicReference, dalembert_reference
 from .scheme import ErrorReport, evolve, evolve_grid, measure_error, prepare_inputs
 
 
@@ -297,30 +298,21 @@ class ConvergenceResult:
 
 def _reference_for(config: ExperimentConfig, mesh: MeshSpec):
     """Exact-solution reference of config.data: the closed form of harmonic
-    data, else a folded series, which exists only for zero forcing (else None)."""
+    data, else d'Alembert's formula, which covers zero forcing only (else None)."""
     if config.harmonic is not None:
         return HarmonicReference(mesh, config.harmonic)
     if config.data.f is not None:
         return None
-    return SeriesReference(mesh, config.data, n_modes=config.n_modes,
-                           fold_groups=config.fold_groups)
+    return dalembert_reference(mesh, config.data)
 
 
 def _measured(config: ExperimentConfig, mesh: MeshSpec, data: DataSpec, reference,
               mode: str):
-    """(run, report) of data on mesh, report None without a reference; a
-    report whose reference tail exceeds tail_fraction of the error is refused."""
+    """(run, report) of data on mesh, report None without a reference."""
     run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
     if reference is None:
         return run, None
-    report = measure_error(mesh, run.slices, reference, mode=mode)
-    tail = getattr(reference, "tail_estimate", 0.0)
-    gate = max(report.max_energy_error, report.max_dx_error)
-    if gate > 0 and tail > config.tail_fraction * gate:
-        raise ConfigurationError(
-            f"reference truncation tail {tail:.3e} exceeds {config.tail_fraction:.0%} "
-            f"of the measured error {gate:.3e}; increase fold_groups or n_modes")
-    return run, report
+    return run, measure_error(mesh, run.slices, reference, mode=mode)
 
 
 def _converge_rung(payload) -> ErrorReport:

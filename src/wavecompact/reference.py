@@ -6,39 +6,43 @@ through qh_values(levels), the latter feeding the q_2h-filtered error norms.
 levels is a time level or a slice of levels, as in numpy indexing; the
 array-backed references return read-only views.
 
-SeriesReference builds u by sine-mode superposition in the canonical frame,
+HarmonicReference is the closed form of a single-harmonic data family.
+dalembert_reference is exact for any unforced data, by d'Alembert's formula
 
-    u(x, t) = sum_k [A_k cos(k t) + B_k sin(k t)] sin(k x),  A_k = a_k, B_k = b_k / k.
+    u(x, t) = [U0(x + at) + U0(x - at)] / 2 + [V1(x + at) - V1(x - at)] / (2a)
+            = E(x + at) + F(x - at),   E, F = (U0 +- V1 / a) / 2,
 
-On the grid, sin(k x_i) folds onto sin(r x_i) with r = k mod 2N (up to sign),
-and when T' = pi the time factors fold with period L = lcm(2N, 2M) too, so
-the modes are summed class by class over L with one reshape.  The truncation
-tail then decays like the amplitude tail itself (the mesh caps difference
-quotients at 2/h); it is estimated from the fitted decay of the supplied
-coefficients and reported for gating.  With alpha = L/2M, beta = L/2N and
-indices mod L, the product-to-sum identities give
+with U0 the odd 2X-periodic extension of u0 and V1 the even periodic
+antiderivative of the odd extension of u1.  A piecewise datum is folded back
+onto [0, X]: U0 is u0 there, with the mean of the two sides at a jump (0 at
+multiples of X), and each piece of V1 is exact through npoly.polyint.  A
+sine_series datum is its own U0, and V1 is the matching cosine series.  The
+hat average of a shifted function is the shifted hat average, so the q_h view
+is the same formula on the hat averages of U0 and V1: exact per-cell Gauss
+rules split at the breakpoints of the extension, or the eigenfactor
+hat_average_factor of each sine mode.
 
-    u(x_i, t_m) = [S(beta i + alpha m) + S(beta i - alpha m)] / 2
-                + [C(beta i - alpha m) - C(beta i + alpha m)] / 2
-
-for S = -Im FFT_L(A) (odd) and C = Re FFT_L(B) (even); that is,
-u = [D(beta i - alpha m) - D(-beta i - alpha m)] / 2 with D = Re FFT_L(B + iA),
-one length-L FFT per view.  The q_h view weights A and B by the hat average's
-eigenfactor.  For T' != pi, the time rows A_k cos(k t_m) + B_k sin(k t_m) of
-8N modes (by default) are summed over k mod 2N and a length-2N FFT evaluates
-the sine series at the nodes.
+When a tau / h = p / q is rational with q <= M, as with aT = X (p/q = N/M)
+or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m = (q i +- p m) h/q lies
+on the lattice of spacing h/q.  E and F are evaluated once on one period of
+that lattice, L = 2Nq points, and each view is one np.add of two strided
+views of their periodic extensions, E[qi + pm] + F[qi - pm].  Other meshes
+evaluate x_i +- a t_m level by level.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, rfft
+from numpy.lib.stride_tricks import as_strided
+from numpy.polynomial import polynomial as npoly
 
-from .data import DataSpec, hat_average_factor, sine_coefficients
-from .errors import ConfigurationError, ContractViolation
+from .data import (_QUADRATURE_NODES, DataSpec, Profile, _hat_cell_integrals,
+                   hat_average_factor)
+from .errors import ConfigurationError, ContractViolation, QuadratureError
 from .grid import MeshSpec
 from .oracle import HarmonicData, canonical_mesh, exact_time_coefficients
 
@@ -86,140 +90,107 @@ class HarmonicReference:
         return self._qh_factor * self._coeffs[levels, None] * self._shape
 
 
-def _fit_decay(amps: np.ndarray):
-    """Fit |amp_k| ~ C k^-q on the top quarter of the index range.
+def _sampler(w: Profile, antiderivative: bool):
+    """sample(start, count, h) -> (W, hat average of W) at y = start + j h,
+    j = 0..count-1, where W is the odd 2X-periodic extension of w or, with
+    antiderivative set, the even periodic antiderivative of that extension."""
+    X = w.X
+    if w.form == "sine_series":
+        omega = np.pi * np.arange(1, len(w.coeffs) + 1) / X
+        amps = np.asarray(w.coeffs) * math.sqrt(2.0 / X)
+        wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
 
-    Coefficients that vanish up to roundoff (closed-form integration leaves
-    ~1e-17 garbage in exactly-zero entries) are excluded from the fit.  No
-    point left is a series that ends before the top quarter, a zero tail
-    (C = 0); one to three are too few to fit, an unknown tail (C = inf).
-    """
-    k = np.arange(1, len(amps) + 1)
-    scale = float(np.max(np.abs(amps), initial=0.0))
-    if scale == 0.0:
-        return 0.0, float("inf")
-    lo = max(1, (3 * len(amps)) // 4)
-    mask = (k >= lo) & (np.abs(amps) > 1e-13 * scale)
-    usable = np.count_nonzero(mask)
-    if usable < 4:
-        return (0.0, float("inf")) if usable == 0 else (float("inf"), 0.0)
-    lk = np.log(k[mask])
-    la = np.log(np.abs(amps[mask]))
-    slope, intercept = np.polyfit(lk, la, 1)
-    return float(np.exp(intercept)), float(-slope)
+        def sample(start, count, h):
+            basis = wave(np.outer(start + h * np.arange(count), omega))
+            return basis @ amps, basis @ (amps * hat_average_factor(omega * h))
+        return sample
 
+    b = np.asarray(w.breakpoints)
+    if antiderivative:
+        pieces, value = [], 0.0
+        for lo, hi, piece in zip(b, b[1:], w.pieces):
+            pieces.append(npoly.polyint(piece, k=value, lbnd=lo))
+            value = npoly.polyval(hi, pieces[-1])
 
-def _tail_amp_sq(amps: np.ndarray) -> float:
-    """Estimated sum of squared amplitudes beyond the supplied range."""
-    c, q = _fit_decay(amps)
-    if c == 0.0:
-        return 0.0
-    p = 2.0 * q
-    if p <= 1.0:
-        return float("inf")
-    big_k = len(amps)
-    return c * c * big_k ** (1.0 - p) / (p - 1.0)  # c * c overflows to inf, c ** 2 raises
+        def folded(r):
+            piece = np.searchsorted(b[1:-1], r, side="right")
+            return np.select([piece == j for j in range(len(pieces))],
+                             [npoly.polyval(r, c) for c in pieces])
+    else:
+        pieces, folded = w.pieces, replace(w, node_convention="mean")
 
+    def extension(y):
+        r = np.mod(y, 2.0 * X)
+        flip = r > X
+        r = np.where(flip, 2.0 * X - r, r)
+        out = folded(r)
+        if not antiderivative:
+            out = np.where(flip, -out, out)
+            out[np.minimum(r, X - r) <= 1e-13 * X] = 0.0
+        return out
 
-def _mode_classes(amps: np.ndarray, period: int) -> np.ndarray:
-    """Amplitudes (..., K) of modes k = 1..K, padded to (..., groups, period).
+    breaks = np.unique(np.concatenate([b, 2.0 * X - b]))
+    # Gauss nodes per panel that integrate a piece times a hat exactly
+    nodes = max(_QUADRATURE_NODES, (max(map(len, pieces)) + 2) // 2 + 1)
 
-    Entry [..., g, r] holds mode g * period + r, or 0 where there is none."""
-    n_modes = amps.shape[-1]
-    groups = n_modes // period + 1
-    padded = np.zeros(amps.shape[:-1] + (groups * period,))
-    padded[..., 1:n_modes + 1] = amps
-    return padded.reshape(amps.shape[:-1] + (groups, period))
-
-
-def _views_folded(amps: np.ndarray, n: int, m: int, period: int) -> np.ndarray:
-    """(view, 2, K) amplitudes -> (view, M+1, N+1) node values when T' = pi."""
-    classes = _mode_classes(amps, period).sum(axis=-2)
-    # D = C + S from the class sums of A (row 0) and B (row 1)
-    d = fft(classes[:, 1] + 1j * classes[:, 0], axis=-1).real
-    alpha, beta = period // (2 * m), period // (2 * n)
-    # u = (D(beta i - alpha m) - D(-beta i - alpha m)) / 2, read as strided
-    # views of D repeated twice: windows[:, s, w] = D((s + w) mod L)
-    windows = sliding_window_view(np.concatenate([d, d], axis=-1), period // 2 + 1, axis=-1)
-    plus = windows[:, period::-alpha][:, :m + 1, ::beta]
-    minus = windows[:, period // 2::-alpha][:, :m + 1, ::-beta]
-    return 0.5 * (plus - minus)
+    def sample(start, count, h):
+        edges = start + h * np.arange(-1, count + 1)
+        periods = 2.0 * X * np.arange(math.floor(edges[0] / (2.0 * X)),
+                                      math.ceil(edges[-1] / (2.0 * X)) + 1)
+        rise, fall = _hat_cell_integrals(extension, edges, np.add.outer(periods, breaks).ravel(),
+                                         nodes, "the exact solution")
+        return extension(edges[1:-1]), (rise[:-1] + fall[1:]) / h
+    return sample
 
 
-def _views_direct(amps: np.ndarray, n: int, times: np.ndarray) -> np.ndarray:
-    """(view, 2, K) amplitudes -> (view, M+1, N+1) node values at any times."""
-    period = 2 * n
-    classes = _mode_classes(amps, period)
-    rows = np.zeros((amps.shape[0], len(times), period))
-    # stop before a last group that holds only residue 0, zero at every node
-    for g in range((amps.shape[-1] - 1) // period + 1):
-        phases = np.outer(times, np.arange(g * period, (g + 1) * period))
-        rows += (classes[:, 0, g, None, :] * np.cos(phases)
-                 + classes[:, 1, g, None, :] * np.sin(phases))
-    # sum_r rows[r] sin(pi r i / N) over the residues r = k mod 2N, i = 0..N
-    return -rfft(rows).imag
+def _lattice(mesh: MeshSpec):
+    """(p, q) with a tau / h = p / q to 1e-12 and q <= M, else None."""
+    ratio = mesh.a * mesh.tau / mesh.h
+    frac = Fraction(ratio).limit_denominator(mesh.M)
+    if abs(frac - ratio) > 1e-12 * ratio:
+        return None
+    return frac.numerator, frac.denominator
 
 
-class SeriesReference:
-    """Truncated sine-series superposition of the exact solution.
+# finite data may overflow in U0, V1 or their hat averages: halves refuses that
+@np.errstate(over="ignore", invalid="ignore")
+def dalembert_reference(mesh: MeshSpec, data: DataSpec) -> GridReference:
+    """Exact reference of unforced data by d'Alembert's formula, both views."""
+    if data.f is not None:
+        raise ContractViolation("d'Alembert's formula needs zero forcing; use a harmonic reference")
+    n, m, h = mesh.N, mesh.M, mesh.h
+    data_terms = (("u0", _sampler(data.u0, False), 0.5),
+                  ("u1", _sampler(data.u1, True), 0.5 / mesh.a))
 
-    Supports f = None only; forcing references come from HarmonicReference.
-    n_modes defaults to fold_groups times the joint alias period when T' = pi
-    (exact folding), else to 8 N.
-    """
+    def halves(start, count):
+        """(view, datum, j): U0/2 and V1/(2a) at start + j h; view 1 hat-averaged."""
+        out = np.empty((2, 2, count))
+        for d, (name, sample, scale) in enumerate(data_terms):
+            try:
+                out[:, d] = np.multiply(sample(start, count, h), scale)
+            except QuadratureError:
+                out[:, d] = np.nan
+            if not np.all(np.isfinite(out[:, d])):
+                raise ConfigurationError(
+                    f"the exact solution of {name} is not finite on the N={n}, M={m} mesh")
+        return out
 
-    # finite but huge data may overflow to non-finite amplitudes, an infinite
-    # tail estimate or infinite views: the checks below, the tail gate and
-    # prepare_inputs refuse such data
-    @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, mesh: MeshSpec, data: DataSpec, n_modes: int | None = None,
-                 fold_groups: int = 64):
-        if data.f is not None:
-            raise ContractViolation(
-                "series reference supports zero forcing; use a harmonic reference")
-        cm = canonical_mesh(mesh)
-        n, m = mesh.N, mesh.M
-
-        # plain canonical amplitudes: a_k from u0, b_k from the rescaled u1
-        joint = math.lcm(2 * n, 2 * m)
-        exact_fold = abs(cm.T - math.pi) <= 1e-12 * math.pi
-        if n_modes is None:
-            n_modes = fold_groups * joint if exact_fold else 8 * n
-        root = math.sqrt(2.0 / mesh.X)
-        scale_t = mesh.a * math.pi / mesh.X
-        a = sine_coefficients(data.u0, n_modes) * root
-        b = sine_coefficients(data.u1, n_modes) * root / scale_t
-        for name, amps in (("u0", a), ("u1", b)):
-            if not np.all(np.isfinite(amps)):
-                raise ConfigurationError(f"the sine amplitudes of {name} are not finite")
-        k = np.arange(1, n_modes + 1)
-        qh_fac = hat_average_factor(k * cm.h)
-
-        self.tail_estimate = self._estimate_tail(a, b, k, cm)
-
-        # (view, cos/sin, k): time-cosine and time-sine amplitudes of each
-        # mode, plain and hat-averaged
-        amps = np.stack([a, b / k])
-        amps = np.stack([amps, amps * qh_fac])
-        if exact_fold:
-            views = _views_folded(amps, n, m, joint)
-        else:
-            views = _views_direct(amps, n, cm.times())
-        self._values, self._qh = _read_only(views)
-
-    # -- tail --------------------------------------------------------------
-    def _estimate_tail(self, a, b, k, cm) -> float:
-        tail_sq = _tail_amp_sq(a) + _tail_amp_sq(b / k)
-        if not np.isfinite(tail_sq):
-            return float("inf")
-        # aliased modes contribute at most 2/h per backward space difference
-        # and 2/tau per backward time difference
-        cap = 2.0 / cm.h + 2.0 / cm.tau
-        return math.sqrt(math.pi / 2.0 * tail_sq) * cap
-
-    # -- views -------------------------------------------------------------
-    def values(self, levels) -> np.ndarray:
-        return self._values[levels]
-
-    def qh_values(self, levels) -> np.ndarray:
-        return self._qh[levels]
+    views = np.empty((2, m + 1, n + 1))
+    lattice = _lattice(mesh)
+    if lattice is not None:
+        p, q = lattice
+        # entry q j + r of one period holds y = (q j + r) h/q
+        period = np.stack([halves(r * h / q, 2 * n) for r in range(q)], axis=-1)
+        u, v = period.reshape(2, 2, 2 * n * q).swapaxes(0, 1)
+        e = np.take(u + v, np.arange(q * n + p * m + 1), axis=-1, mode="wrap")
+        f = np.take(u - v, np.arange(-p * m, q * n + 1), axis=-1, mode="wrap")
+        # views[:, m, i] = e[:, qi + pm] + f[:, pM + qi - pm]
+        step, shape = e.strides[1], (2, m + 1, n + 1)
+        np.add(as_strided(e, shape, (e.strides[0], p * step, q * step)),
+               as_strided(f[:, p * m:], shape, (f.strides[0], -p * step, q * step)), out=views)
+    else:
+        for level, shift in enumerate(mesh.a * mesh.times()):
+            (u, v), (u_, v_) = (halves(s, n + 1).swapaxes(0, 1) for s in (shift, -shift))
+            views[:, level] = (u + v) + (u_ - v_)
+    views[:, :, ::n] = 0.0
+    return GridReference(mesh, views[0], views[1])

@@ -79,7 +79,7 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
 
     This is where grid data enters the scheme: a datum whose quadrature fails,
     or whose grid data is not finite or beyond _DATA_BOUND in magnitude, is a
-    ConfigurationError naming it.
+    ConfigurationError naming it and the mesh.
     """
     if v0_mode not in V0_MODES:
         raise ContractViolation(f"unknown v0 mode {v0_mode!r}; expected one of {V0_MODES}")
@@ -96,10 +96,12 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
             with np.errstate(over="ignore", invalid="ignore"):
                 values = build()
         except QuadratureError as exc:
-            raise ConfigurationError(f"the grid data of {name} are not finite: {exc}") from exc
+            raise ConfigurationError(f"the grid data of {name} are not finite on the "
+                                     f"N={mesh.N}, M={mesh.M} mesh: {exc}") from exc
         if not -_DATA_BOUND <= values.min() <= values.max() <= _DATA_BOUND:  # NaN fails too
             raise ConfigurationError(f"the grid data of {name} are not finite or exceed "
-                                     f"{_DATA_BOUND:.1e} in magnitude")
+                                     f"{_DATA_BOUND:.1e} in magnitude on the N={mesh.N}, "
+                                     f"M={mesh.M} mesh")
         return values
 
     return (checked("u0", v0),

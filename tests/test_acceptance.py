@@ -88,7 +88,7 @@ def test_acceptance_3_fractional_rates(preset, target, tol):
     ok = abs(result.fitted_order - target) <= tol
     _report(f"3 fractional rate ({preset})", ok,
             f"fitted order {result.fitted_order:.3f}, target {target} +- {tol}, "
-            f"N up to 1024, tau = h/2, folded spectral reference")
+            f"N up to 1024, tau = h/2, exact d'Alembert reference")
 
 
 # --------------------------------------------------------------------------

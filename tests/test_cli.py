@@ -8,11 +8,14 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wavecompact.cli import main
+from wavecompact.config import config_from_dict
+from wavecompact.reference import dalembert_reference
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -148,23 +151,25 @@ def test_zero_data_converge_exits_3_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind, n, n_modes", [
-    ("solve", 64, 200),  # the tail is 8.4e-2 against an error of 4.9e-1
-    ("solve", 64, 8),    # too few amplitudes to fit: an unknown tail
-    ("converge", 16, 8),
-], ids=["solve_200_modes", "solve_8_modes", "converge_8_modes"])
-def test_reference_tail_gate_holds_on_every_measured_run(tmp_path, capsys, kind, n, n_modes):
-    cfg = _write_config(tmp_path, {
-        "kind": kind,
-        "mesh": _mesh(n, refinements=2 if kind == "converge" else 0),
-        "data": {"preset": "hat_step"},
-        "n_modes": n_modes,
-        "out_dir": str(tmp_path / "out"),
-    })
-    assert main([kind, "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert "reference truncation tail" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+def test_finite_sine_series_converge_exits_0(tmp_path, capsys):
+    # descriptors, not the harmonic form: the reference is d'Alembert's formula,
+    # exact for a finite series, which the old tail fit refused as unknown
+    c0, c1 = np.array([0.5, 0.0, 0.2]), np.array([0.3, -0.1, 0.05])
+    payload = {"kind": "converge", "mesh": _mesh(16, refinements=2),
+               "data": {"u0": {"form": "sine_series", "coeffs": c0.tolist()},
+                        "u1": {"form": "sine_series", "coeffs": c1.tolist()}},
+               "out_dir": str(tmp_path / "out")}
+    assert main(["converge", "--config", str(_write_config(tmp_path, payload))]) == 0
+    assert "fitted order" in capsys.readouterr().out
+    cfg = config_from_dict(payload)
+    k = np.arange(1, 4)
+    for mesh in cfg.rungs:
+        # X = pi, a = 1: u = sum_k sqrt(2/pi) (c0_k cos kt + c1_k / k sin kt) sin kx
+        times = np.cos(np.outer(mesh.times(), k)) * c0 + np.sin(np.outer(mesh.times(), k)) * c1 / k
+        modes = math.sqrt(2 / math.pi) * times @ np.sin(np.outer(k, mesh.nodes()))
+        modes[:, ::mesh.N] = 0.0
+        np.testing.assert_allclose(dalembert_reference(mesh, cfg.data).values(slice(None)),
+                                   modes, rtol=0, atol=1e-13)
 
 
 def test_stability_probe_command(tmp_path, capsys):
@@ -216,21 +221,6 @@ def test_jobs_env_not_an_integer_exits_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_bad_reference_sizes_exit_3(tmp_path, capsys):
-    for key, bad in [("fold_groups", 0), ("n_modes", "x")]:
-        cfg = _write_config(tmp_path, {
-            "kind": "converge",
-            "mesh": _mesh(8, refinements=2),
-            "data": {"preset": "hat_step"},
-            key: bad,
-            "out_dir": str(tmp_path / "out"),
-        })
-        assert main(["converge", "--config", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert key in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_non_finite_data_exits_3_without_traceback(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "kind": "converge",
@@ -242,11 +232,11 @@ def test_non_finite_data_exits_3_without_traceback(tmp_path, capsys):
     assert main(["converge", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "u0" in err and "not finite" in err and "Traceback" not in err
+    assert "on the N=8, M=16 mesh" in err
     assert not (tmp_path / "out").exists()
 
 
 def test_solve_non_finite_data_exits_3_without_traceback(tmp_path, capsys):
-    # the reference is built before the stepper runs, so it names u0 first
     cfg = _write_config(tmp_path, {
         "kind": "solve",
         "mesh": _mesh(8),
@@ -257,6 +247,7 @@ def test_solve_non_finite_data_exits_3_without_traceback(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "u0" in err and "not finite" in err and "Traceback" not in err
+    assert "on the N=8, M=16 mesh" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -277,7 +268,6 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("solve", "mesh.tau_over_h", {"mesh": {"X": math.pi, "T": math.pi, "N": 16,
                                            "tau_over_h": "x"}}),
     ("sharpness", "alpha", {"alpha": "x", "data": {"harmonic": {"j": 0}}}),
-    ("converge", "tail_fraction", {"tail_fraction": "x"}),
     ("converge", "jobs", {"jobs": "x"}),
     ("converge", "fit_drop_coarsest", {"fit_drop_coarsest": "x"}),
     ("stability_probe", "seed", {"seed": "x"}),
@@ -305,7 +295,7 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("solve", "data.preset", {"data": {"preset": "nope"}}),
 ], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_tau_over_h", "alpha",
-        "tail_fraction", "jobs", "fit_drop_coarsest", "seed", "seed_negative",
+        "jobs", "fit_drop_coarsest", "seed", "seed_negative",
         "harmonic_j", "harmonic_k", "profile_coeffs", "profile_breakpoints",
         "profile_pieces", "time_not_object", "forcing_not_object", "out_dir_number",
         "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty",
@@ -338,7 +328,7 @@ def test_overflowing_grid_data_exits_3(tmp_path, capsys, name, data):
         "out_dir": str(tmp_path / "out")})
     assert main(["solve", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
-    assert f"grid data of {name} are not finite" in err
+    assert f"grid data of {name} are not finite" in err and "on the N=16, M=32 mesh" in err
     assert "Traceback" not in err and "Warning" not in err
     assert not (tmp_path / "out").exists()
 
@@ -363,8 +353,8 @@ def test_data_too_large_to_measure_exits_3(tmp_path, capsys, amplitude):
 _NUMERIC_KEYS = [("mesh", k) for k in ("X", "T", "N", "M", "a", "eps0", "tau_over_h",
                                        "refinements")] + [
     ("harmonic", k) for k in ("j", "k")] + [
-    (None, k) for k in ("alpha", "tail_fraction", "jobs", "seed", "fit_drop_coarsest",
-                        "n_random", "n_pairs", "fold_groups", "n_modes", "decimate")]
+    (None, k) for k in ("alpha", "jobs", "seed", "fit_drop_coarsest", "n_random", "n_pairs",
+                        "decimate")]
 
 _NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=4)
                  | st.lists(st.integers(), max_size=2)
@@ -404,7 +394,6 @@ def test_malformed_value_in_any_string_key_exits_3(key, value):
 @given(st.sampled_from(_NUMERIC_KEYS), _NOT_A_NUMBER)
 def test_non_numeric_value_in_any_numeric_key_exits_3(section_key, value):
     section, key = section_key
-    assume(not (key == "n_modes" and value is None))  # null means "the default"
     mesh = {"X": math.pi, "T": math.pi, "N": 8, "M": 16}
     if key == "tau_over_h":
         del mesh["M"]  # an explicit M would win over tau_over_h

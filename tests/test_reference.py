@@ -1,4 +1,5 @@
-"""Reference providers against brute-force superposition and quadrature."""
+"""Reference providers against closed forms, brute-force superposition and
+quadrature."""
 
 import math
 
@@ -6,21 +7,25 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavecompact.data import PRESETS, DataSpec, Profile, sine_coefficients
+from wavecompact import reference
+from wavecompact.data import PRESETS, DataSpec, Profile, average_qh, sine_coefficients
 from wavecompact.errors import ConfigurationError, ContractViolation
+from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
 from wavecompact.oracle import HarmonicData, exact_harmonic_solution
-from wavecompact.reference import GridReference, HarmonicReference, SeriesReference
+from wavecompact.reference import GridReference, HarmonicReference, dalembert_reference
 
 
-def _qh_oracle(func, mesh):
-    """(q_h w)_i by adaptive quadrature of w against the hats."""
+def _qh_oracle(func, mesh, kinks=()):
+    """(q_h w)_i by adaptive quadrature of w against the hats, split at the
+    node and at the kinks of w inside the hat."""
     out = mesh.zeros()
     x = mesh.nodes()
     for i in range(1, mesh.N):
         hat = lambda s: max(1.0 - abs(s / mesh.h - i), 0.0)
+        points = [x[i], *(k for k in kinks if x[i - 1] < k < x[i + 1])]
         val, _ = quad(lambda s: func(s) * hat(s), x[i - 1], x[i + 1],
-                      points=[x[i]], limit=200)
+                      points=points, limit=200)
         out[i] = val / mesh.h
     return out
 
@@ -58,119 +63,178 @@ def test_harmonic_reference_qh_slices_by_quadrature():
 
 
 def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes, qh=False):
-    """Direct mode-sum of the exact solution (or its hat averages) at the grid points."""
+    """Direct mode-sum of the exact solution (or its hat averages) at the grid
+    points, for orthonormal sine coefficients of u0 and u1."""
     x, t = mesh.nodes(), mesh.times()
+    k = np.arange(1, n_modes + 1)
+    omega = np.pi * k / mesh.X
     root = math.sqrt(2.0 / mesh.X)
-    vals = np.zeros((mesh.M + 1, mesh.N + 1))
-    for k in range(1, n_modes + 1):
-        a = coeffs0[k - 1] * root if k <= len(coeffs0) else 0.0
-        b = coeffs1[k - 1] * root if k <= len(coeffs1) else 0.0
-        if a == 0.0 and b == 0.0:
-            continue
-        shape = np.sin(k * x)
-        if qh:
-            shape *= (math.sin(k * mesh.h / 2) / (k * mesh.h / 2)) ** 2
-        vals += np.outer(a * np.cos(k * t) + b / k * np.sin(k * t), shape)
+    a = np.zeros(n_modes)
+    b = np.zeros(n_modes)
+    a[:min(n_modes, len(coeffs0))] = np.asarray(coeffs0)[:n_modes] * root
+    b[:min(n_modes, len(coeffs1))] = np.asarray(coeffs1)[:n_modes] * root
+    shape = np.sin(np.outer(omega, x))
+    if qh:
+        half = omega * mesh.h / 2
+        shape *= ((np.sin(half) / half) ** 2)[:, None]
+    phase = np.outer(t, mesh.a * omega)
+    vals = (a * np.cos(phase) + b / (mesh.a * omega) * np.sin(phase)) @ shape
     vals[:, 0] = vals[:, -1] = 0.0
     return vals
 
 
-@pytest.mark.parametrize("T, n_modes, k_total", [
-    (0.8 * math.pi, None, 8 * 8),     # T' != pi: 8N direct modes
-    (math.pi, None, 64 * 32),         # exact fold, default 64 groups of L = 32
-    (math.pi, 3 * 32 + 5, 3 * 32 + 5),  # exact fold, last group partly filled
-], ids=["direct", "folded", "folded_partial_group"])
-def test_series_reference_paths_match_brute_force(T, n_modes, k_total):
+def _data_cases(X):
+    """hat_step, quad_spline_hat and three unforced random draws on (0, X)."""
+    cases = [PRESETS[name].make(X) for name in ("hat_step", "quad_spline_hat")]
+    rng = np.random.default_rng(7)
+    draws = [random_dataspec(rng, X) for _ in range(3)]
+    return cases + [DataSpec(u0=d.u0, u1=d.u1) for d in draws]
+
+
+_DATA_IDS = ["hat_step", "quad_spline_hat", "random0", "random1", "random2"]
+
+
+# a tau / h is 1/2 at T = pi, 2/5 at T = 0.8 pi and irrational at T = 2.5
+_PATHS = {"argvalues": [math.pi, 0.8 * math.pi, 2.5],
+          "ids": ["lattice", "lattice_p2_q5", "per_level"]}
+
+
+@pytest.mark.parametrize("T", **_PATHS)
+@pytest.mark.parametrize("case", range(5), ids=_DATA_IDS)
+def test_dalembert_reference_initial_slice_is_data(T, case):
+    mesh = build_mesh(math.pi, T, 8, 16)
+    data = _data_cases(math.pi)[case]
+    ref = dalembert_reference(mesh, data)
+    samples = data.u0(mesh.nodes())
+    samples[0] = samples[-1] = 0.0
+    np.testing.assert_allclose(ref.values(0), samples, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ref.qh_values(0), average_qh(data.u0, mesh), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("X, a, N, M", [(math.pi, 1.0, 16, 32), (2.0, 1.5, 8, 12)],
+                         ids=["pi", "X2_a1.5"])
+@pytest.mark.parametrize("case", range(5), ids=_DATA_IDS)
+def test_dalembert_reference_reflects_u0_at_half_period(X, a, N, M, case):
+    # at aT = X the u1 terms cancel and u(x, T) = -u0(X - x)
+    mesh = build_mesh(X, X / a, N, M, a)
+    data = _data_cases(X)[case]
+    expected = -data.u0(X - mesh.nodes())
+    expected[0] = expected[-1] = 0.0
+    np.testing.assert_allclose(dalembert_reference(mesh, data).values(mesh.M), expected,
+                               rtol=0, atol=1e-14)
+
+
+def _hat_step_solution(X, a):
+    """u(x, t) of hat_step by d'Alembert's formula, written out by hand: U0 is
+    the odd extension of the hat, V1 the even extension of min(r, X - r)."""
+    def fold(y):
+        r = np.mod(y, 2 * X)
+        return np.where(r > X, 2 * X - r, r), np.where(r > X, -1.0, 1.0)
+
+    def u0_ext(y):
+        r, sign = fold(y)
+        return sign * (1.0 - np.abs(2.0 * r / X - 1.0))
+
+    def v1_ext(y):
+        r, _ = fold(y)
+        return np.minimum(r, X - r)
+
+    def u(x, t):
+        return (0.5 * (u0_ext(x + a * t) + u0_ext(x - a * t))
+                + (v1_ext(x + a * t) - v1_ext(x - a * t)) / (2 * a))
+    return u
+
+
+@pytest.mark.parametrize("X, a, T, N, M", [
+    (math.pi, 1.0, math.pi, 8, 16),
+    (math.pi, 1.0, 0.8 * math.pi, 8, 16),
+    (math.pi, 1.0, 2.5, 8, 16),
+    (2.0, 1.5, 2.0 / 1.5, 8, 12),
+    (2.0, 1.5, 1.1, 8, 12),  # a tau / h = 11/20, q > M
+], ids=["lattice", "lattice_p2_q5", "per_level", "X2_a1.5_lattice", "X2_a1.5_per_level"])
+def test_dalembert_reference_qh_slices_by_quadrature(X, a, T, N, M):
+    mesh = build_mesh(X, T, N, M, a)
+    ref = dalembert_reference(mesh, PRESETS["hat_step"].make(X))
+    u = _hat_step_solution(X, a)
+    for m in (1, 5, mesh.M):
+        t = mesh.times()[m]
+        # u(., t) is piecewise linear, kinked where x +- a t is a multiple of X/2
+        kinks = [j * X / 2 + s * a * t for j in range(-8, 9) for s in (1, -1)]
+        oracle = _qh_oracle(lambda x: float(u(x, t)), mesh, kinks)
+        np.testing.assert_allclose(ref.qh_values(m), oracle, rtol=0, atol=1e-12)
+        expected = u(mesh.nodes(), t)
+        expected[0] = expected[-1] = 0.0
+        np.testing.assert_allclose(ref.values(m), expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("X, a, N, M", [(math.pi, 1.0, 8, 16), (2.0, 1.5, 8, 12)],
+                         ids=["pi", "X2_a1.5"])
+@pytest.mark.parametrize("case", range(5), ids=_DATA_IDS)
+def test_dalembert_reference_lattice_vs_per_level_paths(monkeypatch, X, a, N, M, case):
+    mesh = build_mesh(X, X / a, N, M, a)
+    data = _data_cases(X)[case]
+    lattice = dalembert_reference(mesh, data)
+    monkeypatch.setattr(reference, "_lattice", lambda mesh: None)
+    per_level = dalembert_reference(mesh, data)
+    levels = slice(None)
+    np.testing.assert_allclose(lattice.values(levels), per_level.values(levels),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(lattice.qh_values(levels), per_level.qh_values(levels),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("T", **_PATHS)
+def test_dalembert_reference_paths_match_brute_force(T):
+    # the mode sum stops at K; its pointwise gap is at most the sum of the
+    # omitted amplitudes.  They decay like k^-2, so those beyond 16 K add at
+    # most a fifteenth of those in (K, 16 K]: twice that sum bounds the gap.
     mesh = build_mesh(math.pi, T, 8, 16)
     data = PRESETS["hat_step"].make(math.pi)
-    ref = SeriesReference(mesh, data, n_modes=n_modes)
-    c0 = sine_coefficients(data.u0, k_total)
-    c1 = sine_coefficients(data.u1, k_total)
+    k_total = 4096
+    c0 = sine_coefficients(data.u0, 16 * k_total)
+    c1 = sine_coefficients(data.u1, 16 * k_total)
+    k = np.arange(k_total + 1, 16 * k_total + 1)
+    omitted = np.abs(c0[k_total:]) + np.abs(c1[k_total:]) / k  # a = 1, X = pi
+    bound = 2.0 * math.sqrt(2.0 / math.pi) * float(np.sum(omitted))
+    ref = dalembert_reference(mesh, data)
     values = _brute_series_reference(mesh, c0, c1, k_total)
     qh_values = _brute_series_reference(mesh, c0, c1, k_total, qh=True)
-    for m in range(mesh.M + 1):
-        np.testing.assert_allclose(ref.values(m), values[m], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ref.qh_values(m), qh_values[m], rtol=0, atol=1e-12)
+    assert 0.0 < np.max(np.abs(ref.values(slice(None)) - values)) <= bound < 1e-3
+    assert np.max(np.abs(ref.qh_values(slice(None)) - qh_values)) <= bound
 
 
-def test_series_reference_matches_brute_force_superposition():
-    mesh = build_mesh(math.pi, math.pi, 8, 16)
+@pytest.mark.parametrize("T", **_PATHS)
+def test_dalembert_reference_of_a_sine_series_is_its_mode_sum(T):
+    mesh = build_mesh(math.pi, T, 8, 16)
     rng = np.random.default_rng(0)
     c0 = rng.standard_normal(6)
     c1 = rng.standard_normal(6)
     data = DataSpec(u0=Profile.sine_series(c0, math.pi),
                     u1=Profile.sine_series(c1, math.pi))
-    ref = SeriesReference(mesh, data)
-    brute = _brute_series_reference(mesh, c0, c1, 6)
-    for m in (0, 1, 9, mesh.M):
-        np.testing.assert_allclose(ref.values(m), brute[m], rtol=1e-11,
-                                   atol=1e-12)
+    ref = dalembert_reference(mesh, data)
+    np.testing.assert_allclose(ref.values(slice(None)), _brute_series_reference(mesh, c0, c1, 6),
+                               rtol=1e-11, atol=1e-12)
+    np.testing.assert_allclose(ref.qh_values(slice(None)),
+                               _brute_series_reference(mesh, c0, c1, 6, qh=True),
+                               rtol=1e-11, atol=1e-12)
 
 
-def test_series_reference_folded_vs_direct_paths():
-    # the exact joint fold and the plain truncated synthesis agree on the
-    # resolvable part when fed the same finite series
-    mesh = build_mesh(math.pi, math.pi, 8, 16)
-    hat = Profile.piecewise_poly((0.0, math.pi / 2, math.pi),
-                                 ((0.0, 2.0 / math.pi), (2.0, -2.0 / math.pi)))
-    data = DataSpec(u0=hat, u1=Profile.zero(math.pi))
-    folded = SeriesReference(mesh, data, fold_groups=128)
-    k_total = 128 * math.lcm(2 * mesh.N, 2 * mesh.M)
-    direct = SeriesReference(mesh, data, n_modes=k_total)
-    for m in (0, 3, mesh.M):
-        np.testing.assert_allclose(folded.values(m), direct.values(m),
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(folded.qh_values(m),
-                                   direct.qh_values(m), rtol=1e-10, atol=1e-12)
-
-
-def test_series_reference_qh_slices_by_quadrature():
-    mesh = build_mesh(math.pi, math.pi, 6, 12)
-    c0 = (0.5, -0.2, 0.1)
-    data = DataSpec(u0=Profile.sine_series(c0, math.pi), u1=Profile.zero(math.pi))
-    ref = SeriesReference(mesh, data)
-    m = 4
-    t = mesh.times()[m]
-    oracle = _qh_oracle(
-        lambda x: sum(c0[k - 1] * math.sqrt(2 / math.pi) * math.cos(k * t) * math.sin(k * x)
-                      for k in (1, 2, 3)), mesh)
-    np.testing.assert_allclose(ref.qh_values(m), oracle, rtol=1e-11, atol=1e-12)
-
-
-def test_series_reference_initial_slice_is_data():
-    # at t = 0 the reference reproduces node samples of u0 up to the >K tail,
-    # which concentrates at the kink node (pointwise ~ 1/(2K) there) and is
-    # orders smaller elsewhere
-    mesh = build_mesh(math.pi, math.pi, 32, 64)
-    hat = Profile.piecewise_poly((0.0, math.pi / 2, math.pi),
-                                 ((0.0, 2.0 / math.pi), (2.0, -2.0 / math.pi)))
-    data = DataSpec(u0=hat, u1=Profile.zero(math.pi))
-    ref = SeriesReference(mesh, data)
-    samples = hat(mesh.nodes())
-    samples[0] = samples[-1] = 0.0
-    diff = np.abs(ref.values(0) - samples)
-    kink = mesh.N // 2
-    assert diff[kink] < 1e-4
-    off_kink = np.delete(diff, kink)
-    assert np.max(off_kink) < 1e-8
-    # the reported tail estimate is of the same order as the worst deviation
-    assert 0.1 * diff[kink] < ref.tail_estimate < 1e-3
-
-
-def test_series_reference_rejects_forcing():
+def test_dalembert_reference_rejects_forcing():
     from wavecompact.data import Forcing, TimeProfile
     mesh = build_mesh(math.pi, math.pi, 4, 8)
     data = DataSpec(u0=Profile.zero(math.pi), u1=Profile.zero(math.pi),
                     f=Forcing(space=Profile.harmonic_mode(1, math.pi),
                               time=TimeProfile.harmonic_sin(1.0)))
     with pytest.raises(ContractViolation):
-        SeriesReference(mesh, data)
+        dalembert_reference(mesh, data)
 
 
+@pytest.mark.parametrize("T", [math.pi, 2.5], ids=["lattice", "per_level"])
 @pytest.mark.parametrize("name", ["u0", "u1"])
-def test_series_reference_rejects_non_finite_amplitudes(name):
-    mesh = build_mesh(math.pi, math.pi, 4, 8)
+def test_dalembert_reference_rejects_non_finite_values(name, T):
+    # u = 1e308 (1 + x) overflows; so does its antiderivative
+    mesh = build_mesh(math.pi, T, 4, 8)
     profiles = {"u0": Profile.zero(math.pi), "u1": Profile.zero(math.pi)}
-    profiles[name] = Profile.piecewise_poly((0.0, math.pi), ((1e308,),))
-    with pytest.raises(ConfigurationError, match=name):
-        SeriesReference(mesh, DataSpec(**profiles))
+    profiles[name] = Profile.piecewise_poly((0.0, math.pi), ((1e308, 1e308),))
+    with pytest.raises(ConfigurationError, match=f"{name} is not finite on the N=4, M=8 mesh"):
+        dalembert_reference(mesh, DataSpec(**profiles))
