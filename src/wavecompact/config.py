@@ -4,8 +4,7 @@ A config file is a single JSON object:
 
     {
       "kind": "solve" | "converge" | "sharpness" | "oracle_check" | "stability_probe",
-      "mesh": {"X": ..., "T": ..., "N": ..., "M": ...,          # M may instead
-               "tau_over_h": ...,                               # be derived
+      "mesh": {"X": ..., "T": ..., "N": ..., "M": ...,
                "refinements": 0, "a": 1.0, "eps0": 1.0,
                "rungs": [[N1, M1], [N2, M2], ...]},             # optional, overrides N/M
       "data": {"harmonic": {"j": 0, "k": 3}}
@@ -13,16 +12,16 @@ A config file is a single JSON object:
               | {"u0": {...}, "u1": {...}, "f": {...}}
               | null,
       "variant": "v2" | "v0" | "v1" | "all",                     # "all": oracle_check only
-      "v0_mode": "node_samples" | "qh_average",
       "mode": "node_sampled" | "q2h_filtered",
-      "alpha": 2.0,
+      "alpha": 2.0,                                              # > 0
       "out_dir": "out",
       ...tuning keys with defaults (seed, n_random, n_pairs,
          fit_drop_coarsest, jobs, decimate)
     }
 
 Keys outside this schema are ignored, the removed reference keys n_modes,
-fold_groups and tail_fraction included.
+fold_groups and tail_fraction included.  Removed keys that chose how to
+evaluate data are refused, as ignoring them would change results.
 
 Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
 plus {"form": "harmonic", "k": k}, which parses to the one-coefficient sine
@@ -30,12 +29,13 @@ series Profile.harmonic_mode(k, X); time profiles use the forms of
 data.TimeProfile.  Every entry must be a JSON number.  Every ladder rung must
 satisfy the stability condition; a rung that violates it raises
 UnstableMeshError (CLI exit code 2), while malformed configuration raises
-ConfigurationError (exit code 3).
+ConfigurationError (exit code 3).  A converge ladder must not repeat an N.
 
 config_from_dict parses and checks a config in one pass.  The data section
 becomes config.data, the DataSpec every rung steps: zero data for null,
 PRESETS[name].make(X), the descriptor tree, or harmonic_dataspec (sharpness
-keeps only j).  A converge with zero or forced non-harmonic data is refused.
+keeps only j; a k the finest rung does not resolve is a MeshTooCoarseError,
+exit code 2).  A converge with zero or forced non-harmonic data is refused.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from pathlib import Path
 from .data import PRESETS, U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ConfigurationError
 from .grid import MeshSpec, build_mesh, check_stable
-from .oracle import HarmonicData, harmonic_dataspec
-from .scheme import ERROR_MODES, V0_MODES
+from .oracle import HarmonicData, harmonic_dataspec, require_resolved
+from .scheme import ERROR_MODES
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
 
@@ -78,6 +78,9 @@ def _object(value, what: str) -> dict:
 
 def profile_from_dict(d: dict, X: float) -> Profile:
     form = _object(d, "profile")["form"]
+    if "node_convention" in d:
+        raise ConfigurationError("profile node_convention is removed: a jump is always the "
+                                 "mean of its sides")
     if form == "harmonic":
         return Profile.harmonic_mode(_integer(d["k"], "profile k"), X)
     if form == "sine_series":
@@ -85,8 +88,7 @@ def profile_from_dict(d: dict, X: float) -> Profile:
     if form == "piecewise":
         return Profile.piecewise_poly(
             _numbers(d["breakpoints"], "profile breakpoints"),
-            [_numbers(p, "profile pieces") for p in _list(d["pieces"], "profile pieces")],
-            node_convention=d.get("node_convention", "mean"))
+            [_numbers(p, "profile pieces") for p in _list(d["pieces"], "profile pieces")])
     raise ConfigurationError(f"unknown profile form {form!r}")
 
 
@@ -130,7 +132,6 @@ class ExperimentConfig:
     harmonic: HarmonicData | None = None
     sharpness_j: int | None = None
     variant: str = "v2"
-    v0_mode: str = "node_samples"
     mode: str = "node_sampled"
     alpha: float = 2.0
     out_dir: Path = Path("out")
@@ -198,20 +199,11 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
         return [one(_integer(n, "mesh.rungs N", 2), _integer(m, "mesh.rungs M", 1))
                 for n, m in pairs]
 
-    if "N" not in mesh_cfg:
-        raise ConfigurationError("mesh section needs N (or explicit rungs)")
+    for key in ("N", "M"):
+        if key not in mesh_cfg:
+            raise ConfigurationError(f"mesh section needs {key} (or explicit rungs)")
     N = _integer(mesh_cfg["N"], "mesh.N", 2)
-    if "M" in mesh_cfg:
-        M = _integer(mesh_cfg["M"], "mesh.M", 1)
-    elif "tau_over_h" in mesh_cfg:
-        ratio = _number(mesh_cfg["tau_over_h"], "mesh.tau_over_h")
-        m_exact = T * N / (ratio * X)
-        M = round(m_exact)
-        if abs(m_exact - M) > 1e-9 * max(1.0, abs(m_exact)):
-            raise ConfigurationError(
-                f"tau_over_h = {ratio} gives a non-integer M = {m_exact}")
-    else:
-        raise ConfigurationError("mesh section needs M or tau_over_h")
+    M = _integer(mesh_cfg["M"], "mesh.M", 1)
     refinements = _integer(mesh_cfg.get("refinements", 0), "mesh.refinements", 0)
     return [one(N * 2 ** r, M * 2 ** r) for r in range(refinements + 1)]
 
@@ -247,13 +239,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 harmonic = HarmonicData(j=j, k=_integer(hc.get("k", 1), "data.harmonic.k"))
             except ValueError as exc:
                 raise ConfigurationError(f"invalid harmonic data: {exc}") from exc
-            # valid on every rung: it reads only X and a, which the rungs share
+            # k is checked before its k coefficients exist; the data are valid
+            # on every rung: they read only X and a, which the rungs share
+            require_resolved(harmonic.k, max(mesh.N for mesh in rungs))
             data = harmonic_dataspec(harmonic, rungs[0])
     elif "preset" in data_cfg:
         data = PRESETS[_choice(data_cfg["preset"], "data.preset", tuple(PRESETS))].make(X)
     else:
         data = dataspec_from_dict(data_cfg, X)
 
+    if "v0_mode" in raw:
+        raise ConfigurationError("v0_mode is removed: v0 is always the node samples of u0")
     variants = (*U1_VARIANTS, "all") if kind == "oracle_check" else U1_VARIANTS
     cfg = ExperimentConfig(
         kind=kind,
@@ -262,7 +258,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         harmonic=harmonic,
         sharpness_j=sharpness_j,
         variant=_choice(raw.get("variant", "v2"), "variant", variants),
-        v0_mode=_choice(raw.get("v0_mode", "node_samples"), "v0_mode", V0_MODES),
         mode=_choice(raw.get("mode", "node_sampled"), "mode", ERROR_MODES),
         alpha=_number(raw.get("alpha", 2.0), "alpha"),
         out_dir=Path(_choice(raw.get("out_dir", "out"), "out_dir", None)),
@@ -275,9 +270,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         decimate=_integer(raw.get("decimate", 32), "decimate", 1),
         echo=dict(raw),
     )
+    if cfg.alpha <= 0:
+        raise ConfigurationError(f"alpha must be positive, got {cfg.alpha!r}")
     if kind == "converge":
         if len(rungs) < 3:
             raise ConfigurationError("convergence studies need a ladder of >= 3 rungs")
+        if len({mesh.N for mesh in rungs}) < len(rungs):
+            raise ConfigurationError(f"mesh.rungs repeat an N: {[mesh.N for mesh in rungs]}")
         if data.f is not None and harmonic is None:
             raise ConfigurationError(
                 "no exact reference for forced non-harmonic data; use harmonic "

@@ -16,11 +16,11 @@ second-level average q_2h combines q_h with the Numerov correction,
 the negated (-14, 12) case of the three-point kernel grid._three_point.
 
 Quadrature policy: integration cells are split at descriptor breakpoints and
-each panel uses 8-node Gauss-Legendre (more for a time polynomial of higher
-degree), so piecewise polynomials of degree <= 14 integrate exactly against
-the hats and mollification of discontinuous data adds no quadrature noise.
-Sine series use the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each mode
-instead of panels.
+each panel uses 8-node Gauss-Legendre, exact for pieces of degree <= 14 (a
+time polynomial or an antiderivative piece gets what _gauss_nodes asks), so
+discontinuous data adds no quadrature noise.  Sine series use the exact
+eigenfactor (sin(wh/2)/(wh/2))^2 of each mode instead of panels.  A jump of a
+piecewise profile evaluates to the mean of its two sides.
 
 Sine analysis uses the orthonormal basis sqrt(2/X) sin(pi k x / X): a
 sine_series profile stores exactly the coefficients that sine_coefficients
@@ -49,7 +49,6 @@ from .operators import stencil
 PROFILE_FORMS = ("sine_series", "piecewise")
 TIME_FORMS = ("harmonic_sin", "polynomial")
 U1_VARIANTS = ("v0", "v1", "v2")
-NODE_CONVENTIONS = (None, "mean", "left", "right")
 
 #: Gauss-Legendre nodes per quadrature panel
 _QUADRATURE_NODES = 8
@@ -74,13 +73,8 @@ class Profile:
     sine_series  sum_k c_k sqrt(2/X) sin(pi k x / X) with orthonormal c_k;
                  harmonic_mode(k, X) is the single mode sin(pi k x / X)
     piecewise    polynomial pieces between strictly increasing breakpoints
-                 spanning [0, X]; coefficients are in ascending powers of the
-                 global coordinate
-
-    node_convention resolves pointwise evaluation exactly on an interior
-    breakpoint of a discontinuous piecewise profile: "mean" (default) takes
-    the average of the one-sided values, "left"/"right" take a side, None
-    refuses and raises.
+                 spanning [0, X], coefficients in ascending powers of the
+                 global coordinate; a jump evaluates to the mean of its sides
     """
 
     X: float
@@ -88,7 +82,6 @@ class Profile:
     coeffs: tuple[float, ...] | None = None
     breakpoints: tuple[float, ...] | None = None
     pieces: tuple[tuple[float, ...], ...] | None = None
-    node_convention: str | None = "mean"
 
     def __post_init__(self):
         if self.form not in PROFILE_FORMS:
@@ -115,10 +108,6 @@ class Profile:
         if self.form == "sine_series" and self.coeffs is None:
             raise ConfigurationError("sine_series profile needs coefficients")
         _require_finite("profile coefficients", self.coeffs or ())
-        if self.node_convention not in NODE_CONVENTIONS:
-            raise ConfigurationError(
-                f"node_convention must be one of {NODE_CONVENTIONS}, "
-                f"got {self.node_convention!r}")
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -135,11 +124,10 @@ class Profile:
                        coeffs=tuple(float(c) for c in coeffs))
 
     @staticmethod
-    def piecewise_poly(breakpoints, pieces, node_convention: str | None = "mean") -> "Profile":
+    def piecewise_poly(breakpoints, pieces) -> "Profile":
         bp = tuple(float(b) for b in breakpoints)
         return Profile(X=bp[-1] if bp else 0.0, form="piecewise", breakpoints=bp,
-                       pieces=tuple(tuple(float(c) for c in p) for p in pieces),
-                       node_convention=node_convention)
+                       pieces=tuple(tuple(float(c) for c in p) for p in pieces))
 
     @staticmethod
     def zero(X: float) -> "Profile":
@@ -165,26 +153,12 @@ class Profile:
             m = idx == p
             if np.any(m):
                 out[m] = npoly.polyval(x[m], self.pieces[p])
-        # interior breakpoints need a convention when the pieces disagree
+        # an interior breakpoint takes the mean of its two sides
         for j in range(1, len(b) - 1):
             m = np.isclose(x, b[j], rtol=0.0, atol=1e-13 * self.X)
-            if not np.any(m):
-                continue
-            left = npoly.polyval(b[j], self.pieces[j - 1])
-            right = npoly.polyval(b[j], self.pieces[j])
-            if abs(left - right) <= 1e-12 * (1.0 + abs(left) + abs(right)):
-                out[m] = 0.5 * (left + right)
-                continue
-            if self.node_convention == "mean":
-                out[m] = 0.5 * (left + right)
-            elif self.node_convention == "left":
-                out[m] = left
-            elif self.node_convention == "right":
-                out[m] = right
-            else:
-                raise ContractViolation(
-                    f"profile is discontinuous at x={b[j]:.6g} and declares no node "
-                    "convention; set node_convention to 'left', 'right' or 'mean'")
+            if np.any(m):
+                out[m] = 0.5 * (npoly.polyval(b[j], self.pieces[j - 1])
+                                + npoly.polyval(b[j], self.pieces[j]))
         return out
 
 
@@ -304,6 +278,11 @@ def _gauss_rule(n: int):
     return nodes, weights
 
 
+def _gauss_nodes(n_coeffs: int) -> int:
+    """Gauss nodes per panel, at least 8, exact for n_coeffs coefficients times a hat."""
+    return max(_QUADRATURE_NODES, (n_coeffs + 2) // 2 + 1)
+
+
 def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes: int,
                         label: str):
     """Per-cell integrals of f times the rising and falling hat weights.
@@ -390,8 +369,8 @@ def average_qtau(g: TimeProfile, mesh: MeshSpec) -> np.ndarray:
         out[0] = 0.0 if y == 0.0 else 2.0 / y * (1.0 - np.sin(y) / y)
         out[1:] = hat_average_factor(y) * np.sin(g.omega * mesh.times()[1:mesh.M])
         return out
-    nodes = max(_QUADRATURE_NODES, (len(g.coeffs) + 2) // 2 + 1)
-    i_rise, i_fall = _hat_cell_integrals(g, mesh.times(), (), nodes, "q_tau profile")
+    i_rise, i_fall = _hat_cell_integrals(g, mesh.times(), (), _gauss_nodes(len(g.coeffs)),
+                                         "q_tau profile")
     out[0] = 2.0 / mesh.tau * i_fall[0]
     out[1:] = (i_rise[: mesh.M - 1] + i_fall[1: mesh.M]) / mesh.tau
     return out
@@ -407,8 +386,59 @@ def q2h_from_qh(qh_values, mesh: MeshSpec) -> GridFn:
     return out
 
 
+def extension_sampler(w: Profile, antiderivative: bool):
+    """sample(start, count, h) -> (W, hat average of W) at y = start + j h,
+    j = 0..count-1, where W is the odd 2X-periodic extension of w or, with
+    antiderivative set, the even periodic antiderivative of that extension.
+
+    A sine series is its own extension, its antiderivative the cosine series;
+    a piecewise profile, or that of its polyint pieces, is folded onto [0, X]
+    and averaged by exact Gauss rules split at the breaks of the extension.
+    """
+    X = w.X
+    if w.form == "sine_series":
+        omega = np.pi * np.arange(1, len(w.coeffs) + 1) / X
+        amps = np.asarray(w.coeffs) * math.sqrt(2.0 / X)
+        wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
+
+        def sample(start, count, h):
+            basis = wave(np.outer(start + h * np.arange(count), omega))
+            return basis @ amps, basis @ (amps * hat_average_factor(omega * h))
+        return sample
+
+    b = np.asarray(w.breakpoints)
+    if antiderivative:
+        pieces, value = [], 0.0
+        for lo, hi, piece in zip(b, b[1:], w.pieces):
+            pieces.append(npoly.polyint(piece, k=value, lbnd=lo))
+            value = npoly.polyval(hi, pieces[-1])
+        w = Profile.piecewise_poly(b, pieces)
+
+    def extension(y):
+        r = np.mod(y, 2.0 * X)
+        flip = r > X
+        r = np.where(flip, 2.0 * X - r, r)
+        out = w(r)
+        if not antiderivative:
+            out = np.where(flip, -out, out)
+            out[np.minimum(r, X - r) <= 1e-13 * X] = 0.0
+        return out
+
+    breaks = np.unique(np.concatenate([b, 2.0 * X - b]))
+    nodes = _gauss_nodes(max(map(len, w.pieces)))
+
+    def sample(start, count, h):
+        edges = start + h * np.arange(-1, count + 1)
+        periods = 2.0 * X * np.arange(math.floor(edges[0] / (2.0 * X)),
+                                      math.ceil(edges[-1] / (2.0 * X)) + 1)
+        rise, fall = _hat_cell_integrals(extension, edges, np.add.outer(periods, breaks).ravel(),
+                                         nodes, "the exact solution")
+        return extension(edges[1:-1]), (rise[:-1] + fall[1:]) / h
+    return sample
+
+
 def sample_nodes(w: Profile, mesh: MeshSpec) -> GridFn:
-    """Pointwise node samples of a profile (respecting its node convention)."""
+    """Pointwise node samples of a profile (the mean of the sides at a jump)."""
     return w(mesh.nodes())
 
 
@@ -419,9 +449,9 @@ def build_u1h(variant: str, u1: Profile, mesh: MeshSpec) -> GridFn:
     v1: q_h u1      + (tau^2 a^2 / 12) laplacian(u1 samples)
     v2: (I + (tau^2 a^2 / 12) laplacian) q_h u1               (integrable u1)
 
-    The pointwise variants v0/v1 evaluate u1 at the nodes, so a discontinuous
-    descriptor must carry an explicit node convention; v2 needs only
-    integrability and is the right choice for rough data.
+    The pointwise variants v0/v1 evaluate u1 at the nodes, the mean of the
+    two sides at a jump; v2 needs only integrability and is the right choice
+    for rough data.
     """
     if variant not in U1_VARIANTS:
         raise ContractViolation(f"unknown u1 variant {variant!r}; expected one of {U1_VARIANTS}")

@@ -185,7 +185,7 @@ def stability_bound_sides(mesh: MeshSpec, data: DataSpec):
       LHS: eps0 max( max_m ||dt v^m||_mass, max_m a/sqrt(6) ||dx v^m||_diff_l2 ).
       RHS: sqrt(a^2 ||dx u0||_L2^2 + eps0^-2 ||u1||_L2^2) + 2 eps0^-1 ||f||_L21.
     """
-    v0, u1h, fh = prepare_inputs(mesh, data, "v2", "node_samples")
+    v0, u1h, fh = prepare_inputs(mesh, data, "v2")
     slices = evolve_grid(mesh, v0, u1h, fh).slices
     e0 = mesh.eps0
     lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
@@ -309,7 +309,7 @@ def _reference_for(config: ExperimentConfig, mesh: MeshSpec):
 def _measured(config: ExperimentConfig, mesh: MeshSpec, data: DataSpec, reference,
               mode: str):
     """(run, report) of data on mesh, report None without a reference."""
-    run = evolve(mesh, data, variant=config.variant, v0_mode=config.v0_mode)
+    run = evolve(mesh, data, variant=config.variant)
     if reference is None:
         return run, None
     return run, measure_error(mesh, run.slices, reference, mode=mode)
@@ -480,7 +480,7 @@ def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[Oracle
         for variant in variants:
             # the closed form first: it refuses a mode the mesh cannot resolve
             closed = discrete_harmonic_trajectory(config.harmonic, mesh, variant)
-            run = evolve(mesh, config.data, variant=variant, v0_mode=config.v0_mode)
+            run = evolve(mesh, config.data, variant=variant)
             scale = max(1.0, float(np.max(np.abs(closed))))
             dev = float(np.max(np.abs(run.slices - closed))) / scale
             rows.append(OracleCheckRow(N=mesh.N, M=mesh.M, variant=variant,

@@ -77,16 +77,21 @@ class HarmonicData:
             raise ContractViolation("forcing data needs k >= 2 (resonant denominator at k = 1)")
 
 
+def require_resolved(k: int, N: int) -> None:
+    """Refuse a mode k > N - 1 with a MeshTooCoarseError naming a sufficient N."""
+    if k > N - 1:
+        finer = N * 2 ** math.ceil(math.log2((k + 1) / N))
+        raise MeshTooCoarseError(f"mode index k = {k} exceeds N - 1 = {N - 1}; N >= "
+                                 f"{finer} suffices at the same tau/h", minimal_n=finer)
+
+
 def dispersion(k: int, mesh: MeshSpec) -> DispersionRecord:
     """Dispersion record of mode k on a stable mesh."""
     check_stable(mesh)
     cm = canonical_mesh(mesh)
     if k < 1:
         raise ContractViolation(f"mode index must be >= 1, got {k}")
-    if k > cm.N - 1:
-        finer = cm.N * 2 ** math.ceil(math.log2((k + 1) / cm.N))
-        raise MeshTooCoarseError(f"mode index k = {k} exceeds N - 1 = {cm.N - 1}; N >= "
-                                 f"{finer} suffices at the same tau/h", minimal_n=finer)
+    require_resolved(k, cm.N)
     h, tau = cm.h, cm.tau
     lam = (2.0 / h * math.sin(k * h / 2.0)) ** 2
     den = 1.0 - (h ** 2 / 6.0) * lam + tau ** 2 * cm.sigma * lam

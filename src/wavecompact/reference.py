@@ -13,14 +13,10 @@ dalembert_reference is exact for any unforced data, by d'Alembert's formula
             = E(x + at) + F(x - at),   E, F = (U0 +- V1 / a) / 2,
 
 with U0 the odd 2X-periodic extension of u0 and V1 the even periodic
-antiderivative of the odd extension of u1.  A piecewise datum is folded back
-onto [0, X]: U0 is u0 there, with the mean of the two sides at a jump (0 at
-multiples of X), and each piece of V1 is exact through npoly.polyint.  A
-sine_series datum is its own U0, and V1 is the matching cosine series.  The
-hat average of a shifted function is the shifted hat average, so the q_h view
-is the same formula on the hat averages of U0 and V1: exact per-cell Gauss
-rules split at the breakpoints of the extension, or the eigenfactor
-hat_average_factor of each sine mode.
+antiderivative of the odd extension of u1.  data.extension_sampler evaluates
+U0 and V1 and their hat averages; the hat average of a shifted function is the
+shifted hat average, so the q_h view is the same formula on those averages.
+This module only composes the two.
 
 When a tau / h = p / q is rational with q <= M, as with aT = X (p/q = N/M)
 or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m = (q i +- p m) h/q lies
@@ -32,16 +28,12 @@ evaluate x_i +- a t_m level by level.
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from numpy.polynomial import polynomial as npoly
 
-from .data import (_QUADRATURE_NODES, DataSpec, Profile, _hat_cell_integrals,
-                   hat_average_factor)
+from .data import DataSpec, extension_sampler, hat_average_factor
 from .errors import ConfigurationError, ContractViolation, QuadratureError
 from .grid import MeshSpec
 from .oracle import HarmonicData, canonical_mesh, exact_time_coefficients
@@ -90,59 +82,6 @@ class HarmonicReference:
         return self._qh_factor * self._coeffs[levels, None] * self._shape
 
 
-def _sampler(w: Profile, antiderivative: bool):
-    """sample(start, count, h) -> (W, hat average of W) at y = start + j h,
-    j = 0..count-1, where W is the odd 2X-periodic extension of w or, with
-    antiderivative set, the even periodic antiderivative of that extension."""
-    X = w.X
-    if w.form == "sine_series":
-        omega = np.pi * np.arange(1, len(w.coeffs) + 1) / X
-        amps = np.asarray(w.coeffs) * math.sqrt(2.0 / X)
-        wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
-
-        def sample(start, count, h):
-            basis = wave(np.outer(start + h * np.arange(count), omega))
-            return basis @ amps, basis @ (amps * hat_average_factor(omega * h))
-        return sample
-
-    b = np.asarray(w.breakpoints)
-    if antiderivative:
-        pieces, value = [], 0.0
-        for lo, hi, piece in zip(b, b[1:], w.pieces):
-            pieces.append(npoly.polyint(piece, k=value, lbnd=lo))
-            value = npoly.polyval(hi, pieces[-1])
-
-        def folded(r):
-            piece = np.searchsorted(b[1:-1], r, side="right")
-            return np.select([piece == j for j in range(len(pieces))],
-                             [npoly.polyval(r, c) for c in pieces])
-    else:
-        pieces, folded = w.pieces, replace(w, node_convention="mean")
-
-    def extension(y):
-        r = np.mod(y, 2.0 * X)
-        flip = r > X
-        r = np.where(flip, 2.0 * X - r, r)
-        out = folded(r)
-        if not antiderivative:
-            out = np.where(flip, -out, out)
-            out[np.minimum(r, X - r) <= 1e-13 * X] = 0.0
-        return out
-
-    breaks = np.unique(np.concatenate([b, 2.0 * X - b]))
-    # Gauss nodes per panel that integrate a piece times a hat exactly
-    nodes = max(_QUADRATURE_NODES, (max(map(len, pieces)) + 2) // 2 + 1)
-
-    def sample(start, count, h):
-        edges = start + h * np.arange(-1, count + 1)
-        periods = 2.0 * X * np.arange(math.floor(edges[0] / (2.0 * X)),
-                                      math.ceil(edges[-1] / (2.0 * X)) + 1)
-        rise, fall = _hat_cell_integrals(extension, edges, np.add.outer(periods, breaks).ravel(),
-                                         nodes, "the exact solution")
-        return extension(edges[1:-1]), (rise[:-1] + fall[1:]) / h
-    return sample
-
-
 def _lattice(mesh: MeshSpec):
     """(p, q) with a tau / h = p / q to 1e-12 and q <= M, else None."""
     ratio = mesh.a * mesh.tau / mesh.h
@@ -152,15 +91,23 @@ def _lattice(mesh: MeshSpec):
     return frac.numerator, frac.denominator
 
 
-# finite data may overflow in U0, V1 or their hat averages: halves refuses that
+# finite data may overflow in U0, V1 or their hat averages: refuse names the datum
 @np.errstate(over="ignore", invalid="ignore")
 def dalembert_reference(mesh: MeshSpec, data: DataSpec) -> GridReference:
     """Exact reference of unforced data by d'Alembert's formula, both views."""
     if data.f is not None:
         raise ContractViolation("d'Alembert's formula needs zero forcing; use a harmonic reference")
     n, m, h = mesh.N, mesh.M, mesh.h
-    data_terms = (("u0", _sampler(data.u0, False), 0.5),
-                  ("u1", _sampler(data.u1, True), 0.5 / mesh.a))
+
+    def refuse(name):
+        raise ConfigurationError(
+            f"the exact solution of {name} is not finite on the N={n}, M={m} mesh")
+
+    try:
+        v1 = extension_sampler(data.u1, True)
+    except ConfigurationError:  # Profile refuses a piece of V1 that overflows
+        refuse("u1")
+    data_terms = (("u0", extension_sampler(data.u0, False), 0.5), ("u1", v1, 0.5 / mesh.a))
 
     def halves(start, count):
         """(view, datum, j): U0/2 and V1/(2a) at start + j h; view 1 hat-averaged."""
@@ -171,8 +118,7 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec) -> GridReference:
             except QuadratureError:
                 out[:, d] = np.nan
             if not np.all(np.isfinite(out[:, d])):
-                raise ConfigurationError(
-                    f"the exact solution of {name} is not finite on the N={n}, M={m} mesh")
+                refuse(name)
         return out
 
     views = np.empty((2, m + 1, n + 1))

@@ -9,9 +9,9 @@ and the first level comes from the two-level implicit initial condition
     A (v^1 - v^0) / tau = (tau/2) a^2 laplacian v^0 + u1h + (tau/2) f_h^0,
 
 which involves no derivatives of the data and is what keeps the scheme
-applicable to rough initial velocities.  v^0 is taken as node samples of u0
-by default, with a hat-average alternative for data that has no meaningful
-point values.
+applicable to rough initial velocities.  v^0 is the node samples of u0:
+u0 has order lambda >= 1, so it is continuous and its samples are defined,
+while u1, of order lambda - 1 >= 0, enters only through hat averages.
 
 evolve_grid is the one way to step: it checks the shapes, finiteness and zero
 ends of (v0, u1h, fh) once, on entry, and each step calls LAPACK dpbtrs on the
@@ -43,7 +43,6 @@ from .grid import (GridFn, MeshSpec, _three_point, check_stable, energy_norm_pai
                    require_dirichlet, space_norm, time_aggregate)
 from .operators import _implicit_factor
 
-V0_MODES = ("node_samples", "qh_average")
 ERROR_MODES = ("node_sampled", "q2h_filtered")
 
 #: defining-equation residual contract, relative to max(1, |rhs|_inf)
@@ -73,20 +72,14 @@ class ErrorReport:
     mode: str
 
 
-def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str,
-                   v0_mode: str):
+def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str):
     """Assemble (v0, u1h, fh) grid data from the descriptors.
 
     This is where grid data enters the scheme: a datum whose quadrature fails,
     or whose grid data is not finite or beyond _DATA_BOUND in magnitude, is a
     ConfigurationError naming it and the mesh.
     """
-    if v0_mode not in V0_MODES:
-        raise ContractViolation(f"unknown v0 mode {v0_mode!r}; expected one of {V0_MODES}")
-
     def v0():
-        if v0_mode == "qh_average":
-            return data_mod.average_qh(data.u0, mesh)
         samples = data_mod.sample_nodes(data.u0, mesh)
         samples[0] = samples[-1] = 0.0
         return samples
@@ -167,10 +160,9 @@ def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
     return SchemeRun(slices=slices, residual_max=residuals)
 
 
-def evolve(mesh: MeshSpec, data: data_mod.DataSpec, variant: str = "v2",
-           v0_mode: str = "node_samples") -> SchemeRun:
+def evolve(mesh: MeshSpec, data: data_mod.DataSpec, variant: str = "v2") -> SchemeRun:
     """Assemble the grid data of the descriptors and run evolve_grid on it."""
-    return evolve_grid(mesh, *prepare_inputs(mesh, data, variant, v0_mode))
+    return evolve_grid(mesh, *prepare_inputs(mesh, data, variant))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # data too large to measure is refused below

@@ -101,6 +101,33 @@ def test_mesh_too_coarse_exits_2(tmp_path, capsys):
     assert "N >=" in capsys.readouterr().err
 
 
+def test_unresolvable_harmonic_k_exits_2_at_load(tmp_path, capsys):
+    # refused before the k coefficients of the data are allocated
+    for kind in ("solve", "converge", "oracle_check"):
+        cfg = _write_config(tmp_path, {
+            "kind": kind, "mesh": _mesh(8, refinements=2),
+            "data": {"harmonic": {"j": 1, "k": 10 ** 12}},
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert main([kind.replace("_", "-"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"mode index k = {10 ** 12} exceeds N - 1 = 31; N >= " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_harmonic_k_on_coarse_rungs_still_runs(tmp_path, capsys):
+    # only the finest rung must resolve k: the N = 8 and 16 rungs still run
+    cfg = _write_config(tmp_path, {
+        "kind": "converge", "mesh": _mesh(8, refinements=2),
+        "data": {"harmonic": {"j": 1, "k": 20}},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["converge", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "converge.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["8", "16", "32"]
+
+
 def test_converge_prints_rows_and_fit(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "kind": "converge",
@@ -265,9 +292,13 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("solve", "mesh.T", {"mesh": _mesh(16, T="abc")}),
     ("solve", "mesh.a", {"mesh": _mesh(16, a="fast")}),
     ("solve", "mesh.eps0", {"mesh": _mesh(16, eps0="x")}),
-    ("solve", "mesh.tau_over_h", {"mesh": {"X": math.pi, "T": math.pi, "N": 16,
-                                           "tau_over_h": "x"}}),
+    ("solve", "needs M (or explicit rungs)", {"mesh": {"X": math.pi, "T": math.pi, "N": 16}}),
     ("sharpness", "alpha", {"alpha": "x", "data": {"harmonic": {"j": 0}}}),
+    ("sharpness", "alpha", {"alpha": 0, "data": {"harmonic": {"j": 0}}}),
+    ("sharpness", "alpha", {"alpha": -1, "data": {"harmonic": {"j": 0}}}),
+    ("converge", "mesh.rungs", {"mesh": {"X": math.pi, "T": math.pi,
+                                         "rungs": [[16, 32], [16, 32], [16, 32]]},
+                                "data": {"preset": "hat_step"}}),
     ("converge", "jobs", {"jobs": "x"}),
     ("converge", "fit_drop_coarsest", {"fit_drop_coarsest": "x"}),
     ("stability_probe", "seed", {"seed": "x"}),
@@ -291,15 +322,21 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("solve", "variant", {"variant": 3}),
     ("converge", "mode", {"mode": None}),
     ("solve", "v0_mode", {"v0_mode": "x"}),
+    ("solve", "v0_mode", {"v0_mode": "node_samples"}),
+    ("solve", "node_convention", {"data": {"u0": {"form": "piecewise",
+                                                  "breakpoints": [0, math.pi],
+                                                  "pieces": [[1.0]], "node_convention": "mean"}}}),
     ("converge", "data.preset", {"data": {"preset": None}}),
     ("solve", "data.preset", {"data": {"preset": "nope"}}),
 ], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate", "mesh_X",
-        "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_tau_over_h", "alpha",
+        "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_M_missing", "alpha",
+        "alpha_zero", "alpha_negative", "rungs_repeat_N",
         "jobs", "fit_drop_coarsest", "seed", "seed_negative",
         "harmonic_j", "harmonic_k", "profile_coeffs", "profile_breakpoints",
         "profile_pieces", "time_not_object", "forcing_not_object", "out_dir_number",
         "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty",
         "variant_all_on_converge", "variant_number", "mode_null", "v0_mode_unknown",
+        "v0_mode_set", "profile_node_convention",
         "preset_null", "preset_unknown"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     cfg = _write_config(tmp_path, {
@@ -350,8 +387,7 @@ def test_data_too_large_to_measure_exits_3(tmp_path, capsys, amplitude):
 
 
 # every numeric key, as (section, key): None is the top level
-_NUMERIC_KEYS = [("mesh", k) for k in ("X", "T", "N", "M", "a", "eps0", "tau_over_h",
-                                       "refinements")] + [
+_NUMERIC_KEYS = [("mesh", k) for k in ("X", "T", "N", "M", "a", "eps0", "refinements")] + [
     ("harmonic", k) for k in ("j", "k")] + [
     (None, k) for k in ("alpha", "jobs", "seed", "fit_drop_coarsest", "n_random", "n_pairs",
                         "decimate")]
@@ -363,7 +399,6 @@ _NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=4)
 
 _STRING_KEYS = {"kind": ("solve", "converge", "sharpness", "oracle_check", "stability_probe"),
                 "variant": ("v0", "v1", "v2"),
-                "v0_mode": ("node_samples", "qh_average"),
                 "mode": ("node_sampled", "q2h_filtered"),
                 "data.preset": ("hat_step", "quad_spline_hat")}
 
@@ -395,8 +430,6 @@ def test_malformed_value_in_any_string_key_exits_3(key, value):
 def test_non_numeric_value_in_any_numeric_key_exits_3(section_key, value):
     section, key = section_key
     mesh = {"X": math.pi, "T": math.pi, "N": 8, "M": 16}
-    if key == "tau_over_h":
-        del mesh["M"]  # an explicit M would win over tau_over_h
     payload = {"kind": "solve", "mesh": mesh, "data": {"harmonic": {"j": 1, "k": 1}}}
     target = {"mesh": mesh, "harmonic": payload["data"]["harmonic"], None: payload}
     target[section][key] = value

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from wavecompact.config import config_from_dict, dataspec_from_dict, profile_from_dict
@@ -16,9 +17,8 @@ def test_profile_round_trips():
         ({"form": "harmonic", "k": 3}, Profile.harmonic_mode(3, X)),
         ({"form": "sine_series", "coeffs": [0.1, -0.2, 0.0, 0.4]},
          Profile.sine_series((0.1, -0.2, 0.0, 0.4), X)),
-        ({"form": "piecewise", "breakpoints": [0.0, 1.0, X], "pieces": [[0.5], [0.0, 1.0]],
-          "node_convention": "left"},
-         Profile.piecewise_poly((0.0, 1.0, X), ((0.5,), (0.0, 1.0)), node_convention="left")),
+        ({"form": "piecewise", "breakpoints": [0.0, 1.0, X], "pieces": [[0.5], [0.0, 1.0]]},
+         Profile.piecewise_poly((0.0, 1.0, X), ((0.5,), (0.0, 1.0)))),
     ]
     for d, p in cases:
         assert profile_from_dict(d, X) == p
@@ -38,19 +38,13 @@ def test_dataspec_round_trip():
     assert dataspec_from_dict(d, X) == spec
 
 
-def test_tau_over_h_derives_m():
-    cfg = config_from_dict({
-        "kind": "solve",
-        "mesh": {"X": math.pi, "T": math.pi, "N": 32, "tau_over_h": 0.5},
-        "data": None,
-    })
-    assert cfg.rungs[0].M == 64
-    with pytest.raises(ConfigurationError):
-        config_from_dict({
-            "kind": "solve",
-            "mesh": {"X": math.pi, "T": 1.0, "N": 32, "tau_over_h": 0.317},
-            "data": None,
-        })
+def test_mesh_needs_m_or_rungs():
+    # M is given or each rung is; a tau_over_h key does not stand in for it
+    for mesh in ({"X": math.pi, "T": math.pi, "N": 32},
+                 {"X": math.pi, "T": math.pi, "N": 32, "tau_over_h": 0.5}):
+        with pytest.raises(ConfigurationError,
+                           match=r"^mesh section needs M \(or explicit rungs\)$"):
+            config_from_dict({"kind": "solve", "mesh": mesh, "data": None})
 
 
 def test_explicit_rungs_and_refinements():
@@ -125,6 +119,20 @@ def test_removed_reference_keys_are_ignored():
     assert not any(hasattr(cfg, key) for key in ("n_modes", "fold_groups", "tail_fraction"))
 
 
+def test_removed_evaluation_keys_are_refused():
+    # v0_mode and node_convention changed results: ignoring them would too
+    base = {"kind": "solve", "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16},
+            "data": {"preset": "hat_step"}}
+    for value in ("node_samples", "qh_average", None):
+        with pytest.raises(ConfigurationError, match="^v0_mode is removed"):
+            config_from_dict({**base, "v0_mode": value})
+    step = {"form": "piecewise", "breakpoints": [0.0, 1.0, math.pi], "pieces": [[1.0], [-1.0]]}
+    for value in ("mean", "left", None):
+        with pytest.raises(ConfigurationError, match="^profile node_convention is removed"):
+            config_from_dict({**base, "data": {"u1": {**step, "node_convention": value}}})
+    assert config_from_dict({**base, "data": {"u1": step}}).data.u1(np.array([1.0]))[0] == 0.0
+
+
 def test_scalar_keys_take_json_numbers():
     # integers and floats stay accepted wherever they were; an integer key
     # takes an integral float; non-finite numbers are refused at the door
@@ -139,7 +147,8 @@ def test_scalar_keys_take_json_numbers():
     assert (cfg.jobs, cfg.seed, cfg.fit_drop_coarsest) == (2, 5, -1)
     assert all(type(v) is int for v in (cfg.jobs, cfg.seed, cfg.fit_drop_coarsest))
     for key, bad in [("alpha", math.nan), ("alpha", math.inf), ("jobs", 2.5),
-                     ("seed", -1), ("seed", True), ("alpha", "2.0")]:
+                     ("seed", -1), ("seed", True), ("alpha", "2.0"), ("alpha", 0),
+                     ("alpha", -1.0)]:
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({**base, key: bad})
     for bad in (math.inf, 10 ** 400, "3"):
@@ -191,7 +200,7 @@ def test_string_keys_take_one_of_their_values():
             "data": {"harmonic": {"j": 0, "k": 1}}}
     assert config_from_dict({**base, "variant": "all"}).variant == "all"
     for key, bad in [("kind", None), ("kind", "Solve"), ("variant", "V2"), ("variant", 2),
-                     ("v0_mode", ["qh_average"]), ("mode", True)]:
+                     ("mode", True)]:
         with pytest.raises(ConfigurationError, match=f"^{key} must be one of"):
             config_from_dict({**base, key: bad})
     with pytest.raises(ConfigurationError, match="^variant must be one of"):

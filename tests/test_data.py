@@ -67,16 +67,7 @@ def test_piecewise_node_convention():
     step = Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), (-1.0,)))
     assert step(np.array([0.25]))[0] == 1.0
     assert step(np.array([0.75]))[0] == -1.0
-    assert step(np.array([0.5]))[0] == 0.0  # mean convention
-    left = Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), (-1.0,)),
-                                  node_convention="left")
-    assert left(np.array([0.5]))[0] == 1.0
-    strict = Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), (-1.0,)),
-                                    node_convention=None)
-    with pytest.raises(ContractViolation):
-        strict(np.array([0.5]))
-    with pytest.raises(ConfigurationError, match="middle"):
-        Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), (-1.0,)), node_convention="middle")
+    assert step(np.array([0.5]))[0] == 0.0  # a jump is the mean of its sides
 
 
 def test_harmonic_mode_is_a_one_coefficient_sine_series():

@@ -230,11 +230,18 @@ def test_dalembert_reference_rejects_forcing():
 
 
 @pytest.mark.parametrize("T", [math.pi, 2.5], ids=["lattice", "per_level"])
-@pytest.mark.parametrize("name", ["u0", "u1"])
-def test_dalembert_reference_rejects_non_finite_values(name, T):
+@pytest.mark.parametrize("name, breakpoints, pieces", [
     # u = 1e308 (1 + x) overflows; so does its antiderivative
+    ("u0", (0.0, math.pi), ((1e308, 1e308),)),
+    ("u1", (0.0, math.pi), ((1e308, 1e308),)),
+    # every value of u1 is finite, but V1 passes 1.8e308 between x = 1 and 2,
+    # so the pieces of its antiderivative are not finite
+    ("u1", (0.0, 1.0, 2.0, math.pi), ((1e308,),) * 3),
+], ids=["u0", "u1", "u1_antiderivative"])
+def test_dalembert_reference_rejects_non_finite_values(name, breakpoints, pieces, T):
     mesh = build_mesh(math.pi, T, 4, 8)
     profiles = {"u0": Profile.zero(math.pi), "u1": Profile.zero(math.pi)}
-    profiles[name] = Profile.piecewise_poly((0.0, math.pi), ((1e308, 1e308),))
-    with pytest.raises(ConfigurationError, match=f"{name} is not finite on the N=4, M=8 mesh"):
+    profiles[name] = Profile.piecewise_poly(breakpoints, pieces)
+    with pytest.raises(ConfigurationError,
+                       match=f"^the exact solution of {name} is not finite on the N=4, M=8 mesh$"):
         dalembert_reference(mesh, DataSpec(**profiles))

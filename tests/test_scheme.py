@@ -14,7 +14,7 @@ from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, solve_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
 from wavecompact.reference import GridReference, HarmonicReference
-from wavecompact.scheme import V0_MODES, evolve, evolve_grid, measure_error, prepare_inputs
+from wavecompact.scheme import evolve, evolve_grid, measure_error, prepare_inputs
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 
@@ -136,19 +136,6 @@ def test_evolve_superposition():
                          - run12.slices)) <= 1e-11 * scale
 
 
-def test_evolve_v0_mode_switch():
-    kind = HarmonicData(j=0, k=2)
-    data = harmonic_dataspec(kind, MESH)
-    samples = evolve(MESH, data, v0_mode="node_samples")
-    averaged = evolve(MESH, data, v0_mode="qh_average")
-    fac = (math.sin(2 * MESH.h / 2) / (2 * MESH.h / 2)) ** 2
-    np.testing.assert_allclose(averaged.slices[0],
-                               fac * samples.slices[0],
-                               rtol=1e-12, atol=1e-14)
-    with pytest.raises(ContractViolation):
-        evolve(MESH, data, v0_mode="nearest")
-
-
 def test_error_report_self_reference_is_zero():
     kind = HarmonicData(j=1, k=2)
     run = evolve(MESH, harmonic_dataspec(kind, MESH))
@@ -252,7 +239,7 @@ def test_one_stepping_kernel_behind_every_path():
     data = random_dataspec(np.random.default_rng(1), mesh.X)
     assert data.f is not None
     run = evolve(mesh, data)
-    grid = evolve_grid(mesh, *prepare_inputs(mesh, data, "v2", "node_samples"))
+    grid = evolve_grid(mesh, *prepare_inputs(mesh, data, "v2"))
     assert np.array_equal(run.slices, grid.slices)
     assert np.array_equal(run.residual_max, grid.residual_max)
     assert run.slices.shape == (mesh.M + 1, mesh.N + 1)
@@ -311,13 +298,12 @@ def test_evolve_grid_matches_the_operator_loop_bit_for_bit():
     mesh = build_mesh(math.pi, math.pi, 64, 128)
     for j in (0, 1, 2):
         data = harmonic_dataspec(HarmonicData(j=j, k=3), mesh)
-        cases.append((mesh, prepare_inputs(mesh, data, "v2", "node_samples")))
+        cases.append((mesh, prepare_inputs(mesh, data, "v2")))
     mesh = build_mesh(math.pi, math.pi, 32, 64)
     for seed in range(6):
         data = random_dataspec(np.random.default_rng(seed), mesh.X)
         for variant in U1_VARIANTS:
-            for v0_mode in V0_MODES:
-                cases.append((mesh, prepare_inputs(mesh, data, variant, v0_mode)))
+            cases.append((mesh, prepare_inputs(mesh, data, variant)))
     assert {inputs[2] is None for _, inputs in cases} == {True, False}  # fh and none
     for mesh, inputs in cases:
         run = evolve_grid(mesh, *inputs)
