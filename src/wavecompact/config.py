@@ -34,8 +34,10 @@ ConfigurationError (exit code 3).  A converge ladder must not repeat an N.
 config_from_dict parses and checks a config in one pass.  The data section
 becomes config.data, the DataSpec every rung steps: zero data for null,
 PRESETS[name].make(X), the descriptor tree, or harmonic_dataspec (sharpness
-keeps only j; a k the finest rung does not resolve is a MeshTooCoarseError,
-exit code 2).  A converge with zero or forced non-harmonic data is refused.
+keeps only j).  A harmonic k, of data.harmonic or of a harmonic profile
+descriptor, that the finest rung does not resolve is a MeshTooCoarseError
+(exit code 2), raised before the k coefficients are built.  A converge with
+zero or forced non-harmonic data is refused.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ def time_profile_from_dict(d: dict) -> TimeProfile:
     if form == "polynomial":
         return TimeProfile.polynomial(_numbers(d.get("coeffs", []), "time profile coeffs"))
     raise ConfigurationError(f"unknown time profile form {form!r}")
+
+
+def _harmonic_profile_ks(d: dict):
+    """The k of every harmonic profile descriptor of a data section."""
+    f = d.get("f")
+    for profile in (d.get("u0"), d.get("u1"), f.get("space") if isinstance(f, dict) else None):
+        if isinstance(profile, dict) and profile.get("form") == "harmonic" and "k" in profile:
+            yield _integer(profile["k"], "profile k")
 
 
 def dataspec_from_dict(d: dict, X: float) -> DataSpec:
@@ -217,7 +227,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(mesh_cfg, dict):
         raise ConfigurationError("config needs a 'mesh' object")
     rungs = _build_rungs(mesh_cfg)
-    X = rungs[0].X
+    X, finest_n = rungs[0].X, max(mesh.N for mesh in rungs)
 
     data_cfg = raw.get("data")
     harmonic = sharpness_j = None
@@ -241,11 +251,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 raise ConfigurationError(f"invalid harmonic data: {exc}") from exc
             # k is checked before its k coefficients exist; the data are valid
             # on every rung: they read only X and a, which the rungs share
-            require_resolved(harmonic.k, max(mesh.N for mesh in rungs))
+            require_resolved(harmonic.k, finest_n)
             data = harmonic_dataspec(harmonic, rungs[0])
     elif "preset" in data_cfg:
         data = PRESETS[_choice(data_cfg["preset"], "data.preset", tuple(PRESETS))].make(X)
     else:
+        for k in _harmonic_profile_ks(data_cfg):  # before the k coefficients exist
+            require_resolved(k, finest_n)
         data = dataspec_from_dict(data_cfg, X)
 
     if "v0_mode" in raw:

@@ -13,14 +13,16 @@ Every time level of the scheme solves a system with the matrix
     A = mass - sigma tau^2 a^2 laplacian,
 
 whose interior rows have diagonal 2/3 + 2 s and off-diagonals 1/6 - s with
-s = sigma tau^2 a^2 / h^2.  The matrix is symmetric positive definite and
-strictly diagonally dominant (|diag| - 2 |off| >= 1/3 for every s > 0), so a
-banded Cholesky factorization without pivoting cannot break down.  The
-factorization depends only on the mesh and is cached per MeshSpec, which
-amortizes the setup across all M time steps.  solve_implicit solves with it
-through cho_solve_banded; scheme.evolve_grid uses the same cached factor
-directly, calling LAPACK dpbtrs (the routine cho_solve_banded calls) once per
-step on its own buffers.  Every stencil here is the kernel grid._three_point.
+s = sigma tau^2 a^2 / h^2.  The matrix is symmetric positive definite,
+tridiagonal and strictly diagonally dominant (|diag| - 2 |off| >= 1/3 for
+every s > 0), so its LDL^T factorization (LAPACK dpttrf) without pivoting
+cannot break down; a factorization that reports a failure anyway is an
+InvariantError naming the matrix and N.  The factor (d, e) depends only on the
+mesh and is cached per MeshSpec, which amortizes the setup across all M time
+steps.  solve_implicit and solve_mass solve with their factors through LAPACK
+dpttrs; scheme.evolve_grid calls dpttrs on the same cached factor of A, in
+place on its own buffers, once per step.  Every stencil here is the kernel
+grid._three_point.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import ContractViolation
+from .errors import ContractViolation, InvariantError
 from .grid import GridFn, MeshSpec, _three_point, require_dirichlet, require_gridfn
 
 SPATIAL_OP_KINDS = ("numerov", "mass", "laplacian")
@@ -65,25 +67,27 @@ def _implicit_coeff(mesh: MeshSpec) -> float:
     return mesh.sigma * mesh.tau ** 2 * mesh.a ** 2 / mesh.h ** 2
 
 
+def _ldlt(what: str, diag: float, off: float, n: int):
+    """dpttrf's LDL^T factor (d, e) of the n x n tridiagonal Toeplitz matrix
+    with diagonal diag and off-diagonals off."""
+    d, e, info = dpttrf(np.full(n, diag), np.full(n - 1, off))
+    if info != 0:
+        raise InvariantError(f"the LDL^T factorization of the {what} matrix on the "
+                             f"N={n + 1} mesh failed (dpttrf info {info})")
+    return d, e
+
+
 @lru_cache(maxsize=128)
 def _implicit_factor(mesh: MeshSpec):
-    """Banded Cholesky factor of mass - sigma tau^2 a^2 laplacian (interior)."""
-    n = mesh.N - 1
+    """LDL^T factor (d, e) of mass - sigma tau^2 a^2 laplacian (interior)."""
     s = _implicit_coeff(mesh)
-    ab = np.empty((2, n))
-    ab[0, :] = 1.0 / 6.0 - s  # superdiagonal; ab[0, 0] unused
-    ab[1, :] = 2.0 / 3.0 + 2.0 * s
-    return cholesky_banded(ab, lower=False)
+    return _ldlt("implicit", 2.0 / 3.0 + 2.0 * s, 1.0 / 6.0 - s, mesh.N - 1)
 
 
 @lru_cache(maxsize=128)
 def _mass_factor(mesh: MeshSpec):
-    """Banded Cholesky factor of the interior mass matrix."""
-    n = mesh.N - 1
-    ab = np.empty((2, n))
-    ab[0, :] = 1.0 / 6.0
-    ab[1, :] = 2.0 / 3.0
-    return cholesky_banded(ab, lower=False)
+    """LDL^T factor (d, e) of the interior mass matrix."""
+    return _ldlt("mass", 2.0 / 3.0, 1.0 / 6.0, mesh.N - 1)
 
 
 def apply_implicit(w, mesh: MeshSpec) -> GridFn:
@@ -102,7 +106,7 @@ def solve_implicit(rhs, mesh: MeshSpec) -> GridFn:
     """
     rhs = require_dirichlet(rhs, mesh, what="implicit right-hand side")
     out = np.zeros_like(rhs)
-    out[..., 1:-1] = cho_solve_banded((_implicit_factor(mesh), False), rhs[..., 1:-1].T).T
+    out[..., 1:-1] = dpttrs(*_implicit_factor(mesh), rhs[..., 1:-1].T)[0].T
     return out
 
 
@@ -110,7 +114,7 @@ def solve_mass(rhs, mesh: MeshSpec) -> GridFn:
     """Solve mass * w = rhs on the interior; used by the stability bounds."""
     rhs = require_dirichlet(rhs, mesh, what="mass right-hand side")
     out = np.zeros_like(rhs)
-    out[..., 1:-1] = cho_solve_banded((_mass_factor(mesh), False), rhs[..., 1:-1].T).T
+    out[..., 1:-1] = dpttrs(*_mass_factor(mesh), rhs[..., 1:-1].T)[0].T
     return out
 
 

@@ -14,9 +14,13 @@ u0 has order lambda >= 1, so it is continuous and its samples are defined,
 while u1, of order lambda - 1 >= 0, enters only through hat averages.
 
 evolve_grid is the one way to step: it checks the shapes, finiteness and zero
-ends of (v0, u1h, fh) once, on entry, and each step calls LAPACK dpbtrs on the
-cached factor of A and the stencil kernel grid._three_point, in buffers
-allocated once per run.
+ends of (v0, u1h, fh) once, on entry, and each step calls LAPACK dpttrs on the
+cached LDL^T factor of the tridiagonal A and the stencil kernel
+grid._three_point, in buffers allocated once per run.  The defining-equation
+residual of every step is checked per block of _RESIDUAL_BLOCK consecutive
+steps, in one vectorized pass after the block's last step (and after the run's
+last step); a failing step therefore surfaces at the end of its block, after at
+most _RESIDUAL_BLOCK - 1 further steps, and the run returns nothing.
 
 Error reports compare a run against a reference solution in two modes:
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpttrs
 
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
@@ -53,6 +57,9 @@ _DATA_BOUND = float(np.sqrt(np.finfo(float).max))
 
 #: time levels per block of measure_error; consecutive blocks share a level
 _BLOCK_LEVELS = 64
+
+#: steps per residual check of evolve_grid; 16 rows of N = 2048 stay in L2
+_RESIDUAL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -117,10 +124,12 @@ def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
 
     v0, u1h (N+1,) and fh (M, N+1), the forcing levels 0..M-1, are checked
     once, on entry, for shape, finiteness and zero ends (every slice keeps
-    those of v0); a failure names the datum.  Each step calls LAPACK dpbtrs
-    on the cached factor of A and checks its residual against RESIDUAL_RTOL *
-    max(1, |rhs|_inf): residual_max[m-1] is that of the step producing v^m,
-    and a failure is an InvariantError naming the level.
+    those of v0); a failure names the datum.  Each step calls LAPACK dpttrs
+    in place on the cached LDL^T factor of A.  The residuals are checked per
+    block of _RESIDUAL_BLOCK steps, after the block's last step, against
+    RESIDUAL_RTOL * max(1, |rhs|_inf): residual_max[m-1] is that of the step
+    producing v^m, and a failure is an InvariantError naming the first failing
+    level of the block, raised before any later block is stepped.
     """
     check_stable(mesh)
     N, M, tau, a2, h2 = mesh.N, mesh.M, mesh.tau, mesh.a ** 2, mesh.h ** 2
@@ -129,34 +138,48 @@ def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
         fh = _entry_datum("fh", fh, (M, N + 1), mesh)
     edge = np.zeros(M) if fh is None else np.abs(fh[:, ::N]).max(axis=1)  # |rhs| at the ends
     edge[0] = np.abs(u1h[::N] + (0.0 if fh is None else 0.5 * tau * fh[0, ::N])).max()
-    factor, c = _implicit_factor(mesh), mesh.sigma * tau ** 2 * a2
+    (d, e), c = _implicit_factor(mesh), mesh.sigma * tau ** 2 * a2
     slices, residuals = np.empty((M + 1, N + 1)), np.empty(M)
     slices[0], slices[1:, ::N] = v0, v0[::N] + 0.0  # v0 + tau * 0: the ends that stay
-    lam, (rhs, t1, t2) = np.zeros(N + 1), np.empty((3, N - 1))  # lam keeps zero ends
+    # the lam and rhs rows of one block (lam keeps zero ends), and the block's
+    # residual buffers, whose first rows the steps use as scratch in between
+    lams = np.zeros((_RESIDUAL_BLOCK, N + 1))
+    rhss, t1, t2 = np.empty((3, _RESIDUAL_BLOCK, N - 1))
+
+    def check_block(first: int, n: int) -> None:
+        """The residuals of the steps to levels first+1..first+n, from the
+        block's first n rows, with the operator calls' operations row by row;
+        the first above RESIDUAL_RTOL * max(1, |rhs|_inf, edge) is refused."""
+        lhs = _three_point(t1[:n], lams[:n], 4.0, 6.0)  # (mass - c laplacian) lam - rhs
+        lhs -= np.multiply(_three_point(t2[:n], lams[:n], -2.0, h2), c, out=t2[:n])
+        lhs -= rhss[:n]
+        res = residuals[first:first + n] = np.abs(lhs, out=lhs).max(axis=1)
+        for i in np.flatnonzero(~(res <= RESIDUAL_RTOL)):  # the scale is >= 1; NaN fails
+            scale = max(1.0, np.abs(rhss[i]).max(), edge[first + i])
+            if not res[i] <= RESIDUAL_RTOL * scale:
+                raise InvariantError(
+                    f"defining-equation residual {res[i]:.3e} of the step to level "
+                    f"{first + i + 1} on the N={N}, M={M} mesh exceeds "
+                    f"{RESIDUAL_RTOL:.0e} * {scale:.3e}")
+
     for m in range(M):
-        v, nxt = slices[m], slices[m + 1, 1:-1]
+        row = m % _RESIDUAL_BLOCK
+        v, nxt, lam, rhs = slices[m], slices[m + 1, 1:-1], lams[row, 1:-1], rhss[row]
         _three_point(rhs, v, -2.0, h2)  # the recurrences' rhs, in the operator calls' order
         rhs *= a2 if m else 0.5 * tau * a2
         if m == 0:
             rhs += u1h[1:-1]
         if fh is not None:
-            rhs += fh[m, 1:-1] if m else np.multiply(fh[0, 1:-1], 0.5 * tau, out=t1)
-        lam[1:-1] = rhs  # a failed dpbtrs (info != 0) leaves it, and the residual refuses it
-        lam[1:-1] = dpbtrs(factor, lam[1:-1], overwrite_b=1)[0]
-        lhs = _three_point(t1, lam, 4.0, 6.0)  # (mass - c laplacian) lam - rhs
-        lhs -= np.multiply(_three_point(t2, lam, -2.0, h2), c, out=t2)
-        lhs -= rhs
-        residuals[m] = res = np.abs(lhs, out=lhs).max()
-        if not (res <= RESIDUAL_RTOL  # the scale is >= 1; a NaN residual fails
-                or res <= RESIDUAL_RTOL * (scale := max(1.0, np.abs(rhs).max(), edge[m]))):
-            raise InvariantError(
-                f"defining-equation residual {res:.3e} of the step to level {m + 1} on "
-                f"the N={N}, M={M} mesh exceeds {RESIDUAL_RTOL:.0e} * {scale:.3e}")
+            rhs += fh[m, 1:-1] if m else np.multiply(fh[0, 1:-1], 0.5 * tau, out=t1[0])
+        lam[:] = rhs  # solved in place; a failed dpttrs leaves rhs, which the residual refuses
+        dpttrs(d, e, lam, overwrite_b=1)
         # v^1 = tau lam + v^0, and v^{m+1} = tau^2 lam + 2 v^m - v^{m-1}
-        np.multiply(lam[1:-1], tau ** 2 if m else tau, out=nxt)
-        nxt += np.multiply(v[1:-1], 2.0, out=t2) if m else v[1:-1]
+        np.multiply(lam, tau ** 2 if m else tau, out=nxt)
+        nxt += np.multiply(v[1:-1], 2.0, out=t2[0]) if m else v[1:-1]
         if m:
             nxt -= slices[m - 1, 1:-1]
+        if row == _RESIDUAL_BLOCK - 1 or m == M - 1:
+            check_block(m - row, row + 1)
     return SchemeRun(slices=slices, residual_max=residuals)
 
 

@@ -116,6 +116,21 @@ def test_unresolvable_harmonic_k_exits_2_at_load(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("slot", ["u0", "u1", "f"])
+def test_unresolvable_harmonic_profile_k_exits_2_at_load(tmp_path, capsys, slot):
+    # a harmonic profile descriptor is refused before its k coefficients exist
+    profile = {"form": "harmonic", "k": 10 ** 12}
+    data = ({"f": {"space": profile, "time": {"form": "polynomial", "coeffs": [1.0]}}}
+            if slot == "f" else {slot: profile})
+    cfg = _write_config(tmp_path, {"kind": "solve", "mesh": _mesh(16), "data": data,
+                                   "out_dir": str(tmp_path / "out")})
+    assert main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"mode index k = {10 ** 12} exceeds N - 1 = 15; N >= " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_harmonic_k_on_coarse_rungs_still_runs(tmp_path, capsys):
     # only the finest rung must resolve k: the N = 8 and 16 rungs still run
     cfg = _write_config(tmp_path, {

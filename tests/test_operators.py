@@ -7,7 +7,7 @@ import pytest
 
 from wavecompact import operators
 from wavecompact.data import DataSpec, Forcing, Profile, TimeProfile
-from wavecompact.errors import ContractViolation
+from wavecompact.errors import ContractViolation, InvariantError
 from wavecompact.experiments import stability_bound_sides
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import (apply_implicit, apply_spatial, mass_inv_half_norm,
@@ -181,3 +181,18 @@ def test_factors_are_cached_per_mesh():
     assert misses() == (before[0] + 1, before[1])
     stability_bound_sides(mesh, data)  # u1h and fh both go through the mass factor
     assert misses() == (before[0] + 1, before[1] + 1)
+
+
+@pytest.mark.parametrize("factor, what", [(operators._implicit_factor, "implicit"),
+                                          (operators._mass_factor, "mass")])
+def test_a_failed_factorization_is_named(monkeypatch, factor, what):
+    # the matrices are strictly diagonally dominant, so dpttrf cannot fail on
+    # a valid mesh; a failure it reports anyway names the matrix and N
+    def failing(d, e, **kwargs):
+        return d, e, 2
+
+    monkeypatch.setattr(operators, "dpttrf", failing)
+    mesh = build_mesh(math.pi, 1.2345, 11, 37)  # a mesh no other test builds: not cached
+    with pytest.raises(InvariantError, match=rf"^the LDL\^T factorization of the {what} "
+                                             rf"matrix on the N=11 mesh failed"):
+        factor(mesh)

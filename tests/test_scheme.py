@@ -248,23 +248,39 @@ def test_one_stepping_kernel_behind_every_path():
     assert np.all(run.residual_max <= RESIDUAL_RTOL)
 
 
-def test_step_residual_rejects_nan(monkeypatch):
-    # a NaN in one step's solution makes its residual NaN, and the loop's
-    # residual check refuses it, naming the level
-    dpbtrs = scheme.dpbtrs
+def _poison_solve(monkeypatch, call):
+    """Make the given dpttrs call of evolve_grid return a NaN."""
+    dpttrs = scheme.dpttrs
     calls = 0
 
-    def poisoned(ab, b, **kwargs):
+    def poisoned(d, e, b, **kwargs):
         nonlocal calls
         calls += 1
-        x, info = dpbtrs(ab, b, **kwargs)
-        if calls == 3:
+        x, info = dpttrs(d, e, b, **kwargs)
+        if calls == call:
             x[2] = np.nan
         return x, info
 
-    monkeypatch.setattr(scheme, "dpbtrs", poisoned)
+    monkeypatch.setattr(scheme, "dpttrs", poisoned)
+
+
+def test_step_residual_rejects_nan(monkeypatch):
+    # a NaN in one step's solution makes its residual NaN, and the loop's
+    # residual check refuses it, naming the level
+    _poison_solve(monkeypatch, 3)
     with pytest.raises(InvariantError, match=r"nan of the step to level 3 on the N=16, M=64 "):
         evolve_grid(MESH, _harmonic_shape(MESH, 3), MESH.zeros())
+
+
+@pytest.mark.parametrize("level, m_levels", [(21, 64), (35, 37)])
+def test_step_residual_rejects_nan_in_later_blocks(monkeypatch, level, m_levels):
+    # the residuals are checked per block of steps: a NaN in a later block,
+    # or in the run's final partial block, is refused naming its own level
+    mesh = build_mesh(math.pi, math.pi, 16, m_levels)
+    _poison_solve(monkeypatch, level)
+    with pytest.raises(InvariantError, match=rf"nan of the step to level {level} on the "
+                                             rf"N=16, M={m_levels} "):
+        evolve_grid(mesh, _harmonic_shape(mesh, 3), mesh.zeros())
 
 
 def _operator_loop(mesh, v0, u1h, fh):
@@ -304,6 +320,18 @@ def test_evolve_grid_matches_the_operator_loop_bit_for_bit():
         data = random_dataspec(np.random.default_rng(seed), mesh.X)
         for variant in U1_VARIANTS:
             cases.append((mesh, prepare_inputs(mesh, data, variant)))
+    # the residual blocks' edges: M below, at and one above the block size,
+    # and one M that is not a multiple of it; T shrinks with M so that
+    # a^2 tau^2 = h^2 / 4 keeps every mesh stable
+    assert scheme._RESIDUAL_BLOCK == 16
+    for m_levels in (9, 16, 17, 37):
+        mesh = build_mesh(math.pi, math.pi * m_levels / 32, 16, m_levels)
+        assert (mesh.a * mesh.tau) ** 2 <= mesh.h ** 2 / 2
+        rng = np.random.default_rng(m_levels)
+        v0, u1h, fh = mesh.zeros(), mesh.zeros(), np.zeros((m_levels, mesh.N + 1))
+        for w in (v0, u1h, fh.T):
+            w[1:-1] = rng.standard_normal(w[1:-1].shape)
+        cases += [(mesh, (v0, u1h, fh)), (mesh, (v0, u1h, None))]
     assert {inputs[2] is None for _, inputs in cases} == {True, False}  # fh and none
     for mesh, inputs in cases:
         run = evolve_grid(mesh, *inputs)
