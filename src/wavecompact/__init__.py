@@ -3,7 +3,7 @@
 The package solves u_tt - a^2 u_xx = f on (0, X) x (0, T) with homogeneous
 Dirichlet boundary conditions by an implicit three-level compact scheme, and
 ships the machinery needed to study its accuracy on rough data: hat-function
-mollification of the inputs, a closed-form spectral oracle for harmonic data,
+mollification of the inputs, a closed-form spectral oracle for any grid data,
 discrete dispersion analysis, and batch experiment drivers for convergence
 orders, stability inequalities, and error-constant sharpness.
 """
@@ -17,10 +17,9 @@ from .errors import (ConfigurationError, ContractViolation, InvariantError,
 from .grid import (GridFn, MeshSpec, build_mesh, energy_norm_pair, space_norm,
                    time_aggregate)
 from .operators import apply_spatial, solve_implicit
-from .oracle import (DispersionRecord, HarmonicCoefficients, HarmonicData,
-                     asymptotic_constant, choose_k_h, discrete_harmonic_trajectory,
-                     dispersion, exact_harmonic_solution, harmonic_coefficients,
-                     harmonic_dataspec, sharpness_prediction)
+from .oracle import (DispersionRecord, HarmonicData, asymptotic_constant, choose_k_h,
+                     discrete_harmonic_trajectory, discrete_trajectory, dispersion,
+                     exact_harmonic_solution, harmonic_dataspec, sharpness_prediction)
 from .reference import GridReference, HarmonicReference, dalembert_reference
 from .scheme import ErrorReport, SchemeRun, evolve, evolve_grid, measure_error
 from .experiments import (OrderFit, fit_order, random_dataspec, run_convergence,

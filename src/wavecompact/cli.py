@@ -8,14 +8,13 @@ inequality is printed), 3 configuration error, 1 failed checks, a violated
 internal invariant or unexpected errors.  An InvariantError, such as a step
 whose defining-equation residual exceeds its bound, is printed on stderr as
 "invariant violated: ..." naming the level and the mesh, without a traceback.
-WAVECOMPACT_JOBS is the fallback for --jobs; a value that is not an integer is
-a configuration error.
+--jobs (default 1) is the number of parallel rung workers; below 1 it is a
+configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -36,8 +35,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="path to the JSON experiment config")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides the config)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel rung workers (or WAVECOMPACT_JOBS)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel rung workers (default 1)")
     return parser
 
 
@@ -51,15 +50,9 @@ def main(argv=None) -> int:
                 f"config kind {config.kind!r} does not match subcommand {args.command!r}")
         if args.out is not None:
             config.out_dir = args.out
-        if args.jobs is not None:
-            config.jobs = args.jobs
-        elif "WAVECOMPACT_JOBS" in os.environ:
-            raw_jobs = os.environ["WAVECOMPACT_JOBS"]
-            try:
-                config.jobs = int(raw_jobs)
-            except ValueError:
-                raise ConfigurationError(
-                    f"WAVECOMPACT_JOBS must be an integer, got {raw_jobs!r}") from None
+        if args.jobs < 1:
+            raise ConfigurationError(f"--jobs must be an integer >= 1, got {args.jobs}")
+        config.jobs = args.jobs
 
         if kind == "solve":
             result = experiments.run_solve(config)

@@ -16,11 +16,12 @@ A config file is a single JSON object:
       "alpha": 2.0,                                              # > 0
       "out_dir": "out",
       ...tuning keys with defaults (seed, n_random, n_pairs,
-         fit_drop_coarsest, jobs, decimate)
+         fit_drop_coarsest, decimate)
     }
 
 Keys outside this schema are ignored, the removed reference keys n_modes,
-fold_groups and tail_fraction included.  Removed keys that chose how to
+fold_groups and tail_fraction and the removed jobs key (the CLI's --jobs sets
+the worker count) included.  Removed keys that chose how to
 evaluate data are refused, as ignoring them would change results.
 
 Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
@@ -145,7 +146,7 @@ class ExperimentConfig:
     mode: str = "node_sampled"
     alpha: float = 2.0
     out_dir: Path = Path("out")
-    jobs: int = 1
+    jobs: int = 1  # the CLI's --jobs; no config key sets it
     seed: int = 0
     n_random: int = 20
     n_pairs: int = 100
@@ -273,12 +274,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         mode=_choice(raw.get("mode", "node_sampled"), "mode", ERROR_MODES),
         alpha=_number(raw.get("alpha", 2.0), "alpha"),
         out_dir=Path(_choice(raw.get("out_dir", "out"), "out_dir", None)),
-        jobs=_integer(raw.get("jobs", 1), "jobs"),
         seed=_integer(raw.get("seed", 0), "seed", 0),
         n_random=_integer(raw.get("n_random", 20), "n_random", 1),
         n_pairs=_integer(raw.get("n_pairs", 100), "n_pairs", 1),
         fit_drop_coarsest=_integer(raw.get("fit_drop_coarsest", 1),
-                                   "fit_drop_coarsest"),
+                                   "fit_drop_coarsest", 0),
         decimate=_integer(raw.get("decimate", 32), "decimate", 1),
         echo=dict(raw),
     )
@@ -308,9 +308,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"config file {path} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

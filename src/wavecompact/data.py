@@ -16,11 +16,11 @@ second-level average q_2h combines q_h with the Numerov correction,
 the negated (-14, 12) case of the three-point kernel grid._three_point.
 
 Quadrature policy: integration cells are split at descriptor breakpoints and
-each panel uses 8-node Gauss-Legendre, exact for pieces of degree <= 14 (a
-time polynomial or an antiderivative piece gets what _gauss_nodes asks), so
-discontinuous data adds no quadrature noise.  Sine series use the exact
-eigenfactor (sin(wh/2)/(wh/2))^2 of each mode instead of panels.  A jump of a
-piecewise profile evaluates to the mean of its two sides.
+each panel uses the Gauss-Legendre rule of _gauss_nodes, at least 8 nodes and
+exact for the piece times a hat at any degree, so discontinuous data adds no
+quadrature noise; q_h is the hat view of extension_sampler.  Sine series use
+the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each nonzero mode instead of
+panels.  A jump of a piecewise profile evaluates to the mean of its two sides.
 
 Sine analysis uses the orthonormal basis sqrt(2/X) sin(pi k x / X): a
 sine_series profile stores exactly the coefficients that sine_coefficients
@@ -49,9 +49,6 @@ from .operators import stencil
 PROFILE_FORMS = ("sine_series", "piecewise")
 TIME_FORMS = ("harmonic_sin", "polynomial")
 U1_VARIANTS = ("v0", "v1", "v2")
-
-#: Gauss-Legendre nodes per quadrature panel
-_QUADRATURE_NODES = 8
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +152,7 @@ class Profile:
                 out[m] = npoly.polyval(x[m], self.pieces[p])
         # an interior breakpoint takes the mean of its two sides
         for j in range(1, len(b) - 1):
-            m = np.isclose(x, b[j], rtol=0.0, atol=1e-13 * self.X)
+            m = np.abs(x - b[j]) <= 1e-13 * self.X
             if np.any(m):
                 out[m] = 0.5 * (npoly.polyval(b[j], self.pieces[j - 1])
                                 + npoly.polyval(b[j], self.pieces[j]))
@@ -280,7 +277,7 @@ def _gauss_rule(n: int):
 
 def _gauss_nodes(n_coeffs: int) -> int:
     """Gauss nodes per panel, at least 8, exact for n_coeffs coefficients times a hat."""
-    return max(_QUADRATURE_NODES, (n_coeffs + 2) // 2 + 1)
+    return max(8, (n_coeffs + 2) // 2 + 1)
 
 
 def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes: int,
@@ -338,21 +335,19 @@ def hat_average_factor(y):
 # the averages
 
 def average_qh(w: Profile, mesh: MeshSpec) -> GridFn:
-    """Hat average of a spatial profile; boundary entries are zero."""
+    """Hat average of a spatial profile; boundary entries are zero.
+
+    This is the hat view of extension_sampler at the nodes: on (0, X) the odd
+    extension is w itself.
+    """
     if abs(w.X - mesh.X) > 1e-12 * mesh.X:
         raise ContractViolation("profile and mesh domain lengths differ")
-    out = mesh.zeros()
-    if w.form == "sine_series":
-        root = np.sqrt(2.0 / mesh.X)
-        x = mesh.nodes()
-        for k, c in enumerate(w.coeffs, start=1):
-            if c != 0.0:
-                omega = np.pi * k / mesh.X
-                out += c * root * hat_average_factor(omega * mesh.h) * np.sin(omega * x)
-    else:
-        i_rise, i_fall = _hat_cell_integrals(
-            w, mesh.nodes(), w.breakpoints[1:-1], _QUADRATURE_NODES, "q_h profile")
-        out[1:-1] = (i_rise[:-1] + i_fall[1:]) / mesh.h
+    try:
+        out = extension_sampler(w, False)(0.0, mesh.N + 1, mesh.h)[1]
+    except QuadratureError as exc:
+        # sampler cell c is mesh cell c - 1; the two outside (0, X) mirror their neighbours
+        raise QuadratureError("non-finite values while integrating q_h profile",
+                              cell=min(max(exc.cell - 1, 0), mesh.N - 1)) from exc
     out[0] = out[-1] = 0.0
     return out
 
@@ -397,8 +392,9 @@ def extension_sampler(w: Profile, antiderivative: bool):
     """
     X = w.X
     if w.form == "sine_series":
-        omega = np.pi * np.arange(1, len(w.coeffs) + 1) / X
-        amps = np.asarray(w.coeffs) * math.sqrt(2.0 / X)
+        ks = np.flatnonzero(w.coeffs)  # a mode k costs O(count k) otherwise
+        omega = np.pi * (ks + 1) / X
+        amps = np.asarray(w.coeffs)[ks] * math.sqrt(2.0 / X)
         wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
 
         def sample(start, count, h):

@@ -1,26 +1,32 @@
-"""Closed-form exact and discrete solutions for single-harmonic data.
+"""Closed-form exact solutions of single-harmonic data and of the scheme.
 
-Everything in this module works in the canonical frame X = pi, a = 1; a
-general mesh is rescaled through canonical_mesh (x' = pi x / X,
-t' = a pi t / X), under which node values of both the exact solution and the
-scheme solution are preserved once the data amplitudes are scaled
-accordingly (harmonic_dataspec does that scaling).
+The exact solutions work in the canonical frame X = pi, a = 1; a general mesh
+is rescaled through canonical_mesh (x' = pi x / X, t' = a pi t / X), under
+which node values of both the exact solution and the scheme solution are
+preserved once the data amplitudes are scaled accordingly (harmonic_dataspec
+does that scaling).
 
-For data (alpha0, alpha1, g(t)) sin(kx), the scheme solution is
-
-    v(x, t_m) = [alpha0 cos(mu_k t_m) + gamma_hat (alpha1/k) sin(mu_k t_m)
-                 + (gamma/k) int_0^{t_m} g(th) PL[sin(mu_k (t_m - th))] dth] sin(k x_i),
-
-where PL interpolates the trailing factor piecewise-linearly on the time
-mesh and the frequencies come from the discrete dispersion relation
+On a uniform mesh with constant a the sine modes sin(k x'_i) diagonalize the
+scheme: the mass form has eigenvalue 1 - h^2 lambda_k / 6, the laplacian
+-lambda_k, and A = mass - sigma tau^2 a^2 laplacian has
+A_k = 1 + (a^2 tau^2 - h^2) lambda_k / 12, with
 
     lambda_k = (2/h sin(kh/2))^2,
-    phi_k    = sqrt(lambda_k / (1 + (tau^2 - h^2) lambda_k / 12)),
-    mu_k     = (2/tau) arcsin(tau phi_k / 2).
+    theta_k  = mu_k tau = 2 arcsin((tau/2) sqrt(lambda_k / A_k))
 
-The hat-interpolated convolution is evaluated by exact per-subinterval
-antiderivatives (never quadrature), so the closed form is a machine-precision
-ground truth for the stepper.
+in the canonical frame (A_k and theta_k are the same in every frame).  Mode by
+mode the recurrence and its two-level start then solve in closed form: for
+grid data with sine coefficients v0_k, u1h_k and fh^l_k (l = 0..M-1),
+
+    v^m_k = v0_k cos(m theta) + tau u1h_k sin(m theta) / (A_k sin theta)
+            + sum_{l<m} w_l tau^2 fh^l_k sin((m-l) theta) / (A_k sin theta),
+
+w_0 = 1/2 and w_l = 1 otherwise.  discrete_trajectory evaluates that sum by
+angle addition and prefix sums, O(M) per mode, between a DST-I of the data
+and one inverse DST-I, so it is a machine-precision ground truth for the
+stepper on any grid data.  discrete_harmonic_trajectory writes the grid data
+of a harmonic family in closed form, so that checking the stepper against it
+checks data assembly too.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
+from .data import (U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile,
+                   hat_average_factor)
 from .errors import ContractViolation, InvariantError, MeshTooCoarseError
 from .grid import MeshSpec, check_stable
 
@@ -52,12 +59,6 @@ class DispersionRecord:
     phi_k: float     # intermediate frequency
     mu_k: float      # discrete frequency propagating the mode
     nu_h: float      # dispersion coefficient (h^4 - tau^4) / 480
-
-
-@dataclass(frozen=True)
-class HarmonicCoefficients:
-    gamma_hat_1k: float  # discrete velocity amplitude
-    gamma_1k: float      # discrete forcing amplitude
 
 
 @dataclass(frozen=True)
@@ -85,27 +86,29 @@ def require_resolved(k: int, N: int) -> None:
                                  f"{finer} suffices at the same tau/h", minimal_n=finer)
 
 
+def _modes(k, mesh: MeshSpec):
+    """(lambda_k, A_k, theta_k) of a mode or an array of modes, canonical frame."""
+    cm = canonical_mesh(mesh)
+    h, tau = cm.h, cm.tau
+    lam = (2.0 / h * np.sin(k * h / 2.0)) ** 2
+    amp = 1.0 + (tau ** 2 - h ** 2) * lam / 12.0
+    arg = tau / 2.0 * np.sqrt(lam / amp)
+    if not np.all((0.0 < arg) & (arg < 1.0)):
+        raise InvariantError("arcsin argument outside (0, 1); stability should preclude this")
+    return lam, amp, 2.0 * np.arcsin(arg)
+
+
 def dispersion(k: int, mesh: MeshSpec) -> DispersionRecord:
     """Dispersion record of mode k on a stable mesh."""
     check_stable(mesh)
-    cm = canonical_mesh(mesh)
     if k < 1:
         raise ContractViolation(f"mode index must be >= 1, got {k}")
-    require_resolved(k, cm.N)
-    h, tau = cm.h, cm.tau
-    lam = (2.0 / h * math.sin(k * h / 2.0)) ** 2
-    den = 1.0 - (h ** 2 / 6.0) * lam + tau ** 2 * cm.sigma * lam
-    den_simplified = 1.0 + (tau ** 2 - h ** 2) * lam / 12.0
-    if abs(den - den_simplified) > 1e-12 * abs(den):
-        raise InvariantError("dispersion denominator simplification mismatch")
-    phi = math.sqrt(lam / den_simplified)
-    arg = tau * phi / 2.0
-    if not (0.0 < arg < 1.0):
-        raise InvariantError(
-            f"arcsin argument {arg!r} outside (0, 1); stability should preclude this")
-    mu = 2.0 / tau * math.asin(arg)
-    nu = (h ** 4 - tau ** 4) / 480.0
-    return DispersionRecord(k=k, lambda_k=lam, phi_k=phi, mu_k=mu, nu_h=nu)
+    require_resolved(k, mesh.N)
+    lam, amp, theta = _modes(k, mesh)
+    cm = canonical_mesh(mesh)
+    return DispersionRecord(k=k, lambda_k=float(lam), phi_k=float(np.sqrt(lam / amp)),
+                            mu_k=float(theta / cm.tau),
+                            nu_h=(cm.h ** 4 - cm.tau ** 4) / 480.0)
 
 
 def variant_amplitude(variant: str, k: int, mesh: MeshSpec) -> float:
@@ -120,22 +123,6 @@ def variant_amplitude(variant: str, k: int, mesh: MeshSpec) -> float:
     if variant == "v1":
         return lam / k ** 2 * (1.0 - tau ** 2 * k ** 2 / 12.0)
     return lam / k ** 2 * (1.0 - tau ** 2 * lam / 12.0)
-
-
-def harmonic_coefficients(k: int, mesh: MeshSpec, variant: str = "v2") -> HarmonicCoefficients:
-    """Amplitudes of the discrete solution formulas for mode k."""
-    rec = dispersion(k, mesh)
-    cm = canonical_mesh(mesh)
-    tau = cm.tau
-    half = rec.mu_k * tau / 2.0
-    if not half < math.pi / 2.0:
-        raise InvariantError("mu_k tau / 2 reached the tangent pole")
-    t = math.tan(half)
-    a1k = variant_amplitude(variant, k, mesh)
-    return HarmonicCoefficients(
-        gamma_hat_1k=a1k * (2.0 * k / (rec.lambda_k * tau)) * t,
-        gamma_1k=2.0 / (k * tau) * t,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -171,52 +158,63 @@ def exact_harmonic_solution(kind: HarmonicData, mesh: MeshSpec, x, t):
 # --------------------------------------------------------------------------
 # discrete solution
 
-def _interpolated_convolution(b: float, mu: float, times: np.ndarray, tau: float) -> np.ndarray:
-    """y(t_m) = int_0^{t_m} sin(b th) PL[sin(mu (t_m - th))] dth for all m.
+def _dst(values: np.ndarray) -> np.ndarray:
+    """DST-I along the last axis, out_k = sum_i values_i sin(pi k i / N) for
+    i, k = 1..N-1, as the real FFT of the odd extension; twice it is N/2."""
+    zero = np.zeros(values.shape[:-1] + (1,))
+    odd = np.concatenate([zero, values, zero, -values[..., ::-1]], axis=-1)
+    return -0.5 * np.fft.rfft(odd, axis=-1)[..., 1:-1].imag
 
-    Angle addition turns the interpolant of sin(mu (t_m - th)) into
-    sin(mu t_m) PL[cos(mu th)] - cos(mu t_m) PL[sin(mu th)], whose cell
-    integrals no longer depend on m; prefix sums finish the job in O(M).
+
+def discrete_trajectory(mesh: MeshSpec, v0, u1h, fh=None) -> np.ndarray:
+    """The (M+1, N+1) scheme solution of grid data (v0, u1h, fh), in closed form.
+
+    v0 and u1h are (N+1,) and fh the (M, N+1) forcing levels 0..M-1, as
+    evolve_grid takes them; their end values are taken as zero.
     """
-    t0, t1 = times[:-1], times[1:]
-
-    def cell_integrals(vals: np.ndarray) -> np.ndarray:
-        c1 = (vals[1:] - vals[:-1]) / tau
-        c0 = vals[:-1] - c1 * t0
-        i0 = (np.cos(b * t0) - np.cos(b * t1)) / b
-        i1 = ((np.sin(b * t1) / b ** 2 - t1 * np.cos(b * t1) / b)
-              - (np.sin(b * t0) / b ** 2 - t0 * np.cos(b * t0) / b))
-        return c0 * i0 + c1 * i1
-
-    pref_cos = np.concatenate([[0.0], np.cumsum(cell_integrals(np.cos(mu * times)))])
-    pref_sin = np.concatenate([[0.0], np.cumsum(cell_integrals(np.sin(mu * times)))])
-    return np.sin(mu * times) * pref_cos - np.cos(mu * times) * pref_sin
-
-
-def discrete_time_coefficients(kind: HarmonicData, mesh: MeshSpec,
-                               variant: str = "v2") -> np.ndarray:
-    """Time factor of the closed-form scheme solution at all levels 0..M."""
     check_stable(mesh)
-    cm = canonical_mesh(mesh)
-    rec = dispersion(kind.k, mesh)
-    times = cm.times()
-    if kind.j == 0:
-        return np.cos(rec.mu_k * times)
-    coeff = harmonic_coefficients(kind.k, mesh, variant)
-    if kind.j == 1:
-        return coeff.gamma_hat_1k / kind.k * np.sin(rec.mu_k * times)
-    y = _interpolated_convolution(kind.k - 1.0, rec.mu_k, times, cm.tau)
-    return coeff.gamma_1k / kind.k * y
+    N, M, tau = mesh.N, mesh.M, mesh.tau
+    _, amp, theta = _modes(np.arange(1, N), mesh)
+    gain = tau / (amp * np.sin(theta))
+    angles = np.outer(np.arange(M + 1), theta)
+    cos, sin = np.cos(angles), np.sin(angles)
+    modes = (_dst(np.asarray(v0, dtype=float)[1:-1]) * cos
+             + _dst(np.asarray(u1h, dtype=float)[1:-1]) * gain * sin)
+    if fh is not None:
+        kicks = _dst(np.asarray(fh, dtype=float)[:, 1:-1]) * (tau * gain)
+        kicks[0] *= 0.5
+        # sin((m - l) theta) = sin(m theta) cos(l theta) - cos(m theta) sin(l theta)
+        modes[1:] += (sin[1:] * np.cumsum(kicks * cos[:-1], axis=0)
+                      - cos[1:] * np.cumsum(kicks * sin[:-1], axis=0))
+    out = np.zeros((M + 1, N + 1))
+    out[:, 1:-1] = _dst(modes) * (2.0 / N)
+    return out
 
 
 def discrete_harmonic_trajectory(kind: HarmonicData, mesh: MeshSpec,
                                  variant: str = "v2") -> np.ndarray:
-    """Full (M+1, N+1) closed-form scheme solution."""
-    coeffs = discrete_time_coefficients(kind, mesh, variant)
-    cm = canonical_mesh(mesh)
-    shape = np.sin(kind.k * cm.nodes())
+    """Full (M+1, N+1) closed-form scheme solution of harmonic_dataspec(kind, mesh).
+
+    Its grid data are written in closed form, without the assembly of
+    data.py: v0 = sin kx, u1h = a_1k (a pi / X) sin kx, and
+    fh = q_tau sin((k-1)t) times the hat factor lambda_k / k^2 times
+    (a pi / X)^2 sin kx, each in the canonical frame.
+    """
+    k, cm = kind.k, canonical_mesh(mesh)
+    a1k = variant_amplitude(variant, k, mesh)  # refuses an unresolved k
+    scale = mesh.a * math.pi / mesh.X
+    shape = np.sin(k * cm.nodes())
     shape[0] = shape[-1] = 0.0
-    return np.outer(coeffs, shape)
+    zero = np.zeros_like(shape)
+    if kind.j == 0:
+        return discrete_trajectory(mesh, shape, zero)
+    if kind.j == 1:
+        return discrete_trajectory(mesh, zero, a1k * scale * shape)
+    y = (k - 1.0) * cm.tau
+    q_tau = hat_average_factor(y) * np.sin((k - 1.0) * cm.times()[:-1])
+    q_tau[0] = 2.0 / y * (1.0 - math.sin(y) / y)
+    hat = dispersion(k, mesh).lambda_k / k ** 2
+    return discrete_trajectory(mesh, zero, zero, np.outer(q_tau, scale ** 2 * hat * shape))
 
 
 def harmonic_dataspec(kind: HarmonicData, mesh: MeshSpec) -> DataSpec:

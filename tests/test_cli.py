@@ -239,28 +239,32 @@ def test_out_flag_overrides_config(tmp_path):
     assert not (tmp_path / "from_config").exists()
 
 
-def test_jobs_env_fallback(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs, code", [("2", 0), ("0", 3), ("-2", 3)])
+def test_jobs_flag_runs_rungs_in_parallel_and_refuses_below_1(tmp_path, capsys, jobs, code):
     cfg = _write_config(tmp_path, {
         "kind": "converge",
         "mesh": _mesh(8, refinements=2),
         "data": {"harmonic": {"j": 0, "k": 1}},
         "out_dir": str(tmp_path / "out"),
     })
-    monkeypatch.setenv("WAVECOMPACT_JOBS", "2")
-    assert main(["converge", "--config", str(cfg)]) == 0
+    assert main(["converge", "--config", str(cfg), "--jobs", jobs]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"--jobs must be an integer >= 1, got {jobs}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
-def test_jobs_env_not_an_integer_exits_3(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path, {
-        "kind": "converge",
-        "mesh": _mesh(8, refinements=2),
-        "data": {"harmonic": {"j": 0, "k": 1}},
-        "out_dir": str(tmp_path / "out"),
-    })
-    monkeypatch.setenv("WAVECOMPACT_JOBS", "two")
-    assert main(["converge", "--config", str(cfg)]) == 3
-    assert "WAVECOMPACT_JOBS must be an integer, got 'two'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("what", ["directory", "not_utf8"])
+def test_unreadable_config_path_exits_3(tmp_path, capsys, what):
+    if what == "directory":
+        path = tmp_path / "configs"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "solve", "out_dir": "\u00e9t\u00e9"}'.encode("latin-1"))
+    assert main(["solve", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"config file {path} cannot be read" in err and "Traceback" not in err
 
 
 def test_non_finite_data_exits_3_without_traceback(tmp_path, capsys):
@@ -314,8 +318,8 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("converge", "mesh.rungs", {"mesh": {"X": math.pi, "T": math.pi,
                                          "rungs": [[16, 32], [16, 32], [16, 32]]},
                                 "data": {"preset": "hat_step"}}),
-    ("converge", "jobs", {"jobs": "x"}),
     ("converge", "fit_drop_coarsest", {"fit_drop_coarsest": "x"}),
+    ("converge", "fit_drop_coarsest must be an integer >= 0", {"fit_drop_coarsest": -3}),
     ("stability_probe", "seed", {"seed": "x"}),
     ("stability_probe", "seed", {"seed": -1}),
     ("sharpness", "data.harmonic.j", {"data": {"harmonic": {"j": "x"}}}),
@@ -346,7 +350,7 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
 ], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_M_missing", "alpha",
         "alpha_zero", "alpha_negative", "rungs_repeat_N",
-        "jobs", "fit_drop_coarsest", "seed", "seed_negative",
+        "fit_drop_coarsest", "fit_drop_coarsest_negative", "seed", "seed_negative",
         "harmonic_j", "harmonic_k", "profile_coeffs", "profile_breakpoints",
         "profile_pieces", "time_not_object", "forcing_not_object", "out_dir_number",
         "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty",
@@ -404,7 +408,7 @@ def test_data_too_large_to_measure_exits_3(tmp_path, capsys, amplitude):
 # every numeric key, as (section, key): None is the top level
 _NUMERIC_KEYS = [("mesh", k) for k in ("X", "T", "N", "M", "a", "eps0", "refinements")] + [
     ("harmonic", k) for k in ("j", "k")] + [
-    (None, k) for k in ("alpha", "jobs", "seed", "fit_drop_coarsest", "n_random", "n_pairs",
+    (None, k) for k in ("alpha", "seed", "fit_drop_coarsest", "n_random", "n_pairs",
                         "decimate")]
 
 _NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=4)

@@ -140,15 +140,15 @@ def test_scalar_keys_take_json_numbers():
             "mesh": {"X": 3, "T": 3.0, "N": 8, "M": 16, "a": 1, "eps0": 0.5,
                      "refinements": 2},
             "data": {"preset": "hat_step"}}
-    cfg = config_from_dict({**base, "alpha": 2, "jobs": 2.0, "seed": 5,
-                            "fit_drop_coarsest": -1})
+    cfg = config_from_dict({**base, "alpha": 2, "decimate": 2.0, "seed": 5,
+                            "fit_drop_coarsest": 0})
     assert (cfg.rungs[0].X, cfg.rungs[0].T, cfg.rungs[0].a) == (3.0, 3.0, 1.0)
     assert cfg.alpha == 2.0
-    assert (cfg.jobs, cfg.seed, cfg.fit_drop_coarsest) == (2, 5, -1)
-    assert all(type(v) is int for v in (cfg.jobs, cfg.seed, cfg.fit_drop_coarsest))
-    for key, bad in [("alpha", math.nan), ("alpha", math.inf), ("jobs", 2.5),
+    assert (cfg.decimate, cfg.seed, cfg.fit_drop_coarsest) == (2, 5, 0)
+    assert all(type(v) is int for v in (cfg.decimate, cfg.seed, cfg.fit_drop_coarsest))
+    for key, bad in [("alpha", math.nan), ("alpha", math.inf), ("decimate", 2.5),
                      ("seed", -1), ("seed", True), ("alpha", "2.0"), ("alpha", 0),
-                     ("alpha", -1.0)]:
+                     ("alpha", -1.0), ("fit_drop_coarsest", -1)]:
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({**base, key: bad})
     for bad in (math.inf, 10 ** 400, "3"):

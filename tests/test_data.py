@@ -166,6 +166,24 @@ def test_hat_cell_integrals_match_the_per_cell_loop(n):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_qh_of_a_degree_20_piece_is_exact():
+    # x^20 on (0, 2) against its q_h in rational arithmetic: the Gauss rule
+    # grows with the degree (8 fixed nodes miss by 4e-9 relative)
+    from fractions import Fraction
+    n, mesh = 20, build_mesh(2.0, 1.0, 16, 32)
+    h = Fraction(1, 8)
+
+    def moment(a, b, c):  # int_a^b x^n (x - c) dx
+        return ((b ** (n + 2) - a ** (n + 2)) / (n + 2)
+                - c * (b ** (n + 1) - a ** (n + 1)) / (n + 1))
+
+    exact = [0.0] + [float((moment((i - 1) * h, i * h, (i - 1) * h)
+                            - moment(i * h, (i + 1) * h, (i + 1) * h)) / h ** 2)
+                     for i in range(1, mesh.N)] + [0.0]
+    got = average_qh(Profile.piecewise_poly((0.0, 2.0), ((0.0,) * n + (1.0,),)), mesh)
+    np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0)
+
+
 def test_qh_overflow_names_the_cell():
     from wavecompact.errors import QuadratureError
     mesh = build_mesh(1.0, 1.0, 4, 16)

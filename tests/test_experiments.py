@@ -398,6 +398,8 @@ def test_parallel_rungs_match_sequential():
         "data": {"harmonic": {"j": 0, "k": 2}},
     }
     seq = run_convergence(config_from_dict(base), emit=False)
-    par = run_convergence(config_from_dict({**base, "jobs": 2}), emit=False)
+    par_config = config_from_dict(base)
+    par_config.jobs = 2
+    par = run_convergence(par_config, emit=False)
     for a, b in zip(seq.rows, par.rows):
         assert a.err_energy == pytest.approx(b.err_energy, rel=1e-14)

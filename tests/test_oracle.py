@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavecompact.data import build_u1h, Profile
+from wavecompact.data import PRESETS, build_u1h, Profile
 from wavecompact.errors import ContractViolation, MeshTooCoarseError
+from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
+from wavecompact.operators import apply_implicit, apply_spatial
 from wavecompact.oracle import (HarmonicData, asymptotic_constant, canonical_mesh,
-                                choose_k_h, discrete_harmonic_trajectory, dispersion,
-                                exact_harmonic_solution, forced_mode_response,
-                                harmonic_coefficients, harmonic_dataspec,
+                                choose_k_h, discrete_harmonic_trajectory,
+                                discrete_trajectory, dispersion, exact_harmonic_solution,
+                                forced_mode_response, harmonic_dataspec,
                                 sharpness_prediction, variant_amplitude)
-from wavecompact.scheme import evolve
+from wavecompact.scheme import evolve, evolve_grid, prepare_inputs
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 
@@ -98,16 +100,13 @@ def test_dispersion_expansion_with_fitted_constant():
 
 
 # --------------------------------------------------------------------------
-# harmonic coefficients
+# variant amplitudes
 
 def test_variant_amplitudes_continuum_limit():
-    # kh -> 0: all three a_1k -> 1 and both gammas -> 1
+    # kh -> 0: all three a_1k -> 1
     mesh = build_mesh(math.pi, math.pi, 256, 1024)
     for variant in ("v0", "v1", "v2"):
         assert variant_amplitude(variant, 1, mesh) == pytest.approx(1.0, abs=2e-4)
-        coeff = harmonic_coefficients(1, mesh, variant)
-        assert coeff.gamma_hat_1k == pytest.approx(1.0, abs=2e-4)
-        assert coeff.gamma_1k == pytest.approx(1.0, abs=2e-4)
 
 
 def test_variant_amplitudes_differ_generically():
@@ -185,23 +184,52 @@ def test_discrete_solution_first_levels():
         traj[1], math.cos(mu * mesh.tau) * np.sin(3 * mesh.nodes()), rtol=1e-13, atol=1e-14)
 
 
-def test_interpolated_convolution_against_direct_construction():
-    # O(M) prefix form vs literal piecewise-linear interpolant integrals
-    from wavecompact.oracle import _interpolated_convolution
-    mesh = build_mesh(math.pi, math.pi, 8, 24)
-    times = mesh.times()
-    b, mu = 2.0, 2.7
-    got = _interpolated_convolution(b, mu, times, mesh.tau)
-    for m in (1, 5, 17, mesh.M):
-        total = 0.0
-        for j in range(1, m + 1):
-            t0, t1 = times[j - 1], times[j]
-            y0 = math.sin(mu * (times[m] - t0))
-            y1 = math.sin(mu * (times[m] - t1))
-            val, _ = quad(lambda th: math.sin(b * th)
-                          * (y0 + (y1 - y0) * (th - t0) / mesh.tau), t0, t1)
-            total += val
-        assert got[m] == pytest.approx(total, rel=1e-10, abs=1e-12)
+def test_discrete_trajectory_solves_the_scheme_equations():
+    # the closed form satisfies the two-level start and the recurrence, each
+    # applied with the operators, on forced random data of a rescaled mesh
+    mesh = build_mesh(X=2.0, T=1.3, N=12, M=30, a=0.7, eps0=0.9)
+    rng = np.random.default_rng(7)
+    v0, u1h = np.zeros((2, mesh.N + 1))
+    fh = np.zeros((mesh.M, mesh.N + 1))
+    v0[1:-1], u1h[1:-1] = rng.standard_normal((2, mesh.N - 1))
+    fh[:, 1:-1] = rng.standard_normal((mesh.M, mesh.N - 1))
+    v = discrete_trajectory(mesh, v0, u1h, fh)
+    tau, a2 = mesh.tau, mesh.a ** 2
+    np.testing.assert_allclose(v[0], v0, rtol=0, atol=1e-14)
+    start = (apply_implicit((v[1] - v[0]) / tau, mesh)
+             - 0.5 * tau * a2 * apply_spatial("laplacian", v[0], mesh) - u1h - 0.5 * tau * fh[0])
+    assert np.abs(start[1:-1]).max() < 1e-12
+    for m in range(1, mesh.M):
+        rhs = a2 * apply_spatial("laplacian", v[m], mesh) + fh[m]
+        lhs = apply_implicit((v[m + 1] - 2.0 * v[m] + v[m - 1]) / tau ** 2, mesh)
+        assert np.abs((lhs - rhs)[1:-1]).max() < 1e-10 * max(1.0, np.abs(rhs).max())
+    assert np.all(v[:, ::mesh.N] == 0.0)
+
+
+@pytest.mark.parametrize("preset", ["hat_step", "quad_spline_hat"])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_stepper_matches_the_closed_form_on_rough_presets(preset, n):
+    mesh = build_mesh(math.pi, math.pi, n, 2 * n)
+    inputs = prepare_inputs(mesh, PRESETS[preset].make(mesh.X), "v2")
+    closed = discrete_trajectory(mesh, *inputs)
+    scale = max(1.0, float(np.max(np.abs(closed))))
+    assert np.max(np.abs(evolve_grid(mesh, *inputs).slices - closed)) / scale < 1e-9
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_stepper_matches_the_closed_form_on_forced_random_data(n):
+    mesh = build_mesh(math.pi, math.pi, n, 2 * n)
+    rng = np.random.default_rng(n)
+    forced = 0
+    while forced < 5:
+        data = random_dataspec(rng, mesh.X)
+        if data.f is None:
+            continue
+        forced += 1
+        inputs = prepare_inputs(mesh, data, "v2")
+        closed = discrete_trajectory(mesh, *inputs)
+        scale = max(1.0, float(np.max(np.abs(closed))))
+        assert np.max(np.abs(evolve_grid(mesh, *inputs).slices - closed)) / scale < 1e-9
 
 
 @pytest.mark.parametrize("j,k", [(0, 2), (1, 3), (2, 4)])
