@@ -18,7 +18,7 @@ the negated (-14, 12) case of the three-point kernel grid._three_point.
 Quadrature policy: integration cells are split at descriptor breakpoints and
 each panel uses the Gauss-Legendre rule of _gauss_nodes, at least 8 nodes and
 exact for the piece times a hat at any degree, so discontinuous data adds no
-quadrature noise; q_h is the hat view of extension_sampler.  Sine series use
+quadrature noise; q_h is extension_sampler's hat average.  Sine series use
 the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each nonzero mode instead of
 panels.  A jump of a piecewise profile evaluates to the mean of its two sides.
 
@@ -337,13 +337,13 @@ def hat_average_factor(y):
 def average_qh(w: Profile, mesh: MeshSpec) -> GridFn:
     """Hat average of a spatial profile; boundary entries are zero.
 
-    This is the hat view of extension_sampler at the nodes: on (0, X) the odd
+    This is extension_sampler's hat average at the nodes: on (0, X) the odd
     extension is w itself.
     """
     if abs(w.X - mesh.X) > 1e-12 * mesh.X:
         raise ContractViolation("profile and mesh domain lengths differ")
     try:
-        out = extension_sampler(w, False)(0.0, mesh.N + 1, mesh.h)[1]
+        out = extension_sampler(w, False)[1](0.0, mesh.N + 1, mesh.h)
     except QuadratureError as exc:
         # sampler cell c is mesh cell c - 1; the two outside (0, X) mirror their neighbours
         raise QuadratureError("non-finite values while integrating q_h profile",
@@ -382,13 +382,15 @@ def q2h_from_qh(qh_values, mesh: MeshSpec) -> GridFn:
 
 
 def extension_sampler(w: Profile, antiderivative: bool):
-    """sample(start, count, h) -> (W, hat average of W) at y = start + j h,
-    j = 0..count-1, where W is the odd 2X-periodic extension of w or, with
+    """(evaluate, average) of W at y = start + j h, j = 0..count-1, both called
+    as f(start, count, h): evaluate gives the values of W and average their hat
+    averages, where W is the odd 2X-periodic extension of w or, with
     antiderivative set, the even periodic antiderivative of that extension.
 
-    A sine series is its own extension, its antiderivative the cosine series;
-    a piecewise profile, or that of its polyint pieces, is folded onto [0, X]
-    and averaged by exact Gauss rules split at the breaks of the extension.
+    A sine series is its own extension, its antiderivative the cosine series,
+    and the two share the basis of the last points asked for; a piecewise
+    profile, or that of its polyint pieces, is folded onto [0, X] and averaged
+    by exact Gauss rules split at the breaks of the extension.
     """
     X = w.X
     if w.form == "sine_series":
@@ -397,10 +399,13 @@ def extension_sampler(w: Profile, antiderivative: bool):
         amps = np.asarray(w.coeffs)[ks] * math.sqrt(2.0 / X)
         wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
 
-        def sample(start, count, h):
-            basis = wave(np.outer(start + h * np.arange(count), omega))
-            return basis @ amps, basis @ (amps * hat_average_factor(omega * h))
-        return sample
+        @lru_cache(maxsize=1)
+        def basis(start, count, h):
+            return wave(np.outer(start + h * np.arange(count), omega))
+
+        return ((lambda start, count, h: basis(start, count, h) @ amps),
+                (lambda start, count, h:
+                 basis(start, count, h) @ (amps * hat_average_factor(omega * h))))
 
     b = np.asarray(w.breakpoints)
     if antiderivative:
@@ -423,14 +428,14 @@ def extension_sampler(w: Profile, antiderivative: bool):
     breaks = np.unique(np.concatenate([b, 2.0 * X - b]))
     nodes = _gauss_nodes(max(map(len, w.pieces)))
 
-    def sample(start, count, h):
+    def average(start, count, h):
         edges = start + h * np.arange(-1, count + 1)
         periods = 2.0 * X * np.arange(math.floor(edges[0] / (2.0 * X)),
                                       math.ceil(edges[-1] / (2.0 * X)) + 1)
         rise, fall = _hat_cell_integrals(extension, edges, np.add.outer(periods, breaks).ravel(),
                                          nodes, "the exact solution")
-        return extension(edges[1:-1]), (rise[:-1] + fall[1:]) / h
-    return sample
+        return (rise[:-1] + fall[1:]) / h
+    return (lambda start, count, h: extension(start + h * np.arange(count))), average
 
 
 def sample_nodes(w: Profile, mesh: MeshSpec) -> GridFn:

@@ -31,6 +31,18 @@ computed and its nonnegativity asserted rather than clamped.  The tau^2
 factor is what makes the middle term commensurate with the others: with it,
 the pair norm of a freely propagating discrete mode is conserved in time,
 and the energy stability bound holds with constant one.
+
+The energy norm is evaluated by summation by parts, exact for Dirichlet
+levels, from the interior values and the backward differences
+D w = (w[i] - w[i-1]) / h of the two levels:
+
+    ||w||_B^2 = ||w||_l2^2 - (h^2/6) ||D w||^2,    ||w||_S^2 = ||D w||^2,
+
+so a caller that already holds the differences of its levels, as
+scheme.measure_error does, reuses them; _energy_from_differences is the
+package's one energy formula.  The mass and stiffness norms of space_norm keep
+the three-point forms _mass_form and _stiffness_form, so summation by parts
+can be checked against them.
 """
 
 from __future__ import annotations
@@ -180,10 +192,17 @@ def _stiffness_form(w: np.ndarray, h: float):
     inner = w[..., 1:-1]
     return -np.sum(_three_point(np.empty_like(inner), w, -2.0, h ** 2) * inner, axis=-1) * h
 
-def _backward_diff_sq(w: np.ndarray, h: float):
-    """sum_{i=1..N} ((w[i] - w[i-1]) / h)^2 h."""
-    d = np.diff(w, axis=-1) / h
-    return np.sum(d * d, axis=-1) * h
+def _sq_sum(x: np.ndarray, h: float, out=None):
+    """sum_i x[i]^2 h over the last axis: the squared l2 norm of the values x;
+    the squares go to out, which may be x itself."""
+    return np.add.reduce(np.multiply(x, x, out=out), axis=-1) * h
+
+
+def _backward_diff(w: np.ndarray, h: float, out=None):
+    """(w[i] - w[i-1]) / h for i = 1..N, of one level or of each level of a
+    stack, written into out when it is given."""
+    d = np.subtract(w[..., 1:], w[..., :-1], out=out)
+    return np.divide(d, h, out=d)
 
 
 SPACE_NORM_KINDS = ("l2", "diff_l2", "l1", "mass", "stiffness")
@@ -212,9 +231,9 @@ def space_norm(w, kind: str, mesh: MeshSpec):
         w = require_gridfn(w, mesh)
     h = mesh.h
     if kind == "l2":
-        return _reduced(np.sqrt(np.sum(w[..., 1:-1] ** 2, axis=-1) * h))
+        return _reduced(np.sqrt(_sq_sum(w[..., 1:-1], h)))
     if kind == "diff_l2":
-        return _reduced(np.sqrt(_backward_diff_sq(w, h)))
+        return _reduced(np.sqrt(_sq_sum(_backward_diff(w, h), h)))
     if kind == "l1":
         return _reduced(np.sum(0.5 * (np.abs(w[..., :-1]) + np.abs(w[..., 1:])) * h, axis=-1))
     if kind == "mass":
@@ -241,26 +260,51 @@ def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec):
     full; a negative value beyond -1e-12 times its own scale indicates a
     broken invariant and raises, naming the first such row of a stack.
     """
+    require_energy_mesh(mesh)
+    v_prev = require_dirichlet(v_prev, mesh, "energy-norm slice")
+    v_curr = require_dirichlet(v_curr, mesh, "energy-norm slice")
+    h = mesh.h
+    return _reduced(_energy_from_differences(
+        v_prev, v_curr, _backward_diff(v_prev, h), _backward_diff(v_curr, h), mesh))
+
+
+def require_energy_mesh(mesh: MeshSpec) -> None:
+    """Refuse a mesh on which the energy norm may lose definiteness."""
     if not mesh.stable:
         raise ContractViolation(
             "energy norm requires a stable mesh: " + mesh.stability_report())
-    v_prev = require_dirichlet(v_prev, mesh, "energy-norm slice")
-    v_curr = require_dirichlet(v_curr, mesh, "energy-norm slice")
-    h, tau, a = mesh.h, mesh.tau, mesh.a
-    dtv = (v_curr - v_prev) / tau
-    stv = 0.5 * (v_curr + v_prev)
-    term_b = _mass_form(dtv, h)
-    term_mid = (mesh.sigma - 0.25) * tau ** 2 * a ** 2 * _stiffness_form(dtv, h)
-    term_avg = a ** 2 * _stiffness_form(stv, h)
+
+
+def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec):
+    """The energy norms of Dirichlet level pairs from their values and backward
+    differences d = (w[i] - w[i-1]) / h, by summation by parts.
+
+    dt v, D dt v and D st v are formed before squaring (times 1/tau, which is
+    within an ulp of the quotient), so the sums overflow where the three-point
+    forms do.  A radicand below -1e-12 times the sum of its terms' magnitudes
+    is an InvariantError naming the first such row of a stack; the caller has
+    checked the mesh and the Dirichlet ends.
+    """
+    h, tau, a2 = mesh.h, mesh.tau, mesh.a ** 2
+    t = np.empty(np.shape(d_curr))  # the one scratch array, squared in place
+    dt = np.subtract(v_curr[..., 1:-1], v_prev[..., 1:-1], out=t[..., :-1])
+    dt_sq = _sq_sum(np.multiply(dt, 1.0 / tau, out=dt), h, out=dt)
+    d_dt = np.subtract(d_curr, d_prev, out=t)
+    d_dt_sq = _sq_sum(np.multiply(d_dt, 1.0 / tau, out=d_dt), h, out=d_dt)
+    d_st = np.add(d_curr, d_prev, out=t)
+    term_b = dt_sq - h ** 2 / 6.0 * d_dt_sq  # ||dt v||_B^2 by summation by parts
+    term_mid = (mesh.sigma - 0.25) * tau ** 2 * a2 * d_dt_sq
+    term_avg = a2 * _sq_sum(np.multiply(d_st, 0.5, out=d_st), h, out=d_st)
     total = term_b + term_mid + term_avg
-    scale = np.abs(term_b) + np.abs(term_mid) + np.abs(term_avg)
-    bad = np.flatnonzero(total < -1e-12 * np.maximum(scale, 1e-300))
-    if bad.size:
-        r = bad[0]
-        raise InvariantError(
-            f"energy radicand {np.ravel(total)[r]:.3e} is negative beyond tolerance"
-            f"{f' in row {r}' if np.ndim(total) else ''} (scale {np.ravel(scale)[r]:.3e})")
-    return _reduced(np.sqrt(np.maximum(total, 0.0)))
+    if not np.min(total) >= 0.0:  # no row can fail otherwise
+        scale = np.abs(term_b) + np.abs(term_mid) + np.abs(term_avg)
+        bad = np.flatnonzero(total < -1e-12 * np.maximum(scale, 1e-300))
+        if bad.size:
+            r = bad[0]
+            raise InvariantError(
+                f"energy radicand {np.ravel(total)[r]:.3e} is negative beyond tolerance"
+                f"{f' in row {r}' if np.ndim(total) else ''} (scale {np.ravel(scale)[r]:.3e})")
+    return np.sqrt(np.maximum(total, 0.0))
 
 
 def check_stable(mesh: MeshSpec) -> None:

@@ -112,9 +112,10 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec) -> GridReference:
     def halves(start, count):
         """(view, datum, j): U0/2 and V1/(2a) at start + j h; view 1 hat-averaged."""
         out = np.empty((2, 2, count))
-        for d, (name, sample, scale) in enumerate(data_terms):
+        for d, (name, (evaluate, average), scale) in enumerate(data_terms):
             try:
-                out[:, d] = np.multiply(sample(start, count, h), scale)
+                out[:, d] = np.multiply((evaluate(start, count, h), average(start, count, h)),
+                                        scale)
             except QuadratureError:
                 out[:, d] = np.nan
             if not np.all(np.isfinite(out[:, d])):

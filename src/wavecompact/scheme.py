@@ -32,6 +32,12 @@ Error reports compare a run against a reference solution in two modes:
                    ||dt(q_2h u - v)^m||_l2 + ||dx(u - v)^m||_diff_l2.
                    (The full energy norm is not finite-order for rough data,
                    which is exactly the regime this mode exists for.)
+
+measure_error makes one pass over the trajectory, in blocks of _BLOCK_LEVELS
+level pairs held in two buffers allocated once per call: the errors of a block
+and their backward space differences, computed once and read by every norm of
+the block, the energy norm included (grid._energy_from_differences, the
+formula energy_norm_pair evaluates).
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ from scipy.linalg.lapack import dpttrs
 
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
-from .grid import (GridFn, MeshSpec, _three_point, check_stable, energy_norm_pair,
-                   require_dirichlet, space_norm, time_aggregate)
+from .grid import (GridFn, MeshSpec, _backward_diff, _energy_from_differences, _sq_sum,
+                   _three_point, check_stable, require_dirichlet, require_energy_mesh,
+                   space_norm, time_aggregate)
 from .operators import _implicit_factor
 
 ERROR_MODES = ("node_sampled", "q2h_filtered")
@@ -55,8 +62,9 @@ RESIDUAL_RTOL = 1e-11
 #: largest grid-data magnitude prepare_inputs accepts: the norms square it
 _DATA_BOUND = float(np.sqrt(np.finfo(float).max))
 
-#: time levels per block of measure_error; consecutive blocks share a level
-_BLOCK_LEVELS = 64
+#: level pairs per block of measure_error, whose 17 rows of N = 2048 stay in
+#: L2; consecutive blocks share a level
+_BLOCK_LEVELS = 16
 
 #: steps per residual check of evolve_grid; 16 rows of N = 2048 stay in L2
 _RESIDUAL_BLOCK = 16
@@ -194,9 +202,13 @@ def measure_error(mesh: MeshSpec, slices, reference,
     """Error norms of a stored (M+1, N+1) trajectory against a reference.
 
     reference serves values(levels), and qh_values(levels) in q2h_filtered
-    mode, for a slice of levels.  The trajectory is measured in blocks of
-    levels; consecutive blocks share one level, so the two-level norms see
-    every pair of levels, the seams included.
+    mode, for a slice of levels.  The trajectory is measured in one pass, in
+    blocks of _BLOCK_LEVELS + 1 levels held in two buffers allocated once, the
+    errors and their backward differences; consecutive blocks share one level,
+    so the two-level norms see every pair of levels, the seams included.  The
+    differences of a block are computed once and read by the L1 and l2 norms of
+    dx e and, in node_sampled mode, by the energy norm; that mode refuses an
+    unstable mesh, as energy_norm_pair does.
     """
     if mode not in ERROR_MODES:
         raise ContractViolation(f"unknown error mode {mode!r}; expected one of {ERROR_MODES}")
@@ -204,25 +216,30 @@ def measure_error(mesh: MeshSpec, slices, reference,
     if slices.shape != (mesh.M + 1, mesh.N + 1):
         raise ContractViolation(
             f"slices must have shape {(mesh.M + 1, mesh.N + 1)}, got {slices.shape}")
+    if mode == "node_sampled":
+        require_energy_mesh(mesh)
     h = mesh.h
     energy = np.empty(mesh.M)  # energy[m-1] belongs to the pair (v^{m-1}, v^m)
     dx, l1, l1_dx = np.empty((3, mesh.M + 1))
+    err_buf = np.empty((_BLOCK_LEVELS + 1, mesh.N + 1))
+    diff_buf = np.empty((_BLOCK_LEVELS + 1, mesh.N))
     for start in range(0, mesh.M, _BLOCK_LEVELS):
         stop = min(start + _BLOCK_LEVELS, mesh.M)
-        levels = slice(start, stop + 1)
+        levels, rows = slice(start, stop + 1), stop + 1 - start
         v = slices[levels]
-        err = reference.values(levels) - v
+        err = np.subtract(reference.values(levels), v, out=err_buf[:rows])
         err[:, 0] = err[:, -1] = 0.0
+        d = _backward_diff(err, h, out=diff_buf[:rows])
         l1[levels] = space_norm(err, "l1", mesh)
-        l1_dx[levels] = np.sum(np.abs(np.diff(err) / h), axis=-1) * h
-        dx[levels] = space_norm(err, "diff_l2", mesh)
+        l1_dx[levels] = np.sum(np.abs(d), axis=-1) * h
+        dx[levels] = np.sqrt(_sq_sum(d, h))
         if mode == "q2h_filtered":
             filt = data_mod.q2h_from_qh(reference.qh_values(levels), mesh) - v
             filt[:, 0] = filt[:, -1] = 0.0
             energy[start:stop] = (space_norm(np.diff(filt, axis=0) / mesh.tau, "l2", mesh)
                                   + dx[start + 1:stop + 1])
         else:
-            energy[start:stop] = energy_norm_pair(err[:-1], err[1:], mesh)
+            energy[start:stop] = _energy_from_differences(err[:-1], err[1:], d[:-1], d[1:], mesh)
     norms = (float(np.max(energy)), float(np.max(dx)),
              time_aggregate(l1, mesh), time_aggregate(l1_dx, mesh))
     if not np.all(np.isfinite(norms)):

@@ -1,6 +1,9 @@
 """Config parsing, validation, and descriptor parsing."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +210,24 @@ def test_string_keys_take_one_of_their_values():
         config_from_dict({**base, "kind": "solve", "variant": "all"})
     with pytest.raises(ConfigurationError, match=r"^data.preset must be one of \('hat_step'"):
         config_from_dict({**base, "kind": "solve", "data": {"preset": "None"}})
+
+
+def test_benchmark_job_configs_load():
+    # every config the benchmark writes, full passes and warm-ups alike, loads
+    # and names its subcommand's kind; the module is imported read-only
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up by name
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        del sys.modules[spec.name]
+    assert set(workloads.WORKLOADS) == {"rough_ladder", "sharp_ladder", "stability_probe"}
+    for workload in workloads.WORKLOADS.values():
+        for job in (*workload.make_jobs(0), *workload.make_jobs(1), *workload.warmup):
+            config = config_from_dict(job.config)
+            assert config.kind == job.command.replace("-", "_")
+            assert [(mesh.N, mesh.M) for mesh in config.rungs] == job.rungs()

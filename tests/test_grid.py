@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from wavecompact.data import q2h_from_qh
-from wavecompact.errors import ConfigurationError, ContractViolation, UnstableMeshError
-from wavecompact.grid import (_mass_form, _stiffness_form, build_mesh, energy_norm_pair,
-                              require_dirichlet, space_norm, time_aggregate)
+from wavecompact.errors import (ConfigurationError, ContractViolation, InvariantError,
+                               UnstableMeshError)
+from wavecompact.grid import (_energy_from_differences, _mass_form, _stiffness_form, build_mesh,
+                              energy_norm_pair, require_dirichlet, space_norm, time_aggregate)
 from wavecompact.operators import stencil
 
 
@@ -240,6 +241,44 @@ def test_energy_norm_requires_stable_mesh():
     unstable = build_mesh(1.0, 1.0, 10, 10)
     with pytest.raises(ContractViolation):
         energy_norm_pair(unstable.zeros(), unstable.zeros(), unstable)
+
+
+def test_energy_norm_matches_the_three_point_forms():
+    # summation by parts against the mass and stiffness forms, on random
+    # Dirichlet pairs and stacks; the eps0 < 1 meshes have sigma < 1/4
+    rng = np.random.default_rng(31)
+    for n, m, a, eps0 in ((32, 64, 1.0, 1.0), (32, 33, 1.0, 0.3), (32, 50, 1.3, 0.5)):
+        mesh = build_mesh(math.pi, math.pi, n, m, a=a, eps0=eps0)
+        assert mesh.stable and (eps0 == 1.0 or mesh.sigma < 0.25)
+        h, tau = mesh.h, mesh.tau
+        stack = rng.standard_normal((7, n + 1)) * 10.0 ** rng.uniform(-3, 3, (7, 1))
+        stack[1] = np.sin(2 * mesh.nodes())  # a smooth level beside the rough ones
+        stack[:, 0] = stack[:, -1] = 0.0
+        dtv = (stack[1:] - stack[:-1]) / tau
+        stv = 0.5 * (stack[1:] + stack[:-1])
+        expected = np.sqrt(_mass_form(dtv, h)
+                           + (mesh.sigma - 0.25) * tau ** 2 * a ** 2 * _stiffness_form(dtv, h)
+                           + a ** 2 * _stiffness_form(stv, h))
+        np.testing.assert_allclose(energy_norm_pair(stack[:-1], stack[1:], mesh), expected,
+                                   rtol=1e-12, atol=0)
+        for prev, curr, want in zip(stack[:-1], stack[1:], expected):
+            assert energy_norm_pair(prev, curr, mesh) == pytest.approx(want, rel=1e-12)
+
+
+def test_energy_kernel_refuses_a_negative_radicand_naming_the_row():
+    # differences that belong to no pair of levels: zero values, and
+    # d_curr = -d_prev leave only the D dt terms, whose coefficient
+    # -h^2/12 - tau^2 a^2/6 is negative
+    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    values = np.zeros((3, mesh.N + 1))
+    d_prev = np.zeros((3, mesh.N))
+    d_prev[1] = 1.0
+    with pytest.raises(InvariantError, match="negative beyond tolerance in row 1"):
+        _energy_from_differences(values, values, d_prev, -d_prev, mesh)
+    with pytest.raises(InvariantError, match=r"negative beyond tolerance \(scale"):
+        _energy_from_differences(values[1], values[1], d_prev[1], -d_prev[1], mesh)
+    assert _energy_from_differences(values, values, d_prev, d_prev, mesh).tolist() == [
+        0.0, mesh.a * math.sqrt(mesh.X), 0.0]
 
 
 def test_energy_lower_bounds_on_random_pairs():

@@ -147,8 +147,9 @@ def test_error_report_self_reference_is_zero():
     assert rep.l1_spacetime_dx_error == pytest.approx(0.0, abs=1e-13)
 
 
-# M = 16 fits in one block of measure_error; M = 150 spans three blocks, the
-# last one partial, so the pair norms cross two seams
+# M = 16 fits in one block of measure_error; M = 150 spans ten blocks of 16
+# level pairs (more than the id says), the last one partial, so the pair
+# norms cross nine seams
 SEAM_MESHES = pytest.mark.parametrize("m_levels", [16, 150], ids=["one_block", "three_blocks"])
 
 
@@ -211,6 +212,18 @@ def test_measure_error_sees_the_pair_across_a_block_seam():
     rep = measure_error(mesh, run.slices, GridReference(mesh, exact))
     assert rep.max_energy_error == energy_norm_pair(w, -w, mesh)
     assert rep.max_energy_error > energy_norm_pair(mesh.zeros(), w, mesh)
+
+
+def test_measure_error_node_sampled_refuses_an_unstable_mesh():
+    # the energy norm's own refusal, before any level is measured
+    unstable = build_mesh(1.0, 1.0, 10, 10)
+    zeros = np.zeros((unstable.M + 1, unstable.N + 1))
+    with pytest.raises(ContractViolation) as measured:
+        measure_error(unstable, zeros, GridReference(unstable, zeros), mode="node_sampled")
+    with pytest.raises(ContractViolation) as direct:
+        energy_norm_pair(unstable.zeros(), unstable.zeros(), unstable)
+    assert str(measured.value) == str(direct.value)
+    assert "requires a stable mesh" in str(measured.value)
 
 
 def test_smooth_manufactured_solution_fourth_order():
