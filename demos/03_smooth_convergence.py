@@ -8,7 +8,7 @@ data allows it.
 
 import math
 
-from wavecompact import (HarmonicData, HarmonicReference, build_mesh, evolve,
+from wavecompact import (HarmonicData, build_mesh, dalembert_reference, evolve,
                          fit_order, harmonic_dataspec, measure_error)
 
 kind = HarmonicData(j=1, k=1)  # u = sin t sin x exactly
@@ -17,8 +17,9 @@ print(f"  {'N':>5} {'h':>10} {'energy error':>14} {'ratio':>8} {'order':>7}")
 prev = None
 for n in (16, 32, 64, 128):
     mesh = build_mesh(math.pi, math.pi, n, 2 * n)
-    run = evolve(mesh, harmonic_dataspec(kind, mesh))
-    rep = measure_error(mesh, run.slices, HarmonicReference(mesh, kind))
+    data = harmonic_dataspec(kind, mesh)
+    run = evolve(mesh, data)
+    rep = measure_error(mesh, run.slices, dalembert_reference(mesh, data))
     err = rep.max_energy_error
     ratio = prev / err if prev else float("nan")
     order = math.log2(ratio) if prev else float("nan")

@@ -38,7 +38,9 @@ PRESETS[name].make(X), the descriptor tree, or harmonic_dataspec (sharpness
 keeps only j).  A harmonic k, of data.harmonic or of a harmonic profile
 descriptor, that the finest rung does not resolve is a MeshTooCoarseError
 (exit code 2), raised before the k coefficients are built.  A converge with
-zero or forced non-harmonic data is refused.
+zero data, or with data that has no exact reference (reference.reference_refusal:
+a forcing without a sine_series space factor and a harmonic_sin time factor,
+or one resonant with a mode k), is refused with that reason.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .data import PRESETS, U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ConfigurationError
 from .grid import MeshSpec, build_mesh, check_stable
 from .oracle import HarmonicData, harmonic_dataspec, require_resolved
+from .reference import reference_refusal
 from .scheme import ERROR_MODES
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
@@ -135,7 +138,8 @@ def dataspec_from_dict(d: dict, X: float) -> DataSpec:
 class ExperimentConfig:
     """A checked experiment.  data is what every rung steps: None only for
     sharpness, whose mode k_h each rung chooses from sharpness_j.  harmonic
-    is set when data is a single-harmonic family with a closed form."""
+    is set when data is a single-harmonic family, whose closed-form scheme
+    solution oracle_check compares against."""
 
     kind: str
     rungs: list[MeshSpec]
@@ -289,10 +293,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError("convergence studies need a ladder of >= 3 rungs")
         if len({mesh.N for mesh in rungs}) < len(rungs):
             raise ConfigurationError(f"mesh.rungs repeat an N: {[mesh.N for mesh in rungs]}")
-        if data.f is not None and harmonic is None:
-            raise ConfigurationError(
-                "no exact reference for forced non-harmonic data; use harmonic "
-                "data or drop the forcing")
+        refusal = reference_refusal(rungs[0], data)  # the rungs share X and a
+        if refusal is not None:
+            raise ConfigurationError(refusal)
         if data.f is None and not any(any(p.coeffs or ()) or any(map(any, p.pieces or ()))
                                       for p in (data.u0, data.u1)):
             raise ConfigurationError("convergence studies need nonzero data to fit an order")

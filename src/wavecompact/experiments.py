@@ -2,9 +2,10 @@
 stability checks, plus the order fit and the random data they use.
 
 Each runner takes an ExperimentConfig and returns a result record.  solve,
-converge and sharpness evolve and measure through _measured, against an
-exact reference: the closed form of harmonic data, else d'Alembert's formula
-for unforced data.  With emit set, _emit writes plain columnar CSV plus a
+converge and sharpness evolve and measure through _measured, against the one
+exact reference, reference.dalembert_reference; solve measures nothing for
+data that reference.reference_refusal refuses, and config refuses a converge
+of such data at load.  With emit set, _emit writes plain columnar CSV plus a
 JSON run summary to the config's output directory (solve writes its
 trajectory itself).  A table's header is the field names of its row record,
 and every cell is the repr of its field (strings as they are).
@@ -29,13 +30,13 @@ from numpy.polynomial import polynomial as npoly
 
 from . import __version__
 from .config import ExperimentConfig
-from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile, sine_coefficients
+from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_harmonic_trajectory,
                      harmonic_dataspec, sharpness_prediction)
-from .reference import HarmonicReference, dalembert_reference
+from .reference import dalembert_reference, reference_refusal
 from .scheme import ErrorReport, evolve, evolve_grid, measure_error, prepare_inputs
 
 
@@ -118,8 +119,7 @@ def _piece_l2_sq(coeffs, lo: float, hi: float) -> float:
 def profile_l2_norm(p: Profile) -> float:
     """L2(0, X) norm of a profile (exact)."""
     if p.form == "sine_series":
-        c = sine_coefficients(p, max(1, len(p.coeffs)))
-        return float(np.sqrt(np.sum(c ** 2)))
+        return float(np.sqrt(np.sum(np.square(p.coeffs))))
     total = sum(_piece_l2_sq(p.pieces[i], p.breakpoints[i], p.breakpoints[i + 1])
                 for i in range(len(p.pieces)))
     return math.sqrt(total)
@@ -128,7 +128,7 @@ def profile_l2_norm(p: Profile) -> float:
 def profile_h01_norm(p: Profile) -> float:
     """||dx w||_L2 for a profile vanishing at the ends."""
     if p.form == "sine_series":
-        c = sine_coefficients(p, max(1, len(p.coeffs)))
+        c = np.asarray(p.coeffs)
         k = np.arange(1, len(c) + 1)
         return float(np.sqrt(np.sum((np.pi * k / p.X) ** 2 * c ** 2)))
     total = 0.0
@@ -297,11 +297,8 @@ class ConvergenceResult:
 
 
 def _reference_for(config: ExperimentConfig, mesh: MeshSpec):
-    """Exact-solution reference of config.data: the closed form of harmonic
-    data, else d'Alembert's formula, which covers zero forcing only (else None)."""
-    if config.harmonic is not None:
-        return HarmonicReference(mesh, config.harmonic)
-    if config.data.f is not None:
+    """The exact reference of config.data, None for data that has none."""
+    if reference_refusal(mesh, config.data) is not None:
         return None
     return dalembert_reference(mesh, config.data)
 
@@ -427,9 +424,8 @@ def _sharpness_rung(payload):
     config, mesh = payload
     j = config.sharpness_j
     k_h = choose_k_h(config.alpha, mesh)
-    kind = HarmonicData(j=j, k=k_h)
-    _, report = _measured(config, mesh, harmonic_dataspec(kind, mesh),
-                          HarmonicReference(mesh, kind), "node_sampled")
+    data = harmonic_dataspec(HarmonicData(j=j, k=k_h), mesh)
+    _, report = _measured(config, mesh, data, dalembert_reference(mesh, data), "node_sampled")
     T = canonical_mesh(mesh).T  # the final time in the frame of the prediction
     rows = []
     for l, measured in ((0, report.l1_spacetime_error), (1, report.l1_spacetime_dx_error)):

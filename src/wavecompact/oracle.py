@@ -128,31 +128,33 @@ def variant_amplitude(variant: str, k: int, mesh: MeshSpec) -> float:
 # --------------------------------------------------------------------------
 # exact solution
 
-def forced_mode_response(k: int, kappa: float, t) -> np.ndarray:
-    """int_0^t sin((k-1) th) sin(kappa (t - th)) dth in closed form (|kappa| != k-1)."""
-    b = k - 1.0
-    if abs(abs(kappa) - b) < 1e-14 * max(1.0, b):
-        raise ContractViolation("resonant denominator: |kappa| = k - 1")
+def resonant(omega, kappa) -> np.ndarray:
+    """Where sin(omega t) drives a mode of frequency kappa at resonance,
+    |kappa| = |omega| to 1e-14 relative."""
+    omega = abs(float(omega))
+    return np.abs(np.abs(kappa) - omega) < 1e-14 * max(1.0, omega)
+
+
+def forced_mode_response(omega: float, kappa, t) -> np.ndarray:
+    """int_0^t sin(omega s) sin(kappa (t - s)) ds in closed form, broadcast
+    over kappa and t (no kappa resonant with omega)."""
+    if np.any(resonant(omega, kappa)):
+        raise ContractViolation("resonant denominator: |kappa| = |omega|")
     t = np.asarray(t, dtype=float)
-    return (-0.5 * (np.sin(b * t) - np.sin(kappa * t)) / (b - kappa)
-            + 0.5 * (np.sin(b * t) + np.sin(kappa * t)) / (b + kappa))
+    return (-0.5 * (np.sin(omega * t) - np.sin(kappa * t)) / (omega - kappa)
+            + 0.5 * (np.sin(omega * t) + np.sin(kappa * t)) / (omega + kappa))
 
 
-def exact_time_coefficients(kind: HarmonicData, t) -> np.ndarray:
-    """Time factor of the exact solution at canonical times t."""
-    t = np.asarray(t, dtype=float)
-    k = kind.k
-    if kind.j == 0:
-        return np.cos(k * t)
-    if kind.j == 1:
-        return np.sin(k * t) / k
-    return forced_mode_response(k, float(k), t) / k
-
-
-def exact_harmonic_solution(kind: HarmonicData, mesh: MeshSpec, x, t):
+def exact_harmonic_solution(kind: HarmonicData, x, t):
     """Exact solution u(x, t) for the harmonic data family (canonical coordinates)."""
-    x = np.asarray(x, dtype=float)
-    return exact_time_coefficients(kind, t) * np.sin(kind.k * x)
+    k, t = kind.k, np.asarray(t, dtype=float)
+    if kind.j == 0:
+        coeff = np.cos(k * t)
+    elif kind.j == 1:
+        coeff = np.sin(k * t) / k
+    else:
+        coeff = forced_mode_response(k - 1.0, float(k), t) / k
+    return coeff * np.sin(k * np.asarray(x, dtype=float))
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import apply_implicit, apply_spatial, solve_implicit
 from wavecompact.oracle import (HarmonicData, discrete_harmonic_trajectory,
                                 dispersion, harmonic_dataspec)
-from wavecompact.reference import HarmonicReference
+from wavecompact.reference import dalembert_reference
 from wavecompact.scheme import evolve, measure_error
 
 
@@ -60,8 +60,9 @@ def test_acceptance_2_smooth_fourth_order():
     points = []
     for n in (16, 32, 64, 128):
         mesh = build_mesh(math.pi, math.pi, n, 2 * n)
-        run = evolve(mesh, harmonic_dataspec(kind, mesh))
-        rep = measure_error(mesh, run.slices, HarmonicReference(mesh, kind),
+        data = harmonic_dataspec(kind, mesh)
+        run = evolve(mesh, data)
+        rep = measure_error(mesh, run.slices, dalembert_reference(mesh, data),
                             mode="node_sampled")
         points.append((mesh.h, rep.max_energy_error))
     fit = fit_order(points)

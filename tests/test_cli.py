@@ -214,6 +214,50 @@ def test_finite_sine_series_converge_exits_0(tmp_path, capsys):
                                    modes, rtol=0, atol=1e-13)
 
 
+_MODES = {"form": "sine_series", "coeffs": [0.3, 0.0, -0.2]}
+_STEP = {"form": "piecewise", "breakpoints": [0.0, 1.5, math.pi], "pieces": [[1.0], [-1.0]]}
+
+
+def test_forced_sine_series_converge_fits_fourth_order(tmp_path, capsys):
+    # smooth forcing alone: the reference adds its Duhamel modes to zero data
+    payload = {"kind": "converge", "mesh": _mesh(16, refinements=2),
+               "data": {"f": {"space": _MODES, "time": {"form": "harmonic_sin", "omega": 0.5}}},
+               "out_dir": str(tmp_path / "out")}
+    assert main(["converge", "--config", str(_write_config(tmp_path, payload))]) == 0
+    assert "fitted order" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert abs(summary["fitted_order"] - 4.0) < 0.3
+
+
+@pytest.mark.parametrize("space, time, factor", [
+    (_STEP, {"form": "harmonic_sin", "omega": 0.5}, "piecewise space factor"),
+    (_MODES, {"form": "polynomial", "coeffs": [1.0, -0.5]}, "polynomial time factor"),
+], ids=["piecewise_space", "polynomial_time"])
+def test_converge_of_forcing_without_exact_reference_exits_3(tmp_path, capsys, space, time,
+                                                             factor):
+    cfg = _write_config(tmp_path, {
+        "kind": "converge", "mesh": _mesh(8, refinements=2),
+        "data": {"f": {"space": space, "time": time}}, "out_dir": str(tmp_path / "out")})
+    assert main(["converge", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"no exact reference for forced data with a {factor}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_converge_of_resonant_forcing_exits_3_naming_k(tmp_path, capsys):
+    # X = a = 1: omega = 3 pi drives mode k = 3, whose coefficient is -0.2
+    cfg = _write_config(tmp_path, {
+        "kind": "converge", "mesh": {"X": 1.0, "T": 1.0, "N": 8, "M": 16, "refinements": 2},
+        "data": {"f": {"space": _MODES, "time": {"form": "harmonic_sin", "omega": 3 * math.pi}}},
+        "out_dir": str(tmp_path / "out")})
+    assert main(["converge", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "no exact reference for forced data resonant with mode k = 3" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stability_probe_command(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "kind": "stability_probe",

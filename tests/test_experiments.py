@@ -187,8 +187,8 @@ def test_run_solve_zero_data(tmp_path):
 def test_run_solve_golden_error_report(tmp_path):
     # d^(1), k=1, N=32, M=128: errors must match a report regenerated from the
     # closed-form discrete solution and the exact solution
-    from wavecompact.oracle import HarmonicData, discrete_harmonic_trajectory
-    from wavecompact.reference import HarmonicReference
+    from wavecompact.oracle import HarmonicData, discrete_harmonic_trajectory, harmonic_dataspec
+    from wavecompact.reference import dalembert_reference
     from wavecompact.scheme import measure_error
 
     cfg = config_from_dict({
@@ -203,7 +203,8 @@ def test_run_solve_golden_error_report(tmp_path):
     mesh = cfg.rungs[0]
     kind = HarmonicData(j=1, k=1)
     golden_slices = discrete_harmonic_trajectory(kind, mesh, "v2")
-    golden = measure_error(mesh, golden_slices, HarmonicReference(mesh, kind))
+    golden = measure_error(mesh, golden_slices,
+                           dalembert_reference(mesh, harmonic_dataspec(kind, mesh)))
     assert result.report.max_energy_error == pytest.approx(
         golden.max_energy_error, rel=1e-9)
     assert result.report.l1_spacetime_error == pytest.approx(
@@ -342,15 +343,16 @@ def test_sharpness_measurement_oracle_self_consistency():
     # measured ratio by less than 1e-8
     from wavecompact.oracle import (HarmonicData, choose_k_h,
                                     discrete_harmonic_trajectory)
-    from wavecompact.reference import HarmonicReference
+    from wavecompact.reference import dalembert_reference
     from wavecompact.scheme import evolve, measure_error
     from wavecompact.oracle import harmonic_dataspec
 
     mesh = build_mesh(math.pi, math.pi, 128, 256)
     k = choose_k_h(2.0, mesh)
     kind = HarmonicData(j=0, k=k)
-    ref = HarmonicReference(mesh, kind)
-    run = evolve(mesh, harmonic_dataspec(kind, mesh))
+    data = harmonic_dataspec(kind, mesh)
+    ref = dalembert_reference(mesh, data)
+    run = evolve(mesh, data)
     stepper = measure_error(mesh, run.slices, ref).l1_spacetime_error
     closed = measure_error(mesh, discrete_harmonic_trajectory(kind, mesh, "v2"),
                            ref).l1_spacetime_error

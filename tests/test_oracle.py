@@ -135,12 +135,12 @@ def test_variant_amplitude_matches_operator_application():
 def test_exact_solution_initial_condition_and_smooth_case():
     kind0 = HarmonicData(j=0, k=4)
     x = np.linspace(0, math.pi, 7)
-    np.testing.assert_allclose(exact_harmonic_solution(kind0, MESH, x, 0.0),
+    np.testing.assert_allclose(exact_harmonic_solution(kind0, x, 0.0),
                                np.sin(4 * x), atol=1e-15)
     # j=1, k=1 is exactly sin(t) sin(x)
     kind1 = HarmonicData(j=1, k=1)
     for t in (0.3, 1.0, 2.5):
-        np.testing.assert_allclose(exact_harmonic_solution(kind1, MESH, x, t),
+        np.testing.assert_allclose(exact_harmonic_solution(kind1, x, t),
                                    math.sin(t) * np.sin(x), rtol=1e-14, atol=1e-15)
 
 
@@ -148,20 +148,20 @@ def test_exact_forced_solution_hand_value():
     # j=2, k=2 at t=pi/2: y = 1/2 + 1/6 = 2/3, u = (1/2)(2/3) sin(2x)
     kind = HarmonicData(j=2, k=2)
     x = np.array([math.pi / 4])
-    got = exact_harmonic_solution(kind, MESH, x, math.pi / 2)
+    got = exact_harmonic_solution(kind, x, math.pi / 2)
     assert got[0] == pytest.approx(0.5 * (2.0 / 3.0) * math.sin(math.pi / 2), rel=1e-14)
 
 
 def test_forced_mode_response_matches_quadrature():
-    k = 3
+    omega = 2.0
     for kappa in (3.0, 1.3):
         for t in (0.7, 2.1):
-            got = forced_mode_response(k, kappa, t)
-            ref, _ = quad(lambda th: math.sin((k - 1) * th) * math.sin(kappa * (t - th)),
+            got = forced_mode_response(omega, kappa, t)
+            ref, _ = quad(lambda s: math.sin(omega * s) * math.sin(kappa * (t - s)),
                           0.0, t, limit=200)
             assert float(got) == pytest.approx(ref, rel=1e-10, abs=1e-12)
     with pytest.raises(ContractViolation):
-        forced_mode_response(3, 2.0, 1.0)  # kappa = k - 1 resonates
+        forced_mode_response(2.0, 2.0, 1.0)  # kappa = omega resonates
 
 
 def test_harmonic_data_validation():

@@ -1,19 +1,22 @@
-"""Reference providers against closed forms, brute-force superposition and
+"""The exact reference against closed forms, brute-force superposition and
 quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from wavecompact import reference
-from wavecompact.data import PRESETS, DataSpec, Profile, average_qh, sine_coefficients
+from wavecompact.data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, average_qh,
+                              sine_coefficients, step_profile)
 from wavecompact.errors import ConfigurationError, ContractViolation
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
-from wavecompact.oracle import HarmonicData, exact_harmonic_solution
-from wavecompact.reference import GridReference, HarmonicReference, dalembert_reference
+from wavecompact.oracle import (HarmonicData, canonical_mesh, exact_harmonic_solution,
+                                harmonic_dataspec)
+from wavecompact.reference import GridReference, dalembert_reference
 
 
 def _qh_oracle(func, mesh, kinks=()):
@@ -42,24 +45,24 @@ def test_grid_reference_round_trip():
         GridReference(mesh, np.zeros((3, 5)))
 
 
-def test_harmonic_reference_matches_exact_solution():
-    mesh = build_mesh(math.pi, math.pi, 12, 48)
-    kind = HarmonicData(j=2, k=3)
-    ref = HarmonicReference(mesh, kind)
-    x, t = mesh.nodes(), mesh.times()
-    for m in (0, 5, mesh.M):
-        np.testing.assert_allclose(ref.values(m),
-                                   exact_harmonic_solution(kind, mesh, x, t[m]),
-                                   rtol=1e-13, atol=1e-14)
-
-
-def test_harmonic_reference_qh_slices_by_quadrature():
-    mesh = build_mesh(math.pi, math.pi, 8, 32)
-    kind = HarmonicData(j=0, k=2)
-    ref = HarmonicReference(mesh, kind)
-    t = mesh.times()[7]
-    oracle = _qh_oracle(lambda x: exact_harmonic_solution(kind, mesh, x, t), mesh)
-    np.testing.assert_allclose(ref.qh_values(7), oracle, rtol=1e-12, atol=1e-13)
+# X = 2, a = 1.5: a tau / h is 2/3 at T = X / a and 11/20 (q > M) at T = 1.1
+@pytest.mark.parametrize("T, lattice", [(2.0 / 1.5, True), (1.1, False)],
+                         ids=["lattice", "per_level"])
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_dalembert_reference_of_harmonic_data_is_the_closed_form(j, T, lattice):
+    # harmonic_dataspec scales the data so that the canonical closed form holds
+    mesh = build_mesh(2.0, T, 8, 12, 1.5)
+    assert (reference._lattice(mesh) is not None) == lattice
+    kind = HarmonicData(j=j, k=3)
+    ref = dalembert_reference(mesh, harmonic_dataspec(kind, mesh))
+    cm = canonical_mesh(mesh)
+    exact = exact_harmonic_solution(kind, cm.nodes(), cm.times()[:, None])
+    exact[:, ::mesh.N] = 0.0
+    np.testing.assert_allclose(ref.values(slice(None)), exact, rtol=0, atol=1e-12)
+    for m in (1, 7, mesh.M):
+        oracle = _qh_oracle(lambda x: float(exact_harmonic_solution(
+            kind, math.pi * x / mesh.X, cm.times()[m])), mesh)
+        np.testing.assert_allclose(ref.qh_values(m), oracle, rtol=0, atol=1e-12)
 
 
 def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes, qh=False):
@@ -219,29 +222,95 @@ def test_dalembert_reference_of_a_sine_series_is_its_mode_sum(T):
                                rtol=1e-11, atol=1e-12)
 
 
+@pytest.mark.parametrize("T", [2.0 / 1.5, 1.1], ids=["lattice", "per_level"])
+def test_dalembert_reference_of_forced_modes_is_the_duhamel_integral(T):
+    # u_k(t) = c_k sqrt(2/X) / w_k int_0^t sin(omega s) sin(w_k (t - s)) ds, by quadrature
+    X, a, omega, c = 2.0, 1.5, 1.1, (0.4, 0.0, -0.7)
+    mesh = build_mesh(X, T, 8, 12, a)
+    data = DataSpec(u0=Profile.zero(X), u1=Profile.zero(X),
+                    f=Forcing(space=Profile.sine_series(c, X),
+                              time=TimeProfile.harmonic_sin(omega)))
+    ref = dalembert_reference(mesh, data)
+    x, t = mesh.nodes(), mesh.times()
+    for m in (1, 7, mesh.M):
+        expected, qh_expected = np.zeros(mesh.N + 1), np.zeros(mesh.N + 1)
+        for k, ck in enumerate(c, start=1):
+            w_k = a * math.pi * k / X
+            duhamel, _ = quad(lambda s: math.sin(omega * s) * math.sin(w_k * (t[m] - s)),
+                              0.0, t[m])
+            amplitude = ck * math.sqrt(2.0 / X) / w_k * duhamel
+            expected += amplitude * np.sin(math.pi * k * x / X)
+            qh_expected += amplitude * _qh_oracle(lambda y: math.sin(math.pi * k * y / X), mesh)
+        expected[::mesh.N] = qh_expected[::mesh.N] = 0.0
+        np.testing.assert_allclose(ref.values(m), expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ref.qh_values(m), qh_expected, rtol=0, atol=1e-13)
+    # with initial data too, the reference is the sum of the two (linearity)
+    rough = PRESETS["hat_step"].make(X)
+    both = dalembert_reference(mesh, DataSpec(u0=rough.u0, u1=rough.u1, f=data.f))
+    unforced = dalembert_reference(mesh, rough)
+    for view in ("values", "qh_values"):
+        np.testing.assert_allclose(
+            getattr(both, view)(slice(None)),
+            getattr(unforced, view)(slice(None)) + getattr(ref, view)(slice(None)),
+            rtol=0, atol=1e-14)
+
+
 def test_dalembert_reference_rejects_forcing():
-    from wavecompact.data import Forcing, TimeProfile
+    # only a sine series in x times sin(omega t), off resonance, has an exact reference
     mesh = build_mesh(math.pi, math.pi, 4, 8)
-    data = DataSpec(u0=Profile.zero(math.pi), u1=Profile.zero(math.pi),
-                    f=Forcing(space=Profile.harmonic_mode(1, math.pi),
-                              time=TimeProfile.harmonic_sin(1.0)))
-    with pytest.raises(ContractViolation):
-        dalembert_reference(mesh, data)
+    mode, step = Profile.harmonic_mode(1, math.pi), step_profile(math.pi)
+    for space, time, reason in [
+        (mode, TimeProfile.harmonic_sin(1.0), "resonant with mode k = 1"),  # a pi k / X = 1
+        (step, TimeProfile.harmonic_sin(0.5), "piecewise space factor"),
+        (mode, TimeProfile.polynomial((1.0,)), "polynomial time factor"),
+    ]:
+        data = DataSpec(u0=Profile.zero(math.pi), u1=Profile.zero(math.pi),
+                        f=Forcing(space=space, time=time))
+        assert reason in reference.reference_refusal(mesh, data)
+        with pytest.raises(ConfigurationError, match=f"^no exact reference for forced data.*{reason}"):
+            dalembert_reference(mesh, data)
 
 
 @pytest.mark.parametrize("T", [math.pi, 2.5], ids=["lattice", "per_level"])
-@pytest.mark.parametrize("name, breakpoints, pieces", [
+@pytest.mark.parametrize("name, datum", [
     # u = 1e308 (1 + x) overflows; so does its antiderivative
-    ("u0", (0.0, math.pi), ((1e308, 1e308),)),
-    ("u1", (0.0, math.pi), ((1e308, 1e308),)),
+    ("u0", Profile.piecewise_poly((0.0, math.pi), ((1e308, 1e308),))),
+    ("u1", Profile.piecewise_poly((0.0, math.pi), ((1e308, 1e308),))),
     # every value of u1 is finite, but V1 passes 1.8e308 between x = 1 and 2,
     # so the pieces of its antiderivative are not finite
-    ("u1", (0.0, 1.0, 2.0, math.pi), ((1e308,),) * 3),
-], ids=["u0", "u1", "u1_antiderivative"])
-def test_dalembert_reference_rejects_non_finite_values(name, breakpoints, pieces, T):
+    ("u1", Profile.piecewise_poly((0.0, 1.0, 2.0, math.pi), ((1e308,),) * 3)),
+    # the mode's amplitude 1.43e308 times its response, above 1.3 before
+    # t = 2.5, passes 1.8e308
+    ("f", Forcing(space=Profile.sine_series((1.79e308,), math.pi),
+                  time=TimeProfile.harmonic_sin(0.99))),
+], ids=["u0", "u1", "u1_antiderivative", "f"])
+def test_dalembert_reference_rejects_non_finite_values(name, datum, T):
     mesh = build_mesh(math.pi, T, 4, 8)
-    profiles = {"u0": Profile.zero(math.pi), "u1": Profile.zero(math.pi)}
-    profiles[name] = Profile.piecewise_poly(breakpoints, pieces)
+    data = {"u0": Profile.zero(math.pi), "u1": Profile.zero(math.pi), name: datum}
     with pytest.raises(ConfigurationError,
                        match=f"^the exact solution of {name} is not finite on the N=4, M=8 mesh$"):
-        dalembert_reference(mesh, DataSpec(**profiles))
+        dalembert_reference(mesh, DataSpec(**data))
+
+
+def test_lattice_reference_is_served_block_by_block():
+    # the build keeps period arrays of about 2N + M entries and never holds an
+    # (M+1, N+1) array, 16.8 MB here; the transient peak is the Gauss-point
+    # evaluation of the hat averages, about 0.9 MB.  Blocks of levels are the
+    # full range bit for bit.
+    mesh = build_mesh(math.pi, math.pi, 1024, 2048)
+    data = PRESETS["hat_step"].make(math.pi)
+    tracemalloc.start()
+    try:
+        ref = dalembert_reference(mesh, data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(ref, reference.LatticeReference)
+    assert kept < 2 ** 20 and peak < 2 * 2 ** 20
+    for view in (ref.values, ref.qh_values):
+        full = view(slice(None))
+        assert not np.any(full[:, ::mesh.N])  # Dirichlet ends, exactly
+        blocks = [view(slice(start, start + 17)) for start in range(0, mesh.M + 1, 17)]
+        np.testing.assert_array_equal(np.concatenate(blocks), full)
+        np.testing.assert_array_equal(view(mesh.M), full[-1])
+        np.testing.assert_array_equal(view(slice(None, None, -5)), full[::-5])

@@ -13,7 +13,7 @@ from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, solve_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
-from wavecompact.reference import GridReference, HarmonicReference
+from wavecompact.reference import GridReference, dalembert_reference
 from wavecompact.scheme import evolve, evolve_grid, measure_error, prepare_inputs
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
@@ -158,8 +158,9 @@ def test_error_report_brute_force_norms(m_levels):
     # all four fields recomputed with plain loops on a tiny run
     mesh = build_mesh(math.pi, math.pi, 8, m_levels)
     kind = HarmonicData(j=0, k=2)
-    run = evolve(mesh, harmonic_dataspec(kind, mesh))
-    ref = HarmonicReference(mesh, kind)
+    data = harmonic_dataspec(kind, mesh)
+    run = evolve(mesh, data)
+    ref = dalembert_reference(mesh, data)
     rep = measure_error(mesh, run.slices, ref, mode="node_sampled")
 
     errs = [ref.values(m) - run.slices[m] for m in range(mesh.M + 1)]
@@ -185,8 +186,9 @@ def test_error_report_q2h_mode_brute_force(m_levels):
     from wavecompact.data import q2h_from_qh
     mesh = build_mesh(math.pi, math.pi, 8, m_levels)
     kind = HarmonicData(j=1, k=1)
-    run = evolve(mesh, harmonic_dataspec(kind, mesh))
-    ref = HarmonicReference(mesh, kind)
+    data = harmonic_dataspec(kind, mesh)
+    run = evolve(mesh, data)
+    ref = dalembert_reference(mesh, data)
     rep = measure_error(mesh, run.slices, ref, mode="q2h_filtered")
     filt = [q2h_from_qh(ref.qh_values(m), mesh) - run.slices[m]
             for m in range(mesh.M + 1)]
@@ -233,8 +235,9 @@ def test_smooth_manufactured_solution_fourth_order():
     for n in (8, 16, 32):
         mesh = build_mesh(math.pi, math.pi, n, 2 * n)
         kind = HarmonicData(j=1, k=1)
-        run = evolve(mesh, harmonic_dataspec(kind, mesh))
-        rep = measure_error(mesh, run.slices, HarmonicReference(mesh, kind))
+        data = harmonic_dataspec(kind, mesh)
+        run = evolve(mesh, data)
+        rep = measure_error(mesh, run.slices, dalembert_reference(mesh, data))
         errors.append(rep.max_energy_error)
         hs.append(mesh.h)
     order1 = math.log2(errors[0] / errors[1])
