@@ -40,5 +40,5 @@ for m in range(0, mesh.M + 1, mesh.M // 8):
 print()
 print("energy-ish diagnostics: the solution stays bounded by the data norms")
 from wavecompact.experiments import stability_bound_sides
-_, (lhs, rhs) = stability_bound_sides(mesh, rough)
+[(_, (lhs, rhs))] = stability_bound_sides(mesh, [rough])
 print(f"  scaled solution maximum {lhs:.4f} <= data bound {rhs:.4f}")

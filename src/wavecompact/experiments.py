@@ -10,6 +10,12 @@ JSON run summary to the config's output directory (solve writes its
 trajectory itself).  A table's header is the field names of its row record,
 and every cell is the repr of its field (strings as they are).
 
+The stability probe and oracle-check step their data sets of one mesh as the
+columns of one evolve_grid run: the probe's n_random random data sets, with
+zero forcing rows for the unforced ones, and oracle-check's u1 variants,
+which share v0 and fh.  Each column equals its own run bit for bit, so the
+rows are those of one run per data set.
+
 Ladder rungs are independent and run in a process pool when jobs > 1.
 """
 
@@ -173,9 +179,10 @@ def forcing_l21_norm(f: Forcing, T: float) -> float:
 # --------------------------------------------------------------------------
 # stability inequalities (used by the probe runner and the acceptance suite)
 
-def stability_bound_sides(mesh: MeshSpec, data: DataSpec):
-    """((LHS, RHS), (LHS, RHS)) of the energy bound and of the data-norm bound,
-    both read from one run of the scheme.
+def stability_bound_sides(mesh: MeshSpec, datas: list[DataSpec]):
+    """One ((LHS, RHS), (LHS, RHS)) per data set of datas, of the energy bound
+    and of the data-norm bound, all read from one run of the scheme in which
+    every data set is a column.
 
     Energy bound (discrete data):
       LHS: max over levels of the two-level energy norm of the run.
@@ -185,24 +192,43 @@ def stability_bound_sides(mesh: MeshSpec, data: DataSpec):
       LHS: eps0 max( max_m ||dt v^m||_mass, max_m a/sqrt(6) ||dx v^m||_diff_l2 ).
       RHS: sqrt(a^2 ||dx u0||_L2^2 + eps0^-2 ||u1||_L2^2) + 2 eps0^-1 ||f||_L21.
     """
-    v0, u1h, fh = prepare_inputs(mesh, data, "v2")
-    slices = evolve_grid(mesh, v0, u1h, fh).slices
-    e0 = mesh.eps0
-    lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
-    rhs = math.sqrt(mesh.a ** 2 * space_norm(v0, "stiffness", mesh) ** 2
-                    + mass_inv_half_norm(u1h, mesh) ** 2 / e0 ** 2)
-    if fh is not None:
-        fh_norms = mass_inv_half_norm(fh, mesh).tolist()
-        rhs += (fh_norms[0] * mesh.tau + 2.0 * mesh.tau * sum(fh_norms[1:])) / e0
+    return _stability_rung(mesh, datas)[0]
 
-    max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))
-    max_dx = float(np.max(space_norm(slices, "diff_l2", mesh)))
-    lhs2 = e0 * max(max_dt, mesh.a / math.sqrt(6.0) * max_dx)
-    rhs2 = math.sqrt(mesh.a ** 2 * profile_h01_norm(data.u0) ** 2
-                     + profile_l2_norm(data.u1) ** 2 / e0 ** 2)
-    if data.f is not None:
-        rhs2 += 2.0 / e0 * forcing_l21_norm(data.f, mesh.T)
-    return (lhs, rhs), (lhs2, rhs2)
+
+def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
+    """(stability_bound_sides of datas, the run's summary row): N, M, the
+    columns stepped, the stepping seconds and the largest residual."""
+    e0, B, N, M = mesh.eps0, len(datas), mesh.N, mesh.M
+    v0s, u1hs = np.empty((2, B, N + 1))
+    # unforced columns of a forced stack step zero forcing rows
+    fhs = None if all(data.f is None for data in datas) else np.zeros((B, M, N + 1))
+    for b, data in enumerate(datas):
+        v0s[b], u1hs[b], fh = prepare_inputs(mesh, data, "v2")
+        if fh is not None:
+            fhs[b] = fh
+    started = time.perf_counter()
+    run = evolve_grid(mesh, v0s, u1hs, fhs)
+    step_s = time.perf_counter() - started
+    sides = []
+    for b, data in enumerate(datas):  # the norms column by column, on views
+        slices = run.slices[b]
+        lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
+        rhs = math.sqrt(mesh.a ** 2 * space_norm(v0s[b], "stiffness", mesh) ** 2
+                        + mass_inv_half_norm(u1hs[b], mesh) ** 2 / e0 ** 2)
+        if data.f is not None:
+            fh_norms = mass_inv_half_norm(fhs[b], mesh).tolist()
+            rhs += (fh_norms[0] * mesh.tau + 2.0 * mesh.tau * sum(fh_norms[1:])) / e0
+
+        max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))
+        max_dx = float(np.max(space_norm(slices, "diff_l2", mesh)))
+        lhs2 = e0 * max(max_dt, mesh.a / math.sqrt(6.0) * max_dx)
+        rhs2 = math.sqrt(mesh.a ** 2 * profile_h01_norm(data.u0) ** 2
+                         + profile_l2_norm(data.u1) ** 2 / e0 ** 2)
+        if data.f is not None:
+            rhs2 += 2.0 / e0 * forcing_l21_norm(data.f, mesh.T)
+        sides.append(((lhs, rhs), (lhs2, rhs2)))
+    return sides, {"N": N, "M": M, "columns": B, "step_s": step_s,
+                   "residual_max": float(np.max(run.residual_max))}
 
 
 def energy_lower_bound_margins(mesh: MeshSpec, v_prev, v_curr):
@@ -473,12 +499,19 @@ def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[Oracle
     variants = U1_VARIANTS if config.variant == "all" else (config.variant,)
     rows = []
     for mesh in config.rungs:
-        for variant in variants:
-            # the closed form first: it refuses a mode the mesh cannot resolve
-            closed = discrete_harmonic_trajectory(config.harmonic, mesh, variant)
-            run = evolve(mesh, config.data, variant=variant)
-            scale = max(1.0, float(np.max(np.abs(closed))))
-            dev = float(np.max(np.abs(run.slices - closed))) / scale
+        # the closed forms first: they refuse a mode the mesh cannot resolve
+        closed = [discrete_harmonic_trajectory(config.harmonic, mesh, v) for v in variants]
+        # the variants differ in u1h only: one run, one column per variant, on
+        # read-only views of the shared v0 and fh
+        inputs = [prepare_inputs(mesh, config.data, v) for v in variants]
+        v0, _, fh = inputs[0]
+        B = len(variants)
+        run = evolve_grid(mesh, np.broadcast_to(v0, (B, mesh.N + 1)),
+                          np.stack([u1h for _, u1h, _ in inputs]),
+                          None if fh is None else np.broadcast_to(fh, (B,) + fh.shape))
+        for variant, exact, slices in zip(variants, closed, run.slices):
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            dev = float(np.max(np.abs(slices - exact))) / scale
             rows.append(OracleCheckRow(N=mesh.N, M=mesh.M, variant=variant,
                                        deviation=dev, passed=dev <= ORACLE_TOLERANCE))
     if emit:
@@ -505,14 +538,20 @@ STABILITY_SLACK = 1e-11
 
 
 def run_stability_probe(config: ExperimentConfig, emit: bool = True) -> list[StabilityProbeRow]:
-    """Randomized numerical verification of the energy inequalities."""
+    """Randomized numerical verification of the energy inequalities.
+
+    Per mesh, the n_random data sets are drawn first and then the n_pairs
+    pairs; the data sets are stepped as the columns of one run, and the run
+    summary gets one row per mesh (see _stability_rung)."""
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     rows: list[StabilityProbeRow] = []
+    rungs = []
     for mesh in config.rungs:
-        for _ in range(config.n_random):
-            data = random_dataspec(rng, mesh.X)
-            sides = stability_bound_sides(mesh, data)
+        datas = [random_dataspec(rng, mesh.X) for _ in range(config.n_random)]
+        all_sides, rung = _stability_rung(mesh, datas)
+        rungs.append(rung)
+        for sides in all_sides:
             for check, (lhs, rhs) in zip(("energy_bound", "data_norm_bound"), sides):
                 slack = STABILITY_SLACK * max(1.0, abs(rhs))
                 rows.append(StabilityProbeRow(mesh.N, mesh.M, check, lhs, rhs,
@@ -527,5 +566,5 @@ def run_stability_probe(config: ExperimentConfig, emit: bool = True) -> list[Sta
                                               margin, margin >= -STABILITY_SLACK))
     if emit:
         _emit(config, started, [("stability.csv", StabilityProbeRow, rows)],
-              {"violations": sum(not r.passed for r in rows)})
+              {"violations": sum(not r.passed for r in rows), "rungs": rungs})
     return rows

@@ -16,11 +16,16 @@ while u1, of order lambda - 1 >= 0, enters only through hat averages.
 evolve_grid is the one way to step: it checks the shapes, finiteness and zero
 ends of (v0, u1h, fh) once, on entry, and each step calls LAPACK dpttrs on the
 cached LDL^T factor of the tridiagonal A and the stencil kernel
-grid._three_point, in buffers allocated once per run.  The defining-equation
-residual of every step is checked per block of _RESIDUAL_BLOCK consecutive
-steps, in one vectorized pass after the block's last step (and after the run's
-last step); a failing step therefore surfaces at the end of its block, after at
-most _RESIDUAL_BLOCK - 1 further steps, and the run returns nothing.
+grid._three_point, in buffers allocated once per run.  The scheme is linear,
+so B data sets can be stepped as the columns of one run: given stacks, each
+step makes one dpttrs call with B right-hand sides, whose cost per column is
+flat, and pays Python's per-call overhead once for all of them; one data set
+is the stack of one column, through the same loop.  The defining-equation
+residual of every step and column is checked per block of _RESIDUAL_BLOCK
+consecutive steps, in one vectorized pass after the block's last step (and
+after the run's last step); a failing step therefore surfaces at the end of
+its block, after at most _RESIDUAL_BLOCK - 1 further steps, and the run
+returns nothing.
 
 Error reports compare a run against a reference solution in two modes:
 
@@ -72,10 +77,11 @@ _RESIDUAL_BLOCK = 16
 
 @dataclass(frozen=True)
 class SchemeRun:
-    """One integrator run: its levels and the residual of every step."""
+    """One integrator run, or a stack of B runs: the levels and the residual of
+    every step."""
 
-    slices: np.ndarray        # (M+1, N+1): slices[m] is v^m
-    residual_max: np.ndarray  # residual_max[m-1] belongs to the step producing v^m
+    slices: np.ndarray        # (M+1, N+1), slices[m] is v^m; (B, M+1, N+1) for a stack
+    residual_max: np.ndarray  # residual_max[..., m-1] belongs to the step producing v^m
 
 
 @dataclass(frozen=True)
@@ -117,78 +123,101 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str):
             None if data.f is None else checked("f", lambda: data_mod.build_fh(data.f, mesh)))
 
 
-def _entry_datum(name: str, w, shape: tuple, mesh: MeshSpec) -> GridFn:
-    """w as float data of the given shape, finite and vanishing at both ends."""
+def _entry_datum(name: str, w, shape: tuple, mesh: MeshSpec, stacked: bool) -> GridFn:
+    """w as float data of the given shape, finite and vanishing at both ends;
+    in a stack each column is checked, and a failure names it."""
     w = np.asarray(w, dtype=float)
     if w.shape != shape:
         raise ContractViolation(f"{name} must have shape {shape}, got {w.shape}")
-    if not -np.inf < w.min() <= w.max() < np.inf:  # reads only; NaN fails too
-        raise ConfigurationError(f"{name} has values that are not finite")
-    return require_dirichlet(w, mesh, name)
+    for b, col in enumerate(w) if stacked else ((None, w),):
+        what = name if b is None else f"{name} column {b}"
+        if not -np.inf < col.min() <= col.max() < np.inf:  # reads only; NaN fails too
+            raise ConfigurationError(f"{what} has values that are not finite")
+        require_dirichlet(col, mesh, what)
+    return w
 
 
 def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
     """Run the integrator from grid data (v0, u1h, fh) and store every slice.
 
-    v0, u1h (N+1,) and fh (M, N+1), the forcing levels 0..M-1, are checked
+    v0, u1h (N+1,) and fh (M, N+1), the forcing levels 0..M-1, make one run.
+    Stacks v0, u1h (B, N+1) and fh (B, M, N+1) make B runs, the columns,
+    stepped together: slices is then (B, M+1, N+1) and residual_max (B, M),
+    and each column equals its own run bit for bit.  The data are checked
     once, on entry, for shape, finiteness and zero ends (every slice keeps
-    those of v0); a failure names the datum.  Each step calls LAPACK dpttrs
-    in place on the cached LDL^T factor of A.  The residuals are checked per
-    block of _RESIDUAL_BLOCK steps, after the block's last step, against
-    RESIDUAL_RTOL * max(1, |rhs|_inf): residual_max[m-1] is that of the step
-    producing v^m, and a failure is an InvariantError naming the first failing
-    level of the block, raised before any later block is stepped.
+    those of v0); a failure names the datum and, in a stack, the column.  Each
+    step makes one LAPACK dpttrs call on the cached LDL^T factor of A for all
+    columns.  The residuals are checked per block of _RESIDUAL_BLOCK steps,
+    after the block's last step, against RESIDUAL_RTOL * max(1, |rhs|_inf) of
+    each column: residual_max[..., m-1] is that of the step producing v^m, and
+    a failure is an InvariantError naming the first failing level of the block
+    (and, in a stack, the column), raised before any later block is stepped.
     """
     check_stable(mesh)
     N, M, tau, a2, h2 = mesh.N, mesh.M, mesh.tau, mesh.a ** 2, mesh.h ** 2
-    v0, u1h = _entry_datum("v0", v0, (N + 1,), mesh), _entry_datum("u1h", u1h, (N + 1,), mesh)
+    stacked = np.ndim(v0) == 2
+    B = len(v0) if stacked else 1
+    if B < 1:
+        raise ContractViolation("a stack of grid data needs at least one column")
+    lead = (B,) if stacked else ()
+    # one run is the stack of one column
+    v0, u1h = (_entry_datum(name, w, lead + (N + 1,), mesh, stacked).reshape(B, N + 1)
+               for name, w in (("v0", v0), ("u1h", u1h)))
     if fh is not None:
-        fh = _entry_datum("fh", fh, (M, N + 1), mesh)
-    edge = np.zeros(M) if fh is None else np.abs(fh[:, ::N]).max(axis=1)  # |rhs| at the ends
-    edge[0] = np.abs(u1h[::N] + (0.0 if fh is None else 0.5 * tau * fh[0, ::N])).max()
+        fh = _entry_datum("fh", fh, lead + (M, N + 1), mesh, stacked).reshape(B, M, N + 1)
+    # |rhs| at the ends, per column and step
+    edge = np.zeros((B, M)) if fh is None else np.abs(fh[..., ::N]).max(axis=-1)
+    edge[:, 0] = np.abs(u1h[:, ::N] + (0.0 if fh is None else 0.5 * tau * fh[:, 0, ::N])
+                        ).max(axis=-1)
     (d, e), c = _implicit_factor(mesh), mesh.sigma * tau ** 2 * a2
-    slices, residuals = np.empty((M + 1, N + 1)), np.empty(M)
-    slices[0], slices[1:, ::N] = v0, v0[::N] + 0.0  # v0 + tau * 0: the ends that stay
-    # the lam and rhs rows of one block (lam keeps zero ends), and the block's
-    # residual buffers, whose first rows the steps use as scratch in between
-    lams = np.zeros((_RESIDUAL_BLOCK, N + 1))
-    rhss, t1, t2 = np.empty((3, _RESIDUAL_BLOCK, N - 1))
+    slices, residuals = np.empty((B, M + 1, N + 1)), np.empty((B, M))
+    slices[:, 0], slices[:, 1:, ::N] = v0, v0[:, None, ::N] + 0.0  # the ends that stay
+    # one block's solutions, each row's transpose the F-contiguous (N-1, B)
+    # operand of dpttrs, and its rhs rows; lam, the zero-ended copy of the
+    # solutions that the residual check reads; and the residual buffers, whose
+    # first rows the steps use as scratch in between
+    lams = np.zeros((_RESIDUAL_BLOCK, B, N + 1))
+    sols, rhss, t1, t2 = np.empty((4, _RESIDUAL_BLOCK, B, N - 1))
 
     def check_block(first: int, n: int) -> None:
         """The residuals of the steps to levels first+1..first+n, from the
         block's first n rows, with the operator calls' operations row by row;
         the first above RESIDUAL_RTOL * max(1, |rhs|_inf, edge) is refused."""
+        lams[:n, :, 1:-1] = sols[:n]
         lhs = _three_point(t1[:n], lams[:n], 4.0, 6.0)  # (mass - c laplacian) lam - rhs
         lhs -= np.multiply(_three_point(t2[:n], lams[:n], -2.0, h2), c, out=t2[:n])
         lhs -= rhss[:n]
-        res = residuals[first:first + n] = np.abs(lhs, out=lhs).max(axis=1)
-        for i in np.flatnonzero(~(res <= RESIDUAL_RTOL)):  # the scale is >= 1; NaN fails
-            scale = max(1.0, np.abs(rhss[i]).max(), edge[first + i])
-            if not res[i] <= RESIDUAL_RTOL * scale:
+        res = np.abs(lhs, out=lhs).max(axis=-1)  # (step, column)
+        residuals[:, first:first + n] = res.T
+        for i, b in zip(*np.nonzero(~(res <= RESIDUAL_RTOL))):  # the scale is >= 1; NaN fails
+            scale = max(1.0, np.abs(rhss[i, b]).max(), edge[b, first + i])
+            if not res[i, b] <= RESIDUAL_RTOL * scale:
                 raise InvariantError(
-                    f"defining-equation residual {res[i]:.3e} of the step to level "
-                    f"{first + i + 1} on the N={N}, M={M} mesh exceeds "
-                    f"{RESIDUAL_RTOL:.0e} * {scale:.3e}")
+                    f"defining-equation residual {res[i, b]:.3e} of the step to level "
+                    f"{first + i + 1}{f' in column {b}' if stacked else ''} on the "
+                    f"N={N}, M={M} mesh exceeds {RESIDUAL_RTOL:.0e} * {scale:.3e}")
 
     for m in range(M):
         row = m % _RESIDUAL_BLOCK
-        v, nxt, lam, rhs = slices[m], slices[m + 1, 1:-1], lams[row, 1:-1], rhss[row]
+        v, nxt, sol, rhs = slices[:, m], slices[:, m + 1, 1:-1], sols[row], rhss[row]
         _three_point(rhs, v, -2.0, h2)  # the recurrences' rhs, in the operator calls' order
         rhs *= a2 if m else 0.5 * tau * a2
         if m == 0:
-            rhs += u1h[1:-1]
+            rhs += u1h[:, 1:-1]
         if fh is not None:
-            rhs += fh[m, 1:-1] if m else np.multiply(fh[0, 1:-1], 0.5 * tau, out=t1[0])
-        lam[:] = rhs  # solved in place; a failed dpttrs leaves rhs, which the residual refuses
-        dpttrs(d, e, lam, overwrite_b=1)
+            rhs += fh[:, m, 1:-1] if m else np.multiply(fh[:, 0, 1:-1], 0.5 * tau, out=t1[0])
+        sol[:] = rhs  # solved in place; a failed dpttrs leaves rhs, which the residual refuses
+        dpttrs(d, e, sol.T, overwrite_b=1)
         # v^1 = tau lam + v^0, and v^{m+1} = tau^2 lam + 2 v^m - v^{m-1}
-        np.multiply(lam, tau ** 2 if m else tau, out=nxt)
-        nxt += np.multiply(v[1:-1], 2.0, out=t2[0]) if m else v[1:-1]
+        np.multiply(sol, tau ** 2 if m else tau, out=nxt)
+        nxt += np.multiply(v[:, 1:-1], 2.0, out=t2[0]) if m else v[:, 1:-1]
         if m:
-            nxt -= slices[m - 1, 1:-1]
+            nxt -= slices[:, m - 1, 1:-1]
         if row == _RESIDUAL_BLOCK - 1 or m == M - 1:
             check_block(m - row, row + 1)
-    return SchemeRun(slices=slices, residual_max=residuals)
+    if stacked:
+        return SchemeRun(slices=slices, residual_max=residuals)
+    return SchemeRun(slices=slices[0], residual_max=residuals[0])
 
 
 def evolve(mesh: MeshSpec, data: data_mod.DataSpec, variant: str = "v2") -> SchemeRun:

@@ -137,9 +137,8 @@ def test_forcing_l21_norm_separable():
 def test_stability_bounds_randomized_small():
     rng = np.random.default_rng(42)
     mesh = build_mesh(math.pi, math.pi, 16, 32)
-    for _ in range(5):
-        data = random_dataspec(rng, math.pi)
-        (lhs, rhs), (lhs2, rhs2) = stability_bound_sides(mesh, data)
+    datas = [random_dataspec(rng, math.pi) for _ in range(5)]
+    for (lhs, rhs), (lhs2, rhs2) in stability_bound_sides(mesh, datas):
         assert lhs <= rhs * (1 + 1e-11)
         assert lhs2 <= rhs2 * (1 + 1e-11)
 
@@ -314,16 +313,16 @@ def test_run_stability_probe_no_violations(tmp_path):
 
 
 def test_stability_probe_steps_each_data_set_once(monkeypatch):
-    # both bounds of a random data set read one run: the time steps of all
-    # evolve_grid calls are one run per data set, and none for the lower-bound pairs
+    # both bounds of a random data set read one run: each mesh makes one
+    # evolve_grid call, whose columns are its n_random data sets, and none for
+    # the lower-bound pairs
     import wavecompact.experiments as experiments
-    steps = 0
+    calls = []
     evolve_grid = experiments.evolve_grid
 
-    def counting(mesh, *args):
-        nonlocal steps
-        steps += mesh.M
-        return evolve_grid(mesh, *args)
+    def counting(mesh, v0, *args):
+        calls.append((mesh, len(v0)))
+        return evolve_grid(mesh, v0, *args)
 
     monkeypatch.setattr(experiments, "evolve_grid", counting)
     cfg = config_from_dict({
@@ -335,7 +334,64 @@ def test_stability_probe_steps_each_data_set_once(monkeypatch):
     })
     rows = run_stability_probe(cfg, emit=False)
     assert all(r.passed for r in rows)
-    assert steps == cfg.n_random * sum(mesh.M for mesh in cfg.rungs)
+    assert calls == [(mesh, cfg.n_random) for mesh in cfg.rungs]
+
+
+def test_stability_probe_rows_are_the_sides_of_each_data_set_alone(tmp_path):
+    # stepping a mesh's data sets as one stack changes no row: the probe's
+    # rows are those of stability_bound_sides on each data set alone, drawn in
+    # the probe's order (a mesh's data sets, then its pairs)
+    cfg = config_from_dict({
+        "kind": "stability_probe",
+        "mesh": _base_mesh_cfg(8, refinements=1),
+        "n_random": 6,
+        "n_pairs": 4,
+        "seed": 5,
+        "out_dir": str(tmp_path),
+    })
+    rows = run_stability_probe(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    expected = []
+    for mesh in cfg.rungs:
+        datas = [random_dataspec(rng, mesh.X) for _ in range(cfg.n_random)]
+        rng.standard_normal((cfg.n_pairs, 2, mesh.N - 1))
+        assert {d.f is None for d in datas} == {True, False}  # forced and unforced mixed
+        for data in datas:
+            [sides] = stability_bound_sides(mesh, [data])
+            expected += [(mesh.N, check, lhs, rhs)
+                         for check, (lhs, rhs) in zip(("energy_bound", "data_norm_bound"), sides)]
+    got = [(r.N, r.check, r.lhs, r.rhs) for r in rows if not r.check.startswith("lower")]
+    assert got == expected
+    # the run summary has one row per mesh: its run's size, time and residual
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    assert [(r["N"], r["M"], r["columns"]) for r in summary["rungs"]] == [
+        (mesh.N, mesh.M, cfg.n_random) for mesh in cfg.rungs]
+    assert all(r["step_s"] > 0 and 0 <= r["residual_max"] <= 1e-11 for r in summary["rungs"])
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_oracle_check_steps_the_variants_as_one_run(monkeypatch, j):
+    # with variant all, each mesh makes one evolve_grid call whose three
+    # columns share v0 and fh; u1 (j = 1) tells the columns apart
+    import wavecompact.experiments as experiments
+    calls = []
+    evolve_grid = experiments.evolve_grid
+
+    def counting(mesh, v0, u1h, fh=None):
+        calls.append((mesh.N, v0.shape, u1h.shape, None if fh is None else fh.shape))
+        return evolve_grid(mesh, v0, u1h, fh)
+
+    monkeypatch.setattr(experiments, "evolve_grid", counting)
+    cfg = config_from_dict({
+        "kind": "oracle_check",
+        "mesh": _base_mesh_cfg(8, refinements=1),
+        "data": {"harmonic": {"j": j, "k": 3}},
+        "variant": "all",
+    })
+    rows = run_oracle_check(cfg, emit=False)
+    assert [r.variant for r in rows] == ["v0", "v1", "v2"] * 2 and all(r.passed for r in rows)
+    assert calls == [(m.N, (3, m.N + 1), (3, m.N + 1), (3, m.M, m.N + 1) if j == 2 else None)
+                     for m in cfg.rungs]
 
 
 def test_sharpness_measurement_oracle_self_consistency():

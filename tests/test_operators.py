@@ -179,7 +179,7 @@ def test_factors_are_cached_per_mesh():
     assert misses() == (before[0] + 1, before[1])
     evolve(mesh, data)
     assert misses() == (before[0] + 1, before[1])
-    stability_bound_sides(mesh, data)  # u1h and fh both go through the mass factor
+    stability_bound_sides(mesh, [data])  # u1h and fh both go through the mass factor
     assert misses() == (before[0] + 1, before[1] + 1)
 
 

@@ -264,8 +264,10 @@ def test_one_stepping_kernel_behind_every_path():
     assert np.all(run.residual_max <= RESIDUAL_RTOL)
 
 
-def _poison_solve(monkeypatch, call):
-    """Make the given dpttrs call of evolve_grid return a NaN."""
+def _poison_solve(monkeypatch, call, index=2, shift=None):
+    """Make the given dpttrs call of evolve_grid return a NaN, or its value
+    plus shift, at index of its (N-1, B) solution: in every column of row 2
+    by default."""
     dpttrs = scheme.dpttrs
     calls = 0
 
@@ -274,7 +276,7 @@ def _poison_solve(monkeypatch, call):
         calls += 1
         x, info = dpttrs(d, e, b, **kwargs)
         if calls == call:
-            x[2] = np.nan
+            x[index] = np.nan if shift is None else x[index] + shift
         return x, info
 
     monkeypatch.setattr(scheme, "dpttrs", poisoned)
@@ -343,10 +345,7 @@ def test_evolve_grid_matches_the_operator_loop_bit_for_bit():
     for m_levels in (9, 16, 17, 37):
         mesh = build_mesh(math.pi, math.pi * m_levels / 32, 16, m_levels)
         assert (mesh.a * mesh.tau) ** 2 <= mesh.h ** 2 / 2
-        rng = np.random.default_rng(m_levels)
-        v0, u1h, fh = mesh.zeros(), mesh.zeros(), np.zeros((m_levels, mesh.N + 1))
-        for w in (v0, u1h, fh.T):
-            w[1:-1] = rng.standard_normal(w[1:-1].shape)
+        v0, u1h, fh = _random_grid_data(mesh, np.random.default_rng(m_levels))
         cases += [(mesh, (v0, u1h, fh)), (mesh, (v0, u1h, None))]
     assert {inputs[2] is None for _, inputs in cases} == {True, False}  # fh and none
     for mesh, inputs in cases:
@@ -391,3 +390,125 @@ def test_evolve_grid_validates_once(monkeypatch):
                     np.zeros((mesh.M, mesh.N + 1)))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3
+
+
+# --------------------------------------------------------------------------
+# stacks: B data sets stepped as the columns of one run
+
+def _random_grid_data(mesh, rng, forced=True):
+    """Random (v0, u1h, fh) grid data with zero ends; fh None unless forced."""
+    v0, u1h = mesh.zeros(), mesh.zeros()
+    fh = np.zeros((mesh.M, mesh.N + 1)) if forced else None
+    for w in (v0, u1h) + (() if fh is None else (fh.T,)):
+        w[1:-1] = rng.standard_normal(w[1:-1].shape)
+    return v0, u1h, fh
+
+
+def _stacked(mesh, sets):
+    """The stack of the grid data sets; unforced sets get zero fh rows."""
+    fh = np.zeros((len(sets), mesh.M, mesh.N + 1))
+    for b, (_, _, f) in enumerate(sets):
+        if f is not None:
+            fh[b] = f
+    return np.stack([s[0] for s in sets]), np.stack([s[1] for s in sets]), fh
+
+
+def _assert_columns_are_single_runs(mesh, sets):
+    run = evolve_grid(mesh, *_stacked(mesh, sets))
+    assert run.slices.shape == (len(sets), mesh.M + 1, mesh.N + 1)
+    assert run.residual_max.shape == (len(sets), mesh.M)
+    for b, inputs in enumerate(sets):
+        single = evolve_grid(mesh, *inputs)
+        assert np.array_equal(run.slices[b], single.slices)
+        assert np.array_equal(run.residual_max[b], single.residual_max)
+
+
+def test_stacked_columns_equal_their_single_runs_on_mixed_data():
+    # forced and unforced random data sets, mixed in one stack: each column is
+    # its own run bit for bit, the unforced ones stepping zero forcing rows
+    for n in (16, 64):
+        mesh = build_mesh(math.pi, math.pi, n, 2 * n)
+        rng = np.random.default_rng(n)
+        sets = [prepare_inputs(mesh, random_dataspec(rng, mesh.X), "v2") for _ in range(6)]
+        sets += [_random_grid_data(mesh, rng, forced=b % 2 == 0) for b in range(4)]
+        assert {s[2] is None for s in sets} == {True, False}
+        _assert_columns_are_single_runs(mesh, sets)
+
+
+@pytest.mark.parametrize("m_levels", [9, 16, 17, 37])
+def test_stacked_columns_equal_their_single_runs_at_the_residual_block_edges(m_levels):
+    # M below, at and one above the residual block, and one M that is not a
+    # multiple of it; T shrinks with M to keep a^2 tau^2 = h^2 / 4
+    mesh = build_mesh(math.pi, math.pi * m_levels / 32, 16, m_levels)
+    rng = np.random.default_rng(m_levels)
+    sets = [_random_grid_data(mesh, rng, forced=b != 1) for b in range(3)]
+    _assert_columns_are_single_runs(mesh, sets)
+
+
+def test_a_stack_of_one_column_is_the_single_run():
+    mesh = build_mesh(math.pi, math.pi, 32, 64)
+    v0, u1h, fh = _random_grid_data(mesh, np.random.default_rng(3))
+    run = evolve_grid(mesh, v0[None], u1h[None], fh[None])
+    single = evolve_grid(mesh, v0, u1h, fh)
+    assert run.slices.shape == (1, mesh.M + 1, mesh.N + 1)
+    assert run.residual_max.shape == (1, mesh.M)
+    assert np.array_equal(run.slices[0], single.slices)
+    assert np.array_equal(run.residual_max[0], single.residual_max)
+
+
+def _stack_of_three(mesh=MESH):
+    """Three forced random data sets as one stack, writable."""
+    rng = np.random.default_rng(11)
+    return dict(zip(("v0", "u1h", "fh"), _stacked(
+        mesh, [_random_grid_data(mesh, rng) for _ in range(3)])))
+
+
+@pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
+def test_a_stack_names_the_column_that_does_not_vanish_at_the_ends(bad):
+    inputs = _stack_of_three()
+    if bad == "fh":
+        inputs[bad][1, MESH.M // 2, 0] = 1.0  # one forcing level with a non-zero end
+    else:
+        inputs[bad][1, -1] = 1.0
+    with pytest.raises(ContractViolation,
+                       match=f"^{bad} column 1 .*must vanish at the boundary"):
+        evolve_grid(MESH, **inputs)
+
+
+@pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
+def test_a_stack_names_the_column_that_is_not_finite(bad):
+    inputs = _stack_of_three()
+    inputs[bad][1].flat[MESH.N // 2] = np.nan if bad == "u1h" else np.inf
+    with pytest.raises(ConfigurationError,
+                       match=f"^{bad} column 1 has values that are not finite"):
+        evolve_grid(MESH, **inputs)
+
+
+def test_a_stack_checks_its_shapes():
+    inputs = _stack_of_three()
+    with pytest.raises(ContractViolation, match=r"^u1h must have shape \(3, 17\), got \(2, 17\)"):
+        evolve_grid(MESH, inputs["v0"], inputs["u1h"][:2], inputs["fh"])
+    with pytest.raises(ContractViolation, match=r"^fh must have shape \(3, 64, 17\)"):
+        evolve_grid(MESH, inputs["v0"], inputs["u1h"], inputs["fh"][0])
+    with pytest.raises(ContractViolation, match="at least one column"):
+        evolve_grid(MESH, inputs["v0"][:0], inputs["u1h"][:0])
+
+
+def test_a_stack_names_the_column_of_a_failing_residual(monkeypatch):
+    # a NaN in the middle column's solution of one step is refused naming the
+    # level and the column
+    _poison_solve(monkeypatch, 21, index=(2, 1))
+    with pytest.raises(InvariantError, match=r"nan of the step to level 21 in column 1 on "
+                                             r"the N=16, M=64 "):
+        evolve_grid(MESH, **_stack_of_three())
+
+
+def test_each_column_has_its_own_residual_scale(monkeypatch):
+    # column 0's forcing is of order 1e6, so its own residual bound is about
+    # 1e-5; a 1e-8 error in the middle column's solution, whose data are of
+    # order 1, is refused against that column's bound
+    inputs = _stack_of_three()
+    inputs["fh"][0] *= 1e6
+    _poison_solve(monkeypatch, 5, index=(2, 1), shift=1e-8)
+    with pytest.raises(InvariantError, match=r"of the step to level 5 in column 1 on "):
+        evolve_grid(MESH, **inputs)
