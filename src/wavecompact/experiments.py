@@ -2,19 +2,20 @@
 stability checks, plus the order fit and the random data they use.
 
 Each runner takes an ExperimentConfig and returns a result record.  solve,
-converge and sharpness evolve and measure through _measured, against the one
-exact reference, reference.dalembert_reference; solve measures nothing for
-data that reference.reference_refusal refuses, and config refuses a converge
-of such data at load.  With emit set, _emit writes plain columnar CSV plus a
-JSON run summary to the config's output directory (solve writes its
-trajectory itself).  A table's header is the field names of its row record,
-and every cell is the repr of its field (strings as they are).
+converge and sharpness measure against the one exact reference,
+reference.dalembert_reference; solve stores the trajectory it writes, and
+converge and sharpness measure each rung as it steps (_measured).  solve
+measures nothing for data that reference.reference_refusal refuses, and config
+refuses a converge of such data at load.  With emit set, _emit writes plain
+columnar CSV plus a JSON run summary to the config's output directory (solve
+writes its trajectory itself).  A table's header is the field names of its
+row record, and every cell is the repr of its field (strings as they are).
 
 The stability probe and oracle-check step their data sets of one mesh as the
 columns of one evolve_grid run: the probe's n_random random data sets, with
 zero forcing rows for the unforced ones, and oracle-check's u1 variants,
-which share v0 and fh.  Each column equals its own run bit for bit, so the
-rows are those of one run per data set.
+which share v0 and fh, built once.  Each column equals its own run bit for
+bit, so the rows are those of one run per data set.
 
 Ladder rungs are independent and run in a process pool when jobs > 1.
 """
@@ -43,7 +44,8 @@ from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_harmonic_trajectory,
                      harmonic_dataspec, sharpness_prediction)
 from .reference import dalembert_reference, reference_refusal
-from .scheme import ErrorReport, evolve, evolve_grid, measure_error, prepare_inputs
+from .scheme import (RING_LEVELS, ErrorReport, evolve, evolve_grid, evolve_measured,
+                     measure_error, prepare_inputs)
 
 
 # --------------------------------------------------------------------------
@@ -322,31 +324,29 @@ class ConvergenceResult:
     fit_residual: float
 
 
-def _reference_for(config: ExperimentConfig, mesh: MeshSpec):
-    """The exact reference of config.data, None for data that has none."""
-    if reference_refusal(mesh, config.data) is not None:
-        return None
-    return dalembert_reference(mesh, config.data)
-
-
 def _measured(config: ExperimentConfig, mesh: MeshSpec, data: DataSpec, reference,
               mode: str):
-    """(run, report) of data on mesh, report None without a reference."""
-    run = evolve(mesh, data, variant=config.variant)
-    if reference is None:
-        return run, None
-    return run, measure_error(mesh, run.slices, reference, mode=mode)
+    """(report, summary row: N, M, the step-and-measure seconds, the largest
+    residual, the bytes of the levels held) of data, measured as it steps."""
+    inputs = prepare_inputs(mesh, data, config.variant)
+    started = time.perf_counter()
+    report, residuals = evolve_measured(mesh, *inputs, reference, mode)
+    return report, {"N": mesh.N, "M": mesh.M, "step_measure_s": time.perf_counter() - started,
+                    "residual_max": float(np.max(residuals)),
+                    "level_bytes": RING_LEVELS * (mesh.N + 1) * 8}
 
 
-def _converge_rung(payload) -> ErrorReport:
+def _converge_rung(payload):
     config, mesh = payload
-    return _measured(config, mesh, config.data, _reference_for(config, mesh), config.mode)[1]
+    return _measured(config, mesh, config.data, dalembert_reference(mesh, config.data),
+                     config.mode)
 
 
 def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceResult:
     """Ladder study: error norms per rung, pairwise orders, fitted slope."""
     started = time.perf_counter()
-    reports = _map_rungs(_converge_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
+    pairs = _map_rungs(_converge_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
+    reports = [p[0] for p in pairs]
     rows = []
     for i, (mesh, rep) in enumerate(zip(config.rungs, reports)):
         if i > 0 and rep.max_energy_error > 0 and reports[i - 1].max_energy_error > 0:
@@ -365,7 +365,8 @@ def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceR
                                fit_residual=fit.residual)
     if emit:
         _emit(config, started, [("converge.csv", ConvergenceRow, rows)],
-              {"fitted_order": fit.slope, "fit_residual": fit.residual})
+              {"fitted_order": fit.slope, "fit_residual": fit.residual,
+               "rungs": [p[1] for p in pairs]})
     return result
 
 
@@ -383,8 +384,11 @@ def run_solve(config: ExperimentConfig, emit: bool = True) -> SolveResult:
     started = time.perf_counter()
     mesh = config.rungs[0]
     # the reference first: it names non-finite data before the stepper meets it
-    reference = _reference_for(config, mesh)
-    run, report = _measured(config, mesh, config.data, reference, config.mode)
+    reference = (None if reference_refusal(mesh, config.data) is not None
+                 else dalembert_reference(mesh, config.data))
+    run = evolve(mesh, config.data, variant=config.variant)
+    report = None if reference is None else measure_error(mesh, run.slices, reference,
+                                                          config.mode)
     outputs: list[str] = []
     if emit:
         out = config.out_dir
@@ -451,22 +455,22 @@ def _sharpness_rung(payload):
     j = config.sharpness_j
     k_h = choose_k_h(config.alpha, mesh)
     data = harmonic_dataspec(HarmonicData(j=j, k=k_h), mesh)
-    _, report = _measured(config, mesh, data, dalembert_reference(mesh, data), "node_sampled")
+    report, rung = _measured(config, mesh, data, dalembert_reference(mesh, data), "node_sampled")
     T = canonical_mesh(mesh).T  # the final time in the frame of the prediction
     rows = []
     for l, measured in ((0, report.l1_spacetime_error), (1, report.l1_spacetime_dx_error)):
         predicted = sharpness_prediction(j, l, k_h, T)
         rows.append(SharpnessRow(N=mesh.N, k_h=k_h, measured=measured,
                                  predicted=predicted, ratio=measured / predicted))
-    return rows
+    return rows, rung
 
 
 def run_sharpness(config: ExperimentConfig, emit: bool = True) -> SharpnessResult:
     """Measured vs predicted space-time L1 error norms at the selected modes."""
     started = time.perf_counter()
     pairs = _map_rungs(_sharpness_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
-    rows = [p[0] for p in pairs]
-    rows_dx = [p[1] for p in pairs]
+    rows = [p[0][0] for p in pairs]
+    rows_dx = [p[0][1] for p in pairs]
     trend = [r.ratio for r in rows]
     result = SharpnessResult(rows=rows, rows_dx=rows_dx, j=config.sharpness_j,
                              extrapolated_ratio=_extrapolate_ratios(trend))
@@ -474,7 +478,8 @@ def run_sharpness(config: ExperimentConfig, emit: bool = True) -> SharpnessResul
         _emit(config, started, [("sharpness.csv", SharpnessRow, rows),
                                 ("sharpness_dx.csv", SharpnessRow, rows_dx)],
               {"ratios": trend, "j": config.sharpness_j,
-               "extrapolated_ratio": result.extrapolated_ratio})
+               "extrapolated_ratio": result.extrapolated_ratio,
+               "rungs": [p[1] for p in pairs]})
     return result
 
 
@@ -502,12 +507,10 @@ def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[Oracle
         # the closed forms first: they refuse a mode the mesh cannot resolve
         closed = [discrete_harmonic_trajectory(config.harmonic, mesh, v) for v in variants]
         # the variants differ in u1h only: one run, one column per variant, on
-        # read-only views of the shared v0 and fh
-        inputs = [prepare_inputs(mesh, config.data, v) for v in variants]
-        v0, _, fh = inputs[0]
+        # read-only views of v0 and fh, built once
+        v0, u1hs, fh = prepare_inputs(mesh, config.data, variants)
         B = len(variants)
-        run = evolve_grid(mesh, np.broadcast_to(v0, (B, mesh.N + 1)),
-                          np.stack([u1h for _, u1h, _ in inputs]),
+        run = evolve_grid(mesh, np.broadcast_to(v0, (B, mesh.N + 1)), u1hs,
                           None if fh is None else np.broadcast_to(fh, (B,) + fh.shape))
         for variant, exact, slices in zip(variants, closed, run.slices):
             scale = max(1.0, float(np.max(np.abs(exact))))

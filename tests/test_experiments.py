@@ -461,3 +461,89 @@ def test_parallel_rungs_match_sequential():
     par = run_convergence(par_config, emit=False)
     for a, b in zip(seq.rows, par.rows):
         assert a.err_energy == pytest.approx(b.err_energy, rel=1e-14)
+
+
+# --------------------------------------------------------------------------
+# measured rungs: converge and sharpness hold O(N) levels per rung
+
+def _rung_configs(n, m):
+    mesh = {"X": math.pi, "T": math.pi, "N": n, "M": m, "refinements": 2}
+    sharp = config_from_dict({"kind": "sharpness", "mesh": mesh,
+                              "data": {"harmonic": {"j": 0}}, "alpha": 2.0})
+    conv = config_from_dict({"kind": "converge", "mesh": mesh, "data": {"preset": "hat_step"},
+                             "mode": "q2h_filtered", "fit_drop_coarsest": 0})
+    return sharp, conv
+
+
+def test_a_measured_rung_allocates_less_than_half_a_trajectory():
+    # the whole rung (data, reference, stepping and measurement) at N = 256,
+    # M = 512 peaks below half of the (M+1)(N+1) float64 trajectory it no
+    # longer stores
+    import tracemalloc
+
+    import wavecompact.experiments as experiments
+    for config, rung in zip(_rung_configs(256, 512),
+                            (experiments._sharpness_rung, experiments._converge_rung)):
+        mesh = config.rungs[0]
+        rung((config, mesh))  # the factor caches and lazy imports
+        tracemalloc.start()
+        try:
+            rung((config, mesh))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (mesh.M + 1) * (mesh.N + 1) * 8, (config.kind, peak)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_measured_rungs_have_summary_rows(tmp_path, jobs):
+    # one run-summary row per rung, from the workers too: its size, its
+    # step-and-measure time, its largest residual and the bytes of levels it
+    # held, far below the (M+1)(N+1) float64 trajectory
+    for config in _rung_configs(32, 256):
+        config.out_dir, config.jobs = tmp_path / config.kind, jobs
+        (run_sharpness if config.kind == "sharpness" else run_convergence)(config)
+        rows = json.loads((config.out_dir / "run_summary.json").read_text())["rungs"]
+        assert [(r["N"], r["M"]) for r in rows] == [(m.N, m.M) for m in config.rungs]
+        for r in rows:
+            assert r["step_measure_s"] > 0 and 0 <= r["residual_max"] <= 1e-11
+            assert 0 < r["level_bytes"] <= (r["M"] + 1) * (r["N"] + 1) * 8 / 10
+
+
+def test_oracle_check_assembles_v0_and_fh_once_per_mesh(monkeypatch):
+    # with variant all, the three variants share one fh per mesh (and one
+    # v0); only u1h is built per variant
+    import wavecompact.data as data_mod
+    calls = {"build_fh": [], "build_u1h": []}
+    for name, log in calls.items():
+        def counting(*args, fn=getattr(data_mod, name), log=log):
+            log.append(args)
+            return fn(*args)
+        monkeypatch.setattr(data_mod, name, counting)
+    cfg = config_from_dict({
+        "kind": "oracle_check",
+        "mesh": _base_mesh_cfg(8, refinements=1),
+        "data": {"harmonic": {"j": 2, "k": 3}},
+        "variant": "all",
+    })
+    rows = run_oracle_check(cfg, emit=False)
+    assert all(r.passed for r in rows)
+    assert [args[1] for args in calls["build_fh"]] == cfg.rungs
+    assert [(args[0], args[2]) for args in calls["build_u1h"]] == [
+        (v, mesh) for mesh in cfg.rungs for v in ("v0", "v1", "v2")]
+
+
+def test_oracle_check_names_the_datum_and_mesh_of_bad_grid_data():
+    # built once, each datum is still checked: a non-finite forcing is named
+    # with its mesh
+    cfg = config_from_dict({
+        "kind": "oracle_check",
+        "mesh": _base_mesh_cfg(8),
+        "data": {"harmonic": {"j": 2, "k": 3}},
+        "variant": "all",
+    })
+    f = cfg.data.f
+    cfg.data = type(cfg.data)(u0=cfg.data.u0, u1=cfg.data.u1, f=Forcing(
+        space=Profile.sine_series((1e200,) * 3, math.pi), time=f.time))
+    with pytest.raises(ConfigurationError, match=r"grid data of f .* on the N=8, M=16 mesh"):
+        run_oracle_check(cfg, emit=False)

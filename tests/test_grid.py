@@ -104,6 +104,22 @@ def test_l1_norm_is_exact_trapezoid_and_scales():
             3.5 * space_norm(w, kind, MESH), rel=1e-13)
 
 
+def test_l1_norm_takes_the_absolute_values_once_with_the_same_bits():
+    # |w| once, then 0.5 (|w|[:-1] + |w|[1:]): the expression that took |w| of
+    # each overlapping slice gives the same bits, on stacks with exact zeros
+    # and values near the largest grid data prepare_inputs accepts
+    from wavecompact.scheme import _DATA_BOUND
+    rng = np.random.default_rng(11)
+    for scale in (1.0, 1e-300, _DATA_BOUND):
+        w = rng.standard_normal((7, MESH.N + 1)) * scale
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[:, 0] = w[:, -1] = 0.0
+        w[0] = _DATA_BOUND * np.sign(w[0])
+        before = np.sum(0.5 * (np.abs(w[..., :-1]) + np.abs(w[..., 1:])) * MESH.h, axis=-1)
+        assert np.array_equal(space_norm(w, "l1", MESH), before)
+        assert space_norm(w[3], "l1", MESH) == before[3]
+
+
 def test_dirichlet_required_for_operator_norms():
     w = np.ones(MESH.N + 1)
     for kind in ("mass", "stiffness"):

@@ -14,7 +14,8 @@ from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, solve_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
 from wavecompact.reference import GridReference, dalembert_reference
-from wavecompact.scheme import evolve, evolve_grid, measure_error, prepare_inputs
+from wavecompact.scheme import (ERROR_MODES, evolve, evolve_grid, evolve_measured, measure_error,
+                                prepare_inputs)
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 
@@ -203,14 +204,14 @@ def test_error_report_q2h_mode_brute_force(m_levels):
 def test_measure_error_sees_the_pair_across_a_block_seam():
     # the error is +w on the last level of the first block and -w on the next
     # level, so the largest pair norm lies on the seam between the blocks
-    from wavecompact.scheme import _BLOCK_LEVELS
-    mesh = build_mesh(math.pi, math.pi, 8, 3 * _BLOCK_LEVELS)
+    from wavecompact.scheme import _RESIDUAL_BLOCK
+    mesh = build_mesh(math.pi, math.pi, 8, 3 * _RESIDUAL_BLOCK)
     run = evolve(mesh, _zero_data())
     w = mesh.zeros()
     w[1:-1] = np.random.default_rng(2).standard_normal(mesh.N - 1)
     exact = run.slices.copy()
-    exact[_BLOCK_LEVELS] += w
-    exact[_BLOCK_LEVELS + 1] -= w
+    exact[_RESIDUAL_BLOCK] += w
+    exact[_RESIDUAL_BLOCK + 1] -= w
     rep = measure_error(mesh, run.slices, GridReference(mesh, exact))
     assert rep.max_energy_error == energy_norm_pair(w, -w, mesh)
     assert rep.max_energy_error > energy_norm_pair(mesh.zeros(), w, mesh)
@@ -512,3 +513,78 @@ def test_each_column_has_its_own_residual_scale(monkeypatch):
     _poison_solve(monkeypatch, 5, index=(2, 1), shift=1e-8)
     with pytest.raises(InvariantError, match=r"of the step to level 5 in column 1 on "):
         evolve_grid(MESH, **inputs)
+
+
+# --------------------------------------------------------------------------
+# measured runs: stepped and measured block by block, no stored trajectory
+
+def _random_reference(mesh, rng):
+    """A GridReference of random node values and hat averages with zero ends,
+    for data that has no exact reference."""
+    views = np.zeros((2, mesh.M + 1, mesh.N + 1))
+    views[..., 1:-1] = rng.standard_normal((2, mesh.M + 1, mesh.N - 1))
+    return GridReference(mesh, views[0], views[1])
+
+
+# M = 9 is one partial block; 16 one full block; 17 a full block and a
+# one-step block; 37 and 150 several seams and a partial last block
+@pytest.mark.parametrize("m_levels", [9, 16, 17, 37, 150])
+@pytest.mark.parametrize("mode", ERROR_MODES)
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_measured_run_is_the_stored_run_measured_bit_for_bit(m_levels, mode, forced):
+    mesh = build_mesh(math.pi, math.pi / 2, 8, m_levels)
+    rng = np.random.default_rng(m_levels)
+    if forced:  # polynomial time factors: no exact reference
+        inputs = _random_grid_data(mesh, rng, forced=True)
+        reference = _random_reference(mesh, rng)
+    else:
+        data = random_dataspec(rng, mesh.X)
+        data = DataSpec(u0=data.u0, u1=data.u1)
+        inputs = prepare_inputs(mesh, data, "v2")
+        reference = dalembert_reference(mesh, data)
+    report, residual_max = evolve_measured(mesh, *inputs, reference, mode)
+    run = evolve_grid(mesh, *inputs)
+    assert report == measure_error(mesh, run.slices, reference, mode)
+    assert np.array_equal(residual_max, run.residual_max)
+
+
+def test_a_measured_run_takes_one_data_set_and_checks_it():
+    # evolve_grid's entry checks, one data set and not a stack, a known mode
+    # and a stable mesh
+    v0, u1h, fh = _random_grid_data(MESH, np.random.default_rng(3))
+    reference = _random_reference(MESH, np.random.default_rng(4))
+    with pytest.raises(ContractViolation, match=r"^v0 must have shape \(17,\), got \(1, 17\)"):
+        evolve_measured(MESH, v0[None], u1h, fh, reference)
+    bad = fh.copy()
+    bad[3, 0] = 1.0
+    with pytest.raises(ContractViolation, match=r"^fh \(row 3\) must vanish"):
+        evolve_measured(MESH, v0, u1h, bad, reference)
+    with pytest.raises(ContractViolation, match="unknown error mode"):
+        evolve_measured(MESH, v0, u1h, fh, reference, "energy")
+    unstable = build_mesh(1.0, 1.0, 10, 10)
+    with pytest.raises(UnstableMeshError):
+        evolve_measured(unstable, unstable.zeros(), unstable.zeros(), None, reference)
+
+
+class _RecordingReference(GridReference):
+    """A GridReference that records the levels it serves."""
+
+    def __init__(self, mesh, values):
+        super().__init__(mesh, values)
+        self.served = []
+
+    def values(self, levels):
+        self.served.append((levels.start, levels.stop))
+        return super().values(levels)
+
+
+def test_a_measured_run_refuses_a_failing_step_before_measuring_its_block(monkeypatch):
+    # a NaN in the step to level 40 (the block of levels 32..48) is refused
+    # naming its level; only the two blocks before it were measured
+    mesh = build_mesh(math.pi, math.pi, 16, 64)
+    v0 = _harmonic_shape(mesh, 3)
+    reference = _RecordingReference(mesh, evolve_grid(mesh, v0, mesh.zeros()).slices)
+    _poison_solve(monkeypatch, 40)
+    with pytest.raises(InvariantError, match=r"nan of the step to level 40 on the N=16, M=64 "):
+        evolve_measured(mesh, v0, mesh.zeros(), None, reference)
+    assert reference.served == [(0, 17), (16, 33)]
