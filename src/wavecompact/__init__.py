@@ -20,7 +20,7 @@ from .operators import apply_spatial, solve_implicit
 from .oracle import (DispersionRecord, HarmonicData, asymptotic_constant, choose_k_h,
                      discrete_harmonic_trajectory, discrete_trajectory, dispersion,
                      exact_harmonic_solution, harmonic_dataspec, sharpness_prediction)
-from .reference import GridReference, dalembert_reference, reference_refusal
+from .reference import Reference, dalembert_reference, reference_refusal
 from .scheme import ErrorReport, SchemeRun, evolve, evolve_grid, evolve_measured, measure_error
 from .experiments import (OrderFit, fit_order, random_dataspec, run_convergence,
                           run_oracle_check, run_sharpness, run_solve,

@@ -82,13 +82,18 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def profile_from_dict(d: dict, X: float) -> Profile:
+def profile_from_dict(d: dict, X: float, finest_n: int) -> Profile:
+    """The Profile of a descriptor; a harmonic k that an N = finest_n mesh does
+    not resolve is a MeshTooCoarseError, raised before its k coefficients
+    are built."""
     form = _object(d, "profile")["form"]
     if "node_convention" in d:
         raise ConfigurationError("profile node_convention is removed: a jump is always the "
                                  "mean of its sides")
     if form == "harmonic":
-        return Profile.harmonic_mode(_integer(d["k"], "profile k"), X)
+        k = _integer(d["k"], "profile k")
+        require_resolved(k, finest_n)
+        return Profile.harmonic_mode(k, X)
     if form == "sine_series":
         return Profile.sine_series(_numbers(d.get("coeffs", []), "profile coeffs"), X)
     if form == "piecewise":
@@ -107,24 +112,16 @@ def time_profile_from_dict(d: dict) -> TimeProfile:
     raise ConfigurationError(f"unknown time profile form {form!r}")
 
 
-def _harmonic_profile_ks(d: dict):
-    """The k of every harmonic profile descriptor of a data section."""
-    f = d.get("f")
-    for profile in (d.get("u0"), d.get("u1"), f.get("space") if isinstance(f, dict) else None):
-        if isinstance(profile, dict) and profile.get("form") == "harmonic" and "k" in profile:
-            yield _integer(profile["k"], "profile k")
-
-
-def dataspec_from_dict(d: dict, X: float) -> DataSpec:
+def dataspec_from_dict(d: dict, X: float, finest_n: int) -> DataSpec:
     try:
-        u0 = profile_from_dict(d["u0"], X) if d.get("u0") else Profile.zero(X)
-        u1 = profile_from_dict(d["u1"], X) if d.get("u1") else Profile.zero(X)
+        u0 = profile_from_dict(d["u0"], X, finest_n) if d.get("u0") else Profile.zero(X)
+        u1 = profile_from_dict(d["u1"], X, finest_n) if d.get("u1") else Profile.zero(X)
         f = None
         if d.get("f"):
             fd = d["f"]
             if not isinstance(fd, dict):
                 raise ConfigurationError(f"data.f must be an object, got {fd!r}")
-            f = Forcing(space=profile_from_dict(fd["space"], X),
+            f = Forcing(space=profile_from_dict(fd["space"], X, finest_n),
                         time=time_profile_from_dict(fd["time"]))
     except KeyError as exc:
         raise ConfigurationError(f"missing data key: {exc}") from exc
@@ -261,9 +258,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     elif "preset" in data_cfg:
         data = PRESETS[_choice(data_cfg["preset"], "data.preset", tuple(PRESETS))].make(X)
     else:
-        for k in _harmonic_profile_ks(data_cfg):  # before the k coefficients exist
-            require_resolved(k, finest_n)
-        data = dataspec_from_dict(data_cfg, X)
+        data = dataspec_from_dict(data_cfg, X, finest_n)
 
     if "v0_mode" in raw:
         raise ConfigurationError("v0_mode is removed: v0 is always the node samples of u0")

@@ -259,24 +259,17 @@ def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec):
     """Two-level energy norm of the slice pair (v_prev, v_curr).
 
     v_prev and v_curr are single levels (a float is returned) or stacks of
-    levels paired row by row (an array of L norms).  Requires a stable mesh:
-    the norm may lose definiteness otherwise.  The radicand is evaluated in
+    levels paired row by row (an array of L norms).  An unstable mesh, on
+    which the norm may lose definiteness, is an UnstableMeshError.  The radicand is evaluated in
     full; a negative value beyond -1e-12 times its own scale indicates a
     broken invariant and raises, naming the first such row of a stack.
     """
-    require_energy_mesh(mesh)
+    check_stable(mesh)
     v_prev = require_dirichlet(v_prev, mesh, "energy-norm slice")
     v_curr = require_dirichlet(v_curr, mesh, "energy-norm slice")
     h = mesh.h
     return _reduced(_energy_from_differences(
         v_prev, v_curr, _backward_diff(v_prev, h), _backward_diff(v_curr, h), mesh))
-
-
-def require_energy_mesh(mesh: MeshSpec) -> None:
-    """Refuse a mesh on which the energy norm may lose definiteness."""
-    if not mesh.stable:
-        raise ContractViolation(
-            "energy norm requires a stable mesh: " + mesh.stability_report())
 
 
 def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec):

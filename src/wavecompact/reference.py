@@ -26,15 +26,14 @@ reference_refusal is the rule for which data this covers: any initial data,
 and forcing whose space factor is a sine series and whose time factor is
 harmonic_sin off resonance.
 
-When a tau / h = p / q is rational with q <= M, as with aT = X (p/q = N/M)
-or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m = (q i +- p m) h/q lies
-on the lattice of spacing h/q.  E and F are evaluated once on one period of
-that lattice, L = 2Nq points, and kept as arrays of qN + pM + 1 entries per
-view; each call builds just the view and the levels asked for, one np.add of
-two strided views E[qi + pm] + F[qi - pm], plus the forced modes' time
-coefficients of those levels times their shapes.  No (M+1, N+1) array is
-held.  Other meshes evaluate x_i +- a t_m level by level, into such arrays,
-once at build.
+One Reference class serves every mesh; only its e and f are built differently.
+When a tau / h = p / q is rational with q <= M, as with aT = X (p/q = N/M) or
+M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m = (q i +- p m) h/q lies on
+the lattice of spacing h/q.  E and F are evaluated once on one period of that
+lattice, L = 2Nq points, and kept as arrays of qN + pM + 1 entries per view; e
+and f are strided views of them, E[qi + pm] and F[qi - pm], so no (M+1, N+1)
+array is held.  Other meshes evaluate x_i +- a t_m level by level, once at
+build, into one (2, M+1, N+1) array e, with f a zero-stride view of 0.0.
 """
 
 from __future__ import annotations
@@ -46,44 +45,18 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .data import DataSpec, Forcing, extension_sampler, hat_average_factor
-from .errors import ConfigurationError, ContractViolation, QuadratureError
+from .errors import ConfigurationError, QuadratureError
 from .grid import MeshSpec
 from .oracle import forced_mode_response, resonant
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    view = values.view()
-    view.flags.writeable = False
-    return view
-
-
-class GridReference:
-    """Reference backed by precomputed (M+1, N+1) arrays, served as read-only
-    views."""
-
-    def __init__(self, mesh: MeshSpec, values: np.ndarray,
-                 qh_values: np.ndarray | None = None):
-        if values.shape != (mesh.M + 1, mesh.N + 1):
-            raise ContractViolation("reference array shape does not match the mesh")
-        self._values = _read_only(values)
-        self._qh = None if qh_values is None else _read_only(qh_values)
-
-    def values(self, levels) -> np.ndarray:
-        return self._values[levels]
-
-    def qh_values(self, levels) -> np.ndarray:
-        if self._qh is None:
-            raise ContractViolation("this reference carries no hat-averaged slices")
-        return self._qh[levels]
-
-
-class LatticeReference:
-    """Exact reference on a lattice mesh: view v (0 node values, 1 hat
-    averages) at level m and node i is e[v, m, i] + f[v, m, i], where e and f
-    are (2, M+1, N+1) strided views of the period arrays of E and F, plus,
-    if forced is not None, coeffs[m] @ shapes[v] of the forced modes'
-    (M+1, K) time coefficients and (2, K, N+1) shapes.  Each call builds just
-    the view and the levels asked for."""
+class Reference:
+    """The exact reference, both views: view v (0 node values, 1 hat
+    averages) at level m and node i is e[v, m, i] + f[v, m, i] plus, if
+    forced is not None, coeffs[m] @ shapes[v] of the forced modes' (M+1, K)
+    time coefficients and (2, K, N+1) shapes, with zero ends.  e and f are
+    (2, M+1, N+1) arrays or views; each call builds just the view and the
+    levels asked for."""
 
     def __init__(self, e: np.ndarray, f: np.ndarray, forced=None):
         self._e, self._f, self._forced = e, f, forced
@@ -132,7 +105,7 @@ def reference_refusal(mesh: MeshSpec, data: DataSpec) -> str | None:
 def _forced_modes(mesh: MeshSpec, f: Forcing):
     """(coeffs, shapes) of the Duhamel modes of f: coeffs[m, j] is mode j's time
     coefficient at level m, shapes[view, j] its node values (view 0) and hat
-    averages (view 1), with zero ends."""
+    averages (view 1); Reference zeroes their ends."""
     ks = np.flatnonzero(f.space.coeffs)
     wave = math.pi * (ks + 1) / mesh.X
     amps = np.asarray(f.space.coeffs)[ks] * math.sqrt(2.0 / mesh.X)
@@ -141,7 +114,6 @@ def _forced_modes(mesh: MeshSpec, f: Forcing):
     shapes = np.empty((2, len(ks), mesh.N + 1))
     shapes[0] = np.sin(np.outer(wave, mesh.nodes()))
     shapes[1] = shapes[0] * hat_average_factor(wave * mesh.h)[:, None]
-    shapes[..., ::mesh.N] = 0.0
     return coeffs, shapes
 
 
@@ -204,7 +176,7 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
         f = np.take(u - v, np.arange(-p * m, q * n + 1), axis=-1, mode="wrap")
         # view[:, m, i] = e[:, qi + pm] + f[:, pM + qi - pm]
         step, shape = e.strides[1], (2, m + 1, n + 1)
-        return LatticeReference(
+        return Reference(
             as_strided(e, shape, (e.strides[0], p * step, q * step), writeable=False),
             as_strided(f[:, p * m:], shape, (f.strides[0], -p * step, q * step), writeable=False),
             forced)
@@ -212,7 +184,4 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
     for level, shift in enumerate(mesh.a * mesh.times()):
         (u, v), (u_, v_) = (halves(s, n + 1).swapaxes(0, 1) for s in (shift, -shift))
         views[:, level] = (u + v) + (u_ - v_)
-    views[:, :, ::n] = 0.0
-    if forced is not None:
-        views += forced[0] @ forced[1]
-    return GridReference(mesh, views[0], views[1])
+    return Reference(views, np.broadcast_to(0.0, views.shape), forced)

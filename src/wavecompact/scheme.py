@@ -55,8 +55,8 @@ from scipy.linalg.lapack import dpttrs
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
 from .grid import (GridFn, MeshSpec, _backward_diff, _energy_from_differences, _sq_sum,
-                   _three_point, check_stable, require_dirichlet, require_energy_mesh,
-                   space_norm, time_aggregate)
+                   _three_point, check_stable, require_dirichlet, space_norm,
+                   time_aggregate)
 from .operators import _implicit_factor
 
 ERROR_MODES = ("node_sampled", "q2h_filtered")
@@ -275,7 +275,7 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
     if mode not in ERROR_MODES:
         raise ContractViolation(f"unknown error mode {mode!r}; expected one of {ERROR_MODES}")
     if mode == "node_sampled":
-        require_energy_mesh(mesh)
+        check_stable(mesh)
     h = mesh.h
     energy = np.empty(mesh.M)  # energy[m-1] belongs to the pair (v^{m-1}, v^m)
     dx, l1, l1_dx = np.empty((3, mesh.M + 1))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wavecompact.config import config_from_dict
+from wavecompact.data import DataSpec, Profile
 from wavecompact.experiments import (energy_lower_bound_margins, fit_order,
                                      random_dataspec, run_convergence,
                                      stability_bound_sides)
@@ -88,6 +89,32 @@ def test_acceptance_3_fractional_rates(preset, target, tol):
     result = run_convergence(cfg, emit=False)
     ok = abs(result.fitted_order - target) <= tol
     _report(f"3 fractional rate ({preset})", ok,
+            f"fitted order {result.fitted_order:.3f}, target {target} +- {tol}, "
+            f"N up to 1024, tau = h/2, exact d'Alembert reference")
+
+
+@pytest.mark.parametrize("preset,datum,target,tol", [
+    ("hat_step", "u0", 0.4, 0.1),
+    ("hat_step", "u1", 0.4, 0.1),
+    ("quad_spline_hat", "u0", 1.2, 0.15),
+    ("quad_spline_hat", "u1", 1.2, 0.15),
+])
+def test_acceptance_3_fractional_rates_per_datum(preset, datum, target, tol):
+    # the rates hold with respect to each initial function: one datum of the
+    # preset, the other zero, at the tolerances of the pair
+    cfg = config_from_dict({
+        "kind": "converge",
+        "mesh": {"X": math.pi, "T": math.pi, "N": 128, "M": 256, "refinements": 3},
+        "data": {"preset": preset},
+        "mode": "q2h_filtered",
+        "fit_drop_coarsest": 0,
+    })
+    zero = Profile.zero(math.pi)
+    cfg.data = DataSpec(u0=cfg.data.u0 if datum == "u0" else zero,
+                        u1=cfg.data.u1 if datum == "u1" else zero)
+    result = run_convergence(cfg, emit=False)
+    ok = abs(result.fitted_order - target) <= tol
+    _report(f"3 fractional rate ({preset} {datum} alone)", ok,
             f"fitted order {result.fitted_order:.3f}, target {target} +- {tol}, "
             f"N up to 1024, tau = h/2, exact d'Alembert reference")
 

@@ -24,7 +24,7 @@ def test_profile_round_trips():
          Profile.piecewise_poly((0.0, 1.0, X), ((0.5,), (0.0, 1.0)))),
     ]
     for d, p in cases:
-        assert profile_from_dict(d, X) == p
+        assert profile_from_dict(d, X, 16) == p
 
 
 def test_dataspec_round_trip():
@@ -38,7 +38,7 @@ def test_dataspec_round_trip():
          "u1": {"form": "sine_series", "coeffs": [1.0, 2.0]},
          "f": {"space": {"form": "piecewise", "breakpoints": [0.0, X], "pieces": [[1.0]]},
                "time": {"form": "harmonic_sin", "omega": 2.0}}}
-    assert dataspec_from_dict(d, X) == spec
+    assert dataspec_from_dict(d, X, 16) == spec
 
 
 def test_mesh_needs_m_or_rungs():

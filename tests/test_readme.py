@@ -1,0 +1,29 @@
+"""The README's code runs and its Layout names every module."""
+
+import json
+import re
+from pathlib import Path
+
+from wavecompact.config import config_from_dict
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _blocks(text, language):
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, re.M | re.S)
+
+
+def test_readme_code_runs_and_its_layout_names_every_module(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (quick_start,) = _blocks(text, "python")
+    exec(compile(quick_start, "README quick start", "exec"), {})
+    assert float(capsys.readouterr().out) < 1e-3
+
+    (config,) = _blocks(text, "json")
+    raw = json.loads(config)
+    assert config_from_dict(raw).kind == raw["kind"]
+
+    layout = _blocks(text.split("## Layout", 1)[1], "")[0]
+    named = set(re.findall(r"^  (\w+)\.py ", layout, re.M))
+    modules = {p.stem for p in (ROOT / "src" / "wavecompact").glob("*.py")} - {"__init__"}
+    assert named == modules

@@ -11,12 +11,12 @@ from scipy.integrate import quad
 from wavecompact import reference
 from wavecompact.data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, average_qh,
                               sine_coefficients, step_profile)
-from wavecompact.errors import ConfigurationError, ContractViolation
+from wavecompact.errors import ConfigurationError
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
 from wavecompact.oracle import (HarmonicData, canonical_mesh, exact_harmonic_solution,
                                 harmonic_dataspec)
-from wavecompact.reference import GridReference, dalembert_reference
+from wavecompact.reference import dalembert_reference
 
 
 def _qh_oracle(func, mesh, kinks=()):
@@ -31,18 +31,6 @@ def _qh_oracle(func, mesh, kinks=()):
                       points=points, limit=200)
         out[i] = val / mesh.h
     return out
-
-
-def test_grid_reference_round_trip():
-    mesh = build_mesh(1.0, 1.0, 4, 8)
-    values = np.zeros((9, 5))
-    values[:, 2] = np.arange(9)
-    ref = GridReference(mesh, values)
-    np.testing.assert_array_equal(ref.values(3), values[3])
-    with pytest.raises(ContractViolation):
-        ref.qh_values(0)
-    with pytest.raises(ContractViolation):
-        GridReference(mesh, np.zeros((3, 5)))
 
 
 # X = 2, a = 1.5: a tau / h is 2/3 at T = X / a and 11/20 (q > M) at T = 1.1
@@ -305,7 +293,7 @@ def test_lattice_reference_is_served_block_by_block():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(ref, reference.LatticeReference)
+    assert reference._lattice(mesh) is not None
     assert kept < 2 ** 20 and peak < 2 * 2 ** 20
     for view in (ref.values, ref.qh_values):
         full = view(slice(None))
@@ -314,3 +302,49 @@ def test_lattice_reference_is_served_block_by_block():
         np.testing.assert_array_equal(np.concatenate(blocks), full)
         np.testing.assert_array_equal(view(mesh.M), full[-1])
         np.testing.assert_array_equal(view(slice(None, None, -5)), full[::-5])
+
+
+def _forced_sine_series_data(X):
+    rng = np.random.default_rng(5)
+    return DataSpec(u0=Profile.sine_series(rng.standard_normal(6), X),
+                    u1=Profile.sine_series(rng.standard_normal(6), X),
+                    f=Forcing(space=Profile.sine_series(rng.standard_normal(6), X),
+                              time=TimeProfile.harmonic_sin(1.3)))
+
+
+def test_per_level_reference_is_served_block_by_block():
+    # a tau / h = 1.25 / 1.5 has no q <= M: the per-level build.  Blocks of
+    # levels are the full range bit for bit, and the full range is the eager
+    # sum of the unforced views (zero ends) and the forced modes' coeffs @
+    # shapes (zero ends), bit for bit
+    mesh = build_mesh(math.pi, 2.5, 16, 48)
+    assert reference._lattice(mesh) is None
+    data = _forced_sine_series_data(mesh.X)
+    ref = dalembert_reference(mesh, data)
+    unforced = dalembert_reference(mesh, DataSpec(u0=data.u0, u1=data.u1))
+    coeffs, shapes = reference._forced_modes(mesh, data.f)
+    shapes[..., ::mesh.N] = 0.0
+    eager = coeffs @ shapes
+    for v, view in enumerate((ref.values, ref.qh_values)):
+        full = view(slice(None))
+        expected = (unforced.values, unforced.qh_values)[v](slice(None)) + eager[v]
+        np.testing.assert_array_equal(full, expected)
+        assert not np.any(full[:, ::mesh.N])
+        blocks = [view(slice(start, start + 17)) for start in range(0, mesh.M + 1, 17)]
+        np.testing.assert_array_equal(np.concatenate(blocks), full)
+
+
+def test_forced_per_level_build_holds_one_views_array():
+    # the build fills one (2, M+1, N+1) array level by level; the forced
+    # modes are served per call, not added to it through a second such array
+    mesh = build_mesh(math.pi, 2.5, 128, 256)
+    assert reference._lattice(mesh) is None
+    data = _forced_sine_series_data(mesh.X)
+    views_bytes = 2 * (mesh.M + 1) * (mesh.N + 1) * 8
+    tracemalloc.start()
+    try:
+        dalembert_reference(mesh, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * views_bytes

@@ -13,7 +13,7 @@ from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, solve_implicit, stencil
 from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
-from wavecompact.reference import GridReference, dalembert_reference
+from wavecompact.reference import Reference, dalembert_reference
 from wavecompact.scheme import (ERROR_MODES, evolve, evolve_grid, evolve_measured, measure_error,
                                 prepare_inputs)
 
@@ -22,6 +22,13 @@ MESH = build_mesh(math.pi, math.pi, 16, 64)
 
 def _zero_data(X=math.pi):
     return DataSpec(u0=Profile.zero(X), u1=Profile.zero(X))
+
+
+def _stored_reference(values, qh_values=None):
+    """A Reference serving stored (M+1, N+1) node values and hat averages,
+    the node values again if none are given."""
+    views = np.stack([values, values if qh_values is None else qh_values])
+    return Reference(views, np.broadcast_to(0.0, views.shape))
 
 
 def _harmonic_shape(mesh, k):
@@ -140,7 +147,7 @@ def test_evolve_superposition():
 def test_error_report_self_reference_is_zero():
     kind = HarmonicData(j=1, k=2)
     run = evolve(MESH, harmonic_dataspec(kind, MESH))
-    ref = GridReference(MESH, run.slices.copy())
+    ref = _stored_reference(run.slices)
     rep = measure_error(MESH, run.slices, ref, mode="node_sampled")
     assert rep.max_energy_error == pytest.approx(0.0, abs=1e-13)
     assert rep.max_dx_error == pytest.approx(0.0, abs=1e-13)
@@ -212,21 +219,20 @@ def test_measure_error_sees_the_pair_across_a_block_seam():
     exact = run.slices.copy()
     exact[_RESIDUAL_BLOCK] += w
     exact[_RESIDUAL_BLOCK + 1] -= w
-    rep = measure_error(mesh, run.slices, GridReference(mesh, exact))
+    rep = measure_error(mesh, run.slices, _stored_reference(exact))
     assert rep.max_energy_error == energy_norm_pair(w, -w, mesh)
     assert rep.max_energy_error > energy_norm_pair(mesh.zeros(), w, mesh)
 
 
 def test_measure_error_node_sampled_refuses_an_unstable_mesh():
-    # the energy norm's own refusal, before any level is measured
+    # the one stability refusal, raised before any level is measured
     unstable = build_mesh(1.0, 1.0, 10, 10)
     zeros = np.zeros((unstable.M + 1, unstable.N + 1))
-    with pytest.raises(ContractViolation) as measured:
-        measure_error(unstable, zeros, GridReference(unstable, zeros), mode="node_sampled")
-    with pytest.raises(ContractViolation) as direct:
+    with pytest.raises(UnstableMeshError) as measured:
+        measure_error(unstable, zeros, _stored_reference(zeros), mode="node_sampled")
+    with pytest.raises(UnstableMeshError) as direct:
         energy_norm_pair(unstable.zeros(), unstable.zeros(), unstable)
-    assert str(measured.value) == str(direct.value)
-    assert "requires a stable mesh" in str(measured.value)
+    assert str(measured.value) == str(direct.value) == unstable.stability_report()
 
 
 def test_smooth_manufactured_solution_fourth_order():
@@ -519,11 +525,9 @@ def test_each_column_has_its_own_residual_scale(monkeypatch):
 # measured runs: stepped and measured block by block, no stored trajectory
 
 def _random_reference(mesh, rng):
-    """A GridReference of random node values and hat averages with zero ends,
-    for data that has no exact reference."""
-    views = np.zeros((2, mesh.M + 1, mesh.N + 1))
-    views[..., 1:-1] = rng.standard_normal((2, mesh.M + 1, mesh.N - 1))
-    return GridReference(mesh, views[0], views[1])
+    """A Reference of random node values and hat averages, for data that has
+    no exact reference."""
+    return _stored_reference(*rng.standard_normal((2, mesh.M + 1, mesh.N + 1)))
 
 
 # M = 9 is one partial block; 16 one full block; 17 a full block and a
@@ -566,16 +570,16 @@ def test_a_measured_run_takes_one_data_set_and_checks_it():
         evolve_measured(unstable, unstable.zeros(), unstable.zeros(), None, reference)
 
 
-class _RecordingReference(GridReference):
-    """A GridReference that records the levels it serves."""
+class _RecordingReference:
+    """A stored reference that records the levels it serves."""
 
-    def __init__(self, mesh, values):
-        super().__init__(mesh, values)
+    def __init__(self, values):
+        self._reference = _stored_reference(values)
         self.served = []
 
     def values(self, levels):
         self.served.append((levels.start, levels.stop))
-        return super().values(levels)
+        return self._reference.values(levels)
 
 
 def test_a_measured_run_refuses_a_failing_step_before_measuring_its_block(monkeypatch):
@@ -583,7 +587,7 @@ def test_a_measured_run_refuses_a_failing_step_before_measuring_its_block(monkey
     # naming its level; only the two blocks before it were measured
     mesh = build_mesh(math.pi, math.pi, 16, 64)
     v0 = _harmonic_shape(mesh, 3)
-    reference = _RecordingReference(mesh, evolve_grid(mesh, v0, mesh.zeros()).slices)
+    reference = _RecordingReference(evolve_grid(mesh, v0, mesh.zeros()).slices)
     _poison_solve(monkeypatch, 40)
     with pytest.raises(InvariantError, match=r"nan of the step to level 40 on the N=16, M=64 "):
         evolve_measured(mesh, v0, mesh.zeros(), None, reference)
