@@ -12,7 +12,7 @@ A config file is a single JSON object:
               | {"u0": {...}, "u1": {...}, "f": {...}}
               | null,
       "variant": "v2" | "v0" | "v1" | "all",                     # "all": oracle_check only
-      "mode": "node_sampled" | "q2h_filtered",
+      "mode": "node_sampled" | "q2h_filtered",                   # sharpness: node_sampled only
       "alpha": 2.0,                                              # > 0
       "out_dir": "out",
       ...tuning keys with defaults (seed, n_random, n_pairs,
@@ -296,6 +296,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError("convergence studies need nonzero data to fit an order")
     if kind == "sharpness" and sharpness_j is None:
         raise ConfigurationError("sharpness runs need data: {'harmonic': {'j': ...}}")
+    if kind == "sharpness" and cfg.mode != "node_sampled":
+        raise ConfigurationError(f"mode {cfg.mode!r} is not read by sharpness runs, which "
+                                 "measure node_sampled errors; drop the mode key")
     if kind == "oracle_check" and harmonic is None:
         raise ConfigurationError("oracle checks need harmonic data")
     for mesh in rungs:

@@ -470,9 +470,21 @@ def build_u1h(variant: str, u1: Profile, mesh: MeshSpec) -> GridFn:
     return out
 
 
-def build_fh(f: Forcing, mesh: MeshSpec) -> np.ndarray:
-    """Forcing slices (q_h q_tau f)^m for m = 0..M-1 (separable product)."""
-    return np.outer(average_qtau(f.time, mesh), average_qh(f.space, mesh))
+@dataclass(frozen=True, eq=False)
+class ForcingLevels:
+    """Forcing levels fh^m = time[m] * space, m < M, as time (M,) and space
+    (N+1,), or (B, M) and (B, N+1); np.asarray gives the dense levels."""
+
+    time: np.ndarray
+    space: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.multiply(self.time[..., :, None], self.space[..., None, :], dtype=dtype)
+
+
+def build_fh(f: Forcing, mesh: MeshSpec) -> ForcingLevels:
+    """Forcing levels (q_h q_tau f)^m, m = 0..M-1, as the factors q_tau and q_h."""
+    return ForcingLevels(average_qtau(f.time, mesh), average_qh(f.space, mesh))
 
 
 # --------------------------------------------------------------------------

@@ -37,14 +37,14 @@ from numpy.polynomial import polynomial as npoly
 
 from . import __version__
 from .config import ExperimentConfig
-from .data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
+from .data import U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile, TimeProfile
 from .errors import ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_harmonic_trajectory,
                      harmonic_dataspec, sharpness_prediction)
 from .reference import dalembert_reference, reference_refusal
-from .scheme import (RING_LEVELS, ErrorReport, evolve, evolve_grid, evolve_measured,
+from .scheme import (ErrorReport, evolve, evolve_grid, evolve_measured, level_bytes,
                      measure_error, prepare_inputs)
 
 
@@ -202,12 +202,13 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
     columns stepped, the stepping seconds and the largest residual."""
     e0, B, N, M = mesh.eps0, len(datas), mesh.N, mesh.M
     v0s, u1hs = np.empty((2, B, N + 1))
-    # unforced columns of a forced stack step zero forcing rows
-    fhs = None if all(data.f is None for data in datas) else np.zeros((B, M, N + 1))
+    # unforced columns of a forced stack step zero factors
+    fhs = (None if all(data.f is None for data in datas)
+           else ForcingLevels(np.zeros((B, M)), np.zeros((B, N + 1))))
     for b, data in enumerate(datas):
         v0s[b], u1hs[b], fh = prepare_inputs(mesh, data, "v2")
         if fh is not None:
-            fhs[b] = fh
+            fhs.time[b], fhs.space[b] = fh.time, fh.space
     started = time.perf_counter()
     run = evolve_grid(mesh, v0s, u1hs, fhs)
     step_s = time.perf_counter() - started
@@ -218,7 +219,7 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
         rhs = math.sqrt(mesh.a ** 2 * space_norm(v0s[b], "stiffness", mesh) ** 2
                         + mass_inv_half_norm(u1hs[b], mesh) ** 2 / e0 ** 2)
         if data.f is not None:
-            fh_norms = mass_inv_half_norm(fhs[b], mesh).tolist()
+            fh_norms = mass_inv_half_norm(np.outer(fhs.time[b], fhs.space[b]), mesh).tolist()
             rhs += (fh_norms[0] * mesh.tau + 2.0 * mesh.tau * sum(fh_norms[1:])) / e0
 
         max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))
@@ -333,7 +334,7 @@ def _measured(config: ExperimentConfig, mesh: MeshSpec, data: DataSpec, referenc
     report, residuals = evolve_measured(mesh, *inputs, reference, mode)
     return report, {"N": mesh.N, "M": mesh.M, "step_measure_s": time.perf_counter() - started,
                     "residual_max": float(np.max(residuals)),
-                    "level_bytes": RING_LEVELS * (mesh.N + 1) * 8}
+                    "level_bytes": level_bytes(mesh, inputs[2] is not None)}
 
 
 def _converge_rung(payload):
@@ -510,8 +511,9 @@ def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[Oracle
         # read-only views of v0 and fh, built once
         v0, u1hs, fh = prepare_inputs(mesh, config.data, variants)
         B = len(variants)
-        run = evolve_grid(mesh, np.broadcast_to(v0, (B, mesh.N + 1)), u1hs,
-                          None if fh is None else np.broadcast_to(fh, (B,) + fh.shape))
+        if fh is not None:
+            fh = ForcingLevels(*(np.broadcast_to(w, (B,) + w.shape) for w in (fh.time, fh.space)))
+        run = evolve_grid(mesh, np.broadcast_to(v0, (B, mesh.N + 1)), u1hs, fh)
         for variant, exact, slices in zip(variants, closed, run.slices):
             scale = max(1.0, float(np.max(np.abs(exact))))
             dev = float(np.max(np.abs(slices - exact))) / scale

@@ -16,7 +16,8 @@ while u1, of order lambda - 1 >= 0, enters only through hat averages.
 One stepping loop, _march, steps every run.  It checks the shapes,
 finiteness and zero ends of (v0, u1h, fh) once, on entry; each step calls
 LAPACK dpttrs on the cached LDL^T factor of the tridiagonal A and the stencil
-kernel grid._three_point, in buffers allocated once per run.  The levels live
+kernel grid._three_point, in buffers allocated once per run.  fh, dense or
+data.ForcingLevels factors, is multiplied out one block of steps at a time.  The levels live
 in a ring of RING_LEVELS rows per column, and the defining-equation residual
 of every step and column is checked per block of _RESIDUAL_BLOCK consecutive
 steps, in one vectorized pass after the block's last step (and after the
@@ -75,6 +76,12 @@ _RESIDUAL_BLOCK = 16
 RING_LEVELS = _RESIDUAL_BLOCK + 2
 
 
+def level_bytes(mesh: MeshSpec, forced: bool) -> int:
+    """Bytes held per run: the ring, and for forcing factors a block of rows and them."""
+    rows = RING_LEVELS + forced * _RESIDUAL_BLOCK
+    return 8 * (rows * (mesh.N + 1) + forced * (mesh.M + mesh.N + 1))
+
+
 @dataclass(frozen=True)
 class SchemeRun:
     """One integrator run, or a stack of B runs: the levels and the residual of
@@ -95,11 +102,11 @@ class ErrorReport:
 
 def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant):
     """Assemble (v0, u1h, fh) grid data from the descriptors; for a tuple of
-    u1 variants u1h is their (B, N+1) stack, and v0 and fh are built once.
+    u1 variants u1h is their (B, N+1) stack, and v0 and fh (data.ForcingLevels) once.
 
     This is where grid data enters the scheme: a datum whose quadrature fails,
     or whose grid data is not finite or beyond _DATA_BOUND in magnitude, is a
-    ConfigurationError naming it and the mesh.
+    ConfigurationError naming it and the mesh (for fh, max|time| * max|space|).
     """
     def v0():
         samples = data_mod.sample_nodes(data.u0, mesh)
@@ -110,10 +117,12 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 values = build()
+                peak = (np.abs(values.time).max() * np.abs(values.space).max()
+                        if isinstance(values, data_mod.ForcingLevels) else np.abs(values).max())
         except QuadratureError as exc:
             raise ConfigurationError(f"the grid data of {name} are not finite on the "
                                      f"N={mesh.N}, M={mesh.M} mesh: {exc}") from exc
-        if not -_DATA_BOUND <= values.min() <= values.max() <= _DATA_BOUND:  # NaN fails too
+        if not peak <= _DATA_BOUND:  # NaN fails too
             raise ConfigurationError(f"the grid data of {name} are not finite or exceed "
                                      f"{_DATA_BOUND:.1e} in magnitude on the N={mesh.N}, "
                                      f"M={mesh.M} mesh")
@@ -127,9 +136,9 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant):
             None if data.f is None else checked("f", lambda: data_mod.build_fh(data.f, mesh)))
 
 
-def _entry_datum(name: str, w, shape: tuple, mesh: MeshSpec, stacked: bool) -> GridFn:
-    """w as float data of the given shape, finite and vanishing at both ends;
-    in a stack each column is checked, and a failure names it."""
+def _entry_datum(name: str, w, shape, mesh: MeshSpec, stacked: bool, dirichlet=True) -> GridFn:
+    """w as float data of the given shape, finite and, if dirichlet, vanishing
+    at both ends; in a stack each column is checked, and a failure names it."""
     w = np.asarray(w, dtype=float)
     if w.shape != shape:
         raise ContractViolation(f"{name} must have shape {shape}, got {w.shape}")
@@ -137,7 +146,8 @@ def _entry_datum(name: str, w, shape: tuple, mesh: MeshSpec, stacked: bool) -> G
         what = name if b is None else f"{name} column {b}"
         if not -np.inf < col.min() <= col.max() < np.inf:  # reads only; NaN fails too
             raise ConfigurationError(f"{what} has values that are not finite")
-        require_dirichlet(col, mesh, what)
+        if dirichlet:
+            require_dirichlet(col, mesh, what)
     return w
 
 
@@ -156,11 +166,21 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
     lead = (B,) if stacked else ()
     v0, u1h = (_entry_datum(name, w, lead + (N + 1,), mesh, stacked).reshape(B, N + 1)
                for name, w in (("v0", v0), ("u1h", u1h)))
+    if isinstance(fh, data_mod.ForcingLevels):  # the levels are time * space
+        time = _entry_datum("fh time factor", fh.time, lead + (M,), mesh, stacked, False)
+        space = _entry_datum("fh space factor", fh.space, lead + (N + 1,), mesh, stacked)
+        time, space = time.reshape(B, M, 1), space.reshape(B, 1, N + 1)
+        with np.errstate(over="ignore"):  # the largest |level|: rounding is monotone
+            peak = np.abs(time).max(axis=(1, 2)) * np.abs(space).max(axis=(1, 2))
+        _entry_datum("fh", peak.reshape(lead), lead, mesh, stacked, False)  # finite levels
+    elif fh is not None:
+        time = _entry_datum("fh", fh, lead + (M, N + 1), mesh, stacked).reshape(B, M, N + 1)
+        space = np.ones((B, 1, 1))  # the dense levels times 1.0, bit for bit
     if fh is not None:
-        fh = _entry_datum("fh", fh, lead + (M, N + 1), mesh, stacked).reshape(B, M, N + 1)
+        ends, buf = time[..., ::N] * space[..., ::N], np.empty((B, _RESIDUAL_BLOCK, N + 1))
     # |rhs| at the ends, per column and step
-    edge = np.zeros((B, M)) if fh is None else np.abs(fh[..., ::N]).max(axis=-1)
-    edge[:, 0] = np.abs(u1h[:, ::N] + (0.0 if fh is None else 0.5 * tau * fh[:, 0, ::N])
+    edge = np.zeros((B, M)) if fh is None else np.abs(ends).max(axis=-1)
+    edge[:, 0] = np.abs(u1h[:, ::N] + (0.0 if fh is None else 0.5 * tau * ends[:, 0])
                         ).max(axis=-1)
     (d, e), c = _implicit_factor(mesh), mesh.sigma * tau ** 2 * a2
     ring = np.empty((B, RING_LEVELS, N + 1))
@@ -193,13 +213,15 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
     def steps():
         for m in range(M):
             row = m % _RESIDUAL_BLOCK
+            if fh is not None and row == 0:  # the block's forcing levels
+                f = np.multiply(time[:, m:m + _RESIDUAL_BLOCK], space, out=buf[:, :M - m])
             v, nxt, sol, rhs = ring[:, row + 1], ring[:, row + 2, 1:-1], sols[row], rhss[row]
             _three_point(rhs, v, -2.0, h2)  # the recurrences' rhs, in the operator calls' order
             rhs *= a2 if m else 0.5 * tau * a2
             if m == 0:
                 rhs += u1h[:, 1:-1]
             if fh is not None:
-                rhs += fh[:, m, 1:-1] if m else np.multiply(fh[:, 0, 1:-1], 0.5 * tau, out=t[0])
+                rhs += f[:, row, 1:-1] if m else np.multiply(f[:, 0, 1:-1], 0.5 * tau, out=t[0])
             sol[:] = rhs  # solved in place; a failed dpttrs leaves rhs, which the residual refuses
             dpttrs(d, e, sol.T, overwrite_b=1)
             # v^1 = tau lam + v^0, and v^{m+1} = tau^2 lam + 2 v^m - v^{m-1}
@@ -218,9 +240,10 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
 def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
     """Run the integrator from grid data (v0, u1h, fh) and store every slice.
 
-    v0, u1h (N+1,) and fh (M, N+1), the forcing levels 0..M-1, make one run.
-    Stacks v0, u1h (B, N+1) and fh (B, M, N+1) make B runs, the columns,
-    stepped together: slices is then (B, M+1, N+1) and residual_max (B, M),
+    v0, u1h (N+1,) and fh (M, N+1) or ForcingLevels (M,), (N+1,), the forcing
+    levels 0..M-1, make one run.  Stacks v0, u1h (B, N+1) and fh (B, M, N+1)
+    or factors (B, M), (B, N+1) make B runs, the columns, stepped together:
+    slices is then (B, M+1, N+1) and residual_max (B, M),
     and each column equals its own run bit for bit.  The data are checked
     once, on entry, for shape, finiteness and zero ends (every slice keeps
     those of v0); a failure names the datum and, in a stack, the column.  Each

@@ -384,6 +384,7 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("converge", "variant", {"variant": "all"}),
     ("solve", "variant", {"variant": 3}),
     ("converge", "mode", {"mode": None}),
+    ("sharpness", "mode", {"mode": "q2h_filtered", "data": {"harmonic": {"j": 0}}}),
     ("solve", "v0_mode", {"v0_mode": "x"}),
     ("solve", "v0_mode", {"v0_mode": "node_samples"}),
     ("solve", "node_convention", {"data": {"u0": {"form": "piecewise",
@@ -398,7 +399,8 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
         "harmonic_j", "harmonic_k", "profile_coeffs", "profile_breakpoints",
         "profile_pieces", "time_not_object", "forcing_not_object", "out_dir_number",
         "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty",
-        "variant_all_on_converge", "variant_number", "mode_null", "v0_mode_unknown",
+        "variant_all_on_converge", "variant_number", "mode_null", "sharpness_mode_filtered",
+        "v0_mode_unknown",
         "v0_mode_set", "profile_node_convention",
         "preset_null", "preset_unknown"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
@@ -421,7 +423,10 @@ _UNIT_TIME = {"form": "polynomial", "coeffs": [1.0]}
     ("f", {"f": {"space": {"form": "piecewise", "breakpoints": [0.0, math.pi],
                            "pieces": [_HUGE]}, "time": _UNIT_TIME}}),
     ("f", {"f": {"space": {"form": "sine_series", "coeffs": _HUGE}, "time": _UNIT_TIME}}),
-], ids=["u0_sine_series", "u1_sine_series", "f_piecewise", "f_sine_series"])
+    # factors of 1e200 each: the levels, their product, overflow
+    ("f", {"f": {"space": {"form": "sine_series", "coeffs": [1e200]},
+                 "time": {"form": "polynomial", "coeffs": [1e200]}}}),
+], ids=["u0_sine_series", "u1_sine_series", "f_piecewise", "f_sine_series", "f_factors"])
 def test_overflowing_grid_data_exits_3(tmp_path, capsys, name, data):
     cfg = _write_config(tmp_path, {
         "kind": "solve", "mesh": _mesh(16), "data": data,

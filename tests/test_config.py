@@ -170,8 +170,13 @@ def test_data_is_decided_at_load():
     assert all(cfg.data == harmonic_dataspec(cfg.harmonic, r) for r in cfg.rungs)
     zero = config_from_dict({**base, "kind": "solve", "data": None}).data
     assert zero == DataSpec(u0=Profile.zero(2.0), u1=Profile.zero(2.0))
-    sharp = config_from_dict({**base, "kind": "sharpness", "data": {"harmonic": {"j": 1}}})
+    sharp_cfg = {**base, "kind": "sharpness", "data": {"harmonic": {"j": 1}}}
+    sharp = config_from_dict(sharp_cfg)
     assert (sharp.data, sharp.harmonic, sharp.sharpness_j) == (None, None, 1)
+    # sharpness rungs measure node_sampled errors: another mode is refused, not ignored
+    assert config_from_dict({**sharp_cfg, "mode": "node_sampled"}).mode == "node_sampled"
+    with pytest.raises(ConfigurationError, match="^mode 'q2h_filtered' is not read by sharpness"):
+        config_from_dict({**sharp_cfg, "mode": "q2h_filtered"})
 
 
 def test_converge_refuses_data_it_cannot_measure_at_load():

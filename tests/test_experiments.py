@@ -378,7 +378,7 @@ def test_oracle_check_steps_the_variants_as_one_run(monkeypatch, j):
     evolve_grid = experiments.evolve_grid
 
     def counting(mesh, v0, u1h, fh=None):
-        calls.append((mesh.N, v0.shape, u1h.shape, None if fh is None else fh.shape))
+        calls.append((mesh.N, v0.shape, u1h.shape, None if fh is None else np.shape(fh)))
         return evolve_grid(mesh, v0, u1h, fh)
 
     monkeypatch.setattr(experiments, "evolve_grid", counting)
@@ -508,6 +508,19 @@ def test_measured_rungs_have_summary_rows(tmp_path, jobs):
         for r in rows:
             assert r["step_measure_s"] > 0 and 0 <= r["residual_max"] <= 1e-11
             assert 0 < r["level_bytes"] <= (r["M"] + 1) * (r["N"] + 1) * 8 / 10
+
+
+def test_a_forced_rung_counts_its_forcing_block_and_factors(tmp_path):
+    # j = 2 forcing: the level ring, one 16-row block of forcing levels and
+    # the (M,) and (N+1,) factors, still far below a stored trajectory
+    config = config_from_dict({"kind": "sharpness", "data": {"harmonic": {"j": 2}},
+                               "mesh": {"X": math.pi, "T": math.pi, "N": 32, "M": 256,
+                                        "refinements": 1}, "out_dir": str(tmp_path)})
+    run_sharpness(config)
+    rows = json.loads((tmp_path / "run_summary.json").read_text())["rungs"]
+    assert [r["level_bytes"] for r in rows] == [
+        ((18 + 16) * (m.N + 1) + m.M + m.N + 1) * 8 for m in config.rungs]
+    assert all(r["level_bytes"] <= (r["M"] + 1) * (r["N"] + 1) * 8 / 5 for r in rows)
 
 
 def test_oracle_check_assembles_v0_and_fh_once_per_mesh(monkeypatch):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavecompact.scheme as scheme
-from wavecompact.data import U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
+from wavecompact.data import (U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile,
+                              TimeProfile)
 from wavecompact.errors import (ConfigurationError, ContractViolation, InvariantError,
                                 UnstableMeshError)
 from wavecompact.experiments import random_dataspec
@@ -312,6 +315,7 @@ def _operator_loop(mesh, v0, u1h, fh):
     """The stepping loop composed of the operator calls, kept as the bit-exact
     reference: stencil, solve_implicit and apply_implicit on full levels."""
     tau, a = mesh.tau, mesh.a
+    fh = None if fh is None else np.asarray(fh)  # dense levels, from factors too
     slices = np.empty((mesh.M + 1, mesh.N + 1))
     residuals = np.empty(mesh.M)
 
@@ -592,3 +596,106 @@ def test_a_measured_run_refuses_a_failing_step_before_measuring_its_block(monkey
     with pytest.raises(InvariantError, match=r"nan of the step to level 40 on the N=16, M=64 "):
         evolve_measured(mesh, v0, mesh.zeros(), None, reference)
     assert reference.served == [(0, 17), (16, 33)]
+
+
+# --------------------------------------------------------------------------
+# forcing factors: the levels as time (M,) and space (N+1,) factors
+
+def _random_factors(mesh, rng, columns=None):
+    """Random forcing factors with zero space ends; a stack of columns if given."""
+    lead = () if columns is None else (columns,)
+    space = np.zeros(lead + (mesh.N + 1,))
+    space[..., 1:-1] = rng.standard_normal(lead + (mesh.N - 1,))
+    return ForcingLevels(rng.standard_normal(lead + (mesh.M,)), space)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 24), st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
+def test_factors_and_their_dense_levels_step_the_same(n, m_levels, seed):
+    # any M, a partial last block of forcing rows included; tau = h / 2 keeps
+    # every mesh stable
+    mesh = build_mesh(math.pi, math.pi * m_levels / (2 * n), n, m_levels)
+    rng = np.random.default_rng(seed)
+    v0, u1h, _ = _random_grid_data(mesh, rng, forced=False)
+    levels = _random_factors(mesh, rng)
+    dense = np.asarray(levels)
+    assert np.array_equal(dense, np.outer(levels.time, levels.space))
+    runs = [evolve_grid(mesh, v0, u1h, fh) for fh in (levels, dense)]
+    assert np.array_equal(runs[0].slices, runs[1].slices)
+    assert np.array_equal(runs[0].residual_max, runs[1].residual_max)
+    reference = _random_reference(mesh, rng)
+    (report, residuals), (dense_report, dense_residuals) = (
+        evolve_measured(mesh, v0, u1h, fh, reference) for fh in (levels, dense))
+    assert report == dense_report and np.array_equal(residuals, dense_residuals)
+    # a stack of three whose middle column is unforced: zero factors
+    stack = _random_factors(mesh, rng, columns=3)
+    stack.time[1], stack.space[1] = 0.0, 0.0
+    v0s, u1hs = np.stack([v0, u1h, v0]), np.stack([u1h, v0, u1h])
+    runs = [evolve_grid(mesh, v0s, u1hs, fh) for fh in (stack, np.asarray(stack))]
+    assert np.array_equal(runs[0].slices, runs[1].slices)
+    assert np.array_equal(runs[0].residual_max, runs[1].residual_max)
+
+
+def test_forcing_factors_are_checked_on_entry():
+    rng = np.random.default_rng(5)
+    levels = _random_factors(MESH, rng)
+    zeros = MESH.zeros(), MESH.zeros()
+    time = levels.time.copy()
+    time[7] = np.nan
+    with pytest.raises(ConfigurationError, match="^fh time factor has values that are not fin"):
+        evolve_grid(MESH, *zeros, ForcingLevels(time, levels.space))
+    # finite factors whose levels overflow are not finite either
+    with pytest.raises(ConfigurationError, match="^fh has values that are not finite"):
+        evolve_grid(MESH, *zeros, ForcingLevels(levels.time * 1e200, levels.space * 1e200))
+    space = levels.space.copy()
+    space[-1] = 1.0
+    with pytest.raises(ContractViolation, match="^fh space factor must vanish at the boundary"):
+        evolve_grid(MESH, *zeros, ForcingLevels(levels.time, space))
+    with pytest.raises(ContractViolation,
+                       match=r"^fh time factor must have shape \(64,\), got \(63,\)"):
+        evolve_grid(MESH, *zeros, ForcingLevels(levels.time[:-1], levels.space))
+    with pytest.raises(ContractViolation,
+                       match=r"^fh space factor must have shape \(17,\), got \(16,\)"):
+        evolve_measured(MESH, *zeros, ForcingLevels(levels.time, levels.space[:-1]),
+                        _random_reference(MESH, rng))
+    # in a stack, the failing column is named
+    stack = _random_factors(MESH, rng, columns=3)
+    stack.time[1, 3] = np.inf
+    with pytest.raises(ConfigurationError,
+                       match="^fh time factor column 1 has values that are not finite"):
+        evolve_grid(MESH, np.zeros((3, MESH.N + 1)), np.zeros((3, MESH.N + 1)), stack)
+    stack.time[1, 3] = 1e200
+    stack.space[1] *= 1e200
+    with pytest.raises(ConfigurationError, match="^fh column 1 has values that are not finite"):
+        evolve_grid(MESH, np.zeros((3, MESH.N + 1)), np.zeros((3, MESH.N + 1)), stack)
+
+
+@pytest.mark.parametrize("amplitude", [1e100, 1e200])
+def test_forcing_factors_beyond_the_data_bound_are_refused(amplitude):
+    # each factor below the bound, or each above it: their levels exceed it
+    mesh = build_mesh(math.pi, math.pi, 16, 32)
+    data = DataSpec(u0=Profile.zero(mesh.X), u1=Profile.zero(mesh.X),
+                    f=Forcing(space=Profile.sine_series([amplitude], mesh.X),
+                              time=TimeProfile.polynomial((amplitude,))))
+    with pytest.raises(ConfigurationError,
+                       match=r"^the grid data of f are not finite or exceed 1\.3e\+154 in "
+                             r"magnitude on the N=16, M=32 mesh$"):
+        prepare_inputs(mesh, data, "v2")
+
+
+def test_a_forced_measured_run_holds_no_forcing_array():
+    # the factors, one block of forcing rows and the level ring: at N = 128,
+    # M = 4096 assembly, stepping and measurement peak below a quarter of the
+    # (M, N+1) float64 forcing array
+    import tracemalloc
+    mesh = build_mesh(math.pi, math.pi, 128, 4096)
+    data = harmonic_dataspec(HarmonicData(j=2, k=3), mesh)
+    reference = dalembert_reference(mesh, data)
+    evolve_measured(mesh, *prepare_inputs(mesh, data, "v2"), reference)  # caches, imports
+    tracemalloc.start()
+    try:
+        evolve_measured(mesh, *prepare_inputs(mesh, data, "v2"), reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * mesh.M * (mesh.N + 1) * 8, peak
