@@ -11,7 +11,7 @@ orders, stability inequalities, and error-constant sharpness.
 __version__ = "0.1.0"
 
 from .data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, average_qh,
-                   average_qtau, build_fh, build_u1h, sine_coefficients)
+                   average_qtau, build_fh, build_u1h)
 from .errors import (ConfigurationError, ContractViolation, InvariantError,
                      MeshTooCoarseError, QuadratureError, UnstableMeshError)
 from .grid import (GridFn, MeshSpec, build_mesh, energy_norm_pair, space_norm,

@@ -30,7 +30,8 @@ series Profile.harmonic_mode(k, X); time profiles use the forms of
 data.TimeProfile.  Every entry must be a JSON number.  Every ladder rung must
 satisfy the stability condition; a rung that violates it raises
 UnstableMeshError (CLI exit code 2), while malformed configuration raises
-ConfigurationError (exit code 3).  A converge ladder must not repeat an N.
+ConfigurationError (exit code 3).  A converge ladder must not repeat an N,
+and every N is at least 3: the implicit solve needs two interior nodes.
 
 config_from_dict parses and checks a config in one pass.  The data section
 becomes config.data, the DataSpec every rung steps: zero data for null,
@@ -208,13 +209,13 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
                 and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
             raise ConfigurationError(
                 f"mesh.rungs must be a nonempty list of [N, M] pairs, got {pairs!r}")
-        return [one(_integer(n, "mesh.rungs N", 2), _integer(m, "mesh.rungs M", 1))
+        return [one(_integer(n, "mesh.rungs N", 3), _integer(m, "mesh.rungs M", 1))
                 for n, m in pairs]
 
     for key in ("N", "M"):
         if key not in mesh_cfg:
             raise ConfigurationError(f"mesh section needs {key} (or explicit rungs)")
-    N = _integer(mesh_cfg["N"], "mesh.N", 2)
+    N = _integer(mesh_cfg["N"], "mesh.N", 3)
     M = _integer(mesh_cfg["M"], "mesh.M", 1)
     refinements = _integer(mesh_cfg.get("refinements", 0), "mesh.refinements", 0)
     return [one(N * 2 ** r, M * 2 ** r) for r in range(refinements + 1)]

@@ -21,11 +21,9 @@ exact for the piece times a hat at any degree, so discontinuous data adds no
 quadrature noise; q_h is extension_sampler's hat average.  Sine series use
 the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each nonzero mode instead of
 panels.  A jump of a piecewise profile evaluates to the mean of its two sides.
-
-Sine analysis uses the orthonormal basis sqrt(2/X) sin(pi k x / X): a
-sine_series profile stores exactly the coefficients that sine_coefficients
-returns, and a single mode sin(pi k x / X) is the one-coefficient series
-with c_k = sqrt(X/2).
+The data norms of the stability bounds use the same panels on the one cell
+(0, X) or (0, T), exact for the squared pieces, with |g| split at the real
+roots of g as well; a sine series takes its norms from its coefficients.
 
 Descriptors refuse non-finite entries with a ConfigurationError naming the
 entry.  PRESETS holds the rough data of the convergence studies, hat_step
@@ -488,62 +486,43 @@ def build_fh(f: Forcing, mesh: MeshSpec) -> ForcingLevels:
 
 
 # --------------------------------------------------------------------------
-# sine analysis
+# continuous data norms (right-hand sides of the stability bounds)
 
-def poly_sin_integral(coeffs, omegas, lo: float, hi: float) -> np.ndarray:
-    """Exact integral of p(x) sin(omega x) over [lo, hi], vectorized in omega.
-
-    Uses the repeated-integration-by-parts antiderivative
-    sum_j p^(j)(x) g_j(omega x) / omega^(j+1) with g cycling through
-    -cos, +sin, +cos, -sin.
-    """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    safe = np.where(omegas == 0.0, 1.0, omegas)
-    derivs = [np.asarray(coeffs, dtype=float)]
-    while len(derivs[-1]) > 1:
-        derivs.append(npoly.polyder(derivs[-1]))
-
-    def antiderivative(x: float) -> np.ndarray:
-        total = np.zeros_like(omegas)
-        s, c = np.sin(omegas * x), np.cos(omegas * x)
-        invw = 1.0 / safe
-        power = invw.copy()
-        for j, d in enumerate(derivs):
-            pj = npoly.polyval(x, d)
-            r = j % 4
-            if r == 0:
-                term = -pj * c
-            elif r == 1:
-                term = pj * s
-            elif r == 2:
-                term = pj * c
-            else:
-                term = -pj * s
-            total += term * power
-            power = power * invw
-        return total
-
-    out = antiderivative(hi) - antiderivative(lo)
-    out[omegas == 0.0] = 0.0
-    return out
+def profile_l2_norm(p: Profile) -> float:
+    """L2(0, X) norm of a profile (exact)."""
+    if p.form == "sine_series":
+        return float(np.sqrt(np.sum(np.square(p.coeffs))))
+    # one cell (0, X): its rise and fall integrals sum to the integral of p^2
+    nodes = _gauss_nodes(2 * max(map(len, p.pieces)) - 1)
+    return math.sqrt(np.sum(_hat_cell_integrals(lambda x: p(x) ** 2, np.array([0.0, p.X]),
+                                                p.breakpoints, nodes, "the L2 norm")))
 
 
-def sine_coefficients(w: Profile, K: int) -> np.ndarray:
-    """First K coefficients of w in the orthonormal sine basis.
+def profile_h01_norm(p: Profile) -> float:
+    """||dx w||_L2 for a profile vanishing at the ends."""
+    if p.form == "sine_series":
+        c = np.asarray(p.coeffs)
+        k = np.arange(1, len(c) + 1)
+        return float(np.sqrt(np.sum((np.pi * k / p.X) ** 2 * c ** 2)))
+    return profile_l2_norm(Profile.piecewise_poly(
+        p.breakpoints, [tuple(np.arange(1, len(c)) * c[1:]) or (0.0,) for c in p.pieces]))
 
-    Exact for every profile form.
-    """
-    if K < 1:
-        raise ContractViolation("K must be at least 1")
-    out = np.zeros(K)
-    if w.form == "sine_series":
-        upto = min(K, len(w.coeffs))
-        out[:upto] = w.coeffs[:upto]
-        return out
-    root = np.sqrt(2.0 / w.X)
-    ks = np.arange(1, K + 1)
-    omegas = np.pi * ks / w.X
-    b = w.breakpoints
-    for p, coeffs in enumerate(w.pieces):
-        out += root * poly_sin_integral(coeffs, omegas, b[p], b[p + 1])
-    return out
+
+def time_l1_norm(g: TimeProfile, T: float) -> float:
+    """Integral of |g| over (0, T)."""
+    if g.form == "polynomial":
+        # |g| is a polynomial between the real roots of g
+        roots = npoly.polyroots(g.coeffs)
+        return float(np.sum(_hat_cell_integrals(
+            lambda t: np.abs(g(t)), np.array([0.0, T]), roots[np.abs(roots.imag) < 1e-12].real,
+            _gauss_nodes(len(g.coeffs)), "the L1 norm")))
+    w = abs(g.omega)
+    if w == 0.0:
+        return 0.0
+    periods = math.floor(w * T / math.pi)
+    return (2.0 * periods + 1.0 - math.cos(w * T - periods * math.pi)) / w
+
+
+def forcing_l21_norm(f: Forcing, T: float) -> float:
+    """||f||_{L^{2,1}} = ||space||_{L2} * integral of |time| for separable f."""
+    return profile_l2_norm(f.space) * time_l1_norm(f.time, T)

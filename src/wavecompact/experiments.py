@@ -33,11 +33,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from numpy.polynomial import polynomial as npoly
 
 from . import __version__
 from .config import ExperimentConfig
-from .data import U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile, TimeProfile
+from .data import (U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile, TimeProfile,
+                   forcing_l21_norm, profile_h01_norm, profile_l2_norm)
 from .errors import ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
@@ -94,11 +94,14 @@ def random_dataspec(rng: np.random.Generator, X: float) -> DataSpec:
         vals[0] = vals[-1] = 0.0
         pieces = []
         for p in range(len(breaks) - 1):
+            # the line through the end values minus the bubble (x - lo)(x - hi)(c0 + c1 x)
             lo, hi = breaks[p], breaks[p + 1]
-            line = npoly.polyfit([lo, hi], [vals[p], vals[p + 1]], 1)
-            bubble = npoly.polymul(npoly.polyfromroots([lo, hi]),
-                                   rng.uniform(-1.0, 1.0, 2))
-            pieces.append(tuple(npoly.polyadd(line, -bubble)))
+            slope = (vals[p + 1] - vals[p]) / (hi - lo)
+            c0, c1 = rng.uniform(-1.0, 1.0, 2)
+            pieces.append((vals[p] - slope * lo - c0 * lo * hi,
+                           slope + c0 * (lo + hi) - c1 * lo * hi,
+                           c1 * (lo + hi) - c0,
+                           -c1))
         return Profile.piecewise_poly(breaks, pieces)
 
     def rough(breaks) -> Profile:
@@ -113,69 +116,6 @@ def random_dataspec(rng: np.random.Generator, X: float) -> DataSpec:
         f = Forcing(space=rough(random_breaks()),
                     time=TimeProfile.polynomial(rng.uniform(-1.0, 1.0, 3)))
     return DataSpec(u0=u0, u1=u1, f=f)
-
-
-# --------------------------------------------------------------------------
-# continuous data norms (right-hand sides of the stability bounds)
-
-def _piece_l2_sq(coeffs, lo: float, hi: float) -> float:
-    sq = npoly.polymul(coeffs, coeffs)
-    anti = npoly.polyint(sq)
-    return float(npoly.polyval(hi, anti) - npoly.polyval(lo, anti))
-
-
-def profile_l2_norm(p: Profile) -> float:
-    """L2(0, X) norm of a profile (exact)."""
-    if p.form == "sine_series":
-        return float(np.sqrt(np.sum(np.square(p.coeffs))))
-    total = sum(_piece_l2_sq(p.pieces[i], p.breakpoints[i], p.breakpoints[i + 1])
-                for i in range(len(p.pieces)))
-    return math.sqrt(total)
-
-
-def profile_h01_norm(p: Profile) -> float:
-    """||dx w||_L2 for a profile vanishing at the ends."""
-    if p.form == "sine_series":
-        c = np.asarray(p.coeffs)
-        k = np.arange(1, len(c) + 1)
-        return float(np.sqrt(np.sum((np.pi * k / p.X) ** 2 * c ** 2)))
-    total = 0.0
-    for i in range(len(p.pieces)):
-        d = npoly.polyder(p.pieces[i]) if len(p.pieces[i]) > 1 else (0.0,)
-        total += _piece_l2_sq(d, p.breakpoints[i], p.breakpoints[i + 1])
-    return math.sqrt(total)
-
-
-def _poly_abs_integral(coeffs, lo: float, hi: float) -> float:
-    """Integral of |p(t)| on [lo, hi], splitting at the real roots."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) > 1 and np.any(coeffs[1:] != 0.0):
-        roots = npoly.polyroots(coeffs)
-        cuts = sorted({lo, hi, *(float(r.real) for r in roots
-                                 if abs(r.imag) < 1e-12 and lo < r.real < hi)})
-    else:
-        cuts = [lo, hi]
-    anti = npoly.polyint(coeffs)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += abs(npoly.polyval(b, anti) - npoly.polyval(a, anti))
-    return float(total)
-
-
-def time_l1_norm(g: TimeProfile, T: float) -> float:
-    """Integral of |g| over (0, T)."""
-    if g.form == "polynomial":
-        return _poly_abs_integral(g.coeffs, 0.0, T)
-    w = abs(g.omega)
-    if w == 0.0:
-        return 0.0
-    periods = math.floor(w * T / math.pi)
-    return (2.0 * periods + 1.0 - math.cos(w * T - periods * math.pi)) / w
-
-
-def forcing_l21_norm(f: Forcing, T: float) -> float:
-    """||f||_{L^{2,1}} = ||space||_{L2} * integral of |time| for separable f."""
-    return profile_l2_norm(f.space) * time_l1_norm(f.time, T)
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +159,8 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
         rhs = math.sqrt(mesh.a ** 2 * space_norm(v0s[b], "stiffness", mesh) ** 2
                         + mass_inv_half_norm(u1hs[b], mesh) ** 2 / e0 ** 2)
         if data.f is not None:
-            fh_norms = mass_inv_half_norm(np.outer(fhs.time[b], fhs.space[b]), mesh).tolist()
+            # the norm is homogeneous: level m's is |q_tau f|_m times that of q_h f
+            fh_norms = (np.abs(fhs.time[b]) * mass_inv_half_norm(fhs.space[b], mesh)).tolist()
             rhs += (fh_norms[0] * mesh.tau + 2.0 * mesh.tau * sum(fh_norms[1:])) / e0
 
         max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))

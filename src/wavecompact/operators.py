@@ -69,7 +69,9 @@ def _implicit_coeff(mesh: MeshSpec) -> float:
 
 def _ldlt(what: str, diag: float, off: float, n: int):
     """dpttrf's LDL^T factor (d, e) of the n x n tridiagonal Toeplitz matrix
-    with diagonal diag and off-diagonals off."""
+    with diagonal diag and off-diagonals off; dpttrf needs n >= 2."""
+    if n < 2:
+        raise ContractViolation(f"the {what} matrix needs 2 interior nodes, N >= 3, got N={n + 1}")
     d, e, info = dpttrf(np.full(n, diag), np.full(n - 1, off))
     if info != 0:
         raise InvariantError(f"the LDL^T factorization of the {what} matrix on the "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile,
-                   hat_average_factor)
+                   hat_average_factor, time_l1_norm)
 from .errors import ContractViolation, InvariantError, MeshTooCoarseError
 from .grid import MeshSpec, check_stable
 
@@ -280,8 +280,8 @@ def choose_k_h(alpha: float, mesh: MeshSpec) -> int:
 def asymptotic_constant(j: int, T: float) -> float:
     """Leading error-norm constant c_j(T) of the harmonic families.
 
-    c_0 = c_1 = 2 (2 K + 1 - cos(T - K pi)) with K = floor(T / pi), which is
-    twice the integral of |sin| over (0, T); c_2 = T - sin T.
+    c_0 = c_1 = twice the integral of |sin| over (0, T) (data.time_l1_norm);
+    c_2 = T - sin T.
     """
     if j not in (0, 1, 2):
         raise ContractViolation(f"j must be 0, 1 or 2, got {j}")
@@ -289,8 +289,7 @@ def asymptotic_constant(j: int, T: float) -> float:
         raise ContractViolation("T must be positive")
     if j == 2:
         return T - math.sin(T)
-    big_k = math.floor(T / math.pi)
-    return 2.0 * (2.0 * big_k + 1.0 - math.cos(T - big_k * math.pi))
+    return 2.0 * time_l1_norm(TimeProfile.harmonic_sin(1.0), T)
 
 
 def sharpness_prediction(j: int, l: int, k: int, T: float) -> float:

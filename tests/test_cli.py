@@ -347,6 +347,9 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
 
 @pytest.mark.parametrize("kind, key, edit", [
     ("solve", "mesh.N", {"mesh": _mesh(16, N="abc")}),
+    ("solve", "mesh.N must be an integer >= 3", {"mesh": _mesh(2, m=1)}),
+    ("solve", "mesh.rungs N must be an integer >= 3",
+     {"mesh": {"X": math.pi, "T": 1.0, "rungs": [[2, 1]]}}),
     ("stability_probe", "n_pairs", {"n_pairs": "x"}),
     ("solve", "space", {"data": _NO_SPACE_FORCING}),
     ("solve", "decimate", {"decimate": 0}),
@@ -392,7 +395,8 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
                                                   "pieces": [[1.0]], "node_convention": "mean"}}}),
     ("converge", "data.preset", {"data": {"preset": None}}),
     ("solve", "data.preset", {"data": {"preset": "nope"}}),
-], ids=["mesh_N", "n_pairs", "forcing_without_space", "decimate", "mesh_X",
+], ids=["mesh_N", "mesh_N_2", "mesh_rungs_N_2",
+        "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_M_missing", "alpha",
         "alpha_zero", "alpha_negative", "rungs_repeat_N",
         "fit_drop_coarsest", "fit_drop_coarsest_negative", "seed", "seed_negative",

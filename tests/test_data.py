@@ -8,10 +8,12 @@ from scipy.integrate import quad
 
 from wavecompact.data import (DataSpec, Forcing, Profile, TimeProfile, average_qh,
                               average_qtau, build_fh, build_u1h, hat_average_factor,
-                              q2h_from_qh, sample_nodes, sine_coefficients)
+                              q2h_from_qh, sample_nodes)
 from wavecompact.errors import ConfigurationError, ContractViolation
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import stencil
+
+from _sine_analysis import sine_coefficients
 
 MESH = build_mesh(math.pi, math.pi, 8, 32)
 

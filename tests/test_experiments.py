@@ -6,19 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from wavecompact.config import config_from_dict
-from wavecompact.data import (PRESETS, Forcing, Profile, TimeProfile, hat_profile,
-                              quad_spline_profile, sine_coefficients, step_profile)
+from wavecompact.data import (PRESETS, Forcing, Profile, TimeProfile, forcing_l21_norm,
+                              hat_profile, profile_h01_norm, profile_l2_norm,
+                              quad_spline_profile, step_profile, time_l1_norm)
 from wavecompact.errors import ConfigurationError, ContractViolation
 from wavecompact.experiments import (energy_lower_bound_margins, fit_order,
-                                     forcing_l21_norm, profile_h01_norm,
-                                     profile_l2_norm, random_dataspec, run_convergence,
+                                     random_dataspec, run_convergence,
                                      run_oracle_check, run_sharpness, run_solve,
-                                     run_stability_probe, stability_bound_sides,
-                                     time_l1_norm)
+                                     run_stability_probe, stability_bound_sides)
 from wavecompact.grid import build_mesh
+
+from _sine_analysis import sine_coefficients
 
 
 # --------------------------------------------------------------------------
@@ -112,12 +114,32 @@ def test_profile_norms_against_quadrature():
     assert profile_l2_norm(series) == pytest.approx(math.hypot(0.7, 0.3), rel=1e-13)
     assert profile_h01_norm(series) == pytest.approx(
         math.sqrt(0.7 ** 2 + 4 * 0.3 ** 2), rel=1e-13)
+    # random piecewise data: the norms of the stability bounds, piece by piece
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        data = random_dataspec(rng, X)
+        checks = [(data.u0, npoly.polyder, profile_h01_norm), (data.u1, None, profile_l2_norm)]
+        if data.f is not None:
+            checks.append((data.f.space, None, profile_l2_norm))
+        for p, derive, norm in checks:
+            b = p.breakpoints
+            ref = sum(quad(lambda x: npoly.polyval(x, derive(c) if derive else c) ** 2,
+                           lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                      for c, lo, hi in zip(p.pieces, b, b[1:]))
+            assert norm(p) == pytest.approx(math.sqrt(ref), rel=1e-12)
 
 
 def test_time_l1_norms():
     g = TimeProfile.polynomial((-0.25, 1.0))  # t - 1/4, sign change at 0.25
     ref, _ = quad(lambda t: abs(t - 0.25), 0.0, 1.0, points=[0.25])
     assert time_l1_norm(g, 1.0) == pytest.approx(ref, rel=1e-13)
+    # (t - 0.3)(t - 0.7) with both roots inside, a constant and the zero polynomial
+    for coeffs, T, roots in (((0.21, -1.0, 1.0), 1.0, [0.3, 0.7]), ((-2.0,), 1.5, None),
+                             ((0.0, 0.0, 0.0), 1.0, None)):
+        ref, _ = quad(lambda t: abs(npoly.polyval(t, coeffs)), 0.0, T, points=roots,
+                      epsabs=0.0, epsrel=1e-13)
+        assert time_l1_norm(TimeProfile.polynomial(coeffs), T) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
     s = TimeProfile.harmonic_sin(3.0)
     ref2, _ = quad(lambda t: abs(math.sin(3 * t)), 0.0, 2.0,
                    points=[math.pi / 3, 2 * math.pi / 3])
@@ -307,9 +329,11 @@ def test_run_stability_probe_no_violations(tmp_path):
         written = list(csv.DictReader(fh))
     assert len(written) == len(rows)
     for row, back in zip(rows, written):
-        # plain float reprs: every number parses with float() and round-trips
+        # plain float reprs: every number parses with float() and round-trips,
+        # and passed is the literal True or False, never a numpy scalar's repr
         assert [float(back[k]) for k in ("lhs", "rhs", "margin")] == [
             row.lhs, row.rhs, row.margin]
+        assert back["passed"] == ("True" if row.passed else "False")
 
 
 def test_stability_probe_steps_each_data_set_once(monkeypatch):
@@ -422,6 +446,12 @@ def test_random_dataspec_properties():
         assert data.u0(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
         assert data.u0(np.array([math.pi]))[0] == pytest.approx(0.0, abs=1e-12)
         assert data.X == pytest.approx(math.pi)
+        b, pieces = data.u0.breakpoints, data.u0.pieces
+        for j in range(1, len(b) - 1):  # continuous at every interior break
+            assert npoly.polyval(b[j], pieces[j - 1]) == pytest.approx(
+                npoly.polyval(b[j], pieces[j]), abs=1e-12)
+        profiles = [data.u0, data.u1] + ([] if data.f is None else [data.f.space])
+        assert all(len(c) <= 4 for p in profiles for c in p.pieces)
 
 
 def test_rung_pool_has_no_more_workers_than_rungs(monkeypatch):

@@ -10,13 +10,15 @@ from scipy.integrate import quad
 
 from wavecompact import reference
 from wavecompact.data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, average_qh,
-                              sine_coefficients, step_profile)
+                              step_profile)
 from wavecompact.errors import ConfigurationError
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
 from wavecompact.oracle import (HarmonicData, canonical_mesh, exact_harmonic_solution,
                                 harmonic_dataspec)
 from wavecompact.reference import dalembert_reference
+
+from _sine_analysis import sine_coefficients
 
 
 def _qh_oracle(func, mesh, kinks=()):

@@ -77,6 +77,13 @@ def test_evolve_grid_refuses_unstable_mesh():
         evolve_grid(unstable, unstable.zeros(), unstable.zeros())
 
 
+def test_evolve_grid_refuses_a_mesh_with_one_interior_node():
+    # N = 2 is a valid mesh, but the implicit solve needs two interior nodes
+    mesh = build_mesh(math.pi, 1.0, 2, 1)
+    with pytest.raises(ContractViolation, match="needs 2 interior nodes.*N=2"):
+        evolve_grid(mesh, mesh.zeros(), mesh.zeros())
+
+
 def test_evolve_grid_free_harmonic_recurrence():
     # from v0 = sin(kx) at rest, every level is the closed form cos(mu_k t_m) sin(kx)
     mesh = build_mesh(math.pi, math.pi, 16, 64)
