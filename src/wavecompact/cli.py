@@ -9,7 +9,7 @@ internal invariant or unexpected errors.  An InvariantError, such as a step
 whose defining-equation residual exceeds its bound, is printed on stderr as
 "invariant violated: ..." naming the level and the mesh, without a traceback.
 --jobs (default 1) is the number of parallel rung workers; below 1 it is a
-configuration error.
+configuration error, as is an output directory that is a file or inside one.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def main(argv=None) -> int:
                 f"config kind {config.kind!r} does not match subcommand {args.command!r}")
         if args.out is not None:
             config.out_dir = args.out
+        out = config.out_dir  # a file there would end the run after its last rung
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ConfigurationError(f"out_dir {str(out)!r} is a file or inside one")
         if args.jobs < 1:
             raise ConfigurationError(f"--jobs must be an integer >= 1, got {args.jobs}")
         config.jobs = args.jobs

@@ -176,7 +176,7 @@ class TimeProfile:
         _require_finite("time profile coefficients", self.coeffs or ())
         if self.form == "harmonic_sin" and self.omega is None:
             raise ConfigurationError("harmonic_sin needs omega")
-        if self.form == "polynomial" and self.coeffs is None:
+        if self.form == "polynomial" and not self.coeffs:
             raise ConfigurationError("polynomial time profile needs coefficients")
 
     @staticmethod
@@ -386,7 +386,7 @@ def extension_sampler(w: Profile, antiderivative: bool):
     antiderivative set, the even periodic antiderivative of that extension.
 
     A sine series is its own extension, its antiderivative the cosine series,
-    and the two share the basis of the last points asked for; a piecewise
+    and each mode's hat average is its eigenfactor times the mode; a piecewise
     profile, or that of its polyint pieces, is folded onto [0, X] and averaged
     by exact Gauss rules split at the breaks of the extension.
     """
@@ -397,10 +397,8 @@ def extension_sampler(w: Profile, antiderivative: bool):
         amps = np.asarray(w.coeffs)[ks] * math.sqrt(2.0 / X)
         wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
 
-        @lru_cache(maxsize=1)
         def basis(start, count, h):
             return wave(np.outer(start + h * np.arange(count), omega))
-
         return ((lambda start, count, h: basis(start, count, h) @ amps),
                 (lambda start, count, h:
                  basis(start, count, h) @ (amps * hat_average_factor(omega * h))))

@@ -26,14 +26,15 @@ reference_refusal is the rule for which data this covers: any initial data,
 and forcing whose space factor is a sine series and whose time factor is
 harmonic_sin off resonance.
 
-One Reference class serves every mesh; only its e and f are built differently.
-When a tau / h = p / q is rational with q <= M, as with aT = X (p/q = N/M) or
-M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m = (q i +- p m) h/q lies on
-the lattice of spacing h/q.  E and F are evaluated once on one period of that
-lattice, L = 2Nq points, and kept as arrays of qN + pM + 1 entries per view; e
-and f are strided views of them, E[qi + pm] and F[qi - pm], so no (M+1, N+1)
-array is held.  Other meshes evaluate x_i +- a t_m level by level, once at
-build, into one (2, M+1, N+1) array e, with f a zero-stride view of 0.0.
+One Reference class serves every mesh through one function, which gives
+E(x_i + a t_m) and F(x_i - a t_m) for just the view and the levels asked for;
+no (M+1, N+1) array is held.  When a tau / h = p / q is rational with q <= M,
+as with aT = X (p/q = N/M) or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m
+= (q i +- p m) h/q lies on the lattice of spacing h/q: E and F are evaluated
+once on one period of it, L = 2Nq points, kept as qN + pM + 1 entries per view
+and served as the strided views E[qi + pm] and F[qi - pm].  Other meshes
+evaluate the levels served; the build evaluates level 0, which holds every
+value of U0 and V1 on (0, X), and every level refuses non-finite values alike.
 """
 
 from __future__ import annotations
@@ -52,17 +53,16 @@ from .oracle import forced_mode_response, resonant
 
 class Reference:
     """The exact reference, both views: view v (0 node values, 1 hat
-    averages) at level m and node i is e[v, m, i] + f[v, m, i] plus, if
-    forced is not None, coeffs[m] @ shapes[v] of the forced modes' (M+1, K)
-    time coefficients and (2, K, N+1) shapes, with zero ends.  e and f are
-    (2, M+1, N+1) arrays or views; each call builds just the view and the
-    levels asked for."""
+    averages) at levels m is e + f, (e, f) = serve(v, m), plus, if forced is
+    not None, coeffs[m] @ shapes[v] of the forced modes' (M+1, K) time
+    coefficients and (2, K, N+1) shapes, with zero ends.  Each call builds
+    just the view and the levels asked for."""
 
-    def __init__(self, e: np.ndarray, f: np.ndarray, forced=None):
-        self._e, self._f, self._forced = e, f, forced
+    def __init__(self, serve, forced=None):
+        self._serve, self._forced = serve, forced
 
     def _view(self, view: int, levels) -> np.ndarray:
-        e, f = self._e[view, levels], self._f[view, levels]
+        e, f = self._serve(view, levels)
         if self._forced is None:
             out = np.add(e, f)
         else:  # one array per call: a second one costs as much as the sum
@@ -70,7 +70,7 @@ class Reference:
             out = coeffs[levels] @ shapes[view]
             out += e
             out += f
-        out[..., ::e.shape[-1] - 1] = 0.0
+        out[..., ::out.shape[-1] - 1] = 0.0
         return out
 
     def values(self, levels) -> np.ndarray:
@@ -126,13 +126,12 @@ def _lattice(mesh: MeshSpec):
     return frac.numerator, frac.denominator
 
 
-# finite data may overflow in U0, V1, their hat averages or the forced modes:
-# refuse names the datum
+# finite data may overflow in the forced modes: refuse names the datum
 @np.errstate(over="ignore", invalid="ignore")
 def dalembert_reference(mesh: MeshSpec, data: DataSpec):
     """The exact reference of data, both views; data that reference_refusal
     refuses is a ConfigurationError with its reason, and so is an exact
-    solution that is not finite, naming the datum and the mesh."""
+    solution that is not finite, built or served, naming the datum and mesh."""
     refusal = reference_refusal(mesh, data)
     if refusal is not None:
         raise ConfigurationError(refusal)
@@ -153,35 +152,38 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
         if not np.all(np.isfinite(forced[0])):
             refuse("f")
 
-    def halves(start, count):
-        """(view, datum, j): U0/2 and V1/(2a) at start + j h; view 1 hat-averaged."""
-        out = np.empty((2, 2, count))
-        for d, (name, (evaluate, average), scale) in enumerate(data_terms):
+    @np.errstate(over="ignore", invalid="ignore")  # it serves after the build too
+    def halves(view, start, count):
+        """E and F, U0/2 +- V1/(2a), at start + j h; view 1 hat-averaged."""
+        out = np.empty((2, count))
+        for d, (name, sampler, scale) in enumerate(data_terms):
             try:
-                out[:, d] = np.multiply((evaluate(start, count, h), average(start, count, h)),
-                                        scale)
+                out[d] = np.multiply(sampler[view](start, count, h), scale)
             except QuadratureError:
-                out[:, d] = np.nan
-            if not np.all(np.isfinite(out[:, d])):
+                out[d] = np.nan
+            if not np.all(np.isfinite(out[d])):
                 refuse(name)
-        return out
+        return out[0] + out[1], out[0] - out[1]
 
     lattice = _lattice(mesh)
     if lattice is not None:
         p, q = lattice
-        # entry q j + r of one period holds y = (q j + r) h/q
-        period = np.stack([halves(r * h / q, 2 * n) for r in range(q)], axis=-1)
-        u, v = period.reshape(2, 2, 2 * n * q).swapaxes(0, 1)
-        e = np.take(u + v, np.arange(q * n + p * m + 1), axis=-1, mode="wrap")
-        f = np.take(u - v, np.arange(-p * m, q * n + 1), axis=-1, mode="wrap")
-        # view[:, m, i] = e[:, qi + pm] + f[:, pM + qi - pm]
-        step, shape = e.strides[1], (2, m + 1, n + 1)
-        return Reference(
-            as_strided(e, shape, (e.strides[0], p * step, q * step), writeable=False),
-            as_strided(f[:, p * m:], shape, (f.strides[0], -p * step, q * step), writeable=False),
-            forced)
-    views = np.empty((2, m + 1, n + 1))
-    for level, shift in enumerate(mesh.a * mesh.times()):
-        (u, v), (u_, v_) = (halves(s, n + 1).swapaxes(0, 1) for s in (shift, -shift))
-        views[:, level] = (u + v) + (u_ - v_)
-    return Reference(views, np.broadcast_to(0.0, views.shape), forced)
+        views = []
+        for view in (0, 1):  # flat entry q j + r of one period holds y = (q j + r) h/q
+            e, f = np.stack([halves(view, r * h / q, 2 * n) for r in range(q)], axis=-1)
+            e = np.take(e, np.arange(q * n + p * m + 1), mode="wrap")
+            f = np.take(f, np.arange(-p * m, q * n + 1), mode="wrap")[p * m:]
+            # view[m, i] = e[qi + pm] + f[qi - pm], f counted from pM
+            views.append([as_strided(w, (m + 1, n + 1), (sign * p * w.itemsize, q * w.itemsize),
+                                     writeable=False) for w, sign in ((e, 1), (f, -1))])
+        return Reference(lambda view, levels: [w[levels] for w in views[view]], forced)
+
+    def serve(view, levels):
+        """E at x_i + a t_m and F at x_i - a t_m, m in levels, for the view."""
+        at = mesh.a * mesh.times()[levels]
+        e, f = np.empty((2,) + np.shape(at) + (n + 1,))
+        for j, s in np.ndenumerate(at):
+            e[j], f[j] = halves(view, s, n + 1)[0], halves(view, -s, n + 1)[1]
+        return e, f
+    serve(0, 0), serve(1, 0)  # level 0 holds every value of U0 and V1 on (0, X)
+    return Reference(serve, forced)

@@ -77,9 +77,14 @@ RING_LEVELS = _RESIDUAL_BLOCK + 2
 
 
 def level_bytes(mesh: MeshSpec, forced: bool) -> int:
-    """Bytes held per run: the ring, and for forcing factors a block of rows and them."""
-    rows = RING_LEVELS + forced * _RESIDUAL_BLOCK
-    return 8 * (rows * (mesh.N + 1) + forced * (mesh.M + mesh.N + 1))
+    """Bytes of the buffers a measured run allocates once: _march's ring, lams,
+    sols, rhss and t, and for forcing factors a block of rows and the factors;
+    _measure's err_buf and diff_buf; and the series residuals, edge, energy,
+    dx, l1 and l1_dx."""
+    N, M, block = mesh.N, mesh.M, _RESIDUAL_BLOCK
+    rows = RING_LEVELS + block + (block + 1) + forced * block  # ring, lams, err_buf, forcing
+    return 8 * (rows * (N + 1) + 3 * block * (N - 1) + (block + 1) * N
+                + 3 * M + 3 * (M + 1) + forced * (M + N + 1))
 
 
 @dataclass(frozen=True)

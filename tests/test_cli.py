@@ -283,6 +283,26 @@ def test_out_flag_overrides_config(tmp_path):
     assert not (tmp_path / "from_config").exists()
 
 
+@pytest.mark.parametrize("where", ["config", "flag", "parent"])
+def test_out_dir_that_is_a_file_exits_3_before_any_rung(tmp_path, capsys, monkeypatch, where):
+    import wavecompact.experiments as experiments
+    monkeypatch.setattr(experiments, "_converge_rung", None)  # a rung run is a TypeError
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "out" if where == "parent" else taken
+    cfg = _write_config(tmp_path, {
+        "kind": "converge",
+        "mesh": _mesh(8, refinements=2),
+        "data": {"harmonic": {"j": 0, "k": 1}},
+        "out_dir": str(tmp_path / "out" if where == "flag" else out),
+    })
+    flag = ["--out", str(out)] if where == "flag" else []
+    assert main(["converge", "--config", str(cfg), *flag]) == 3
+    err = capsys.readouterr().err
+    assert f"out_dir {str(out)!r} is a file or inside one" in err and "Traceback" not in err
+    assert taken.read_text() == "kept" and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs, code", [("2", 0), ("0", 3), ("-2", 3)])
 def test_jobs_flag_runs_rungs_in_parallel_and_refuses_below_1(tmp_path, capsys, jobs, code):
     cfg = _write_config(tmp_path, {
@@ -378,6 +398,8 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
                                          "pieces": [1]}}}),
     ("solve", "time", {"data": {"f": {"space": {"form": "harmonic", "k": 1}, "time": "x"}}}),
     ("solve", "data.f", {"data": {"f": "x"}}),
+    ("solve", "polynomial time profile needs coefficients",
+     {"data": {"f": {"space": {"form": "harmonic", "k": 1}, "time": {"form": "polynomial"}}}}),
     ("solve", "out_dir", {"out_dir": 5}),
     ("solve", "out_dir", {"out_dir": None}),
     ("solve", "breakpoints", {"data": {"u0": {"form": "piecewise", "breakpoints": [],
@@ -401,7 +423,8 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
         "alpha_zero", "alpha_negative", "rungs_repeat_N",
         "fit_drop_coarsest", "fit_drop_coarsest_negative", "seed", "seed_negative",
         "harmonic_j", "harmonic_k", "profile_coeffs", "profile_breakpoints",
-        "profile_pieces", "time_not_object", "forcing_not_object", "out_dir_number",
+        "profile_pieces", "time_not_object", "forcing_not_object",
+        "f_time_polynomial_empty", "out_dir_number",
         "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty",
         "variant_all_on_converge", "variant_number", "mode_null", "sharpness_mode_filtered",
         "v0_mode_unknown",

@@ -525,11 +525,18 @@ def test_a_measured_rung_allocates_less_than_half_a_trajectory():
         assert peak < 0.5 * (mesh.M + 1) * (mesh.N + 1) * 8, (config.kind, peak)
 
 
+def _unforced_level_bytes(N, M):
+    """The README's count: 51 rows of N+1 floats (ring 18, lams 16, err_buf
+    17), 48 of N-1 (sols, rhss, t), 17 of N (diff_buf) and six series of
+    M or M+1 (residuals, edge, energy, dx, l1, l1_dx)."""
+    return (51 * (N + 1) + 48 * (N - 1) + 17 * N + 6 * M + 3) * 8
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_measured_rungs_have_summary_rows(tmp_path, jobs):
     # one run-summary row per rung, from the workers too: its size, its
-    # step-and-measure time, its largest residual and the bytes of levels it
-    # held, far below the (M+1)(N+1) float64 trajectory
+    # step-and-measure time, its largest residual and the bytes of the
+    # buffers it allocated, O(N + M) where a stored trajectory is O(M N)
     for config in _rung_configs(32, 256):
         config.out_dir, config.jobs = tmp_path / config.kind, jobs
         (run_sharpness if config.kind == "sharpness" else run_convergence)(config)
@@ -537,20 +544,46 @@ def test_measured_rungs_have_summary_rows(tmp_path, jobs):
         assert [(r["N"], r["M"]) for r in rows] == [(m.N, m.M) for m in config.rungs]
         for r in rows:
             assert r["step_measure_s"] > 0 and 0 <= r["residual_max"] <= 1e-11
-            assert 0 < r["level_bytes"] <= (r["M"] + 1) * (r["N"] + 1) * 8 / 10
+            assert r["level_bytes"] == _unforced_level_bytes(r["N"], r["M"])
+        assert rows[-1]["level_bytes"] < (rows[-1]["M"] + 1) * (rows[-1]["N"] + 1) * 8 / 5
 
 
 def test_a_forced_rung_counts_its_forcing_block_and_factors(tmp_path):
-    # j = 2 forcing: the level ring, one 16-row block of forcing levels and
-    # the (M,) and (N+1,) factors, still far below a stored trajectory
+    # j = 2 forcing: one 16-row block of forcing levels and the (M,) and
+    # (N+1,) factors on top of an unforced rung's buffers
     config = config_from_dict({"kind": "sharpness", "data": {"harmonic": {"j": 2}},
                                "mesh": {"X": math.pi, "T": math.pi, "N": 32, "M": 256,
                                         "refinements": 1}, "out_dir": str(tmp_path)})
     run_sharpness(config)
     rows = json.loads((tmp_path / "run_summary.json").read_text())["rungs"]
     assert [r["level_bytes"] for r in rows] == [
-        ((18 + 16) * (m.N + 1) + m.M + m.N + 1) * 8 for m in config.rungs]
-    assert all(r["level_bytes"] <= (r["M"] + 1) * (r["N"] + 1) * 8 / 5 for r in rows)
+        _unforced_level_bytes(m.N, m.M) + (16 * (m.N + 1) + m.M + m.N + 1) * 8
+        for m in config.rungs]
+
+
+@pytest.mark.parametrize("mode", ["node_sampled", "q2h_filtered"])
+@pytest.mark.parametrize("j", [1, 2], ids=["unforced", "forced"])
+def test_level_bytes_bounds_the_peak_of_a_measured_run(j, mode):
+    # the buffers level_bytes counts are most of what a measured lattice run
+    # allocates; the rest is per-block temporaries of the norms and the
+    # reference's served blocks
+    import tracemalloc
+
+    from wavecompact.oracle import HarmonicData, harmonic_dataspec
+    from wavecompact.reference import dalembert_reference
+    from wavecompact.scheme import evolve_measured, level_bytes, prepare_inputs
+    mesh = build_mesh(math.pi, math.pi, 64, 512)
+    data = harmonic_dataspec(HarmonicData(j=j, k=3), mesh)
+    inputs, reference = prepare_inputs(mesh, data, "v2"), dalembert_reference(mesh, data)
+    evolve_measured(mesh, *inputs, reference, mode)  # the factor caches
+    tracemalloc.start()
+    try:
+        evolve_measured(mesh, *inputs, reference, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counted = level_bytes(mesh, j == 2)
+    assert counted <= peak <= 2 * counted
 
 
 def test_oracle_check_assembles_v0_and_fh_once_per_mesh(monkeypatch):

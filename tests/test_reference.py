@@ -3,14 +3,16 @@ quadrature."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import wavecompact.data as data_mod
 from wavecompact import reference
 from wavecompact.data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, average_qh,
-                              step_profile)
+                              extension_sampler, step_profile)
 from wavecompact.errors import ConfigurationError
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
@@ -315,38 +317,85 @@ def _forced_sine_series_data(X):
 
 
 def test_per_level_reference_is_served_block_by_block():
-    # a tau / h = 1.25 / 1.5 has no q <= M: the per-level build.  Blocks of
-    # levels are the full range bit for bit, and the full range is the eager
-    # sum of the unforced views (zero ends) and the forced modes' coeffs @
-    # shapes (zero ends), bit for bit
+    # a tau / h = 1.25 / 1.5 has no q <= M: E and F are evaluated for the
+    # levels served.  Blocks of levels are the full range bit for bit, and the
+    # full range is, in the lattice's order, the forced modes' coeffs @ shapes
+    # plus E(x + a t) plus F(x - a t), with zero ends, bit for bit
     mesh = build_mesh(math.pi, 2.5, 16, 48)
     assert reference._lattice(mesh) is None
     data = _forced_sine_series_data(mesh.X)
     ref = dalembert_reference(mesh, data)
-    unforced = dalembert_reference(mesh, DataSpec(u0=data.u0, u1=data.u1))
     coeffs, shapes = reference._forced_modes(mesh, data.f)
-    shapes[..., ::mesh.N] = 0.0
-    eager = coeffs @ shapes
+    terms = ((extension_sampler(data.u0, False), 0.5),
+             (extension_sampler(data.u1, True), 0.5 / mesh.a))
     for v, view in enumerate((ref.values, ref.qh_values)):
+        def halves(y):  # U0/2 and V1/(2a) at x + y
+            return [np.multiply(sampler[v](y, mesh.N + 1, mesh.h), scale)
+                    for sampler, scale in terms]
+        expected = coeffs @ shapes[v]
+        expected += [np.add(*halves(y)) for y in mesh.a * mesh.times()]
+        expected += [np.subtract(*halves(-y)) for y in mesh.a * mesh.times()]
+        expected[:, ::mesh.N] = 0.0
         full = view(slice(None))
-        expected = (unforced.values, unforced.qh_values)[v](slice(None)) + eager[v]
         np.testing.assert_array_equal(full, expected)
-        assert not np.any(full[:, ::mesh.N])
         blocks = [view(slice(start, start + 17)) for start in range(0, mesh.M + 1, 17)]
         np.testing.assert_array_equal(np.concatenate(blocks), full)
 
 
-def test_forced_per_level_build_holds_one_views_array():
-    # the build fills one (2, M+1, N+1) array level by level; the forced
-    # modes are served per call, not added to it through a second such array
-    mesh = build_mesh(math.pi, 2.5, 128, 256)
+def test_per_level_reference_holds_no_views_array():
+    # the build and serving both views in 17-level blocks, as the measurer
+    # asks, stay below a tenth of a (2, M+1, N+1) array of both views
+    mesh = build_mesh(math.pi, 2.5, 128, 512)
     assert reference._lattice(mesh) is None
-    data = _forced_sine_series_data(mesh.X)
-    views_bytes = 2 * (mesh.M + 1) * (mesh.N + 1) * 8
+    rng = np.random.default_rng(5)
+    data = DataSpec(u0=Profile.sine_series(rng.standard_normal(6), math.pi),
+                    u1=Profile.sine_series(rng.standard_normal(6), math.pi),
+                    f=Forcing(space=Profile.harmonic_mode(2, math.pi),
+                              time=TimeProfile.harmonic_sin(1.3)))
     tracemalloc.start()
     try:
-        dalembert_reference(mesh, data)
+        ref = dalembert_reference(mesh, data)
+        for view in (ref.values, ref.qh_values):
+            for start in range(0, mesh.M, 16):
+                view(slice(start, start + 17))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * views_bytes
+    assert peak < 0.1 * 2 * (mesh.M + 1) * (mesh.N + 1) * 8
+
+
+def test_per_level_node_values_evaluate_no_hat_average(monkeypatch):
+    # the build evaluates level 0 of both views; after it, node values of
+    # every level take no Gauss rule, and hat averages do
+    calls = []
+
+    def counting(*args, integrals=data_mod._hat_cell_integrals):
+        calls.append(args[-1])
+        return integrals(*args)
+    monkeypatch.setattr(data_mod, "_hat_cell_integrals", counting)
+    mesh = build_mesh(math.pi, 2.5, 16, 48)
+    assert reference._lattice(mesh) is None
+    ref = dalembert_reference(mesh, PRESETS["hat_step"].make(math.pi))
+    built = len(calls)
+    assert built > 0
+    ref.values(slice(None))
+    assert len(calls) == built
+    ref.qh_values(mesh.M)
+    assert len(calls) > built
+
+
+def test_per_level_reference_refuses_a_later_non_finite_level():
+    # u0 = 1e308 x on (0, 1.8) overflows only on (1.7977, 1.8): level 0's
+    # nodes and Gauss points miss it, so the build passes, but x_1 + a t_9 =
+    # 1.799 lies in it; serving names the datum as the build does, warning-free
+    mesh = build_mesh(math.pi, 2.5, 8, 16)
+    assert reference._lattice(mesh) is None
+    u0 = Profile.piecewise_poly((0.0, 1.8, math.pi), ((0.0, 1e308), (0.0,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = dalembert_reference(mesh, DataSpec(u0=u0, u1=Profile.zero(math.pi)))
+        ref.values(0), ref.qh_values(0)
+        for view in (ref.values, ref.qh_values):
+            with pytest.raises(ConfigurationError, match=r"^the exact solution of u0 is not "
+                                                         r"finite on the N=8, M=16 mesh$"):
+                view(slice(None))

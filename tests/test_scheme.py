@@ -30,8 +30,8 @@ def _zero_data(X=math.pi):
 def _stored_reference(values, qh_values=None):
     """A Reference serving stored (M+1, N+1) node values and hat averages,
     the node values again if none are given."""
-    views = np.stack([values, values if qh_values is None else qh_values])
-    return Reference(views, np.broadcast_to(0.0, views.shape))
+    views = (values, values if qh_values is None else qh_values)
+    return Reference(lambda view, levels: (views[view][levels], 0.0))
 
 
 def _harmonic_shape(mesh, k):
