@@ -50,9 +50,6 @@ def main(argv=None) -> int:
                 f"config kind {config.kind!r} does not match subcommand {args.command!r}")
         if args.out is not None:
             config.out_dir = args.out
-        out = config.out_dir  # a file there would end the run after its last rung
-        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
-            raise ConfigurationError(f"out_dir {str(out)!r} is a file or inside one")
         if args.jobs < 1:
             raise ConfigurationError(f"--jobs must be an integer >= 1, got {args.jobs}")
         config.jobs = args.jobs

@@ -53,7 +53,7 @@ from pathlib import Path
 
 from .data import PRESETS, U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ConfigurationError
-from .grid import MeshSpec, build_mesh, check_stable
+from .grid import MAX_CELLS, MeshSpec, build_mesh, check_stable
 from .oracle import HarmonicData, harmonic_dataspec, require_resolved
 from .reference import reference_refusal
 from .scheme import ERROR_MODES
@@ -157,14 +157,16 @@ class ExperimentConfig:
     echo: dict = field(default_factory=dict)
 
 
-def _integer(value, key: str, minimum: int | None = None) -> int:
-    """value as an integer >= minimum, if one is given (integral floats
+def _integer(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value as an integer within the bounds that are given (integral floats
     accepted), else a ConfigurationError naming key."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if (isinstance(value, bool) or not isinstance(value, int)
-            or (minimum is not None and value < minimum)):
+            or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
         bound = "" if minimum is None else f" >= {minimum}"
+        bound += "" if maximum is None else f" and <= {maximum}"
         raise ConfigurationError(f"{key} must be an integer{bound}, got {value!r}")
     return value
 
@@ -209,15 +211,17 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
                 and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
             raise ConfigurationError(
                 f"mesh.rungs must be a nonempty list of [N, M] pairs, got {pairs!r}")
-        return [one(_integer(n, "mesh.rungs N", 3), _integer(m, "mesh.rungs M", 1))
-                for n, m in pairs]
+        return [one(_integer(n, "mesh.rungs N", 3, MAX_CELLS),
+                    _integer(m, "mesh.rungs M", 1, MAX_CELLS)) for n, m in pairs]
 
     for key in ("N", "M"):
         if key not in mesh_cfg:
             raise ConfigurationError(f"mesh section needs {key} (or explicit rungs)")
-    N = _integer(mesh_cfg["N"], "mesh.N", 3)
-    M = _integer(mesh_cfg["M"], "mesh.M", 1)
-    refinements = _integer(mesh_cfg.get("refinements", 0), "mesh.refinements", 0)
+    N = _integer(mesh_cfg["N"], "mesh.N", 3, MAX_CELLS)
+    M = _integer(mesh_cfg["M"], "mesh.M", 1, MAX_CELLS)
+    # the most doublings that keep the finest rung's N and M within MAX_CELLS
+    refinements = _integer(mesh_cfg.get("refinements", 0), "mesh.refinements", 0,
+                           (MAX_CELLS // max(N, M)).bit_length() - 1)
     return [one(N * 2 ** r, M * 2 ** r) for r in range(refinements + 1)]
 
 

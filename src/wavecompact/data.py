@@ -469,13 +469,10 @@ def build_u1h(variant: str, u1: Profile, mesh: MeshSpec) -> GridFn:
 @dataclass(frozen=True, eq=False)
 class ForcingLevels:
     """Forcing levels fh^m = time[m] * space, m < M, as time (M,) and space
-    (N+1,), or (B, M) and (B, N+1); np.asarray gives the dense levels."""
+    (N+1,), or (B, M) and (B, N+1): the one grid format of a forcing."""
 
     time: np.ndarray
     space: np.ndarray
-
-    def __array__(self, dtype=None, copy=None):
-        return np.multiply(self.time[..., :, None], self.space[..., None, :], dtype=dtype)
 
 
 def build_fh(f: Forcing, mesh: MeshSpec) -> ForcingLevels:

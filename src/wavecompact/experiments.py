@@ -6,14 +6,15 @@ converge and sharpness measure against the one exact reference,
 reference.dalembert_reference; solve stores the trajectory it writes, and
 converge and sharpness measure each rung as it steps (_measured).  solve
 measures nothing for data that reference.reference_refusal refuses, and config
-refuses a converge of such data at load.  With emit set, _emit writes plain
-columnar CSV plus a JSON run summary to the config's output directory (solve
-writes its trajectory itself).  A table's header is the field names of its
-row record, and every cell is the repr of its field (strings as they are).
+refuses a converge of such data at load.  With emit set, a runner first
+refuses an output directory that is a file or inside one (_begin), and _emit
+writes plain columnar CSV plus a JSON run summary to it (solve writes its
+trajectory itself).  A table's header is the field names of its row record,
+and every cell is the repr of its field (strings as they are).
 
 The stability probe and oracle-check step their data sets of one mesh as the
 columns of one evolve_grid run: the probe's n_random random data sets, with
-zero forcing rows for the unforced ones, and oracle-check's u1 variants,
+zero forcing factors for the unforced ones, and oracle-check's u1 variants,
 which share v0 and fh, built once.  Each column equals its own run bit for
 bit, so the rows are those of one run per data set.
 
@@ -38,7 +39,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .data import (U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile, TimeProfile,
                    forcing_l21_norm, profile_h01_norm, profile_l2_norm)
-from .errors import ContractViolation
+from .errors import ConfigurationError, ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_harmonic_trajectory,
@@ -229,6 +230,15 @@ def _write_summary(config: ExperimentConfig, extra: dict, started: float,
     (config.out_dir / "run_summary.json").write_text(json.dumps(summary, indent=2, default=str))
 
 
+def _begin(config: ExperimentConfig, emit: bool) -> float:
+    """The run's start time, once an out_dir that emit would write to is known
+    not to be a file or inside one: writing there would fail after the last rung."""
+    out = config.out_dir
+    if emit and any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        raise ConfigurationError(f"out_dir {str(out)!r} is a file or inside one")
+    return time.perf_counter()
+
+
 def _emit(config: ExperimentConfig, started: float, tables, extra: dict) -> None:
     """Write each (file name, row class, rows) table and the run summary."""
     for name, row_class, rows in tables:
@@ -286,7 +296,7 @@ def _converge_rung(payload):
 
 def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceResult:
     """Ladder study: error norms per rung, pairwise orders, fitted slope."""
-    started = time.perf_counter()
+    started = _begin(config, emit)
     pairs = _map_rungs(_converge_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
     reports = [p[0] for p in pairs]
     rows = []
@@ -323,7 +333,7 @@ class SolveResult:
 
 def run_solve(config: ExperimentConfig, emit: bool = True) -> SolveResult:
     """Single run on the first rung; writes the trajectory and the error report."""
-    started = time.perf_counter()
+    started = _begin(config, emit)
     mesh = config.rungs[0]
     # the reference first: it names non-finite data before the stepper meets it
     reference = (None if reference_refusal(mesh, config.data) is not None
@@ -409,7 +419,7 @@ def _sharpness_rung(payload):
 
 def run_sharpness(config: ExperimentConfig, emit: bool = True) -> SharpnessResult:
     """Measured vs predicted space-time L1 error norms at the selected modes."""
-    started = time.perf_counter()
+    started = _begin(config, emit)
     pairs = _map_rungs(_sharpness_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
     rows = [p[0][0] for p in pairs]
     rows_dx = [p[0][1] for p in pairs]
@@ -442,7 +452,7 @@ ORACLE_TOLERANCE = 1e-9
 
 def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[OracleCheckRow]:
     """Max relative deviation of the stepper from the closed-form solution."""
-    started = time.perf_counter()
+    started = _begin(config, emit)
     variants = U1_VARIANTS if config.variant == "all" else (config.variant,)
     rows = []
     for mesh in config.rungs:
@@ -489,7 +499,7 @@ def run_stability_probe(config: ExperimentConfig, emit: bool = True) -> list[Sta
     Per mesh, the n_random data sets are drawn first and then the n_pairs
     pairs; the data sets are stepped as the columns of one run, and the run
     summary gets one row per mesh (see _stability_rung)."""
-    started = time.perf_counter()
+    started = _begin(config, emit)
     rng = np.random.default_rng(config.seed)
     rows: list[StabilityProbeRow] = []
     rungs = []

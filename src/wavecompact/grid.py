@@ -47,6 +47,7 @@ can be checked against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,11 @@ GridFn = np.ndarray
 
 #: tolerance for treating a boundary value as zero, relative to the array scale
 _DIRICHLET_RTOL = 1e-13
+
+#: the most cells in space or time of a configured rung: up to 2**53 every
+#: node index i and level index m is an exact float, so i * h and m * tau
+#: multiply exact integers
+MAX_CELLS = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,15 @@ class MeshSpec:
             raise ConfigurationError(f"M must be an integer >= 1, got {self.M}")
         if not (0.0 < self.eps0 <= 1.0):
             raise ConfigurationError(f"eps0 must lie in (0, 1], got {self.eps0}")
+        try:  # float ** raises on overflow, and sigma divides by a^2 tau^2
+            scales = (self.h ** 2, self.tau ** 2, self.a ** 2 * self.tau ** 2, self.sigma)
+        except (OverflowError, ZeroDivisionError):
+            scales = (math.inf,)
+        if not all(0.0 < s < math.inf for s in scales):
+            raise ConfigurationError(
+                f"the mesh X={self.X}, T={self.T}, a={self.a}, N={self.N}, M={self.M} is "
+                "beyond the float range: h^2, tau^2, a^2 tau^2 and sigma must be finite "
+                "and positive")
 
     @property
     def h(self) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile,
+from .data import (U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile, TimeProfile,
                    hat_average_factor, time_l1_norm)
 from .errors import ContractViolation, InvariantError, MeshTooCoarseError
 from .grid import MeshSpec, check_stable
@@ -80,8 +80,8 @@ class HarmonicData:
 
 def require_resolved(k: int, N: int) -> None:
     """Refuse a mode k > N - 1 with a MeshTooCoarseError naming a sufficient N."""
-    if k > N - 1:
-        finer = N * 2 ** math.ceil(math.log2((k + 1) / N))
+    if k > N - 1:  # the least N 2^e >= k + 1, in integers: k may exceed the float range
+        finer = N * 2 ** ((k + N) // N - 1).bit_length()
         raise MeshTooCoarseError(f"mode index k = {k} exceeds N - 1 = {N - 1}; N >= "
                                  f"{finer} suffices at the same tau/h", minimal_n=finer)
 
@@ -171,10 +171,13 @@ def _dst(values: np.ndarray) -> np.ndarray:
 def discrete_trajectory(mesh: MeshSpec, v0, u1h, fh=None) -> np.ndarray:
     """The (M+1, N+1) scheme solution of grid data (v0, u1h, fh), in closed form.
 
-    v0 and u1h are (N+1,) and fh the (M, N+1) forcing levels 0..M-1, as
-    evolve_grid takes them; their end values are taken as zero.
+    v0 and u1h are (N+1,) and fh None or the ForcingLevels factors of the levels
+    0..M-1, as evolve_grid takes them; the end values are taken as zero.
     """
     check_stable(mesh)
+    if fh is not None and not isinstance(fh, ForcingLevels):
+        raise ContractViolation("fh must be None or data.ForcingLevels(time, space), got "
+                                f"{type(fh).__name__}")
     N, M, tau = mesh.N, mesh.M, mesh.tau
     _, amp, theta = _modes(np.arange(1, N), mesh)
     gain = tau / (amp * np.sin(theta))
@@ -183,7 +186,7 @@ def discrete_trajectory(mesh: MeshSpec, v0, u1h, fh=None) -> np.ndarray:
     modes = (_dst(np.asarray(v0, dtype=float)[1:-1]) * cos
              + _dst(np.asarray(u1h, dtype=float)[1:-1]) * gain * sin)
     if fh is not None:
-        kicks = _dst(np.asarray(fh, dtype=float)[:, 1:-1]) * (tau * gain)
+        kicks = _dst(np.multiply.outer(fh.time, fh.space[1:-1])) * (tau * gain)
         kicks[0] *= 0.5
         # sin((m - l) theta) = sin(m theta) cos(l theta) - cos(m theta) sin(l theta)
         modes[1:] += (sin[1:] * np.cumsum(kicks * cos[:-1], axis=0)
@@ -216,7 +219,7 @@ def discrete_harmonic_trajectory(kind: HarmonicData, mesh: MeshSpec,
     q_tau = hat_average_factor(y) * np.sin((k - 1.0) * cm.times()[:-1])
     q_tau[0] = 2.0 / y * (1.0 - math.sin(y) / y)
     hat = dispersion(k, mesh).lambda_k / k ** 2
-    return discrete_trajectory(mesh, zero, zero, np.outer(q_tau, scale ** 2 * hat * shape))
+    return discrete_trajectory(mesh, zero, zero, ForcingLevels(q_tau, scale ** 2 * hat * shape))
 
 
 def harmonic_dataspec(kind: HarmonicData, mesh: MeshSpec) -> DataSpec:

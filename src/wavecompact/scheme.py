@@ -16,7 +16,7 @@ while u1, of order lambda - 1 >= 0, enters only through hat averages.
 One stepping loop, _march, steps every run.  It checks the shapes,
 finiteness and zero ends of (v0, u1h, fh) once, on entry; each step calls
 LAPACK dpttrs on the cached LDL^T factor of the tridiagonal A and the stencil
-kernel grid._three_point, in buffers allocated once per run.  fh, dense or
+kernel grid._three_point, in buffers allocated once per run.  fh, the
 data.ForcingLevels factors, is multiplied out one block of steps at a time.  The levels live
 in a ring of RING_LEVELS rows per column, and the defining-equation residual
 of every step and column is checked per block of _RESIDUAL_BLOCK consecutive
@@ -178,11 +178,10 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
         with np.errstate(over="ignore"):  # the largest |level|: rounding is monotone
             peak = np.abs(time).max(axis=(1, 2)) * np.abs(space).max(axis=(1, 2))
         _entry_datum("fh", peak.reshape(lead), lead, mesh, stacked, False)  # finite levels
+        ends, buf = time * space[..., ::N], np.empty((B, _RESIDUAL_BLOCK, N + 1))
     elif fh is not None:
-        time = _entry_datum("fh", fh, lead + (M, N + 1), mesh, stacked).reshape(B, M, N + 1)
-        space = np.ones((B, 1, 1))  # the dense levels times 1.0, bit for bit
-    if fh is not None:
-        ends, buf = time[..., ::N] * space[..., ::N], np.empty((B, _RESIDUAL_BLOCK, N + 1))
+        raise ContractViolation("fh must be None or data.ForcingLevels(time, space), got "
+                                f"{type(fh).__name__}")
     # |rhs| at the ends, per column and step
     edge = np.zeros((B, M)) if fh is None else np.abs(ends).max(axis=-1)
     edge[:, 0] = np.abs(u1h[:, ::N] + (0.0 if fh is None else 0.5 * tau * ends[:, 0])
@@ -245,11 +244,11 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
 def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
     """Run the integrator from grid data (v0, u1h, fh) and store every slice.
 
-    v0, u1h (N+1,) and fh (M, N+1) or ForcingLevels (M,), (N+1,), the forcing
-    levels 0..M-1, make one run.  Stacks v0, u1h (B, N+1) and fh (B, M, N+1)
-    or factors (B, M), (B, N+1) make B runs, the columns, stepped together:
-    slices is then (B, M+1, N+1) and residual_max (B, M),
-    and each column equals its own run bit for bit.  The data are checked
+    v0, u1h (N+1,) and fh, None or the data.ForcingLevels factors (M,), (N+1,)
+    of the forcing levels 0..M-1 (any other fh is a ContractViolation), make one
+    run.  Stacks v0, u1h (B, N+1) and factors (B, M), (B, N+1) make B runs, the
+    columns, stepped together: slices is then (B, M+1, N+1) and residual_max
+    (B, M), and each column equals its own run bit for bit.  The data are checked
     once, on entry, for shape, finiteness and zero ends (every slice keeps
     those of v0); a failure names the datum and, in a stack, the column.  Each
     step makes one LAPACK dpttrs call on the cached LDL^T factor of A for all
@@ -270,9 +269,9 @@ def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
 
 def evolve_measured(mesh: MeshSpec, v0, u1h, fh, reference,
                     mode: str = "node_sampled") -> tuple[ErrorReport, np.ndarray]:
-    """measure_error's report and evolve_grid's residual_max of one data set,
-    stepped and measured block by block, with every check of both; a block is
-    measured only after its residual check passes."""
+    """measure_error's report and evolve_grid's residual_max of one data set, fh
+    None or ForcingLevels factors, stepped and measured block by block with every
+    check of both; a block is measured only after its residual check passes."""
     residuals = np.empty((1, mesh.M))
     blocks = _march(mesh, v0, u1h, fh, False, residuals)
     return _measure(mesh, ((first, v[0]) for first, v in blocks), reference, mode), residuals[0]

@@ -17,6 +17,8 @@ from wavecompact.cli import main
 from wavecompact.config import config_from_dict
 from wavecompact.reference import dalembert_reference
 
+from _alarm import alarm
+
 
 def _write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -129,6 +131,21 @@ def test_unresolvable_harmonic_profile_k_exits_2_at_load(tmp_path, capsys, slot)
     assert f"mode index k = {10 ** 12} exceeds N - 1 = 15; N >= " in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["harmonic", "profile"])
+def test_harmonic_k_beyond_the_float_range_exits_2_at_load(tmp_path, capsys, where):
+    # the sufficient N is found in integers: (k + 1) / N overflows a float
+    k = 10 ** 400
+    data = ({"harmonic": {"j": 1, "k": k}} if where == "harmonic"
+            else {"u0": {"form": "harmonic", "k": k}})
+    cfg = _write_config(tmp_path, {"kind": "solve", "mesh": _mesh(16), "data": data,
+                                   "out_dir": str(tmp_path / "out")})
+    assert main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    finer = 16 * 2 ** math.ceil(math.log2(k // 16 + 1))  # k // 16 + 1 is no power of 2
+    assert f"mode index k = {k} exceeds N - 1 = 15; N >= {finer} suffices" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_harmonic_k_on_coarse_rungs_still_runs(tmp_path, capsys):
@@ -417,6 +434,20 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
                                                   "pieces": [[1.0]], "node_convention": "mean"}}}),
     ("converge", "data.preset", {"data": {"preset": None}}),
     ("solve", "data.preset", {"data": {"preset": "nope"}}),
+    # meshes beyond the float range: h^2, tau^2 or a^2 tau^2 overflows or underflows
+    *[("solve", "X=1e+308, T=3.14", {"mesh": _mesh(16, X=1e308)}),
+      ("solve", "T=1e+308, a=1.0, N=16, M=32", {"mesh": _mesh(16, T=1e308)}),
+      ("solve", "a=1e+200, N=16", {"mesh": _mesh(16, a=1e200)}),
+      ("solve", "a=1e-200, N=16", {"mesh": _mesh(16, a=1e-200)}),
+      ("solve", "T=1e-320, a=1.0", {"mesh": _mesh(16, T=1e-320)}),
+      ("solve", "X=1e-320, T=1e-300", {"mesh": _mesh(16, X=1e-320, T=1e-300)})],
+    # cell counts a float cannot index
+    ("solve", "mesh.N must be an integer >= 3 and <= 9007199254740992",
+     {"mesh": _mesh(16, N=10 ** 400)}),
+    ("solve", "mesh.M must be an integer >= 1 and <= 9007199254740992",
+     {"mesh": _mesh(16, m=10 ** 400)}),
+    ("solve", "mesh.rungs N must be an integer >= 3 and <= ",
+     {"mesh": {"X": math.pi, "T": math.pi, "rungs": [[10 ** 400, 32]]}}),
 ], ids=["mesh_N", "mesh_N_2", "mesh_rungs_N_2",
         "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_M_missing", "alpha",
@@ -429,7 +460,9 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
         "variant_all_on_converge", "variant_number", "mode_null", "sharpness_mode_filtered",
         "v0_mode_unknown",
         "v0_mode_set", "profile_node_convention",
-        "preset_null", "preset_unknown"])
+        "preset_null", "preset_unknown",
+        "mesh_X_huge", "mesh_T_huge", "mesh_a_huge", "mesh_a_tiny", "mesh_T_subnormal",
+        "mesh_X_subnormal", "mesh_N_huge", "mesh_M_huge", "mesh_rungs_N_huge"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     cfg = _write_config(tmp_path, {
         "kind": kind, "mesh": _mesh(16), "data": None,
@@ -438,6 +471,20 @@ def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("refinements", [10 ** 6, 1e308])
+def test_refinements_beyond_the_cell_bound_exit_3_at_once(tmp_path, capsys, refinements):
+    # the ladder is bounded before any rung is built; building N 2^r for
+    # every r stalled the load, so the load runs under an alarm
+    cfg = _write_config(tmp_path, {
+        "kind": "converge", "mesh": _mesh(16, refinements=refinements),
+        "data": {"preset": "hat_step"}, "out_dir": str(tmp_path / "out")})
+    with alarm(2):
+        assert main(["converge", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "mesh.refinements must be an integer >= 0 and <= 48" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 _HUGE = [1e308, 1e308]

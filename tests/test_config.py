@@ -1,5 +1,8 @@
 """Config parsing, validation, and descriptor parsing."""
 
+import contextlib
+import copy
+import functools
 import importlib.util
 import math
 import sys
@@ -7,11 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecompact.config import config_from_dict, dataspec_from_dict, profile_from_dict
 from wavecompact.data import PRESETS, DataSpec, Forcing, Profile, TimeProfile
-from wavecompact.errors import ConfigurationError, UnstableMeshError
+from wavecompact.errors import ConfigurationError, MeshTooCoarseError, UnstableMeshError
 from wavecompact.oracle import HarmonicData, harmonic_dataspec
+
+from _alarm import alarm
 
 
 def test_profile_round_trips():
@@ -236,3 +243,74 @@ def test_benchmark_job_configs_load():
             config = config_from_dict(job.config)
             assert config.kind == job.command.replace("-", "_")
             assert [(mesh.N, mesh.M) for mesh in config.rungs] == job.rungs()
+
+
+# --------------------------------------------------------------------------
+# whole configs with one to three values replaced or deleted
+
+_VALID_CONFIGS = {
+    "solve": {"kind": "solve", "mesh": {"X": 2.0, "T": 1.5, "N": 16, "M": 32, "a": 0.8,
+                                        "eps0": 0.9},
+              "data": {"u0": {"form": "piecewise", "breakpoints": [0.0, 1.0, 2.0],
+                              "pieces": [[0.0, 1.0], [2.0, -1.0]]},
+                       "u1": {"form": "sine_series", "coeffs": [0.5, 0.0, -0.25]},
+                       "f": {"space": {"form": "harmonic", "k": 2},
+                             "time": {"form": "polynomial", "coeffs": [1.0, -0.5]}}},
+              "variant": "v1", "mode": "q2h_filtered", "decimate": 4, "out_dir": "out"},
+    "converge": {"kind": "converge",
+                 "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16, "refinements": 2},
+                 "data": {"u0": {"form": "sine_series", "coeffs": [1.0, 0.5]},
+                          "f": {"space": {"form": "sine_series", "coeffs": [0.0, 1.0]},
+                                "time": {"form": "harmonic_sin", "omega": 1.3}}},
+                 "mode": "node_sampled", "fit_drop_coarsest": 0},
+    "sharpness": {"kind": "sharpness",
+                  "mesh": {"X": math.pi, "T": math.pi, "rungs": [[64, 128], [128, 256]]},
+                  "data": {"harmonic": {"j": 2}}, "alpha": 2.0},
+    "oracle_check": {"kind": "oracle_check",
+                     "mesh": {"X": math.pi, "T": 2.5, "N": 8, "M": 16, "refinements": 1},
+                     "data": {"harmonic": {"j": 1, "k": 3}}, "variant": "all"},
+    "stability_probe": {"kind": "stability_probe", "mesh": {"X": 1.0, "T": 0.5, "N": 8,
+                                                            "M": 8},
+                        "data": None, "seed": 3, "n_random": 2, "n_pairs": 5},
+}
+
+#: a deleted key, or a value of the wrong type or beyond the float range
+_DELETE = object()
+_REPLACEMENTS = [_DELETE, None, True, "x", [1.0], {"form": "harmonic"}, 1e308, -1e308, 1e-320,
+                 10 ** 400]
+
+
+def _slots(tree, path=()):
+    """The paths to every value of a JSON tree, the containers' included."""
+    children = (tree.items() if isinstance(tree, dict)
+                else enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+def test_valid_configs_load():
+    for kind, raw in _VALID_CONFIGS.items():
+        assert config_from_dict(raw).kind == kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_VALID_CONFIGS)), st.data())
+def test_malformed_whole_configs_are_refused_or_load(kind, data):
+    # every config either loads or is refused with one of the errors the CLI
+    # maps to exit 2 or 3, within 2 s: no OverflowError, no stall
+    raw = copy.deepcopy(_VALID_CONFIGS[kind])
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(raw))
+        if not slots:
+            break
+        *path, key = data.draw(st.sampled_from(slots))
+        parent = functools.reduce(lambda tree, step: tree[step], path, raw)
+        value = data.draw(st.sampled_from(_REPLACEMENTS))
+        if value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    with alarm(2), contextlib.suppress(ConfigurationError, UnstableMeshError,
+                                       MeshTooCoarseError):
+        config_from_dict(raw)

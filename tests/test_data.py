@@ -335,7 +335,8 @@ def test_build_fh_zero_and_separable_product():
     k = 2
     f = Forcing(space=Profile.harmonic_mode(k, math.pi),
                 time=TimeProfile.polynomial((1.0,)))
-    fh = np.asarray(build_fh(f, MESH))
+    levels = build_fh(f, MESH)
+    fh = np.multiply.outer(levels.time, levels.space)
     lam = (2.0 / MESH.h * math.sin(k * MESH.h / 2.0)) ** 2
     expected = lam / k ** 2 * np.sin(k * MESH.nodes())
     for m in range(MESH.M):
@@ -348,7 +349,8 @@ def test_build_fh_harmonic_product_against_2d_quadrature():
     k = 2
     f = Forcing(space=Profile.harmonic_mode(k, math.pi),
                 time=TimeProfile.harmonic_sin(k - 1.0))
-    fh = np.asarray(build_fh(f, mesh))
+    levels = build_fh(f, mesh)
+    fh = np.multiply.outer(levels.time, levels.space)
     x, t = mesh.nodes(), mesh.times()
     rng = np.random.default_rng(9)
     for i, m in zip(rng.integers(1, mesh.N, 3), rng.integers(1, mesh.M - 1, 3)):

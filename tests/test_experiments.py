@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -393,6 +394,44 @@ def test_stability_probe_rows_are_the_sides_of_each_data_set_alone(tmp_path):
     assert all(r["step_s"] > 0 and 0 <= r["residual_max"] <= 1e-11 for r in summary["rungs"])
 
 
+_RUNNER_CONFIGS = {
+    run_convergence: {"kind": "converge", "mesh": _base_mesh_cfg(8, refinements=2),
+                      "data": {"preset": "hat_step"}},
+    run_solve: {"kind": "solve", "mesh": _base_mesh_cfg(8), "data": {"preset": "hat_step"}},
+    run_sharpness: {"kind": "sharpness", "mesh": _base_mesh_cfg(64),
+                    "data": {"harmonic": {"j": 0}}},
+    run_oracle_check: {"kind": "oracle_check", "mesh": _base_mesh_cfg(8),
+                       "data": {"harmonic": {"j": 1, "k": 1}}},
+    run_stability_probe: {"kind": "stability_probe", "mesh": _base_mesh_cfg(8), "data": None,
+                          "n_random": 2, "n_pairs": 2},
+}
+
+
+@pytest.mark.parametrize("runner", list(_RUNNER_CONFIGS), ids=lambda r: r.__name__)
+def test_runners_refuse_an_out_dir_that_is_a_file_before_any_rung(tmp_path, monkeypatch,
+                                                                   runner):
+    # writing would fail only after the last rung: the runner refuses first,
+    # naming the out_dir, and steps nothing; without emit it is never read
+    import wavecompact.scheme as scheme
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    config = config_from_dict({**_RUNNER_CONFIGS[runner], "out_dir": str(taken / "out")})
+    stepped, march = [], scheme._march
+
+    def counting(mesh, *args):
+        stepped.append(mesh.N)
+        return march(mesh, *args)
+
+    monkeypatch.setattr(scheme, "_march", counting)
+    with pytest.raises(ConfigurationError,
+                       match=f"^out_dir {re.escape(repr(str(taken / 'out')))} is a file or "
+                             "inside one$"):
+        runner(config)
+    assert not stepped and taken.read_text() == "kept"
+    runner(config, emit=False)
+    assert stepped
+
+
 @pytest.mark.parametrize("j", [1, 2])
 def test_oracle_check_steps_the_variants_as_one_run(monkeypatch, j):
     # with variant all, each mesh makes one evolve_grid call whose three
@@ -402,7 +441,8 @@ def test_oracle_check_steps_the_variants_as_one_run(monkeypatch, j):
     evolve_grid = experiments.evolve_grid
 
     def counting(mesh, v0, u1h, fh=None):
-        calls.append((mesh.N, v0.shape, u1h.shape, None if fh is None else np.shape(fh)))
+        calls.append((mesh.N, v0.shape, u1h.shape,
+                      None if fh is None else (fh.time.shape, fh.space.shape)))
         return evolve_grid(mesh, v0, u1h, fh)
 
     monkeypatch.setattr(experiments, "evolve_grid", counting)
@@ -414,8 +454,8 @@ def test_oracle_check_steps_the_variants_as_one_run(monkeypatch, j):
     })
     rows = run_oracle_check(cfg, emit=False)
     assert [r.variant for r in rows] == ["v0", "v1", "v2"] * 2 and all(r.passed for r in rows)
-    assert calls == [(m.N, (3, m.N + 1), (3, m.N + 1), (3, m.M, m.N + 1) if j == 2 else None)
-                     for m in cfg.rungs]
+    assert calls == [(m.N, (3, m.N + 1), (3, m.N + 1),
+                      ((3, m.M), (3, m.N + 1)) if j == 2 else None) for m in cfg.rungs]
 
 
 def test_sharpness_measurement_oracle_self_consistency():

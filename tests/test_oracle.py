@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavecompact.data import PRESETS, build_u1h, Profile
+from wavecompact.data import PRESETS, ForcingLevels, Profile, build_u1h
 from wavecompact.errors import ContractViolation, MeshTooCoarseError
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
@@ -189,11 +189,11 @@ def test_discrete_trajectory_solves_the_scheme_equations():
     # applied with the operators, on forced random data of a rescaled mesh
     mesh = build_mesh(X=2.0, T=1.3, N=12, M=30, a=0.7, eps0=0.9)
     rng = np.random.default_rng(7)
-    v0, u1h = np.zeros((2, mesh.N + 1))
-    fh = np.zeros((mesh.M, mesh.N + 1))
-    v0[1:-1], u1h[1:-1] = rng.standard_normal((2, mesh.N - 1))
-    fh[:, 1:-1] = rng.standard_normal((mesh.M, mesh.N - 1))
-    v = discrete_trajectory(mesh, v0, u1h, fh)
+    v0, u1h, space = np.zeros((3, mesh.N + 1))
+    v0[1:-1], u1h[1:-1], space[1:-1] = rng.standard_normal((3, mesh.N - 1))
+    time = rng.standard_normal(mesh.M)
+    v = discrete_trajectory(mesh, v0, u1h, ForcingLevels(time, space))
+    fh = np.multiply.outer(time, space)  # the levels the scheme steps
     tau, a2 = mesh.tau, mesh.a ** 2
     np.testing.assert_allclose(v[0], v0, rtol=0, atol=1e-14)
     start = (apply_implicit((v[1] - v[0]) / tau, mesh)

@@ -15,7 +15,7 @@ from wavecompact.errors import (ConfigurationError, ContractViolation, Invariant
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, solve_implicit, stencil
-from wavecompact.oracle import HarmonicData, dispersion, harmonic_dataspec
+from wavecompact.oracle import HarmonicData, discrete_trajectory, dispersion, harmonic_dataspec
 from wavecompact.reference import Reference, dalembert_reference
 from wavecompact.scheme import (ERROR_MODES, evolve, evolve_grid, evolve_measured, measure_error,
                                 prepare_inputs)
@@ -40,9 +40,22 @@ def _harmonic_shape(mesh, k):
     return shape
 
 
+def _zero_factors(mesh, columns=None):
+    """Zero forcing factors; a stack of columns if given."""
+    lead = () if columns is None else (columns,)
+    return ForcingLevels(np.zeros(lead + (mesh.M,)), np.zeros(lead + (mesh.N + 1,)))
+
+
+def _random_factors(mesh, rng, columns=None):
+    """Random forcing factors with zero space ends; a stack of columns if given."""
+    levels = _zero_factors(mesh, columns)
+    levels.time[:] = rng.standard_normal(levels.time.shape)
+    levels.space[..., 1:-1] = rng.standard_normal(levels.space[..., 1:-1].shape)
+    return levels
+
+
 def test_evolve_grid_zero_data():
-    fh = np.zeros((MESH.M, MESH.N + 1))
-    run = evolve_grid(MESH, MESH.zeros(), MESH.zeros(), fh)
+    run = evolve_grid(MESH, MESH.zeros(), MESH.zeros(), _zero_factors(MESH))
     assert np.all(run.slices == 0.0)
 
 
@@ -61,12 +74,12 @@ def test_evolve_grid_first_level_satisfies_defining_equation():
     mesh = MESH
     v0 = mesh.zeros(); v0[1:-1] = rng.standard_normal(mesh.N - 1)
     u1h = mesh.zeros(); u1h[1:-1] = rng.standard_normal(mesh.N - 1)
-    fh = np.zeros((mesh.M, mesh.N + 1)); fh[:, 1:-1] = rng.standard_normal((mesh.M, mesh.N - 1))
+    fh = _random_factors(mesh, rng)
     v1 = evolve_grid(mesh, v0, u1h, fh).slices[1]
     dt0 = (v1 - v0) / mesh.tau
     lhs = apply_implicit(dt0, mesh)
     rhs = (0.5 * mesh.tau * mesh.a ** 2 * stencil("laplacian", v0, mesh)
-           + u1h + 0.5 * mesh.tau * fh[0])
+           + u1h + 0.5 * mesh.tau * fh.time[0] * fh.space)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     assert np.max(np.abs(lhs[1:-1] - rhs[1:-1])) <= 1e-11 * scale
 
@@ -94,14 +107,19 @@ def test_evolve_grid_free_harmonic_recurrence():
                                rtol=1e-11, atol=1e-12)
 
 
+def _inputs(stack=None):
+    """Zero (v0, u1h, fh) grid data, a stack of columns if given, as evolve_grid's
+    keywords, and the array of each that the checks read: fh's space factor."""
+    inputs = {"v0": MESH.zeros(), "u1h": MESH.zeros(), "fh": _zero_factors(MESH)}
+    if stack is not None:
+        inputs = dict(zip(inputs, _stacked(MESH, [tuple(inputs.values())] * stack)))
+    return inputs, {**inputs, "fh": inputs["fh"].space}
+
+
 @pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
 def test_evolve_grid_names_bad_input(bad):
-    inputs = {"v0": MESH.zeros(), "u1h": MESH.zeros(), "fh": np.zeros((MESH.M, MESH.N + 1))}
-    target = inputs[bad]
-    if target.ndim == 2:
-        target[MESH.M // 2, 0] = 1.0  # one forcing level with a non-zero end
-    else:
-        target[-1] = 1.0
+    inputs, arrays = _inputs()
+    arrays[bad][-1] = 1.0  # the space factor makes every forcing level's end non-zero
     with pytest.raises(ContractViolation, match=f"^{bad}.* must vanish at the boundary"):
         evolve_grid(MESH, **inputs)
 
@@ -322,7 +340,6 @@ def _operator_loop(mesh, v0, u1h, fh):
     """The stepping loop composed of the operator calls, kept as the bit-exact
     reference: stencil, solve_implicit and apply_implicit on full levels."""
     tau, a = mesh.tau, mesh.a
-    fh = None if fh is None else np.asarray(fh)  # dense levels, from factors too
     slices = np.empty((mesh.M + 1, mesh.N + 1))
     residuals = np.empty(mesh.M)
 
@@ -331,14 +348,14 @@ def _operator_loop(mesh, v0, u1h, fh):
 
     rhs = 0.5 * tau * a ** 2 * stencil("laplacian", v0, mesh) + u1h
     if fh is not None:
-        rhs = rhs + 0.5 * tau * fh[0]
+        rhs = rhs + 0.5 * tau * (fh.time[0] * fh.space)
     dt0 = solve_implicit(rhs, mesh)
     residuals[0] = residual(apply_implicit(dt0, mesh), rhs)
     slices[0], slices[1] = v0, v0 + tau * dt0
     for m in range(1, mesh.M):
         rhs = a ** 2 * stencil("laplacian", slices[m], mesh)
         if fh is not None:
-            rhs = rhs + fh[m]
+            rhs = rhs + fh.time[m] * fh.space
         lam_t = solve_implicit(rhs, mesh)
         residuals[m] = residual(apply_implicit(lam_t, mesh), rhs)
         slices[m + 1] = tau ** 2 * lam_t + 2.0 * slices[m] - slices[m - 1]
@@ -375,9 +392,9 @@ def test_evolve_grid_matches_the_operator_loop_bit_for_bit():
 
 @pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
 def test_evolve_grid_refuses_non_finite_input(bad):
-    inputs = {"v0": MESH.zeros(), "u1h": MESH.zeros(), "fh": np.zeros((MESH.M, MESH.N + 1))}
-    inputs[bad].flat[MESH.N // 2] = np.nan if bad == "u1h" else np.inf
-    with pytest.raises(ConfigurationError, match=f"^{bad} has values that are not finite"):
+    inputs, arrays = _inputs()
+    arrays[bad][MESH.N // 2] = np.nan if bad == "u1h" else np.inf
+    with pytest.raises(ConfigurationError, match=f"^{bad}.* has values that are not finite"):
         evolve_grid(MESH, **inputs)
 
 
@@ -385,9 +402,23 @@ def test_evolve_grid_refuses_non_finite_input(bad):
 def test_evolve_grid_checks_the_fh_shape(rows):
     # too few forcing levels failed mid-run; too many were silently dropped
     mesh = build_mesh(math.pi, math.pi, 8, 16)
+    fh = ForcingLevels(np.zeros(rows), mesh.zeros())
     with pytest.raises(ContractViolation,
-                       match=rf"^fh must have shape \(16, 9\), got \({rows}, 9\)"):
-        evolve_grid(mesh, mesh.zeros(), mesh.zeros(), np.zeros((rows, mesh.N + 1)))
+                       match=rf"^fh time factor must have shape \(16,\), got \({rows},\)"):
+        evolve_grid(mesh, mesh.zeros(), mesh.zeros(), fh)
+
+
+def test_a_dense_fh_is_refused_naming_the_factors():
+    # ForcingLevels factors are the one grid format of a forcing: the dense
+    # (M, N+1) levels are refused by the stepper and the spectral oracle alike
+    dense, zeros = np.zeros((MESH.M, MESH.N + 1)), (MESH.zeros(), MESH.zeros())
+    reference = _stored_reference(np.zeros((MESH.M + 1, MESH.N + 1)))
+    message = r"^fh must be None or data\.ForcingLevels\(time, space\), got ndarray$"
+    for call in (lambda: evolve_grid(MESH, *zeros, dense),
+                 lambda: evolve_measured(MESH, *zeros, dense, reference),
+                 lambda: discrete_trajectory(MESH, *zeros, dense)):
+        with pytest.raises(ContractViolation, match=message):
+            call()
 
 
 def test_evolve_grid_validates_once(monkeypatch):
@@ -404,8 +435,7 @@ def test_evolve_grid_validates_once(monkeypatch):
     for m_levels in (16, 256):
         mesh = build_mesh(math.pi, math.pi, 8, m_levels)
         calls.clear()
-        evolve_grid(mesh, _harmonic_shape(mesh, 2), mesh.zeros(),
-                    np.zeros((mesh.M, mesh.N + 1)))
+        evolve_grid(mesh, _harmonic_shape(mesh, 2), mesh.zeros(), _zero_factors(mesh))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3
 
@@ -414,20 +444,18 @@ def test_evolve_grid_validates_once(monkeypatch):
 # stacks: B data sets stepped as the columns of one run
 
 def _random_grid_data(mesh, rng, forced=True):
-    """Random (v0, u1h, fh) grid data with zero ends; fh None unless forced."""
+    """Random (v0, u1h, fh) grid data with zero ends; fh factors, None unless forced."""
     v0, u1h = mesh.zeros(), mesh.zeros()
-    fh = np.zeros((mesh.M, mesh.N + 1)) if forced else None
-    for w in (v0, u1h) + (() if fh is None else (fh.T,)):
-        w[1:-1] = rng.standard_normal(w[1:-1].shape)
-    return v0, u1h, fh
+    v0[1:-1], u1h[1:-1] = rng.standard_normal((2, mesh.N - 1))
+    return v0, u1h, _random_factors(mesh, rng) if forced else None
 
 
 def _stacked(mesh, sets):
-    """The stack of the grid data sets; unforced sets get zero fh rows."""
-    fh = np.zeros((len(sets), mesh.M, mesh.N + 1))
+    """The stack of the grid data sets; unforced sets get zero factors."""
+    fh = _zero_factors(mesh, len(sets))
     for b, (_, _, f) in enumerate(sets):
         if f is not None:
-            fh[b] = f
+            fh.time[b], fh.space[b] = f.time, f.space
     return np.stack([s[0] for s in sets]), np.stack([s[1] for s in sets]), fh
 
 
@@ -466,7 +494,7 @@ def test_stacked_columns_equal_their_single_runs_at_the_residual_block_edges(m_l
 def test_a_stack_of_one_column_is_the_single_run():
     mesh = build_mesh(math.pi, math.pi, 32, 64)
     v0, u1h, fh = _random_grid_data(mesh, np.random.default_rng(3))
-    run = evolve_grid(mesh, v0[None], u1h[None], fh[None])
+    run = evolve_grid(mesh, v0[None], u1h[None], ForcingLevels(fh.time[None], fh.space[None]))
     single = evolve_grid(mesh, v0, u1h, fh)
     assert run.slices.shape == (1, mesh.M + 1, mesh.N + 1)
     assert run.residual_max.shape == (1, mesh.M)
@@ -483,22 +511,19 @@ def _stack_of_three(mesh=MESH):
 
 @pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
 def test_a_stack_names_the_column_that_does_not_vanish_at_the_ends(bad):
-    inputs = _stack_of_three()
-    if bad == "fh":
-        inputs[bad][1, MESH.M // 2, 0] = 1.0  # one forcing level with a non-zero end
-    else:
-        inputs[bad][1, -1] = 1.0
+    inputs, arrays = _inputs(stack=3)
+    arrays[bad][1, -1] = 1.0
     with pytest.raises(ContractViolation,
-                       match=f"^{bad} column 1 .*must vanish at the boundary"):
+                       match=f"^{bad}( space factor)? column 1 .*must vanish at the boundary"):
         evolve_grid(MESH, **inputs)
 
 
 @pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
 def test_a_stack_names_the_column_that_is_not_finite(bad):
-    inputs = _stack_of_three()
-    inputs[bad][1].flat[MESH.N // 2] = np.nan if bad == "u1h" else np.inf
+    inputs, arrays = _inputs(stack=3)
+    arrays[bad][1, MESH.N // 2] = np.nan if bad == "u1h" else np.inf
     with pytest.raises(ConfigurationError,
-                       match=f"^{bad} column 1 has values that are not finite"):
+                       match=f"^{bad}( space factor)? column 1 has values that are not finite"):
         evolve_grid(MESH, **inputs)
 
 
@@ -506,8 +531,9 @@ def test_a_stack_checks_its_shapes():
     inputs = _stack_of_three()
     with pytest.raises(ContractViolation, match=r"^u1h must have shape \(3, 17\), got \(2, 17\)"):
         evolve_grid(MESH, inputs["v0"], inputs["u1h"][:2], inputs["fh"])
-    with pytest.raises(ContractViolation, match=r"^fh must have shape \(3, 64, 17\)"):
-        evolve_grid(MESH, inputs["v0"], inputs["u1h"], inputs["fh"][0])
+    single = ForcingLevels(inputs["fh"].time[0], inputs["fh"].space[0])
+    with pytest.raises(ContractViolation, match=r"^fh time factor must have shape \(3, 64\)"):
+        evolve_grid(MESH, inputs["v0"], inputs["u1h"], single)
     with pytest.raises(ContractViolation, match="at least one column"):
         evolve_grid(MESH, inputs["v0"][:0], inputs["u1h"][:0])
 
@@ -526,7 +552,7 @@ def test_each_column_has_its_own_residual_scale(monkeypatch):
     # 1e-5; a 1e-8 error in the middle column's solution, whose data are of
     # order 1, is refused against that column's bound
     inputs = _stack_of_three()
-    inputs["fh"][0] *= 1e6
+    inputs["fh"].time[0] *= 1e6
     _poison_solve(monkeypatch, 5, index=(2, 1), shift=1e-8)
     with pytest.raises(InvariantError, match=r"of the step to level 5 in column 1 on "):
         evolve_grid(MESH, **inputs)
@@ -570,10 +596,10 @@ def test_a_measured_run_takes_one_data_set_and_checks_it():
     reference = _random_reference(MESH, np.random.default_rng(4))
     with pytest.raises(ContractViolation, match=r"^v0 must have shape \(17,\), got \(1, 17\)"):
         evolve_measured(MESH, v0[None], u1h, fh, reference)
-    bad = fh.copy()
-    bad[3, 0] = 1.0
-    with pytest.raises(ContractViolation, match=r"^fh \(row 3\) must vanish"):
-        evolve_measured(MESH, v0, u1h, bad, reference)
+    space = fh.space.copy()
+    space[0] = 1.0
+    with pytest.raises(ContractViolation, match=r"^fh space factor must vanish"):
+        evolve_measured(MESH, v0, u1h, ForcingLevels(fh.time, space), reference)
     with pytest.raises(ContractViolation, match="unknown error mode"):
         evolve_measured(MESH, v0, u1h, fh, reference, "energy")
     unstable = build_mesh(1.0, 1.0, 10, 10)
@@ -608,39 +634,29 @@ def test_a_measured_run_refuses_a_failing_step_before_measuring_its_block(monkey
 # --------------------------------------------------------------------------
 # forcing factors: the levels as time (M,) and space (N+1,) factors
 
-def _random_factors(mesh, rng, columns=None):
-    """Random forcing factors with zero space ends; a stack of columns if given."""
-    lead = () if columns is None else (columns,)
-    space = np.zeros(lead + (mesh.N + 1,))
-    space[..., 1:-1] = rng.standard_normal(lead + (mesh.N - 1,))
-    return ForcingLevels(rng.standard_normal(lead + (mesh.M,)), space)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(3, 24), st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
-def test_factors_and_their_dense_levels_step_the_same(n, m_levels, seed):
+def test_factor_runs_step_as_the_operator_loop(n, m_levels, seed):
     # any M, a partial last block of forcing rows included; tau = h / 2 keeps
     # every mesh stable
     mesh = build_mesh(math.pi, math.pi * m_levels / (2 * n), n, m_levels)
     rng = np.random.default_rng(seed)
-    v0, u1h, _ = _random_grid_data(mesh, rng, forced=False)
-    levels = _random_factors(mesh, rng)
-    dense = np.asarray(levels)
-    assert np.array_equal(dense, np.outer(levels.time, levels.space))
-    runs = [evolve_grid(mesh, v0, u1h, fh) for fh in (levels, dense)]
-    assert np.array_equal(runs[0].slices, runs[1].slices)
-    assert np.array_equal(runs[0].residual_max, runs[1].residual_max)
+    v0, u1h, levels = _random_grid_data(mesh, rng)
+    slices, residuals = _operator_loop(mesh, v0, u1h, levels)
+    run = evolve_grid(mesh, v0, u1h, levels)
+    assert np.array_equal(run.slices, slices)
+    assert np.array_equal(run.residual_max, residuals)
     reference = _random_reference(mesh, rng)
-    (report, residuals), (dense_report, dense_residuals) = (
-        evolve_measured(mesh, v0, u1h, fh, reference) for fh in (levels, dense))
-    assert report == dense_report and np.array_equal(residuals, dense_residuals)
+    report, measured_residuals = evolve_measured(mesh, v0, u1h, levels, reference)
+    assert report == measure_error(mesh, slices, reference)
+    assert np.array_equal(measured_residuals, residuals)
     # a stack of three whose middle column is unforced: zero factors
-    stack = _random_factors(mesh, rng, columns=3)
-    stack.time[1], stack.space[1] = 0.0, 0.0
-    v0s, u1hs = np.stack([v0, u1h, v0]), np.stack([u1h, v0, u1h])
-    runs = [evolve_grid(mesh, v0s, u1hs, fh) for fh in (stack, np.asarray(stack))]
-    assert np.array_equal(runs[0].slices, runs[1].slices)
-    assert np.array_equal(runs[0].residual_max, runs[1].residual_max)
+    sets = [(v0, u1h, levels), (u1h, v0, None), _random_grid_data(mesh, rng)]
+    run = evolve_grid(mesh, *_stacked(mesh, sets))
+    for b, inputs in enumerate(sets):
+        slices, residuals = _operator_loop(mesh, *inputs)
+        assert np.array_equal(run.slices[b], slices)
+        assert np.array_equal(run.residual_max[b], residuals)
 
 
 def test_forcing_factors_are_checked_on_entry():
