@@ -319,6 +319,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {path} cannot be read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -143,11 +143,13 @@ class Profile:
     def _piecewise_eval(self, x: np.ndarray) -> np.ndarray:
         b = np.asarray(self.breakpoints)
         idx = np.clip(np.searchsorted(b, x, side="right") - 1, 0, len(self.pieces) - 1)
-        out = np.empty_like(x, dtype=float)
-        for p in range(len(self.pieces)):
-            m = idx == p
-            if np.any(m):
-                out[m] = npoly.polyval(x[m], self.pieces[p])
+        # Horner over the zero-padded coefficient table, gathered by idx: polyval's bits
+        width = max(map(len, self.pieces))
+        table = np.array([list(c) + [0.0] * (width - len(c)) for c in self.pieces])
+        out = np.zeros_like(x, dtype=float)
+        for k in reversed(range(width)):
+            out *= x
+            out += table[idx, k]
         # an interior breakpoint takes the mean of its two sides
         for j in range(1, len(b) - 1):
             m = np.abs(x - b[j]) <= 1e-13 * self.X

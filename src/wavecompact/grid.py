@@ -10,7 +10,10 @@ from the exact divisions X/N, T/M, never by cumulative addition.
 _three_point, (w[i-1] + c w[i] + w[i+1]) / d on the interior nodes, is the
 package's one three-point kernel: the mass and stiffness forms below, the
 operators module's stencils, the q_2h average and the stepping loop all call
-it.
+it.  Beside it, _tridiagonal, off (w[i-1] + w[i+1]) + diag w[i], is the
+implicit matrix A as one stencil of the entries its LDL^T factor is built
+from (operators._implicit_entries): operators.apply_implicit and the
+stepping loop's residual check call it.
 
 The implicit weight of the scheme is sigma = (1 + h^2/(a^2 tau^2)) / 12, and
 the time step is admissible when
@@ -40,9 +43,10 @@ D w = (w[i] - w[i-1]) / h of the two levels:
 
 so a caller that already holds the differences of its levels, as
 scheme.measure_error does, reuses them; _energy_from_differences is the
-package's one energy formula.  The mass and stiffness norms of space_norm keep
-the three-point forms _mass_form and _stiffness_form, so summation by parts
-can be checked against them.
+package's one energy formula, and _sq_sum, one row dot product (np.vecdot,
+the BLAS ddot) per level, its one sum of squares.  The mass and stiffness
+norms of space_norm keep the three-point forms _mass_form and
+_stiffness_form, so summation by parts can be checked against them.
 """
 
 from __future__ import annotations
@@ -197,6 +201,14 @@ def _three_point(out, w, centre: float, divisor: float):
     return np.divide(out, divisor, out=out)
 
 
+def _tridiagonal(out, w, diag: float, off: float, scratch=None):
+    """off (w[i-1] + w[i+1]) + diag w[i] on the interior nodes of one level or
+    of each level of a stack, into out and returned; diag w goes to scratch if given."""
+    np.add(w[..., :-2], w[..., 2:], out=out)
+    out *= off
+    return np.add(out, np.multiply(w[..., 1:-1], diag, out=scratch), out=out)
+
+
 def _mass_form(w: np.ndarray, h: float):
     """(B w, w)_h with the interior stencil (w[i-1] + 4 w[i] + w[i+1]) / 6."""
     inner = w[..., 1:-1]
@@ -207,10 +219,9 @@ def _stiffness_form(w: np.ndarray, h: float):
     inner = w[..., 1:-1]
     return -np.sum(_three_point(np.empty_like(inner), w, -2.0, h ** 2) * inner, axis=-1) * h
 
-def _sq_sum(x: np.ndarray, h: float, out=None):
-    """sum_i x[i]^2 h over the last axis: the squared l2 norm of the values x;
-    the squares go to out, which may be x itself."""
-    return np.add.reduce(np.multiply(x, x, out=out), axis=-1) * h
+def _sq_sum(x: np.ndarray, h: float):
+    """sum_i x[i]^2 h over the last axis in one pass: the squared l2 norm of x."""
+    return np.vecdot(x, x) * h
 
 
 def _backward_diff(w: np.ndarray, h: float, out=None):
@@ -298,15 +309,15 @@ def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec):
     checked the mesh and the Dirichlet ends.
     """
     h, tau, a2 = mesh.h, mesh.tau, mesh.a ** 2
-    t = np.empty(np.shape(d_curr))  # the one scratch array, squared in place
+    t = np.empty(np.shape(d_curr))  # the one scratch array
     dt = np.subtract(v_curr[..., 1:-1], v_prev[..., 1:-1], out=t[..., :-1])
-    dt_sq = _sq_sum(np.multiply(dt, 1.0 / tau, out=dt), h, out=dt)
+    dt_sq = _sq_sum(np.multiply(dt, 1.0 / tau, out=dt), h)
     d_dt = np.subtract(d_curr, d_prev, out=t)
-    d_dt_sq = _sq_sum(np.multiply(d_dt, 1.0 / tau, out=d_dt), h, out=d_dt)
+    d_dt_sq = _sq_sum(np.multiply(d_dt, 1.0 / tau, out=d_dt), h)
     d_st = np.add(d_curr, d_prev, out=t)
     term_b = dt_sq - h ** 2 / 6.0 * d_dt_sq  # ||dt v||_B^2 by summation by parts
     term_mid = (mesh.sigma - 0.25) * tau ** 2 * a2 * d_dt_sq
-    term_avg = a2 * _sq_sum(np.multiply(d_st, 0.5, out=d_st), h, out=d_st)
+    term_avg = a2 * _sq_sum(np.multiply(d_st, 0.5, out=d_st), h)
     total = term_b + term_mid + term_avg
     if not np.min(total) >= 0.0:  # no row can fail otherwise
         scale = np.abs(term_b) + np.abs(term_mid) + np.abs(term_avg)

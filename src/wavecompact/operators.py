@@ -21,8 +21,10 @@ InvariantError naming the matrix and N.  The factor (d, e) depends only on the
 mesh and is cached per MeshSpec, which amortizes the setup across all M time
 steps.  solve_implicit and solve_mass solve with their factors through LAPACK
 dpttrs; scheme.evolve_grid calls dpttrs on the same cached factor of A, in
-place on its own buffers, once per step.  Every stencil here is the kernel
-grid._three_point.
+place on its own buffers, once per step.  The numerov, mass and laplacian
+stencils are the kernel grid._three_point; apply_implicit applies A as the one
+stencil grid._tridiagonal of the interior entries that its factor is built
+from (_implicit_entries), as the scheme's residual check does.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolation, InvariantError
-from .grid import GridFn, MeshSpec, _three_point, require_dirichlet, require_gridfn
+from .grid import GridFn, MeshSpec, _three_point, _tridiagonal, require_dirichlet, require_gridfn
 
 SPATIAL_OP_KINDS = ("numerov", "mass", "laplacian")
 
@@ -62,9 +64,11 @@ def apply_spatial(kind: str, w, mesh: MeshSpec) -> GridFn:
     return stencil(kind, w, mesh)
 
 
-def _implicit_coeff(mesh: MeshSpec) -> float:
-    """s = sigma tau^2 a^2 / h^2 entering the implicit matrix."""
-    return mesh.sigma * mesh.tau ** 2 * mesh.a ** 2 / mesh.h ** 2
+def _implicit_entries(mesh: MeshSpec) -> tuple[float, float]:
+    """A's interior diagonal 2/3 + 2 s and off-diagonal 1/6 - s, with
+    s = sigma tau^2 a^2 / h^2: what its factor and its stencil read."""
+    s = mesh.sigma * mesh.tau ** 2 * mesh.a ** 2 / mesh.h ** 2
+    return 2.0 / 3.0 + 2.0 * s, 1.0 / 6.0 - s
 
 
 def _ldlt(what: str, diag: float, off: float, n: int):
@@ -82,8 +86,7 @@ def _ldlt(what: str, diag: float, off: float, n: int):
 @lru_cache(maxsize=128)
 def _implicit_factor(mesh: MeshSpec):
     """LDL^T factor (d, e) of mass - sigma tau^2 a^2 laplacian (interior)."""
-    s = _implicit_coeff(mesh)
-    return _ldlt("implicit", 2.0 / 3.0 + 2.0 * s, 1.0 / 6.0 - s, mesh.N - 1)
+    return _ldlt("implicit", *_implicit_entries(mesh), mesh.N - 1)
 
 
 @lru_cache(maxsize=128)
@@ -95,8 +98,9 @@ def _mass_factor(mesh: MeshSpec):
 def apply_implicit(w, mesh: MeshSpec) -> GridFn:
     """Forward application of mass - sigma tau^2 a^2 laplacian on H_h."""
     w = require_dirichlet(w, mesh, what="implicit operand")
-    c = mesh.sigma * mesh.tau ** 2 * mesh.a ** 2
-    return stencil("mass", w, mesh) - c * stencil("laplacian", w, mesh)
+    out = np.zeros_like(w)
+    _tridiagonal(out[..., 1:-1], w, *_implicit_entries(mesh))
+    return out
 
 
 def solve_implicit(rhs, mesh: MeshSpec) -> GridFn:

@@ -16,8 +16,9 @@ while u1, of order lambda - 1 >= 0, enters only through hat averages.
 One stepping loop, _march, steps every run.  It checks the shapes,
 finiteness and zero ends of (v0, u1h, fh) once, on entry; each step calls
 LAPACK dpttrs on the cached LDL^T factor of the tridiagonal A and the stencil
-kernel grid._three_point, in buffers allocated once per run.  fh, the
-data.ForcingLevels factors, is multiplied out one block of steps at a time.  The levels live
+kernel grid._three_point, in buffers allocated once per run; the residual
+check applies A as the stencil grid._tridiagonal of the factor's entries.  fh,
+the data.ForcingLevels factors, is multiplied out one block of steps at a time.  The levels live
 in a ring of RING_LEVELS rows per column, and the defining-equation residual
 of every step and column is checked per block of _RESIDUAL_BLOCK consecutive
 steps, in one vectorized pass after the block's last step (and after the
@@ -43,7 +44,8 @@ One block measurer, _measure, reads the blocks of _march or, in
 measure_error, the same blocks of a stored trajectory: the errors of a block
 and their backward space differences, in two buffers allocated once per call,
 computed once and read by every norm of the block, the energy norm included
-(grid._energy_from_differences, the formula energy_norm_pair evaluates).
+(grid._energy_from_differences, the formula energy_norm_pair evaluates), each
+sum of squares one row dot product (grid._sq_sum), each L1 norm h sum |e|.
 """
 
 from __future__ import annotations
@@ -56,9 +58,8 @@ from scipy.linalg.lapack import dpttrs
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
 from .grid import (GridFn, MeshSpec, _backward_diff, _energy_from_differences, _sq_sum,
-                   _three_point, check_stable, require_dirichlet, space_norm,
-                   time_aggregate)
-from .operators import _implicit_factor
+                   _three_point, _tridiagonal, check_stable, require_dirichlet, time_aggregate)
+from .operators import _implicit_entries, _implicit_factor
 
 ERROR_MODES = ("node_sampled", "q2h_filtered")
 
@@ -186,13 +187,13 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
     edge = np.zeros((B, M)) if fh is None else np.abs(ends).max(axis=-1)
     edge[:, 0] = np.abs(u1h[:, ::N] + (0.0 if fh is None else 0.5 * tau * ends[:, 0])
                         ).max(axis=-1)
-    (d, e), c = _implicit_factor(mesh), mesh.sigma * tau ** 2 * a2
+    (d, e), (diag, off) = _implicit_factor(mesh), _implicit_entries(mesh)
     ring = np.empty((B, RING_LEVELS, N + 1))
     ring[:, 1], ring[:, 2:, ::N] = v0, v0[:, None, ::N] + 0.0  # the ends that stay
     # one block's solutions, each row's transpose the F-contiguous (N-1, B)
     # operand of dpttrs, and its rhs rows; lam, the zero-ended copy of the
-    # solutions that the residual check reads, and then the solution rows, as
-    # its scratch with t, whose first row the steps use
+    # solutions that the residual check reads, and then the solution rows as
+    # its scratch and t, whose first row the steps use, as its result
     lams = np.zeros((_RESIDUAL_BLOCK, B, N + 1))
     sols, rhss, t = np.empty((3, _RESIDUAL_BLOCK, B, N - 1))
 
@@ -201,8 +202,7 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
         block's first n rows, with the operator calls' operations row by row;
         the first above RESIDUAL_RTOL * max(1, |rhs|_inf, edge) is refused."""
         lams[:n, :, 1:-1] = sols[:n]
-        lhs = _three_point(sols[:n], lams[:n], 4.0, 6.0)  # (mass - c laplacian) lam - rhs
-        lhs -= np.multiply(_three_point(t[:n], lams[:n], -2.0, h2), c, out=t[:n])
+        lhs = _tridiagonal(t[:n], lams[:n], diag, off, scratch=sols[:n])  # A lam - rhs
         lhs -= rhss[:n]
         res = np.abs(lhs, out=lhs).max(axis=-1)  # (step, column)
         residuals[:, first:first + n] = res.T
@@ -316,18 +316,20 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
             err = np.subtract(reference.values(levels), v, out=err_buf[:rows])
             err[:, 0] = err[:, -1] = 0.0
             d = _backward_diff(err, h, out=diff_buf[:rows])
-            l1[levels] = space_norm(err, "l1", mesh)
-            l1_dx[levels] = np.sum(np.abs(d), axis=-1) * h
             dx[levels] = np.sqrt(_sq_sum(d, h))
+            if mode == "node_sampled":
+                energy[start:stop] = _energy_from_differences(err[:-1], err[1:], d[:-1], d[1:],
+                                                              mesh)
+            # |e| and |De| in place, after their last reader; the ends of e are
+            # zero, so the trapezoid's end weights vanish
+            l1[levels] = np.sum(np.abs(err, out=err), axis=-1) * h
+            l1_dx[levels] = np.sum(np.abs(d, out=d), axis=-1) * h
             if mode == "q2h_filtered":  # the filtered errors overwrite the read errors
                 filt = np.subtract(data_mod.q2h_from_qh(reference.qh_values(levels), mesh),
                                    v, out=err)
-                filt[:, 0] = filt[:, -1] = 0.0
-                energy[start:stop] = (space_norm(np.diff(filt, axis=0) / mesh.tau, "l2", mesh)
+                dt = np.subtract(filt[1:, 1:-1], filt[:-1, 1:-1], out=diff_buf[:rows - 1, :-1])
+                energy[start:stop] = (np.sqrt(_sq_sum(np.divide(dt, mesh.tau, out=dt), h))
                                       + dx[start + 1:stop + 1])
-            else:
-                energy[start:stop] = _energy_from_differences(err[:-1], err[1:], d[:-1], d[1:],
-                                                              mesh)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = (float(np.max(energy)), float(np.max(dx)),
                  time_aggregate(l1, mesh), time_aggregate(l1_dx, mesh))

@@ -91,6 +91,17 @@ def test_config_parse_failure_exits_3(tmp_path, capsys):
     assert main(["solve", "--config", str(wrong_kind)]) == 3
 
 
+def test_integer_literal_of_too_many_digits_exits_3(tmp_path, capsys):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError; json.dumps cannot write one, so the text is written raw
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "solve", "mesh": {"X": 3.14, "T": 3.14, "N": 1'
+                    + "0" * 5000 + ', "M": 32}, "data": {"harmonic": {"j": 1, "k": 1}}}')
+    assert main(["solve", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"config file {path} is not valid JSON" in err and "Traceback" not in err
+
+
 def test_mesh_too_coarse_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "kind": "sharpness",

@@ -3,7 +3,10 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wavecompact.data import (DataSpec, Forcing, Profile, TimeProfile, average_qh,
@@ -70,6 +73,23 @@ def test_piecewise_node_convention():
     assert step(np.array([0.25]))[0] == 1.0
     assert step(np.array([0.75]))[0] == -1.0
     assert step(np.array([0.5]))[0] == 0.0  # a jump is the mean of its sides
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5), st.data())
+def test_piecewise_eval_has_the_bits_of_polyval_per_piece(widths, data):
+    # one Horner loop over a zero-padded coefficient table: the leading zeros
+    # of a shorter piece leave npoly.polyval's bits
+    breakpoints = np.concatenate(([0.0], np.cumsum(widths)))
+    coeff = st.floats(-1e3, 1e3)
+    pieces = [tuple(data.draw(st.lists(coeff, min_size=1, max_size=6))) for _ in widths]
+    profile = Profile.piecewise_poly(breakpoints, pieces)
+    b = profile.breakpoints
+    x = np.array(data.draw(st.lists(st.floats(0.0, b[-1]), min_size=1, max_size=40)))
+    x = x[[all(abs(xi - bj) > 1e-13 * profile.X for bj in b[1:-1]) for xi in x]]
+    expected = [npoly.polyval(xi, pieces[max(p for p in range(len(pieces)) if b[p] <= xi)])
+                for xi in x]
+    assert np.array_equal(profile(x), np.array(expected, dtype=float))
 
 
 def test_harmonic_mode_is_a_one_coefficient_sine_series():

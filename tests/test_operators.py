@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wavecompact import operators
 from wavecompact.data import DataSpec, Forcing, Profile, TimeProfile
@@ -101,6 +103,28 @@ def test_solve_implicit_zero_and_round_trip():
         np.testing.assert_allclose(round1, w, rtol=1e-12, atol=1e-12)
         round2 = apply_implicit(solve_implicit(w, mesh), mesh)
         np.testing.assert_allclose(round2, w, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 64), st.floats(0.5, 4.0), st.floats(0.2, 3.0), st.floats(0.1, 1.0),
+       st.integers(0, 64), st.integers(0, 2 ** 32 - 1))
+def test_implicit_stencil_is_mass_minus_c_laplacian(N, X, a, eps0, extra_levels, seed):
+    # A's stencil and its LDL^T factor read one pair of interior entries; the
+    # definition mass - sigma tau^2 a^2 laplacian pins those entries, and the
+    # round trip pins the factor to the stencil
+    h = X / N
+    M = math.ceil(X * a / (h * math.sqrt(1.0 - eps0 ** 2 / 2.0))) + 1 + extra_levels
+    mesh = build_mesh(X, X, N, M, a=a, eps0=eps0)
+    assume(mesh.stable)
+    rng = np.random.default_rng(seed)
+    w = _dirichlet(rng.standard_normal(N + 1) * 10.0 ** rng.integers(-3, 4))
+    c = mesh.sigma * mesh.tau ** 2 * mesh.a ** 2
+    definition = stencil("mass", w, mesh) - c * stencil("laplacian", w, mesh)
+    assert np.max(np.abs(apply_implicit(w, mesh) - definition)) <= (
+        4 * np.finfo(float).eps * np.max(np.abs(w)))
+    r = _dirichlet(rng.standard_normal(N + 1))
+    assert np.max(np.abs(apply_implicit(solve_implicit(r, mesh), mesh) - r)) <= (
+        1e-13 * np.max(np.abs(r)))
 
 
 def test_solve_implicit_eigen_identity_and_dense_cross_check():
