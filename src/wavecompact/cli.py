@@ -8,8 +8,9 @@ inequality is printed), 3 configuration error, 1 failed checks, a violated
 internal invariant or unexpected errors.  An InvariantError, such as a step
 whose defining-equation residual exceeds its bound, is printed on stderr as
 "invariant violated: ..." naming the level and the mesh, without a traceback.
---jobs (default 1) is the number of parallel rung workers; below 1 it is a
-configuration error, as is an output directory that is a file or inside one.
+--jobs (default 1) is the number of parallel rung workers of converge and
+sharpness; below 1, or above 1 for another subcommand, it is a configuration
+error, as is an output directory that is a file or inside one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides the config)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel rung workers (default 1)")
+                       help="parallel rung workers of converge and sharpness (default 1)")
     return parser
 
 
@@ -52,6 +53,9 @@ def main(argv=None) -> int:
             config.out_dir = args.out
         if args.jobs < 1:
             raise ConfigurationError(f"--jobs must be an integer >= 1, got {args.jobs}")
+        if args.jobs > 1 and kind not in ("converge", "sharpness"):
+            raise ConfigurationError(f"--jobs {args.jobs} is not read by {args.command}: only "
+                                     "converge and sharpness run rungs in parallel")
         config.jobs = args.jobs
 
         if kind == "solve":

@@ -12,7 +12,7 @@ A config file is a single JSON object:
               | {"u0": {...}, "u1": {...}, "f": {...}}
               | null,
       "variant": "v2" | "v0" | "v1" | "all",                     # "all": oracle_check only
-      "mode": "node_sampled" | "q2h_filtered",                   # sharpness: node_sampled only
+      "mode": "node_sampled" | "q2h_filtered",                   # q2h_filtered: converge, solve
       "alpha": 2.0,                                              # > 0
       "out_dir": "out",
       ...tuning keys with defaults (seed, n_random, n_pairs,
@@ -22,7 +22,10 @@ A config file is a single JSON object:
 Keys outside this schema are ignored, the removed reference keys n_modes,
 fold_groups and tail_fraction and the removed jobs key (the CLI's --jobs sets
 the worker count) included.  Removed keys that chose how to
-evaluate data are refused, as ignoring them would change results.
+evaluate data are refused, as ignoring them would change results, and so are
+keys that a runner does not read: a mode but node_sampled for sharpness,
+oracle_check and stability_probe, a data section but null or a variant but
+v2 for stability_probe (random data, v2), and more than one rung for solve.
 
 Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
 plus {"form": "harmonic", "k": k}, which parses to the one-coefficient sine
@@ -301,11 +304,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError("convergence studies need nonzero data to fit an order")
     if kind == "sharpness" and sharpness_j is None:
         raise ConfigurationError("sharpness runs need data: {'harmonic': {'j': ...}}")
-    if kind == "sharpness" and cfg.mode != "node_sampled":
-        raise ConfigurationError(f"mode {cfg.mode!r} is not read by sharpness runs, which "
-                                 "measure node_sampled errors; drop the mode key")
+    # keys a runner does not read: a value other than the one it uses is refused
+    unread = {"sharpness": {"mode": "node_sampled"}, "oracle_check": {"mode": "node_sampled"},
+              "stability_probe": {"mode": "node_sampled", "variant": "v2", "data": None}}
+    for key, used in unread.get(kind, {}).items():
+        if raw.get(key, used) != used:
+            raise ConfigurationError(f"{key} {raw[key]!r} is not read by {kind} runs, which "
+                                     f"use only {json.dumps(used)}; drop the {key} key")
     if kind == "oracle_check" and harmonic is None:
         raise ConfigurationError("oracle checks need harmonic data")
+    if kind == "solve" and len(rungs) > 1:
+        key = "mesh.rungs" if "rungs" in mesh_cfg else "mesh.refinements"
+        raise ConfigurationError(f"{key} gives {len(rungs)} rungs, but solve runs step one mesh")
     for mesh in rungs:
         check_stable(mesh)
     return cfg

@@ -346,8 +346,9 @@ def average_qh(w: Profile, mesh: MeshSpec) -> GridFn:
         out = extension_sampler(w, False)[1](0.0, mesh.N + 1, mesh.h)
     except QuadratureError as exc:
         # sampler cell c is mesh cell c - 1; the two outside (0, X) mirror their neighbours
-        raise QuadratureError("non-finite values while integrating q_h profile",
-                              cell=min(max(exc.cell - 1, 0), mesh.N - 1)) from exc
+        cell = min(max(exc.cell - 1, 0), mesh.N - 1)
+        raise QuadratureError(f"non-finite values while integrating q_h profile on mesh cell "
+                              f"{cell}", cell=cell) from exc
     out[0] = out[-1] = 0.0
     return out
 

@@ -13,12 +13,13 @@ trajectory itself).  A table's header is the field names of its row record,
 and every cell is the repr of its field (strings as they are).
 
 The stability probe and oracle-check step their data sets of one mesh as the
-columns of one evolve_grid run: the probe's n_random random data sets, with
-zero forcing factors for the unforced ones, and oracle-check's u1 variants,
-which share v0 and fh, built once.  Each column equals its own run bit for
-bit, so the rows are those of one run per data set.
+columns of one evolve_grid run, which scheme.stack_inputs assembles: the
+probe's n_random random data sets, each with u1 variant v2, and
+oracle-check's data with each of its u1 variants.  Each column equals its own
+run bit for bit, so the rows are those of one run per data set.
 
-Ladder rungs are independent and run in a process pool when jobs > 1.
+The rungs of converge and sharpness ladders are independent and run in a
+process pool when jobs > 1; the other runners step on one process.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig
-from .data import (U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile, TimeProfile,
-                   forcing_l21_norm, profile_h01_norm, profile_l2_norm)
+from .data import (U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile, forcing_l21_norm,
+                   profile_h01_norm, profile_l2_norm)
 from .errors import ConfigurationError, ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
@@ -46,7 +47,7 @@ from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_harmonic
                      harmonic_dataspec, sharpness_prediction)
 from .reference import dalembert_reference, reference_refusal
 from .scheme import (ErrorReport, evolve, evolve_grid, evolve_measured, level_bytes,
-                     measure_error, prepare_inputs)
+                     measure_error, prepare_inputs, stack_inputs)
 
 
 # --------------------------------------------------------------------------
@@ -141,15 +142,8 @@ def stability_bound_sides(mesh: MeshSpec, datas: list[DataSpec]):
 def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
     """(stability_bound_sides of datas, the run's summary row): N, M, the
     columns stepped, the stepping seconds and the largest residual."""
-    e0, B, N, M = mesh.eps0, len(datas), mesh.N, mesh.M
-    v0s, u1hs = np.empty((2, B, N + 1))
-    # unforced columns of a forced stack step zero factors
-    fhs = (None if all(data.f is None for data in datas)
-           else ForcingLevels(np.zeros((B, M)), np.zeros((B, N + 1))))
-    for b, data in enumerate(datas):
-        v0s[b], u1hs[b], fh = prepare_inputs(mesh, data, "v2")
-        if fh is not None:
-            fhs.time[b], fhs.space[b] = fh.time, fh.space
+    e0, N, M = mesh.eps0, mesh.N, mesh.M
+    v0s, u1hs, fhs = stack_inputs(mesh, [(data, "v2") for data in datas])
     started = time.perf_counter()
     run = evolve_grid(mesh, v0s, u1hs, fhs)
     step_s = time.perf_counter() - started
@@ -172,7 +166,7 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
         if data.f is not None:
             rhs2 += 2.0 / e0 * forcing_l21_norm(data.f, mesh.T)
         sides.append(((lhs, rhs), (lhs2, rhs2)))
-    return sides, {"N": N, "M": M, "columns": B, "step_s": step_s,
+    return sides, {"N": N, "M": M, "columns": len(datas), "step_s": step_s,
                    "residual_max": float(np.max(run.residual_max))}
 
 
@@ -458,13 +452,7 @@ def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[Oracle
     for mesh in config.rungs:
         # the closed forms first: they refuse a mode the mesh cannot resolve
         closed = [discrete_harmonic_trajectory(config.harmonic, mesh, v) for v in variants]
-        # the variants differ in u1h only: one run, one column per variant, on
-        # read-only views of v0 and fh, built once
-        v0, u1hs, fh = prepare_inputs(mesh, config.data, variants)
-        B = len(variants)
-        if fh is not None:
-            fh = ForcingLevels(*(np.broadcast_to(w, (B,) + w.shape) for w in (fh.time, fh.space)))
-        run = evolve_grid(mesh, np.broadcast_to(v0, (B, mesh.N + 1)), u1hs, fh)
+        run = evolve_grid(mesh, *stack_inputs(mesh, [(config.data, v) for v in variants]))
         for variant, exact, slices in zip(variants, closed, run.slices):
             scale = max(1.0, float(np.max(np.abs(exact))))
             dev = float(np.max(np.abs(slices - exact))) / scale

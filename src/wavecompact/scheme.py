@@ -26,7 +26,8 @@ run's last step); only then are the block's levels handed on, so a failing
 step surfaces after at most _RESIDUAL_BLOCK - 1 further steps.  evolve_grid
 stores the blocks as a trajectory; the scheme is linear, so B data sets can
 be stepped as the columns of one run, each step making one dpttrs call with B
-right-hand sides, whose cost per column is flat.  evolve_measured measures
+right-hand sides, whose cost per column is flat; stack_inputs, the one builder
+of such stacks, assembles them from descriptors.  evolve_measured measures
 each block as it is stepped and stores none: O(N) levels, whatever M is.
 
 Error reports compare a run against a reference solution in two modes:
@@ -106,9 +107,9 @@ class ErrorReport:
     mode: str
 
 
-def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant):
-    """Assemble (v0, u1h, fh) grid data from the descriptors; for a tuple of
-    u1 variants u1h is their (B, N+1) stack, and v0 and fh (data.ForcingLevels) once.
+def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str):
+    """Assemble (v0, u1h, fh) grid data from the descriptors, u1h of the given
+    u1 variant and fh the data.ForcingLevels factors, or None unforced.
 
     This is where grid data enters the scheme: a datum whose quadrature fails,
     or whose grid data is not finite or beyond _DATA_BOUND in magnitude, is a
@@ -134,12 +135,24 @@ def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant):
                                      f"M={mesh.M} mesh")
         return values
 
-    def u1h(v):
-        return checked("u1", lambda: data_mod.build_u1h(v, data.u1, mesh))
-
     return (checked("u0", v0),
-            u1h(variant) if isinstance(variant, str) else np.stack([u1h(v) for v in variant]),
+            checked("u1", lambda: data_mod.build_u1h(variant, data.u1, mesh)),
             None if data.f is None else checked("f", lambda: data_mod.build_fh(data.f, mesh)))
+
+
+def stack_inputs(mesh: MeshSpec, columns):
+    """evolve_grid's stack (v0, u1h, fh) of the (data, variant) columns, each
+    column's prepare_inputs arrays: v0 and u1h (B, N+1), and fh the ForcingLevels
+    of (B, M) and (B, N+1) factors, zero for an unforced column, or None when no
+    column is forced."""
+    if not columns:
+        raise ContractViolation("a stack of grid data needs at least one column")
+    v0s, u1hs, fhs = zip(*(prepare_inputs(mesh, data, variant) for data, variant in columns))
+    forced = any(f is not None for f in fhs)
+    zero = data_mod.ForcingLevels(np.zeros(mesh.M), np.zeros(mesh.N + 1))
+    fhs = [zero if f is None else f for f in fhs]
+    return np.stack(v0s), np.stack(u1hs), (data_mod.ForcingLevels(
+        np.stack([f.time for f in fhs]), np.stack([f.space for f in fhs])) if forced else None)
 
 
 def _entry_datum(name: str, w, shape, mesh: MeshSpec, stacked: bool, dirichlet=True) -> GridFn:

@@ -331,19 +331,37 @@ def test_out_dir_that_is_a_file_exits_3_before_any_rung(tmp_path, capsys, monkey
     assert taken.read_text() == "kept" and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("jobs, code", [("2", 0), ("0", 3), ("-2", 3)])
-def test_jobs_flag_runs_rungs_in_parallel_and_refuses_below_1(tmp_path, capsys, jobs, code):
+_ONE_PROCESS_CONFIGS = {
+    "solve": {"kind": "solve", "mesh": _mesh(8), "data": {"harmonic": {"j": 0, "k": 1}}},
+    "oracle-check": {"kind": "oracle_check", "mesh": _mesh(8),
+                     "data": {"harmonic": {"j": 0, "k": 1}}},
+    "stability-probe": {"kind": "stability_probe", "mesh": _mesh(8), "n_random": 2,
+                        "n_pairs": 2},
+}
+
+
+@pytest.mark.parametrize("command, jobs, code", [
+    ("converge", "2", 0), ("converge", "0", 3), ("converge", "-2", 3),
+    ("solve", "2", 3), ("oracle-check", "2", 3), ("stability-probe", "4", 3),
+    ("stability-probe", "1", 0)],
+    ids=["2-0", "0-3", "-2-3", "solve-2-3", "oracle-check-2-3", "stability-probe-4-3",
+         "stability-probe-1-0"])
+def test_jobs_flag_runs_rungs_in_parallel_and_refuses_below_1(tmp_path, capsys, command, jobs,
+                                                              code):
+    # only converge and sharpness run rungs in parallel: --jobs above 1 on
+    # another subcommand is refused, naming it, instead of doing nothing
     cfg = _write_config(tmp_path, {
-        "kind": "converge",
-        "mesh": _mesh(8, refinements=2),
-        "data": {"harmonic": {"j": 0, "k": 1}},
+        **_ONE_PROCESS_CONFIGS.get(command, {
+            "kind": "converge", "mesh": _mesh(8, refinements=2),
+            "data": {"harmonic": {"j": 0, "k": 1}}}),
         "out_dir": str(tmp_path / "out"),
     })
-    assert main(["converge", "--config", str(cfg), "--jobs", jobs]) == code
+    assert main([command, "--config", str(cfg), "--jobs", jobs]) == code
     if code:
         err = capsys.readouterr().err
-        assert f"--jobs must be an integer >= 1, got {jobs}" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert (f"--jobs must be an integer >= 1, got {jobs}" if int(jobs) < 1
+                else f"--jobs {jobs} is not read by {command}") in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("what", ["directory", "not_utf8"])
@@ -438,6 +456,17 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
     ("solve", "variant", {"variant": 3}),
     ("converge", "mode", {"mode": None}),
     ("sharpness", "mode", {"mode": "q2h_filtered", "data": {"harmonic": {"j": 0}}}),
+    # keys a runner does not read
+    ("stability_probe", "data {'preset': 'hat_step'} is not read by stability_probe",
+     {"data": {"preset": "hat_step"}}),
+    ("stability_probe", "variant 'v1' is not read by stability_probe", {"variant": "v1"}),
+    ("stability_probe", "mode 'q2h_filtered' is not read by stability_probe",
+     {"mode": "q2h_filtered"}),
+    ("oracle_check", "mode 'q2h_filtered' is not read by oracle_check",
+     {"mode": "q2h_filtered", "data": {"harmonic": {"j": 0, "k": 3}}}),
+    ("solve", "mesh.refinements gives 2 rungs", {"mesh": _mesh(16, refinements=1)}),
+    ("solve", "mesh.rungs gives 2 rungs",
+     {"mesh": {"X": math.pi, "T": math.pi, "rungs": [[16, 32], [32, 64]]}}),
     ("solve", "v0_mode", {"v0_mode": "x"}),
     ("solve", "v0_mode", {"v0_mode": "node_samples"}),
     ("solve", "node_convention", {"data": {"u0": {"form": "piecewise",
@@ -469,6 +498,8 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
         "f_time_polynomial_empty", "out_dir_number",
         "out_dir_null", "profile_breakpoints_empty", "profile_piece_empty",
         "variant_all_on_converge", "variant_number", "mode_null", "sharpness_mode_filtered",
+        "probe_data", "probe_variant", "probe_mode", "oracle_mode", "solve_refinements",
+        "solve_rungs",
         "v0_mode_unknown",
         "v0_mode_set", "profile_node_convention",
         "preset_null", "preset_unknown",

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import functools
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavecompact.cli import main
 from wavecompact.config import config_from_dict, dataspec_from_dict, profile_from_dict
 from wavecompact.data import PRESETS, DataSpec, Forcing, Profile, TimeProfile
 from wavecompact.errors import ConfigurationError, MeshTooCoarseError, UnstableMeshError
@@ -175,7 +177,8 @@ def test_data_is_decided_at_load():
     assert cfg.harmonic == HarmonicData(j=2, k=3)
     # one DataSpec serves every rung: it reads only X and a, which they share
     assert all(cfg.data == harmonic_dataspec(cfg.harmonic, r) for r in cfg.rungs)
-    zero = config_from_dict({**base, "kind": "solve", "data": None}).data
+    zero = config_from_dict({"kind": "solve", "mesh": {**mesh, "refinements": 0},
+                             "data": None}).data
     assert zero == DataSpec(u0=Profile.zero(2.0), u1=Profile.zero(2.0))
     sharp_cfg = {**base, "kind": "sharpness", "data": {"harmonic": {"j": 1}}}
     sharp = config_from_dict(sharp_cfg)
@@ -195,8 +198,9 @@ def test_converge_refuses_data_it_cannot_measure_at_load():
                     "time": {"form": "polynomial", "coeffs": [1.0]}}}
     with pytest.raises(ConfigurationError, match="no exact reference for forced"):
         config_from_dict({**base, "data": forced})
-    # solve takes the same data and measures nothing
-    assert config_from_dict({**base, "kind": "solve", "data": forced}).data.f is not None
+    # solve, on one rung, takes the same data and measures nothing
+    assert config_from_dict({"kind": "solve", "mesh": {**base["mesh"], "refinements": 0},
+                             "data": forced}).data.f is not None
     for zero in (None, {}, {"u0": {"form": "sine_series", "coeffs": [0.0, 0.0]},
                             "u1": {"form": "piecewise", "breakpoints": [0.0, math.pi],
                                    "pieces": [[0.0, 0.0]]}}):
@@ -224,9 +228,9 @@ def test_string_keys_take_one_of_their_values():
         config_from_dict({**base, "kind": "solve", "data": {"preset": "None"}})
 
 
-def test_benchmark_job_configs_load():
-    # every config the benchmark writes, full passes and warm-ups alike, loads
-    # and names its subcommand's kind; the module is imported read-only
+def _bench_workloads():
+    """The benchmark's perfbench/workloads.py, imported read-only: no bytecode
+    is written next to it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -237,12 +241,32 @@ def test_benchmark_job_configs_load():
     finally:
         sys.dont_write_bytecode = write_bytecode
         del sys.modules[spec.name]
+    return workloads
+
+
+def test_benchmark_job_configs_load():
+    # every config the benchmark writes, full passes and warm-ups alike, loads
+    # and names its subcommand's kind
+    workloads = _bench_workloads()
     assert set(workloads.WORKLOADS) == {"rough_ladder", "sharp_ladder", "stability_probe"}
     for workload in workloads.WORKLOADS.values():
         for job in (*workload.make_jobs(0), *workload.make_jobs(1), *workload.warmup):
             config = config_from_dict(job.config)
             assert config.kind == job.command.replace("-", "_")
             assert [(mesh.N, mesh.M) for mesh in config.rungs] == job.rungs()
+
+
+def test_benchmark_warmup_jobs_run_and_pass_their_gates(tmp_path, capsys):
+    # the warm-up jobs, small meshes of every workload, through the CLI with
+    # the benchmark's own arguments: a CLI or config change that would fail
+    # the benchmark fails here first
+    for name, workload in _bench_workloads().WORKLOADS.items():
+        for i, job in enumerate(workload.warmup):
+            cfg, out = tmp_path / f"{name}_{i}.json", tmp_path / f"{name}_{i}"
+            cfg.write_text(json.dumps(job.config))
+            argv = [job.command, "--config", str(cfg), "--out", str(out), "--jobs", "1"]
+            assert main(argv) == 0, capsys.readouterr().err
+            assert workload.gate(job, out) is None
 
 
 # --------------------------------------------------------------------------

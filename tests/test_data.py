@@ -214,6 +214,7 @@ def test_qh_overflow_names_the_cell():
     with pytest.raises(QuadratureError) as err, np.errstate(over="ignore"):
         average_qh(bad, mesh)
     assert err.value.cell == 3
+    assert str(err.value).endswith("q_h profile on mesh cell 3")
 
 
 def test_qh_laplacian_identity_for_smooth_data():

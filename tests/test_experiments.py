@@ -458,6 +458,24 @@ def test_oracle_check_steps_the_variants_as_one_run(monkeypatch, j):
                       ((3, m.M), (3, m.N + 1)) if j == 2 else None) for m in cfg.rungs]
 
 
+@pytest.mark.parametrize("j", [0, 2])
+def test_oracle_check_of_all_variants_writes_the_rows_of_each_variant_alone(tmp_path, j):
+    # stepping the variants as the columns of one run changes no bit of a row:
+    # the rows of variant all are those of the three single-variant runs
+    def csv_rows(variant):
+        cfg = config_from_dict({
+            "kind": "oracle_check", "mesh": _base_mesh_cfg(8, refinements=1),
+            "data": {"harmonic": {"j": j, "k": 3}}, "variant": variant,
+            "out_dir": str(tmp_path / variant)})
+        run_oracle_check(cfg)
+        return (tmp_path / variant / "oracle_check.csv").read_text().splitlines()
+
+    alone = {v: csv_rows(v) for v in ("v0", "v1", "v2")}
+    header, *rows = csv_rows("all")
+    assert header == alone["v0"][0] and len(rows) == 6
+    assert rows == [alone[v][1 + i] for i in range(2) for v in ("v0", "v1", "v2")]
+
+
 def test_sharpness_measurement_oracle_self_consistency():
     # replacing the stepper by the closed-form discrete solution changes the
     # measured ratio by less than 1e-8
@@ -626,32 +644,8 @@ def test_level_bytes_bounds_the_peak_of_a_measured_run(j, mode):
     assert counted <= peak <= 2 * counted
 
 
-def test_oracle_check_assembles_v0_and_fh_once_per_mesh(monkeypatch):
-    # with variant all, the three variants share one fh per mesh (and one
-    # v0); only u1h is built per variant
-    import wavecompact.data as data_mod
-    calls = {"build_fh": [], "build_u1h": []}
-    for name, log in calls.items():
-        def counting(*args, fn=getattr(data_mod, name), log=log):
-            log.append(args)
-            return fn(*args)
-        monkeypatch.setattr(data_mod, name, counting)
-    cfg = config_from_dict({
-        "kind": "oracle_check",
-        "mesh": _base_mesh_cfg(8, refinements=1),
-        "data": {"harmonic": {"j": 2, "k": 3}},
-        "variant": "all",
-    })
-    rows = run_oracle_check(cfg, emit=False)
-    assert all(r.passed for r in rows)
-    assert [args[1] for args in calls["build_fh"]] == cfg.rungs
-    assert [(args[0], args[2]) for args in calls["build_u1h"]] == [
-        (v, mesh) for mesh in cfg.rungs for v in ("v0", "v1", "v2")]
-
-
 def test_oracle_check_names_the_datum_and_mesh_of_bad_grid_data():
-    # built once, each datum is still checked: a non-finite forcing is named
-    # with its mesh
+    # each column's data are checked: a non-finite forcing is named with its mesh
     cfg = config_from_dict({
         "kind": "oracle_check",
         "mesh": _base_mesh_cfg(8),

@@ -502,6 +502,30 @@ def test_a_stack_of_one_column_is_the_single_run():
     assert np.array_equal(run.residual_max[0], single.residual_max)
 
 
+def test_stack_inputs_stacks_the_prepare_inputs_of_each_column():
+    # each column holds its prepare_inputs arrays bit for bit; an unforced
+    # column of a forced stack gets zero factors, and a stack of unforced
+    # columns gets None
+    mesh = build_mesh(math.pi, math.pi, 16, 32)
+    rng = np.random.default_rng(11)
+    columns = [(random_dataspec(rng, mesh.X), U1_VARIANTS[b % 3]) for b in range(8)]
+    unforced = [(data, variant) for data, variant in columns if data.f is None]
+    assert 0 < len(unforced) < len(columns)
+    for stack in (columns, unforced):
+        v0s, u1hs, fh = scheme.stack_inputs(mesh, stack)
+        assert v0s.shape == u1hs.shape == (len(stack), mesh.N + 1)
+        assert (fh is None) == (stack is unforced)
+        for b, (data, variant) in enumerate(stack):
+            v0, u1h, f = prepare_inputs(mesh, data, variant)
+            assert np.array_equal(v0s[b], v0) and np.array_equal(u1hs[b], u1h)
+            if fh is not None:
+                time, space = ((np.zeros(mesh.M), mesh.zeros()) if f is None
+                               else (f.time, f.space))
+                assert np.array_equal(fh.time[b], time) and np.array_equal(fh.space[b], space)
+    with pytest.raises(ContractViolation, match="^a stack of grid data needs at least one column"):
+        scheme.stack_inputs(mesh, [])
+
+
 def _stack_of_three(mesh=MESH):
     """Three forced random data sets as one stack, writable."""
     rng = np.random.default_rng(11)
