@@ -44,13 +44,17 @@ descriptor, that the finest rung does not resolve is a MeshTooCoarseError
 (exit code 2), raised before the k coefficients are built.  A converge with
 zero data, or with data that has no exact reference (reference.reference_refusal:
 a forcing without a sine_series space factor and a harmonic_sin time factor,
-or one resonant with a mode k), is refused with that reason.
+or one resonant with a mode k), is refused with that reason.  So is a rung
+whose arrays held at once exceed physical memory, naming their bytes: the
+(M+1, N+1) levels of solve, and of each column of the probe and
+oracle-check, or scheme.level_bytes of a measured converge or sharpness run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,7 +63,7 @@ from .errors import ConfigurationError
 from .grid import MAX_CELLS, MeshSpec, build_mesh, check_stable
 from .oracle import HarmonicData, harmonic_dataspec, require_resolved
 from .reference import reference_refusal
-from .scheme import ERROR_MODES
+from .scheme import ERROR_MODES, level_bytes
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
 
@@ -316,8 +320,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if kind == "solve" and len(rungs) > 1:
         key = "mesh.rungs" if "rungs" in mesh_cfg else "mesh.refinements"
         raise ConfigurationError(f"{key} gives {len(rungs)} rungs, but solve runs step one mesh")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    columns = {"solve": 1, "stability_probe": cfg.n_random,
+               "oracle_check": len(U1_VARIANTS) if cfg.variant == "all" else 1}
     for mesh in rungs:
         check_stable(mesh)
+        # stored runs hold (M+1, N+1) levels per column, measured runs their buffers
+        forced = sharpness_j == 2 or data is not None and data.f is not None
+        held = (8 * (mesh.M + 1) * (mesh.N + 1) * columns[kind] if kind in columns
+                else level_bytes(mesh, forced))
+        if held > memory:
+            raise ConfigurationError(f"the N={mesh.N}, M={mesh.M} rung holds {held} bytes of "
+                                     f"arrays at once, more than the {memory} bytes of memory")
     return cfg
 
 

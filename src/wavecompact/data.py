@@ -25,6 +25,13 @@ The data norms of the stability bounds use the same panels on the one cell
 (0, X) or (0, T), exact for the squared pieces, with |g| split at the real
 roots of g as well; a sine series takes its norms from its coefficients.
 
+One quadrature call per stack: the averages, node samples and norms take one
+descriptor or a stack of them (a list), whose piecewise profiles or
+polynomial time factors _piecewise_stack evaluates and _hat_cell_integrals
+integrates in one call, each row on its own panels and Gauss rule, so every
+row has the bits of its descriptor alone; a single descriptor is a stack of
+one.  Sine series and harmonic factors take their closed forms row by row.
+
 Descriptors refuse non-finite entries with a ConfigurationError naming the
 entry.  PRESETS holds the rough data of the convergence studies, hat_step
 (smoothness 3/2) and quad_spline_hat (5/2).
@@ -138,25 +145,40 @@ class Profile:
                 if c != 0.0:
                     out += c * root * np.sin(np.pi * k * x / self.X)
             return out
-        return self._piecewise_eval(x)
+        return _piecewise_stack(self.X, [self.breakpoints], [self.pieces])(0, x)
 
-    def _piecewise_eval(self, x: np.ndarray) -> np.ndarray:
-        b = np.asarray(self.breakpoints)
-        idx = np.clip(np.searchsorted(b, x, side="right") - 1, 0, len(self.pieces) - 1)
-        # Horner over the zero-padded coefficient table, gathered by idx: polyval's bits
-        width = max(map(len, self.pieces))
-        table = np.array([list(c) + [0.0] * (width - len(c)) for c in self.pieces])
-        out = np.zeros_like(x, dtype=float)
+
+def _piecewise_stack(X: float, breakpoints, pieces):
+    """evaluate(rows, x) of B piecewise polynomials on (0, X), row b the
+    breakpoints[b] and pieces[b] of a piecewise Profile, at x, rows broadcast
+    against x giving the row of each x.  One Horner loop over the zero-padded
+    coefficient table, gathered by piece, gives polyval's bits and an interior
+    breakpoint the mean of its sides: each row has its profile's bits."""
+    P, width = max(map(len, pieces)), max(len(c) for row in pieces for c in row)
+    inner = np.full((P - 1, len(pieces)), np.nan)  # by column; NaN compares false
+    table = np.zeros((width, len(pieces) * P))  # coefficient k of piece j of row b at [k, bP + j]
+    for b, (bp, row) in enumerate(zip(breakpoints, pieces)):
+        inner[:len(row) - 1, b] = bp[1:-1]
+        for j, c in enumerate(row):
+            table[:len(c), b * P + j] = c
+
+    def horner(piece, x):
+        out = np.zeros(np.broadcast(piece, x).shape)
         for k in reversed(range(width)):
             out *= x
-            out += table[idx, k]
-        # an interior breakpoint takes the mean of its two sides
-        for j in range(1, len(b) - 1):
-            m = np.abs(x - b[j]) <= 1e-13 * self.X
-            if np.any(m):
-                out[m] = 0.5 * (npoly.polyval(b[j], self.pieces[j - 1])
-                                + npoly.polyval(b[j], self.pieces[j]))
+            out += table[k].take(piece)
         return out
+
+    def evaluate(rows, x):
+        cuts = [col[rows] for col in inner]
+        out = horner(rows * P + sum(x >= cut for cut in cuts), x)
+        for j, cut in enumerate(cuts):  # near breakpoint j the mean of pieces j and j + 1
+            near = np.abs(x - cut) <= 1e-13 * X
+            if near.any():
+                left = rows * P + j
+                np.copyto(out, 0.5 * (horner(left, cut) + horner(left + 1, cut)), where=near)
+        return out
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -280,8 +302,7 @@ def _gauss_nodes(n_coeffs: int) -> int:
     return max(8, (n_coeffs + 2) // 2 + 1)
 
 
-def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes: int,
-                        label: str):
+def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes, label: str):
     """Per-cell integrals of f times the rising and falling hat weights.
 
     For each cell [edges[j], edges[j+1]] returns
@@ -290,36 +311,75 @@ def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes: int,
         I_fall[j] = int f(x) (right - x) / width dx,
 
     splitting every cell at the supplied breakpoints that lie inside it, more
-    than 1e-14 * width from its edges.
+    than 1e-14 * width from its edges.  A batch of B integrands: splits (B, S),
+    NaN-padded, n_nodes one count or one per row, evaluate(rows, x), rows the
+    row of each x, and (B, cells) results, each row with the panels, rule,
+    first non-finite cell and bits of its own call; one: splits (S,), evaluate(x).
     """
-    ncells = len(edges) - 1
-    width = edges[1] - edges[0]
     splits = np.asarray(splits, dtype=float)
-    cell = np.searchsorted(edges, splits, side="right") - 1
-    inside = (cell >= 0) & (cell < ncells)
-    cell, splits = cell[inside], splits[inside]
+    one = splits.ndim == 1
+    if one:
+        splits, integrand = splits[None], evaluate
+
+        def evaluate(rows, x):
+            return integrand(x.ravel()).reshape(x.shape)
+    B, ncells = len(splits), len(edges) - 1
+    width = edges[1] - edges[0]
+    cell = np.searchsorted(edges[1:-1], splits, side="right")  # an end cell if outside
     keep = ((splits > edges[cell] + 1e-14 * width)
             & (splits < edges[cell + 1] - 1e-14 * width))
-    # panel boundaries: the cell edges and the kept splits, in order
-    bounds = np.sort(np.concatenate([edges, splits[keep]]))
-    panel_lo, panel_hi = bounds[:-1], bounds[1:]
+    # each row's panel boundaries, in order: the cell edges and its kept splits
+    bounds = np.empty((B, ncells + 1 + splits.shape[1]))
+    bounds[:, :ncells + 1] = edges
+    bounds[:, ncells + 1:] = np.where(keep, splits, np.nan)
+    bounds.sort(axis=1)
+    valid = ~np.isnan(bounds[:, 1:])
+    panel_lo, panel_hi = bounds[:, :-1][valid], bounds[:, 1:][valid]
+    panel_row = np.repeat(np.arange(B), valid.sum(axis=1))
     panel_cell = np.searchsorted(edges, panel_lo, side="right") - 1
 
-    gn, gw = _gauss_rule(n_nodes)
-    half = 0.5 * (panel_hi - panel_lo)
-    mid = 0.5 * (panel_hi + panel_lo)
-    pts = mid[:, None] + half[:, None] * gn[None, :]
-    vals = evaluate(pts.ravel()).reshape(pts.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = int(panel_cell[np.argmax(~np.all(np.isfinite(vals), axis=1))])
-        raise QuadratureError(f"non-finite values while integrating {label}", cell=bad)
+    counts = np.zeros(B, dtype=int) + n_nodes
+    rules = sorted(set(counts.tolist()))
+    rise, fall = np.empty((2, len(panel_lo)))
+    for n in rules:  # one Gauss rule per node count
+        sel = slice(None) if len(rules) == 1 else counts[panel_row] == n
+        gn, gw = _gauss_rule(n)
+        half = 0.5 * (panel_hi[sel] - panel_lo[sel])
+        mid = 0.5 * (panel_hi[sel] + panel_lo[sel])
+        pts = mid[:, None] + half[:, None] * gn[None, :]
+        vals = evaluate(panel_row[sel, None], pts)
+        if not np.all(np.isfinite(vals)):
+            bad = int(panel_cell[sel][np.argmax(~np.all(np.isfinite(vals), axis=1))])
+            raise QuadratureError(f"non-finite values while integrating {label}", cell=bad)
+        rise_w = (pts - edges[panel_cell[sel]][:, None]) / width
+        base = vals * gw[None, :] * half[:, None]
+        rise[sel] = np.sum(base * rise_w, axis=1)
+        fall[sel] = np.sum(base * (1.0 - rise_w), axis=1)
+    rise, fall = (np.bincount(panel_row * ncells + panel_cell, w, B * ncells).reshape(B, ncells)
+                  for w in (rise, fall))
+    return (rise[0], fall[0]) if one else (rise, fall)
 
-    rise_w = (pts - edges[panel_cell][:, None]) / width
-    base = vals * gw[None, :] * half[:, None]
-    rise = np.sum(base * rise_w, axis=1)
-    fall = np.sum(base * (1.0 - rise_w), axis=1)
-    return (np.bincount(panel_cell, rise, ncells),
-            np.bincount(panel_cell, fall, ncells))
+
+def _padded(rows) -> np.ndarray:
+    """Rows of splits of any lengths as one (B, S) array, NaN-padded."""
+    out = np.full((len(rows), max(map(len, rows))), np.nan)
+    for b, row in enumerate(rows):
+        out[b, :len(row)] = row
+    return out
+
+
+def _by_form(w, form: str, closed, batched):
+    """The rows of a stack of descriptors, a list or tuple w, in order: those
+    of the given form from one batched(list of them) call, and each other
+    one's closed(descriptor).  One descriptor w is a stack of one, whose row
+    is returned, a float for a number."""
+    ws = list(w) if isinstance(w, (list, tuple)) else [w]
+    picked = [b for b, d in enumerate(ws) if d.form == form]
+    rows = [None if d.form == form else closed(d) for d in ws]
+    for b, row in zip(picked, batched([ws[b] for b in picked]) if picked else ()):
+        rows[b] = row
+    out = np.array(rows, dtype=float)
+    return out if isinstance(w, (list, tuple)) else float(out[0]) if out.ndim == 1 else out[0]
 
 
 def hat_average_factor(y):
@@ -334,42 +394,53 @@ def hat_average_factor(y):
 # --------------------------------------------------------------------------
 # the averages
 
-def average_qh(w: Profile, mesh: MeshSpec) -> GridFn:
-    """Hat average of a spatial profile; boundary entries are zero.
+def average_qh(w, mesh: MeshSpec) -> GridFn:
+    """Hat average of a spatial profile, or the (B, N+1) rows of a stack of
+    profiles; boundary entries are zero.
 
     This is extension_sampler's hat average at the nodes: on (0, X) the odd
     extension is w itself.
     """
-    if abs(w.X - mesh.X) > 1e-12 * mesh.X:
+    if any(abs(p.X - mesh.X) > 1e-12 * mesh.X
+           for p in (w if isinstance(w, (list, tuple)) else [w])):
         raise ContractViolation("profile and mesh domain lengths differ")
     try:
-        out = extension_sampler(w, False)[1](0.0, mesh.N + 1, mesh.h)
+        out = _by_form(w, "piecewise",
+                       lambda p: extension_sampler(p, False)[1](0.0, mesh.N + 1, mesh.h),
+                       lambda ps: _folded_stack(ps, False)[1](0.0, mesh.N + 1, mesh.h))
     except QuadratureError as exc:
         # sampler cell c is mesh cell c - 1; the two outside (0, X) mirror their neighbours
         cell = min(max(exc.cell - 1, 0), mesh.N - 1)
         raise QuadratureError(f"non-finite values while integrating q_h profile on mesh cell "
                               f"{cell}", cell=cell) from exc
-    out[0] = out[-1] = 0.0
+    out[..., ::mesh.N] = 0.0
     return out
 
 
-def average_qtau(g: TimeProfile, mesh: MeshSpec) -> np.ndarray:
-    """Hat averages of the time factor at the levels 0..M-1.
+def average_qtau(g, mesh: MeshSpec) -> np.ndarray:
+    """Hat averages of a time factor at the levels 0..M-1, or the (B, M) rows
+    of a stack of time factors.
 
     The first level uses the one-sided weight: (q_tau g)_0 = (2/tau) times the
     integral of g against the falling half hat on [0, tau].
     """
-    out = np.empty(mesh.M)
-    if g.form == "harmonic_sin":
+    def harmonic(g):
+        out = np.empty(mesh.M)
         y = g.omega * mesh.tau
         out[0] = 0.0 if y == 0.0 else 2.0 / y * (1.0 - np.sin(y) / y)
         out[1:] = hat_average_factor(y) * np.sin(g.omega * mesh.times()[1:mesh.M])
         return out
-    i_rise, i_fall = _hat_cell_integrals(g, mesh.times(), (), _gauss_nodes(len(g.coeffs)),
-                                         "q_tau profile")
-    out[0] = 2.0 / mesh.tau * i_fall[0]
-    out[1:] = (i_rise[: mesh.M - 1] + i_fall[1: mesh.M]) / mesh.tau
-    return out
+
+    def polynomial(gs):
+        i_rise, i_fall = _hat_cell_integrals(
+            _piecewise_stack(mesh.T, [(0.0, mesh.T)] * len(gs), [(g.coeffs,) for g in gs]),
+            mesh.times(), np.empty((len(gs), 0)), [_gauss_nodes(len(g.coeffs)) for g in gs],
+            "q_tau profile")
+        out = np.empty((len(gs), mesh.M))
+        out[:, 0] = 2.0 / mesh.tau * i_fall[:, 0]
+        out[:, 1:] = (i_rise[:, : mesh.M - 1] + i_fall[:, 1: mesh.M]) / mesh.tau
+        return out
+    return _by_form(g, "polynomial", harmonic, polynomial)
 
 
 def q2h_from_qh(qh_values, mesh: MeshSpec) -> GridFn:
@@ -390,8 +461,7 @@ def extension_sampler(w: Profile, antiderivative: bool):
 
     A sine series is its own extension, its antiderivative the cosine series,
     and each mode's hat average is its eigenfactor times the mode; a piecewise
-    profile, or that of its polyint pieces, is folded onto [0, X] and averaged
-    by exact Gauss rules split at the breaks of the extension.
+    profile is the stack of one of _folded_stack.
     """
     X = w.X
     if w.form == "sine_series":
@@ -405,45 +475,62 @@ def extension_sampler(w: Profile, antiderivative: bool):
         return ((lambda start, count, h: basis(start, count, h) @ amps),
                 (lambda start, count, h:
                  basis(start, count, h) @ (amps * hat_average_factor(omega * h))))
-
-    b = np.asarray(w.breakpoints)
     if antiderivative:
-        pieces, value = [], 0.0
+        b, pieces, value = w.breakpoints, [], 0.0
         for lo, hi, piece in zip(b, b[1:], w.pieces):
             pieces.append(npoly.polyint(piece, k=value, lbnd=lo))
             value = npoly.polyval(hi, pieces[-1])
         w = Profile.piecewise_poly(b, pieces)
+    evaluate, average = _folded_stack([w], antiderivative)
+    return (lambda *args: evaluate(*args)[0]), (lambda *args: average(*args)[0])
 
-    def extension(y):
+
+def _folded_stack(ws, antiderivative: bool):
+    """extension_sampler's (evaluate, average) of piecewise profiles sharing X
+    (with antiderivative set, those of the polyint pieces), giving (B, count)
+    rows: folded onto [0, X] and evaluated as one _piecewise_stack, and averaged
+    in one call of exact Gauss rules split at each extension's breaks."""
+    X = ws[0].X
+    profile = _piecewise_stack(X, [w.breakpoints for w in ws], [w.pieces for w in ws])
+
+    def extension(rows, y):
         r = np.mod(y, 2.0 * X)
         flip = r > X
         r = np.where(flip, 2.0 * X - r, r)
-        out = w(r)
+        out = profile(rows, r)
         if not antiderivative:
             out = np.where(flip, -out, out)
-            out[np.minimum(r, X - r) <= 1e-13 * X] = 0.0
+            out[..., np.minimum(r, X - r) <= 1e-13 * X] = 0.0
         return out
 
-    breaks = np.unique(np.concatenate([b, 2.0 * X - b]))
-    nodes = _gauss_nodes(max(map(len, w.pieces)))
+    breaks = _padded([w.breakpoints for w in ws])
+    breaks = np.sort(np.concatenate([breaks, 2.0 * X - breaks], axis=1), axis=1)
+    breaks[:, 1:][breaks[:, 1:] == breaks[:, :-1]] = np.nan  # each row's unique breaks
+    nodes = [_gauss_nodes(max(map(len, w.pieces))) for w in ws]
 
     def average(start, count, h):
         edges = start + h * np.arange(-1, count + 1)
         periods = 2.0 * X * np.arange(math.floor(edges[0] / (2.0 * X)),
                                       math.ceil(edges[-1] / (2.0 * X)) + 1)
-        rise, fall = _hat_cell_integrals(extension, edges, np.add.outer(periods, breaks).ravel(),
-                                         nodes, "the exact solution")
-        return (rise[:-1] + fall[1:]) / h
-    return (lambda start, count, h: extension(start + h * np.arange(count))), average
+        rise, fall = _hat_cell_integrals(extension, edges, (periods[:, None] + breaks[:, None])
+                                         .reshape(len(ws), -1), nodes, "the exact solution")
+        return (rise[:, :-1] + fall[:, 1:]) / h
+    return (lambda start, count, h: extension(np.arange(len(ws))[:, None],
+                                              start + h * np.arange(count))), average
 
 
-def sample_nodes(w: Profile, mesh: MeshSpec) -> GridFn:
-    """Pointwise node samples of a profile (the mean of the sides at a jump)."""
-    return w(mesh.nodes())
+def sample_nodes(w, mesh: MeshSpec) -> GridFn:
+    """Pointwise node samples of a profile, or the (B, N+1) rows of a stack of
+    profiles (the mean of the sides at a jump)."""
+    x = mesh.nodes()
+    return _by_form(w, "piecewise", lambda p: p(x), lambda ps: _piecewise_stack(
+        ps[0].X, [p.breakpoints for p in ps], [p.pieces for p in ps])(
+        np.arange(len(ps))[:, None], x))
 
 
-def build_u1h(variant: str, u1: Profile, mesh: MeshSpec) -> GridFn:
-    """Initial-velocity grid data for the two-level first step.
+def build_u1h(variant: str, u1, mesh: MeshSpec) -> GridFn:
+    """Initial-velocity grid data for the two-level first step, of a profile
+    or, (B, N+1) rows, of a stack of profiles.
 
     v0: numerov(u1) + (tau^2 a^2 / 12) laplacian(u1)          (node samples)
     v1: q_h u1      + (tau^2 a^2 / 12) laplacian(u1 samples)
@@ -465,7 +552,7 @@ def build_u1h(variant: str, u1: Profile, mesh: MeshSpec) -> GridFn:
     else:
         qh = average_qh(u1, mesh)
         out = qh + c * stencil("laplacian", qh, mesh)
-    out[0] = out[-1] = 0.0
+    out[..., ::mesh.N] = 0.0
     return out
 
 
@@ -478,49 +565,77 @@ class ForcingLevels:
     space: np.ndarray
 
 
-def build_fh(f: Forcing, mesh: MeshSpec) -> ForcingLevels:
-    """Forcing levels (q_h q_tau f)^m, m = 0..M-1, as the factors q_tau and q_h."""
-    return ForcingLevels(average_qtau(f.time, mesh), average_qh(f.space, mesh))
+def build_fh(f, mesh: MeshSpec) -> ForcingLevels:
+    """Forcing levels (q_h q_tau f)^m, m = 0..M-1, as the factors q_tau and
+    q_h, of a forcing or, (B, M) and (B, N+1), of a sequence of forcings."""
+    times, spaces = ((f.time, f.space) if isinstance(f, Forcing)
+                     else ([g.time for g in f], [g.space for g in f]))
+    return ForcingLevels(average_qtau(times, mesh), average_qh(spaces, mesh))
 
 
 # --------------------------------------------------------------------------
-# continuous data norms (right-hand sides of the stability bounds)
+# continuous data norms (right-hand sides of the stability bounds), of one
+# descriptor or, as the (B,) norms, of a stack
 
-def profile_l2_norm(p: Profile) -> float:
+def _l2_norms(X: float, breakpoints, pieces) -> np.ndarray:
+    """L2(0, X) norms of _piecewise_stack rows (exact): the rise and fall
+    integrals of the one cell (0, X) sum to the integral of the square."""
+    evaluate = _piecewise_stack(X, breakpoints, pieces)
+    integrals = _hat_cell_integrals(
+        lambda rows, x: evaluate(rows, x) ** 2, np.array([0.0, X]), _padded(breakpoints),
+        [_gauss_nodes(2 * max(map(len, row)) - 1) for row in pieces], "the L2 norm")
+    return np.sqrt(np.sum(integrals, axis=0)[:, 0])
+
+
+def profile_l2_norm(p):
     """L2(0, X) norm of a profile (exact)."""
-    if p.form == "sine_series":
-        return float(np.sqrt(np.sum(np.square(p.coeffs))))
-    # one cell (0, X): its rise and fall integrals sum to the integral of p^2
-    nodes = _gauss_nodes(2 * max(map(len, p.pieces)) - 1)
-    return math.sqrt(np.sum(_hat_cell_integrals(lambda x: p(x) ** 2, np.array([0.0, p.X]),
-                                                p.breakpoints, nodes, "the L2 norm")))
+    return _by_form(p, "piecewise", lambda q: np.sqrt(np.sum(np.square(q.coeffs))), lambda ps:
+                    _l2_norms(ps[0].X, [q.breakpoints for q in ps], [q.pieces for q in ps]))
 
 
-def profile_h01_norm(p: Profile) -> float:
+def profile_h01_norm(p):
     """||dx w||_L2 for a profile vanishing at the ends."""
-    if p.form == "sine_series":
-        c = np.asarray(p.coeffs)
-        k = np.arange(1, len(c) + 1)
-        return float(np.sqrt(np.sum((np.pi * k / p.X) ** 2 * c ** 2)))
-    return profile_l2_norm(Profile.piecewise_poly(
-        p.breakpoints, [tuple(np.arange(1, len(c)) * c[1:]) or (0.0,) for c in p.pieces]))
+    def derivatives(ps):
+        return _l2_norms(ps[0].X, [q.breakpoints for q in ps],
+                         [[np.arange(1, len(c)) * c[1:] if len(c) > 1 else (0.0,)
+                           for c in q.pieces] for q in ps])
+    return _by_form(p, "piecewise", lambda q: np.sqrt(np.sum(
+        (np.pi * np.arange(1, len(q.coeffs) + 1) / q.X) ** 2 * np.asarray(q.coeffs) ** 2)),
+        derivatives)
 
 
-def time_l1_norm(g: TimeProfile, T: float) -> float:
+def _real_roots(coeffs) -> np.ndarray:
+    """The real roots of a polynomial.  A leading coefficient c[-1] so small
+    that some c[i] / c[-1] overflows is dropped first: the roots it adds lie
+    beyond any float, and polyroots would meet the overflow."""
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while len(c) > 1 and not np.all(np.isfinite(c[:-1] / c[-1])):
+            c = c[:-1]
+    roots = npoly.polyroots(c)
+    return roots[np.abs(roots.imag) < 1e-12].real
+
+
+def time_l1_norm(g, T: float):
     """Integral of |g| over (0, T)."""
-    if g.form == "polynomial":
-        # |g| is a polynomial between the real roots of g
-        roots = npoly.polyroots(g.coeffs)
-        return float(np.sum(_hat_cell_integrals(
-            lambda t: np.abs(g(t)), np.array([0.0, T]), roots[np.abs(roots.imag) < 1e-12].real,
-            _gauss_nodes(len(g.coeffs)), "the L1 norm")))
-    w = abs(g.omega)
-    if w == 0.0:
-        return 0.0
-    periods = math.floor(w * T / math.pi)
-    return (2.0 * periods + 1.0 - math.cos(w * T - periods * math.pi)) / w
+    def harmonic(g):
+        w = abs(g.omega)
+        if w == 0.0:
+            return 0.0
+        periods = math.floor(w * T / math.pi)
+        return (2.0 * periods + 1.0 - math.cos(w * T - periods * math.pi)) / w
+
+    def polynomial(gs):  # |g| is a polynomial between the real roots of g
+        evaluate = _piecewise_stack(T, [(0.0, T)] * len(gs), [(g.coeffs,) for g in gs])
+        return np.sum(_hat_cell_integrals(
+            lambda rows, t: np.abs(evaluate(rows, t)), np.array([0.0, T]),
+            _padded([_real_roots(g.coeffs) for g in gs]),
+            [_gauss_nodes(len(g.coeffs)) for g in gs], "the L1 norm"), axis=0)[:, 0]
+    return _by_form(g, "polynomial", harmonic, polynomial)
 
 
-def forcing_l21_norm(f: Forcing, T: float) -> float:
+def forcing_l21_norm(f, T: float):
     """||f||_{L^{2,1}} = ||space||_{L2} * integral of |time| for separable f."""
-    return profile_l2_norm(f.space) * time_l1_norm(f.time, T)
+    if isinstance(f, Forcing):
+        return profile_l2_norm(f.space) * time_l1_norm(f.time, T)
+    return profile_l2_norm([g.space for g in f]) * time_l1_norm([g.time for g in f], T)

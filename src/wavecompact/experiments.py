@@ -16,7 +16,8 @@ The stability probe and oracle-check step their data sets of one mesh as the
 columns of one evolve_grid run, which scheme.stack_inputs assembles: the
 probe's n_random random data sets, each with u1 variant v2, and
 oracle-check's data with each of its u1 variants.  Each column equals its own
-run bit for bit, so the rows are those of one run per data set.
+run bit for bit, so the rows are those of one run per data set.  The probe
+also takes the data norms of its bounds for all data sets at once.
 
 The rungs of converge and sharpness ladders are independent and run in a
 process pool when jobs > 1; the other runners step on one process.
@@ -141,14 +142,21 @@ def stability_bound_sides(mesh: MeshSpec, datas: list[DataSpec]):
 
 def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
     """(stability_bound_sides of datas, the run's summary row): N, M, the
-    columns stepped, the stepping seconds and the largest residual."""
+    columns stepped, the seconds assembling them, stepping them and computing
+    the bound sides, and the largest residual."""
     e0, N, M = mesh.eps0, mesh.N, mesh.M
-    v0s, u1hs, fhs = stack_inputs(mesh, [(data, "v2") for data in datas])
     started = time.perf_counter()
+    v0s, u1hs, fhs = stack_inputs(mesh, [(data, "v2") for data in datas])
+    assembled = time.perf_counter()
     run = evolve_grid(mesh, v0s, u1hs, fhs)
-    step_s = time.perf_counter() - started
+    stepped = time.perf_counter()
+    # the data norms of all columns, one call each
+    u0_norms = profile_h01_norm([data.u0 for data in datas]).tolist()
+    u1_norms = profile_l2_norm([data.u1 for data in datas]).tolist()
+    f_norms = iter(forcing_l21_norm([data.f for data in datas if data.f is not None],
+                                    mesh.T).tolist())
     sides = []
-    for b, data in enumerate(datas):  # the norms column by column, on views
+    for b, data in enumerate(datas):  # the scheme norms column by column, on views
         slices = run.slices[b]
         lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
         rhs = math.sqrt(mesh.a ** 2 * space_norm(v0s[b], "stiffness", mesh) ** 2
@@ -161,12 +169,12 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
         max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))
         max_dx = float(np.max(space_norm(slices, "diff_l2", mesh)))
         lhs2 = e0 * max(max_dt, mesh.a / math.sqrt(6.0) * max_dx)
-        rhs2 = math.sqrt(mesh.a ** 2 * profile_h01_norm(data.u0) ** 2
-                         + profile_l2_norm(data.u1) ** 2 / e0 ** 2)
+        rhs2 = math.sqrt(mesh.a ** 2 * u0_norms[b] ** 2 + u1_norms[b] ** 2 / e0 ** 2)
         if data.f is not None:
-            rhs2 += 2.0 / e0 * forcing_l21_norm(data.f, mesh.T)
+            rhs2 += 2.0 / e0 * next(f_norms)
         sides.append(((lhs, rhs), (lhs2, rhs2)))
-    return sides, {"N": N, "M": M, "columns": len(datas), "step_s": step_s,
+    return sides, {"N": N, "M": M, "columns": len(datas), "assemble_s": assembled - started,
+                   "step_s": stepped - assembled, "bounds_s": time.perf_counter() - stepped,
                    "residual_max": float(np.max(run.residual_max))}
 
 

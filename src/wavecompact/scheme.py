@@ -27,7 +27,8 @@ step surfaces after at most _RESIDUAL_BLOCK - 1 further steps.  evolve_grid
 stores the blocks as a trajectory; the scheme is linear, so B data sets can
 be stepped as the columns of one run, each step making one dpttrs call with B
 right-hand sides, whose cost per column is flat; stack_inputs, the one builder
-of such stacks, assembles them from descriptors.  evolve_measured measures
+of such stacks, assembles them from descriptors, each datum of every column
+in one data-layer call.  evolve_measured measures
 each block as it is stepped and stores none: O(N) levels, whatever M is.
 
 Error reports compare a run against a reference solution in two modes:
@@ -67,7 +68,7 @@ ERROR_MODES = ("node_sampled", "q2h_filtered")
 #: defining-equation residual contract, relative to max(1, |rhs|_inf)
 RESIDUAL_RTOL = 1e-11
 
-#: largest grid-data magnitude prepare_inputs accepts: the norms square it
+#: largest grid-data magnitude stack_inputs accepts: the norms square it
 _DATA_BOUND = float(np.sqrt(np.finfo(float).max))
 
 #: steps per residual check and level pairs per measured block; 17 rows of
@@ -109,50 +110,64 @@ class ErrorReport:
 
 def prepare_inputs(mesh: MeshSpec, data: data_mod.DataSpec, variant: str):
     """Assemble (v0, u1h, fh) grid data from the descriptors, u1h of the given
-    u1 variant and fh the data.ForcingLevels factors, or None unforced.
+    u1 variant and fh the data.ForcingLevels factors, or None unforced: the
+    stack of one column of stack_inputs, with its checks."""
+    v0, u1h, fh = stack_inputs(mesh, [(data, variant)])
+    return v0[0], u1h[0], None if fh is None else data_mod.ForcingLevels(fh.time[0], fh.space[0])
+
+
+def stack_inputs(mesh: MeshSpec, columns):
+    """evolve_grid's stack (v0, u1h, fh) of the (data, variant) columns: v0 and
+    u1h (B, N+1), and fh the ForcingLevels of (B, M) and (B, N+1) factors, zero
+    for an unforced column, or None when no column is forced.  Each datum is
+    assembled for all columns by one data-layer call, and each row has the
+    bits of its column assembled alone.
 
     This is where grid data enters the scheme: a datum whose quadrature fails,
     or whose grid data is not finite or beyond _DATA_BOUND in magnitude, is a
     ConfigurationError naming it and the mesh (for fh, max|time| * max|space|).
     """
+    if not columns:
+        raise ContractViolation("a stack of grid data needs at least one column")
+    datas = [data for data, _ in columns]
+    forced = [b for b, data in enumerate(datas) if data.f is not None]
+
     def v0():
-        samples = data_mod.sample_nodes(data.u0, mesh)
-        samples[0] = samples[-1] = 0.0
+        samples = data_mod.sample_nodes([data.u0 for data in datas], mesh)
+        samples[:, 0] = samples[:, -1] = 0.0
         return samples
+
+    def fh():
+        levels = data_mod.build_fh([datas[b].f for b in forced], mesh)
+        factors = data_mod.ForcingLevels(np.zeros((len(datas), mesh.M)),
+                                         np.zeros((len(datas), mesh.N + 1)))
+        factors.time[forced], factors.space[forced] = levels.time, levels.space
+        return factors
 
     def checked(name, build):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 values = build()
-                peak = (np.abs(values.time).max() * np.abs(values.space).max()
-                        if isinstance(values, data_mod.ForcingLevels) else np.abs(values).max())
+                peak = (np.abs(values.time).max(axis=1) * np.abs(values.space).max(axis=1)
+                        if isinstance(values, data_mod.ForcingLevels)
+                        else np.abs(values).max(axis=1))
         except QuadratureError as exc:
             raise ConfigurationError(f"the grid data of {name} are not finite on the "
                                      f"N={mesh.N}, M={mesh.M} mesh: {exc}") from exc
-        if not peak <= _DATA_BOUND:  # NaN fails too
+        if not np.all(peak <= _DATA_BOUND):  # NaN fails too
             raise ConfigurationError(f"the grid data of {name} are not finite or exceed "
                                      f"{_DATA_BOUND:.1e} in magnitude on the N={mesh.N}, "
                                      f"M={mesh.M} mesh")
         return values
 
-    return (checked("u0", v0),
-            checked("u1", lambda: data_mod.build_u1h(variant, data.u1, mesh)),
-            None if data.f is None else checked("f", lambda: data_mod.build_fh(data.f, mesh)))
+    def u1h():
+        out = np.empty((len(datas), mesh.N + 1))
+        for variant in dict.fromkeys(v for _, v in columns):  # one call per variant
+            rows = [b for b, (_, v) in enumerate(columns) if v == variant]
+            out[rows] = data_mod.build_u1h(variant, [datas[b].u1 for b in rows], mesh)
+        return out
 
-
-def stack_inputs(mesh: MeshSpec, columns):
-    """evolve_grid's stack (v0, u1h, fh) of the (data, variant) columns, each
-    column's prepare_inputs arrays: v0 and u1h (B, N+1), and fh the ForcingLevels
-    of (B, M) and (B, N+1) factors, zero for an unforced column, or None when no
-    column is forced."""
-    if not columns:
-        raise ContractViolation("a stack of grid data needs at least one column")
-    v0s, u1hs, fhs = zip(*(prepare_inputs(mesh, data, variant) for data, variant in columns))
-    forced = any(f is not None for f in fhs)
-    zero = data_mod.ForcingLevels(np.zeros(mesh.M), np.zeros(mesh.N + 1))
-    fhs = [zero if f is None else f for f in fhs]
-    return np.stack(v0s), np.stack(u1hs), (data_mod.ForcingLevels(
-        np.stack([f.time for f in fhs]), np.stack([f.space for f in fhs])) if forced else None)
+    return checked("u0", v0), checked("u1", u1h), checked("f", fh) if forced else None
 
 
 def _entry_datum(name: str, w, shape, mesh: MeshSpec, stacked: bool, dirichlet=True) -> GridFn:

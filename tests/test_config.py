@@ -189,6 +189,37 @@ def test_data_is_decided_at_load():
         config_from_dict({**sharp_cfg, "mode": "q2h_filtered"})
 
 
+@pytest.mark.parametrize("kind, extra, columns", [
+    ("solve", {"data": {"preset": "hat_step"}}, 1),
+    ("stability_probe", {"n_random": 7}, 7),
+    ("oracle_check", {"data": {"harmonic": {"j": 1, "k": 3}}, "variant": "all"}, 3),
+    ("converge", {"data": {"preset": "hat_step"}}, None),
+    ("sharpness", {"data": {"harmonic": {"j": 2}}}, None),
+])
+def test_a_rung_beyond_physical_memory_is_refused_at_load(tmp_path, capsys, kind, extra, columns):
+    # N = 1e9: no machine holds the arrays of the first rung at once, and the
+    # refusal, exit code 3, comes before any of them is allocated
+    import tracemalloc
+    from wavecompact.grid import build_mesh
+    from wavecompact.scheme import level_bytes
+    n, m = 10 ** 9, 2 * 10 ** 9
+    mesh = build_mesh(math.pi, math.pi, n, m)
+    held = (8 * (m + 1) * (n + 1) * columns if columns else level_bytes(mesh, kind == "sharpness"))
+    refinements = 2 if kind == "converge" else 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": kind, "mesh": {"X": math.pi, "T": math.pi, "N": n, "M": m,
+                                                       "refinements": refinements}, **extra}))
+    tracemalloc.start()
+    try:
+        code = main([kind.replace("_", "-"), "--config", str(path), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 2 ** 20
+    assert f"the N={n}, M={m} rung holds {held} bytes of arrays at once" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_converge_refuses_data_it_cannot_measure_at_load():
     base = {"kind": "converge",
             "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16, "refinements": 2}}

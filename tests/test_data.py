@@ -11,10 +11,12 @@ from scipy.integrate import quad
 
 from wavecompact.data import (DataSpec, Forcing, Profile, TimeProfile, average_qh,
                               average_qtau, build_fh, build_u1h, hat_average_factor,
-                              q2h_from_qh, sample_nodes)
-from wavecompact.errors import ConfigurationError, ContractViolation
+                              profile_h01_norm, profile_l2_norm, q2h_from_qh, sample_nodes,
+                              time_l1_norm)
+from wavecompact.errors import ConfigurationError, ContractViolation, QuadratureError
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import stencil
+from wavecompact.scheme import prepare_inputs, stack_inputs
 
 from _sine_analysis import sine_coefficients
 
@@ -215,6 +217,71 @@ def test_qh_overflow_names_the_cell():
         average_qh(bad, mesh)
     assert err.value.cell == 3
     assert str(err.value).endswith("q_h profile on mesh cell 3")
+
+
+def _drawn_profile(data, n):
+    """A piecewise profile on (0, 1) of 1-4 pieces of degree 0-5, its interior
+    breakpoints anywhere, on a node of the N = n mesh or within 3 ulps of one,
+    which is within 1e-14 h."""
+    def breakpoint():
+        kind = data.draw(st.sampled_from(["anywhere", "node", "near"]))
+        if kind == "anywhere":
+            return data.draw(st.floats(0.01, 0.99))
+        node = data.draw(st.integers(1, n - 1)) / n
+        ulps = data.draw(st.sampled_from([-3, -1, 1, 3])) if kind == "near" else 0
+        return node + ulps * np.spacing(node)
+    inner = sorted({breakpoint() for _ in range(data.draw(st.integers(0, 3)))})
+    coeffs = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6)
+    return Profile.piecewise_poly((0.0, *inner, 1.0),
+                                  [data.draw(coeffs) for _ in range(len(inner) + 1)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([4, 8, 16]), st.data())
+def test_each_row_of_a_stack_has_the_bits_of_its_call_alone(n, data):
+    # rows of different piece counts, breakpoints on and next to nodes, and a
+    # degree-20 piece whose Gauss rule is longer: one call per stack, and each
+    # row equals the call on its descriptor alone
+    mesh = build_mesh(1.0, 1.0, n, 2 * n)
+    profiles = [_drawn_profile(data, n) for _ in range(data.draw(st.integers(1, 4)))]
+    times = [TimeProfile.polynomial(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1,
+                                                       max_size=6))) for _ in profiles]
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(profiles)))
+        profiles.insert(at, Profile.piecewise_poly((0.0, 0.5, 1.0),
+                                                   ((0.0,) * 20 + (1.0,), (2.0,))))
+        times.insert(at, TimeProfile.polynomial((0.0,) * 20 + (1.0,)))
+    calls = [(average_qh, profiles, mesh), (sample_nodes, profiles, mesh),
+             (profile_l2_norm, profiles), (profile_h01_norm, profiles),
+             (average_qtau, times, mesh), (time_l1_norm, times, 1.0)]
+    for call, stack, *args in calls:
+        rows = call(stack, *args)
+        for row, descriptor in zip(rows, stack):
+            assert np.array_equal(row, call(descriptor, *args))
+    # a node on a jump, with no other breakpoint next to it, samples the mean of its sides
+    for p, row in zip(profiles, sample_nodes(profiles, mesh)):
+        for j, b in enumerate(p.breakpoints[1:-1]):
+            alone = np.sum(np.abs(np.subtract(p.breakpoints, b)) < 1e-13) == 1
+            if b * n == round(b * n) and alone:
+                assert row[round(b * n)] == 0.5 * (npoly.polyval(b, p.pieces[j])
+                                                   + npoly.polyval(b, p.pieces[j + 1]))
+    # a non-finite row names the cell that its call alone names, and so does
+    # the configuration error built from it
+    bad = Profile.piecewise_poly((0.0, 1.0), ((1e308, 1e308),))  # overflows for x > 0.8
+    at = data.draw(st.integers(0, len(profiles)))
+    profiles.insert(at, bad)
+    columns = [(DataSpec(u0=Profile.zero(1.0), u1=p), "v2") for p in profiles]
+    with np.errstate(over="ignore"):
+        with pytest.raises(QuadratureError) as alone:
+            average_qh(bad, mesh)
+        with pytest.raises(QuadratureError) as stacked:
+            average_qh(profiles, mesh)
+        assert stacked.value.cell == alone.value.cell == int(0.8 * n)
+        with pytest.raises(ConfigurationError) as alone:
+            prepare_inputs(mesh, columns[at][0], "v2")
+        with pytest.raises(ConfigurationError) as stacked:
+            stack_inputs(mesh, columns)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_qh_laplacian_identity_for_smooth_data():

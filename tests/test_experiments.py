@@ -134,9 +134,11 @@ def test_time_l1_norms():
     g = TimeProfile.polynomial((-0.25, 1.0))  # t - 1/4, sign change at 0.25
     ref, _ = quad(lambda t: abs(t - 0.25), 0.0, 1.0, points=[0.25])
     assert time_l1_norm(g, 1.0) == pytest.approx(ref, rel=1e-13)
-    # (t - 0.3)(t - 0.7) with both roots inside, a constant and the zero polynomial
+    # (t - 0.3)(t - 0.7) with both roots inside, a constant, the zero polynomial,
+    # and leading coefficients so small that polyroots overflows
     for coeffs, T, roots in (((0.21, -1.0, 1.0), 1.0, [0.3, 0.7]), ((-2.0,), 1.5, None),
-                             ((0.0, 0.0, 0.0), 1.0, None)):
+                             ((0.0, 0.0, 0.0), 1.0, None), ((0.0, 4.0, 1e-308), 1.0, None),
+                             ((1.0, 1e-311), 1.0, None)):
         ref, _ = quad(lambda t: abs(npoly.polyval(t, coeffs)), 0.0, T, points=roots,
                       epsabs=0.0, epsrel=1e-13)
         assert time_l1_norm(TimeProfile.polynomial(coeffs), T) == pytest.approx(
@@ -392,6 +394,40 @@ def test_stability_probe_rows_are_the_sides_of_each_data_set_alone(tmp_path):
     assert [(r["N"], r["M"], r["columns"]) for r in summary["rungs"]] == [
         (mesh.N, mesh.M, cfg.n_random) for mesh in cfg.rungs]
     assert all(r["step_s"] > 0 and 0 <= r["residual_max"] <= 1e-11 for r in summary["rungs"])
+
+
+def test_stability_probe_assembles_and_bounds_each_mesh_in_a_fixed_number_of_calls(
+        tmp_path, monkeypatch):
+    # the data sets of a mesh are one stack: its quadrature calls do not grow
+    # with n_random (at seed 2 every mesh has forced data sets), and the run
+    # summary times assembly, stepping and bounds
+    import wavecompact.data as data_mod
+    import wavecompact.experiments as experiments_mod
+    calls, per_rung = [], []
+
+    def counting(*args, integrals=data_mod._hat_cell_integrals):
+        calls.append(args[-1])
+        return integrals(*args)
+
+    def rung(mesh, datas, run=experiments_mod._stability_rung):
+        before = len(calls)
+        out = run(mesh, datas)
+        per_rung.append((len(datas), mesh.N, len(calls) - before))
+        return out
+    monkeypatch.setattr(data_mod, "_hat_cell_integrals", counting)
+    monkeypatch.setattr(experiments_mod, "_stability_rung", rung)
+    for n_random in (3, 30):
+        cfg = config_from_dict({"kind": "stability_probe",
+                                "mesh": _base_mesh_cfg(8, refinements=1),
+                                "n_random": n_random, "n_pairs": 2, "seed": 2,
+                                "out_dir": str(tmp_path / str(n_random))})
+        run_stability_probe(cfg)
+        summary = json.loads((cfg.out_dir / "run_summary.json").read_text())
+        for r in summary["rungs"]:
+            assert r["assemble_s"] >= 0 and r["bounds_s"] >= 0
+            assert r["assemble_s"] + r["step_s"] + r["bounds_s"] <= summary["wall_time_s"]
+    few, many = [[count for n, _, count in per_rung if n == size] for size in (3, 30)]
+    assert few == many and max(few) <= 8
 
 
 _RUNNER_CONFIGS = {
