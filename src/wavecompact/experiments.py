@@ -17,7 +17,7 @@ columns of one evolve_grid run, which scheme.stack_inputs assembles: the
 probe's n_random random data sets, each with u1 variant v2, and
 oracle-check's data with each of its u1 variants.  Each column equals its own
 run bit for bit, so the rows are those of one run per data set.  The probe
-also takes the data norms of its bounds for all data sets at once.
+also takes the norms of its data and grid data for all data sets at once.
 
 The rungs of converge and sharpness ladders are independent and run in a
 process pool when jobs > 1; the other runners step on one process.
@@ -30,7 +30,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -155,15 +154,17 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
     u1_norms = profile_l2_norm([data.u1 for data in datas]).tolist()
     f_norms = iter(forcing_l21_norm([data.f for data in datas if data.f is not None],
                                     mesh.T).tolist())
+    v0_norms = space_norm(v0s, "stiffness", mesh).tolist()
+    u1h_norms = mass_inv_half_norm(u1hs, mesh).tolist()
+    fh_space_norms = None if fhs is None else mass_inv_half_norm(fhs.space, mesh).tolist()
     sides = []
     for b, data in enumerate(datas):  # the scheme norms column by column, on views
         slices = run.slices[b]
         lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
-        rhs = math.sqrt(mesh.a ** 2 * space_norm(v0s[b], "stiffness", mesh) ** 2
-                        + mass_inv_half_norm(u1hs[b], mesh) ** 2 / e0 ** 2)
+        rhs = math.sqrt(mesh.a ** 2 * v0_norms[b] ** 2 + u1h_norms[b] ** 2 / e0 ** 2)
         if data.f is not None:
             # the norm is homogeneous: level m's is |q_tau f|_m times that of q_h f
-            fh_norms = (np.abs(fhs.time[b]) * mass_inv_half_norm(fhs.space[b], mesh)).tolist()
+            fh_norms = (np.abs(fhs.time[b]) * fh_space_norms[b]).tolist()
             rhs += (fh_norms[0] * mesh.tau + 2.0 * mesh.tau * sum(fh_norms[1:])) / e0
 
         max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))
@@ -250,6 +251,7 @@ def _emit(config: ExperimentConfig, started: float, tables, extra: dict) -> None
 
 def _map_rungs(fn, payloads, jobs: int):
     if jobs > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: ~20 ms of start-up
         # no more workers than rungs: the pool may start all of them at once
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(fn, payloads))

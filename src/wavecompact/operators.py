@@ -21,23 +21,46 @@ InvariantError naming the matrix and N.  The factor (d, e) depends only on the
 mesh and is cached per MeshSpec, which amortizes the setup across all M time
 steps.  solve_implicit and solve_mass solve with their factors through LAPACK
 dpttrs; scheme.evolve_grid calls dpttrs on the same cached factor of A, in
-place on its own buffers, once per step.  The numerov, mass and laplacian
-stencils are the kernel grid._three_point; apply_implicit applies A as the one
-stencil grid._tridiagonal of the interior entries that its factor is built
-from (_implicit_entries), as the scheme's residual check does.
+place on its own buffers, once per step.  Both routines come from scipy's
+_flapack extension, loaded by path (_tridiagonal_lapack) to skip the package
+import of scipy.linalg.  The numerov, mass and laplacian stencils are the
+kernel grid._three_point; apply_implicit applies A as the one stencil
+grid._tridiagonal of the interior entries that its factor is built from
+(_implicit_entries), as the scheme's residual check does.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .errors import ContractViolation, InvariantError
 from .grid import GridFn, MeshSpec, _three_point, _tridiagonal, require_dirichlet, require_gridfn
 
 SPATIAL_OP_KINDS = ("numerov", "mass", "laplacian")
+
+
+def _tridiagonal_lapack(directory: Path):
+    """(dpttrf, dpttrs) of scipy's _flapack extension in directory, loaded by
+    its path: the package import of scipy.linalg would double the CLI's
+    start-up.  A missing file or a failed load falls back to that import."""
+    paths = [directory / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "scipy.linalg._flapack", next(path for path in paths if path.is_file()))
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+    except (StopIteration, ImportError, OSError):
+        from scipy.linalg import lapack as flapack
+    return flapack.dpttrf, flapack.dpttrs
+
+
+dpttrf, dpttrs = _tridiagonal_lapack(Path(scipy.__path__[0]) / "linalg")
 
 
 def stencil(kind: str, w, mesh: MeshSpec) -> GridFn:

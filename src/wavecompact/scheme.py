@@ -13,22 +13,22 @@ applicable to rough initial velocities.  v^0 is the node samples of u0:
 u0 has order lambda >= 1, so it is continuous and its samples are defined,
 while u1, of order lambda - 1 >= 0, enters only through hat averages.
 
-One stepping loop, _march, steps every run.  It checks the shapes,
-finiteness and zero ends of (v0, u1h, fh) once, on entry; each step calls
-LAPACK dpttrs on the cached LDL^T factor of the tridiagonal A and the stencil
-kernel grid._three_point, in buffers allocated once per run; the residual
-check applies A as the stencil grid._tridiagonal of the factor's entries.  fh,
-the data.ForcingLevels factors, is multiplied out one block of steps at a time.  The levels live
-in a ring of RING_LEVELS rows per column, and the defining-equation residual
-of every step and column is checked per block of _RESIDUAL_BLOCK consecutive
-steps, in one vectorized pass after the block's last step (and after the
-run's last step); only then are the block's levels handed on, so a failing
-step surfaces after at most _RESIDUAL_BLOCK - 1 further steps.  evolve_grid
-stores the blocks as a trajectory; the scheme is linear, so B data sets can
-be stepped as the columns of one run, each step making one dpttrs call with B
-right-hand sides, whose cost per column is flat; stack_inputs, the one builder
-of such stacks, assembles them from descriptors, each datum of every column
-in one data-layer call.  evolve_measured measures
+One stepping loop, _march, steps every run.  It checks the shapes, finiteness
+and zero ends of (v0, u1h, fh) once, on entry; each step calls LAPACK dpttrs
+(from operators) on the cached LDL^T factor of the tridiagonal A and the
+stencil kernel grid._three_point, in buffers allocated once per run; the
+residual check applies A as the stencil grid._tridiagonal of the factor's
+entries.  fh, the data.ForcingLevels factors, is multiplied out one block of
+steps at a time.  The levels live in a ring of RING_LEVELS rows per column,
+and the defining-equation residual of every step and column is checked per
+block of _RESIDUAL_BLOCK consecutive steps, in one vectorized pass after the
+block's last step (and after the run's last step); only then are the block's
+levels handed on, so a failing step surfaces after at most _RESIDUAL_BLOCK - 1
+further steps.  evolve_grid stores the blocks as a trajectory; the scheme is
+linear, so B data sets can be stepped as the columns of one run, each step
+making one dpttrs call with B right-hand sides, whose cost per column is flat;
+stack_inputs, the one builder of such stacks, assembles them from descriptors,
+each datum of every column in one data-layer call.  evolve_measured measures
 each block as it is stepped and stores none: O(N) levels, whatever M is.
 
 Error reports compare a run against a reference solution in two modes:
@@ -48,6 +48,7 @@ and their backward space differences, in two buffers allocated once per call,
 computed once and read by every norm of the block, the energy norm included
 (grid._energy_from_differences, the formula energy_norm_pair evaluates), each
 sum of squares one row dot product (grid._sq_sum), each L1 norm h sum |e|.
+The q_2h filter reads the reference's views unchecked: their ends vanish.
 """
 
 from __future__ import annotations
@@ -55,13 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
 from .grid import (GridFn, MeshSpec, _backward_diff, _energy_from_differences, _sq_sum,
                    _three_point, _tridiagonal, check_stable, require_dirichlet, time_aggregate)
-from .operators import _implicit_entries, _implicit_factor
+from .operators import _implicit_entries, _implicit_factor, dpttrs
 
 ERROR_MODES = ("node_sampled", "q2h_filtered")
 
@@ -352,10 +352,10 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
             # zero, so the trapezoid's end weights vanish
             l1[levels] = np.sum(np.abs(err, out=err), axis=-1) * h
             l1_dx[levels] = np.sum(np.abs(d, out=d), axis=-1) * h
-            if mode == "q2h_filtered":  # the filtered errors overwrite the read errors
-                filt = np.subtract(data_mod.q2h_from_qh(reference.qh_values(levels), mesh),
-                                   v, out=err)
-                dt = np.subtract(filt[1:, 1:-1], filt[:-1, 1:-1], out=diff_buf[:rows - 1, :-1])
+            if mode == "q2h_filtered":  # -(q_2h u - v) over the read errors' interior
+                neg = np.add(_three_point(err[:, 1:-1], reference.qh_values(levels), -14.0, 12.0),
+                             v[:, 1:-1], out=err[:, 1:-1])
+                dt = np.subtract(neg[:-1], neg[1:], out=diff_buf[:rows - 1, :-1])  # flips it back
                 energy[start:stop] = (np.sqrt(_sq_sum(np.divide(dt, mesh.tau, out=dt), h))
                                       + dx[start + 1:stop + 1])
     with np.errstate(over="ignore", invalid="ignore"):

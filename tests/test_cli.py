@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,6 +21,8 @@ from wavecompact.config import config_from_dict
 from wavecompact.reference import dalembert_reference
 
 from _alarm import alarm
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -625,3 +630,15 @@ def test_non_numeric_value_in_any_numeric_key_exits_3(section_key, value):
             assert main(["solve", "--config", str(cfg)]) == 3
         assert f"{key} must be" in err.getvalue()
         assert not (Path(tmp) / "out").exists()
+
+
+def test_importing_the_cli_skips_scipy_linalg_and_the_process_pool():
+    # half of the start-up of every run was the package import of
+    # scipy.linalg, for two LAPACK routines; the process pool is imported
+    # only when a pool starts
+    probe = ("import sys, wavecompact.cli; print(sorted(m for m in sys.modules if m in "
+             "('scipy.linalg', 'concurrent.futures.process')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -551,6 +551,8 @@ def test_random_dataspec_properties():
 def test_rung_pool_has_no_more_workers_than_rungs(monkeypatch):
     # a huge jobs value must not become a huge pool; the fake pool starts no
     # process and maps in this one
+    import concurrent.futures
+
     import wavecompact.experiments as experiments
     sizes = []
 
@@ -567,7 +569,7 @@ def test_rung_pool_has_no_more_workers_than_rungs(monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     assert experiments._map_rungs(abs, [-1, -2, -3], 10 ** 6) == [1, 2, 3]
     assert experiments._map_rungs(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert sizes == [3, 2]

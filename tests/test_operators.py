@@ -220,3 +220,19 @@ def test_a_failed_factorization_is_named(monkeypatch, factor, what):
     with pytest.raises(InvariantError, match=rf"^the LDL\^T factorization of the {what} "
                                              rf"matrix on the N=11 mesh failed"):
         factor(mesh)
+
+
+def test_the_lapack_routines_are_scipys_own():
+    # the by-path load of _flapack gives the very functions of the public
+    # module, so every solve keeps its bits
+    from scipy.linalg import lapack
+
+    assert operators.dpttrf is lapack.dpttrf
+    assert operators.dpttrs is lapack.dpttrs
+
+
+def test_the_lapack_loader_falls_back_to_the_public_import(tmp_path):
+    from scipy.linalg import lapack
+
+    dpttrf, dpttrs = operators._tridiagonal_lapack(tmp_path)  # no _flapack here
+    assert dpttrf is lapack.dpttrf and dpttrs is lapack.dpttrs
