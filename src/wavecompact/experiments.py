@@ -251,7 +251,7 @@ def _emit(config: ExperimentConfig, started: float, tables, extra: dict) -> None
 
 def _map_rungs(fn, payloads, jobs: int):
     if jobs > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here: ~20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms: not at start-up
         # no more workers than rungs: the pool may start all of them at once
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(fn, payloads))

@@ -633,9 +633,9 @@ def test_non_numeric_value_in_any_numeric_key_exits_3(section_key, value):
 
 
 def test_importing_the_cli_skips_scipy_linalg_and_the_process_pool():
-    # half of the start-up of every run was the package import of
-    # scipy.linalg, for two LAPACK routines; the process pool is imported
-    # only when a pool starts
+    # the package import of scipy.linalg, for two LAPACK routines, would be
+    # half of every run's start-up; the process pool is imported only when a
+    # pool starts
     probe = ("import sys, wavecompact.cli; print(sorted(m for m in sys.modules if m in "
              "('scipy.linalg', 'concurrent.futures.process')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
