@@ -19,9 +19,10 @@ A config file is a single JSON object:
          fit_drop_coarsest, decimate)
     }
 
-Keys outside this schema are ignored, the removed reference keys n_modes,
-fold_groups and tail_fraction and the removed jobs key (the CLI's --jobs sets
-the worker count) included.  Removed keys that chose how to
+A key outside this schema, at the top level or in mesh, is refused, naming
+the nearest key of the schema; the removed reference keys n_modes, fold_groups
+and tail_fraction, the removed jobs key (the CLI's --jobs sets the worker
+count) and mesh tau_over_h are ignored.  Removed keys that chose how to
 evaluate data are refused, as ignoring them would change results, and so are
 keys that a runner does not read: a mode but node_sampled for sharpness,
 oracle_check and stability_probe, a data section but null or a variant but
@@ -66,6 +67,11 @@ from .reference import reference_refusal
 from .scheme import ERROR_MODES, level_bytes
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
+#: the keys of a config and of its mesh, and the removed keys: ignored, or v0_mode refused
+_KEYS = {"config": ("kind", "mesh", "data", "variant", "mode", "alpha", "out_dir", "seed",
+                    "n_random", "n_pairs", "fit_drop_coarsest", "decimate"),
+         "mesh": ("X", "T", "N", "M", "refinements", "a", "eps0", "rungs")}
+_REMOVED_KEYS = ("n_modes", "fold_groups", "tail_fraction", "jobs", "tau_over_h", "v0_mode")
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +246,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     mesh_cfg = raw.get("mesh")
     if not isinstance(mesh_cfg, dict):
         raise ConfigurationError("config needs a 'mesh' object")
+    for where, section in (("config", raw), ("mesh", mesh_cfg)):  # refuse unknown keys
+        for key in (key for key in section if key not in _KEYS[where] + _REMOVED_KEYS):
+            import difflib  # 0.25 MB and a millisecond: only on this error path
+            near = difflib.get_close_matches(key, _KEYS[where], n=1, cutoff=0.0)[0]
+            raise ConfigurationError(f"unknown {where} key {key!r}; did you mean {near!r}?")
     rungs = _build_rungs(mesh_cfg)
     X, finest_n = rungs[0].X, max(mesh.N for mesh in rungs)
 

@@ -12,8 +12,8 @@ package's one three-point kernel: the mass and stiffness forms below, the
 operators module's stencils, the q_2h average and the stepping loop all call
 it.  Beside it, _tridiagonal, off (w[i-1] + w[i+1]) + diag w[i], is the
 implicit matrix A as one stencil of the entries its LDL^T factor is built
-from (operators._implicit_entries): operators.apply_implicit and the
-stepping loop's residual check call it.
+from (operators._implicit_entries): operators.apply_implicit calls it, and the
+stepping loop's residual check on the solutions' interiors, zero ends implied.
 
 The implicit weight of the scheme is sigma = (1 + h^2/(a^2 tau^2)) / 12, and
 the time step is admissible when
@@ -203,10 +203,17 @@ def _three_point(out, w, centre: float, divisor: float):
 
 def _tridiagonal(out, w, diag: float, off: float, scratch=None):
     """off (w[i-1] + w[i+1]) + diag w[i] on the interior nodes of one level or
-    of each level of a stack, into out and returned; diag w goes to scratch if given."""
-    np.add(w[..., :-2], w[..., 2:], out=out)
-    out *= off
-    return np.add(out, np.multiply(w[..., 1:-1], diag, out=scratch), out=out)
+    of each level of a stack, into out and returned; w is the levels, or their
+    interior, C-contiguous as out, zero ends implied.  diag w goes to scratch if given."""
+    if w.shape[-1] == out.shape[-1]:  # the interior: one flat pass (0 + x is x), then the ends
+        flat = w.reshape(-1, copy=False)
+        np.add(flat[:-2], flat[2:], out=out.reshape(-1, copy=False)[1:-1])
+        out[..., [0, -1]] = w[..., [1, -2]] if w.shape[-1] > 1 else 0.0  # N = 2: no neighbour
+    else:
+        np.add(w[..., :-2], w[..., 2:], out=out)
+        w = w[..., 1:-1]
+    out *= off  # the neighbours are read: scratch may be w
+    return np.add(out, np.multiply(w, diag, out=scratch), out=out)
 
 
 def _mass_form(w: np.ndarray, h: float):
@@ -226,9 +233,12 @@ def _sq_sum(x: np.ndarray, h: float):
 
 def _backward_diff(w: np.ndarray, h: float, out=None):
     """(w[i] - w[i-1]) / h for i = 1..N, of one level or of each level of a
-    stack, written into out when it is given."""
-    d = np.subtract(w[..., 1:], w[..., :-1], out=out)
-    return np.divide(d, h, out=d)
+    C-contiguous stack, in the first N columns of out (new if None), as wide as
+    w, and zero in its last: one flat pass, as is every later pass over out."""
+    flat, out = w.reshape(-1, copy=False), np.empty(w.shape) if out is None else out
+    np.subtract(flat[1:], flat[:-1], out=out.reshape(-1, copy=False)[:-1])
+    out[..., -1] = 0.0  # the seams between rows
+    return np.divide(out, h, out=out)
 
 
 SPACE_NORM_KINDS = ("l2", "diff_l2", "l1", "mass", "stiffness")
@@ -259,7 +269,7 @@ def space_norm(w, kind: str, mesh: MeshSpec):
     if kind == "l2":
         return _reduced(np.sqrt(_sq_sum(w[..., 1:-1], h)))
     if kind == "diff_l2":
-        return _reduced(np.sqrt(_sq_sum(_backward_diff(w, h), h)))
+        return _reduced(np.sqrt(_sq_sum(_backward_diff(w, h)[..., :-1], h)))
     if kind == "l1":
         a = np.abs(w)  # once; the cells' sums, halved and scaled in place
         cells = np.add(a[..., :-1], a[..., 1:])
@@ -298,9 +308,10 @@ def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec):
         v_prev, v_curr, _backward_diff(v_prev, h), _backward_diff(v_curr, h), mesh))
 
 
-def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec):
+def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec, scratch=None):
     """The energy norms of Dirichlet level pairs from their values and backward
-    differences d = (w[i] - w[i-1]) / h, by summation by parts.
+    differences d = (w[i] - w[i-1]) / h (or _backward_diff's zero-ended rows),
+    by summation by parts, in scratch (shaped as the levels) if given.
 
     dt v, D dt v and D st v are formed before squaring (times 1/tau, which is
     within an ulp of the quotient), so the sums overflow where the three-point
@@ -308,16 +319,16 @@ def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec):
     is an InvariantError naming the first such row of a stack; the caller has
     checked the mesh and the Dirichlet ends.
     """
-    h, tau, a2 = mesh.h, mesh.tau, mesh.a ** 2
-    t = np.empty(np.shape(d_curr))  # the one scratch array
-    dt = np.subtract(v_curr[..., 1:-1], v_prev[..., 1:-1], out=t[..., :-1])
-    dt_sq = _sq_sum(np.multiply(dt, 1.0 / tau, out=dt), h)
-    d_dt = np.subtract(d_curr, d_prev, out=t)
-    d_dt_sq = _sq_sum(np.multiply(d_dt, 1.0 / tau, out=d_dt), h)
-    d_st = np.add(d_curr, d_prev, out=t)
+    h, tau, a2, n = mesh.h, mesh.tau, mesh.a ** 2, mesh.N
+    t = np.empty(np.shape(v_curr)) if scratch is None else scratch  # the one scratch array
+    dt = np.subtract(v_curr, v_prev, out=t)  # the ends are not read
+    dt_sq = _sq_sum(np.multiply(dt, 1.0 / tau, out=dt)[..., 1:-1], h)
+    d_dt = np.subtract(d_curr, d_prev, out=t[..., :np.shape(d_curr)[-1]])
+    d_dt_sq = _sq_sum(np.multiply(d_dt, 1.0 / tau, out=d_dt)[..., :n], h)
+    d_st = np.add(d_curr, d_prev, out=d_dt)
     term_b = dt_sq - h ** 2 / 6.0 * d_dt_sq  # ||dt v||_B^2 by summation by parts
     term_mid = (mesh.sigma - 0.25) * tau ** 2 * a2 * d_dt_sq
-    term_avg = a2 * _sq_sum(np.multiply(d_st, 0.5, out=d_st), h)
+    term_avg = a2 * _sq_sum(np.multiply(d_st, 0.5, out=d_st)[..., :n], h)
     total = term_b + term_mid + term_avg
     if not np.min(total) >= 0.0:  # no row can fail otherwise
         scale = np.abs(term_b) + np.abs(term_mid) + np.abs(term_avg)

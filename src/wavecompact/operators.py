@@ -26,7 +26,7 @@ _flapack extension, loaded by path (_tridiagonal_lapack) to skip the package
 import of scipy.linalg.  The numerov, mass and laplacian stencils are the
 kernel grid._three_point; apply_implicit applies A as the one stencil
 grid._tridiagonal of the interior entries that its factor is built from
-(_implicit_entries), as the scheme's residual check does.
+(_implicit_entries), as the scheme's residual check does, zero ends implied.
 """
 
 from __future__ import annotations

@@ -18,18 +18,19 @@ and zero ends of (v0, u1h, fh) once, on entry; each step calls LAPACK dpttrs
 (from operators) on the cached LDL^T factor of the tridiagonal A and the
 stencil kernel grid._three_point, in buffers allocated once per run; the
 residual check applies A as the stencil grid._tridiagonal of the factor's
-entries.  fh, the data.ForcingLevels factors, is multiplied out one block of
-steps at a time.  The levels live in a ring of RING_LEVELS rows per column,
-and the defining-equation residual of every step and column is checked per
-block of _RESIDUAL_BLOCK consecutive steps, in one vectorized pass after the
-block's last step (and after the run's last step); only then are the block's
-levels handed on, so a failing step surfaces after at most _RESIDUAL_BLOCK - 1
-further steps.  evolve_grid stores the blocks as a trajectory; the scheme is
-linear, so B data sets can be stepped as the columns of one run, each step
-making one dpttrs call with B right-hand sides, whose cost per column is flat;
-stack_inputs, the one builder of such stacks, assembles them from descriptors,
-each datum of every column in one data-layer call.  evolve_measured measures
-each block as it is stepped and stores none: O(N) levels, whatever M is.
+entries, zero ends implied.  fh, the data.ForcingLevels factors, is multiplied
+out one block of steps at a time.  The levels live in a ring of RING_LEVELS
+rows per column, and the defining-equation residual of every step and column
+is checked per block of _RESIDUAL_BLOCK consecutive steps, in one vectorized
+pass after the block's last step (and after the run's last step); only then
+are the block's levels handed on, so a failing step surfaces after at most
+_RESIDUAL_BLOCK - 1 further steps.  evolve_grid stores the blocks as a
+trajectory; the scheme is linear, so B data sets can be stepped as the columns
+of one run, each step making one dpttrs call with B right-hand sides, whose
+cost per column is flat; stack_inputs, the one builder of such stacks,
+assembles them from descriptors, each datum of every column in one data-layer
+call.  evolve_measured measures each block as it is stepped and stores none:
+O(N) levels, whatever M is.
 
 Error reports compare a run against a reference solution in two modes:
 
@@ -44,7 +45,7 @@ Error reports compare a run against a reference solution in two modes:
 
 One block measurer, _measure, reads the blocks of _march or, in
 measure_error, the same blocks of a stored trajectory: the errors of a block
-and their backward space differences, in two buffers allocated once per call,
+and their backward space differences, in buffers allocated once per call,
 computed once and read by every norm of the block, the energy norm included
 (grid._energy_from_differences, the formula energy_norm_pair evaluates), each
 sum of squares one row dot product (grid._sq_sum), each L1 norm h sum |e|.
@@ -65,7 +66,7 @@ from .operators import _implicit_entries, _implicit_factor, dpttrs
 
 ERROR_MODES = ("node_sampled", "q2h_filtered")
 
-#: defining-equation residual contract, relative to max(1, |rhs|_inf)
+#: defining-equation residual contract, relative to max(1, |rhs|_inf, |rhs| at the ends)
 RESIDUAL_RTOL = 1e-11
 
 #: largest grid-data magnitude stack_inputs accepts: the norms square it
@@ -80,14 +81,14 @@ RING_LEVELS = _RESIDUAL_BLOCK + 2
 
 
 def level_bytes(mesh: MeshSpec, forced: bool) -> int:
-    """Bytes of the buffers a measured run allocates once: _march's ring, lams,
-    sols, rhss and t, and for forcing factors a block of rows and the factors;
-    _measure's err_buf and diff_buf; and the series residuals, edge, energy,
-    dx, l1 and l1_dx."""
+    """Bytes of the buffers a measured run allocates once: _march's ring, sols,
+    rhss and t, and for forcing factors a block of rows and the factors;
+    _measure's err_buf, diff_buf and energy_buf; and the series residuals,
+    edge, energy, dx, l1 and l1_dx."""
     N, M, block = mesh.N, mesh.M, _RESIDUAL_BLOCK
-    rows = RING_LEVELS + block + (block + 1) + forced * block  # ring, lams, err_buf, forcing
-    return 8 * (rows * (N + 1) + 3 * block * (N - 1) + (block + 1) * N
-                + 3 * M + 3 * (M + 1) + forced * (M + N + 1))
+    rows = RING_LEVELS + 3 * (block + 1) + forced * block  # ring, _measure's, forcing
+    return 8 * (rows * (N + 1) + 3 * block * (N - 1) + 3 * M + 3 * (M + 1)
+                + forced * (M + N + 1))
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,9 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
     """Check the mesh and the data (B columns, or B = 1 unless stacked), then
     return the stepping loop, a generator.  Its ring holds v^{first-1}, v^first
     and a block's new levels; after the residual check of a block of n steps,
-    which writes their residuals into residuals (B, M), it yields (first,
-    levels), levels the (B, n+1, N+1) view of v^first..v^{first+n} in the ring
-    that the next block overwrites."""
+    which writes their residuals into residuals (B, M), each within RESIDUAL_RTOL
+    * max(1, |rhs|_inf, edge = |rhs| at the ends), it yields (first, levels),
+    levels the (B, n+1, N+1) ring view of v^first..v^{first+n}."""
     check_stable(mesh)
     N, M, tau, a2, h2 = mesh.N, mesh.M, mesh.tau, mesh.a ** 2, mesh.h ** 2
     B = len(v0) if stacked else 1
@@ -219,48 +220,50 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
     ring = np.empty((B, RING_LEVELS, N + 1))
     ring[:, 1], ring[:, 2:, ::N] = v0, v0[:, None, ::N] + 0.0  # the ends that stay
     # one block's solutions, each row's transpose the F-contiguous (N-1, B)
-    # operand of dpttrs, and its rhs rows; lam, the zero-ended copy of the
-    # solutions that the residual check reads, and then the solution rows as
-    # its scratch and t, whose first row the steps use, as its result
-    lams = np.zeros((_RESIDUAL_BLOCK, B, N + 1))
+    # operand of dpttrs, and its rhs rows; the residual check applies A to the
+    # solutions, zero ends implied, into t, whose first row the steps use
     sols, rhss, t = np.empty((3, _RESIDUAL_BLOCK, B, N - 1))
+    # per ring row, once: v, the interiors of v, the next and the previous, sol, sol.T, rhs
+    views = [(ring[:, r + 1], ring[:, r + 1, 1:-1], ring[:, r + 2, 1:-1], ring[:, r, 1:-1],
+              sols[r], sols[r].T, rhss[r]) for r in range(_RESIDUAL_BLOCK)]
 
     def check_block(first: int, n: int) -> None:
         """The residuals of the steps to levels first+1..first+n, from the
         block's first n rows, with the operator calls' operations row by row;
-        the first above RESIDUAL_RTOL * max(1, |rhs|_inf, edge) is refused."""
-        lams[:n, :, 1:-1] = sols[:n]
-        lhs = _tridiagonal(t[:n], lams[:n], diag, off, scratch=sols[:n])  # A lam - rhs
+        the first, row-major, above RESIDUAL_RTOL * max(1, |rhs|_inf, edge) is refused."""
+        lhs = _tridiagonal(t[:n], sols[:n], diag, off, scratch=sols[:n])  # A sol - rhs
         lhs -= rhss[:n]
         res = np.abs(lhs, out=lhs).max(axis=-1)  # (step, column)
         residuals[:, first:first + n] = res.T
-        for i, b in zip(*np.nonzero(~(res <= RESIDUAL_RTOL))):  # the scale is >= 1; NaN fails
-            scale = max(1.0, np.abs(rhss[i, b]).max(), edge[b, first + i])
-            if not res[i, b] <= RESIDUAL_RTOL * scale:
+        if not res.max() <= RESIDUAL_RTOL:  # scales >= 1; NaN fails; fmax drops NaN as max does
+            scale = np.fmax(np.fmax(1.0, np.abs(rhss[:n], out=t[:n]).max(axis=-1)),
+                            edge[:, first:first + n].T)
+            for i, b in np.argwhere(~(res <= RESIDUAL_RTOL * scale))[:1]:  # the first
                 raise InvariantError(
                     f"defining-equation residual {res[i, b]:.3e} of the step to level "
                     f"{first + i + 1}{f' in column {b}' if stacked else ''} on the "
-                    f"N={N}, M={M} mesh exceeds {RESIDUAL_RTOL:.0e} * {scale:.3e}")
+                    f"N={N}, M={M} mesh exceeds {RESIDUAL_RTOL:.0e} * {scale[i, b]:.3e}")
 
     def steps():
         for m in range(M):
             row = m % _RESIDUAL_BLOCK
             if fh is not None and row == 0:  # the block's forcing levels
                 f = np.multiply(time[:, m:m + _RESIDUAL_BLOCK], space, out=buf[:, :M - m])
-            v, nxt, sol, rhs = ring[:, row + 1], ring[:, row + 2, 1:-1], sols[row], rhss[row]
+            v, inner, nxt, prev, sol, sol_t, rhs = views[row]
             _three_point(rhs, v, -2.0, h2)  # the recurrences' rhs, in the operator calls' order
-            rhs *= a2 if m else 0.5 * tau * a2
+            if m == 0 or a2 != 1.0:  # times 1.0 is the identity
+                rhs *= a2 if m else 0.5 * tau * a2
             if m == 0:
                 rhs += u1h[:, 1:-1]
             if fh is not None:
                 rhs += f[:, row, 1:-1] if m else np.multiply(f[:, 0, 1:-1], 0.5 * tau, out=t[0])
             sol[:] = rhs  # solved in place; a failed dpttrs leaves rhs, which the residual refuses
-            dpttrs(d, e, sol.T, overwrite_b=1)
+            dpttrs(d, e, sol_t, overwrite_b=1)
             # v^1 = tau lam + v^0, and v^{m+1} = tau^2 lam + 2 v^m - v^{m-1}
             np.multiply(sol, tau ** 2 if m else tau, out=nxt)
-            nxt += np.multiply(v[:, 1:-1], 2.0, out=t[0]) if m else v[:, 1:-1]
+            nxt += np.multiply(inner, 2.0, out=t[0]) if m else inner
             if m:
-                nxt -= ring[:, row, 1:-1]
+                nxt -= prev
             if row == _RESIDUAL_BLOCK - 1 or m == M - 1:
                 check_block(m - row, row + 1)
                 yield m - row, ring[:, 1:row + 3]
@@ -281,10 +284,11 @@ def evolve_grid(mesh: MeshSpec, v0, u1h, fh=None) -> SchemeRun:
     those of v0); a failure names the datum and, in a stack, the column.  Each
     step makes one LAPACK dpttrs call on the cached LDL^T factor of A for all
     columns.  The residuals are checked per block of _RESIDUAL_BLOCK steps,
-    after the block's last step, against RESIDUAL_RTOL * max(1, |rhs|_inf) of
-    each column: residual_max[..., m-1] is that of the step producing v^m, and
-    a failure is an InvariantError naming the first failing level of the block
-    (and, in a stack, the column), raised before any later block is stepped.
+    after the block's last step, against RESIDUAL_RTOL * max(1, |rhs|_inf, |rhs|
+    at the ends) of each column: residual_max[..., m-1] is that of the step
+    producing v^m, and a failure is an InvariantError naming the first failing
+    level of the block (and, in a stack, the column), raised before any later
+    block is stepped.
     """
     stacked = np.ndim(v0) == 2
     residuals = np.empty((len(v0) if stacked else 1, mesh.M))
@@ -334,8 +338,8 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
     h = mesh.h
     energy = np.empty(mesh.M)  # energy[m-1] belongs to the pair (v^{m-1}, v^m)
     dx, l1, l1_dx = np.empty((3, mesh.M + 1))
-    err_buf = np.empty((_RESIDUAL_BLOCK + 1, mesh.N + 1))
-    diff_buf = np.empty((_RESIDUAL_BLOCK + 1, mesh.N))
+    # the errors, their differences and the energy's scratch, as wide as the levels
+    err_buf, diff_buf, energy_buf = np.empty((3, _RESIDUAL_BLOCK + 1, mesh.N + 1))
     for start, v in blocks:
         # data too large to measure is refused below; the stepping is outside
         with np.errstate(over="ignore", invalid="ignore"):
@@ -344,19 +348,19 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
             err = np.subtract(reference.values(levels), v, out=err_buf[:rows])
             err[:, 0] = err[:, -1] = 0.0
             d = _backward_diff(err, h, out=diff_buf[:rows])
-            dx[levels] = np.sqrt(_sq_sum(d, h))
+            dx[levels] = np.sqrt(_sq_sum(d[:, :-1], h))
             if mode == "node_sampled":
                 energy[start:stop] = _energy_from_differences(err[:-1], err[1:], d[:-1], d[1:],
-                                                              mesh)
+                                                              mesh, energy_buf[:rows - 1])
             # |e| and |De| in place, after their last reader; the ends of e are
             # zero, so the trapezoid's end weights vanish
             l1[levels] = np.sum(np.abs(err, out=err), axis=-1) * h
-            l1_dx[levels] = np.sum(np.abs(d, out=d), axis=-1) * h
+            l1_dx[levels] = np.sum(np.abs(d, out=d)[:, :-1], axis=-1) * h
             if mode == "q2h_filtered":  # -(q_2h u - v) over the read errors' interior
-                neg = np.add(_three_point(err[:, 1:-1], reference.qh_values(levels), -14.0, 12.0),
-                             v[:, 1:-1], out=err[:, 1:-1])
-                dt = np.subtract(neg[:-1], neg[1:], out=diff_buf[:rows - 1, :-1])  # flips it back
-                energy[start:stop] = (np.sqrt(_sq_sum(np.divide(dt, mesh.tau, out=dt), h))
+                np.add(_three_point(err[:, 1:-1], reference.qh_values(levels), -14.0, 12.0),
+                       v[:, 1:-1], out=err[:, 1:-1])
+                dt = np.subtract(err[:-1], err[1:], out=diff_buf[:rows - 1])  # flips it back
+                energy[start:stop] = (np.sqrt(_sq_sum(np.divide(dt, mesh.tau, out=dt)[:, 1:-1], h))
                                       + dx[start + 1:stop + 1])
     with np.errstate(over="ignore", invalid="ignore"):
         norms = (float(np.max(energy)), float(np.max(dx)),

@@ -479,6 +479,10 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
                                                   "pieces": [[1.0]], "node_convention": "mean"}}}),
     ("converge", "data.preset", {"data": {"preset": None}}),
     ("solve", "data.preset", {"data": {"preset": "nope"}}),
+    # misspelled keys, at the top level and in mesh, name the nearest key
+    ("converge", "unknown mesh key 'refinments'; did you mean 'refinements'?",
+     {"mesh": _mesh(16, refinments=2), "data": {"preset": "hat_step"}}),
+    ("stability_probe", "unknown config key 'seeed'; did you mean 'seed'?", {"seeed": 3}),
     # meshes beyond the float range: h^2, tau^2 or a^2 tau^2 overflows or underflows
     *[("solve", "X=1e+308, T=3.14", {"mesh": _mesh(16, X=1e308)}),
       ("solve", "T=1e+308, a=1.0, N=16, M=32", {"mesh": _mesh(16, T=1e308)}),
@@ -507,7 +511,7 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
         "solve_rungs",
         "v0_mode_unknown",
         "v0_mode_set", "profile_node_convention",
-        "preset_null", "preset_unknown",
+        "preset_null", "preset_unknown", "mesh_key_misspelled", "key_misspelled",
         "mesh_X_huge", "mesh_T_huge", "mesh_a_huge", "mesh_a_tiny", "mesh_T_subnormal",
         "mesh_X_subnormal", "mesh_N_huge", "mesh_M_huge", "mesh_rungs_N_huge"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
@@ -635,9 +639,9 @@ def test_non_numeric_value_in_any_numeric_key_exits_3(section_key, value):
 def test_importing_the_cli_skips_scipy_linalg_and_the_process_pool():
     # the package import of scipy.linalg, for two LAPACK routines, would be
     # half of every run's start-up; the process pool is imported only when a
-    # pool starts
+    # pool starts, and difflib only when a config key is unknown
     probe = ("import sys, wavecompact.cli; print(sorted(m for m in sys.modules if m in "
-             "('scipy.linalg', 'concurrent.futures.process')))")
+             "('scipy.linalg', 'concurrent.futures.process', 'difflib')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert proc.returncode == 0, proc.stderr

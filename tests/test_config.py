@@ -59,6 +59,17 @@ def test_mesh_needs_m_or_rungs():
             config_from_dict({"kind": "solve", "mesh": mesh, "data": None})
 
 
+def test_removed_keys_are_ignored_and_unknown_keys_refused():
+    # the removed keys still load; any other unknown key names the nearest one
+    mesh = {"X": math.pi, "T": math.pi, "N": 16, "M": 32}
+    removed = {"n_modes": 64, "fold_groups": 2, "tail_fraction": 0.01, "jobs": 2}
+    config_from_dict({"kind": "solve", "mesh": {**mesh, "tau_over_h": 0.5}, **removed})
+    for raw, message in (({"mesh": {**mesh, "Eps0": 1.0}}, "mesh key 'Eps0'.*'eps0'"),
+                         ({"mesh": mesh, "out": "x"}, "config key 'out'.*'out_dir'")):
+        with pytest.raises(ConfigurationError, match=f"^unknown {message}"):
+            config_from_dict({"kind": "solve", **raw})
+
+
 def test_explicit_rungs_and_refinements():
     cfg = config_from_dict({
         "kind": "oracle_check",

@@ -622,10 +622,10 @@ def test_a_measured_rung_allocates_less_than_half_a_trajectory():
 
 
 def _unforced_level_bytes(N, M):
-    """The README's count: 51 rows of N+1 floats (ring 18, lams 16, err_buf
-    17), 48 of N-1 (sols, rhss, t), 17 of N (diff_buf) and six series of
-    M or M+1 (residuals, edge, energy, dx, l1, l1_dx)."""
-    return (51 * (N + 1) + 48 * (N - 1) + 17 * N + 6 * M + 3) * 8
+    """The README's count: 69 rows of N+1 floats (ring 18, and 17 each of
+    err_buf, diff_buf and energy_buf), 48 of N-1 (sols, rhss, t) and six
+    series of M or M+1 (residuals, edge, energy, dx, l1, l1_dx)."""
+    return (69 * (N + 1) + 48 * (N - 1) + 6 * M + 3) * 8
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -13,7 +13,7 @@ from wavecompact.data import (U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Pro
 from wavecompact.errors import (ConfigurationError, ContractViolation, InvariantError,
                                 UnstableMeshError)
 from wavecompact.experiments import random_dataspec
-from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
+from wavecompact.grid import _tridiagonal, build_mesh, energy_norm_pair, space_norm
 from wavecompact.operators import apply_implicit, solve_implicit, stencil
 from wavecompact.oracle import HarmonicData, discrete_trajectory, dispersion, harmonic_dataspec
 from wavecompact.reference import Reference, dalembert_reference
@@ -388,6 +388,49 @@ def test_evolve_grid_matches_the_operator_loop_bit_for_bit():
         slices, residuals = _operator_loop(mesh, *inputs)
         assert np.array_equal(run.slices, slices)
         assert np.array_equal(run.residual_max, residuals)
+
+
+def test_the_residual_check_matches_the_operator_loop_at_small_meshes_and_large_data():
+    # the check applies A to the solutions with their zero ends implied: at
+    # N = 3 those ends are the whole stencil of both interior nodes.  Data
+    # scaled by 1e9 put the steps far above RESIDUAL_RTOL in absolute terms
+    # (at N = 16 every step), so every block's scales are taken, and no step
+    # is refused.  Single and stacked.
+    for n, scale in ((3, 1.0), (3, 1e9), (16, 1e9)):
+        mesh = build_mesh(math.pi, math.pi, n, 4 * n)
+        rng = np.random.default_rng(n)
+        sets = []
+        for forced in (True, False):
+            v0, u1h, fh = _random_grid_data(mesh, rng, forced)
+            sets.append((v0 * scale, u1h * scale,
+                         None if fh is None else ForcingLevels(fh.time * scale, fh.space)))
+        for inputs in sets:
+            run = evolve_grid(mesh, *inputs)
+            slices, residuals = _operator_loop(mesh, *inputs)
+            assert np.array_equal(run.slices, slices)
+            assert np.array_equal(run.residual_max, residuals)
+            if scale > 1.0:  # far above 1e-11: the scales of every block are taken
+                assert residuals.max() > 1e-9 and (n == 3 or residuals.min() > 1e-9)
+        _assert_columns_are_single_runs(mesh, sets)
+
+
+def test_the_stencil_of_an_interior_with_implied_zero_ends():
+    # _tridiagonal on an interior, its zero ends implied, has the bits of the
+    # stencil on the full levels; at N = 2 the one interior node has no
+    # neighbour, and the scheme refuses N = 2, single or stacked
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 16):
+        for lead in ((), (4,), (3, 2)):
+            full = np.zeros(lead + (n + 1,))
+            full[..., 1:-1] = rng.standard_normal(lead + (n - 1,))
+            want = _tridiagonal(np.empty(lead + (n - 1,)), full, 0.9, -0.3)
+            inner = full[..., 1:-1].copy()
+            got = _tridiagonal(np.empty_like(inner), inner, 0.9, -0.3, scratch=inner)
+            assert np.array_equal(got, want)
+    mesh = build_mesh(math.pi, 1.0, 2, 1)
+    for lead in ((), (2,)):
+        with pytest.raises(ContractViolation, match="needs 2 interior nodes.*N=2"):
+            evolve_grid(mesh, np.zeros(lead + (3,)), np.zeros(lead + (3,)))
 
 
 @pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
