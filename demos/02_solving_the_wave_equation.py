@@ -11,16 +11,17 @@ import math
 
 import numpy as np
 
-from wavecompact import (DataSpec, HarmonicData, build_mesh,
-                         discrete_harmonic_trajectory, evolve, harmonic_dataspec)
+from wavecompact import (DataSpec, HarmonicData, build_mesh, discrete_trajectory, evolve,
+                         harmonic_dataspec)
 from wavecompact.data import hat_profile, step_profile
+from wavecompact.scheme import prepare_inputs
 
 mesh = build_mesh(X=math.pi, T=math.pi, N=32, M=64)
 
 # --- harmonic data: the stepper reproduces the closed form to roundoff
-kind = HarmonicData(j=1, k=3)
-run = evolve(mesh, harmonic_dataspec(kind, mesh), variant="v2")
-closed = discrete_harmonic_trajectory(kind, mesh, "v2")
+data = harmonic_dataspec(HarmonicData(j=1, k=3), mesh)
+run = evolve(mesh, data, variant="v2")
+closed = discrete_trajectory(mesh, *prepare_inputs(mesh, data, "v2"))
 dev = np.max(np.abs(run.slices - closed))
 print(f"harmonic data d_k^(j) with j=1, k=3 on a {mesh.N}x{mesh.M} mesh")
 print(f"  max |stepper - closed form| = {dev:.2e}")

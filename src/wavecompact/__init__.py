@@ -18,8 +18,7 @@ from .grid import (GridFn, MeshSpec, build_mesh, energy_norm_pair, space_norm,
                    time_aggregate)
 from .operators import apply_spatial, solve_implicit
 from .oracle import (DispersionRecord, HarmonicData, asymptotic_constant, choose_k_h,
-                     discrete_harmonic_trajectory, discrete_trajectory, dispersion,
-                     exact_harmonic_solution, harmonic_dataspec, sharpness_prediction)
+                     discrete_trajectory, dispersion, harmonic_dataspec, sharpness_prediction)
 from .reference import Reference, dalembert_reference, reference_refusal
 from .scheme import ErrorReport, SchemeRun, evolve, evolve_grid, evolve_measured, measure_error
 from .experiments import (OrderFit, fit_order, random_dataspec, run_convergence,

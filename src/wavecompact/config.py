@@ -19,14 +19,18 @@ A config file is a single JSON object:
          fit_drop_coarsest, decimate)
     }
 
-A key outside this schema, at the top level or in mesh, is refused, naming
-the nearest key of the schema; the removed reference keys n_modes, fold_groups
-and tail_fraction, the removed jobs key (the CLI's --jobs sets the worker
-count) and mesh tau_over_h are ignored.  Removed keys that chose how to
-evaluate data are refused, as ignoring them would change results, and so are
-keys that a runner does not read: a mode but node_sampled for sharpness,
-oracle_check and stability_probe, a data section but null or a variant but
-v2 for stability_probe (random data, v2), and more than one rung for solve.
+A key outside this schema is refused, naming the nearest key of its section:
+at the top level, in mesh, in data, data.f and data.harmonic, and in each
+profile or time profile descriptor, whose keys are those of its form.  The
+removed reference keys n_modes, fold_groups and tail_fraction, the removed
+jobs key (the CLI's --jobs sets the worker count) and mesh tau_over_h are
+ignored.  A data section is one of harmonic, preset or u0/u1/f; one that
+mixes them is refused.  Removed keys that chose how to evaluate data are
+refused, as ignoring them would change results, and so are keys that a
+runner does not read: a mode but node_sampled for sharpness, oracle_check
+and stability_probe, a data.harmonic.k for sharpness (each rung chooses
+k_h), a data section but null or a variant but v2 for stability_probe
+(random data, v2), and more than one rung for solve.
 
 Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
 plus {"form": "harmonic", "k": k}, which parses to the one-coefficient sine
@@ -47,8 +51,10 @@ zero data, or with data that has no exact reference (reference.reference_refusal
 a forcing without a sine_series space factor and a harmonic_sin time factor,
 or one resonant with a mode k), is refused with that reason.  So is a rung
 whose arrays held at once exceed physical memory, naming their bytes: the
-(M+1, N+1) levels of solve, and of each column of the probe and
-oracle-check, or scheme.level_bytes of a measured converge or sharpness run.
+(M+1, N+1) levels of solve and of each column of the probe; for
+oracle-check those of each column plus 9 for the closed forms and the last
+one's transients (10 for forced data); or scheme.level_bytes of a measured
+converge or sharpness run.
 """
 
 from __future__ import annotations
@@ -72,6 +78,19 @@ _KEYS = {"config": ("kind", "mesh", "data", "variant", "mode", "alpha", "out_dir
                     "n_random", "n_pairs", "fit_drop_coarsest", "decimate"),
          "mesh": ("X", "T", "N", "M", "refinements", "a", "eps0", "rungs")}
 _REMOVED_KEYS = ("n_modes", "fold_groups", "tail_fraction", "jobs", "tau_over_h", "v0_mode")
+#: the keys of a data section, and of each profile and time profile form besides 'form'
+_DATA_KEYS = ("harmonic", "preset", "u0", "u1", "f")
+_FORM_KEYS = {"harmonic": ("k",), "sine_series": ("coeffs",),
+              "piecewise": ("breakpoints", "pieces"), "harmonic_sin": ("omega",),
+              "polynomial": ("coeffs",)}
+
+
+def _refuse_unknown(section: dict, known: tuple, where: str, ignored: tuple = ()) -> None:
+    """Refuse a key of section outside known and ignored, naming the nearest known key."""
+    for key in (key for key in section if key not in known + ignored):
+        import difflib  # 0.25 MB and a millisecond: only on this error path
+        near = difflib.get_close_matches(str(key), known, n=1, cutoff=0.0)[0]
+        raise ConfigurationError(f"unknown {where} key {key!r}; did you mean {near!r}?")
 
 
 # --------------------------------------------------------------------------
@@ -89,41 +108,41 @@ def _numbers(value, key: str) -> tuple[float, ...]:
     return tuple(_number(v, key) for v in _list(value, key))
 
 
-def _object(value, what: str) -> dict:
-    """value as an object with a 'form' key, else a ConfigurationError naming what."""
+def _form(value, what: str, forms: tuple) -> str:
+    """The form of a descriptor: value must be an object with a 'form' key, one of
+    forms, and no key outside that form's, else a ConfigurationError naming what."""
     if not isinstance(value, dict) or "form" not in value:
         raise ConfigurationError(f"{what} must be an object with a 'form' key, got {value!r}")
-    return value
+    form = value["form"]
+    if form not in forms:
+        raise ConfigurationError(f"unknown {what} form {form!r}")
+    _refuse_unknown(value, ("form",) + _FORM_KEYS[form], f"{form} {what}")
+    return form
 
 
 def profile_from_dict(d: dict, X: float, finest_n: int) -> Profile:
     """The Profile of a descriptor; a harmonic k that an N = finest_n mesh does
     not resolve is a MeshTooCoarseError, raised before its k coefficients
     are built."""
-    form = _object(d, "profile")["form"]
-    if "node_convention" in d:
+    if isinstance(d, dict) and "node_convention" in d:
         raise ConfigurationError("profile node_convention is removed: a jump is always the "
                                  "mean of its sides")
+    form = _form(d, "profile", ("harmonic", "sine_series", "piecewise"))
     if form == "harmonic":
         k = _integer(d["k"], "profile k")
         require_resolved(k, finest_n)
         return Profile.harmonic_mode(k, X)
     if form == "sine_series":
         return Profile.sine_series(_numbers(d.get("coeffs", []), "profile coeffs"), X)
-    if form == "piecewise":
-        return Profile.piecewise_poly(
-            _numbers(d["breakpoints"], "profile breakpoints"),
-            [_numbers(p, "profile pieces") for p in _list(d["pieces"], "profile pieces")])
-    raise ConfigurationError(f"unknown profile form {form!r}")
+    return Profile.piecewise_poly(
+        _numbers(d["breakpoints"], "profile breakpoints"),
+        [_numbers(p, "profile pieces") for p in _list(d["pieces"], "profile pieces")])
 
 
 def time_profile_from_dict(d: dict) -> TimeProfile:
-    form = _object(d, "time profile")["form"]
-    if form == "harmonic_sin":
+    if _form(d, "time profile", ("harmonic_sin", "polynomial")) == "harmonic_sin":
         return TimeProfile.harmonic_sin(_number(d["omega"], "time profile omega"))
-    if form == "polynomial":
-        return TimeProfile.polynomial(_numbers(d.get("coeffs", []), "time profile coeffs"))
-    raise ConfigurationError(f"unknown time profile form {form!r}")
+    return TimeProfile.polynomial(_numbers(d.get("coeffs", []), "time profile coeffs"))
 
 
 def dataspec_from_dict(d: dict, X: float, finest_n: int) -> DataSpec:
@@ -135,6 +154,7 @@ def dataspec_from_dict(d: dict, X: float, finest_n: int) -> DataSpec:
             fd = d["f"]
             if not isinstance(fd, dict):
                 raise ConfigurationError(f"data.f must be an object, got {fd!r}")
+            _refuse_unknown(fd, ("space", "time"), "data.f")
             f = Forcing(space=profile_from_dict(fd["space"], X, finest_n),
                         time=time_profile_from_dict(fd["time"]))
     except KeyError as exc:
@@ -148,14 +168,11 @@ def dataspec_from_dict(d: dict, X: float, finest_n: int) -> DataSpec:
 @dataclass
 class ExperimentConfig:
     """A checked experiment.  data is what every rung steps: None only for
-    sharpness, whose mode k_h each rung chooses from sharpness_j.  harmonic
-    is set when data is a single-harmonic family, whose closed-form scheme
-    solution oracle_check compares against."""
+    sharpness, whose mode k_h each rung chooses from sharpness_j."""
 
     kind: str
     rungs: list[MeshSpec]
     data: DataSpec | None = None
-    harmonic: HarmonicData | None = None
     sharpness_j: int | None = None
     variant: str = "v2"
     mode: str = "node_sampled"
@@ -246,16 +263,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     mesh_cfg = raw.get("mesh")
     if not isinstance(mesh_cfg, dict):
         raise ConfigurationError("config needs a 'mesh' object")
-    for where, section in (("config", raw), ("mesh", mesh_cfg)):  # refuse unknown keys
-        for key in (key for key in section if key not in _KEYS[where] + _REMOVED_KEYS):
-            import difflib  # 0.25 MB and a millisecond: only on this error path
-            near = difflib.get_close_matches(key, _KEYS[where], n=1, cutoff=0.0)[0]
-            raise ConfigurationError(f"unknown {where} key {key!r}; did you mean {near!r}?")
+    for where, section in (("config", raw), ("mesh", mesh_cfg)):
+        _refuse_unknown(section, _KEYS[where], where, _REMOVED_KEYS)
     rungs = _build_rungs(mesh_cfg)
     X, finest_n = rungs[0].X, max(mesh.N for mesh in rungs)
 
     data_cfg = raw.get("data")
-    harmonic = sharpness_j = None
+    sharpness_j = None
+    if isinstance(data_cfg, dict):
+        _refuse_unknown(data_cfg, _DATA_KEYS, "data")
+        given = [g for g in ("harmonic", "preset", "u0/u1/f")
+                 if any(key in data_cfg for key in g.split("/"))]
+        if len(given) > 1:
+            raise ConfigurationError(f"the data section mixes {' and '.join(given)}: give "
+                                     "one of harmonic, preset or u0/u1/f")
     if data_cfg is None:
         data = DataSpec(u0=Profile.zero(X), u1=Profile.zero(X))
     elif not isinstance(data_cfg, dict):
@@ -264,10 +285,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         hc = data_cfg["harmonic"]
         if not isinstance(hc, dict):
             raise ConfigurationError(f"data.harmonic must be an object, got {hc!r}")
+        _refuse_unknown(hc, ("j", "k"), "data.harmonic")
         j = _integer(hc.get("j", 0), "data.harmonic.j")
         if kind == "sharpness":
             if j not in (0, 1, 2):
                 raise ConfigurationError("harmonic j must be 0, 1 or 2")
+            if "k" in hc:  # a key the runner does not read
+                raise ConfigurationError(f"data.harmonic.k {hc['k']!r} is not read by sharpness "
+                                         "runs, which choose k_h on each rung; drop the "
+                                         "data.harmonic.k key")
             sharpness_j, data = j, None
         else:
             try:
@@ -290,7 +316,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kind=kind,
         rungs=rungs,
         data=data,
-        harmonic=harmonic,
         sharpness_j=sharpness_j,
         variant=_choice(raw.get("variant", "v2"), "variant", variants),
         mode=_choice(raw.get("mode", "node_sampled"), "mode", ERROR_MODES),
@@ -326,20 +351,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if raw.get(key, used) != used:
             raise ConfigurationError(f"{key} {raw[key]!r} is not read by {kind} runs, which "
                                      f"use only {json.dumps(used)}; drop the {key} key")
-    if kind == "oracle_check" and harmonic is None:
-        raise ConfigurationError("oracle checks need harmonic data")
     if kind == "solve" and len(rungs) > 1:
         key = "mesh.rungs" if "rungs" in mesh_cfg else "mesh.refinements"
         raise ConfigurationError(f"{key} gives {len(rungs)} rungs, but solve runs step one mesh")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    columns = {"solve": 1, "stability_probe": cfg.n_random,
-               "oracle_check": len(U1_VARIANTS) if cfg.variant == "all" else 1}
+    forced = sharpness_j == 2 or data is not None and data.f is not None
+    # stored runs hold (M+1, N+1) level arrays: one per column, and for
+    # oracle-check the closed forms and the transients of the last one
+    arrays = {"solve": 1, "stability_probe": cfg.n_random,
+              "oracle_check": (len(U1_VARIANTS) if cfg.variant == "all" else 1) + 9 + forced}
     for mesh in rungs:
         check_stable(mesh)
-        # stored runs hold (M+1, N+1) levels per column, measured runs their buffers
-        forced = sharpness_j == 2 or data is not None and data.f is not None
-        held = (8 * (mesh.M + 1) * (mesh.N + 1) * columns[kind] if kind in columns
-                else level_bytes(mesh, forced))
+        held = (8 * (mesh.M + 1) * (mesh.N + 1) * arrays[kind] if kind in arrays
+                else level_bytes(mesh, forced))  # measured runs: their buffers
         if held > memory:
             raise ConfigurationError(f"the N={mesh.N}, M={mesh.M} rung holds {held} bytes of "
                                      f"arrays at once, more than the {memory} bytes of memory")

@@ -314,15 +314,9 @@ def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes, label: str
     than 1e-14 * width from its edges.  A batch of B integrands: splits (B, S),
     NaN-padded, n_nodes one count or one per row, evaluate(rows, x), rows the
     row of each x, and (B, cells) results, each row with the panels, rule,
-    first non-finite cell and bits of its own call; one: splits (S,), evaluate(x).
+    first non-finite cell and bits of its own call.
     """
     splits = np.asarray(splits, dtype=float)
-    one = splits.ndim == 1
-    if one:
-        splits, integrand = splits[None], evaluate
-
-        def evaluate(rows, x):
-            return integrand(x.ravel()).reshape(x.shape)
     B, ncells = len(splits), len(edges) - 1
     width = edges[1] - edges[0]
     cell = np.searchsorted(edges[1:-1], splits, side="right")  # an end cell if outside
@@ -357,7 +351,7 @@ def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes, label: str
         fall[sel] = np.sum(base * (1.0 - rise_w), axis=1)
     rise, fall = (np.bincount(panel_row * ncells + panel_cell, w, B * ncells).reshape(B, ncells)
                   for w in (rise, fall))
-    return (rise[0], fall[0]) if one else (rise, fall)
+    return rise, fall
 
 
 def _padded(rows) -> np.ndarray:

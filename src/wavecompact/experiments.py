@@ -18,6 +18,8 @@ probe's n_random random data sets, each with u1 variant v2, and
 oracle-check's data with each of its u1 variants.  Each column equals its own
 run bit for bit, so the rows are those of one run per data set.  The probe
 also takes the norms of its data and grid data for all data sets at once.
+oracle-check compares each column with oracle.discrete_trajectory of the
+same grid data, for any data section: it checks stepping, not data assembly.
 
 The rungs of converge and sharpness ladders are independent and run in a
 process pool when jobs > 1; the other runners step on one process.
@@ -38,12 +40,12 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig
-from .data import (U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile, forcing_l21_norm,
-                   profile_h01_norm, profile_l2_norm)
+from .data import (U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile, TimeProfile,
+                   forcing_l21_norm, profile_h01_norm, profile_l2_norm)
 from .errors import ConfigurationError, ContractViolation
 from .grid import MeshSpec, energy_norm_pair, space_norm
 from .operators import mass_inv_half_norm
-from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_harmonic_trajectory,
+from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_trajectory,
                      harmonic_dataspec, sharpness_prediction)
 from .reference import dalembert_reference, reference_refusal
 from .scheme import (ErrorReport, evolve, evolve_grid, evolve_measured, level_bytes,
@@ -455,14 +457,18 @@ ORACLE_TOLERANCE = 1e-9
 
 
 def run_oracle_check(config: ExperimentConfig, emit: bool = True) -> list[OracleCheckRow]:
-    """Max relative deviation of the stepper from the closed-form solution."""
+    """Max relative deviation of the stepper from the closed-form scheme
+    solution (oracle.discrete_trajectory) of the same grid data."""
     started = _begin(config, emit)
     variants = U1_VARIANTS if config.variant == "all" else (config.variant,)
     rows = []
     for mesh in config.rungs:
-        # the closed forms first: they refuse a mode the mesh cannot resolve
-        closed = [discrete_harmonic_trajectory(config.harmonic, mesh, v) for v in variants]
-        run = evolve_grid(mesh, *stack_inputs(mesh, [(config.data, v) for v in variants]))
+        v0, u1h, fh = stack_inputs(mesh, [(config.data, v) for v in variants])
+        # the closed forms first, so that their transients are freed before the run
+        closed = [discrete_trajectory(mesh, v0[b], u1h[b], None if fh is None
+                                      else ForcingLevels(fh.time[b], fh.space[b]))
+                  for b in range(len(variants))]
+        run = evolve_grid(mesh, v0, u1h, fh)
         for variant, exact, slices in zip(variants, closed, run.slices):
             scale = max(1.0, float(np.max(np.abs(exact))))
             dev = float(np.max(np.abs(slices - exact))) / scale

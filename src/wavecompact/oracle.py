@@ -1,6 +1,7 @@
-"""Closed-form exact solutions of single-harmonic data and of the scheme.
+"""Closed forms of the scheme: its solution for any grid data, its dispersion,
+the harmonic data families and the sharpness targets they measure.
 
-The exact solutions work in the canonical frame X = pi, a = 1; a general mesh
+The closed forms work in the canonical frame X = pi, a = 1; a general mesh
 is rescaled through canonical_mesh (x' = pi x / X, t' = a pi t / X), under
 which node values of both the exact solution and the scheme solution are
 preserved once the data amplitudes are scaled accordingly (harmonic_dataspec
@@ -24,9 +25,7 @@ grid data with sine coefficients v0_k, u1h_k and fh^l_k (l = 0..M-1),
 w_0 = 1/2 and w_l = 1 otherwise.  discrete_trajectory evaluates that sum by
 angle addition and prefix sums, O(M) per mode, between a DST-I of the data
 and one inverse DST-I, so it is a machine-precision ground truth for the
-stepper on any grid data.  discrete_harmonic_trajectory writes the grid data
-of a harmonic family in closed form, so that checking the stepper against it
-checks data assembly too.
+stepper on any grid data.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (U1_VARIANTS, DataSpec, Forcing, ForcingLevels, Profile, TimeProfile,
-                   hat_average_factor, time_l1_norm)
+from .data import DataSpec, Forcing, ForcingLevels, Profile, TimeProfile, time_l1_norm
 from .errors import ContractViolation, InvariantError, MeshTooCoarseError
 from .grid import MeshSpec, check_stable
 
@@ -111,22 +109,8 @@ def dispersion(k: int, mesh: MeshSpec) -> DispersionRecord:
                             nu_h=(cm.h ** 4 - cm.tau ** 4) / 480.0)
 
 
-def variant_amplitude(variant: str, k: int, mesh: MeshSpec) -> float:
-    """Sine-basis multiplier a_1k of build_u1h for u1 = sin(kx) (canonical frame)."""
-    if variant not in U1_VARIANTS:
-        raise ContractViolation(f"unknown u1 variant {variant!r}")
-    cm = canonical_mesh(mesh)
-    h, tau = cm.h, cm.tau
-    lam = dispersion(k, mesh).lambda_k
-    if variant == "v0":
-        return 1.0 - (h ** 2 + tau ** 2) / 12.0 * lam
-    if variant == "v1":
-        return lam / k ** 2 * (1.0 - tau ** 2 * k ** 2 / 12.0)
-    return lam / k ** 2 * (1.0 - tau ** 2 * lam / 12.0)
-
-
 # --------------------------------------------------------------------------
-# exact solution
+# exact forced modes
 
 def resonant(omega, kappa) -> np.ndarray:
     """Where sin(omega t) drives a mode of frequency kappa at resonance,
@@ -143,18 +127,6 @@ def forced_mode_response(omega: float, kappa, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     return (-0.5 * (np.sin(omega * t) - np.sin(kappa * t)) / (omega - kappa)
             + 0.5 * (np.sin(omega * t) + np.sin(kappa * t)) / (omega + kappa))
-
-
-def exact_harmonic_solution(kind: HarmonicData, x, t):
-    """Exact solution u(x, t) for the harmonic data family (canonical coordinates)."""
-    k, t = kind.k, np.asarray(t, dtype=float)
-    if kind.j == 0:
-        coeff = np.cos(k * t)
-    elif kind.j == 1:
-        coeff = np.sin(k * t) / k
-    else:
-        coeff = forced_mode_response(k - 1.0, float(k), t) / k
-    return coeff * np.sin(k * np.asarray(x, dtype=float))
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +154,7 @@ def discrete_trajectory(mesh: MeshSpec, v0, u1h, fh=None) -> np.ndarray:
     _, amp, theta = _modes(np.arange(1, N), mesh)
     gain = tau / (amp * np.sin(theta))
     angles = np.outer(np.arange(M + 1), theta)
-    cos, sin = np.cos(angles), np.sin(angles)
+    cos, sin = np.cos(angles), np.sin(angles, out=angles)  # sin reuses the angles' buffer
     modes = (_dst(np.asarray(v0, dtype=float)[1:-1]) * cos
              + _dst(np.asarray(u1h, dtype=float)[1:-1]) * gain * sin)
     if fh is not None:
@@ -194,32 +166,6 @@ def discrete_trajectory(mesh: MeshSpec, v0, u1h, fh=None) -> np.ndarray:
     out = np.zeros((M + 1, N + 1))
     out[:, 1:-1] = _dst(modes) * (2.0 / N)
     return out
-
-
-def discrete_harmonic_trajectory(kind: HarmonicData, mesh: MeshSpec,
-                                 variant: str = "v2") -> np.ndarray:
-    """Full (M+1, N+1) closed-form scheme solution of harmonic_dataspec(kind, mesh).
-
-    Its grid data are written in closed form, without the assembly of
-    data.py: v0 = sin kx, u1h = a_1k (a pi / X) sin kx, and
-    fh = q_tau sin((k-1)t) times the hat factor lambda_k / k^2 times
-    (a pi / X)^2 sin kx, each in the canonical frame.
-    """
-    k, cm = kind.k, canonical_mesh(mesh)
-    a1k = variant_amplitude(variant, k, mesh)  # refuses an unresolved k
-    scale = mesh.a * math.pi / mesh.X
-    shape = np.sin(k * cm.nodes())
-    shape[0] = shape[-1] = 0.0
-    zero = np.zeros_like(shape)
-    if kind.j == 0:
-        return discrete_trajectory(mesh, shape, zero)
-    if kind.j == 1:
-        return discrete_trajectory(mesh, zero, a1k * scale * shape)
-    y = (k - 1.0) * cm.tau
-    q_tau = hat_average_factor(y) * np.sin((k - 1.0) * cm.times()[:-1])
-    q_tau[0] = 2.0 / y * (1.0 - math.sin(y) / y)
-    hat = dispersion(k, mesh).lambda_k / k ** 2
-    return discrete_trajectory(mesh, zero, zero, ForcingLevels(q_tau, scale ** 2 * hat * shape))
 
 
 def harmonic_dataspec(kind: HarmonicData, mesh: MeshSpec) -> DataSpec:

@@ -213,6 +213,48 @@ def test_oracle_mode_above_the_mesh_exits_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_FORCED_PIECEWISE = {
+    "u0": {"form": "piecewise", "breakpoints": [0, 1.0, math.pi], "pieces": [[0, 1], [1.0]]},
+    "f": {"space": {"form": "piecewise", "breakpoints": [0, 2.0, math.pi],
+                    "pieces": [[0.5, -1.0], [0.0, 0.0, 1.0]]},
+          "time": {"form": "polynomial", "coeffs": [1.0, -0.5, 0.25]}}}
+
+
+@pytest.mark.parametrize("data", [{"preset": "hat_step"}, _FORCED_PIECEWISE, None],
+                         ids=["hat_step", "forced_piecewise_polynomial", "null"])
+def test_oracle_check_of_any_data_passes_every_variant(tmp_path, capsys, data):
+    # the stepper is compared with the closed-form scheme solution of the same
+    # grid data, whatever the data section
+    cfg = _write_config(tmp_path, {
+        "kind": "oracle_check", "mesh": _mesh(16, refinements=1), "data": data,
+        "variant": "all", "out_dir": str(tmp_path / "out")})
+    assert main(["oracle-check", "--config", str(cfg)]) == 0
+    header, *rows = (tmp_path / "out" / "oracle_check.csv").read_text().splitlines()
+    assert header == "N,M,variant,deviation,passed" and len(rows) == 6
+    assert all(row.endswith(",True") for row in rows)
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_oracle_check_fails_a_stepper_off_by_1e_6(tmp_path, capsys, monkeypatch):
+    # levels shifted after the stepper's residual check: the residual contract
+    # passed them, the oracle comparison does not
+    from wavecompact import experiments
+    from wavecompact.scheme import SchemeRun, evolve_grid
+
+    def perturbed(mesh, v0, u1h, fh):
+        run = evolve_grid(mesh, v0, u1h, fh)
+        return SchemeRun(slices=run.slices + 1e-6, residual_max=run.residual_max)
+
+    monkeypatch.setattr(experiments, "evolve_grid", perturbed)
+    cfg = _write_config(tmp_path, {
+        "kind": "oracle_check", "mesh": _mesh(16), "data": {"preset": "hat_step"},
+        "variant": "all", "out_dir": str(tmp_path / "out")})
+    assert main(["oracle-check", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().out.count(" FAIL") == 3
+    _, *rows = (tmp_path / "out" / "oracle_check.csv").read_text().splitlines()
+    assert len(rows) == 3 and all(row.endswith(",False") for row in rows)
+
+
 def test_zero_data_converge_exits_3_without_traceback(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "kind": "converge",
@@ -497,6 +539,29 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
      {"mesh": _mesh(16, m=10 ** 400)}),
     ("solve", "mesh.rungs N must be an integer >= 3 and <= ",
      {"mesh": {"X": math.pi, "T": math.pi, "rungs": [[10 ** 400, 32]]}}),
+    # misspelled keys inside data name the nearest key of their section
+    ("solve", "unknown data key 'preest'; did you mean 'preset'?",
+     {"data": {"preest": "hat_step"}}),
+    ("solve", "unknown sine_series profile key 'coefs'; did you mean 'coeffs'?",
+     {"data": {"u0": {"form": "sine_series", "coefs": [1.0]}}}),
+    ("solve", "unknown piecewise profile key 'breakpoint'; did you mean 'breakpoints'?",
+     {"data": {"u1": {"form": "piecewise", "breakpoints": [0, math.pi], "pieces": [[1.0]],
+                      "breakpoint": [0, 1]}}}),
+    ("solve", "unknown polynomial time profile key 'coef'; did you mean 'coeffs'?",
+     {"data": {"f": {"space": {"form": "harmonic", "k": 1},
+                     "time": {"form": "polynomial", "coeffs": [1.0], "coef": [2.0]}}}}),
+    ("solve", "unknown data.f key 'tme'; did you mean 'time'?",
+     {"data": {"f": {"space": {"form": "harmonic", "k": 1},
+                     "time": {"form": "harmonic_sin", "omega": 1.5}, "tme": 1}}}),
+    ("oracle_check", "unknown data.harmonic key 'kk'; did you mean 'k'?",
+     {"data": {"harmonic": {"j": 0, "kk": 3}}}),
+    # a data section is one of harmonic, preset or u0/u1/f
+    ("solve", "the data section mixes harmonic and preset",
+     {"data": {"harmonic": {"j": 0, "k": 3}, "preset": "hat_step"}}),
+    ("solve", "the data section mixes preset and u0/u1/f",
+     {"data": {"preset": "hat_step", "u1": {"form": "harmonic", "k": 2}}}),
+    ("sharpness", "data.harmonic.k 7 is not read by sharpness runs",
+     {"data": {"harmonic": {"j": 0, "k": 7}}}),
 ], ids=["mesh_N", "mesh_N_2", "mesh_rungs_N_2",
         "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_M_missing", "alpha",
@@ -513,7 +578,10 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
         "v0_mode_set", "profile_node_convention",
         "preset_null", "preset_unknown", "mesh_key_misspelled", "key_misspelled",
         "mesh_X_huge", "mesh_T_huge", "mesh_a_huge", "mesh_a_tiny", "mesh_T_subnormal",
-        "mesh_X_subnormal", "mesh_N_huge", "mesh_M_huge", "mesh_rungs_N_huge"])
+        "mesh_X_subnormal", "mesh_N_huge", "mesh_M_huge", "mesh_rungs_N_huge",
+        "data_key_misspelled", "profile_key_misspelled", "piecewise_key_misspelled",
+        "time_profile_key_misspelled", "forcing_key_misspelled", "harmonic_key_misspelled",
+        "data_harmonic_and_preset", "data_preset_and_profiles", "sharpness_harmonic_k"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     cfg = _write_config(tmp_path, {
         "kind": kind, "mesh": _mesh(16), "data": None,

@@ -185,7 +185,10 @@ def test_hat_cell_integrals_match_the_per_cell_loop(n):
               *rng.uniform(0.0, 1.0, 5), h / 3, 2 * h / 3]
     f = Profile.piecewise_poly((0.0, 0.3, 1.0), ((1.0, -2.0, 3.0), (0.5, 1.0)))
     for evaluate, cuts in ((f, splits), (f, ()), (np.cos, splits)):
-        got = _hat_cell_integrals(evaluate, mesh.nodes(), cuts, 8, "test")
+        rise, fall = _hat_cell_integrals(  # a batch of one integrand
+            lambda rows, x: evaluate(x.ravel()).reshape(x.shape), mesh.nodes(),
+            np.reshape(cuts, (1, -1)), 8, "test")
+        got = rise[0], fall[0]
         want = _hat_cell_integrals_by_loop(evaluate, mesh.nodes(), cuts, 8)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 

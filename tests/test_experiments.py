@@ -21,6 +21,7 @@ from wavecompact.experiments import (energy_lower_bound_margins, fit_order,
                                      run_stability_probe, stability_bound_sides)
 from wavecompact.grid import build_mesh
 
+from _harmonic import discrete_harmonic_trajectory
 from _sine_analysis import sine_coefficients
 
 
@@ -211,7 +212,7 @@ def test_run_solve_zero_data(tmp_path):
 def test_run_solve_golden_error_report(tmp_path):
     # d^(1), k=1, N=32, M=128: errors must match a report regenerated from the
     # closed-form discrete solution and the exact solution
-    from wavecompact.oracle import HarmonicData, discrete_harmonic_trajectory, harmonic_dataspec
+    from wavecompact.oracle import HarmonicData, harmonic_dataspec
     from wavecompact.reference import dalembert_reference
     from wavecompact.scheme import measure_error
 
@@ -515,8 +516,7 @@ def test_oracle_check_of_all_variants_writes_the_rows_of_each_variant_alone(tmp_
 def test_sharpness_measurement_oracle_self_consistency():
     # replacing the stepper by the closed-form discrete solution changes the
     # measured ratio by less than 1e-8
-    from wavecompact.oracle import (HarmonicData, choose_k_h,
-                                    discrete_harmonic_trajectory)
+    from wavecompact.oracle import HarmonicData, choose_k_h
     from wavecompact.reference import dalembert_reference
     from wavecompact.scheme import evolve, measure_error
     from wavecompact.oracle import harmonic_dataspec
@@ -680,6 +680,32 @@ def test_level_bytes_bounds_the_peak_of_a_measured_run(j, mode):
         tracemalloc.stop()
     counted = level_bytes(mesh, j == 2)
     assert counted <= peak <= 2 * counted
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("variant", ["v2", "all"])
+def test_oracle_check_load_count_is_within_25_percent_of_its_peak(monkeypatch, j, variant):
+    # config counts the (M+1, N+1) level arrays oracle-check holds at once:
+    # its columns, their closed forms and the transients of the last one, and
+    # names the count when memory is short
+    import os
+    import re
+    import tracemalloc
+    raw = {"kind": "oracle_check", "mesh": {"X": math.pi, "T": math.pi, "N": 256, "M": 512},
+           "data": {"harmonic": {"j": j, "k": 3}}, "variant": variant}
+    cfg = config_from_dict(raw)
+    run_oracle_check(cfg, emit=False)  # the factor caches
+    tracemalloc.start()
+    try:
+        run_oracle_check(cfg, emit=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)  # one byte of memory
+    with pytest.raises(ConfigurationError, match="bytes of arrays at once") as refusal:
+        config_from_dict(raw)
+    counted = int(re.search(r"holds (\d+) bytes", str(refusal.value)).group(1))
+    assert abs(counted - peak) <= 0.25 * peak, (counted, peak)
 
 
 def test_oracle_check_names_the_datum_and_mesh_of_bad_grid_data():

@@ -12,11 +12,13 @@ from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
 from wavecompact.operators import apply_implicit, apply_spatial
 from wavecompact.oracle import (HarmonicData, asymptotic_constant, canonical_mesh,
-                                choose_k_h, discrete_harmonic_trajectory,
-                                discrete_trajectory, dispersion, exact_harmonic_solution,
+                                choose_k_h, discrete_trajectory, dispersion,
                                 forced_mode_response, harmonic_dataspec,
-                                sharpness_prediction, variant_amplitude)
+                                sharpness_prediction)
 from wavecompact.scheme import evolve, evolve_grid, prepare_inputs
+
+from _harmonic import (discrete_harmonic_trajectory, exact_harmonic_solution,
+                       variant_amplitude)
 
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 

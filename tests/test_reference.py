@@ -16,10 +16,10 @@ from wavecompact.data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, 
 from wavecompact.errors import ConfigurationError
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
-from wavecompact.oracle import (HarmonicData, canonical_mesh, exact_harmonic_solution,
-                                harmonic_dataspec)
+from wavecompact.oracle import HarmonicData, canonical_mesh, harmonic_dataspec
 from wavecompact.reference import dalembert_reference
 
+from _harmonic import exact_harmonic_solution
 from _sine_analysis import sine_coefficients
 
 
