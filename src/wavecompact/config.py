@@ -54,7 +54,7 @@ whose arrays held at once exceed physical memory, naming their bytes: the
 (M+1, N+1) levels of solve and of each column of the probe; for
 oracle-check those of each column plus 9 for the closed forms and the last
 one's transients (10 for forced data); or scheme.level_bytes of a measured
-converge or sharpness run.
+converge or sharpness run; plus reference.reference_bytes where a run builds it.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .data import PRESETS, U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ConfigurationError
 from .grid import MAX_CELLS, MeshSpec, build_mesh, check_stable
 from .oracle import HarmonicData, harmonic_dataspec, require_resolved
-from .reference import reference_refusal
+from .reference import reference_bytes, reference_refusal
 from .scheme import ERROR_MODES, level_bytes
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
@@ -360,10 +360,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # oracle-check the closed forms and the transients of the last one
     arrays = {"solve": 1, "stability_probe": cfg.n_random,
               "oracle_check": (len(U1_VARIANTS) if cfg.variant == "all" else 1) + 9 + forced}
+    # runs that build the exact reference hold it too (sharpness: one forced mode)
+    builds = kind in ("converge", "sharpness") or (
+        kind == "solve" and reference_refusal(rungs[0], data) is None)
+    modes = sum(map(bool, data.f.space.coeffs)) if builds and data and data.f else forced
     for mesh in rungs:
         check_stable(mesh)
         held = (8 * (mesh.M + 1) * (mesh.N + 1) * arrays[kind] if kind in arrays
                 else level_bytes(mesh, forced))  # measured runs: their buffers
+        held += builds and reference_bytes(mesh, modes)
         if held > memory:
             raise ConfigurationError(f"the N={mesh.N}, M={mesh.M} rung holds {held} bytes of "
                                      f"arrays at once, more than the {memory} bytes of memory")

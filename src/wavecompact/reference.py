@@ -31,8 +31,8 @@ E(x_i + a t_m) and F(x_i - a t_m) for just the view and the levels asked for;
 no (M+1, N+1) array is held.  When a tau / h = p / q is rational with q <= M,
 as with aT = X (p/q = N/M) or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m
 = (q i +- p m) h/q lies on the lattice of spacing h/q: E and F are evaluated
-once on one period of it, L = 2Nq points, kept as qN + pM + 1 entries per view
-and served as the strided views E[qi + pm] and F[qi - pm].  Other meshes
+once on one period of it, L = 2Nq points, and kept as their q contiguous residue
+classes: the levels r, r + q, ... of E[qi + pm] or F[qi - pm] are rows of one.  Other meshes
 evaluate the levels served; the build evaluates level 0, which holds every
 value of U0 and V1 on (0, X), and every level refuses non-finite values alike.
 """
@@ -52,32 +52,34 @@ from .oracle import forced_mode_response, resonant
 
 
 class Reference:
-    """The exact reference, both views: view v (0 node values, 1 hat
-    averages) at levels m is e + f, (e, f) = serve(v, m), plus, if forced is
-    not None, coeffs[m] @ shapes[v] of the forced modes' (M+1, K) time
-    coefficients and (2, K, N+1) shapes, with zero ends.  Each call builds
-    just the view and the levels asked for."""
+    """The exact reference, both views, on the (M+1, N+1) grid of shape: view v
+    (0 node values, 1 hat averages) at levels m is e + f in the rows of each
+    part (rows, e, f) of serve(v, m), plus, if forced is not None, coeffs(m) @
+    shapes[v] of the forced modes, with zero ends.  Each call builds just the
+    view and the levels asked for, into out if given."""
 
-    def __init__(self, serve, forced=None):
-        self._serve, self._forced = serve, forced
+    def __init__(self, serve, shape, forced=None):
+        self._serve, self._shape, self._forced = serve, shape, forced
 
-    def _view(self, view: int, levels) -> np.ndarray:
-        e, f = self._serve(view, levels)
-        if self._forced is None:
-            out = np.add(e, f)
-        else:  # one array per call: a second one costs as much as the sum
+    def _view(self, view: int, levels, out) -> np.ndarray:
+        if out is None:  # the shape of the levels' rows
+            out = np.empty(np.broadcast_to(0.0, self._shape)[levels].shape)
+        if self._forced is not None:
             coeffs, shapes = self._forced
-            out = coeffs[levels] @ shapes[view]
-            out += e
-            out += f
+            np.matmul(coeffs(levels), shapes[view], out=out)
+        for rows, e, f in self._serve(view, levels):
+            if self._forced is None:
+                np.add(e, f, out=out[rows])
+            else:  # (coeffs @ shapes + e) + f
+                np.add(np.add(out[rows], e, out=out[rows]), f, out=out[rows])
         out[..., ::out.shape[-1] - 1] = 0.0
         return out
 
-    def values(self, levels) -> np.ndarray:
-        return self._view(0, levels)
+    def values(self, levels, out=None) -> np.ndarray:
+        return self._view(0, levels, out)
 
-    def qh_values(self, levels) -> np.ndarray:
-        return self._view(1, levels)
+    def qh_values(self, levels, out=None) -> np.ndarray:
+        return self._view(1, levels, out)
 
 
 def reference_refusal(mesh: MeshSpec, data: DataSpec) -> str | None:
@@ -103,18 +105,28 @@ def reference_refusal(mesh: MeshSpec, data: DataSpec) -> str | None:
 
 
 def _forced_modes(mesh: MeshSpec, f: Forcing):
-    """(coeffs, shapes) of the Duhamel modes of f: coeffs[m, j] is mode j's time
-    coefficient at level m, shapes[view, j] its node values (view 0) and hat
-    averages (view 1); Reference zeroes their ends."""
+    """(coeffs, shapes) of the Duhamel modes of f: coeffs(levels)[..., j] is mode
+    j's time coefficient at the levels, evaluated per call, shapes[view, j] its
+    node values (view 0) and hat averages (view 1); Reference zeroes their ends."""
     ks = np.flatnonzero(f.space.coeffs)
     wave = math.pi * (ks + 1) / mesh.X
-    amps = np.asarray(f.space.coeffs)[ks] * math.sqrt(2.0 / mesh.X)
-    kappa = mesh.a * wave
-    coeffs = amps / kappa * forced_mode_response(f.time.omega, kappa, mesh.times()[:, None])
+    kappa, omega = mesh.a * wave, f.time.omega
+    scale = np.asarray(f.space.coeffs)[ks] * math.sqrt(2.0 / mesh.X) / kappa
+
+    def coeffs(levels):
+        return scale * forced_mode_response(omega, kappa, mesh.times()[levels, None])
     shapes = np.empty((2, len(ks), mesh.N + 1))
     shapes[0] = np.sin(np.outer(wave, mesh.nodes()))
     shapes[1] = shapes[0] * hat_average_factor(wave * mesh.h)[:, None]
     return coeffs, shapes
+
+
+def reference_bytes(mesh: MeshSpec, modes: int) -> int:
+    """Bytes of the arrays dalembert_reference keeps on mesh for data forced by
+    K = modes sine modes: on a lattice, E and F of both views in q residue classes
+    of N + pM // q + 1 floats, at most 4 (qN + pM + q), and 2K (N + 2) of the modes."""
+    p, q = _lattice(mesh) or (0, 0)
+    return 8 * (4 * (q * mesh.N + p * mesh.M + q) + 2 * modes * (mesh.N + 2))
 
 
 def _lattice(mesh: MeshSpec):
@@ -149,8 +161,8 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
     forced = None
     if data.f is not None:
         forced = _forced_modes(mesh, data.f)
-        if not np.all(np.isfinite(forced[0])):
-            refuse("f")
+        if not all(np.isfinite(forced[0](slice(s, s + 64))).all() for s in range(0, m + 1, 64)):
+            refuse("f")  # every level, 64 at a time: no (M+1, K) array
 
     @np.errstate(over="ignore", invalid="ignore")  # it serves after the build too
     def halves(view, start, count):
@@ -168,15 +180,28 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
     lattice = _lattice(mesh)
     if lattice is not None:
         p, q = lattice
-        views = []
-        for view in (0, 1):  # flat entry q j + r of one period holds y = (q j + r) h/q
-            e, f = np.stack([halves(view, r * h / q, 2 * n) for r in range(q)], axis=-1)
-            e = np.take(e, np.arange(q * n + p * m + 1), mode="wrap")
-            f = np.take(f, np.arange(-p * m, q * n + 1), mode="wrap")[p * m:]
-            # view[m, i] = e[qi + pm] + f[qi - pm], f counted from pM
-            views.append([as_strided(w, (m + 1, n + 1), (sign * p * w.itemsize, q * w.itemsize),
-                                     writeable=False) for w, sign in ((e, 1), (f, -1))])
-        return Reference(lambda view, levels: [w[levels] for w in views[view]], forced)
+        flat = q * np.arange(n + p * m // q + 1) + np.arange(q)[:, None]  # class c, entry j
+        classes = []
+        for view in (0, 1):  # flat entry q j + c of one period holds y = (q j + c) h/q
+            period = np.stack([halves(view, c * h / q, 2 * n) for c in range(q)], axis=-1)
+            # the residue classes of E from y = 0 and of F from y = -pM h/q; levels
+            # r + q t, r < q, read E at q i + p (r + q t) and F at q i + p (M - r - q t)
+            e, f = (np.take(w, flat + shift, mode="wrap") for w, shift in zip(period, (0, -p * m)))
+            classes.append([tuple(as_strided(w[s % q, s // q:], ((m - r) // q + 1, n + 1),
+                                             (sign * p * w.itemsize, w.itemsize), writeable=False)
+                                  for w, s, sign in ((e, p * r, 1), (f, p * (m - r), -1)))
+                            for r in range(q)])
+
+        def serve(view, levels):
+            """(rows, E, F): per residue, the rows of its levels, contiguous."""
+            picked = range(m + 1)[levels]
+            if not isinstance(picked, range):
+                t, r = divmod(picked, q)
+                return [(..., *(w[t] for w in classes[view][r]))]
+            return [(slice(k, None, q), *(w[picked[k] // q::picked.step][:len(picked[k::q])]
+                                          for w in classes[view][picked[k] % q]))
+                    for k in range(min(q, len(picked)))]
+        return Reference(serve, (m + 1, n + 1), forced)
 
     def serve(view, levels):
         """E at x_i + a t_m and F at x_i - a t_m, m in levels, for the view."""
@@ -184,6 +209,6 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
         e, f = np.empty((2,) + np.shape(at) + (n + 1,))
         for j, s in np.ndenumerate(at):
             e[j], f[j] = halves(view, s, n + 1)[0], halves(view, -s, n + 1)[1]
-        return e, f
+        return [(..., e, f)]
     serve(0, 0), serve(1, 0)  # level 0 holds every value of U0 and V1 on (0, X)
-    return Reference(serve, forced)
+    return Reference(serve, (m + 1, n + 1), forced)

@@ -15,8 +15,8 @@ while u1, of order lambda - 1 >= 0, enters only through hat averages.
 
 One stepping loop, _march, steps every run.  It checks the shapes, finiteness
 and zero ends of (v0, u1h, fh) once, on entry; each step calls LAPACK dpttrs
-(from operators) on the cached LDL^T factor of the tridiagonal A and the
-stencil kernel grid._three_point, in buffers allocated once per run; the
+(from operators) on the cached LDL^T factor of the tridiagonal A and computes
+grid._three_point's stencil, keeping its -2 v, in buffers allocated once per run; the
 residual check applies A as the stencil grid._tridiagonal of the factor's
 entries, zero ends implied.  fh, the data.ForcingLevels factors, is multiplied
 out one block of steps at a time.  The levels live in a ring of RING_LEVELS
@@ -49,7 +49,8 @@ and their backward space differences, in buffers allocated once per call,
 computed once and read by every norm of the block, the energy norm included
 (grid._energy_from_differences, the formula energy_norm_pair evaluates), each
 sum of squares one row dot product (grid._sq_sum), each L1 norm h sum |e|.
-The q_2h filter reads the reference's views unchecked: their ends vanish.
+The reference serves its views into err_buf and, once the differences are
+read, diff_buf; the q_2h filter reads them unchecked: their ends vanish.
 """
 
 from __future__ import annotations
@@ -177,6 +178,9 @@ def _entry_datum(name: str, w, shape, mesh: MeshSpec, stacked: bool, dirichlet=T
     w = np.asarray(w, dtype=float)
     if w.shape != shape:
         raise ContractViolation(f"{name} must have shape {shape}, got {w.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the whole stack in one pass;
+        if np.isfinite(w.sum()) and not (dirichlet and w[..., ::mesh.N].any()):
+            return w  # a failure, or a sum that overflows, walks the columns
     for b, col in enumerate(w) if stacked else ((None, w),):
         what = name if b is None else f"{name} column {b}"
         if not -np.inf < col.min() <= col.max() < np.inf:  # reads only; NaN fails too
@@ -220,12 +224,12 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
     ring = np.empty((B, RING_LEVELS, N + 1))
     ring[:, 1], ring[:, 2:, ::N] = v0, v0[:, None, ::N] + 0.0  # the ends that stay
     # one block's solutions, each row's transpose the F-contiguous (N-1, B)
-    # operand of dpttrs, and its rhs rows; the residual check applies A to the
-    # solutions, zero ends implied, into t, whose first row the steps use
+    # operand of dpttrs, and its rhs rows; each step keeps -2 v in its row of t,
+    # where the residual check applies A to the solutions, zero ends implied
     sols, rhss, t = np.empty((3, _RESIDUAL_BLOCK, B, N - 1))
-    # per ring row, once: v, the interiors of v, the next and the previous, sol, sol.T, rhs
-    views = [(ring[:, r + 1], ring[:, r + 1, 1:-1], ring[:, r + 2, 1:-1], ring[:, r, 1:-1],
-              sols[r], sols[r].T, rhss[r]) for r in range(_RESIDUAL_BLOCK)]
+    # per ring row, once: v's three stencil views, next and previous interiors, sol, sol.T, rhs, t
+    views = [(ring[:, r + 1, :-2], ring[:, r + 1, 1:-1], ring[:, r + 1, 2:], ring[:, r + 2, 1:-1],
+              ring[:, r, 1:-1], sols[r], sols[r].T, rhss[r], t[r]) for r in range(_RESIDUAL_BLOCK)]
 
     def check_block(first: int, n: int) -> None:
         """The residuals of the steps to levels first+1..first+n, from the
@@ -249,21 +253,25 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
             row = m % _RESIDUAL_BLOCK
             if fh is not None and row == 0:  # the block's forcing levels
                 f = np.multiply(time[:, m:m + _RESIDUAL_BLOCK], space, out=buf[:, :M - m])
-            v, inner, nxt, prev, sol, sol_t, rhs = views[row]
-            _three_point(rhs, v, -2.0, h2)  # the recurrences' rhs, in the operator calls' order
+            left, inner, right, nxt, prev, sol, sol_t, rhs, minus2v = views[row]
+            # the recurrences' rhs, with the bits of _three_point(rhs, v, -2.0, h2)
+            np.add(left, np.multiply(inner, -2.0, out=minus2v), out=rhs)
+            np.divide(np.add(rhs, right, out=rhs), h2, out=rhs)
             if m == 0 or a2 != 1.0:  # times 1.0 is the identity
                 rhs *= a2 if m else 0.5 * tau * a2
             if m == 0:
                 rhs += u1h[:, 1:-1]
             if fh is not None:
-                rhs += f[:, row, 1:-1] if m else np.multiply(f[:, 0, 1:-1], 0.5 * tau, out=t[0])
-            sol[:] = rhs  # solved in place; a failed dpttrs leaves rhs, which the residual refuses
-            dpttrs(d, e, sol_t, overwrite_b=1)
-            # v^1 = tau lam + v^0, and v^{m+1} = tau^2 lam + 2 v^m - v^{m-1}
+                rhs += f[:, row, 1:-1] if m else np.multiply(f[:, 0, 1:-1], 0.5 * tau, out=sol)
+            np.copyto(sol, rhs)  # solved in place; the residual refuses a failed dpttrs's rhs
+            dpttrs(d, e, sol_t, 1)
+            # v^1 = tau lam + v^0, and v^{m+1} = tau^2 lam - (-2 v^m) - v^{m-1}, the
+            # bits of tau^2 lam + 2 v^m - v^{m-1}
             np.multiply(sol, tau ** 2 if m else tau, out=nxt)
-            nxt += np.multiply(inner, 2.0, out=t[0]) if m else inner
             if m:
-                nxt -= prev
+                np.subtract(np.subtract(nxt, minus2v, out=nxt), prev, out=nxt)
+            else:
+                nxt += inner
             if row == _RESIDUAL_BLOCK - 1 or m == M - 1:
                 check_block(m - row, row + 1)
                 yield m - row, ring[:, 1:row + 3]
@@ -345,7 +353,8 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
         with np.errstate(over="ignore", invalid="ignore"):
             stop = start + len(v) - 1
             levels, rows = slice(start, stop + 1), stop + 1 - start
-            err = np.subtract(reference.values(levels), v, out=err_buf[:rows])
+            err = reference.values(levels, out=err_buf[:rows])
+            np.subtract(err, v, out=err)
             err[:, 0] = err[:, -1] = 0.0
             d = _backward_diff(err, h, out=diff_buf[:rows])
             dx[levels] = np.sqrt(_sq_sum(d[:, :-1], h))
@@ -357,8 +366,8 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
             l1[levels] = np.sum(np.abs(err, out=err), axis=-1) * h
             l1_dx[levels] = np.sum(np.abs(d, out=d)[:, :-1], axis=-1) * h
             if mode == "q2h_filtered":  # -(q_2h u - v) over the read errors' interior
-                np.add(_three_point(err[:, 1:-1], reference.qh_values(levels), -14.0, 12.0),
-                       v[:, 1:-1], out=err[:, 1:-1])
+                qh = reference.qh_values(levels, out=diff_buf[:rows])  # d is read
+                np.add(_three_point(err[:, 1:-1], qh, -14.0, 12.0), v[:, 1:-1], out=err[:, 1:-1])
                 dt = np.subtract(err[:-1], err[1:], out=diff_buf[:rows - 1])  # flips it back
                 energy[start:stop] = (np.sqrt(_sq_sum(np.divide(dt, mesh.tau, out=dt)[:, 1:-1], h))
                                       + dx[start + 1:stop + 1])

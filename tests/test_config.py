@@ -220,6 +220,11 @@ def test_a_rung_beyond_physical_memory_is_refused_at_load(tmp_path, capsys, kind
     # oracle-check also holds its closed forms and the last one's transients
     arrays = columns + 9 if kind == "oracle_check" else columns
     held = (8 * (m + 1) * (n + 1) * arrays if columns else level_bytes(mesh, kind == "sharpness"))
+    # the runs that build the exact reference hold it too: a tau / h = 1/2, so
+    # E and F of both views are 4 (2N + M + 2) floats, and sharpness's j = 2
+    # forces one mode, 2 (N + 2)
+    if kind in ("solve", "converge", "sharpness"):
+        held += 8 * (4 * (2 * n + m + 2) + (kind == "sharpness") * 2 * (n + 2))
     refinements = 2 if kind == "converge" else 0
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kind": kind, "mesh": {"X": math.pi, "T": math.pi, "N": n, "M": m,

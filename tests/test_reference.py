@@ -332,7 +332,7 @@ def test_per_level_reference_is_served_block_by_block():
         def halves(y):  # U0/2 and V1/(2a) at x + y
             return [np.multiply(sampler[v](y, mesh.N + 1, mesh.h), scale)
                     for sampler, scale in terms]
-        expected = coeffs @ shapes[v]
+        expected = coeffs(slice(None)) @ shapes[v]
         expected += [np.add(*halves(y)) for y in mesh.a * mesh.times()]
         expected += [np.subtract(*halves(-y)) for y in mesh.a * mesh.times()]
         expected[:, ::mesh.N] = 0.0
@@ -340,6 +340,96 @@ def test_per_level_reference_is_served_block_by_block():
         np.testing.assert_array_equal(full, expected)
         blocks = [view(slice(start, start + 17)) for start in range(0, mesh.M + 1, 17)]
         np.testing.assert_array_equal(np.concatenate(blocks), full)
+
+
+def _lattice_formula(mesh, data, v, levels):
+    """View v at levels as one array: the forced modes' coeffs @ shapes, plus
+    E[qi + pm] + F[qi - pm] of E and F on one period of the lattice, flat entry
+    q j + r holding y = (q j + r) h/q, with zero ends."""
+    p, q = reference._lattice(mesh)
+    n, h = mesh.N, mesh.h
+    u0, v1 = (np.stack([np.multiply(sampler[v](r * h / q, 2 * n, h), scale) for r in range(q)],
+                       axis=-1).ravel()
+              for sampler, scale in ((extension_sampler(data.u0, False), 0.5),
+                                     (extension_sampler(data.u1, True), 0.5 / mesh.a)))
+    m = np.arange(mesh.M + 1)[levels]
+    e, f = (np.take(w, np.add.outer(sign * p * m, q * np.arange(n + 1)), mode="wrap")
+            for w, sign in ((u0 + v1, 1), (u0 - v1, -1)))
+    if data.f is None:
+        out = e + f
+    else:
+        coeffs, shapes = reference._forced_modes(mesh, data.f)
+        out = coeffs(slice(None))[levels] @ shapes[v]
+        out += e
+        out += f
+    out[..., ::n] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("T, lattice", [(math.pi, (1, 2)), (0.8 * math.pi, (2, 5))],
+                         ids=["q2", "q5"])
+def test_lattice_reference_serves_the_period_formula_bit_for_bit(T, lattice, forced):
+    # each residue class of the lattice is served as contiguous rows, for an
+    # int level, blocks that cross classes and steps other than 1, into out
+    # or not: the values of E[qi + pm] + F[qi - pm]
+    mesh = build_mesh(math.pi, T, 20, 40)
+    assert reference._lattice(mesh) == lattice
+    data = _forced_sine_series_data(mesh.X)
+    data = data if forced else DataSpec(u0=data.u0, u1=data.u1)
+    ref = dalembert_reference(mesh, data)
+    blocks = [slice(start, start + 17) for start in (0, 3, 16, 29)]
+    for v, view in enumerate((ref.values, ref.qh_values)):
+        for levels in [7, mesh.M, *blocks, slice(None, None, -5), slice(3, None, 7)]:
+            expected = _lattice_formula(mesh, data, v, levels)
+            assert np.array_equal(view(levels), expected)
+            out = np.full_like(expected, np.nan)
+            assert view(levels, out=out) is out and np.array_equal(out, expected)
+
+
+def test_forced_modes_are_evaluated_per_served_block():
+    # K = 128 modes over M = 1024 levels: the build keeps their shapes, not
+    # an (M+1, K) array of time coefficients, and blocks of levels are the
+    # full range bit for bit
+    mesh = build_mesh(math.pi, 2.5, 128, 1024)
+    assert reference._lattice(mesh) is None
+    rng = np.random.default_rng(5)
+    data = DataSpec(u0=Profile.zero(math.pi), u1=Profile.zero(math.pi),
+                    f=Forcing(space=Profile.sine_series(rng.standard_normal(128), math.pi),
+                              time=TimeProfile.harmonic_sin(1.3)))
+    tracemalloc.start()
+    try:
+        ref = dalembert_reference(mesh, data)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.4 * 2 ** 20
+    for view in (ref.values, ref.qh_values):
+        blocks = [view(slice(start, start + 17)) for start in range(0, mesh.M + 1, 17)]
+        assert np.array_equal(np.concatenate(blocks), view(slice(None)))
+
+
+@pytest.mark.parametrize("T, forced", [(math.pi, False), (0.8 * math.pi, True), (2.5, True)],
+                         ids=["q2_lattice", "q5_lattice", "forced_per_level"])
+def test_the_reference_keeps_at_most_the_arrays_config_counts(T, forced):
+    # the arrays a build keeps (the data's own samplers aside, which a
+    # per-level mesh keeps) are at most reference_bytes, the count config adds
+    # for the runs that build the reference, and most of it
+    mesh = build_mesh(math.pi, T, 64, 128)
+    data = _forced_sine_series_data(mesh.X)
+    data = data if forced else DataSpec(u0=data.u0, u1=data.u1)
+    only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain),
+            tracemalloc.Filter(False, data_mod.__file__)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only)
+        ref = dalembert_reference(mesh, data)  # alive through the second snapshot
+        after = tracemalloc.take_snapshot().filter_traces(only)
+    finally:
+        tracemalloc.stop()
+    kept = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    counted = reference.reference_bytes(mesh, 6 if forced else 0)
+    assert 0.99 * counted <= kept <= counted
 
 
 def test_per_level_reference_holds_no_views_array():

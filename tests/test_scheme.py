@@ -1,6 +1,7 @@
 """The time integrator: defining equations, stability, superposition, errors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def _stored_reference(values, qh_values=None):
     """A Reference serving stored (M+1, N+1) node values and hat averages,
     the node values again if none are given."""
     views = (values, values if qh_values is None else qh_values)
-    return Reference(lambda view, levels: (views[view][levels], 0.0))
+    return Reference(lambda view, levels: [(..., views[view][levels], 0.0)], values.shape)
 
 
 def _harmonic_shape(mesh, k):
@@ -306,10 +307,10 @@ def _poison_solve(monkeypatch, call, index=2, shift=None):
     dpttrs = scheme.dpttrs
     calls = 0
 
-    def poisoned(d, e, b, **kwargs):
+    def poisoned(d, e, b, *args, **kwargs):
         nonlocal calls
         calls += 1
-        x, info = dpttrs(d, e, b, **kwargs)
+        x, info = dpttrs(d, e, b, *args, **kwargs)
         if calls == call:
             x[index] = np.nan if shift is None else x[index] + shift
         return x, info
@@ -594,6 +595,24 @@ def test_a_stack_names_the_column_that_is_not_finite(bad):
         evolve_grid(MESH, **inputs)
 
 
+@pytest.mark.parametrize("bad", ["v0", "u1h", "fh"])
+def test_a_stack_of_20_names_its_first_bad_column_in_the_same_words(bad):
+    # the stack is checked in one pass; when that fails, the columns are
+    # walked, and the error names the first bad one as a walk alone did
+    name = "fh space factor" if bad == "fh" else bad
+    inputs, arrays = _inputs(stack=20)
+    arrays[bad][[7, 12], MESH.N // 2] = np.nan
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} column 7 has values that are not finite$"):
+        evolve_grid(MESH, **inputs)
+    inputs, arrays = _inputs(stack=20)
+    arrays[bad][[7, 12], -1] = 0.5
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"{name} column 7 must vanish at the boundary nodes, got w[0]=0.000e+00, "
+            "w[N]=5.000e-01")):
+        evolve_grid(MESH, **inputs)
+
+
 def test_a_stack_checks_its_shapes():
     inputs = _stack_of_three()
     with pytest.raises(ContractViolation, match=r"^u1h must have shape \(3, 17\), got \(2, 17\)"):
@@ -681,9 +700,9 @@ class _RecordingReference:
         self._reference = _stored_reference(values)
         self.served = []
 
-    def values(self, levels):
+    def values(self, levels, out=None):
         self.served.append((levels.start, levels.stop))
-        return self._reference.values(levels)
+        return self._reference.values(levels, out)
 
 
 def test_a_measured_run_refuses_a_failing_step_before_measuring_its_block(monkeypatch):
