@@ -51,7 +51,8 @@ zero data, or with data that has no exact reference (reference.reference_refusal
 a forcing without a sine_series space factor and a harmonic_sin time factor,
 or one resonant with a mode k), is refused with that reason.  So is a rung
 whose arrays held at once exceed physical memory, naming their bytes: the
-(M+1, N+1) levels of solve and of each column of the probe; for
+(M+1, N+1) levels of solve and of each column of the probe, plus its stepping
+buffers (a forced level_bytes per column) and 3 (M, N+1) bound temporaries; for
 oracle-check those of each column plus 9 for the closed forms and the last
 one's transients (10 for forced data); or scheme.level_bytes of a measured
 converge or sharpness run; plus reference.reference_bytes where a run builds it.
@@ -369,6 +370,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         held = (8 * (mesh.M + 1) * (mesh.N + 1) * arrays[kind] if kind in arrays
                 else level_bytes(mesh, forced))  # measured runs: their buffers
         held += builds and reference_bytes(mesh, modes)
+        # the probe's stepping buffers, and np.diff(slices) / tau or the energy
+        # kernel's two differences and scratch of one column at a time
+        held += kind == "stability_probe" and (cfg.n_random * level_bytes(mesh, True)
+                                               + 3 * 8 * mesh.M * (mesh.N + 1))
         if held > memory:
             raise ConfigurationError(f"the N={mesh.N}, M={mesh.M} rung holds {held} bytes of "
                                      f"arrays at once, more than the {memory} bytes of memory")

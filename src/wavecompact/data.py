@@ -11,9 +11,9 @@ accept merely integrable data:
 with e_i the hat centered at node i.  Boundary entries of q_h are zero.  The
 second-level average q_2h combines q_h with the Numerov correction,
 
-    (q_2h w)_i = (-q_h w_{i-1} + 14 q_h w_i - q_h w_{i+1}) / 12,
+    (q_2h w)_i = (-q_h w_{i-1} + 14 q_h w_i - q_h w_{i+1}) / 12;
 
-the negated (-14, 12) case of the three-point kernel grid._three_point.
+the exact reference filters its hat averages so (reference.Reference.q2h_values).
 
 Quadrature policy: integration cells are split at descriptor breakpoints and
 each panel uses the Gauss-Legendre rule of _gauss_nodes, at least 8 nodes and
@@ -48,7 +48,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, ContractViolation, QuadratureError
-from .grid import GridFn, MeshSpec, _three_point, require_dirichlet
+from .grid import GridFn, MeshSpec
 from .operators import stencil
 
 PROFILE_FORMS = ("sine_series", "piecewise")
@@ -435,16 +435,6 @@ def average_qtau(g, mesh: MeshSpec) -> np.ndarray:
         out[:, 1:] = (i_rise[:, : mesh.M - 1] + i_fall[:, 1: mesh.M]) / mesh.tau
         return out
     return _by_form(g, "polynomial", harmonic, polynomial)
-
-
-def q2h_from_qh(qh_values, mesh: MeshSpec) -> GridFn:
-    """Numerov-corrected average from already computed q_h values (one level
-    or a stack of levels)."""
-    q = require_dirichlet(qh_values, mesh, "q_h values")
-    out = np.zeros_like(q)
-    inner = out[..., 1:-1]
-    np.negative(_three_point(inner, q, -14.0, 12.0), out=inner)
-    return out
 
 
 def extension_sampler(w: Profile, antiderivative: bool):

@@ -9,11 +9,12 @@ from the exact divisions X/N, T/M, never by cumulative addition.
 
 _three_point, (w[i-1] + c w[i] + w[i+1]) / d on the interior nodes, is the
 package's one three-point kernel: the mass and stiffness forms below, the
-operators module's stencils, the q_2h average and the stepping loop all call
-it.  Beside it, _tridiagonal, off (w[i-1] + w[i+1]) + diag w[i], is the
-implicit matrix A as one stencil of the entries its LDL^T factor is built
-from (operators._implicit_entries): operators.apply_implicit calls it, and the
-stepping loop's residual check on the solutions' interiors, zero ends implied.
+operators module's stencils and the reference's q_2h filter call it, and the
+stepping loop computes its bits.  Beside it, _tridiagonal, off (w[i-1] +
+w[i+1]) + diag w[i], is the implicit matrix A as one stencil of the entries
+its LDL^T factor is built from (operators._implicit_entries):
+operators.apply_implicit calls it, and the stepping loop's residual check on
+the solutions' interiors, zero ends implied.
 
 The implicit weight of the scheme is sigma = (1 + h^2/(a^2 tau^2)) / 12, and
 the time step is admissible when

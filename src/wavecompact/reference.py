@@ -1,9 +1,9 @@
 """The exact reference solution on a fixed mesh.
 
 A reference object serves two views of the exact solution u: raw node values
-u(x_i, t_m) through values(levels) and hat-averaged values (q_h u(., t_m))_i
-through qh_values(levels), the latter feeding the q_2h-filtered error norms.
-levels is a time level or a slice of levels, as in numpy indexing.
+u(x_i, t_m) through values(levels) and (q_2h u(., t_m))_i through
+q2h_values(levels), the latter feeding the q2h_filtered error norms.  levels
+is a time level or a slice of levels, as in numpy indexing.
 
 dalembert_reference is the one exact reference.  For the initial data it
 evaluates d'Alembert's formula
@@ -13,15 +13,16 @@ evaluates d'Alembert's formula
 
 with U0 the odd 2X-periodic extension of u0 and V1 the even periodic
 antiderivative of the odd extension of u1.  data.extension_sampler evaluates
-U0 and V1 and their hat averages; the hat average of a shifted function is the
-shifted hat average, so the q_h view is the same formula on those averages.
+U0 and V1 and their hat averages; q_2h, the filter (-1, 14, -1) / 12 of hat
+averages at y - h, y, y + h (grid._three_point's (-14, -12) case), is linear
+and commutes with shifts, so the q_2h view is the same formula on filtered E, F.
 A forcing sum_k c_k sqrt(2/X) sin(pi k x / X) sin(omega t) adds, by Duhamel's
 principle, the modes
 
     u_k(x, t) = c_k sqrt(2/X) / w_k int_0^t sin(omega s) sin(w_k (t - s)) ds
                 * sin(pi k x / X),   w_k = a pi k / X,
 
-each multiplied by its hat-average eigenfactor in the q_h view.
+each times its hat-average and filter eigenfactors in the q_2h view.
 reference_refusal is the rule for which data this covers: any initial data,
 and forcing whose space factor is a sine series and whose time factor is
 harmonic_sin off resonance.
@@ -31,10 +32,12 @@ E(x_i + a t_m) and F(x_i - a t_m) for just the view and the levels asked for;
 no (M+1, N+1) array is held.  When a tau / h = p / q is rational with q <= M,
 as with aT = X (p/q = N/M) or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m
 = (q i +- p m) h/q lies on the lattice of spacing h/q: E and F are evaluated
-once on one period of it, L = 2Nq points, and kept as their q contiguous residue
-classes: the levels r, r + q, ... of E[qi + pm] or F[qi - pm] are rows of one.  Other meshes
-evaluate the levels served; the build evaluates level 0, which holds every
-value of U0 and V1 on (0, X), and every level refuses non-finite values alike.
+once on one period of it, L = 2Nq points (filtered once), and kept as their q
+contiguous residue classes: the levels r, r + q, ... of E[qi + pm] or F[qi - pm]
+are rows of one.  Other meshes evaluate the levels served; the build evaluates
+level 0, which holds every value of U0 and V1 on (0, X), and every level
+refuses non-finite values alike (a filter overflowing beyond ~1e307 is left
+to the measurer, which refuses data too large to measure).
 """
 
 from __future__ import annotations
@@ -47,13 +50,13 @@ from numpy.lib.stride_tricks import as_strided
 
 from .data import DataSpec, Forcing, extension_sampler, hat_average_factor
 from .errors import ConfigurationError, QuadratureError
-from .grid import MeshSpec
-from .oracle import forced_mode_response, resonant
+from .grid import MeshSpec, _three_point
+from .oracle import resonant
 
 
 class Reference:
     """The exact reference, both views, on the (M+1, N+1) grid of shape: view v
-    (0 node values, 1 hat averages) at levels m is e + f in the rows of each
+    (0 node values, 1 q_2h-filtered values) at levels m is e + f in the rows of each
     part (rows, e, f) of serve(v, m), plus, if forced is not None, coeffs(m) @
     shapes[v] of the forced modes, with zero ends.  Each call builds just the
     view and the levels asked for, into out if given."""
@@ -78,7 +81,7 @@ class Reference:
     def values(self, levels, out=None) -> np.ndarray:
         return self._view(0, levels, out)
 
-    def qh_values(self, levels, out=None) -> np.ndarray:
+    def q2h_values(self, levels, out=None) -> np.ndarray:
         return self._view(1, levels, out)
 
 
@@ -106,18 +109,26 @@ def reference_refusal(mesh: MeshSpec, data: DataSpec) -> str | None:
 
 def _forced_modes(mesh: MeshSpec, f: Forcing):
     """(coeffs, shapes) of the Duhamel modes of f: coeffs(levels)[..., j] is mode
-    j's time coefficient at the levels, evaluated per call, shapes[view, j] its
-    node values (view 0) and hat averages (view 1); Reference zeroes their ends."""
+    j's time coefficient at the levels, per call, with the bits of
+    oracle.forced_mode_response off resonance, shapes[view, j] its node values
+    (view 0) and q_2h values (view 1: times its hat average's eigenfactor and
+    the filter's, (14 - 2 cos(pi k h / X)) / 12); Reference zeroes their ends."""
     ks = np.flatnonzero(f.space.coeffs)
     wave = math.pi * (ks + 1) / mesh.X
     kappa, omega = mesh.a * wave, f.time.omega
     scale = np.asarray(f.space.coeffs)[ks] * math.sqrt(2.0 / mesh.X) / kappa
 
     def coeffs(levels):
-        return scale * forced_mode_response(omega, kappa, mesh.times()[levels, None])
+        r = range(mesh.M + 1)[levels]  # their times: level integers * tau
+        t = np.multiply(np.arange(r.start, r.stop, r.step) if isinstance(r, range) else r,
+                        mesh.tau)[..., None]
+        sin_omega, sin_kappa = np.sin(omega * t), np.sin(kappa * t)
+        return scale * (-0.5 * (sin_omega - sin_kappa) / (omega - kappa)
+                        + 0.5 * (sin_omega + sin_kappa) / (omega + kappa))
     shapes = np.empty((2, len(ks), mesh.N + 1))
     shapes[0] = np.sin(np.outer(wave, mesh.nodes()))
-    shapes[1] = shapes[0] * hat_average_factor(wave * mesh.h)[:, None]
+    shapes[1] = shapes[0] * (hat_average_factor(wave * mesh.h)
+                             * (14.0 - 2.0 * np.cos(wave * mesh.h)) / 12.0)[:, None]
     return coeffs, shapes
 
 
@@ -166,7 +177,8 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
 
     @np.errstate(over="ignore", invalid="ignore")  # it serves after the build too
     def halves(view, start, count):
-        """E and F, U0/2 +- V1/(2a), at start + j h; view 1 hat-averaged."""
+        """E and F, U0/2 +- V1/(2a), at start + j h; view 1 the q_2h filter of their
+        hat averages, each row read as periodic (Reference zeroes a level's ends)."""
         out = np.empty((2, count))
         for d, (name, sampler, scale) in enumerate(data_terms):
             try:
@@ -175,7 +187,9 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
                 out[d] = np.nan
             if not np.all(np.isfinite(out[d])):
                 refuse(name)
-        return out[0] + out[1], out[0] - out[1]
+        e_f = out[0] + out[1], out[0] - out[1]
+        return _three_point(out, np.take(e_f, range(-1, count + 1), axis=1, mode="wrap"),
+                            -14.0, -12.0) if view else e_f
 
     lattice = _lattice(mesh)
     if lattice is not None:

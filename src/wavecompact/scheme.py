@@ -49,8 +49,8 @@ and their backward space differences, in buffers allocated once per call,
 computed once and read by every norm of the block, the energy norm included
 (grid._energy_from_differences, the formula energy_norm_pair evaluates), each
 sum of squares one row dot product (grid._sq_sum), each L1 norm h sum |e|.
-The reference serves its views into err_buf and, once the differences are
-read, diff_buf; the q_2h filter reads them unchecked: their ends vanish.
+The reference serves its views into err_buf, the q_2h view (filtered by the
+reference) once the node errors are read: the filtered error is one subtraction.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
 from .grid import (GridFn, MeshSpec, _backward_diff, _energy_from_differences, _sq_sum,
-                   _three_point, _tridiagonal, check_stable, require_dirichlet, time_aggregate)
+                   _tridiagonal, check_stable, require_dirichlet, time_aggregate)
 from .operators import _implicit_entries, _implicit_factor, dpttrs
 
 ERROR_MODES = ("node_sampled", "q2h_filtered")
@@ -254,7 +254,7 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
             if fh is not None and row == 0:  # the block's forcing levels
                 f = np.multiply(time[:, m:m + _RESIDUAL_BLOCK], space, out=buf[:, :M - m])
             left, inner, right, nxt, prev, sol, sol_t, rhs, minus2v = views[row]
-            # the recurrences' rhs, with the bits of _three_point(rhs, v, -2.0, h2)
+            # the recurrences' rhs, with the bits of grid._three_point(rhs, v, -2.0, h2)
             np.add(left, np.multiply(inner, -2.0, out=minus2v), out=rhs)
             np.divide(np.add(rhs, right, out=rhs), h2, out=rhs)
             if m == 0 or a2 != 1.0:  # times 1.0 is the identity
@@ -337,8 +337,9 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
     """The error norms of the levels that blocks yields as (first, v), v the
     levels first..first+n of a block (n <= _RESIDUAL_BLOCK; consecutive blocks
     share a level, so the two-level norms see every pair), against a reference
-    serving values(levels), and qh_values(levels) in q2h_filtered mode;
-    node_sampled mode refuses an unstable mesh, as energy_norm_pair does."""
+    serving values(levels), and q2h_values(levels) in q2h_filtered mode, each
+    block of at least two levels into err_buf; node_sampled mode refuses an
+    unstable mesh, as energy_norm_pair does."""
     if mode not in ERROR_MODES:
         raise ContractViolation(f"unknown error mode {mode!r}; expected one of {ERROR_MODES}")
     if mode == "node_sampled":
@@ -365,10 +366,9 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
             # zero, so the trapezoid's end weights vanish
             l1[levels] = np.sum(np.abs(err, out=err), axis=-1) * h
             l1_dx[levels] = np.sum(np.abs(d, out=d)[:, :-1], axis=-1) * h
-            if mode == "q2h_filtered":  # -(q_2h u - v) over the read errors' interior
-                qh = reference.qh_values(levels, out=diff_buf[:rows])  # d is read
-                np.add(_three_point(err[:, 1:-1], qh, -14.0, 12.0), v[:, 1:-1], out=err[:, 1:-1])
-                dt = np.subtract(err[:-1], err[1:], out=diff_buf[:rows - 1])  # flips it back
+            if mode == "q2h_filtered":  # q_2h u - v over the read errors
+                err = np.subtract(reference.q2h_values(levels, out=err), v, out=err)
+                dt = np.subtract(err[1:], err[:-1], out=diff_buf[:rows - 1])  # d is read
                 energy[start:stop] = (np.sqrt(_sq_sum(np.divide(dt, mesh.tau, out=dt)[:, 1:-1], h))
                                       + dx[start + 1:stop + 1])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -220,6 +220,10 @@ def test_a_rung_beyond_physical_memory_is_refused_at_load(tmp_path, capsys, kind
     # oracle-check also holds its closed forms and the last one's transients
     arrays = columns + 9 if kind == "oracle_check" else columns
     held = (8 * (m + 1) * (n + 1) * arrays if columns else level_bytes(mesh, kind == "sharpness"))
+    # the probe's columns step with their buffers; its bounds hold 3 (M, N+1)
+    # temporaries of one column
+    if kind == "stability_probe":
+        held += columns * level_bytes(mesh, True) + 3 * 8 * m * (n + 1)
     # the runs that build the exact reference hold it too: a tau / h = 1/2, so
     # E and F of both views are 4 (2N + M + 2) floats, and sharpness's j = 2
     # forces one mode, 2 (N + 2)

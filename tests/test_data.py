@@ -11,11 +11,12 @@ from scipy.integrate import quad
 
 from wavecompact.data import (DataSpec, Forcing, Profile, TimeProfile, average_qh,
                               average_qtau, build_fh, build_u1h, hat_average_factor,
-                              profile_h01_norm, profile_l2_norm, q2h_from_qh, sample_nodes,
+                              profile_h01_norm, profile_l2_norm, sample_nodes,
                               time_l1_norm)
 from wavecompact.errors import ConfigurationError, ContractViolation, QuadratureError
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import stencil
+from wavecompact.reference import dalembert_reference
 from wavecompact.scheme import prepare_inputs, stack_inputs
 
 from _sine_analysis import sine_coefficients
@@ -354,11 +355,16 @@ def test_qtau_harmonic_level_zero_quadrature():
 # --------------------------------------------------------------------------
 # q_2h
 
+def _q2h_of_u0(w, mesh):
+    """q_2h w at the nodes: the exact reference's q_2h view at t = 0 of u0 = w."""
+    return dalembert_reference(mesh, DataSpec(u0=w, u1=Profile.zero(w.X))).q2h_values(0)
+
+
 def test_q2h_zero_and_sine_diagonal():
-    assert np.all(q2h_from_qh(average_qh(Profile.zero(math.pi), MESH), MESH) == 0.0)
+    assert np.all(_q2h_of_u0(Profile.zero(math.pi), MESH) == 0.0)
     # q_2h is diagonal on the sine basis: (lam_k/k^2)(1 + h^2 lam_k / 12)
     k = 2
-    got = q2h_from_qh(average_qh(Profile.harmonic_mode(k, math.pi), MESH), MESH)
+    got = _q2h_of_u0(Profile.harmonic_mode(k, math.pi), MESH)
     lam = (2.0 / MESH.h * math.sin(k * MESH.h / 2.0)) ** 2
     factor = lam / k ** 2 * (1.0 + MESH.h ** 2 * lam / 12.0)
     np.testing.assert_allclose(got[1:-1], factor * np.sin(k * MESH.nodes())[1:-1],
@@ -371,7 +377,7 @@ def test_q2h_fourth_order_on_smooth_profile():
     for n in (8, 16, 32):
         mesh = build_mesh(math.pi, math.pi, n, 4 * n)
         w = Profile.harmonic_mode(1, math.pi)
-        diff = sample_nodes(w, mesh) - q2h_from_qh(average_qh(w, mesh), mesh)
+        diff = sample_nodes(w, mesh) - _q2h_of_u0(w, mesh)
         diff[0] = diff[-1] = 0.0
         errs.append(space_norm(diff, "l2", mesh))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.1)

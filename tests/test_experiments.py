@@ -708,6 +708,31 @@ def test_oracle_check_load_count_is_within_25_percent_of_its_peak(monkeypatch, j
     assert abs(counted - peak) <= 0.25 * peak, (counted, peak)
 
 
+@pytest.mark.parametrize("n, m, columns", [(16, 32, 20), (256, 512, 4)],
+                         ids=["stepping_peak", "bounds_peak"])
+def test_stability_probe_load_count_bounds_its_peak(monkeypatch, n, m, columns):
+    # config counts the probe's level arrays, each column's stepping buffers
+    # and one column's bound temporaries: the peak of stepping 20 columns at
+    # N = 16, and of the bounds of 4 columns at N = 256, stay within it
+    import os
+    import tracemalloc
+    raw = {"kind": "stability_probe", "mesh": {"X": math.pi, "T": math.pi, "N": n, "M": m},
+           "seed": 3, "n_random": columns, "n_pairs": 10}
+    cfg = config_from_dict(raw)
+    run_stability_probe(cfg, emit=False)  # the factor caches
+    tracemalloc.start()
+    try:
+        run_stability_probe(cfg, emit=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)  # one byte of memory
+    with pytest.raises(ConfigurationError, match="bytes of arrays at once") as refusal:
+        config_from_dict(raw)
+    counted = int(re.search(r"holds (\d+) bytes", str(refusal.value)).group(1))
+    assert peak <= counted <= 1.5 * peak, (counted, peak)
+
+
 def test_oracle_check_names_the_datum_and_mesh_of_bad_grid_data():
     # each column's data are checked: a non-finite forcing is named with its mesh
     cfg = config_from_dict({

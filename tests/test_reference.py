@@ -16,10 +16,12 @@ from wavecompact.data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, 
 from wavecompact.errors import ConfigurationError
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
-from wavecompact.oracle import HarmonicData, canonical_mesh, harmonic_dataspec
+from wavecompact.oracle import (HarmonicData, canonical_mesh, forced_mode_response,
+                                harmonic_dataspec)
 from wavecompact.reference import dalembert_reference
 
 from _harmonic import exact_harmonic_solution
+from _q2h import q2h_factor, q2h_from_qh, q2h_periodic
 from _sine_analysis import sine_coefficients
 
 
@@ -54,12 +56,13 @@ def test_dalembert_reference_of_harmonic_data_is_the_closed_form(j, T, lattice):
     for m in (1, 7, mesh.M):
         oracle = _qh_oracle(lambda x: float(exact_harmonic_solution(
             kind, math.pi * x / mesh.X, cm.times()[m])), mesh)
-        np.testing.assert_allclose(ref.qh_values(m), oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.q2h_values(m), q2h_from_qh(oracle), rtol=0, atol=1e-12)
 
 
-def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes, qh=False):
-    """Direct mode-sum of the exact solution (or its hat averages) at the grid
-    points, for orthonormal sine coefficients of u0 and u1."""
+def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes, q2h=False):
+    """Direct mode-sum of the exact solution (or of its q_2h averages, each
+    mode times its eigenfactor) at the grid points, for orthonormal sine
+    coefficients of u0 and u1."""
     x, t = mesh.nodes(), mesh.times()
     k = np.arange(1, n_modes + 1)
     omega = np.pi * k / mesh.X
@@ -69,9 +72,8 @@ def _brute_series_reference(mesh, coeffs0, coeffs1, n_modes, qh=False):
     a[:min(n_modes, len(coeffs0))] = np.asarray(coeffs0)[:n_modes] * root
     b[:min(n_modes, len(coeffs1))] = np.asarray(coeffs1)[:n_modes] * root
     shape = np.sin(np.outer(omega, x))
-    if qh:
-        half = omega * mesh.h / 2
-        shape *= ((np.sin(half) / half) ** 2)[:, None]
+    if q2h:
+        shape *= q2h_factor(omega, mesh.h)[:, None]
     phase = np.outer(t, mesh.a * omega)
     vals = (a * np.cos(phase) + b / (mesh.a * omega) * np.sin(phase)) @ shape
     vals[:, 0] = vals[:, -1] = 0.0
@@ -103,7 +105,8 @@ def test_dalembert_reference_initial_slice_is_data(T, case):
     samples = data.u0(mesh.nodes())
     samples[0] = samples[-1] = 0.0
     np.testing.assert_allclose(ref.values(0), samples, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(ref.qh_values(0), average_qh(data.u0, mesh), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ref.q2h_values(0), q2h_from_qh(average_qh(data.u0, mesh)),
+                               rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("X, a, N, M", [(math.pi, 1.0, 16, 32), (2.0, 1.5, 8, 12)],
@@ -156,7 +159,7 @@ def test_dalembert_reference_qh_slices_by_quadrature(X, a, T, N, M):
         # u(., t) is piecewise linear, kinked where x +- a t is a multiple of X/2
         kinks = [j * X / 2 + s * a * t for j in range(-8, 9) for s in (1, -1)]
         oracle = _qh_oracle(lambda x: float(u(x, t)), mesh, kinks)
-        np.testing.assert_allclose(ref.qh_values(m), oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.q2h_values(m), q2h_from_qh(oracle), rtol=0, atol=1e-12)
         expected = u(mesh.nodes(), t)
         expected[0] = expected[-1] = 0.0
         np.testing.assert_allclose(ref.values(m), expected, rtol=0, atol=1e-14)
@@ -174,7 +177,7 @@ def test_dalembert_reference_lattice_vs_per_level_paths(monkeypatch, X, a, N, M,
     levels = slice(None)
     np.testing.assert_allclose(lattice.values(levels), per_level.values(levels),
                                rtol=0, atol=1e-13)
-    np.testing.assert_allclose(lattice.qh_values(levels), per_level.qh_values(levels),
+    np.testing.assert_allclose(lattice.q2h_values(levels), per_level.q2h_values(levels),
                                rtol=0, atol=1e-13)
 
 
@@ -182,7 +185,8 @@ def test_dalembert_reference_lattice_vs_per_level_paths(monkeypatch, X, a, N, M,
 def test_dalembert_reference_paths_match_brute_force(T):
     # the mode sum stops at K; its pointwise gap is at most the sum of the
     # omitted amplitudes.  They decay like k^-2, so those beyond 16 K add at
-    # most a fifteenth of those in (K, 16 K]: twice that sum bounds the gap.
+    # most a fifteenth of those in (K, 16 K]: twice that sum bounds the gap,
+    # and of the q_2h averages too, whose eigenfactors are at most 1
     mesh = build_mesh(math.pi, T, 8, 16)
     data = PRESETS["hat_step"].make(math.pi)
     k_total = 4096
@@ -193,9 +197,10 @@ def test_dalembert_reference_paths_match_brute_force(T):
     bound = 2.0 * math.sqrt(2.0 / math.pi) * float(np.sum(omitted))
     ref = dalembert_reference(mesh, data)
     values = _brute_series_reference(mesh, c0, c1, k_total)
-    qh_values = _brute_series_reference(mesh, c0, c1, k_total, qh=True)
+    q2h_values = _brute_series_reference(mesh, c0, c1, k_total, q2h=True)
+    assert np.all(q2h_factor(np.arange(1, 16 * k_total + 1), mesh.h) <= 1.0)
     assert 0.0 < np.max(np.abs(ref.values(slice(None)) - values)) <= bound < 1e-3
-    assert np.max(np.abs(ref.qh_values(slice(None)) - qh_values)) <= bound
+    assert np.max(np.abs(ref.q2h_values(slice(None)) - q2h_values)) <= bound
 
 
 @pytest.mark.parametrize("T", **_PATHS)
@@ -209,8 +214,8 @@ def test_dalembert_reference_of_a_sine_series_is_its_mode_sum(T):
     ref = dalembert_reference(mesh, data)
     np.testing.assert_allclose(ref.values(slice(None)), _brute_series_reference(mesh, c0, c1, 6),
                                rtol=1e-11, atol=1e-12)
-    np.testing.assert_allclose(ref.qh_values(slice(None)),
-                               _brute_series_reference(mesh, c0, c1, 6, qh=True),
+    np.testing.assert_allclose(ref.q2h_values(slice(None)),
+                               _brute_series_reference(mesh, c0, c1, 6, q2h=True),
                                rtol=1e-11, atol=1e-12)
 
 
@@ -235,12 +240,13 @@ def test_dalembert_reference_of_forced_modes_is_the_duhamel_integral(T):
             qh_expected += amplitude * _qh_oracle(lambda y: math.sin(math.pi * k * y / X), mesh)
         expected[::mesh.N] = qh_expected[::mesh.N] = 0.0
         np.testing.assert_allclose(ref.values(m), expected, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(ref.qh_values(m), qh_expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ref.q2h_values(m), q2h_from_qh(qh_expected), rtol=0,
+                                   atol=1e-13)
     # with initial data too, the reference is the sum of the two (linearity)
     rough = PRESETS["hat_step"].make(X)
     both = dalembert_reference(mesh, DataSpec(u0=rough.u0, u1=rough.u1, f=data.f))
     unforced = dalembert_reference(mesh, rough)
-    for view in ("values", "qh_values"):
+    for view in ("values", "q2h_values"):
         np.testing.assert_allclose(
             getattr(both, view)(slice(None)),
             getattr(unforced, view)(slice(None)) + getattr(ref, view)(slice(None)),
@@ -299,7 +305,7 @@ def test_lattice_reference_is_served_block_by_block():
         tracemalloc.stop()
     assert reference._lattice(mesh) is not None
     assert kept < 2 ** 20 and peak < 2 * 2 ** 20
-    for view in (ref.values, ref.qh_values):
+    for view in (ref.values, ref.q2h_values):
         full = view(slice(None))
         assert not np.any(full[:, ::mesh.N])  # Dirichlet ends, exactly
         blocks = [view(slice(start, start + 17)) for start in range(0, mesh.M + 1, 17)]
@@ -320,7 +326,8 @@ def test_per_level_reference_is_served_block_by_block():
     # a tau / h = 1.25 / 1.5 has no q <= M: E and F are evaluated for the
     # levels served.  Blocks of levels are the full range bit for bit, and the
     # full range is, in the lattice's order, the forced modes' coeffs @ shapes
-    # plus E(x + a t) plus F(x - a t), with zero ends, bit for bit
+    # plus E(x + a t) plus F(x - a t), with zero ends, bit for bit; the q_2h
+    # view filters the hat averages of E and F at the nodes
     mesh = build_mesh(math.pi, 2.5, 16, 48)
     assert reference._lattice(mesh) is None
     data = _forced_sine_series_data(mesh.X)
@@ -328,13 +335,14 @@ def test_per_level_reference_is_served_block_by_block():
     coeffs, shapes = reference._forced_modes(mesh, data.f)
     terms = ((extension_sampler(data.u0, False), 0.5),
              (extension_sampler(data.u1, True), 0.5 / mesh.a))
-    for v, view in enumerate((ref.values, ref.qh_values)):
+    for v, view in enumerate((ref.values, ref.q2h_values)):
         def halves(y):  # U0/2 and V1/(2a) at x + y
             return [np.multiply(sampler[v](y, mesh.N + 1, mesh.h), scale)
                     for sampler, scale in terms]
+        view_of = q2h_from_qh if v else (lambda w: w)
         expected = coeffs(slice(None)) @ shapes[v]
-        expected += [np.add(*halves(y)) for y in mesh.a * mesh.times()]
-        expected += [np.subtract(*halves(-y)) for y in mesh.a * mesh.times()]
+        expected += [view_of(np.add(*halves(y))) for y in mesh.a * mesh.times()]
+        expected += [view_of(np.subtract(*halves(-y))) for y in mesh.a * mesh.times()]
         expected[:, ::mesh.N] = 0.0
         full = view(slice(None))
         np.testing.assert_array_equal(full, expected)
@@ -345,16 +353,19 @@ def test_per_level_reference_is_served_block_by_block():
 def _lattice_formula(mesh, data, v, levels):
     """View v at levels as one array: the forced modes' coeffs @ shapes, plus
     E[qi + pm] + F[qi - pm] of E and F on one period of the lattice, flat entry
-    q j + r holding y = (q j + r) h/q, with zero ends."""
+    q j + r holding y = (q j + r) h/q, with zero ends; in view 1 each residue
+    class r is the q_2h filter of its hat averages on the period."""
     p, q = reference._lattice(mesh)
     n, h = mesh.N, mesh.h
-    u0, v1 = (np.stack([np.multiply(sampler[v](r * h / q, 2 * n, h), scale) for r in range(q)],
-                       axis=-1).ravel()
-              for sampler, scale in ((extension_sampler(data.u0, False), 0.5),
-                                     (extension_sampler(data.u1, True), 0.5 / mesh.a)))
+    view_of = q2h_periodic if v else (lambda w: w)
+    classes = [[np.multiply(sampler[v](r * h / q, 2 * n, h), scale)
+                for sampler, scale in ((extension_sampler(data.u0, False), 0.5),
+                                       (extension_sampler(data.u1, True), 0.5 / mesh.a))]
+               for r in range(q)]
     m = np.arange(mesh.M + 1)[levels]
-    e, f = (np.take(w, np.add.outer(sign * p * m, q * np.arange(n + 1)), mode="wrap")
-            for w, sign in ((u0 + v1, 1), (u0 - v1, -1)))
+    e, f = (np.take(np.stack([view_of(combine(u0, v1)) for u0, v1 in classes], axis=-1).ravel(),
+                    np.add.outer(sign * p * m, q * np.arange(n + 1)), mode="wrap")
+            for combine, sign in ((np.add, 1), (np.subtract, -1)))
     if data.f is None:
         out = e + f
     else:
@@ -379,7 +390,7 @@ def test_lattice_reference_serves_the_period_formula_bit_for_bit(T, lattice, for
     data = data if forced else DataSpec(u0=data.u0, u1=data.u1)
     ref = dalembert_reference(mesh, data)
     blocks = [slice(start, start + 17) for start in (0, 3, 16, 29)]
-    for v, view in enumerate((ref.values, ref.qh_values)):
+    for v, view in enumerate((ref.values, ref.q2h_values)):
         for levels in [7, mesh.M, *blocks, slice(None, None, -5), slice(3, None, 7)]:
             expected = _lattice_formula(mesh, data, v, levels)
             assert np.array_equal(view(levels), expected)
@@ -404,7 +415,7 @@ def test_forced_modes_are_evaluated_per_served_block():
     finally:
         tracemalloc.stop()
     assert kept < 0.4 * 2 ** 20
-    for view in (ref.values, ref.qh_values):
+    for view in (ref.values, ref.q2h_values):
         blocks = [view(slice(start, start + 17)) for start in range(0, mesh.M + 1, 17)]
         assert np.array_equal(np.concatenate(blocks), view(slice(None)))
 
@@ -445,7 +456,7 @@ def test_per_level_reference_holds_no_views_array():
     tracemalloc.start()
     try:
         ref = dalembert_reference(mesh, data)
-        for view in (ref.values, ref.qh_values):
+        for view in (ref.values, ref.q2h_values):
             for start in range(0, mesh.M, 16):
                 view(slice(start, start + 17))
         _, peak = tracemalloc.get_traced_memory()
@@ -470,7 +481,7 @@ def test_per_level_node_values_evaluate_no_hat_average(monkeypatch):
     assert built > 0
     ref.values(slice(None))
     assert len(calls) == built
-    ref.qh_values(mesh.M)
+    ref.q2h_values(mesh.M)
     assert len(calls) > built
 
 
@@ -484,8 +495,27 @@ def test_per_level_reference_refuses_a_later_non_finite_level():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ref = dalembert_reference(mesh, DataSpec(u0=u0, u1=Profile.zero(math.pi)))
-        ref.values(0), ref.qh_values(0)
-        for view in (ref.values, ref.qh_values):
+        ref.values(0), ref.q2h_values(0)
+        for view in (ref.values, ref.q2h_values):
             with pytest.raises(ConfigurationError, match=r"^the exact solution of u0 is not "
                                                          r"finite on the N=8, M=16 mesh$"):
                 view(slice(None))
+
+
+@pytest.mark.parametrize("T", [0.8 * math.pi, 2.5], ids=["lattice", "per_level"])
+def test_forced_coefficients_keep_the_bits_of_the_duhamel_response(T):
+    # coeffs takes a block's times as its level integers times tau and checks
+    # no resonance (the build refused it): each block, int level and step has
+    # the bits of scale * forced_mode_response at mesh.times()[levels, None]
+    mesh = build_mesh(math.pi, T, 16, 48)
+    f = _forced_sine_series_data(mesh.X).f
+    coeffs, _ = reference._forced_modes(mesh, f)
+    ks = np.flatnonzero(f.space.coeffs)
+    kappa = mesh.a * (math.pi * (ks + 1) / mesh.X)
+    scale = np.asarray(f.space.coeffs)[ks] * math.sqrt(2.0 / mesh.X) / kappa
+    blocks = [slice(start, start + 17) for start in range(0, mesh.M, 16)]
+    for levels in [0, 7, mesh.M, *blocks, slice(None), slice(None, None, -5), slice(3, None, 7)]:
+        expected = scale * forced_mode_response(f.time.omega, kappa,
+                                                mesh.times()[levels, None])
+        got = coeffs(levels)
+        assert got.shape == expected.shape and np.array_equal(got, expected)

@@ -21,6 +21,8 @@ from wavecompact.reference import Reference, dalembert_reference
 from wavecompact.scheme import (ERROR_MODES, evolve, evolve_grid, evolve_measured, measure_error,
                                 prepare_inputs)
 
+from _q2h import q2h_factor
+
 MESH = build_mesh(math.pi, math.pi, 16, 64)
 
 
@@ -28,10 +30,10 @@ def _zero_data(X=math.pi):
     return DataSpec(u0=Profile.zero(X), u1=Profile.zero(X))
 
 
-def _stored_reference(values, qh_values=None):
-    """A Reference serving stored (M+1, N+1) node values and hat averages,
-    the node values again if none are given."""
-    views = (values, values if qh_values is None else qh_values)
+def _stored_reference(values, q2h_values=None):
+    """A Reference serving stored (M+1, N+1) node values and q_2h-filtered
+    values, the node values again if none are given."""
+    views = (values, values if q2h_values is None else q2h_values)
     return Reference(lambda view, levels: [(..., views[view][levels], 0.0)], values.shape)
 
 
@@ -220,15 +222,15 @@ def test_error_report_brute_force_norms(m_levels):
 
 @SEAM_MESHES
 def test_error_report_q2h_mode_brute_force(m_levels):
-    from wavecompact.data import q2h_from_qh
+    # the exact solution is one sine mode: q_2h u is u times its eigenfactor
     mesh = build_mesh(math.pi, math.pi, 8, m_levels)
     kind = HarmonicData(j=1, k=1)
     data = harmonic_dataspec(kind, mesh)
     run = evolve(mesh, data)
     ref = dalembert_reference(mesh, data)
     rep = measure_error(mesh, run.slices, ref, mode="q2h_filtered")
-    filt = [q2h_from_qh(ref.qh_values(m), mesh) - run.slices[m]
-            for m in range(mesh.M + 1)]
+    factor = q2h_factor(kind.k * math.pi / mesh.X, mesh.h)
+    filt = [factor * ref.values(m) - run.slices[m] for m in range(mesh.M + 1)]
     node = [ref.values(m) - run.slices[m] for m in range(mesh.M + 1)]
     expected = max(
         space_norm((filt[m] - filt[m - 1]) / mesh.tau, "l2", mesh)
@@ -648,8 +650,8 @@ def test_each_column_has_its_own_residual_scale(monkeypatch):
 # measured runs: stepped and measured block by block, no stored trajectory
 
 def _random_reference(mesh, rng):
-    """A Reference of random node values and hat averages, for data that has
-    no exact reference."""
+    """A Reference of random node values and q_2h-filtered values, for data
+    that has no exact reference."""
     return _stored_reference(*rng.standard_normal((2, mesh.M + 1, mesh.N + 1)))
 
 
@@ -694,15 +696,39 @@ def test_a_measured_run_takes_one_data_set_and_checks_it():
 
 
 class _RecordingReference:
-    """A stored reference that records the levels it serves."""
+    """A stored reference that records the levels each view serves."""
 
-    def __init__(self, values):
-        self._reference = _stored_reference(values)
-        self.served = []
+    def __init__(self, values, q2h_values=None):
+        self._reference = _stored_reference(values, q2h_values)
+        self.served, self.served_q2h = [], []
 
     def values(self, levels, out=None):
         self.served.append((levels.start, levels.stop))
         return self._reference.values(levels, out)
+
+    def q2h_values(self, levels, out=None):
+        self.served_q2h.append((levels.start, levels.stop))
+        return self._reference.q2h_values(levels, out)
+
+
+@pytest.mark.parametrize("m_levels", [9, 16, 17, 37])
+@pytest.mark.parametrize("mode", ERROR_MODES)
+def test_the_measurer_serves_blocks_of_at_least_two_levels(m_levels, mode):
+    # a forced reference's bits depend on its block: coeffs @ shapes of one
+    # level takes another BLAS path than a block of two or more.  Stepped or
+    # stored, a run is measured in blocks of two or more levels, each view
+    # the same blocks, so no report depends on that
+    mesh = build_mesh(math.pi, math.pi / 2, 8, m_levels)
+    rng = np.random.default_rng(m_levels)
+    inputs = _random_grid_data(mesh, rng)
+    reference = _RecordingReference(*rng.standard_normal((2, mesh.M + 1, mesh.N + 1)))
+    evolve_measured(mesh, *inputs, reference, mode)
+    measure_error(mesh, evolve_grid(mesh, *inputs).slices, reference, mode)
+    assert reference.served_q2h == (reference.served if mode == "q2h_filtered" else [])
+    blocks = [range(mesh.M + 1)[slice(*levels)] for levels in reference.served]
+    assert [(b[0], b[-1]) for b in blocks] == 2 * [(s, min(s + 16, mesh.M))
+                                                  for s in range(0, mesh.M, 16)]
+    assert min(map(len, blocks)) >= 2
 
 
 def test_a_measured_run_refuses_a_failing_step_before_measuring_its_block(monkeypatch):
