@@ -52,10 +52,10 @@ a forcing without a sine_series space factor and a harmonic_sin time factor,
 or one resonant with a mode k), is refused with that reason.  So is a rung
 whose arrays held at once exceed physical memory, naming their bytes: the
 (M+1, N+1) levels of solve and of each column of the probe, plus its stepping
-buffers (a forced level_bytes per column) and 3 (M, N+1) bound temporaries; for
-oracle-check those of each column plus 9 for the closed forms and the last
-one's transients (10 for forced data); or scheme.level_bytes of a measured
-converge or sharpness run; plus reference.reference_bytes where a run builds it.
+buffers (a forced level_bytes per column) and 3 (M, N+1) bound temporaries;
+scheme.level_bytes of a measured converge or sharpness run, and twice that
+per column for oracle-check, which steps and compares block by block; plus
+reference.reference_bytes where a run builds it.
 """
 
 from __future__ import annotations
@@ -357,10 +357,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"{key} gives {len(rungs)} rungs, but solve runs step one mesh")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     forced = sharpness_j == 2 or data is not None and data.f is not None
-    # stored runs hold (M+1, N+1) level arrays: one per column, and for
-    # oracle-check the closed forms and the transients of the last one
-    arrays = {"solve": 1, "stability_probe": cfg.n_random,
-              "oracle_check": (len(U1_VARIANTS) if cfg.variant == "all" else 1) + 9 + forced}
+    # stored runs hold (M+1, N+1) level arrays, one per column, and measured runs their
+    # buffers; oracle-check twice those per column: the stepping loop's and the closed form's
+    arrays = {"solve": 1, "stability_probe": cfg.n_random}
+    buffers = (2 * len(U1_VARIANTS) if cfg.variant == "all" else 2) if kind == "oracle_check" else 1
     # runs that build the exact reference hold it too (sharpness: one forced mode)
     builds = kind in ("converge", "sharpness") or (
         kind == "solve" and reference_refusal(rungs[0], data) is None)
@@ -368,7 +368,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for mesh in rungs:
         check_stable(mesh)
         held = (8 * (mesh.M + 1) * (mesh.N + 1) * arrays[kind] if kind in arrays
-                else level_bytes(mesh, forced))  # measured runs: their buffers
+                else buffers * level_bytes(mesh, forced))
         held += builds and reference_bytes(mesh, modes)
         # the probe's stepping buffers, and np.diff(slices) / tau or the energy
         # kernel's two differences and scratch of one column at a time

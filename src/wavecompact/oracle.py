@@ -22,10 +22,10 @@ grid data with sine coefficients v0_k, u1h_k and fh^l_k (l = 0..M-1),
     v^m_k = v0_k cos(m theta) + tau u1h_k sin(m theta) / (A_k sin theta)
             + sum_{l<m} w_l tau^2 fh^l_k sin((m-l) theta) / (A_k sin theta),
 
-w_0 = 1/2 and w_l = 1 otherwise.  discrete_trajectory evaluates that sum by
-angle addition and prefix sums, O(M) per mode, between a DST-I of the data
-and one inverse DST-I, so it is a machine-precision ground truth for the
-stepper on any grid data.
+w_0 = 1/2 and w_l = 1 otherwise.  discrete_blocks evaluates that sum by angle
+addition and prefix sums carried from block to block, between a DST-I of the
+data and one inverse DST-I per block of levels: a machine-precision ground
+truth for the stepper on any grid data, served as the stepper serves levels.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 from .data import DataSpec, Forcing, ForcingLevels, Profile, TimeProfile, time_l1_norm
 from .errors import ContractViolation, InvariantError, MeshTooCoarseError
 from .grid import MeshSpec, check_stable
+from .scheme import _RESIDUAL_BLOCK, _entry_datum
 
 
 def canonical_mesh(mesh: MeshSpec) -> MeshSpec:
@@ -140,32 +141,46 @@ def _dst(values: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd, axis=-1)[..., 1:-1].imag
 
 
-def discrete_trajectory(mesh: MeshSpec, v0, u1h, fh=None) -> np.ndarray:
-    """The (M+1, N+1) scheme solution of grid data (v0, u1h, fh), in closed form.
-
-    v0 and u1h are (N+1,) and fh None or the ForcingLevels factors of the levels
-    0..M-1, as evolve_grid takes them; the end values are taken as zero.
-    """
+def discrete_blocks(mesh: MeshSpec, v0, u1h, fh=None):
+    """The closed-form solution of grid data (v0, u1h, fh), checked as evolve_grid
+    checks them but with the ends taken as zero, in scheme._march's blocks: yields
+    (first, levels), levels the (B, n+1, N+1) v^first..v^{first+n}, B = 1 unless
+    stacked.  A block carries the two Duhamel prefix sums on to the next."""
     check_stable(mesh)
-    if fh is not None and not isinstance(fh, ForcingLevels):
+    N, M, tau, stacked = mesh.N, mesh.M, mesh.tau, np.ndim(v0) == 2
+    B, lead = (len(v0), (len(v0),)) if stacked else (1, ())
+    v0, u1h = (_dst(_entry_datum(name, w, lead + (N + 1,), mesh, stacked, False)
+                    .reshape(B, 1, N + 1)[..., 1:-1]) for name, w in (("v0", v0), ("u1h", u1h)))
+    if isinstance(fh, ForcingLevels):
+        time = _entry_datum("fh time factor", fh.time, lead + (M,), mesh, stacked, False)
+        space = _entry_datum("fh space factor", fh.space, lead + (N + 1,), mesh, stacked, False)
+        time, space = time.reshape(B, M, 1), space.reshape(B, 1, N + 1)[..., 1:-1]
+    elif fh is not None:
         raise ContractViolation("fh must be None or data.ForcingLevels(time, space), got "
                                 f"{type(fh).__name__}")
-    N, M, tau = mesh.N, mesh.M, mesh.tau
     _, amp, theta = _modes(np.arange(1, N), mesh)
     gain = tau / (amp * np.sin(theta))
-    angles = np.outer(np.arange(M + 1), theta)
-    cos, sin = np.cos(angles), np.sin(angles, out=angles)  # sin reuses the angles' buffer
-    modes = (_dst(np.asarray(v0, dtype=float)[1:-1]) * cos
-             + _dst(np.asarray(u1h, dtype=float)[1:-1]) * gain * sin)
-    if fh is not None:
-        kicks = _dst(np.multiply.outer(fh.time, fh.space[1:-1])) * (tau * gain)
-        kicks[0] *= 0.5
-        # sin((m - l) theta) = sin(m theta) cos(l theta) - cos(m theta) sin(l theta)
-        modes[1:] += (sin[1:] * np.cumsum(kicks * cos[:-1], axis=0)
-                      - cos[1:] * np.cumsum(kicks * sin[:-1], axis=0))
-    out = np.zeros((M + 1, N + 1))
-    out[:, 1:-1] = _dst(modes) * (2.0 / N)
-    return out
+    c = s = np.zeros((B, 1, N - 1))  # sum_{l<first} kick_l (cos, sin)(l theta) in the last row
+    for first in range(0, M, _RESIDUAL_BLOCK):
+        angles = np.multiply.outer(np.arange(first, min(first + _RESIDUAL_BLOCK, M) + 1), theta)
+        cos, sin = np.cos(angles), np.sin(angles, out=angles)  # sin reuses the angles' buffer
+        modes = v0 * cos + u1h * gain * sin
+        if fh is not None:
+            kicks = _dst(time[:, first:first + _RESIDUAL_BLOCK] * space) * (tau * gain)
+            kicks[:, 0] *= 1.0 if first else 0.5  # w_0 = 1/2
+            # sin((m - l) theta) = sin(m theta) cos(l theta) - cos(m theta) sin(l theta)
+            c, s = (np.cumsum(np.concatenate([prior[:, -1:], kicks * trig[:-1]], axis=1), axis=1)
+                    for prior, trig in ((c, cos), (s, sin)))
+            modes += sin * c - cos * s
+        levels = np.zeros((B, len(cos), N + 1))
+        levels[..., 1:-1] = _dst(modes) * (2.0 / N)
+        yield first, levels
+
+
+def discrete_trajectory(mesh: MeshSpec, v0, u1h, fh=None) -> np.ndarray:
+    """The closed-form scheme solution, (M+1, N+1) or (B, M+1, N+1): discrete_blocks, stacked."""
+    levels = np.hstack([v[:, bool(first):] for first, v in discrete_blocks(mesh, v0, u1h, fh)])
+    return levels if np.ndim(v0) == 2 else levels[0]
 
 
 def harmonic_dataspec(kind: HarmonicData, mesh: MeshSpec) -> DataSpec:
@@ -249,7 +264,8 @@ def sharpness_prediction(j: int, l: int, k: int, T: float) -> float:
     """
     if l not in (0, 1):
         raise ContractViolation("l must be 0 or 1")
+    constant = asymptotic_constant(j, T)  # refuses a j but 0, 1 or 2 first
     if j == 2 and k < 2:
         raise ContractViolation("forcing data needs k >= 2")
     p = (0, 1, 1)[j]
-    return float(k) ** (-p + l) * 4.0 / math.pi * asymptotic_constant(j, T)
+    return float(k) ** (-p + l) * 4.0 / math.pi * constant

@@ -238,14 +238,13 @@ def test_oracle_check_of_any_data_passes_every_variant(tmp_path, capsys, data):
 def test_oracle_check_fails_a_stepper_off_by_1e_6(tmp_path, capsys, monkeypatch):
     # levels shifted after the stepper's residual check: the residual contract
     # passed them, the oracle comparison does not
-    from wavecompact import experiments
-    from wavecompact.scheme import SchemeRun, evolve_grid
+    from wavecompact import scheme
+    march = scheme._march
 
-    def perturbed(mesh, v0, u1h, fh):
-        run = evolve_grid(mesh, v0, u1h, fh)
-        return SchemeRun(slices=run.slices + 1e-6, residual_max=run.residual_max)
+    def perturbed(*args):
+        return ((first, levels + 1e-6) for first, levels in march(*args))
 
-    monkeypatch.setattr(experiments, "evolve_grid", perturbed)
+    monkeypatch.setattr(scheme, "_march", perturbed)
     cfg = _write_config(tmp_path, {
         "kind": "oracle_check", "mesh": _mesh(16), "data": {"preset": "hat_step"},
         "variant": "all", "out_dir": str(tmp_path / "out")})

@@ -217,9 +217,11 @@ def test_a_rung_beyond_physical_memory_is_refused_at_load(tmp_path, capsys, kind
     from wavecompact.scheme import level_bytes
     n, m = 10 ** 9, 2 * 10 ** 9
     mesh = build_mesh(math.pi, math.pi, n, m)
-    # oracle-check also holds its closed forms and the last one's transients
-    arrays = columns + 9 if kind == "oracle_check" else columns
-    held = (8 * (m + 1) * (n + 1) * arrays if columns else level_bytes(mesh, kind == "sharpness"))
+    held = (8 * (m + 1) * (n + 1) * columns if columns else level_bytes(mesh, kind == "sharpness"))
+    # oracle-check steps and compares block by block: per column, the stepping
+    # loop's buffers and the closed form's block, twice a measured run's buffers
+    if kind == "oracle_check":
+        held = 2 * columns * level_bytes(mesh, False)
     # the probe's columns step with their buffers; its bounds hold 3 (M, N+1)
     # temporaries of one column
     if kind == "stability_probe":

@@ -471,18 +471,18 @@ def test_runners_refuse_an_out_dir_that_is_a_file_before_any_rung(tmp_path, monk
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_oracle_check_steps_the_variants_as_one_run(monkeypatch, j):
-    # with variant all, each mesh makes one evolve_grid call whose three
-    # columns share v0 and fh; u1 (j = 1) tells the columns apart
-    import wavecompact.experiments as experiments
+    # with variant all, each mesh makes one stepping run whose three columns
+    # share v0 and fh; u1 (j = 1) tells the columns apart
+    import wavecompact.scheme as scheme
     calls = []
-    evolve_grid = experiments.evolve_grid
+    march = scheme._march
 
-    def counting(mesh, v0, u1h, fh=None):
+    def counting(mesh, v0, u1h, fh, *args):
         calls.append((mesh.N, v0.shape, u1h.shape,
                       None if fh is None else (fh.time.shape, fh.space.shape)))
-        return evolve_grid(mesh, v0, u1h, fh)
+        return march(mesh, v0, u1h, fh, *args)
 
-    monkeypatch.setattr(experiments, "evolve_grid", counting)
+    monkeypatch.setattr(scheme, "_march", counting)
     cfg = config_from_dict({
         "kind": "oracle_check",
         "mesh": _base_mesh_cfg(8, refinements=1),
@@ -493,6 +493,36 @@ def test_oracle_check_steps_the_variants_as_one_run(monkeypatch, j):
     assert [r.variant for r in rows] == ["v0", "v1", "v2"] * 2 and all(r.passed for r in rows)
     assert calls == [(m.N, (3, m.N + 1), (3, m.N + 1),
                       ((3, m.M), (3, m.N + 1)) if j == 2 else None) for m in cfg.rungs]
+
+
+def test_oracle_check_fails_only_the_rung_of_a_perturbed_last_block(monkeypatch, tmp_path):
+    # the M = 37 rung steps blocks of 16, 16 and 5 steps: its last 5 levels
+    # shifted by 1e-6 fail that rung's rows alone, and the summary has a row
+    # per rung
+    import wavecompact.scheme as scheme
+    march = scheme._march
+
+    def perturbed(mesh, *args):
+        for first, levels in march(mesh, *args):
+            if mesh.M == 37 and first == 32:
+                assert levels.shape[1] == 6
+                levels = levels.copy()
+                levels[:, 1:] += 1e-6
+            yield first, levels
+
+    monkeypatch.setattr(scheme, "_march", perturbed)
+    cfg = config_from_dict({
+        "kind": "oracle_check",
+        "mesh": {"X": math.pi, "T": math.pi, "rungs": [[16, 37], [16, 40]]},
+        "data": {"preset": "hat_step"}, "variant": "all", "out_dir": str(tmp_path)})
+    rows = run_oracle_check(cfg)
+    assert [(r.M, r.passed) for r in rows] == [(37, False)] * 3 + [(40, True)] * 3
+    assert all(1e-7 < r.deviation < 1e-5 for r in rows[:3])
+    rungs = json.loads((tmp_path / "run_summary.json").read_text())["rungs"]
+    assert [sorted(r) for r in rungs] == [["M", "N", "columns", "residual_max",
+                                           "step_check_s"]] * 2
+    assert [(r["N"], r["M"], r["columns"]) for r in rungs] == [(16, 37, 3), (16, 40, 3)]
+    assert all(r["step_check_s"] > 0 and 0 <= r["residual_max"] < 1e-11 for r in rungs)
 
 
 @pytest.mark.parametrize("j", [0, 2])
@@ -685,9 +715,8 @@ def test_level_bytes_bounds_the_peak_of_a_measured_run(j, mode):
 @pytest.mark.parametrize("j", [1, 2])
 @pytest.mark.parametrize("variant", ["v2", "all"])
 def test_oracle_check_load_count_is_within_25_percent_of_its_peak(monkeypatch, j, variant):
-    # config counts the (M+1, N+1) level arrays oracle-check holds at once:
-    # its columns, their closed forms and the transients of the last one, and
-    # names the count when memory is short
+    # config counts the buffers oracle-check holds at once, stepping and
+    # comparing block by block, and names the count when memory is short
     import os
     import re
     import tracemalloc
@@ -706,6 +735,28 @@ def test_oracle_check_load_count_is_within_25_percent_of_its_peak(monkeypatch, j
         config_from_dict(raw)
     counted = int(re.search(r"holds (\d+) bytes", str(refusal.value)).group(1))
     assert abs(counted - peak) <= 0.25 * peak, (counted, peak)
+
+
+def test_oracle_check_holds_o_n_levels_whatever_m_is():
+    # stepped and compared block by block, three forced columns at N = 256
+    # hold less than half of one (M+1, N+1) level array at M = 4096, and at
+    # most 1.5 times what they hold at M = 512
+    import tracemalloc
+    peaks = {}
+    for m in (512, 4096):
+        cfg = config_from_dict({"kind": "oracle_check",
+                                "mesh": {"X": math.pi, "T": math.pi, "N": 256, "M": m},
+                                "data": {"harmonic": {"j": 2, "k": 3}}, "variant": "all"})
+        if m == 512:  # the imports and caches; a factor of A is O(N)
+            run_oracle_check(cfg, emit=False)
+        tracemalloc.start()
+        try:
+            assert all(r.passed for r in run_oracle_check(cfg, emit=False))
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] < 0.5 * 8 * 4097 * 257, peaks
+    assert peaks[4096] <= 1.5 * peaks[512], peaks
 
 
 @pytest.mark.parametrize("n, m, columns", [(16, 32, 20), (256, 512, 4)],

@@ -7,15 +7,15 @@ import pytest
 from scipy.integrate import quad
 
 from wavecompact.data import PRESETS, ForcingLevels, Profile, build_u1h
-from wavecompact.errors import ContractViolation, MeshTooCoarseError
+from wavecompact.errors import ConfigurationError, ContractViolation, MeshTooCoarseError
 from wavecompact.experiments import random_dataspec
 from wavecompact.grid import build_mesh
 from wavecompact.operators import apply_implicit, apply_spatial
-from wavecompact.oracle import (HarmonicData, asymptotic_constant, canonical_mesh,
-                                choose_k_h, discrete_trajectory, dispersion,
+from wavecompact.oracle import (HarmonicData, _dst, _modes, asymptotic_constant, canonical_mesh,
+                                choose_k_h, discrete_blocks, discrete_trajectory, dispersion,
                                 forced_mode_response, harmonic_dataspec,
                                 sharpness_prediction)
-from wavecompact.scheme import evolve, evolve_grid, prepare_inputs
+from wavecompact.scheme import _march, evolve, evolve_grid, prepare_inputs
 
 from _harmonic import (discrete_harmonic_trajectory, exact_harmonic_solution,
                        variant_amplitude)
@@ -208,6 +208,76 @@ def test_discrete_trajectory_solves_the_scheme_equations():
     assert np.all(v[:, ::mesh.N] == 0.0)
 
 
+def _whole_array_trajectory(mesh, v0, u1h, fh=None):
+    """The closed form of one data set on whole (M+1, N-1) mode arrays: the
+    reference that discrete_blocks must reproduce bit for bit."""
+    N, M, tau = mesh.N, mesh.M, mesh.tau
+    _, amp, theta = _modes(np.arange(1, N), mesh)
+    gain = tau / (amp * np.sin(theta))
+    angles = np.outer(np.arange(M + 1), theta)
+    cos, sin = np.cos(angles), np.sin(angles)
+    modes = _dst(v0[1:-1]) * cos + _dst(u1h[1:-1]) * gain * sin
+    if fh is not None:
+        kicks = _dst(np.multiply.outer(fh.time, fh.space[1:-1])) * (tau * gain)
+        kicks[0] *= 0.5
+        modes[1:] += (sin[1:] * np.cumsum(kicks * cos[:-1], axis=0)
+                      - cos[1:] * np.cumsum(kicks * sin[:-1], axis=0))
+    out = np.zeros((M + 1, N + 1))
+    out[:, 1:-1] = _dst(modes) * (2.0 / N)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 37, 64])
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+def test_discrete_blocks_keep_the_bits_of_the_whole_array_formula(m, forced):
+    # served in _march's blocks, one data set or a stack of three, carrying the
+    # Duhamel prefix sums across the seams: every level keeps its bits
+    mesh = build_mesh(math.pi, m * math.pi / 64, 32, m)  # tau = h / 2
+    rng = np.random.default_rng(m)
+    v0, u1h, space = np.zeros((3, 3, mesh.N + 1))
+    v0[..., 1:-1], u1h[..., 1:-1], space[..., 1:-1] = rng.standard_normal((3, 3, mesh.N - 1))
+    time = rng.standard_normal((3, m))
+    stack = discrete_trajectory(mesh, v0, u1h, ForcingLevels(time, space) if forced else None)
+    assert stack.shape == (3, m + 1, mesh.N + 1)
+    for b in range(3):
+        fh = ForcingLevels(time[b], space[b]) if forced else None
+        expected = _whole_array_trajectory(mesh, v0[b], u1h[b], fh)
+        assert np.array_equal(discrete_trajectory(mesh, v0[b], u1h[b], fh), expected)
+        assert np.array_equal(stack[b], expected)
+    for inputs, lead in (((v0[0], u1h[0], None), 1), ((v0, u1h, None), 3)):
+        stepped = [(first, levels.shape) for first, levels
+                   in _march(mesh, *inputs, lead == 3, np.empty((lead, m)))]
+        assert [(first, levels.shape) for first, levels
+                in discrete_blocks(mesh, *inputs)] == stepped
+
+
+@pytest.mark.parametrize("name, bad, error, message", [
+    ("v0", np.zeros(MESH.N + 2), ContractViolation, r"^v0 must have shape \(17,\)"),
+    ("v0", np.full(MESH.N + 1, np.nan), ConfigurationError, "^v0 has values that are not finite"),
+    ("u1h", np.zeros(MESH.N), ContractViolation, r"^u1h must have shape \(17,\)"),
+    ("u1h", np.full(MESH.N + 1, np.inf), ConfigurationError, "^u1h has values that are not finite"),
+    ("time", np.zeros(MESH.M + 1), ContractViolation, r"^fh time factor must have shape \(64,\)"),
+    ("time", np.full(MESH.M, np.nan), ConfigurationError,
+     "^fh time factor has values that are not finite"),
+    ("space", np.zeros((2, MESH.N + 1)), ContractViolation,
+     r"^fh space factor must have shape \(17,\)"),
+    ("space", np.full(MESH.N + 1, -np.inf), ConfigurationError,
+     "^fh space factor has values that are not finite"),
+])
+def test_discrete_trajectory_checks_its_data_on_entry(name, bad, error, message):
+    # the shape and finiteness of each datum, named; the ends are taken as zero
+    inputs = {"v0": MESH.zeros(), "u1h": MESH.zeros(), "time": np.ones(MESH.M),
+              "space": MESH.zeros()}
+    inputs[name] = bad
+    with pytest.raises(error, match=message):
+        discrete_trajectory(MESH, inputs["v0"], inputs["u1h"],
+                            ForcingLevels(inputs["time"], inputs["space"]))
+    ones, inner = np.ones((2, MESH.N + 1))
+    inner[::MESH.N] = 0.0
+    assert np.array_equal(discrete_trajectory(MESH, ones, ones),
+                          discrete_trajectory(MESH, inner, inner))
+
+
 @pytest.mark.parametrize("preset", ["hat_step", "quad_spline_hat"])
 @pytest.mark.parametrize("n", [256, 1024])
 def test_stepper_matches_the_closed_form_on_rough_presets(preset, n):
@@ -327,6 +397,9 @@ def test_sharpness_prediction_values():
     assert sharpness_prediction(2, 0, 10, math.pi) == pytest.approx(0.4, rel=1e-14)
     with pytest.raises(ContractViolation):
         sharpness_prediction(2, 0, 1, math.pi)
+    for j in (3, -1):  # j names a family, not an index
+        with pytest.raises(ContractViolation, match=f"j must be 0, 1 or 2, got {j}"):
+            sharpness_prediction(j, 0, 5, 1.0)
 
 
 def test_trig_identity_cos_difference():
