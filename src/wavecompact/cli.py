@@ -26,18 +26,15 @@ from .errors import (ConfigurationError, InvariantError, MeshTooCoarseError,
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wavecompact",
-        description="Compact fourth-order wave-equation experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind.replace("_", "-"))
-        p.add_argument("--config", type=Path, required=True,
-                       help="path to the JSON experiment config")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output directory (overrides the config)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel rung workers of converge and sharpness (default 1)")
+    parser = argparse.ArgumentParser(prog="wavecompact",
+                                     description="Compact fourth-order wave-equation experiments")
+    parser.add_argument("command", choices=[kind.replace("_", "-") for kind in KINDS])
+    parser.add_argument("--config", type=Path, required=True,
+                        help="path to the JSON experiment config")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="output directory (overrides the config)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="parallel rung workers of converge and sharpness (default 1)")
     return parser
 
 

@@ -51,11 +51,11 @@ zero data, or with data that has no exact reference (reference.reference_refusal
 a forcing without a sine_series space factor and a harmonic_sin time factor,
 or one resonant with a mode k), is refused with that reason.  So is a rung
 whose arrays held at once exceed physical memory, naming their bytes: the
-(M+1, N+1) levels of solve and of each column of the probe, plus its stepping
-buffers (a forced level_bytes per column) and 3 (M, N+1) bound temporaries;
-scheme.level_bytes of a measured converge or sharpness run, and twice that
-per column for oracle-check, which steps and compares block by block; plus
-reference.reference_bytes where a run builds it.
+(M+1, N+1) levels solve stores, and scheme.level_bytes per column of the runners
+that step block by block: of a measured converge or sharpness run, twice for
+oracle-check (the stepping loop's buffers and the closed form's block), and of
+a forced run for the probe, plus 256 KiB for its data descriptors, row views and
+numpy's iteration buffers; plus reference.reference_bytes where a run builds it.
 """
 
 from __future__ import annotations
@@ -356,24 +356,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         key = "mesh.rungs" if "rungs" in mesh_cfg else "mesh.refinements"
         raise ConfigurationError(f"{key} gives {len(rungs)} rungs, but solve runs step one mesh")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    forced = sharpness_j == 2 or data is not None and data.f is not None
-    # stored runs hold (M+1, N+1) level arrays, one per column, and measured runs their
-    # buffers; oracle-check twice those per column: the stepping loop's and the closed form's
-    arrays = {"solve": 1, "stability_probe": cfg.n_random}
-    buffers = (2 * len(U1_VARIANTS) if cfg.variant == "all" else 2) if kind == "oracle_check" else 1
+    forced = kind == "stability_probe" or sharpness_j == 2 or bool(data and data.f)  # probe: random
+    # solve stores its (M+1, N+1) levels; the other runners step block by block and hold
+    # buffers per column: oracle-check twice, the stepping loop's and the closed form's
+    columns = {"oracle_check": 2 * len(U1_VARIANTS) if cfg.variant == "all" else 2,
+               "stability_probe": cfg.n_random}.get(kind, 1)
     # runs that build the exact reference hold it too (sharpness: one forced mode)
     builds = kind in ("converge", "sharpness") or (
         kind == "solve" and reference_refusal(rungs[0], data) is None)
     modes = sum(map(bool, data.f.space.coeffs)) if builds and data and data.f else forced
     for mesh in rungs:
         check_stable(mesh)
-        held = (8 * (mesh.M + 1) * (mesh.N + 1) * arrays[kind] if kind in arrays
-                else buffers * level_bytes(mesh, forced))
+        held = (8 * (mesh.M + 1) * (mesh.N + 1) if kind == "solve"
+                else columns * level_bytes(mesh, forced))
         held += builds and reference_bytes(mesh, modes)
-        # the probe's stepping buffers, and np.diff(slices) / tau or the energy
-        # kernel's two differences and scratch of one column at a time
-        held += kind == "stability_probe" and (cfg.n_random * level_bytes(mesh, True)
-                                               + 3 * 8 * mesh.M * (mesh.N + 1))
+        held += kind == "stability_probe" and 2 ** 18  # what does not grow with the mesh
         if held > memory:
             raise ConfigurationError(f"the N={mesh.N}, M={mesh.M} rung holds {held} bytes of "
                                      f"arrays at once, more than the {memory} bytes of memory")

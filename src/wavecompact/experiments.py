@@ -13,14 +13,14 @@ trajectory itself).  A table's header is the field names of its row record,
 and every cell is the repr of its field (strings as they are).
 
 The stability probe and oracle-check step their data sets of one mesh as the
-columns of one run, which scheme.stack_inputs assembles: the probe's n_random
-random data sets, each with u1 variant v2, stored by evolve_grid, and
-oracle-check's data with each of its u1 variants.  Each column equals its own
-run bit for bit, so the rows are those of one run per data set.  The probe
-also takes the norms of its data and grid data for all data sets at once.
-oracle-check compares each block of scheme._march with oracle.discrete_blocks
-of the same grid data, for any data section, and stores neither: it checks
-stepping, not data assembly, in O(N) levels per column.
+columns of one run of scheme._march, which scheme.stack_inputs assembles: the
+probe's n_random random data sets, each with u1 variant v2, and oracle-check's
+data with each of its u1 variants; each column equals its own run bit for bit.
+Both read the run block by block and store no level: O(N) levels per column.
+The probe keeps each column's running maxima of the level norms its bounds
+read, and takes the norms of its data and grid data for all data sets at once.
+oracle-check compares each block with oracle.discrete_blocks of the same grid
+data, for any data section: it checks stepping, not data assembly.
 
 The rungs of converge and sharpness ladders are independent and run in a
 process pool when jobs > 1; the other runners step on one process.
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, scheme
+from . import __version__, grid, scheme
 from .config import ExperimentConfig
 from .data import (U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile,
                    forcing_l21_norm, profile_h01_norm, profile_l2_norm)
@@ -49,8 +49,8 @@ from .operators import mass_inv_half_norm
 from .oracle import (HarmonicData, canonical_mesh, choose_k_h, discrete_blocks,
                      harmonic_dataspec, sharpness_prediction)
 from .reference import dalembert_reference, reference_refusal
-from .scheme import (ErrorReport, evolve, evolve_grid, evolve_measured, level_bytes,
-                     measure_error, prepare_inputs, stack_inputs)
+from .scheme import (ErrorReport, evolve, evolve_measured, level_bytes, measure_error,
+                     prepare_inputs, stack_inputs)
 
 
 # --------------------------------------------------------------------------
@@ -144,13 +144,23 @@ def stability_bound_sides(mesh: MeshSpec, datas: list[DataSpec]):
 
 def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
     """(stability_bound_sides of datas, the run's summary row): N, M, the
-    columns stepped, the seconds assembling them, stepping them and computing
-    the bound sides, and the largest residual."""
+    columns stepped, the seconds assembling them, stepping and measuring them
+    and computing the bound sides, and the largest residual."""
     e0, N, M = mesh.eps0, mesh.N, mesh.M
     started = time.perf_counter()
     v0s, u1hs, fhs = stack_inputs(mesh, [(data, "v2") for data in datas])
     assembled = time.perf_counter()
-    run = evolve_grid(mesh, v0s, u1hs, fhs)
+    residuals, maxima = np.empty((len(datas), M)), np.zeros((3, len(datas)))
+    for _, v in scheme._march(mesh, v0s, u1hs, fhs, True, residuals):
+        # each column's largest E(v), ||dt v||_mass, ||dx v||, with the bits of energy_norm_pair
+        v = np.ascontiguousarray(v)  # the ring's rows of every column, in one array
+        dt = np.diff(v, axis=1) / mesh.tau
+        dt_norms = space_norm(dt.reshape(-1, N + 1), "mass", mesh).reshape(len(v), -1)
+        d = grid._backward_diff(v, mesh.h)  # dt is now the energy's scratch
+        energy = grid._energy_from_differences(v[:, :-1], v[:, 1:], d[:, :-1], d[:, 1:], mesh, dt)
+        np.maximum(maxima, [energy.max(axis=1), dt_norms.max(axis=1),
+                            np.sqrt(grid._sq_sum(d[..., :-1], mesh.h)).max(axis=1)], out=maxima)
+        del dt, d  # no block-sized array is held while the next block steps
     stepped = time.perf_counter()
     # the data norms of all columns, one call each
     u0_norms = profile_h01_norm([data.u0 for data in datas]).tolist()
@@ -161,25 +171,19 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
     u1h_norms = mass_inv_half_norm(u1hs, mesh).tolist()
     fh_space_norms = None if fhs is None else mass_inv_half_norm(fhs.space, mesh).tolist()
     sides = []
-    for b, data in enumerate(datas):  # the scheme norms column by column, on views
-        slices = run.slices[b]
-        lhs = float(np.max(energy_norm_pair(slices[:-1], slices[1:], mesh)))
+    for b, (data, lhs, max_dt, max_dx) in enumerate(zip(datas, *maxima.tolist())):
         rhs = math.sqrt(mesh.a ** 2 * v0_norms[b] ** 2 + u1h_norms[b] ** 2 / e0 ** 2)
+        lhs2 = e0 * max(max_dt, mesh.a / math.sqrt(6.0) * max_dx)
+        rhs2 = math.sqrt(mesh.a ** 2 * u0_norms[b] ** 2 + u1_norms[b] ** 2 / e0 ** 2)
         if data.f is not None:
             # the norm is homogeneous: level m's is |q_tau f|_m times that of q_h f
             fh_norms = (np.abs(fhs.time[b]) * fh_space_norms[b]).tolist()
             rhs += (fh_norms[0] * mesh.tau + 2.0 * mesh.tau * sum(fh_norms[1:])) / e0
-
-        max_dt = float(np.max(space_norm(np.diff(slices, axis=0) / mesh.tau, "mass", mesh)))
-        max_dx = float(np.max(space_norm(slices, "diff_l2", mesh)))
-        lhs2 = e0 * max(max_dt, mesh.a / math.sqrt(6.0) * max_dx)
-        rhs2 = math.sqrt(mesh.a ** 2 * u0_norms[b] ** 2 + u1_norms[b] ** 2 / e0 ** 2)
-        if data.f is not None:
             rhs2 += 2.0 / e0 * next(f_norms)
         sides.append(((lhs, rhs), (lhs2, rhs2)))
     return sides, {"N": N, "M": M, "columns": len(datas), "assemble_s": assembled - started,
-                   "step_s": stepped - assembled, "bounds_s": time.perf_counter() - stepped,
-                   "residual_max": float(np.max(run.residual_max))}
+                   "step_measure_s": stepped - assembled, "bounds_s": time.perf_counter() - stepped,
+                   "residual_max": float(np.max(residuals))}
 
 
 def energy_lower_bound_margins(mesh: MeshSpec, v_prev, v_curr):
@@ -391,22 +395,6 @@ class SharpnessResult:
     rows: list[SharpnessRow]     # l = 0
     rows_dx: list[SharpnessRow]  # l = 1
     j: int
-    extrapolated_ratio: float    # Richardson-style limit of the l=0 ratios; nan if < 3 rungs
-
-
-def _extrapolate_ratios(ratios: list[float]) -> float:
-    """Aitken limit of the ratio sequence across the last three meshes.
-
-    The measured/predicted ratio converges like 1 + c h^(1/5) with an unknown
-    c; differencing three rungs eliminates it without assuming a constant.
-    """
-    if len(ratios) < 3:
-        return float("nan")
-    r1, r2, r3 = ratios[-3:]
-    denom = (r3 - r2) - (r2 - r1)
-    if abs(denom) < 1e-15:
-        return r3
-    return r3 - (r3 - r2) ** 2 / denom
 
 
 def _sharpness_rung(payload):
@@ -430,14 +418,11 @@ def run_sharpness(config: ExperimentConfig, emit: bool = True) -> SharpnessResul
     pairs = _map_rungs(_sharpness_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
     rows = [p[0][0] for p in pairs]
     rows_dx = [p[0][1] for p in pairs]
-    trend = [r.ratio for r in rows]
-    result = SharpnessResult(rows=rows, rows_dx=rows_dx, j=config.sharpness_j,
-                             extrapolated_ratio=_extrapolate_ratios(trend))
+    result = SharpnessResult(rows=rows, rows_dx=rows_dx, j=config.sharpness_j)
     if emit:
         _emit(config, started, [("sharpness.csv", SharpnessRow, rows),
                                 ("sharpness_dx.csv", SharpnessRow, rows_dx)],
-              {"ratios": trend, "j": config.sharpness_j,
-               "extrapolated_ratio": result.extrapolated_ratio,
+              {"ratios": [r.ratio for r in rows], "j": config.sharpness_j,
                "rungs": [p[1] for p in pairs]})
     return result
 
@@ -509,8 +494,7 @@ def run_stability_probe(config: ExperimentConfig, emit: bool = True) -> list[Sta
     summary gets one row per mesh (see _stability_rung)."""
     started = _begin(config, emit)
     rng = np.random.default_rng(config.seed)
-    rows: list[StabilityProbeRow] = []
-    rungs = []
+    rows, rungs = [], []
     for mesh in config.rungs:
         datas = [random_dataspec(rng, mesh.X) for _ in range(config.n_random)]
         all_sides, rung = _stability_rung(mesh, datas)

@@ -190,6 +190,31 @@ def _entry_datum(name: str, w, shape, mesh: MeshSpec, stacked: bool, dirichlet=T
     return w
 
 
+def _entry_data(mesh: MeshSpec, v0, u1h, fh, stacked: bool, dirichlet=True):
+    """(v0, u1h, fh) of B columns (B = 1 unless stacked), v0 and u1h (B, N+1) and fh None
+    or ForcingLevels of (B, M, 1) and (B, 1, N+1) factors, with every check of _march's
+    entry; the ends are checked only if dirichlet."""
+    check_stable(mesh)
+    N, M, B = mesh.N, mesh.M, len(v0) if stacked else 1
+    if B < 1:
+        raise ContractViolation("a stack of grid data needs at least one column")
+    lead = (B,) if stacked else ()
+    v0, u1h = (_entry_datum(name, w, lead + (N + 1,), mesh, stacked, dirichlet).reshape(B, N + 1)
+               for name, w in (("v0", v0), ("u1h", u1h)))
+    if fh is None:
+        return v0, u1h, None
+    if not isinstance(fh, data_mod.ForcingLevels):
+        raise ContractViolation("fh must be None or data.ForcingLevels(time, space), got "
+                                f"{type(fh).__name__}")
+    time = _entry_datum("fh time factor", fh.time, lead + (M,), mesh, stacked, False)
+    space = _entry_datum("fh space factor", fh.space, lead + (N + 1,), mesh, stacked, dirichlet)
+    time, space = time.reshape(B, M, 1), space.reshape(B, 1, N + 1)
+    with np.errstate(over="ignore"):  # the largest |level|: rounding is monotone
+        peak = np.abs(time).max(axis=(1, 2)) * np.abs(space).max(axis=(1, 2))
+    _entry_datum("fh", peak.reshape(lead), lead, mesh, stacked, False)  # finite levels
+    return v0, u1h, data_mod.ForcingLevels(time, space)
+
+
 def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
     """Check the mesh and the data (B columns, or B = 1 unless stacked), then
     return the stepping loop, a generator.  Its ring holds v^{first-1}, v^first
@@ -197,25 +222,11 @@ def _march(mesh: MeshSpec, v0, u1h, fh, stacked: bool, residuals: np.ndarray):
     which writes their residuals into residuals (B, M), each within RESIDUAL_RTOL
     * max(1, |rhs|_inf, edge = |rhs| at the ends), it yields (first, levels),
     levels the (B, n+1, N+1) ring view of v^first..v^{first+n}."""
-    check_stable(mesh)
-    N, M, tau, a2, h2 = mesh.N, mesh.M, mesh.tau, mesh.a ** 2, mesh.h ** 2
-    B = len(v0) if stacked else 1
-    if B < 1:
-        raise ContractViolation("a stack of grid data needs at least one column")
-    lead = (B,) if stacked else ()
-    v0, u1h = (_entry_datum(name, w, lead + (N + 1,), mesh, stacked).reshape(B, N + 1)
-               for name, w in (("v0", v0), ("u1h", u1h)))
-    if isinstance(fh, data_mod.ForcingLevels):  # the levels are time * space
-        time = _entry_datum("fh time factor", fh.time, lead + (M,), mesh, stacked, False)
-        space = _entry_datum("fh space factor", fh.space, lead + (N + 1,), mesh, stacked)
-        time, space = time.reshape(B, M, 1), space.reshape(B, 1, N + 1)
-        with np.errstate(over="ignore"):  # the largest |level|: rounding is monotone
-            peak = np.abs(time).max(axis=(1, 2)) * np.abs(space).max(axis=(1, 2))
-        _entry_datum("fh", peak.reshape(lead), lead, mesh, stacked, False)  # finite levels
+    v0, u1h, fh = _entry_data(mesh, v0, u1h, fh, stacked)
+    N, M, B, tau, a2, h2 = mesh.N, mesh.M, len(v0), mesh.tau, mesh.a ** 2, mesh.h ** 2
+    if fh is not None:  # the levels are time * space
+        time, space = fh.time, fh.space
         ends, buf = time * space[..., ::N], np.empty((B, _RESIDUAL_BLOCK, N + 1))
-    elif fh is not None:
-        raise ContractViolation("fh must be None or data.ForcingLevels(time, space), got "
-                                f"{type(fh).__name__}")
     # |rhs| at the ends, per column and step
     edge = np.zeros((B, M)) if fh is None else np.abs(ends).max(axis=-1)
     edge[:, 0] = np.abs(u1h[:, ::N] + (0.0 if fh is None else 0.5 * tau * ends[:, 0])

@@ -82,6 +82,19 @@ def test_unstable_mesh_exits_2_without_outputs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["oracle_check"], ["frob"], ["solve", "converge"], []],
+                         ids=["underscore", "unknown", "two_commands", "none"])
+def test_a_command_line_that_names_no_one_command_exits_2(tmp_path, capsys, argv):
+    # argparse refuses it before the config is read, naming the commands
+    cfg = _write_config(tmp_path, {"kind": "solve", "mesh": _mesh(8)})
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wavecompact") and "error:" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_parse_failure_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -222,10 +222,10 @@ def test_a_rung_beyond_physical_memory_is_refused_at_load(tmp_path, capsys, kind
     # loop's buffers and the closed form's block, twice a measured run's buffers
     if kind == "oracle_check":
         held = 2 * columns * level_bytes(mesh, False)
-    # the probe's columns step with their buffers; its bounds hold 3 (M, N+1)
-    # temporaries of one column
+    # the probe steps and measures block by block: per column, a forced measured
+    # run's buffers, plus its fixed overhead
     if kind == "stability_probe":
-        held += columns * level_bytes(mesh, True) + 3 * 8 * m * (n + 1)
+        held = columns * level_bytes(mesh, True) + 2 ** 18
     # the runs that build the exact reference hold it too: a tau / h = 1/2, so
     # E and F of both views are 4 (2N + M + 2) floats, and sharpness's j = 2
     # forces one mode, 2 (N + 2)

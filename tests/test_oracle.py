@@ -278,6 +278,18 @@ def test_discrete_trajectory_checks_its_data_on_entry(name, bad, error, message)
                           discrete_trajectory(MESH, inner, inner))
 
 
+def test_discrete_blocks_refuse_factors_whose_levels_overflow():
+    # finite factors whose product is not: refused and named as evolve_grid
+    # refuses them, not served as NaN levels
+    big = ForcingLevels(np.full(MESH.M, 1e200), np.full(MESH.N + 1, 1e200))
+    with pytest.raises(ConfigurationError, match="^fh has values that are not finite$"):
+        discrete_trajectory(MESH, MESH.zeros(), MESH.zeros(), big)
+    stack = ForcingLevels(np.ones((3, MESH.M)), np.ones((3, MESH.N + 1)))
+    stack.time[1], stack.space[1] = big.time, big.space
+    with pytest.raises(ConfigurationError, match="^fh column 1 has values that are not finite$"):
+        next(discrete_blocks(MESH, np.zeros((3, MESH.N + 1)), np.zeros((3, MESH.N + 1)), stack))
+
+
 @pytest.mark.parametrize("preset", ["hat_step", "quad_spline_hat"])
 @pytest.mark.parametrize("n", [256, 1024])
 def test_stepper_matches_the_closed_form_on_rough_presets(preset, n):
