@@ -33,8 +33,9 @@ k_h), a data section but null or a variant but v2 for stability_probe
 (random data, v2), and more than one rung for solve.
 
 Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
-plus {"form": "harmonic", "k": k}, which parses to the one-coefficient sine
-series Profile.harmonic_mode(k, X); time profiles use the forms of
+plus {"form": "harmonic", "k": k}, which parses to the one-mode sine series
+Profile.harmonic_mode(k, X); a sine_series coeffs list is dense, c_1, c_2, ...,
+and its zero entries are dropped as it parses.  Time profiles use the forms of
 data.TimeProfile.  Every entry must be a JSON number.  Every ladder rung must
 satisfy the stability condition; a rung that violates it raises
 UnstableMeshError (CLI exit code 2), while malformed configuration raises
@@ -46,7 +47,7 @@ becomes config.data, the DataSpec every rung steps: zero data for null,
 PRESETS[name].make(X), the descriptor tree, or harmonic_dataspec (sharpness
 keeps only j).  A harmonic k, of data.harmonic or of a harmonic profile
 descriptor, that the finest rung does not resolve is a MeshTooCoarseError
-(exit code 2), raised before the k coefficients are built.  A converge with
+(exit code 2); one that it resolves is one stored mode.  A converge with
 zero data, or with data that has no exact reference (reference.reference_refusal:
 a forcing without a sine_series space factor and a harmonic_sin time factor,
 or one resonant with a mode k), is refused with that reason.  So is a rung
@@ -55,7 +56,10 @@ whose arrays held at once exceed physical memory, naming their bytes: the
 that step block by block: of a measured converge or sharpness run, twice for
 oracle-check (the stepping loop's buffers and the closed form's block), and of
 a forced run for the probe, plus 256 KiB for its data descriptors, row views and
-numpy's iteration buffers; plus reference.reference_bytes where a run builds it.
+numpy's iteration buffers, and per pair of n_pairs the larger of its draws' and
+margins' 8 (N+1) floats and its two rows with their CSV cells, plus the rows of
+the rungs before (they are kept until emit); plus reference.reference_bytes
+where a run builds it.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ _KEYS = {"config": ("kind", "mesh", "data", "variant", "mode", "alpha", "out_dir
 _REMOVED_KEYS = ("n_modes", "fold_groups", "tail_fraction", "jobs", "tau_over_h", "v0_mode")
 #: the keys of a data section, and of each profile and time profile form besides 'form'
 _DATA_KEYS = ("harmonic", "preset", "u0", "u1", "f")
+#: the bytes of a stability-probe row and its seven CSV cells (tracemalloc: about 610)
+_PROBE_ROW_BYTES = 1024
 _FORM_KEYS = {"harmonic": ("k",), "sine_series": ("coeffs",),
               "piecewise": ("breakpoints", "pieces"), "harmonic_sin": ("omega",),
               "polynomial": ("coeffs",)}
@@ -123,8 +129,7 @@ def _form(value, what: str, forms: tuple) -> str:
 
 def profile_from_dict(d: dict, X: float, finest_n: int) -> Profile:
     """The Profile of a descriptor; a harmonic k that an N = finest_n mesh does
-    not resolve is a MeshTooCoarseError, raised before its k coefficients
-    are built."""
+    not resolve is a MeshTooCoarseError."""
     if isinstance(d, dict) and "node_convention" in d:
         raise ConfigurationError("profile node_convention is removed: a jump is always the "
                                  "mean of its sides")
@@ -301,7 +306,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 harmonic = HarmonicData(j=j, k=_integer(hc.get("k", 1), "data.harmonic.k"))
             except ValueError as exc:
                 raise ConfigurationError(f"invalid harmonic data: {exc}") from exc
-            # k is checked before its k coefficients exist; the data are valid
+            # k is checked against the finest rung; the data are valid
             # on every rung: they read only X and a, which the rungs share
             require_resolved(harmonic.k, finest_n)
             data = harmonic_dataspec(harmonic, rungs[0])
@@ -340,7 +345,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         refusal = reference_refusal(rungs[0], data)  # the rungs share X and a
         if refusal is not None:
             raise ConfigurationError(refusal)
-        if data.f is None and not any(any(p.coeffs or ()) or any(map(any, p.pieces or ()))
+        if data.f is None and not any(p.coeffs or any(map(any, p.pieces or ()))
                                       for p in (data.u0, data.u1)):
             raise ConfigurationError("convergence studies need nonzero data to fit an order")
     if kind == "sharpness" and sharpness_j is None:
@@ -364,13 +369,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # runs that build the exact reference hold it too (sharpness: one forced mode)
     builds = kind in ("converge", "sharpness") or (
         kind == "solve" and reference_refusal(rungs[0], data) is None)
-    modes = sum(map(bool, data.f.space.coeffs)) if builds and data and data.f else forced
-    for mesh in rungs:
+    modes = len(data.f.space.modes) if builds and data and data.f else forced
+    for rung, mesh in enumerate(rungs):
         check_stable(mesh)
         held = (8 * (mesh.M + 1) * (mesh.N + 1) if kind == "solve"
                 else columns * level_bytes(mesh, forced))
         held += builds and reference_bytes(mesh, modes)
-        held += kind == "stability_probe" and 2 ** 18  # what does not grow with the mesh
+        # the probe: what does not grow with the mesh, and per pair the larger of its
+        # draws' and margins' 8 (N+1) floats and its two rows, plus the two rows of each
+        # rung before (kept until emit), each row with its CSV cells
+        held += kind == "stability_probe" and 2 ** 18 + cfg.n_pairs * (
+            max(64 * (mesh.N + 1), 2 * _PROBE_ROW_BYTES) + 2 * rung * _PROBE_ROW_BYTES)
         if held > memory:
             raise ConfigurationError(f"the N={mesh.N}, M={mesh.M} rung holds {held} bytes of "
                                      f"arrays at once, more than the {memory} bytes of memory")

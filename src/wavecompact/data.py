@@ -18,10 +18,12 @@ the exact reference filters its hat averages so (reference.Reference.q2h_values)
 Quadrature policy: integration cells are split at descriptor breakpoints and
 each panel uses the Gauss-Legendre rule of _gauss_nodes, at least 8 nodes and
 exact for the piece times a hat at any degree, so discontinuous data adds no
-quadrature noise; q_h is extension_sampler's hat average.  Sine series use
-the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each nonzero mode instead of
-panels.  A jump of a piecewise profile evaluates to the mean of its two sides.
-The data norms of the stability bounds use the same panels on the one cell
+quadrature noise; q_h is extension_sampler's hat average.  A sine series is
+held as its nonzero modes (Profile.modes, with their amplitudes in
+Profile.coeffs), and every consumer reads those pairs: its hat averages use
+the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each mode instead of panels.  A
+jump of a piecewise profile evaluates to the mean of its two sides.  The data
+norms of the stability bounds use the same panels on the one cell
 (0, X) or (0, T), exact for the squared pieces, with |g| split at the real
 roots of g as well; a sine series takes its norms from its coefficients.
 
@@ -72,7 +74,9 @@ class Profile:
 
     Forms
     -----
-    sine_series  sum_k c_k sqrt(2/X) sin(pi k x / X) with orthonormal c_k;
+    sine_series  sum_k c_k sqrt(2/X) sin(pi k x / X) with orthonormal c_k,
+                 held as its nonzero modes: coeffs are the c_k of the
+                 strictly increasing modes k >= 1, so a mode k costs O(1);
                  harmonic_mode(k, X) is the single mode sin(pi k x / X)
     piecewise    polynomial pieces between strictly increasing breakpoints
                  spanning [0, X], coefficients in ascending powers of the
@@ -82,6 +86,7 @@ class Profile:
     X: float
     form: str
     coeffs: tuple[float, ...] | None = None
+    modes: tuple[int, ...] | None = None
     breakpoints: tuple[float, ...] | None = None
     pieces: tuple[tuple[float, ...], ...] | None = None
 
@@ -107,23 +112,29 @@ class Profile:
                 raise ConfigurationError("breakpoints must be strictly increasing")
         if not 0.0 < self.X < math.inf:
             raise ConfigurationError(f"domain length must be positive and finite, got {self.X}")
-        if self.form == "sine_series" and self.coeffs is None:
-            raise ConfigurationError("sine_series profile needs coefficients")
+        k, c = self.modes, self.coeffs
+        if self.form == "sine_series" and (
+                None in (k, c) or len(k) != len(c) or 0.0 in c
+                or not all(isinstance(b, int) and a < b for a, b in zip((0,) + k, k))):
+            raise ConfigurationError("sine_series profile needs strictly increasing integer "
+                                     "modes >= 1 and one nonzero coefficient each")
         _require_finite("profile coefficients", self.coeffs or ())
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def harmonic_mode(k: int, X: float) -> "Profile":
-        """sin(pi k x / X) as the one-coefficient sine series."""
-        if k < 1:
-            raise ConfigurationError("harmonic profile needs an integer k >= 1")
+        """sin(pi k x / X) as the one-mode sine series."""
         amplitude = np.sqrt(max(X, 0.0) / 2.0)  # the constructor refuses X <= 0 and inf
-        return Profile.sine_series((0.0,) * (k - 1) + (amplitude,), X)
+        return Profile.sine_series((amplitude,), X, (k,))
 
     @staticmethod
-    def sine_series(coeffs, X: float) -> "Profile":
-        return Profile(X=float(X), form="sine_series",
-                       coeffs=tuple(float(c) for c in coeffs))
+    def sine_series(coeffs, X: float, modes=None) -> "Profile":
+        """The series of coeffs: c_k of the given integer modes or, dense, of
+        k = 1, 2, ...; the zero ones are dropped."""
+        modes = range(1, len(coeffs) + 1) if modes is None else np.asarray(modes).tolist()
+        pairs = [(k, float(c)) for k, c in zip(modes, coeffs, strict=True) if c != 0.0]
+        return Profile(X=float(X), form="sine_series", modes=tuple(k for k, _ in pairs),
+                       coeffs=tuple(c for _, c in pairs))
 
     @staticmethod
     def piecewise_poly(breakpoints, pieces) -> "Profile":
@@ -141,9 +152,8 @@ class Profile:
         if self.form == "sine_series":
             out = np.zeros_like(x)
             root = np.sqrt(2.0 / self.X)
-            for k, c in enumerate(self.coeffs, start=1):
-                if c != 0.0:
-                    out += c * root * np.sin(np.pi * k * x / self.X)
+            for k, c in zip(self.modes, self.coeffs):
+                out += c * root * np.sin(np.pi * k * x / self.X)
             return out
         return _piecewise_stack(self.X, [self.breakpoints], [self.pieces])(0, x)
 
@@ -449,9 +459,8 @@ def extension_sampler(w: Profile, antiderivative: bool):
     """
     X = w.X
     if w.form == "sine_series":
-        ks = np.flatnonzero(w.coeffs)  # a mode k costs O(count k) otherwise
-        omega = np.pi * (ks + 1) / X
-        amps = np.asarray(w.coeffs)[ks] * math.sqrt(2.0 / X)
+        omega = np.pi * np.array(w.modes, dtype=float) / X
+        amps = np.array(w.coeffs) * math.sqrt(2.0 / X)
         wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
 
         def basis(start, count, h):
@@ -584,7 +593,7 @@ def profile_h01_norm(p):
                          [[np.arange(1, len(c)) * c[1:] if len(c) > 1 else (0.0,)
                            for c in q.pieces] for q in ps])
     return _by_form(p, "piecewise", lambda q: np.sqrt(np.sum(
-        (np.pi * np.arange(1, len(q.coeffs) + 1) / q.X) ** 2 * np.asarray(q.coeffs) ** 2)),
+        (np.pi * np.array(q.modes, dtype=float) / q.X) ** 2 * np.asarray(q.coeffs) ** 2)),
         derivatives)
 
 

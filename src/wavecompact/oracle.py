@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataSpec, Forcing, Profile, TimeProfile, time_l1_norm
-from .errors import ContractViolation, InvariantError, MeshTooCoarseError
-from .grid import MeshSpec, check_stable
+from .errors import ConfigurationError, ContractViolation, InvariantError, MeshTooCoarseError
+from .grid import MAX_CELLS, MeshSpec, check_stable
 from .scheme import _RESIDUAL_BLOCK, _entry_data
 
 
@@ -125,9 +125,15 @@ def forced_mode_response(omega: float, kappa, t) -> np.ndarray:
     over kappa and t (no kappa resonant with omega)."""
     if np.any(resonant(omega, kappa)):
         raise ContractViolation("resonant denominator: |kappa| = |omega|")
-    t = np.asarray(t, dtype=float)
-    return (-0.5 * (np.sin(omega * t) - np.sin(kappa * t)) / (omega - kappa)
-            + 0.5 * (np.sin(omega * t) + np.sin(kappa * t)) / (omega + kappa))
+    return _duhamel(omega, kappa, np.asarray(t, dtype=float))
+
+
+def _duhamel(omega: float, kappa, t) -> np.ndarray:
+    """forced_mode_response without its resonance check, for callers that
+    checked once (reference.reference_refusal) and evaluate per block."""
+    sin_omega, sin_kappa = np.sin(omega * t), np.sin(kappa * t)
+    return (-0.5 * (sin_omega - sin_kappa) / (omega - kappa)
+            + 0.5 * (sin_omega + sin_kappa) / (omega + kappa))
 
 
 # --------------------------------------------------------------------------
@@ -181,17 +187,15 @@ def harmonic_dataspec(kind: HarmonicData, mesh: MeshSpec) -> DataSpec:
 
     Amplitudes carry the rescaling x' = pi x / X, t' = a pi t / X: the initial
     velocity picks up a factor a pi / X and the forcing (a pi / X)^2, so that
-    node values of solutions agree with the canonical formulas.
+    node values of solutions agree with the canonical formulas.  The datum is
+    the one mode k, stored as such: its cost does not grow with k.
     """
     X = mesh.X
     scale_t = mesh.a * math.pi / X  # dt'/dt
     zero = Profile.zero(X)
-    single = np.zeros(kind.k)
 
     def mode_profile(amplitude: float) -> Profile:
-        c = single.copy()
-        c[kind.k - 1] = amplitude * math.sqrt(X / 2.0)
-        return Profile.sine_series(c, X)
+        return Profile.sine_series((amplitude * math.sqrt(X / 2.0),), X, (kind.k,))
 
     if kind.j == 0:
         return DataSpec(u0=mode_profile(1.0), u1=zero)
@@ -208,30 +212,35 @@ def harmonic_dataspec(kind: HarmonicData, mesh: MeshSpec) -> DataSpec:
 def choose_k_h(alpha: float, mesh: MeshSpec) -> int:
     """Mode index k_h = floor((alpha / nu_h)^(1/5)) + 1 used by the lower bounds.
 
-    Raises MeshTooCoarseError (naming a sufficient N) when k_h would exceed
-    the largest resolvable mode N - 1.
+    Raises MeshTooCoarseError naming the least N 2^r that resolves its k_h at
+    the same tau/h when k_h exceeds the largest resolvable mode N - 1, and a
+    ConfigurationError naming alpha when no such N with N 2^r, M 2^r <=
+    MAX_CELLS does or (alpha / nu_h)^(1/5) is not finite.  h and tau halve
+    exactly, so the nu_h of N 2^r is nu_h 2^(-4r): no mesh is built per doubling.
     """
     if alpha <= 0:
         raise ContractViolation("alpha must be positive")
     check_stable(mesh)
+    cm = canonical_mesh(mesh)
+    nu = (cm.h ** 4 - cm.tau ** 4) / 480.0
 
-    def candidate(m: MeshSpec) -> int:
-        cm = canonical_mesh(m)
-        nu = (cm.h ** 4 - cm.tau ** 4) / 480.0
-        return int(math.floor((alpha / nu) ** 0.2)) + 1
+    def candidate(r: int) -> int:
+        """k_h of the N 2^r, M 2^r mesh."""
+        root = (alpha / (nu / 16.0 ** r)) ** 0.2 if nu > 0.0 else math.inf
+        if not math.isfinite(root) or 2 ** r * max(mesh.N, mesh.M) > MAX_CELLS:
+            raise ConfigurationError(
+                f"alpha = {alpha} puts k_h beyond N - 1 on every mesh of N, M <= {MAX_CELLS} "
+                f"at the tau/h of the N={mesh.N}, M={mesh.M} mesh")
+        return math.floor(root) + 1
 
-    k = candidate(mesh)
-    if k <= mesh.N - 1:
-        return k
-    finer = mesh
-    for _ in range(64):
-        finer = MeshSpec(X=mesh.X, T=mesh.T, N=2 * finer.N, M=2 * finer.M,
-                         a=mesh.a, eps0=mesh.eps0)
-        if candidate(finer) <= finer.N - 1:
-            break
-    raise MeshTooCoarseError(
-        f"mode k_h = {k} exceeds N - 1 = {mesh.N - 1}; N >= {finer.N} suffices "
-        f"for alpha = {alpha}", minimal_n=finer.N)
+    k, r = candidate(0), 0
+    while candidate(r) > 2 ** r * mesh.N - 1:
+        r += 1
+    if r:
+        raise MeshTooCoarseError(
+            f"mode k_h = {k} exceeds N - 1 = {mesh.N - 1}; N >= {2 ** r * mesh.N} suffices "
+            f"for alpha = {alpha}", minimal_n=2 ** r * mesh.N)
+    return k
 
 
 def asymptotic_constant(j: int, T: float) -> float:

@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import as_strided
 from .data import DataSpec, Forcing, extension_sampler, hat_average_factor
 from .errors import ConfigurationError, QuadratureError
 from .grid import MeshSpec, _three_point
-from .oracle import resonant
+from .oracle import _duhamel, resonant
 
 
 class Reference:
@@ -99,9 +99,8 @@ def reference_refusal(mesh: MeshSpec, data: DataSpec) -> str | None:
             return (f"no exact reference for forced data with a {form} {factor} factor; "
                     "the forcing needs a sine_series space factor and a harmonic_sin "
                     "time factor")
-    ks = np.flatnonzero(f.space.coeffs) + 1
-    hits = ks[resonant(f.time.omega, mesh.a * (math.pi * ks / mesh.X))]
-    if hits.size:
+    hits = [k for k in f.space.modes if resonant(f.time.omega, mesh.a * (math.pi * k / mesh.X))]
+    if hits:
         return (f"no exact reference for forced data resonant with mode k = {hits[0]}: "
                 f"the time factor's omega {f.time.omega!r} equals a pi k / X")
     return None
@@ -109,23 +108,21 @@ def reference_refusal(mesh: MeshSpec, data: DataSpec) -> str | None:
 
 def _forced_modes(mesh: MeshSpec, f: Forcing):
     """(coeffs, shapes) of the Duhamel modes of f: coeffs(levels)[..., j] is mode
-    j's time coefficient at the levels, per call, with the bits of
-    oracle.forced_mode_response off resonance, shapes[view, j] its node values
-    (view 0) and q_2h values (view 1: times its hat average's eigenfactor and
-    the filter's, (14 - 2 cos(pi k h / X)) / 12); Reference zeroes their ends."""
-    ks = np.flatnonzero(f.space.coeffs)
-    wave = math.pi * (ks + 1) / mesh.X
+    j's time coefficient at the levels, per call, oracle.forced_mode_response's
+    formula without its resonance check (reference_refusal made it), shapes[view, j]
+    its node values (view 0) and q_2h values (view 1: times its hat average's
+    eigenfactor and the filter's, (14 - 2 cos(pi k h / X)) / 12); Reference
+    zeroes their ends."""
+    wave = math.pi * np.array(f.space.modes, dtype=float) / mesh.X
     kappa, omega = mesh.a * wave, f.time.omega
-    scale = np.asarray(f.space.coeffs)[ks] * math.sqrt(2.0 / mesh.X) / kappa
+    scale = np.array(f.space.coeffs) * math.sqrt(2.0 / mesh.X) / kappa
 
     def coeffs(levels):
         r = range(mesh.M + 1)[levels]  # their times: level integers * tau
         t = np.multiply(np.arange(r.start, r.stop, r.step) if isinstance(r, range) else r,
                         mesh.tau)[..., None]
-        sin_omega, sin_kappa = np.sin(omega * t), np.sin(kappa * t)
-        return scale * (-0.5 * (sin_omega - sin_kappa) / (omega - kappa)
-                        + 0.5 * (sin_omega + sin_kappa) / (omega + kappa))
-    shapes = np.empty((2, len(ks), mesh.N + 1))
+        return scale * _duhamel(omega, kappa, t)
+    shapes = np.empty((2, len(wave), mesh.N + 1))
     shapes[0] = np.sin(np.outer(wave, mesh.nodes()))
     shapes[1] = shapes[0] * (hat_average_factor(wave * mesh.h)
                              * (14.0 - 2.0 * np.cos(wave * mesh.h)) / 12.0)[:, None]

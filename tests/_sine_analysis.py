@@ -1,10 +1,11 @@
 """Sine analysis of profiles, an oracle independent of the package's quadrature.
 
 Coefficients are in the orthonormal basis sqrt(2/X) sin(pi k x / X): a
-sine_series profile stores exactly the coefficients that sine_coefficients
-returns, and a single mode sin(pi k x / X) is the one-coefficient series
-with c_k = sqrt(X/2).  Piecewise profiles are integrated in closed form, by
-parts, not by the Gauss panels of wavecompact.data.
+sine_series profile stores exactly the nonzero coefficients that
+sine_coefficients returns, as its modes and their coeffs, and a single mode
+sin(pi k x / X) is the one-mode series with c_k = sqrt(X/2).  Piecewise
+profiles are integrated in closed form, by parts, not by the Gauss panels of
+wavecompact.data.
 """
 
 import numpy as np
@@ -61,8 +62,9 @@ def sine_coefficients(w: Profile, K: int) -> np.ndarray:
         raise ContractViolation("K must be at least 1")
     out = np.zeros(K)
     if w.form == "sine_series":
-        upto = min(K, len(w.coeffs))
-        out[:upto] = w.coeffs[:upto]
+        for k, c in zip(w.modes, w.coeffs):
+            if k <= K:
+                out[k - 1] = c
         return out
     root = np.sqrt(2.0 / w.X)
     ks = np.arange(1, K + 1)

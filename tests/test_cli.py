@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +133,33 @@ def test_mesh_too_coarse_exits_2(tmp_path, capsys):
     assert "N >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", [1e40, 1e300])
+def test_alpha_beyond_every_mesh_exits_3_without_traceback(tmp_path, capsys, alpha):
+    # no N <= MAX_CELLS resolves k_h (1e300: its root overflows on the way)
+    cfg = _write_config(tmp_path, {"kind": "sharpness", "mesh": _mesh(16),
+                                   "data": {"harmonic": {"j": 0}}, "alpha": alpha})
+    assert main(["sharpness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"configuration error: alpha = {alpha} puts k_h beyond N - 1" in err
+    assert "Traceback" not in err
+
+
+def test_a_mode_at_the_finest_n_is_refused_for_memory_at_once(tmp_path, capsys, monkeypatch):
+    # k = 2^24 - 1 is one stored mode: the load reaches the memory count at once
+    # (a dense series of k coefficients took seconds and hundreds of MB first)
+    cfg = _write_config(tmp_path, {
+        "kind": "converge", "mesh": _mesh(2 ** 22, refinements=2),
+        "data": {"u0": {"form": "harmonic", "k": 2 ** 24 - 1}}})
+    monkeypatch.setattr(os, "sysconf", lambda name: 2 ** 15)  # 1 GiB of memory
+    started = time.perf_counter()
+    code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3 and time.perf_counter() - started < 0.5
+    assert "bytes of arrays at once, more than the 1073741824 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unresolvable_harmonic_k_exits_2_at_load(tmp_path, capsys):
-    # refused before the k coefficients of the data are allocated
+    # refused at load, before any rung
     for kind in ("solve", "converge", "oracle_check"):
         cfg = _write_config(tmp_path, {
             "kind": kind, "mesh": _mesh(8, refinements=2),
@@ -149,7 +175,7 @@ def test_unresolvable_harmonic_k_exits_2_at_load(tmp_path, capsys):
 
 @pytest.mark.parametrize("slot", ["u0", "u1", "f"])
 def test_unresolvable_harmonic_profile_k_exits_2_at_load(tmp_path, capsys, slot):
-    # a harmonic profile descriptor is refused before its k coefficients exist
+    # a harmonic profile descriptor is refused at load, before any rung
     profile = {"form": "harmonic", "k": 10 ** 12}
     data = ({"f": {"space": profile, "time": {"form": "polynomial", "coeffs": [1.0]}}}
             if slot == "f" else {slot: profile})
@@ -355,6 +381,22 @@ def test_stability_probe_command(tmp_path, capsys):
     })
     assert main(["stability-probe", "--config", str(cfg)]) == 0
     assert "0 violations" in capsys.readouterr().out
+
+
+def test_stability_probe_of_too_many_pairs_exits_3_at_load(tmp_path, capsys):
+    # the load counts per pair its draws' and margins' 8 (N + 1) floats or, the
+    # larger at N = 16, its two rows with their CSV cells, 2 * 1024 bytes
+    from wavecompact.grid import build_mesh
+    from wavecompact.scheme import level_bytes
+    n_pairs = 10 ** 9
+    cfg = _write_config(tmp_path, {"kind": "stability_probe", "mesh": _mesh(16),
+                                   "n_pairs": n_pairs})
+    assert main(["stability-probe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    held = (20 * level_bytes(build_mesh(math.pi, math.pi, 16, 32), True) + 2 ** 18
+            + 2048 * n_pairs)
+    err = capsys.readouterr().err
+    assert f"the N=16, M=32 rung holds {held} bytes of arrays at once" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_out_flag_overrides_config(tmp_path):

@@ -223,9 +223,10 @@ def test_a_rung_beyond_physical_memory_is_refused_at_load(tmp_path, capsys, kind
     if kind == "oracle_check":
         held = 2 * columns * level_bytes(mesh, False)
     # the probe steps and measures block by block: per column, a forced measured
-    # run's buffers, plus its fixed overhead
+    # run's buffers, plus its fixed overhead and, per pair (100 by default), the
+    # larger of its draws' and margins' 8 (N + 1) floats and its two rows' bytes
     if kind == "stability_probe":
-        held = columns * level_bytes(mesh, True) + 2 ** 18
+        held = columns * level_bytes(mesh, True) + 2 ** 18 + 100 * 64 * (n + 1)
     # the runs that build the exact reference hold it too: a tau / h = 1/2, so
     # E and F of both views are 4 (2N + M + 2) floats, and sharpness's j = 2
     # forces one mode, 2 (N + 2)

@@ -498,3 +498,57 @@ def test_sine_series_round_trip():
     w = Profile.sine_series(coeffs, math.pi)
     np.testing.assert_allclose(sine_coefficients(w, 4), coeffs, atol=1e-15)
     np.testing.assert_allclose(sine_coefficients(w, 6)[4:], 0.0)
+
+
+# --------------------------------------------------------------------------
+# a sine series is its nonzero modes
+
+def test_sine_series_keeps_exactly_its_nonzero_modes():
+    dense = (0.0, 0.3, 0.0, 0.0, -1.2, -0.0, 0.7)
+    w = Profile.sine_series(dense, math.pi)
+    assert (w.modes, w.coeffs) == ((2, 5, 7), (0.3, -1.2, 0.7))
+    assert w == Profile.sine_series((0.3, -1.2, 0.7), math.pi, (2, 5, 7))
+    assert w == Profile.sine_series((0.0, 0.3, -1.2, 0.7), math.pi, np.array([1, 2, 5, 7]))
+    assert Profile.sine_series((0.0, -0.0), math.pi) == Profile.zero(math.pi)
+    assert Profile.zero(math.pi).modes == ()
+    # the stored form is the canonical one: sorted modes >= 1, integers, nonzero amplitudes
+    for modes, coeffs in [((2, 1), (1.0, 1.0)), ((0,), (1.0,)), ((3, 3), (1.0, 1.0)),
+                          ((1,), (0.0,)), ((1, 2), (1.0,)), ((1.5,), (1.0,)), (None, (1.0,))]:
+        with pytest.raises(ConfigurationError, match="strictly increasing integer modes"):
+            Profile(X=math.pi, form="sine_series", modes=modes, coeffs=coeffs)
+
+
+def test_sparse_sine_series_evaluate_with_the_bits_of_the_dense_loop():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.linspace(0.0, 2.5, 41), rng.uniform(-3.0, 6.0, 40)])
+    for _ in range(20):
+        X = rng.uniform(0.5, 4.0)
+        modes = np.sort(rng.choice(np.arange(1, 300), size=rng.integers(1, 8), replace=False))
+        dense = np.zeros(modes[-1])
+        dense[modes - 1] = rng.standard_normal(len(modes))
+        w = Profile.sine_series(dense, X)
+        assert w.modes == tuple(modes.tolist())
+        # the former dense loop, which skipped the zero coefficients
+        expected = np.zeros_like(x)
+        root = np.sqrt(2.0 / X)
+        for k, c in enumerate(dense.tolist(), start=1):
+            if c != 0.0:
+                expected += c * root * np.sin(np.pi * k * x / X)
+        assert w(x).tobytes() == expected.tobytes()
+
+
+def test_a_high_mode_holds_nothing_of_the_size_of_its_index():
+    import tracemalloc
+
+    from wavecompact.oracle import HarmonicData, harmonic_dataspec
+    mesh = build_mesh(math.pi, math.pi, 16, 32)
+    harmonic_dataspec(HarmonicData(j=2, k=3), mesh)  # first calls fill lazy caches
+    tracemalloc.start()
+    try:
+        w = Profile.harmonic_mode(2 ** 40, math.pi)
+        data = harmonic_dataspec(HarmonicData(j=2, k=2 ** 40), mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert w.modes == data.f.space.modes == (2 ** 40,)

@@ -1,6 +1,7 @@
 """Dispersion, closed-form solutions, frequency selection, sharpness targets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -385,6 +386,29 @@ def test_choose_k_h_small_alpha_and_coarse_mesh():
     with pytest.raises(MeshTooCoarseError) as err:
         choose_k_h(2.0, coarse)
     assert err.value.minimal_n is not None and err.value.minimal_n > 4
+
+
+@pytest.mark.parametrize("alpha", [1e2, 1e4, 1e8, 1e12])
+def test_choose_k_h_names_the_least_n_that_suffices(alpha):
+    # the named N resolves its own k_h at the same tau/h, and half of it does not
+    mesh = build_mesh(math.pi, math.pi, 16, 32)
+    with pytest.raises(MeshTooCoarseError) as err:
+        choose_k_h(alpha, mesh)
+    n = err.value.minimal_n
+    assert n > mesh.N and f"N >= {n} suffices for alpha = {alpha}" in str(err.value)
+    assert choose_k_h(alpha, build_mesh(math.pi, math.pi, n, 2 * n)) <= n - 1
+    if n // 2 > mesh.N:
+        with pytest.raises(MeshTooCoarseError):
+            choose_k_h(alpha, build_mesh(math.pi, math.pi, n // 2, n))
+
+
+@pytest.mark.parametrize("alpha", [1e40, 1e250, 1e300, 1e308])
+def test_choose_k_h_beyond_every_mesh_is_a_configuration_error(alpha):
+    # no N <= MAX_CELLS resolves k_h (1e40 needs N = 16 * 2^132), or
+    # (alpha / nu_h)^(1/5) overflows: refused naming alpha, not an overflow
+    refusal = re.escape(f"alpha = {alpha} puts k_h beyond N - 1")
+    with pytest.raises(ConfigurationError, match=refusal):
+        choose_k_h(alpha, build_mesh(math.pi, math.pi, 16, 32))
 
 
 def test_asymptotic_constants():

@@ -261,6 +261,9 @@ def test_dalembert_reference_rejects_forcing():
         (mode, TimeProfile.harmonic_sin(1.0), "resonant with mode k = 1"),  # a pi k / X = 1
         (step, TimeProfile.harmonic_sin(0.5), "piecewise space factor"),
         (mode, TimeProfile.polynomial((1.0,)), "polynomial time factor"),
+        # modes are read as stored, whatever their size
+        (Profile.sine_series((1.0, 1.0), math.pi, (3, 2 ** 70)), TimeProfile.harmonic_sin(3.0),
+         "resonant with mode k = 3"),
     ]:
         data = DataSpec(u0=Profile.zero(math.pi), u1=Profile.zero(math.pi),
                         f=Forcing(space=space, time=time))
@@ -510,9 +513,8 @@ def test_forced_coefficients_keep_the_bits_of_the_duhamel_response(T):
     mesh = build_mesh(math.pi, T, 16, 48)
     f = _forced_sine_series_data(mesh.X).f
     coeffs, _ = reference._forced_modes(mesh, f)
-    ks = np.flatnonzero(f.space.coeffs)
-    kappa = mesh.a * (math.pi * (ks + 1) / mesh.X)
-    scale = np.asarray(f.space.coeffs)[ks] * math.sqrt(2.0 / mesh.X) / kappa
+    kappa = mesh.a * (math.pi * np.array(f.space.modes) / mesh.X)
+    scale = np.asarray(f.space.coeffs) * math.sqrt(2.0 / mesh.X) / kappa
     blocks = [slice(start, start + 17) for start in range(0, mesh.M, 16)]
     for levels in [0, 7, mesh.M, *blocks, slice(None), slice(None, None, -5), slice(3, None, 7)]:
         expected = scale * forced_mode_response(f.time.omega, kappa,

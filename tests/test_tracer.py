@@ -1,0 +1,45 @@
+"""Smoke test of the benchmark's traced path: perfbench/tracer.py around cli.main.
+
+The traced stability probe must repeat its span counts pass for pass on
+identical inputs, and the wrappers must leave the factor caches in place.
+No timing or coverage is asserted: tiny runs cover less of their pass than
+the benchmark's workloads do.
+"""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+from wavecompact import operators
+from wavecompact.cli import main
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer_class():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_traced_passes_exit_0_and_repeat_their_span_counts(tmp_path):
+    tracer = _tracer_class()()
+    probe, sharp = tmp_path / "probe.json", tmp_path / "sharp.json"
+    mesh = {"X": math.pi, "T": math.pi}
+    probe.write_text(json.dumps({"kind": "stability_probe", "seed": 1, "n_random": 3,
+                                 "n_pairs": 4, "mesh": {**mesh, "rungs": [[8, 16], [16, 32]]}}))
+    sharp.write_text(json.dumps({"kind": "sharpness", "data": {"harmonic": {"j": 2}},
+                                 "mesh": {**mesh, "N": 64, "M": 128}}))
+    counts = []
+    with tracer.installed():
+        for i in range(2):
+            tracer.reset()
+            assert main(["stability-probe", "--config", str(probe),
+                         "--out", str(tmp_path / f"probe{i}")]) == 0
+            counts.append(tracer.counts())
+        assert main(["sharpness", "--config", str(sharp), "--out", str(tmp_path / "sharp")]) == 0
+        for factor in (operators._implicit_factor, operators._mass_factor):
+            assert callable(factor.cache_info)  # the bench counts their misses
+    assert counts[0] == counts[1] and counts[0]["experiments.energy_lower_bound_margins"] == 2
