@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .data import (PRESETS, DataSpec, Forcing, Profile, TimeProfile, average_qh,
                    average_qtau, build_fh, build_u1h)
 from .errors import (ConfigurationError, ContractViolation, InvariantError,
-                     MeshTooCoarseError, QuadratureError, UnstableMeshError)
+                     MeshTooCoarseError, UnstableMeshError)
 from .grid import (GridFn, MeshSpec, build_mesh, energy_norm_pair, space_norm,
                    time_aggregate)
 from .operators import apply_spatial, solve_implicit

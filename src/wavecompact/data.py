@@ -15,24 +15,22 @@ second-level average q_2h combines q_h with the Numerov correction,
 
 the exact reference filters its hat averages so (reference.Reference.q2h_values).
 
-Quadrature policy: integration cells are split at descriptor breakpoints and
-each panel uses the Gauss-Legendre rule of _gauss_nodes, at least 8 nodes and
-exact for the piece times a hat at any degree, so discontinuous data adds no
-quadrature noise; q_h is extension_sampler's hat average.  A sine series is
-held as its nonzero modes (Profile.modes, with their amplitudes in
-Profile.coeffs), and every consumer reads those pairs: its hat averages use
-the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each mode instead of panels.  A
-jump of a piecewise profile evaluates to the mean of its two sides.  The data
-norms of the stability bounds use the same panels on the one cell
-(0, X) or (0, T), exact for the squared pieces, with |g| split at the real
-roots of g as well; a sine series takes its norms from its coefficients.
+Exact averages: the hat average of a piecewise polynomial is a piecewise
+polynomial, which _hat_average_table builds once per stack and h and
+_hat_averages serves; q_h is extension_sampler's hat average.  A polynomial
+time factor's q_tau is its hat moments (average_qtau).  A sine series is held
+as its nonzero modes (Profile.modes, with their amplitudes in Profile.coeffs),
+and its hat averages use the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each
+mode.  A jump of a piecewise profile evaluates to the mean of its two sides.
+The data norms of the stability bounds integrate the squared pieces, and |g|
+between its real roots, through antiderivatives.
 
-One quadrature call per stack: the averages, node samples and norms take one
-descriptor or a stack of them (a list), whose piecewise profiles or
-polynomial time factors _piecewise_stack evaluates and _hat_cell_integrals
-integrates in one call, each row on its own panels and Gauss rule, so every
-row has the bits of its descriptor alone; a single descriptor is a stack of
-one.  Sine series and harmonic factors take their closed forms row by row.
+One call per stack: the averages, node samples and norms take one descriptor
+or a stack of them (a list), a single descriptor being a stack of one.
+Piecewise profiles and polynomial time factors are zero-padded into one
+coefficient table; the padding adds only exact zeros, in a fixed order, so
+every row has the bits of its descriptor alone.  Sine series and harmonic
+factors take their closed forms row by row.
 
 Descriptors refuse non-finite entries with a ConfigurationError naming the
 entry.  PRESETS holds the rough data of the convergence studies, hat_step
@@ -49,7 +47,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigurationError, ContractViolation, QuadratureError
+from .errors import ConfigurationError, ContractViolation
 from .grid import GridFn, MeshSpec
 from .operators import stencil
 
@@ -164,17 +162,13 @@ def _piecewise_stack(X: float, breakpoints, pieces):
     against x giving the row of each x.  One Horner loop over the zero-padded
     coefficient table, gathered by piece, gives polyval's bits and an interior
     breakpoint the mean of its sides: each row has its profile's bits."""
-    P, width = max(map(len, pieces)), max(len(c) for row in pieces for c in row)
-    inner = np.full((P - 1, len(pieces)), np.nan)  # by column; NaN compares false
-    table = np.zeros((width, len(pieces) * P))  # coefficient k of piece j of row b at [k, bP + j]
-    for b, (bp, row) in enumerate(zip(breakpoints, pieces)):
-        inner[:len(row) - 1, b] = bp[1:-1]
-        for j, c in enumerate(row):
-            table[:len(c), b * P + j] = c
+    P = max(map(len, pieces))
+    inner = _padded([bp[1:-1] for bp in breakpoints], np.nan).T  # by column; NaN compares false
+    table = _coefficients(pieces).reshape(-1, len(pieces) * P)  # piece j of row b at [:, bP + j]
 
     def horner(piece, x):
         out = np.zeros(np.broadcast(piece, x).shape)
-        for k in reversed(range(width)):
+        for k in reversed(range(len(table))):
             out *= x
             out += table[k].take(piece)
         return out
@@ -299,77 +293,57 @@ PRESETS = {
 
 
 # --------------------------------------------------------------------------
-# Gauss-Legendre panel quadrature
+# polynomial arithmetic: coefficient arrays with the ascending powers on axis 0
+# and one polynomial per column, a leading zero adding exact zeros
 
-@lru_cache(maxsize=32)
-def _gauss_rule(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
-
-
-def _gauss_nodes(n_coeffs: int) -> int:
-    """Gauss nodes per panel, at least 8, exact for n_coeffs coefficients times a hat."""
-    return max(8, (n_coeffs + 2) // 2 + 1)
+def _padded(rows, fill: float) -> np.ndarray:
+    """Rows of numbers of any lengths as one array, padded with fill."""
+    width = max(map(len, rows))
+    return np.array([list(row) + [fill] * (width - len(row)) for row in rows], dtype=float)
 
 
-def _hat_cell_integrals(evaluate, edges: np.ndarray, splits, n_nodes, label: str):
-    """Per-cell integrals of f times the rising and falling hat weights.
-
-    For each cell [edges[j], edges[j+1]] returns
-
-        I_rise[j] = int f(x) (x - left)  / width dx,
-        I_fall[j] = int f(x) (right - x) / width dx,
-
-    splitting every cell at the supplied breakpoints that lie inside it, more
-    than 1e-14 * width from its edges.  A batch of B integrands: splits (B, S),
-    NaN-padded, n_nodes one count or one per row, evaluate(rows, x), rows the
-    row of each x, and (B, cells) results, each row with the panels, rule,
-    first non-finite cell and bits of its own call.
-    """
-    splits = np.asarray(splits, dtype=float)
-    B, ncells = len(splits), len(edges) - 1
-    width = edges[1] - edges[0]
-    cell = np.searchsorted(edges[1:-1], splits, side="right")  # an end cell if outside
-    keep = ((splits > edges[cell] + 1e-14 * width)
-            & (splits < edges[cell + 1] - 1e-14 * width))
-    # each row's panel boundaries, in order: the cell edges and its kept splits
-    bounds = np.empty((B, ncells + 1 + splits.shape[1]))
-    bounds[:, :ncells + 1] = edges
-    bounds[:, ncells + 1:] = np.where(keep, splits, np.nan)
-    bounds.sort(axis=1)
-    valid = ~np.isnan(bounds[:, 1:])
-    panel_lo, panel_hi = bounds[:, :-1][valid], bounds[:, 1:][valid]
-    panel_row = np.repeat(np.arange(B), valid.sum(axis=1))
-    panel_cell = np.searchsorted(edges, panel_lo, side="right") - 1
-
-    counts = np.zeros(B, dtype=int) + n_nodes
-    rules = sorted(set(counts.tolist()))
-    rise, fall = np.empty((2, len(panel_lo)))
-    for n in rules:  # one Gauss rule per node count
-        sel = slice(None) if len(rules) == 1 else counts[panel_row] == n
-        gn, gw = _gauss_rule(n)
-        half = 0.5 * (panel_hi[sel] - panel_lo[sel])
-        mid = 0.5 * (panel_hi[sel] + panel_lo[sel])
-        pts = mid[:, None] + half[:, None] * gn[None, :]
-        vals = evaluate(panel_row[sel, None], pts)
-        if not np.all(np.isfinite(vals)):
-            bad = int(panel_cell[sel][np.argmax(~np.all(np.isfinite(vals), axis=1))])
-            raise QuadratureError(f"non-finite values while integrating {label}", cell=bad)
-        rise_w = (pts - edges[panel_cell[sel]][:, None]) / width
-        base = vals * gw[None, :] * half[:, None]
-        rise[sel] = np.sum(base * rise_w, axis=1)
-        fall[sel] = np.sum(base * (1.0 - rise_w), axis=1)
-    rise, fall = (np.bincount(panel_row * ncells + panel_cell, w, B * ncells).reshape(B, ncells)
-                  for w in (rise, fall))
-    return rise, fall
+def _coefficients(pieces) -> np.ndarray:
+    """Rows of pieces of ascending coefficients as one zero-padded (width, rows, pieces) array."""
+    P, width = max(map(len, pieces)), max(len(c) for row in pieces for c in row)
+    return np.moveaxis(np.array([[list(c) + [0.0] * (width - len(c)) for c in row]
+                                 + [[0.0] * width] * (P - len(row)) for row in pieces]), 2, 0)
 
 
-def _padded(rows) -> np.ndarray:
-    """Rows of splits of any lengths as one (B, S) array, NaN-padded."""
-    out = np.full((len(rows), max(map(len, rows))), np.nan)
-    for b, row in enumerate(rows):
-        out[b, :len(row)] = row
+def _shifted(a, s) -> np.ndarray:
+    """The coefficients of p(t + s) for the columns p of a, by synthetic division."""
+    a = np.array(a, dtype=float)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += s * a[j + 1]
+    return a
+
+
+def _hat_moments(a, h) -> np.ndarray:
+    """The hat averages of width h of the columns p of a as polynomials,
+    sum_k 2 h^2k / (2k+2)! p^(2k), summed in ascending k."""
+    out = np.array(a, dtype=float)
+    for k in range(1, (len(a) + 1) // 2):
+        factor = np.power(h, 2 * k) * np.array([2.0 * math.comb(n + 2 * k, n) / (
+            (2 * k + 1) * (2 * k + 2)) for n in range(len(a) - 2 * k)])
+        out[:-2 * k] += (factor * a[2 * k:].T).T
     return out
+
+
+def _abs_integral_sums(bounds, pieces, squared: bool) -> np.ndarray:
+    """Per row, the sum over its pieces j of |int p_j| (of p_j^2 if squared) on
+    [bounds[j], bounds[j + 1]], p_j of one sign there, rows being lists of
+    breakpoints and ascending coefficients: each piece in its own coordinate
+    x - bounds[j], through its antiderivative, summed in piece order."""
+    ends, c = _padded(bounds, 0.0), _coefficients(pieces)  # zero pieces, integrals 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _shifted(c, ends[:, :-1])
+        if squared:
+            square = np.zeros((2 * len(c) - 1,) + c.shape[1:])
+            for i in range(len(c)):
+                square[i:i + len(c)] += c[i] * c
+            c = square
+        integrals = np.abs(npoly.polyval(np.diff(ends), npoly.polyint(c, axis=0), tensor=False))
+    return np.cumsum(integrals, axis=1)[:, -1]
 
 
 def _by_form(w, form: str, closed, batched):
@@ -408,15 +382,11 @@ def average_qh(w, mesh: MeshSpec) -> GridFn:
     if any(abs(p.X - mesh.X) > 1e-12 * mesh.X
            for p in (w if isinstance(w, (list, tuple)) else [w])):
         raise ContractViolation("profile and mesh domain lengths differ")
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing data: non-finite averages
         out = _by_form(w, "piecewise",
                        lambda p: extension_sampler(p, False)[1](0.0, mesh.N + 1, mesh.h),
-                       lambda ps: _folded_stack(ps, False)[1](0.0, mesh.N + 1, mesh.h))
-    except QuadratureError as exc:
-        # sampler cell c is mesh cell c - 1; the two outside (0, X) mirror their neighbours
-        cell = min(max(exc.cell - 1, 0), mesh.N - 1)
-        raise QuadratureError(f"non-finite values while integrating q_h profile on mesh cell "
-                              f"{cell}", cell=cell) from exc
+                       lambda ps: _hat_averages(_hat_average_table(ps, -1.0, mesh.h),
+                                                mesh.h * np.arange(mesh.N + 1)))
     out[..., ::mesh.N] = 0.0
     return out
 
@@ -431,18 +401,21 @@ def average_qtau(g, mesh: MeshSpec) -> np.ndarray:
     def harmonic(g):
         out = np.empty(mesh.M)
         y = g.omega * mesh.tau
-        out[0] = 0.0 if y == 0.0 else 2.0 / y * (1.0 - np.sin(y) / y)
+        if abs(y) < 0.5:  # 2/y (1 - sin(y)/y) cancels: sum 2 (-1)^(k+1) y^(2k-1) / (2k+1)!
+            out[0] = y * npoly.polyval(y * y, [2.0 * (-1) ** k / math.factorial(2 * k + 3)
+                                               for k in range(8)])
+        else:
+            out[0] = 2.0 / y * (1.0 - np.sin(y) / y)
         out[1:] = hat_average_factor(y) * np.sin(g.omega * mesh.times()[1:mesh.M])
         return out
 
-    def polynomial(gs):
-        i_rise, i_fall = _hat_cell_integrals(
-            _piecewise_stack(mesh.T, [(0.0, mesh.T)] * len(gs), [(g.coeffs,) for g in gs]),
-            mesh.times(), np.empty((len(gs), 0)), [_gauss_nodes(len(g.coeffs)) for g in gs],
-            "q_tau profile")
+    def polynomial(gs):  # interior levels the hat moments at t_m, level 0 their one-sided form
+        c = _coefficients([[g.coeffs] for g in gs])[:, :, 0]
+        n = np.arange(len(c))[:, None]
         out = np.empty((len(gs), mesh.M))
-        out[:, 0] = 2.0 / mesh.tau * i_fall[:, 0]
-        out[:, 1:] = (i_rise[:, : mesh.M - 1] + i_fall[:, 1: mesh.M]) / mesh.tau
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:, 0] = 2.0 * npoly.polyval(mesh.tau, c / ((n + 1) * (n + 2)))
+            out[:, 1:] = npoly.polyval(mesh.times()[1:mesh.M], _hat_moments(c, mesh.tau))
         return out
     return _by_form(g, "polynomial", harmonic, polynomial)
 
@@ -481,8 +454,9 @@ def extension_sampler(w: Profile, antiderivative: bool):
 def _folded_stack(ws, antiderivative: bool):
     """extension_sampler's (evaluate, average) of piecewise profiles sharing X
     (with antiderivative set, those of the polyint pieces), giving (B, count)
-    rows: folded onto [0, X] and evaluated as one _piecewise_stack, and averaged
-    in one call of exact Gauss rules split at each extension's breaks."""
+    rows: folded onto [0, X] and evaluated as one _piecewise_stack, and
+    averaged through the exact piecewise polynomial of _hat_average_table,
+    kept for the last h."""
     X = ws[0].X
     profile = _piecewise_stack(X, [w.breakpoints for w in ws], [w.pieces for w in ws])
 
@@ -496,20 +470,68 @@ def _folded_stack(ws, antiderivative: bool):
             out[..., np.minimum(r, X - r) <= 1e-13 * X] = 0.0
         return out
 
-    breaks = _padded([w.breakpoints for w in ws])
-    breaks = np.sort(np.concatenate([breaks, 2.0 * X - breaks], axis=1), axis=1)
-    breaks[:, 1:][breaks[:, 1:] == breaks[:, :-1]] = np.nan  # each row's unique breaks
-    nodes = [_gauss_nodes(max(map(len, w.pieces))) for w in ws]
+    table = lru_cache(1)(lambda h: _hat_average_table(ws, 1.0 if antiderivative else -1.0, h))
+    return ((lambda start, count, h: extension(np.arange(len(ws))[:, None],
+                                               start + h * np.arange(count))),
+            (lambda start, count, h: _hat_averages(table(h), start + h * np.arange(count))))
 
-    def average(start, count, h):
-        edges = start + h * np.arange(-1, count + 1)
-        periods = 2.0 * X * np.arange(math.floor(edges[0] / (2.0 * X)),
-                                      math.ceil(edges[-1] / (2.0 * X)) + 1)
-        rise, fall = _hat_cell_integrals(extension, edges, (periods[:, None] + breaks[:, None])
-                                         .reshape(len(ws), -1), nodes, "the exact solution")
-        return (rise[:, :-1] + fall[:, 1:]) / h
-    return (lambda start, count, h: extension(np.arange(len(ws))[:, None],
-                                              start + h * np.arange(count))), average
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowing data: non-finite averages
+def _hat_average_table(ws, sign: float, h: float):
+    """(X, cuts, table) of Q, the hat average of width h of the 2X-periodic W
+    with W(-x) = sign w(x), w each row's piecewise profile.  On [-X, X) cut at
+    each piece edge b and b +- h, Q is one polynomial from a cut of row r to the
+    next: table[:, r C + i] in y - cuts[r, i], C = cuts.shape[1].  It is the hat
+    moments of the piece at y plus, for each edge b within h of y, with jump
+    D_b(x - b) and G_b(w) = sum d_n w^(n+2) / ((n+1)(n+2)), G_b(y - b + h) / h^2
+    if b is right of y and -G_b(y - b - h) / h^2 if left, summed in one order."""
+    X, count = ws[0].X, np.array([len(w.pieces) for w in ws])[:, None]
+    k = np.arange(2 * count.max())  # W's pieces on [-X, X), and their left edges, NaN-padded
+    edges = _padded([[-b for b in w.breakpoints[:0:-1]] + list(w.breakpoints[:-1])
+                     for w in ws], np.nan)
+    coeffs = _coefficients([w.pieces[::-1] + w.pieces for w in ws])
+    width = len(coeffs)
+    coeffs *= np.where(k < count, sign * (-1.0) ** np.arange(width)[:, None, None], 1.0)
+    # each piece about its left edge, and the one left of it (left of -X the last, about X)
+    at = np.where(np.isnan(edges), 0.0, edges)
+    previous = np.take_along_axis(coeffs, np.where(k == 0, 2 * count - 1, k - 1)[None], 2)
+    right, left = _shifted(np.stack([coeffs, previous], axis=1),
+                           np.stack([at, np.where(k == 0, X, at)])).swapaxes(0, 1)
+
+    cuts = np.mod(np.concatenate([edges - h, edges, edges + h], axis=1), 2.0 * X)
+    cuts = np.sort(np.where(cuts >= X, cuts - 2.0 * X, cuts), axis=1)  # on [-X, X), NaN last
+    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.nan
+    cuts.sort(axis=1)
+    mid = 0.5 * (cuts + np.fmin(np.concatenate([cuts[:, 1:], cuts[:, :1] + 2.0 * X], 1), X))
+    d = edges[:, None, :] - mid[..., None]  # NaN for no interval or no edge
+    piece = np.sum(d <= 0.0, axis=2) - 1  # the piece at each interval
+    s = np.where(d >= X, -1.0, np.where(d < -X, 1.0, 0.0))  # b + 2 X s, the one within h <= X
+    d += 2.0 * X * s
+    rows, i = np.nonzero(~np.isnan(cuts))
+    b, j, e = np.nonzero(np.abs(d) < h)
+    piece, right_of, s = piece[rows, i], d[b, j, e] > 0.0, s[b, j, e]
+    n, base = np.arange(width)[:, None], len(rows)
+    terms = np.zeros((width + 2, base + len(b)))
+    terms[:width, :base] = _hat_moments(right[:, rows, piece], h)
+    terms[2:, base:] = ((right[:, b, e] - left[:, b, e]) / ((n + 1) * (n + 2)) / (h * h)
+                        * np.where(right_of, 1.0, -1.0))
+    # (cut - s X) - (edge + s X) is exact for an edge and a cut near -+X
+    terms = _shifted(terms, np.concatenate([
+        cuts[rows, i] - edges[rows, piece],
+        (cuts[b, j] - s * X) - (edges[b, e] + s * X) + np.where(right_of, h, -h)]))
+    table = np.zeros((width + 2, cuts.size))  # each interval's moments, then its edges' terms
+    np.add.at(table.T, np.concatenate([rows, b]) * cuts.shape[1] + np.concatenate([i, j]), terms.T)
+    return X, np.where(np.isnan(cuts), np.inf, cuts), table
+
+
+def _hat_averages(table, y) -> np.ndarray:
+    """Q of a _hat_average_table at the points y, as (B, len(y)) rows."""
+    X, cuts, coeffs = table
+    r = np.mod(y, 2.0 * X)
+    r = np.where(r >= X, r - 2.0 * X, r)  # exact: W's period [-X, X)
+    at = (np.array([row.searchsorted(r, side="right") for row in cuts])
+          + np.arange(-1, cuts.size - 1, cuts.shape[1])[:, None])  # the interval of each r
+    return npoly.polyval(r - cuts.ravel()[at], coeffs[:, at], tensor=False)
 
 
 def sample_nodes(w, mesh: MeshSpec) -> GridFn:
@@ -570,28 +592,19 @@ def build_fh(f, mesh: MeshSpec) -> ForcingLevels:
 # continuous data norms (right-hand sides of the stability bounds), of one
 # descriptor or, as the (B,) norms, of a stack
 
-def _l2_norms(X: float, breakpoints, pieces) -> np.ndarray:
-    """L2(0, X) norms of _piecewise_stack rows (exact): the rise and fall
-    integrals of the one cell (0, X) sum to the integral of the square."""
-    evaluate = _piecewise_stack(X, breakpoints, pieces)
-    integrals = _hat_cell_integrals(
-        lambda rows, x: evaluate(rows, x) ** 2, np.array([0.0, X]), _padded(breakpoints),
-        [_gauss_nodes(2 * max(map(len, row)) - 1) for row in pieces], "the L2 norm")
-    return np.sqrt(np.sum(integrals, axis=0)[:, 0])
-
-
 def profile_l2_norm(p):
     """L2(0, X) norm of a profile (exact)."""
     return _by_form(p, "piecewise", lambda q: np.sqrt(np.sum(np.square(q.coeffs))), lambda ps:
-                    _l2_norms(ps[0].X, [q.breakpoints for q in ps], [q.pieces for q in ps]))
+                    np.sqrt(_abs_integral_sums([q.breakpoints for q in ps],
+                                               [q.pieces for q in ps], True)))
 
 
 def profile_h01_norm(p):
     """||dx w||_L2 for a profile vanishing at the ends."""
     def derivatives(ps):
-        return _l2_norms(ps[0].X, [q.breakpoints for q in ps],
-                         [[np.arange(1, len(c)) * c[1:] if len(c) > 1 else (0.0,)
-                           for c in q.pieces] for q in ps])
+        return np.sqrt(_abs_integral_sums([q.breakpoints for q in ps], [
+            [np.arange(1, len(c)) * c[1:] if len(c) > 1 else (0.0,) for c in q.pieces]
+            for q in ps], True))
     return _by_form(p, "piecewise", lambda q: np.sqrt(np.sum(
         (np.pi * np.array(q.modes, dtype=float) / q.X) ** 2 * np.asarray(q.coeffs) ** 2)),
         derivatives)
@@ -615,15 +628,14 @@ def time_l1_norm(g, T: float):
         w = abs(g.omega)
         if w == 0.0:
             return 0.0
-        periods = math.floor(w * T / math.pi)
-        return (2.0 * periods + 1.0 - math.cos(w * T - periods * math.pi)) / w
+        periods = math.floor(w * T / math.pi)  # 1 - cos x as 2 sin^2(x/2), which keeps its digits
+        return (2.0 * periods + 2.0 * math.sin(0.5 * (w * T - periods * math.pi)) ** 2) / w
 
-    def polynomial(gs):  # |g| is a polynomial between the real roots of g
-        evaluate = _piecewise_stack(T, [(0.0, T)] * len(gs), [(g.coeffs,) for g in gs])
-        return np.sum(_hat_cell_integrals(
-            lambda rows, t: np.abs(evaluate(rows, t)), np.array([0.0, T]),
-            _padded([_real_roots(g.coeffs) for g in gs]),
-            [_gauss_nodes(len(g.coeffs)) for g in gs], "the L1 norm"), axis=0)[:, 0]
+    def polynomial(gs):  # g has one sign between its real roots
+        bounds = [sorted({0.0, T, *(x for x in _real_roots(g.coeffs).tolist() if 0.0 < x < T)})
+                  for g in gs]
+        return _abs_integral_sums(bounds, [[g.coeffs] * (len(t) - 1) for g, t in zip(gs, bounds)],
+                                  False)
     return _by_form(g, "polynomial", harmonic, polynomial)
 
 

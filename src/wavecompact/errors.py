@@ -21,13 +21,5 @@ class MeshTooCoarseError(ContractViolation):
         self.minimal_n = minimal_n
 
 
-class QuadratureError(RuntimeError):
-    """Numeric integration of a data descriptor failed."""
-
-    def __init__(self, message: str, cell: int | None = None):
-        super().__init__(message)
-        self.cell = cell
-
-
 class InvariantError(RuntimeError):
     """An internal invariant that should hold by construction was violated."""

@@ -35,9 +35,11 @@ as with aT = X (p/q = N/M) or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m
 once on one period of it, L = 2Nq points (filtered once), and kept as their q
 contiguous residue classes: the levels r, r + q, ... of E[qi + pm] or F[qi - pm]
 are rows of one.  Other meshes evaluate the levels served; the build evaluates
-level 0, which holds every value of U0 and V1 on (0, X), and every level
-refuses non-finite values alike (a filter overflowing beyond ~1e307 is left
-to the measurer, which refuses data too large to measure).
+level 0, which holds every value of U0 and V1 on (0, X) and whose q_2h view
+builds the polynomial tables of their hat averages, and every level refuses
+non-finite node values or averages alike, naming the datum (a filter
+overflowing beyond ~1e307 is left to the measurer, which refuses data too
+large to measure).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .data import DataSpec, Forcing, extension_sampler, hat_average_factor
-from .errors import ConfigurationError, QuadratureError
+from .errors import ConfigurationError
 from .grid import MeshSpec, _three_point
 from .oracle import _duhamel, resonant
 
@@ -178,10 +180,7 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
         hat averages, each row read as periodic (Reference zeroes a level's ends)."""
         out = np.empty((2, count))
         for d, (name, sampler, scale) in enumerate(data_terms):
-            try:
-                out[d] = np.multiply(sampler[view](start, count, h), scale)
-            except QuadratureError:
-                out[d] = np.nan
+            out[d] = np.multiply(sampler[view](start, count, h), scale)
             if not np.all(np.isfinite(out[d])):
                 refuse(name)
         e_f = out[0] + out[1], out[0] - out[1]

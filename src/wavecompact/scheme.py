@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigurationError, ContractViolation, InvariantError, QuadratureError
+from .errors import ConfigurationError, ContractViolation, InvariantError
 from .grid import (GridFn, MeshSpec, _backward_diff, _energy_from_differences, _sq_sum,
                    _tridiagonal, check_stable, require_dirichlet, time_aggregate)
 from .operators import _implicit_entries, _implicit_factor, dpttrs
@@ -125,9 +125,9 @@ def stack_inputs(mesh: MeshSpec, columns):
     assembled for all columns by one data-layer call, and each row has the
     bits of its column assembled alone.
 
-    This is where grid data enters the scheme: a datum whose quadrature fails,
-    or whose grid data is not finite or beyond _DATA_BOUND in magnitude, is a
-    ConfigurationError naming it and the mesh (for fh, max|time| * max|space|).
+    This is where grid data enters the scheme: a datum whose grid data is not
+    finite (its averages overflow, say) or beyond _DATA_BOUND in magnitude is
+    a ConfigurationError naming it and the mesh (for fh, max|time| * max|space|).
     """
     if not columns:
         raise ContractViolation("a stack of grid data needs at least one column")
@@ -147,15 +147,11 @@ def stack_inputs(mesh: MeshSpec, columns):
         return factors
 
     def checked(name, build):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = build()
-                peak = (np.abs(values.time).max(axis=1) * np.abs(values.space).max(axis=1)
-                        if isinstance(values, data_mod.ForcingLevels)
-                        else np.abs(values).max(axis=1))
-        except QuadratureError as exc:
-            raise ConfigurationError(f"the grid data of {name} are not finite on the "
-                                     f"N={mesh.N}, M={mesh.M} mesh: {exc}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = build()
+            peak = (np.abs(values.time).max(axis=1) * np.abs(values.space).max(axis=1)
+                    if isinstance(values, data_mod.ForcingLevels)
+                    else np.abs(values).max(axis=1))
         if not np.all(peak <= _DATA_BOUND):  # NaN fails too
             raise ConfigurationError(f"the grid data of {name} are not finite or exceed "
                                      f"{_DATA_BOUND:.1e} in magnitude on the N={mesh.N}, "

@@ -4,8 +4,8 @@ Coefficients are in the orthonormal basis sqrt(2/X) sin(pi k x / X): a
 sine_series profile stores exactly the nonzero coefficients that
 sine_coefficients returns, as its modes and their coeffs, and a single mode
 sin(pi k x / X) is the one-mode series with c_k = sqrt(X/2).  Piecewise
-profiles are integrated in closed form, by parts, not by the Gauss panels of
-wavecompact.data.
+profiles are integrated in closed form, by parts, not by the hat-average
+arithmetic of wavecompact.data.
 """
 
 import numpy as np

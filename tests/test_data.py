@@ -1,6 +1,7 @@
 """Descriptors and hat averages against independent quadrature oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wavecompact.data import (DataSpec, Forcing, Profile, TimeProfile, average_qh,
-                              average_qtau, build_fh, build_u1h, hat_average_factor,
-                              profile_h01_norm, profile_l2_norm, sample_nodes,
-                              time_l1_norm)
-from wavecompact.errors import ConfigurationError, ContractViolation, QuadratureError
+                              average_qtau, build_fh, build_u1h, extension_sampler,
+                              hat_average_factor, hat_profile, profile_h01_norm,
+                              profile_l2_norm, quad_spline_profile, sample_nodes,
+                              step_profile, time_l1_norm)
+from wavecompact.errors import ConfigurationError, ContractViolation
 from wavecompact.grid import build_mesh, space_norm
 from wavecompact.operators import stencil
 from wavecompact.reference import dalembert_reference
@@ -153,50 +155,112 @@ def test_qh_piecewise_step_exact_integration():
     np.testing.assert_allclose(got[5:-1], 1.0)  # fully right
 
 
-def _hat_cell_integrals_by_loop(evaluate, edges, splits, n_nodes):
-    """The per-cell reference: panels cell by cell, summed in panel order."""
-    from wavecompact.data import _gauss_rule
-    width = edges[1] - edges[0]
-    splits = np.sort(np.asarray(splits, dtype=float))
-    gn, gw = _gauss_rule(n_nodes)
-    i_rise, i_fall = np.zeros(len(edges) - 1), np.zeros(len(edges) - 1)
-    for j in range(len(edges) - 1):
-        lo, hi = edges[j], edges[j + 1]
-        inside = splits[(splits > lo + 1e-14 * width) & (splits < hi - 1e-14 * width)]
-        bounds = np.concatenate([[lo], inside, [hi]])
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            half, mid = 0.5 * (b - a), 0.5 * (b + a)
-            pts = mid + half * gn
-            rise_w = (pts - lo) / width
-            base = evaluate(pts) * gw * half
-            i_rise[j] += np.sum(base * rise_w)
-            i_fall[j] += np.sum(base * (1.0 - rise_w))
-    return i_rise, i_fall
+def _antiderivative(w):
+    """The polyint pieces of extension_sampler's V1, as a profile."""
+    pieces, value = [], 0.0
+    for lo, hi, piece in zip(w.breakpoints, w.breakpoints[1:], w.pieces):
+        pieces.append(npoly.polyint(piece, k=value, lbnd=lo))
+        value = npoly.polyval(hi, pieces[-1])
+    return Profile.piecewise_poly(w.breakpoints, pieces)
 
 
-@pytest.mark.parametrize("n", [4, 16, 64])
-def test_hat_cell_integrals_match_the_per_cell_loop(n):
-    # splits on a node, within 1e-14 width of one, repeated, outside the
-    # domain and several in one cell: the panels and their sums are the loop's
-    from wavecompact.data import _hat_cell_integrals
-    mesh = build_mesh(1.0, 1.0, n, 2 * n)
-    h = mesh.h
-    rng = np.random.default_rng(n)
-    splits = [0.5, 0.25 + 1e-16, 3 * h - 1e-17, 0.3, 0.3, -0.1, 1.2,
-              *rng.uniform(0.0, 1.0, 5), h / 3, 2 * h / 3]
-    f = Profile.piecewise_poly((0.0, 0.3, 1.0), ((1.0, -2.0, 3.0), (0.5, 1.0)))
-    for evaluate, cuts in ((f, splits), (f, ()), (np.cos, splits)):
-        rise, fall = _hat_cell_integrals(  # a batch of one integrand
-            lambda rows, x: evaluate(x.ravel()).reshape(x.shape), mesh.nodes(),
-            np.reshape(cuts, (1, -1)), 8, "test")
-        got = rise[0], fall[0]
-        want = _hat_cell_integrals_by_loop(evaluate, mesh.nodes(), cuts, 8)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+def _hat_averages_by_gauss_loop(w, antiderivative, start, count, h):
+    """extension_sampler's hat averages by 8-node Gauss-Legendre panels, cell
+    by cell: the cells [y - h, y] and [y, y + h] split at the breaks of W."""
+    W, X = (_antiderivative(w) if antiderivative else w), w.X
+    sign = 1.0 if antiderivative else -1.0
+    gn, gw = np.polynomial.legendre.leggauss(8)
+    periods = 2.0 * X * np.arange(math.floor((start - h) / (2.0 * X)) - 1,
+                                  math.ceil((start + h * count) / (2.0 * X)) + 2)
+    breaks = np.concatenate([np.add.outer(periods, W.breakpoints),
+                             np.add.outer(periods, -np.array(W.breakpoints))]).ravel()
+
+    def extension(x):  # W(-x) = sign W(x), 2X-periodic
+        r = np.mod(x, 2.0 * X)
+        return np.where(r > X, sign, 1.0) * W(np.where(r > X, 2.0 * X - r, r))
+
+    out = np.empty(count)
+    for j in range(count):
+        y, total = start + h * j, 0.0
+        for lo, hi in ((y - h, y), (y, y + h)):
+            inside = np.sort(breaks[(breaks > lo) & (breaks < hi)])
+            for a, b in zip(np.concatenate([[lo], inside]), np.concatenate([inside, [hi]])):
+                x = 0.5 * (a + b) + 0.5 * (b - a) * gn
+                total += 0.5 * (b - a) * np.sum(extension(x) * (h - np.abs(x - y)) * gw)
+        out[j] = total / (h * h)
+    return out
+
+
+def _polymul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _exact_hat_average(w, sign, y, h):
+    """(1/h^2) int W(x) (h - |x - y|) dx in rational arithmetic of the floats
+    w, y and h, for W the 2X-periodic extension of w with W(-x) = sign W(x)."""
+    X, y, h = Fraction(w.X), Fraction(y), Fraction(h)
+    bps = [Fraction(b) for b in w.breakpoints]
+    cuts = {y - h, y, y + h}
+    for k in range(math.floor((y - h) / (2 * X)) - 1, math.ceil((y + h) / (2 * X)) + 2):
+        cuts.update(e for b in bps for e in (2 * X * k + b, 2 * X * k - b) if y - h < e < y + h)
+    cuts, total = sorted(cuts), Fraction(0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        k = math.floor((lo + hi) / (4 * X))  # W(x) = s p(r), r = s x + c on [lo, hi]
+        s, c = (1, -2 * X * k) if (lo + hi) / 2 - 2 * X * k <= X else (-1, 2 * X * (k + 1))
+        r = s * (lo + hi) / 2 + c
+        piece, power, p = w.pieces[max(i for i, b in enumerate(bps[:-1]) if b <= r)], [1], [0]
+        for a in piece:  # p(s x + c)
+            p = [u + Fraction(a) * v for u, v in zip(p + [0] * (len(power) - len(p)), power)]
+            power = _polymul(power, [c, s])
+        weight = [h - y, 1] if lo < y else [h + y, -1]  # h - |x - y|
+        total += (1 if s == 1 else sign) * sum(
+            a * (hi ** (n + 1) - lo ** (n + 1)) / (n + 1)
+            for n, a in enumerate(_polymul(p, weight)))
+    return total / (h * h)
+
+
+def _extensions(X):
+    """(w, antiderivative) of U0 and V1 of both presets, and of one cubic piece."""
+    cubic = Profile.piecewise_poly((0.0, X), ((0.5, -1.25, 0.75, -0.125),))
+    return [(hat_profile(X), False), (step_profile(X), True), (quad_spline_profile(X), False),
+            (hat_profile(X), True), (cubic, False), (cubic, True)]
+
+
+def test_hat_averages_equal_their_rational_value():
+    # X = 3, h = 1/16: every break, node and h is a binary fraction, so the
+    # hat averages of U0 and V1 at the nodes around each break, between them
+    # and two periods on are exact rationals of the float coefficients
+    X, n = 3.0, 48
+    h = X / n
+    for w, antiderivative in _extensions(X):
+        W = _antiderivative(w) if antiderivative else w
+        for start, count in ((-2.0 * h, 5), (X / 2.0 - 2.0 * h, 5), (X - 2.0 * h, 5), (0.75, 4),
+                             (4.0 * X - 2.0 * h, 5)):
+            got = extension_sampler(w, antiderivative)[1](start, count, h)
+            want = np.array([float(_exact_hat_average(W, 1 if antiderivative else -1,
+                                                      start + h * j, h))
+                             for j in range(count)])
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_hat_averages_equal_the_gauss_loop_at_n_2048():
+    # windows of 16 averages around each break of W on [0, X], and one far away
+    X, n = math.pi, 2048
+    h = X / n
+    for w, antiderivative in _extensions(X):
+        for start in (-8 * h, X / 2 - 8 * h, X - 8 * h, 17.5):
+            got = extension_sampler(w, antiderivative)[1](start, 16, h)
+            want = _hat_averages_by_gauss_loop(w, antiderivative, start, 16, h)
+            assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
 
 
 def test_qh_of_a_degree_20_piece_is_exact():
-    # x^20 on (0, 2) against its q_h in rational arithmetic: the Gauss rule
-    # grows with the degree (8 fixed nodes miss by 4e-9 relative)
+    # x^20 on (0, 2) against its q_h in rational arithmetic: the hat moments
+    # are exact at any degree (8 fixed Gauss nodes miss by 4e-9 relative)
     from fractions import Fraction
     n, mesh = 20, build_mesh(2.0, 1.0, 16, 32)
     h = Fraction(1, 8)
@@ -212,15 +276,14 @@ def test_qh_of_a_degree_20_piece_is_exact():
     np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0)
 
 
-def test_qh_overflow_names_the_cell():
-    from wavecompact.errors import QuadratureError
+def test_qh_overflow_names_the_datum_and_mesh():
     mesh = build_mesh(1.0, 1.0, 4, 16)
     # 1e308 (1 + x) overflows for x > 0.8, inside the last cell only
     bad = Profile.piecewise_poly((0.0, 1.0), ((1e308, 1e308),))
-    with pytest.raises(QuadratureError) as err, np.errstate(over="ignore"):
-        average_qh(bad, mesh)
-    assert err.value.cell == 3
-    assert str(err.value).endswith("q_h profile on mesh cell 3")
+    assert not np.all(np.isfinite(average_qh(bad, mesh)))
+    with pytest.raises(ConfigurationError, match=r"^the grid data of u1 are not finite or "
+                                                 r"exceed .* on the N=4, M=16 mesh$"):
+        prepare_inputs(mesh, DataSpec(u0=Profile.zero(1.0), u1=bad), "v2")
 
 
 def _drawn_profile(data, n):
@@ -244,8 +307,8 @@ def _drawn_profile(data, n):
 @given(st.sampled_from([4, 8, 16]), st.data())
 def test_each_row_of_a_stack_has_the_bits_of_its_call_alone(n, data):
     # rows of different piece counts, breakpoints on and next to nodes, and a
-    # degree-20 piece whose Gauss rule is longer: one call per stack, and each
-    # row equals the call on its descriptor alone
+    # degree-20 piece that widens the coefficient table: one call per stack,
+    # and each row equals the call on its descriptor alone
     mesh = build_mesh(1.0, 1.0, n, 2 * n)
     profiles = [_drawn_profile(data, n) for _ in range(data.draw(st.integers(1, 4)))]
     times = [TimeProfile.polynomial(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1,
@@ -269,22 +332,15 @@ def test_each_row_of_a_stack_has_the_bits_of_its_call_alone(n, data):
             if b * n == round(b * n) and alone:
                 assert row[round(b * n)] == 0.5 * (npoly.polyval(b, p.pieces[j])
                                                    + npoly.polyval(b, p.pieces[j + 1]))
-    # a non-finite row names the cell that its call alone names, and so does
-    # the configuration error built from it
+    # a non-finite row is refused naming the datum and mesh, as its call alone is
     bad = Profile.piecewise_poly((0.0, 1.0), ((1e308, 1e308),))  # overflows for x > 0.8
     at = data.draw(st.integers(0, len(profiles)))
     profiles.insert(at, bad)
     columns = [(DataSpec(u0=Profile.zero(1.0), u1=p), "v2") for p in profiles]
-    with np.errstate(over="ignore"):
-        with pytest.raises(QuadratureError) as alone:
-            average_qh(bad, mesh)
-        with pytest.raises(QuadratureError) as stacked:
-            average_qh(profiles, mesh)
-        assert stacked.value.cell == alone.value.cell == int(0.8 * n)
-        with pytest.raises(ConfigurationError) as alone:
-            prepare_inputs(mesh, columns[at][0], "v2")
-        with pytest.raises(ConfigurationError) as stacked:
-            stack_inputs(mesh, columns)
+    with pytest.raises(ConfigurationError, match=r"^the grid data of u1 are not finite") as alone:
+        prepare_inputs(mesh, columns[at][0], "v2")
+    with pytest.raises(ConfigurationError) as stacked:
+        stack_inputs(mesh, columns)
     assert str(stacked.value) == str(alone.value)
 
 
@@ -350,6 +406,26 @@ def test_qtau_harmonic_level_zero_quadrature():
     ref, _ = quad(lambda s: math.sin(omega * s) * (1.0 - s / MESH.tau),
                   0.0, MESH.tau, limit=200)
     assert average_qtau(g, MESH)[0] == pytest.approx(2.0 * ref / MESH.tau, rel=1e-12)
+
+
+@pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.49, 0.51, 1.0])
+def test_qtau_harmonic_level_zero_keeps_its_digits(y):
+    # 2/y (1 - sin(y)/y), y = omega tau, against its series in rationals
+    omega = y / MESH.tau
+    got = average_qtau(TimeProfile.harmonic_sin(omega), MESH)[0]
+    y = Fraction(omega * MESH.tau)
+    want = float(sum(2 * (-1) ** (k + 1) * y ** (2 * k - 1) / math.factorial(2 * k + 1)
+                     for k in range(1, 30)))
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("omega", [1e-6, 1e-3, 0.1, 1.0, 3.0])
+def test_time_l1_norm_of_a_slow_sine_keeps_its_digits(omega):
+    # (1 - cos(omega T)) / omega for omega T < pi, against its series in rationals
+    x = Fraction(omega * 1.0)
+    want = float(sum((-1) ** (k + 1) * x ** (2 * k) / math.factorial(2 * k)
+                     for k in range(1, 30)) / Fraction(omega))
+    assert abs(time_l1_norm(TimeProfile.harmonic_sin(omega), 1.0) - want) <= 1e-14 * want
 
 
 # --------------------------------------------------------------------------

@@ -259,6 +259,17 @@ def test_run_convergence_smooth_csv_schema(tmp_path):
     assert "fitted_order" in summary and "versions" in summary
 
 
+def test_rough_rate_holds_on_a_per_level_mesh():
+    # acceptance 3's hat_step rate at T = 2.5, where a tau / h = 1.25 / pi is
+    # no lattice ratio and the reference takes its hat averages level by level
+    cfg = config_from_dict({"kind": "converge",
+                            "mesh": {"X": math.pi, "T": 2.5, "N": 64, "M": 128,
+                                     "refinements": 3},
+                            "data": {"preset": "hat_step"}, "mode": "q2h_filtered",
+                            "fit_drop_coarsest": 0})
+    assert abs(run_convergence(cfg, emit=False).fitted_order - 0.4) <= 0.1
+
+
 def test_run_convergence_requires_three_rungs():
     with pytest.raises(ConfigurationError):
         config_from_dict({
@@ -391,23 +402,23 @@ def test_stability_probe_rows_are_the_sides_of_each_data_set_alone(tmp_path):
 
 def test_stability_probe_assembles_and_bounds_each_mesh_in_a_fixed_number_of_calls(
         tmp_path, monkeypatch):
-    # the data sets of a mesh are one stack: its quadrature calls do not grow
+    # the data sets of a mesh are one stack: its hat-average calls do not grow
     # with n_random (at seed 2 every mesh has forced data sets), and the run
     # summary times assembly, stepping and bounds
     import wavecompact.data as data_mod
     import wavecompact.experiments as experiments_mod
     calls, per_rung = [], []
 
-    def counting(*args, integrals=data_mod._hat_cell_integrals):
-        calls.append(args[-1])
-        return integrals(*args)
+    def counting(*args, averages=data_mod._hat_averages):
+        calls.append(args)
+        return averages(*args)
 
     def rung(mesh, datas, run=experiments_mod._stability_rung):
         before = len(calls)
         out = run(mesh, datas)
         per_rung.append((len(datas), mesh.N, len(calls) - before))
         return out
-    monkeypatch.setattr(data_mod, "_hat_cell_integrals", counting)
+    monkeypatch.setattr(data_mod, "_hat_averages", counting)
     monkeypatch.setattr(experiments_mod, "_stability_rung", rung)
     for n_random in (3, 30):
         cfg = config_from_dict({"kind": "stability_probe",
@@ -769,12 +780,13 @@ def test_stability_probe_holds_o_n_levels_whatever_m_is():
     assert peak < 0.5 * 8 * 4097 * 257, peak
 
 
-@pytest.mark.parametrize("n, m, columns", [(16, 32, 20), (256, 512, 4)],
-                         ids=["stepping_peak", "bounds_peak"])
+@pytest.mark.parametrize("n, m, columns", [(16, 32, 20), (256, 512, 4), (64, 4096, 8)],
+                         ids=["stepping_peak", "bounds_peak", "assembly_peak"])
 def test_stability_probe_load_count_bounds_its_peak(monkeypatch, n, m, columns):
     # config counts each column's stepping and norm buffers, a forced run's
     # level_bytes, and the run's fixed overhead: the peak of 20 columns at
-    # N = 16, and of 4 columns at N = 256, stay within it
+    # N = 16, of 4 columns at N = 256, and of 8 columns assembled for
+    # M = 4096 levels stay within it
     import os
     import tracemalloc
     raw = {"kind": "stability_probe", "mesh": {"X": math.pi, "T": math.pi, "N": n, "M": m},

@@ -295,9 +295,8 @@ def test_dalembert_reference_rejects_non_finite_values(name, datum, T):
 
 def test_lattice_reference_is_served_block_by_block():
     # the build keeps period arrays of about 2N + M entries and never holds an
-    # (M+1, N+1) array, 16.8 MB here; the transient peak is the Gauss-point
-    # evaluation of the hat averages, about 0.9 MB.  Blocks of levels are the
-    # full range bit for bit.
+    # (M+1, N+1) array, 16.8 MB here; its transient peak is about 0.4 MB.
+    # Blocks of levels are the full range bit for bit.
     mesh = build_mesh(math.pi, math.pi, 1024, 2048)
     data = PRESETS["hat_step"].make(math.pi)
     tracemalloc.start()
@@ -470,13 +469,13 @@ def test_per_level_reference_holds_no_views_array():
 
 def test_per_level_node_values_evaluate_no_hat_average(monkeypatch):
     # the build evaluates level 0 of both views; after it, node values of
-    # every level take no Gauss rule, and hat averages do
+    # every level take no hat average, and the q_2h view does
     calls = []
 
-    def counting(*args, integrals=data_mod._hat_cell_integrals):
-        calls.append(args[-1])
-        return integrals(*args)
-    monkeypatch.setattr(data_mod, "_hat_cell_integrals", counting)
+    def counting(*args, averages=data_mod._hat_averages):
+        calls.append(args)
+        return averages(*args)
+    monkeypatch.setattr(data_mod, "_hat_averages", counting)
     mesh = build_mesh(math.pi, 2.5, 16, 48)
     assert reference._lattice(mesh) is None
     ref = dalembert_reference(mesh, PRESETS["hat_step"].make(math.pi))
@@ -489,20 +488,17 @@ def test_per_level_node_values_evaluate_no_hat_average(monkeypatch):
 
 
 def test_per_level_reference_refuses_a_later_non_finite_level():
-    # u0 = 1e308 x on (0, 1.8) overflows only on (1.7977, 1.8): level 0's
-    # nodes and Gauss points miss it, so the build passes, but x_1 + a t_9 =
-    # 1.799 lies in it; serving names the datum as the build does, warning-free
+    # u0 = 1e308 x on (0, 1.8) overflows only on (1.7977, 1.8), which no node
+    # of level 0 meets, but x_1 + a t_9 = 1.799 does; the hat averages of level
+    # 0 are exact, and x_4's overflows, so the build names the datum, warning-free
     mesh = build_mesh(math.pi, 2.5, 8, 16)
     assert reference._lattice(mesh) is None
     u0 = Profile.piecewise_poly((0.0, 1.8, math.pi), ((0.0, 1e308), (0.0,)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ref = dalembert_reference(mesh, DataSpec(u0=u0, u1=Profile.zero(math.pi)))
-        ref.values(0), ref.q2h_values(0)
-        for view in (ref.values, ref.q2h_values):
-            with pytest.raises(ConfigurationError, match=r"^the exact solution of u0 is not "
-                                                         r"finite on the N=8, M=16 mesh$"):
-                view(slice(None))
+        with pytest.raises(ConfigurationError, match=r"^the exact solution of u0 is not "
+                                                     r"finite on the N=8, M=16 mesh$"):
+            dalembert_reference(mesh, DataSpec(u0=u0, u1=Profile.zero(math.pi)))
 
 
 @pytest.mark.parametrize("T", [0.8 * math.pi, 2.5], ids=["lattice", "per_level"])

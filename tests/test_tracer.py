@@ -1,7 +1,8 @@
 """Smoke test of the benchmark's traced path: perfbench/tracer.py around cli.main.
 
-The traced stability probe must repeat its span counts pass for pass on
-identical inputs, and the wrappers must leave the factor caches in place.
+The traced stability probe and a rough converge ladder must repeat their
+span counts pass for pass on identical inputs, and the wrappers must leave
+the factor caches in place.
 No timing or coverage is asserted: tiny runs cover less of their pass than
 the benchmark's workloads do.
 """
@@ -43,3 +44,22 @@ def test_traced_passes_exit_0_and_repeat_their_span_counts(tmp_path):
         for factor in (operators._implicit_factor, operators._mass_factor):
             assert callable(factor.cache_info)  # the bench counts their misses
     assert counts[0] == counts[1] and counts[0]["experiments.energy_lower_bound_margins"] == 2
+
+
+def test_traced_rough_ladder_repeats_its_span_counts(tmp_path):
+    # hat_step's q2h ladder as the bench's rough_ladder runs it, tiny: the data
+    # layer's hat averages and the reference, traced twice with the same counts
+    tracer = _tracer_class()()
+    rough = tmp_path / "rough.json"
+    rough.write_text(json.dumps({"kind": "converge", "data": {"preset": "hat_step"},
+                                 "mode": "q2h_filtered", "fit_drop_coarsest": 0,
+                                 "mesh": {"X": math.pi, "T": math.pi,
+                                          "rungs": [[16, 32], [32, 64], [64, 128]]}}))
+    counts = []
+    with tracer.installed():
+        for i in range(2):
+            tracer.reset()
+            assert main(["converge", "--config", str(rough),
+                         "--out", str(tmp_path / f"rough{i}")]) == 0
+            counts.append(tracer.counts())
+    assert counts[0] == counts[1] and counts[0]["data.extension_sampler"] == 2 * 3
