@@ -15,15 +15,17 @@ second-level average q_2h combines q_h with the Numerov correction,
 
 the exact reference filters its hat averages so (reference.Reference.q2h_values).
 
-Exact averages: the hat average of a piecewise polynomial is a piecewise
-polynomial, which _hat_average_table builds once per stack and h and
-_hat_averages serves; q_h is extension_sampler's hat average.  A polynomial
-time factor's q_tau is its hat moments (average_qtau).  A sine series is held
-as its nonzero modes (Profile.modes, with their amplitudes in Profile.coeffs),
-and its hat averages use the exact eigenfactor (sin(wh/2)/(wh/2))^2 of each
-mode.  A jump of a piecewise profile evaluates to the mean of its two sides.
-The data norms of the stability bounds integrate the squared pieces, and |g|
-between its real roots, through antiderivatives.
+One piece table per piecewise datum: _period_pieces holds W, the odd (or
+even) 2X-periodic extension of w, as its pieces on [-X, X).  Node values read
+it through _period_values (a jump is the mean of its two sides); the hat
+average of a piecewise polynomial is a piecewise polynomial, which
+_hat_average_table builds from it once per stack and h and _hat_averages
+serves; q_h is extension_sampler's hat average.  A polynomial time factor's
+q_tau is its hat moments (average_qtau).  A sine series is held as its
+nonzero modes (Profile.modes, their amplitudes Profile.coeffs), and its hat
+averages use each mode's exact eigenfactor (sin(wh/2)/(wh/2))^2.  The data
+norms of the stability bounds integrate the squared pieces, and |g| between
+its real roots, through antiderivatives.
 
 One call per stack: the averages, node samples and norms take one descriptor
 or a stack of them (a list), a single descriptor being a stack of one.
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -146,6 +147,8 @@ class Profile:
 
     # -- pointwise evaluation ---------------------------------------------
     def __call__(self, x) -> np.ndarray:
+        """w at x: a sine series at any x, a piecewise profile on [0, X] and,
+        through its even 2X-periodic extension, beyond it."""
         x = np.asarray(x, dtype=float)
         if self.form == "sine_series":
             out = np.zeros_like(x)
@@ -153,36 +156,7 @@ class Profile:
             for k, c in zip(self.modes, self.coeffs):
                 out += c * root * np.sin(np.pi * k * x / self.X)
             return out
-        return _piecewise_stack(self.X, [self.breakpoints], [self.pieces])(0, x)
-
-
-def _piecewise_stack(X: float, breakpoints, pieces):
-    """evaluate(rows, x) of B piecewise polynomials on (0, X), row b the
-    breakpoints[b] and pieces[b] of a piecewise Profile, at x, rows broadcast
-    against x giving the row of each x.  One Horner loop over the zero-padded
-    coefficient table, gathered by piece, gives polyval's bits and an interior
-    breakpoint the mean of its sides: each row has its profile's bits."""
-    P = max(map(len, pieces))
-    inner = _padded([bp[1:-1] for bp in breakpoints], np.nan).T  # by column; NaN compares false
-    table = _coefficients(pieces).reshape(-1, len(pieces) * P)  # piece j of row b at [:, bP + j]
-
-    def horner(piece, x):
-        out = np.zeros(np.broadcast(piece, x).shape)
-        for k in reversed(range(len(table))):
-            out *= x
-            out += table[k].take(piece)
-        return out
-
-    def evaluate(rows, x):
-        cuts = [col[rows] for col in inner]
-        out = horner(rows * P + sum(x >= cut for cut in cuts), x)
-        for j, cut in enumerate(cuts):  # near breakpoint j the mean of pieces j and j + 1
-            near = np.abs(x - cut) <= 1e-13 * X
-            if near.any():
-                left = rows * P + j
-                np.copyto(out, 0.5 * (horner(left, cut) + horner(left + 1, cut)), where=near)
-        return out
-    return evaluate
+        return _period_values(_period_pieces([self], 1.0), x)[0]
 
 
 @dataclass(frozen=True)
@@ -384,9 +358,10 @@ def average_qh(w, mesh: MeshSpec) -> GridFn:
         raise ContractViolation("profile and mesh domain lengths differ")
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing data: non-finite averages
         out = _by_form(w, "piecewise",
-                       lambda p: extension_sampler(p, False)[1](0.0, mesh.N + 1, mesh.h),
-                       lambda ps: _hat_averages(_hat_average_table(ps, -1.0, mesh.h),
-                                                mesh.h * np.arange(mesh.N + 1)))
+                       lambda p: extension_sampler(p, False, mesh.h)[1](0.0, mesh.N + 1),
+                       lambda ps: _hat_averages(
+                           _hat_average_table(_period_pieces(ps, -1.0), mesh.h),
+                           mesh.h * np.arange(mesh.N + 1)))
     out[..., ::mesh.N] = 0.0
     return out
 
@@ -420,78 +395,101 @@ def average_qtau(g, mesh: MeshSpec) -> np.ndarray:
     return _by_form(g, "polynomial", harmonic, polynomial)
 
 
-def extension_sampler(w: Profile, antiderivative: bool):
-    """(evaluate, average) of W at y = start + j h, j = 0..count-1, both called
-    as f(start, count, h): evaluate gives the values of W and average their hat
-    averages, where W is the odd 2X-periodic extension of w or, with
-    antiderivative set, the even periodic antiderivative of that extension.
+def extension_sampler(w: Profile, antiderivative: bool, h: float):
+    """(evaluate, average) of W at y = start + j h, j = 0..count-1, called as
+    f(start, count) with h bound here: one row per start, a number or an array
+    of them.  evaluate gives W and average its hat averages, W being the odd
+    2X-periodic extension of w or, with antiderivative set, the even periodic
+    antiderivative of that extension.
 
     A sine series is its own extension, its antiderivative the cosine series,
-    and each mode's hat average is its eigenfactor times the mode; a piecewise
-    profile is the stack of one of _folded_stack.
+    and each mode's hat average is its eigenfactor times the mode; a row is
+    one matrix-vector product, with the bits of its call alone.  A piecewise
+    profile is one _period_pieces table, all rows in one call.
     """
-    X = w.X
+    def points(start, count):
+        return np.add.outer(start, h * np.arange(count))
     if w.form == "sine_series":
-        omega = np.pi * np.array(w.modes, dtype=float) / X
-        amps = np.array(w.coeffs) * math.sqrt(2.0 / X)
+        omega = np.pi * np.array(w.modes, dtype=float) / w.X
+        amps = np.array(w.coeffs) * math.sqrt(2.0 / w.X)
         wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
 
-        def basis(start, count, h):
-            return wave(np.outer(start + h * np.arange(count), omega))
-        return ((lambda start, count, h: basis(start, count, h) @ amps),
-                (lambda start, count, h:
-                 basis(start, count, h) @ (amps * hat_average_factor(omega * h))))
+        def rows(a):  # one matrix-vector product per row
+            return lambda start, count: np.apply_along_axis(
+                lambda y: wave(np.outer(y, omega)) @ a, -1, points(start, count))
+        return rows(amps), rows(amps * hat_average_factor(omega * h))
     if antiderivative:
         b, pieces, value = w.breakpoints, [], 0.0
         for lo, hi, piece in zip(b, b[1:], w.pieces):
             pieces.append(npoly.polyint(piece, k=value, lbnd=lo))
             value = npoly.polyval(hi, pieces[-1])
         w = Profile.piecewise_poly(b, pieces)
-    evaluate, average = _folded_stack([w], antiderivative)
-    return (lambda *args: evaluate(*args)[0]), (lambda *args: average(*args)[0])
+    period = _period_pieces([w], 1.0 if antiderivative else -1.0)
+    table = _hat_average_table(period, h)
+    return (lambda start, count: _period_values(period, points(start, count))[0],
+            lambda start, count: _hat_averages(table, points(start, count))[0])
 
 
-def _folded_stack(ws, antiderivative: bool):
-    """extension_sampler's (evaluate, average) of piecewise profiles sharing X
-    (with antiderivative set, those of the polyint pieces), giving (B, count)
-    rows: folded onto [0, X] and evaluated as one _piecewise_stack, and
-    averaged through the exact piecewise polynomial of _hat_average_table,
-    kept for the last h."""
-    X = ws[0].X
-    profile = _piecewise_stack(X, [w.breakpoints for w in ws], [w.pieces for w in ws])
+def _period_pieces(ws, sign: float):
+    """(X, sign, ends, coeffs) of W, the 2X-periodic extension with W(-x) =
+    sign w(x) of each row's piecewise profile w, as its pieces on [-X, X) in
+    the global coordinate, mirrored ones (right to left) then w's: piece j of
+    row r, from ends[r, j] to ends[r, j + 1] (NaN-padded), has the ascending
+    coefficients coeffs[:, r, j] (zero-padded, zero from X), sign (-1)^n c_n if
+    mirrored: a sign flip, so exact."""
+    ends = _padded([[-b for b in w.breakpoints[:0:-1]] + list(w.breakpoints) for w in ws], np.nan)
+    coeffs = _coefficients([w.pieces[::-1] + w.pieces + ((0.0,),) for w in ws])
+    coeffs *= np.where(ends < 0.0, sign * (-1.0) ** np.arange(len(coeffs))[:, None, None], 1.0)
+    return ws[0].X, sign, ends, coeffs
 
-    def extension(rows, y):
-        r = np.mod(y, 2.0 * X)
-        flip = r > X
-        r = np.where(flip, 2.0 * X - r, r)
-        out = profile(rows, r)
-        if not antiderivative:
-            out = np.where(flip, -out, out)
-            out[..., np.minimum(r, X - r) <= 1e-13 * X] = 0.0
-        return out
 
-    table = lru_cache(1)(lambda h: _hat_average_table(ws, 1.0 if antiderivative else -1.0, h))
-    return ((lambda start, count, h: extension(np.arange(len(ws))[:, None],
-                                               start + h * np.arange(count))),
-            (lambda start, count, h: _hat_averages(table(h), start + h * np.arange(count))))
+def _on_period(y, X: float) -> np.ndarray:
+    """y on W's period [-X, X): np.mod(y, 2X), less 2X from X on, exactly."""
+    r = np.fmod(y, 2.0 * X)  # np.mod's bits, faster: -0.0 made 0.0
+    r = np.where(r < 0.0, r + 2.0 * X, r + 0.0)
+    return np.where(r >= X, r - 2.0 * X, r)
+
+
+def _period_values(pieces, y) -> np.ndarray:
+    """W of a _period_pieces table at the points y, as (B,) + y.shape rows: one
+    piece lookup and one Horner pass.  Within 1e-13 X of an edge W is the mean
+    of its two sides there, exactly 0 at 0 and +-X for an odd W, where an even
+    W is one-sided.  Horner at -x of a mirrored piece is that of the piece at
+    x, negated for an odd W: the values of w folded onto [0, X]."""
+    X, sign, ends, coeffs = pieces
+    r, tol = _on_period(y, X).reshape(1, -1), 1e-13 * X
+    first = np.arange(len(ends))[:, None] * ends.shape[1]  # row b's edges and pieces, flat
+    last = np.count_nonzero(~np.isnan(ends), axis=1)[:, None] - 1  # each row's edge at X
+    k = np.array([row[1:].searchsorted(r[0] + tol, side="right") for row in ends])  # edge k:
+    at = ends.take(first + k)  # the rightmost up to r + tol, or -X (a row may end below X)
+
+    def horner(piece, x):  # npoly.polyval's bits, piece of the flat table
+        return npoly.polyval(x, coeffs.reshape(len(coeffs), -1).take(piece, axis=1), tensor=False)
+    out = horner(first + np.maximum(k - (at > r), 0), r)
+    near = np.abs(r - at) <= tol
+    if sign > 0:  # an even W's 0 and +-X are no jumps
+        near[near] = np.abs(at[near]) % X != 0.0
+    if near.any():  # the mean of edge k's sides; at +-X the last piece at X, the first at -X
+        b, i = np.nonzero(near)
+        k, at, last, first = k[b, i], at[b, i], last[b, 0], first[b, 0]
+        out[b, i] = 0.5 * (horner(first + (k - 1) % last, np.where(k == 0, X, at))
+                           + horner(first + k % last, np.where(k == last, -X, at)))
+    return out.reshape((len(ends),) + np.shape(y))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing data: non-finite averages
-def _hat_average_table(ws, sign: float, h: float):
-    """(X, cuts, table) of Q, the hat average of width h of the 2X-periodic W
-    with W(-x) = sign w(x), w each row's piecewise profile.  On [-X, X) cut at
-    each piece edge b and b +- h, Q is one polynomial from a cut of row r to the
-    next: table[:, r C + i] in y - cuts[r, i], C = cuts.shape[1].  It is the hat
-    moments of the piece at y plus, for each edge b within h of y, with jump
-    D_b(x - b) and G_b(w) = sum d_n w^(n+2) / ((n+1)(n+2)), G_b(y - b + h) / h^2
-    if b is right of y and -G_b(y - b - h) / h^2 if left, summed in one order."""
-    X, count = ws[0].X, np.array([len(w.pieces) for w in ws])[:, None]
-    k = np.arange(2 * count.max())  # W's pieces on [-X, X), and their left edges, NaN-padded
-    edges = _padded([[-b for b in w.breakpoints[:0:-1]] + list(w.breakpoints[:-1])
-                     for w in ws], np.nan)
-    coeffs = _coefficients([w.pieces[::-1] + w.pieces for w in ws])
-    width = len(coeffs)
-    coeffs *= np.where(k < count, sign * (-1.0) ** np.arange(width)[:, None, None], 1.0)
+def _hat_average_table(pieces, h: float):
+    """(X, cuts, table) of Q, the hat average of width h of the W of a
+    _period_pieces table.  On [-X, X) cut at each piece edge b and b +- h, Q is
+    one polynomial from a cut of row r to the next: table[:, r C + i] in
+    y - cuts[r, i], C = cuts.shape[1].  It is the hat moments of the piece at y
+    plus, for each edge b within h of y, with jump D_b(x - b) and G_b(w) =
+    sum d_n w^(n+2) / ((n+1)(n+2)), G_b(y - b + h) / h^2 if b is right of y and
+    -G_b(y - b - h) / h^2 if left, summed in one order."""
+    X, _, ends, coeffs = pieces
+    count = np.count_nonzero(~np.isnan(ends), axis=1)[:, None] // 2
+    k, width = np.arange(ends.shape[1] - 1), len(coeffs)
+    edges, coeffs = np.where(k < 2 * count, ends[:, :-1], np.nan), coeffs[..., :-1]  # left edges
     # each piece about its left edge, and the one left of it (left of -X the last, about X)
     at = np.where(np.isnan(edges), 0.0, edges)
     previous = np.take_along_axis(coeffs, np.where(k == 0, 2 * count - 1, k - 1)[None], 2)
@@ -525,22 +523,20 @@ def _hat_average_table(ws, sign: float, h: float):
 
 
 def _hat_averages(table, y) -> np.ndarray:
-    """Q of a _hat_average_table at the points y, as (B, len(y)) rows."""
+    """Q of a _hat_average_table at the points y, as (B,) + y.shape rows."""
     X, cuts, coeffs = table
-    r = np.mod(y, 2.0 * X)
-    r = np.where(r >= X, r - 2.0 * X, r)  # exact: W's period [-X, X)
-    at = (np.array([row.searchsorted(r, side="right") for row in cuts])
-          + np.arange(-1, cuts.size - 1, cuts.shape[1])[:, None])  # the interval of each r
-    return npoly.polyval(r - cuts.ravel()[at], coeffs[:, at], tensor=False)
+    r = _on_period(y, X)
+    at = (np.array([row.searchsorted(r, side="right") for row in cuts])  # the interval of each r
+          + np.arange(-1, cuts.size - 1, cuts.shape[1]).reshape((-1,) + (1,) * r.ndim))
+    return npoly.polyval(r - cuts.ravel().take(at), coeffs.take(at, axis=1), tensor=False)
 
 
 def sample_nodes(w, mesh: MeshSpec) -> GridFn:
     """Pointwise node samples of a profile, or the (B, N+1) rows of a stack of
-    profiles (the mean of the sides at a jump)."""
+    profiles: w through its even extension (the mean of the sides at a jump)."""
     x = mesh.nodes()
-    return _by_form(w, "piecewise", lambda p: p(x), lambda ps: _piecewise_stack(
-        ps[0].X, [p.breakpoints for p in ps], [p.pieces for p in ps])(
-        np.arange(len(ps))[:, None], x))
+    return _by_form(w, "piecewise", lambda p: p(x),
+                    lambda ps: _period_values(_period_pieces(ps, 1.0), x))
 
 
 def build_u1h(variant: str, u1, mesh: MeshSpec) -> GridFn:

@@ -100,14 +100,15 @@ class MeshSpec:
         if not (0.0 < self.eps0 <= 1.0):
             raise ConfigurationError(f"eps0 must lie in (0, 1], got {self.eps0}")
         try:  # float ** raises on overflow, and sigma divides by a^2 tau^2
-            scales = (self.h ** 2, self.tau ** 2, self.a ** 2 * self.tau ** 2, self.sigma)
+            scales = (self.h ** 2, self.tau ** 2, self.a ** 2 * self.tau ** 2, self.sigma,
+                      self.eps0 ** 2)
         except (OverflowError, ZeroDivisionError):
             scales = (math.inf,)
         if not all(0.0 < s < math.inf for s in scales):
             raise ConfigurationError(
-                f"the mesh X={self.X}, T={self.T}, a={self.a}, N={self.N}, M={self.M} is "
-                "beyond the float range: h^2, tau^2, a^2 tau^2 and sigma must be finite "
-                "and positive")
+                f"the mesh X={self.X}, T={self.T}, a={self.a}, N={self.N}, M={self.M}, "
+                f"eps0={self.eps0} is beyond the float range: h^2, tau^2, a^2 tau^2, sigma "
+                "and eps0^2 must be finite and positive")
 
     @property
     def h(self) -> float:

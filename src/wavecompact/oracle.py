@@ -263,7 +263,9 @@ def sharpness_prediction(j: int, l: int, k: int, T: float) -> float:
 
     p_0 = 0 and p_1 = p_2 = 1.  The correction is excluded and must be handled
     as an empirical band by the caller: the measured ratio's defect from 1
-    shrinks like h^0.4, about h^0.8 for j = 2 at l = 0.
+    shrinks like h^0.4, about h^0.8 for j = 2 at l = 0.  The l = 1 ratio is
+    the l = 0 ratio times the backward difference's symbol sin(k h/2) / (k h/2)
+    (to 1.2e-6 at N = 2048), so its extra defect is about (k h)^2 / 24.
     """
     if l not in (0, 1):
         raise ContractViolation("l must be 0 or 1")

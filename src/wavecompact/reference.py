@@ -32,14 +32,13 @@ E(x_i + a t_m) and F(x_i - a t_m) for just the view and the levels asked for;
 no (M+1, N+1) array is held.  When a tau / h = p / q is rational with q <= M,
 as with aT = X (p/q = N/M) or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m
 = (q i +- p m) h/q lies on the lattice of spacing h/q: E and F are evaluated
-once on one period of it, L = 2Nq points (filtered once), and kept as their q
-contiguous residue classes: the levels r, r + q, ... of E[qi + pm] or F[qi - pm]
-are rows of one.  Other meshes evaluate the levels served; the build evaluates
-level 0, which holds every value of U0 and V1 on (0, X) and whose q_2h view
-builds the polynomial tables of their hat averages, and every level refuses
-non-finite node values or averages alike, naming the datum (a filter
-overflowing beyond ~1e307 is left to the measurer, which refuses data too
-large to measure).
+once on one period of it, L = 2Nq points in one call (filtered once), and
+kept as their q contiguous residue classes: the levels r, r + q, ... of
+E[qi + pm] or F[qi - pm] are rows of one.  Other meshes evaluate the levels
+served, one call per level for its rows x_i + a t_m and x_i - a t_m; the build
+evaluates level 0, which holds every value of U0 and V1 on (0, X), and every
+level refuses non-finite node values or averages alike, naming the datum (a
+filter beyond ~1e307 may overflow: the measurer refuses data that large).
 """
 
 from __future__ import annotations
@@ -164,10 +163,10 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
             f"the exact solution of {name} is not finite on the N={n}, M={m} mesh")
 
     try:
-        v1 = extension_sampler(data.u1, True)
+        v1 = extension_sampler(data.u1, True, h)
     except ConfigurationError:  # Profile refuses a piece of V1 that overflows
         refuse("u1")
-    data_terms = (("u0", extension_sampler(data.u0, False), 0.5), ("u1", v1, 0.5 / mesh.a))
+    data_terms = (("u0", extension_sampler(data.u0, False, h), 0.5), ("u1", v1, 0.5 / mesh.a))
     forced = None
     if data.f is not None:
         forced = _forced_modes(mesh, data.f)
@@ -175,16 +174,17 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
             refuse("f")  # every level, 64 at a time: no (M+1, K) array
 
     @np.errstate(over="ignore", invalid="ignore")  # it serves after the build too
-    def halves(view, start, count):
-        """E and F, U0/2 +- V1/(2a), at start + j h; view 1 the q_2h filter of their
-        hat averages, each row read as periodic (Reference zeroes a level's ends)."""
-        out = np.empty((2, count))
+    def halves(view, starts, count):
+        """E and F, U0/2 +- V1/(2a), at starts + j h, one row per start; view 1 the
+        q_2h filter of their hat averages, each row read as periodic (Reference
+        zeroes a level's ends)."""
+        out = np.empty((2, len(starts), count))
         for d, (name, sampler, scale) in enumerate(data_terms):
-            out[d] = np.multiply(sampler[view](start, count, h), scale)
+            out[d] = np.multiply(sampler[view](starts, count), scale)
             if not np.all(np.isfinite(out[d])):
                 refuse(name)
         e_f = out[0] + out[1], out[0] - out[1]
-        return _three_point(out, np.take(e_f, range(-1, count + 1), axis=1, mode="wrap"),
+        return _three_point(out, np.take(e_f, range(-1, count + 1), axis=2, mode="wrap"),
                             -14.0, -12.0) if view else e_f
 
     lattice = _lattice(mesh)
@@ -193,7 +193,7 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
         flat = q * np.arange(n + p * m // q + 1) + np.arange(q)[:, None]  # class c, entry j
         classes = []
         for view in (0, 1):  # flat entry q j + c of one period holds y = (q j + c) h/q
-            period = np.stack([halves(view, c * h / q, 2 * n) for c in range(q)], axis=-1)
+            period = np.swapaxes(halves(view, np.arange(q) * h / q, 2 * n), 1, 2)
             # the residue classes of E from y = 0 and of F from y = -pM h/q; levels
             # r + q t, r < q, read E at q i + p (r + q t) and F at q i + p (M - r - q t)
             e, f = (np.take(w, flat + shift, mode="wrap") for w, shift in zip(period, (0, -p * m)))
@@ -217,8 +217,8 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
         """E at x_i + a t_m and F at x_i - a t_m, m in levels, for the view."""
         at = mesh.a * mesh.times()[levels]
         e, f = np.empty((2,) + np.shape(at) + (n + 1,))
-        for j, s in np.ndenumerate(at):
-            e[j], f[j] = halves(view, s, n + 1)[0], halves(view, -s, n + 1)[1]
+        for j, s in np.ndenumerate(at):  # E of the row at s, F of the row at -s
+            (e[j], _), (_, f[j]) = halves(view, np.array([s, -s]), n + 1)
         return [(..., e, f)]
     serve(0, 0), serve(1, 0)  # level 0 holds every value of U0 and V1 on (0, X)
     return Reference(serve, (m + 1, n + 1), forced)

@@ -585,7 +585,9 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
       ("solve", "a=1e+200, N=16", {"mesh": _mesh(16, a=1e200)}),
       ("solve", "a=1e-200, N=16", {"mesh": _mesh(16, a=1e-200)}),
       ("solve", "T=1e-320, a=1.0", {"mesh": _mesh(16, T=1e-320)}),
-      ("solve", "X=1e-320, T=1e-300", {"mesh": _mesh(16, X=1e-320, T=1e-300)})],
+      ("solve", "X=1e-320, T=1e-300", {"mesh": _mesh(16, X=1e-320, T=1e-300)}),
+      ("stability_probe", "M=32, eps0=1e-300 is beyond the float range",
+       {"mesh": _mesh(16, eps0=1e-300)})],
     # cell counts a float cannot index
     ("solve", "mesh.N must be an integer >= 3 and <= 9007199254740992",
      {"mesh": _mesh(16, N=10 ** 400)}),
@@ -632,7 +634,7 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
         "v0_mode_set", "profile_node_convention",
         "preset_null", "preset_unknown", "mesh_key_misspelled", "key_misspelled",
         "mesh_X_huge", "mesh_T_huge", "mesh_a_huge", "mesh_a_tiny", "mesh_T_subnormal",
-        "mesh_X_subnormal", "mesh_N_huge", "mesh_M_huge", "mesh_rungs_N_huge",
+        "mesh_X_subnormal", "probe_eps0_squared_underflows", "mesh_N_huge", "mesh_M_huge", "mesh_rungs_N_huge",
         "data_key_misspelled", "profile_key_misspelled", "piecewise_key_misspelled",
         "time_profile_key_misspelled", "forcing_key_misspelled", "harmonic_key_misspelled",
         "data_harmonic_and_preset", "data_preset_and_profiles", "sharpness_harmonic_k"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -240,7 +240,7 @@ def test_hat_averages_equal_their_rational_value():
         W = _antiderivative(w) if antiderivative else w
         for start, count in ((-2.0 * h, 5), (X / 2.0 - 2.0 * h, 5), (X - 2.0 * h, 5), (0.75, 4),
                              (4.0 * X - 2.0 * h, 5)):
-            got = extension_sampler(w, antiderivative)[1](start, count, h)
+            got = extension_sampler(w, antiderivative, h)[1](start, count)
             want = np.array([float(_exact_hat_average(W, 1 if antiderivative else -1,
                                                       start + h * j, h))
                              for j in range(count)])
@@ -253,7 +253,7 @@ def test_hat_averages_equal_the_gauss_loop_at_n_2048():
     h = X / n
     for w, antiderivative in _extensions(X):
         for start in (-8 * h, X / 2 - 8 * h, X - 8 * h, 17.5):
-            got = extension_sampler(w, antiderivative)[1](start, 16, h)
+            got = extension_sampler(w, antiderivative, h)[1](start, 16)
             want = _hat_averages_by_gauss_loop(w, antiderivative, start, 16, h)
             assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
 
@@ -342,6 +342,122 @@ def test_each_row_of_a_stack_has_the_bits_of_its_call_alone(n, data):
     with pytest.raises(ConfigurationError) as stacked:
         stack_inputs(mesh, columns)
     assert str(stacked.value) == str(alone.value)
+
+
+# --------------------------------------------------------------------------
+# node values: W's pieces on its period against the fold onto [0, X]
+
+def _table_values(ws, x):
+    """Row b of the piecewise profiles ws at x (broadcast against the rows):
+    one Horner loop over their zero-padded coefficient table, gathered by
+    piece, and within 1e-13 X of an interior breakpoint the mean of its two
+    sides there, the rightmost such breakpoint's."""
+    X, P = ws[0].X, max(len(w.pieces) for w in ws)
+    width = max(len(c) for w in ws for c in w.pieces)
+    table = np.zeros((width, len(ws), P))
+    inner = np.full((P - 1, len(ws)), np.nan)  # NaN compares false
+    for b, w in enumerate(ws):
+        inner[:len(w.pieces) - 1, b] = w.breakpoints[1:-1]
+        for j, c in enumerate(w.pieces):
+            table[:len(c), b, j] = c
+    table = table.reshape(width, -1)  # piece j of row b at [:, b P + j]
+    rows = np.arange(len(ws))[:, None]
+
+    def horner(piece, x):
+        out = np.zeros(np.broadcast(piece, x).shape)
+        for k in reversed(range(width)):
+            out *= x
+            out += table[k].take(piece)
+        return out
+    cuts = [col[rows] for col in inner]
+    out = horner(rows * P + sum(x >= cut for cut in cuts), x)
+    for j, cut in enumerate(cuts):
+        near = np.abs(x - cut) <= 1e-13 * X
+        if near.any():
+            left = rows * P + j
+            np.copyto(out, 0.5 * (horner(left, cut) + horner(left + 1, cut)), where=near)
+    return out
+
+
+def _folded(w, antiderivative, y):
+    """W at y by the fold: y reduced mod 2X and reflected onto [0, X], where w
+    (V1's pieces with antiderivative set) is _table_values; an odd W is
+    negated on the reflected half and zero within 1e-13 X of 0 and X."""
+    X = w.X
+    r = np.mod(y, 2.0 * X)
+    flip = r > X
+    r = np.where(flip, 2.0 * X - r, r)
+    out = _table_values([_antiderivative(w) if antiderivative else w], r[None])[0]
+    if not antiderivative:
+        out = np.where(flip, -out, out)
+        out[np.minimum(r, X - r) <= 1e-13 * X] = 0.0
+    return out
+
+
+def _same_bits(got, want):
+    """Bit for bit, where -0.0 and 0.0 count as one: W's pieces give x + (-x)
+    = +0 where the fold negated a +0."""
+    return got.shape == want.shape and (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def _anchored(w, h):
+    """Each edge of W and its mirror, 0, +-X and 2X, points within 1e-13 X of
+    each and just outside, and a spread over three periods, as the starts of
+    rows of three points, step h."""
+    X = w.X
+    anchors = np.array(sorted({0.0, -X, X, 2.0 * X, *w.breakpoints,
+                               *(-b for b in w.breakpoints)}))
+    offsets = X * np.array([0.0, 1e-14, -1e-14, 9e-14, -9e-14, 1.1e-13, -1.1e-13, 1e-12])
+    return np.concatenate([np.add.outer(anchors, offsets).ravel(),
+                           np.nextafter(anchors, np.inf), np.nextafter(anchors, -np.inf),
+                           np.linspace(-3.0 * X, 3.0 * X, 61) - 2.0 * h])
+
+
+def test_node_values_keep_the_bits_of_the_fold():
+    # U0 and V1 of both presets and of a step, from W's pieces on its period,
+    # equal the fold onto [0, X] at and around every edge, 0, +-X and 2X
+    X = math.pi
+    h = X / 64
+    for w in (hat_profile(X), step_profile(X), quad_spline_profile(X)):
+        for antiderivative in (False, True):
+            starts = _anchored(w, h)
+            got = extension_sampler(w, antiderivative, h)[0](starts, 3)
+            want = _folded(w, antiderivative, np.add.outer(starts, h * np.arange(3)))
+            assert _same_bits(got, want)
+            assert _same_bits(extension_sampler(w, antiderivative, h)[0](starts[7], 3), want[7])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 8, 16]), st.data())
+def test_node_values_of_drawn_data_keep_the_bits_of_the_fold(n, data):
+    # drawn pieces with breakpoints on, next to and between nodes: U0, V1 and
+    # the node samples of a stack equal the fold, and _table_values, bit for
+    # bit.  Pieces narrower than the 2e-13 X of two edges' windows are left
+    # out: there the fold takes its rightmost breakpoint's mean, W's pieces
+    # the mean of the edge nearest on the point's own side
+    profiles = [_drawn_profile(data, n) for _ in range(data.draw(st.integers(1, 3)))]
+    assume(all(np.min(np.diff(p.breakpoints)) > 2e-13 for p in profiles))
+    mesh = build_mesh(1.0, 1.0, n, 2 * n)
+    assert mesh.N * mesh.h <= mesh.X
+    for w in profiles:
+        for antiderivative in (False, True):
+            starts = _anchored(w, mesh.h)
+            got = extension_sampler(w, antiderivative, mesh.h)[0](starts, 3)
+            want = _folded(w, antiderivative, np.add.outer(starts, mesh.h * np.arange(3)))
+            assert _same_bits(got, want)
+    assert _same_bits(sample_nodes(profiles, mesh), _table_values(profiles, mesh.nodes()))
+
+
+def test_a_stack_of_profiles_ending_near_x_reads_each_row():
+    # rows of one stack may end within 1e-12 X of each other, as a DataSpec's
+    # data may: each row's node samples are within 1e-12 of its call alone
+    X = math.pi
+    mesh = build_mesh(X, X, 16, 32)
+    profiles = [hat_profile(X)] + [Profile.piecewise_poly((0.0, 2.0, X * (1.0 + d)),
+                                                          ((1.0,), (-1.0, 0.25)))
+                                   for d in (-1e-13, 1e-13)]
+    for row, p in zip(sample_nodes(profiles, mesh), profiles):
+        np.testing.assert_allclose(row, sample_nodes(p, mesh), rtol=1e-12, atol=0)
 
 
 def test_qh_laplacian_identity_for_smooth_data():

@@ -270,6 +270,32 @@ def test_rough_rate_holds_on_a_per_level_mesh():
     assert abs(run_convergence(cfg, emit=False).fitted_order - 0.4) <= 0.1
 
 
+@pytest.mark.parametrize("courant, factor, eps0", [(0.25, 4.0, 1.0), (0.8, 1.25, 0.5)])
+def test_rough_rate_holds_at_other_courant_numbers(courant, factor, eps0):
+    # acceptance 3's hat_step rate at a tau / h = 0.25 (M = 4N) and 0.8
+    # (M = 1.25N, stable for eps0 = 0.5): q = 4 and q = 5 lattices
+    rungs = [[n, int(factor * n)] for n in (64, 128, 256, 512)]
+    assert all(n / m == courant for n, m in rungs)
+    cfg = config_from_dict({"kind": "converge",
+                            "mesh": {"X": math.pi, "T": math.pi, "eps0": eps0, "rungs": rungs},
+                            "data": {"preset": "hat_step"}, "mode": "q2h_filtered",
+                            "fit_drop_coarsest": 0})
+    assert abs(run_convergence(cfg, emit=False).fitted_order - 0.4) <= 0.1
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_dx_ratio_is_the_ratio_times_the_difference_symbol(j):
+    # the l = 1 ratio is the l = 0 ratio times the backward difference's
+    # symbol sin(k_h h/2) / (k_h h/2), whose defect is about (k_h h)^2 / 24
+    cfg = config_from_dict({"kind": "sharpness",
+                            "mesh": {"X": math.pi, "T": math.pi, "N": 2048, "M": 4096},
+                            "data": {"harmonic": {"j": j}}, "alpha": 2.0})
+    result = run_sharpness(cfg, emit=False)
+    (row,), (row_dx,) = result.rows, result.rows_dx
+    half = 0.5 * row.k_h * cfg.rungs[0].h
+    assert abs(row_dx.ratio / row.ratio / (math.sin(half) / half) - 1.0) < 1e-5
+
+
 def test_run_convergence_requires_three_rungs():
     with pytest.raises(ConfigurationError):
         config_from_dict({

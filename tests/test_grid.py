@@ -36,6 +36,7 @@ def test_build_mesh_stability_flag():
     dict(X=1.0, T=1.0, N=4, M=4, a=-2.0),
     dict(X=1.0, T=1.0, N=4, M=4, eps0=0.0),
     dict(X=1.0, T=1.0, N=4, M=4, eps0=1.5),
+    dict(X=1.0, T=1.0, N=4, M=4, eps0=1e-300),  # eps0^2 underflows to 0
 ])
 def test_build_mesh_rejects_bad_input(bad):
     with pytest.raises(ConfigurationError):

@@ -335,11 +335,11 @@ def test_per_level_reference_is_served_block_by_block():
     data = _forced_sine_series_data(mesh.X)
     ref = dalembert_reference(mesh, data)
     coeffs, shapes = reference._forced_modes(mesh, data.f)
-    terms = ((extension_sampler(data.u0, False), 0.5),
-             (extension_sampler(data.u1, True), 0.5 / mesh.a))
+    terms = ((extension_sampler(data.u0, False, mesh.h), 0.5),
+             (extension_sampler(data.u1, True, mesh.h), 0.5 / mesh.a))
     for v, view in enumerate((ref.values, ref.q2h_values)):
         def halves(y):  # U0/2 and V1/(2a) at x + y
-            return [np.multiply(sampler[v](y, mesh.N + 1, mesh.h), scale)
+            return [np.multiply(sampler[v](y, mesh.N + 1), scale)
                     for sampler, scale in terms]
         view_of = q2h_from_qh if v else (lambda w: w)
         expected = coeffs(slice(None)) @ shapes[v]
@@ -360,9 +360,9 @@ def _lattice_formula(mesh, data, v, levels):
     p, q = reference._lattice(mesh)
     n, h = mesh.N, mesh.h
     view_of = q2h_periodic if v else (lambda w: w)
-    classes = [[np.multiply(sampler[v](r * h / q, 2 * n, h), scale)
-                for sampler, scale in ((extension_sampler(data.u0, False), 0.5),
-                                       (extension_sampler(data.u1, True), 0.5 / mesh.a))]
+    classes = [[np.multiply(sampler[v](r * h / q, 2 * n), scale)
+                for sampler, scale in ((extension_sampler(data.u0, False, h), 0.5),
+                                       (extension_sampler(data.u1, True, h), 0.5 / mesh.a))]
                for r in range(q)]
     m = np.arange(mesh.M + 1)[levels]
     e, f = (np.take(np.stack([view_of(combine(u0, v1)) for u0, v1 in classes], axis=-1).ravel(),

@@ -63,3 +63,22 @@ def test_traced_rough_ladder_repeats_its_span_counts(tmp_path):
                          "--out", str(tmp_path / f"rough{i}")]) == 0
             counts.append(tracer.counts())
     assert counts[0] == counts[1] and counts[0]["data.extension_sampler"] == 2 * 3
+
+
+def test_traced_per_level_ladder_repeats_its_span_counts(tmp_path):
+    # the same ladder at T = 2.5, where a tau / h is no lattice ratio: the
+    # reference serves each level as it is measured, a path no bench workload runs
+    tracer = _tracer_class()()
+    rough = tmp_path / "rough.json"
+    rough.write_text(json.dumps({"kind": "converge", "data": {"preset": "hat_step"},
+                                 "mode": "q2h_filtered", "fit_drop_coarsest": 0,
+                                 "mesh": {"X": math.pi, "T": 2.5,
+                                          "rungs": [[16, 32], [32, 64], [64, 128]]}}))
+    counts = []
+    with tracer.installed():
+        for i in range(2):
+            tracer.reset()
+            assert main(["converge", "--config", str(rough),
+                         "--out", str(tmp_path / f"rough{i}")]) == 0
+            counts.append(tracer.counts())
+    assert counts[0] == counts[1] and counts[0]["data.extension_sampler"] == 2 * 3
