@@ -12,25 +12,27 @@ A config file is a single JSON object:
               | {"u0": {...}, "u1": {...}, "f": {...}}
               | null,
       "variant": "v2" | "v0" | "v1" | "all",                     # "all": oracle_check only
-      "mode": "node_sampled" | "q2h_filtered",                   # q2h_filtered: converge, solve
+      "mode": "node_sampled" | "q2h_filtered",
       "alpha": 2.0,                                              # > 0
       "out_dir": "out",
-      ...tuning keys with defaults (seed, n_random, n_pairs,
-         fit_drop_coarsest, decimate)
+      ...and seed, n_random, n_pairs, fit_drop_coarsest, decimate
     }
+
+The scalar keys, variant to decimate, are the table _SCALARS: each key's default,
+check and the kinds whose runner reads it.  Every key is parsed first, so a
+malformed value is named; then another kind refuses any value but the default.
 
 A key outside this schema is refused, naming the nearest key of its section:
 at the top level, in mesh, in data, data.f and data.harmonic, and in each
-profile or time profile descriptor, whose keys are those of its form.  The
-removed reference keys n_modes, fold_groups and tail_fraction, the removed
-jobs key (the CLI's --jobs sets the worker count) and mesh tau_over_h are
-ignored.  A data section is one of harmonic, preset or u0/u1/f; one that
-mixes them is refused.  Removed keys that chose how to evaluate data are
-refused, as ignoring them would change results, and so are keys that a
-runner does not read: a mode but node_sampled for sharpness, oracle_check
-and stability_probe, a data.harmonic.k for sharpness (each rung chooses
-k_h), a data section but null or a variant but v2 for stability_probe
-(random data, v2), and more than one rung for solve.
+profile or time profile descriptor, whose keys are those of its form.  Of
+the removed keys only tail_fraction is ignored, as the benchmark's
+rough_ladder still sends it.  A data section is one of harmonic, preset or
+u0/u1/f; one that mixes them is refused, and so is a piecewise profile that
+does not end at the mesh's X, within 1e-12 X.  Besides the scalar keys, what
+a runner does not read is refused: a data.harmonic.k for sharpness (each
+rung chooses k_h), a data section but null for stability_probe (random
+data), more than one rung for solve, and a fit_drop_coarsest that leaves a
+converge fit fewer than two rungs.
 
 Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
 plus {"form": "harmonic", "k": k}, which parses to the one-mode sine series
@@ -67,7 +69,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import PRESETS, U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
@@ -78,11 +80,27 @@ from .reference import reference_bytes, reference_refusal
 from .scheme import ERROR_MODES, level_bytes
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
-#: the keys of a config and of its mesh, and the removed keys: ignored, or v0_mode refused
-_KEYS = {"config": ("kind", "mesh", "data", "variant", "mode", "alpha", "out_dir", "seed",
-                    "n_random", "n_pairs", "fit_drop_coarsest", "decimate"),
+#: one row per scalar key of a config: its default, its check (value, key, kind ->
+#: the value parsed, else a ConfigurationError naming key) and the kinds whose
+#: runner reads it; any other kind refuses a value but the default
+_SCALARS = {
+    "variant": ("v2", lambda v, key, kind: _choice(
+        v, key, (*U1_VARIANTS, "all") if kind == "oracle_check" else U1_VARIANTS),
+        ("solve", "converge", "sharpness", "oracle_check")),
+    "mode": ("node_sampled", lambda v, key, kind: _choice(v, key, ERROR_MODES),
+             ("solve", "converge")),
+    "alpha": (2.0, lambda v, key, kind: _number(v, key, positive=True), ("sharpness",)),
+    "out_dir": ("out", lambda v, key, kind: Path(_choice(v, key, None)), KINDS),
+    "seed": (0, lambda v, key, kind: _integer(v, key, 0), ("stability_probe",)),
+    "n_random": (20, lambda v, key, kind: _integer(v, key, 1), ("stability_probe",)),
+    "n_pairs": (100, lambda v, key, kind: _integer(v, key, 1), ("stability_probe",)),
+    "fit_drop_coarsest": (1, lambda v, key, kind: _integer(v, key, 0), ("converge",)),
+    "decimate": (32, lambda v, key, kind: _integer(v, key, 1), ("solve",)),
+}
+_KEYS = {"config": ("kind", "mesh", "data", *_SCALARS),
          "mesh": ("X", "T", "N", "M", "refinements", "a", "eps0", "rungs")}
-_REMOVED_KEYS = ("n_modes", "fold_groups", "tail_fraction", "jobs", "tau_over_h", "v0_mode")
+#: a removed key still ignored, as the benchmark's rough_ladder sends it
+_IGNORED_KEYS = ("tail_fraction",)
 #: the keys of a data section, and of each profile and time profile form besides 'form'
 _DATA_KEYS = ("harmonic", "preset", "u0", "u1", "f")
 #: the bytes of a stability-probe row and its seven CSV cells (tracemalloc: about 610)
@@ -130,9 +148,6 @@ def _form(value, what: str, forms: tuple) -> str:
 def profile_from_dict(d: dict, X: float, finest_n: int) -> Profile:
     """The Profile of a descriptor; a harmonic k that an N = finest_n mesh does
     not resolve is a MeshTooCoarseError."""
-    if isinstance(d, dict) and "node_convention" in d:
-        raise ConfigurationError("profile node_convention is removed: a jump is always the "
-                                 "mean of its sides")
     form = _form(d, "profile", ("harmonic", "sine_series", "piecewise"))
     if form == "harmonic":
         k = _integer(d["k"], "profile k")
@@ -165,6 +180,10 @@ def dataspec_from_dict(d: dict, X: float, finest_n: int) -> DataSpec:
                         time=time_profile_from_dict(fd["time"]))
     except KeyError as exc:
         raise ConfigurationError(f"missing data key: {exc}") from exc
+    # a piecewise profile's X is its last breakpoint: the steppers take it within 1e-12 X
+    for name, p in (("u0", u0), ("u1", u1), ("f.space", f and f.space)):
+        if p and abs(p.X - X) > 1e-12 * X:
+            raise ConfigurationError(f"data.{name} ends at {p.X!r}, but the mesh's X is {X!r}")
     return DataSpec(u0=u0, u1=u1, f=f)
 
 
@@ -178,19 +197,19 @@ class ExperimentConfig:
 
     kind: str
     rungs: list[MeshSpec]
-    data: DataSpec | None = None
-    sharpness_j: int | None = None
-    variant: str = "v2"
-    mode: str = "node_sampled"
-    alpha: float = 2.0
-    out_dir: Path = Path("out")
+    data: DataSpec | None
+    sharpness_j: int | None
+    echo: dict
+    variant: str
+    mode: str
+    alpha: float
+    out_dir: Path
+    seed: int
+    n_random: int
+    n_pairs: int
+    fit_drop_coarsest: int
+    decimate: int
     jobs: int = 1  # the CLI's --jobs; no config key sets it
-    seed: int = 0
-    n_random: int = 20
-    n_pairs: int = 100
-    fit_drop_coarsest: int = 1
-    decimate: int = 32
-    echo: dict = field(default_factory=dict)
 
 
 def _integer(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
@@ -207,17 +226,17 @@ def _integer(value, key: str, minimum: int | None = None, maximum: int | None = 
     return value
 
 
-def _number(value, key: str) -> float:
-    """value as a finite float (a JSON number), else a ConfigurationError
-    naming key."""
+def _number(value, key: str, positive: bool = False) -> float:
+    """value as a finite float (a JSON number), positive if asked, else a
+    ConfigurationError naming key."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
             number = float(value)
         except OverflowError:
             number = math.inf
-        if math.isfinite(number):
+        if math.isfinite(number) and (number > 0 or not positive):
             return number
-    raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    raise ConfigurationError(f"{key} must be a finite number{' > 0' * positive}, got {value!r}")
 
 
 def _choice(value, key: str, allowed: tuple | None) -> str:
@@ -269,8 +288,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     mesh_cfg = raw.get("mesh")
     if not isinstance(mesh_cfg, dict):
         raise ConfigurationError("config needs a 'mesh' object")
-    for where, section in (("config", raw), ("mesh", mesh_cfg)):
-        _refuse_unknown(section, _KEYS[where], where, _REMOVED_KEYS)
+    _refuse_unknown(raw, _KEYS["config"], "config", _IGNORED_KEYS)
+    _refuse_unknown(mesh_cfg, _KEYS["mesh"], "mesh")
     rungs = _build_rungs(mesh_cfg)
     X, finest_n = rungs[0].X, max(mesh.N for mesh in rungs)
 
@@ -315,31 +334,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     else:
         data = dataspec_from_dict(data_cfg, X, finest_n)
 
-    if "v0_mode" in raw:
-        raise ConfigurationError("v0_mode is removed: v0 is always the node samples of u0")
-    variants = (*U1_VARIANTS, "all") if kind == "oracle_check" else U1_VARIANTS
-    cfg = ExperimentConfig(
-        kind=kind,
-        rungs=rungs,
-        data=data,
-        sharpness_j=sharpness_j,
-        variant=_choice(raw.get("variant", "v2"), "variant", variants),
-        mode=_choice(raw.get("mode", "node_sampled"), "mode", ERROR_MODES),
-        alpha=_number(raw.get("alpha", 2.0), "alpha"),
-        out_dir=Path(_choice(raw.get("out_dir", "out"), "out_dir", None)),
-        seed=_integer(raw.get("seed", 0), "seed", 0),
-        n_random=_integer(raw.get("n_random", 20), "n_random", 1),
-        n_pairs=_integer(raw.get("n_pairs", 100), "n_pairs", 1),
-        fit_drop_coarsest=_integer(raw.get("fit_drop_coarsest", 1),
-                                   "fit_drop_coarsest", 0),
-        decimate=_integer(raw.get("decimate", 32), "decimate", 1),
-        echo=dict(raw),
-    )
-    if cfg.alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {cfg.alpha!r}")
+    scalars = {key: check(raw.get(key, default), key, kind)
+               for key, (default, check, _) in _SCALARS.items()}
+    # a key the runner does not read: a value other than the one it uses is refused
+    for key, (default, _, readers) in _SCALARS.items():
+        if kind not in readers and scalars[key] != default:
+            raise ConfigurationError(f"{key} {raw[key]!r} is not read by {kind} runs, which "
+                                     f"use only {json.dumps(default)}; drop the {key} key")
+    if kind == "stability_probe" and data_cfg is not None:
+        raise ConfigurationError(f"data {data_cfg!r} is not read by stability_probe runs, "
+                                 "which use only null; drop the data key")
+    cfg = ExperimentConfig(kind=kind, rungs=rungs, data=data, sharpness_j=sharpness_j,
+                           echo=dict(raw), **scalars)
     if kind == "converge":
         if len(rungs) < 3:
             raise ConfigurationError("convergence studies need a ladder of >= 3 rungs")
+        if cfg.fit_drop_coarsest > len(rungs) - 2:
+            raise ConfigurationError(f"fit_drop_coarsest {cfg.fit_drop_coarsest} must be <= "
+                                     f"{len(rungs) - 2}: the fit needs two of {len(rungs)} rungs")
         if len({mesh.N for mesh in rungs}) < len(rungs):
             raise ConfigurationError(f"mesh.rungs repeat an N: {[mesh.N for mesh in rungs]}")
         refusal = reference_refusal(rungs[0], data)  # the rungs share X and a
@@ -350,13 +362,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError("convergence studies need nonzero data to fit an order")
     if kind == "sharpness" and sharpness_j is None:
         raise ConfigurationError("sharpness runs need data: {'harmonic': {'j': ...}}")
-    # keys a runner does not read: a value other than the one it uses is refused
-    unread = {"sharpness": {"mode": "node_sampled"}, "oracle_check": {"mode": "node_sampled"},
-              "stability_probe": {"mode": "node_sampled", "variant": "v2", "data": None}}
-    for key, used in unread.get(kind, {}).items():
-        if raw.get(key, used) != used:
-            raise ConfigurationError(f"{key} {raw[key]!r} is not read by {kind} runs, which "
-                                     f"use only {json.dumps(used)}; drop the {key} key")
     if kind == "solve" and len(rungs) > 1:
         key = "mesh.rungs" if "rungs" in mesh_cfg else "mesh.refinements"
         raise ConfigurationError(f"{key} gives {len(rungs)} rungs, but solve runs step one mesh")

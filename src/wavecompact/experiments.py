@@ -321,9 +321,7 @@ def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceR
             N=mesh.N, M=mesh.M, h=mesh.h, tau=mesh.tau,
             err_energy=rep.max_energy_error, err_dx=rep.max_dx_error,
             err_l1=rep.l1_spacetime_error, order_energy=order))
-    drop = min(config.fit_drop_coarsest, len(rows) - 2)
-    fit_rows = rows[max(drop, 0):]
-    fit = fit_order([(r.h, r.err_energy) for r in fit_rows])
+    fit = fit_order([(r.h, r.err_energy) for r in rows[config.fit_drop_coarsest:]])
     result = ConvergenceResult(rows=rows, fitted_order=fit.slope,
                                fit_residual=fit.residual)
     if emit:

@@ -648,6 +648,36 @@ def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     assert not (tmp_path / "out").exists()
 
 
+def _piecewise_ending_at(end):
+    return {"form": "piecewise", "breakpoints": [0.0, 1.0, end], "pieces": [[1.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("command", ["solve", "converge", "oracle-check"])
+@pytest.mark.parametrize("data, named", [
+    ({"u0": _piecewise_ending_at(3.0), "u1": _piecewise_ending_at(3.0)}, "data.u0 ends at 3.0"),
+    ({"u0": _piecewise_ending_at(math.pi * (1 + 5e-12)),
+      "u1": _piecewise_ending_at(math.pi * (1 + 5e-12))}, "data.u0 ends at 3.14159"),
+    # within 1e-12 X of one another, as DataSpec allows, but not of the mesh's X
+    ({"u0": _piecewise_ending_at(math.pi * (1 - 0.9e-12)),
+      "u1": _piecewise_ending_at(math.pi * (1 - 1.8e-12))}, "data.u1 ends at 3.14159"),
+    ({"u0": _piecewise_ending_at(math.pi * (1 + 0.5e-12)),
+      "u1": _piecewise_ending_at(math.pi * (1 + 0.5e-12)),
+      "f": {"space": _piecewise_ending_at(math.pi * (1 + 1.2e-12)),
+            "time": {"form": "harmonic_sin", "omega": 1.0}}}, "data.f.space ends at 3.14159"),
+], ids=["at_3", "past_x", "u1_off", "f_space_off"])
+def test_piecewise_data_on_another_domain_exit_3(tmp_path, capsys, command, data, named):
+    # a piecewise profile's X is its last breakpoint; one that is not the
+    # mesh's X ended in a traceback from the hat averages
+    cfg = _write_config(tmp_path, {
+        "kind": command.replace("-", "_"),
+        "mesh": _mesh(16, refinements=0 if command == "solve" else 2), "data": data,
+        "out_dir": str(tmp_path / "out")})
+    assert main([command, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert named in err and f"the mesh's X is {math.pi!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("refinements", [10 ** 6, 1e308])
 def test_refinements_beyond_the_cell_bound_exit_3_at_once(tmp_path, capsys, refinements):
     # the ladder is bounded before any rung is built; building N 2^r for

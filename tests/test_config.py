@@ -9,15 +9,15 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavecompact.cli import main
-from wavecompact.config import config_from_dict, dataspec_from_dict, profile_from_dict
+from wavecompact.config import KINDS, config_from_dict, dataspec_from_dict, profile_from_dict
 from wavecompact.data import PRESETS, DataSpec, Forcing, Profile, TimeProfile
 from wavecompact.errors import ConfigurationError, MeshTooCoarseError, UnstableMeshError
+from wavecompact.experiments import run_convergence
 from wavecompact.oracle import HarmonicData, harmonic_dataspec
 
 from _alarm import alarm
@@ -51,26 +51,43 @@ def test_dataspec_round_trip():
 
 
 def test_mesh_needs_m_or_rungs():
-    # M is given or each rung is; a tau_over_h key does not stand in for it
-    for mesh in ({"X": math.pi, "T": math.pi, "N": 32},
-                 {"X": math.pi, "T": math.pi, "N": 32, "tau_over_h": 0.5}):
-        with pytest.raises(ConfigurationError,
-                           match=r"^mesh section needs M \(or explicit rungs\)$"):
-            config_from_dict({"kind": "solve", "mesh": mesh, "data": None})
+    # M is given or each rung is
+    with pytest.raises(ConfigurationError, match=r"^mesh section needs M \(or explicit rungs\)$"):
+        config_from_dict({"kind": "solve", "mesh": {"X": math.pi, "T": math.pi, "N": 32},
+                          "data": None})
 
 
-def test_removed_keys_are_ignored_and_unknown_keys_refused():
-    # the removed keys still load; any other unknown key names the nearest one
-    mesh = {"X": math.pi, "T": math.pi, "N": 16, "M": 32}
-    removed = {"n_modes": 64, "fold_groups": 2, "tail_fraction": 0.01, "jobs": 2}
-    config_from_dict({"kind": "solve", "mesh": {**mesh, "tau_over_h": 0.5}, **removed})
-    for raw, message in (({"mesh": {**mesh, "Eps0": 1.0}}, "mesh key 'Eps0'.*'eps0'"),
-                         ({"mesh": mesh, "out": "x"}, "config key 'out'.*'out_dir'"),
-                         # a dict built in Python may have keys that are not strings
-                         ({"mesh": mesh, 1: 2}, "config key 1; did you mean"),
-                         ({"mesh": mesh, "data": {None: 0}}, "data key None; did you mean")):
-        with pytest.raises(ConfigurationError, match=f"^unknown {message}"):
-            config_from_dict({"kind": "solve", **raw})
+_MESH = {"X": math.pi, "T": math.pi, "N": 16, "M": 32}
+_STEP = {"form": "piecewise", "breakpoints": [0.0, 1.0, math.pi], "pieces": [[1.0], [-1.0]]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    # the removed keys are unknown keys like any other
+    ({"n_modes": 64}, "config key 'n_modes'"),
+    ({"fold_groups": 2}, "config key 'fold_groups'"),
+    ({"jobs": 2}, "config key 'jobs'"),
+    ({"v0_mode": "node_samples"}, "config key 'v0_mode'; did you mean 'mode'"),
+    ({"mesh": {**_MESH, "tau_over_h": 0.5}}, "mesh key 'tau_over_h'"),
+    ({"data": {"u1": {**_STEP, "node_convention": "mean"}}},
+     "piecewise profile key 'node_convention'"),
+    ({"mesh": {**_MESH, "Eps0": 1.0}}, "mesh key 'Eps0'.*'eps0'"),
+    ({"out": "x"}, "config key 'out'.*'out_dir'"),
+    # a dict built in Python may have keys that are not strings
+    ({1: 2}, "config key 1; did you mean"),
+    ({"data": {None: 0}}, "data key None; did you mean"),
+    # only tail_fraction is ignored: the benchmark's rough_ladder sends it
+    ({"tail_fraction": 0.01}, None),
+], ids=["n_modes", "fold_groups", "jobs", "v0_mode", "tau_over_h", "node_convention",
+        "mesh_misspelled", "config_misspelled", "not_a_string", "data_not_a_string",
+        "tail_fraction"])
+def test_removed_and_unknown_keys_are_refused(edit, message):
+    base = {"kind": "solve", "mesh": _MESH, "data": {"u1": _STEP}}
+    if message is None:
+        cfg = config_from_dict({**base, **edit})
+        assert cfg.data == config_from_dict(base).data and not hasattr(cfg, "tail_fraction")
+        return
+    with pytest.raises(ConfigurationError, match=f"^unknown {message}"):
+        config_from_dict({**base, **edit})
 
 
 def test_explicit_rungs_and_refinements():
@@ -134,52 +151,92 @@ def test_descriptor_tree_parses_to_dataspec():
     assert cfg.data.f.time.coeffs == (0.0, 1.0)
 
 
-def test_removed_reference_keys_are_ignored():
-    # n_modes, fold_groups and tail_fraction tuned a truncated series that no
-    # longer exists; like any unknown key they are read by nothing
-    base = {"kind": "converge",
-            "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16, "refinements": 2},
-            "data": {"preset": "hat_step"}}
-    cfg = config_from_dict({**base, "n_modes": "x", "fold_groups": 0, "tail_fraction": None})
-    assert cfg.data == config_from_dict(base).data
-    assert not any(hasattr(cfg, key) for key in ("n_modes", "fold_groups", "tail_fraction"))
-
-
-def test_removed_evaluation_keys_are_refused():
-    # v0_mode and node_convention changed results: ignoring them would too
-    base = {"kind": "solve", "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16},
-            "data": {"preset": "hat_step"}}
-    for value in ("node_samples", "qh_average", None):
-        with pytest.raises(ConfigurationError, match="^v0_mode is removed"):
-            config_from_dict({**base, "v0_mode": value})
-    step = {"form": "piecewise", "breakpoints": [0.0, 1.0, math.pi], "pieces": [[1.0], [-1.0]]}
-    for value in ("mean", "left", None):
-        with pytest.raises(ConfigurationError, match="^profile node_convention is removed"):
-            config_from_dict({**base, "data": {"u1": {**step, "node_convention": value}}})
-    assert config_from_dict({**base, "data": {"u1": step}}).data.u1(np.array([1.0]))[0] == 0.0
-
-
 def test_scalar_keys_take_json_numbers():
     # integers and floats stay accepted wherever they were; an integer key
-    # takes an integral float; non-finite numbers are refused at the door
-    base = {"kind": "converge",
-            "mesh": {"X": 3, "T": 3.0, "N": 8, "M": 16, "a": 1, "eps0": 0.5,
-                     "refinements": 2},
-            "data": {"preset": "hat_step"}}
-    cfg = config_from_dict({**base, "alpha": 2, "decimate": 2.0, "seed": 5,
-                            "fit_drop_coarsest": 0})
+    # takes an integral float; non-finite numbers are refused at the door;
+    # each key is tried under a kind that reads it
+    mesh = {"X": 3, "T": 3.0, "N": 8, "M": 16, "a": 1, "eps0": 0.5, "refinements": 2}
+    readers = {"alpha": {"kind": "sharpness", "data": {"harmonic": {"j": 0}}},
+               "decimate": {"kind": "solve", "mesh": {**mesh, "refinements": 0}},
+               "seed": {"kind": "stability_probe", "data": None},
+               "fit_drop_coarsest": {"kind": "converge"}}
+
+    def load(key, value):
+        return config_from_dict({"mesh": mesh, "data": {"preset": "hat_step"}, **readers[key],
+                                 key: value})
+
+    cfg = load("fit_drop_coarsest", 0)
     assert (cfg.rungs[0].X, cfg.rungs[0].T, cfg.rungs[0].a) == (3.0, 3.0, 1.0)
-    assert cfg.alpha == 2.0
-    assert (cfg.decimate, cfg.seed, cfg.fit_drop_coarsest) == (2, 5, 0)
-    assert all(type(v) is int for v in (cfg.decimate, cfg.seed, cfg.fit_drop_coarsest))
+    assert load("alpha", 2).alpha == 2.0
+    values = [getattr(load(key, value), key)
+              for key, value in (("decimate", 2.0), ("seed", 5), ("fit_drop_coarsest", 0))]
+    assert values == [2, 5, 0] and all(type(v) is int for v in values)
     for key, bad in [("alpha", math.nan), ("alpha", math.inf), ("decimate", 2.5),
                      ("seed", -1), ("seed", True), ("alpha", "2.0"), ("alpha", 0),
                      ("alpha", -1.0), ("fit_drop_coarsest", -1)]:
         with pytest.raises(ConfigurationError, match=key):
-            config_from_dict({**base, key: bad})
+            load(key, bad)
     for bad in (math.inf, 10 ** 400, "3"):
         with pytest.raises(ConfigurationError, match="mesh.X"):
-            config_from_dict({**base, "mesh": {**base["mesh"], "X": bad}})
+            config_from_dict({"kind": "converge", "mesh": {**mesh, "X": bad},
+                              "data": {"preset": "hat_step"}})
+
+
+#: per scalar key: its default, a value other than it, and the kinds whose runner reads it
+_SCALAR_READERS = {
+    "variant": ("v2", "v1", ("solve", "converge", "sharpness", "oracle_check")),
+    "mode": ("node_sampled", "q2h_filtered", ("solve", "converge")),
+    "alpha": (2.0, 3.0, ("sharpness",)),
+    "out_dir": ("out", "elsewhere", KINDS),
+    "seed": (0, 5, ("stability_probe",)),
+    "n_random": (20, 3, ("stability_probe",)),
+    "n_pairs": (100, 7, ("stability_probe",)),
+    "fit_drop_coarsest": (1, 0, ("converge",)),
+    "decimate": (32, 4, ("solve",)),
+}
+_SMALL = {"X": math.pi, "T": math.pi, "N": 8, "M": 16}
+_KIND_CONFIGS = {
+    "solve": {"mesh": _SMALL, "data": {"preset": "hat_step"}},
+    "converge": {"mesh": {**_SMALL, "refinements": 2}, "data": {"preset": "hat_step"}},
+    "sharpness": {"mesh": _SMALL, "data": {"harmonic": {"j": 0}}},
+    "oracle_check": {"mesh": _SMALL, "data": {"harmonic": {"j": 1, "k": 3}}},
+    "stability_probe": {"mesh": _SMALL, "data": None},
+}
+
+
+@pytest.mark.parametrize("key", list(_SCALAR_READERS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_scalar_key_is_refused_by_a_kind_that_does_not_read_it(tmp_path, capsys, kind, key):
+    # the default always loads; another value loads only where the runner reads it
+    default, value, readers = _SCALAR_READERS[key]
+    raw = {"kind": kind, **_KIND_CONFIGS[kind]}
+    config_from_dict({**raw, key: default})
+    if kind in readers:
+        assert getattr(config_from_dict({**raw, key: value}), key) == (
+            Path(value) if key == "out_dir" else value)
+        return
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**raw, key: value}))
+    assert main([kind.replace("_", "-"), "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert (f"{key} {value!r} is not read by {kind} runs, which use only "
+            f"{json.dumps(default)}; drop the {key} key") in err and "Traceback" not in err
+
+
+def test_fit_drop_coarsest_leaves_two_rungs_to_fit(tmp_path, capsys):
+    # a ladder of 4 rungs fits its last two at most: 2 loads and fits them, 3 exits 3
+    raw = {"kind": "converge",
+           "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16, "refinements": 3},
+           "data": {"preset": "hat_step"}, "out_dir": str(tmp_path / "out")}
+    result = run_convergence(config_from_dict({**raw, "fit_drop_coarsest": 2}), emit=False)
+    assert result.fitted_order == pytest.approx(result.rows[-1].order_energy, rel=1e-12)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**raw, "fit_drop_coarsest": 3}))
+    assert main(["converge", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "fit_drop_coarsest 3" in err and "must be <= 2" in err and "two of 4 rungs" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_data_is_decided_at_load():

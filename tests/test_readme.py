@@ -1,10 +1,11 @@
-"""The README's code runs and its Layout names every module."""
+"""The README's code runs, its Layout names every module and its table of
+scalar config keys is the config's."""
 
 import json
 import re
 from pathlib import Path
 
-from wavecompact.config import config_from_dict
+from wavecompact.config import _SCALARS, config_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +28,12 @@ def test_readme_code_runs_and_its_layout_names_every_module(capsys):
     named = set(re.findall(r"^  (\w+)\.py ", layout, re.M))
     modules = {p.stem for p in (ROOT / "src" / "wavecompact").glob("*.py")} - {"__init__"}
     assert named == modules
+
+
+def test_readme_table_of_scalar_keys_is_the_configs():
+    # one row per scalar key: its default and the kinds that read it
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \| [^|]* \| ([^|]*) \|$", text, re.M)
+    table = {key: (json.loads(default), tuple(re.findall(r"`(\w+)`", readers)))
+             for key, default, readers in rows}
+    assert table == {key: (default, readers) for key, (default, _, readers) in _SCALARS.items()}
