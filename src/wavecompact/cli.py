@@ -1,16 +1,17 @@
 """Command-line driver.
 
     wavecompact <solve|converge|sharpness|oracle-check|stability-probe>
-                --config PATH [--out DIR] [--jobs INT]
+                --config PATH [--out DIR]
 
 Exit codes: 0 success, 2 stability or coarseness violation (the violated
 inequality is printed), 3 configuration error, 1 failed checks, a violated
 internal invariant or unexpected errors.  An InvariantError, such as a step
 whose defining-equation residual exceeds its bound, is printed on stderr as
 "invariant violated: ..." naming the level and the mesh, without a traceback.
---jobs (default 1) is the number of parallel rung workers of converge and
-sharpness; below 1, or above 1 for another subcommand, it is a configuration
-error, as is an output directory that is a file or inside one.
+An output directory that is a file or inside one is a configuration error.
+Every run steps its rungs in one process.  --jobs, not in --help, is parsed
+only because the benchmark passes --jobs 1; any other value is a setting
+nothing reads, a configuration error.
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ def _parser() -> argparse.ArgumentParser:
                         help="path to the JSON experiment config")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (overrides the config)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel rung workers of converge and sharpness (default 1)")
+    parser.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.jobs != 1:
+            raise ConfigurationError(f"--jobs {args.jobs} is not read: every run steps its "
+                                     "rungs in one process; drop the --jobs flag")
         config = load_config(args.config)
         kind = args.command.replace("-", "_")
         if config.kind != kind:
@@ -48,12 +51,6 @@ def main(argv=None) -> int:
                 f"config kind {config.kind!r} does not match subcommand {args.command!r}")
         if args.out is not None:
             config.out_dir = args.out
-        if args.jobs < 1:
-            raise ConfigurationError(f"--jobs must be an integer >= 1, got {args.jobs}")
-        if args.jobs > 1 and kind not in ("converge", "sharpness"):
-            raise ConfigurationError(f"--jobs {args.jobs} is not read by {args.command}: only "
-                                     "converge and sharpness run rungs in parallel")
-        config.jobs = args.jobs
 
         if kind == "solve":
             result = experiments.run_solve(config)

@@ -22,10 +22,10 @@ The scalar keys, variant to decimate, are the table _SCALARS: each key's default
 check and the kinds whose runner reads it.  Every key is parsed first, so a
 malformed value is named; then another kind refuses any value but the default.
 
-A key outside this schema is refused, naming the nearest key of its section:
-at the top level, in mesh, in data, data.f and data.harmonic, and in each
-profile or time profile descriptor, whose keys are those of its form.  Of
-the removed keys only tail_fraction is ignored, as the benchmark's
+A key outside this schema is refused, naming the nearest key of its section
+if one is close: at the top level, in mesh, in data, data.f and data.harmonic,
+and in each profile or time profile descriptor, whose keys are those of its
+form.  Of the removed keys only tail_fraction is ignored, as the benchmark's
 rough_ladder still sends it.  A data section is one of harmonic, preset or
 u0/u1/f; one that mixes them is refused, and so is a piecewise profile that
 does not end at the mesh's X, within 1e-12 X.  Besides the scalar keys, what
@@ -49,7 +49,8 @@ becomes config.data, the DataSpec every rung steps: zero data for null,
 PRESETS[name].make(X), the descriptor tree, or harmonic_dataspec (sharpness
 keeps only j).  A harmonic k, of data.harmonic or of a harmonic profile
 descriptor, that the finest rung does not resolve is a MeshTooCoarseError
-(exit code 2); one that it resolves is one stored mode.  A converge with
+(exit code 2), or a ConfigurationError if no mesh of N, M <= MAX_CELLS at
+its tau/h does; one that it resolves is one stored mode.  A converge with
 zero data, or with data that has no exact reference (reference.reference_refusal:
 a forcing without a sine_series space factor and a harmonic_sin time factor,
 or one resonant with a mode k), is refused with that reason.  So is a rung
@@ -61,7 +62,7 @@ a forced run for the probe, plus 256 KiB for its data descriptors, row views and
 numpy's iteration buffers, and per pair of n_pairs the larger of its draws' and
 margins' 8 (N+1) floats and its two rows with their CSV cells, plus the rows of
 the rungs before (they are kept until emit); plus reference.reference_bytes
-where a run builds it.
+where a run builds it.  Runs step one rung at a time: that is all they hold.
 """
 
 from __future__ import annotations
@@ -111,11 +112,13 @@ _FORM_KEYS = {"harmonic": ("k",), "sine_series": ("coeffs",),
 
 
 def _refuse_unknown(section: dict, known: tuple, where: str, ignored: tuple = ()) -> None:
-    """Refuse a key of section outside known and ignored, naming the nearest known key."""
+    """Refuse a key of section outside known and ignored, naming the known key
+    nearest to it if one is close (difflib's default cutoff, 0.6)."""
     for key in (key for key in section if key not in known + ignored):
         import difflib  # 0.25 MB and a millisecond: only on this error path
-        near = difflib.get_close_matches(str(key), known, n=1, cutoff=0.0)[0]
-        raise ConfigurationError(f"unknown {where} key {key!r}; did you mean {near!r}?")
+        near = difflib.get_close_matches(str(key), known, n=1)
+        raise ConfigurationError(f"unknown {where} key {key!r}"
+                                 + "".join(f"; did you mean {k!r}?" for k in near))
 
 
 # --------------------------------------------------------------------------
@@ -145,16 +148,16 @@ def _form(value, what: str, forms: tuple) -> str:
     return form
 
 
-def profile_from_dict(d: dict, X: float, finest_n: int) -> Profile:
-    """The Profile of a descriptor; a harmonic k that an N = finest_n mesh does
-    not resolve is a MeshTooCoarseError."""
+def profile_from_dict(d: dict, finest: MeshSpec) -> Profile:
+    """The Profile of a descriptor on finest's [0, X]; a harmonic k that
+    finest does not resolve is refused (oracle.require_resolved)."""
     form = _form(d, "profile", ("harmonic", "sine_series", "piecewise"))
     if form == "harmonic":
-        k = _integer(d["k"], "profile k")
-        require_resolved(k, finest_n)
-        return Profile.harmonic_mode(k, X)
+        k = _integer(d["k"], "profile k", 1)
+        require_resolved(k, finest)
+        return Profile.harmonic_mode(k, finest.X)
     if form == "sine_series":
-        return Profile.sine_series(_numbers(d.get("coeffs", []), "profile coeffs"), X)
+        return Profile.sine_series(_numbers(d.get("coeffs", []), "profile coeffs"), finest.X)
     return Profile.piecewise_poly(
         _numbers(d["breakpoints"], "profile breakpoints"),
         [_numbers(p, "profile pieces") for p in _list(d["pieces"], "profile pieces")])
@@ -166,17 +169,18 @@ def time_profile_from_dict(d: dict) -> TimeProfile:
     return TimeProfile.polynomial(_numbers(d.get("coeffs", []), "time profile coeffs"))
 
 
-def dataspec_from_dict(d: dict, X: float, finest_n: int) -> DataSpec:
+def dataspec_from_dict(d: dict, finest: MeshSpec) -> DataSpec:
+    X = finest.X
     try:
-        u0 = profile_from_dict(d["u0"], X, finest_n) if d.get("u0") else Profile.zero(X)
-        u1 = profile_from_dict(d["u1"], X, finest_n) if d.get("u1") else Profile.zero(X)
+        u0 = profile_from_dict(d["u0"], finest) if d.get("u0") else Profile.zero(X)
+        u1 = profile_from_dict(d["u1"], finest) if d.get("u1") else Profile.zero(X)
         f = None
         if d.get("f"):
             fd = d["f"]
             if not isinstance(fd, dict):
                 raise ConfigurationError(f"data.f must be an object, got {fd!r}")
             _refuse_unknown(fd, ("space", "time"), "data.f")
-            f = Forcing(space=profile_from_dict(fd["space"], X, finest_n),
+            f = Forcing(space=profile_from_dict(fd["space"], finest),
                         time=time_profile_from_dict(fd["time"]))
     except KeyError as exc:
         raise ConfigurationError(f"missing data key: {exc}") from exc
@@ -192,8 +196,9 @@ def dataspec_from_dict(d: dict, X: float, finest_n: int) -> DataSpec:
 
 @dataclass
 class ExperimentConfig:
-    """A checked experiment.  data is what every rung steps: None only for
-    sharpness, whose mode k_h each rung chooses from sharpness_j."""
+    """A checked experiment, every field read from the config: the runners
+    step its rungs one at a time.  data is what every rung steps: None only
+    for sharpness, whose mode k_h each rung chooses from sharpness_j."""
 
     kind: str
     rungs: list[MeshSpec]
@@ -209,7 +214,6 @@ class ExperimentConfig:
     n_pairs: int
     fit_drop_coarsest: int
     decimate: int
-    jobs: int = 1  # the CLI's --jobs; no config key sets it
 
 
 def _integer(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
@@ -291,7 +295,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _refuse_unknown(raw, _KEYS["config"], "config", _IGNORED_KEYS)
     _refuse_unknown(mesh_cfg, _KEYS["mesh"], "mesh")
     rungs = _build_rungs(mesh_cfg)
-    X, finest_n = rungs[0].X, max(mesh.N for mesh in rungs)
+    X, finest = rungs[0].X, max(rungs, key=lambda mesh: mesh.N)
 
     data_cfg = raw.get("data")
     sharpness_j = None
@@ -327,12 +331,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 raise ConfigurationError(f"invalid harmonic data: {exc}") from exc
             # k is checked against the finest rung; the data are valid
             # on every rung: they read only X and a, which the rungs share
-            require_resolved(harmonic.k, finest_n)
+            require_resolved(harmonic.k, finest)
             data = harmonic_dataspec(harmonic, rungs[0])
     elif "preset" in data_cfg:
         data = PRESETS[_choice(data_cfg["preset"], "data.preset", tuple(PRESETS))].make(X)
     else:
-        data = dataspec_from_dict(data_cfg, X, finest_n)
+        data = dataspec_from_dict(data_cfg, finest)
 
     scalars = {key: check(raw.get(key, default), key, kind)
                for key, (default, check, _) in _SCALARS.items()}

@@ -22,8 +22,8 @@ read, and takes the norms of its data and grid data for all data sets at once.
 oracle-check compares each block with oracle.discrete_blocks of the same grid
 data, for any data section: it checks stepping, not data assembly.
 
-The rungs of converge and sharpness ladders are independent and run in a
-process pool when jobs > 1; the other runners step on one process.
+Every runner steps its rungs one after another in one process, so a run
+holds one rung's arrays at a time: those that config's memory check counts.
 """
 
 from __future__ import annotations
@@ -256,15 +256,6 @@ def _emit(config: ExperimentConfig, started: float, tables, extra: dict) -> None
     _write_summary(config, extra, started, [str(config.out_dir / t[0]) for t in tables])
 
 
-def _map_rungs(fn, payloads, jobs: int):
-    if jobs > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~20 ms: not at start-up
-        # no more workers than rungs: the pool may start all of them at once
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
-
-
 # --------------------------------------------------------------------------
 # convergence
 
@@ -299,8 +290,7 @@ def _measured(config: ExperimentConfig, mesh: MeshSpec, data: DataSpec, referenc
                     "level_bytes": level_bytes(mesh, inputs[2] is not None)}
 
 
-def _converge_rung(payload):
-    config, mesh = payload
+def _converge_rung(config: ExperimentConfig, mesh: MeshSpec):
     return _measured(config, mesh, config.data, dalembert_reference(mesh, config.data),
                      config.mode)
 
@@ -308,7 +298,7 @@ def _converge_rung(payload):
 def run_convergence(config: ExperimentConfig, emit: bool = True) -> ConvergenceResult:
     """Ladder study: error norms per rung, pairwise orders, fitted slope."""
     started = _begin(config, emit)
-    pairs = _map_rungs(_converge_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
+    pairs = [_converge_rung(config, mesh) for mesh in config.rungs]
     reports = [p[0] for p in pairs]
     rows = []
     for i, (mesh, rep) in enumerate(zip(config.rungs, reports)):
@@ -395,8 +385,7 @@ class SharpnessResult:
     j: int
 
 
-def _sharpness_rung(payload):
-    config, mesh = payload
+def _sharpness_rung(config: ExperimentConfig, mesh: MeshSpec):
     j = config.sharpness_j
     k_h = choose_k_h(config.alpha, mesh)
     data = harmonic_dataspec(HarmonicData(j=j, k=k_h), mesh)
@@ -413,7 +402,7 @@ def _sharpness_rung(payload):
 def run_sharpness(config: ExperimentConfig, emit: bool = True) -> SharpnessResult:
     """Measured vs predicted space-time L1 error norms at the selected modes."""
     started = _begin(config, emit)
-    pairs = _map_rungs(_sharpness_rung, [(config, mesh) for mesh in config.rungs], config.jobs)
+    pairs = [_sharpness_rung(config, mesh) for mesh in config.rungs]
     rows = [p[0][0] for p in pairs]
     rows_dx = [p[0][1] for p in pairs]
     result = SharpnessResult(rows=rows, rows_dx=rows_dx, j=config.sharpness_j)

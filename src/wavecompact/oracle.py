@@ -77,12 +77,18 @@ class HarmonicData:
             raise ContractViolation("forcing data needs k >= 2 (resonant denominator at k = 1)")
 
 
-def require_resolved(k: int, N: int) -> None:
-    """Refuse a mode k > N - 1 with a MeshTooCoarseError naming a sufficient N."""
+def require_resolved(k: int, mesh: MeshSpec) -> None:
+    """Refuse a mode k > N - 1 of mesh: a MeshTooCoarseError naming the least
+    N 2^e that resolves it at the same tau/h, or a ConfigurationError naming k
+    when N 2^e or M 2^e exceeds MAX_CELLS."""
+    N = mesh.N
     if k > N - 1:  # the least N 2^e >= k + 1, in integers: k may exceed the float range
-        finer = N * 2 ** ((k + N) // N - 1).bit_length()
+        scale = 2 ** ((k + N) // N - 1).bit_length()
+        if scale * max(N, mesh.M) > MAX_CELLS:
+            raise ConfigurationError(f"mode index k = {k} exceeds N - 1 on every mesh of N, "
+                                     f"M <= {MAX_CELLS} at the tau/h of the N={N}, M={mesh.M} mesh")
         raise MeshTooCoarseError(f"mode index k = {k} exceeds N - 1 = {N - 1}; N >= "
-                                 f"{finer} suffices at the same tau/h", minimal_n=finer)
+                                 f"{scale * N} suffices at the same tau/h", minimal_n=scale * N)
 
 
 def _modes(k, mesh: MeshSpec):
@@ -102,7 +108,7 @@ def dispersion(k: int, mesh: MeshSpec) -> DispersionRecord:
     check_stable(mesh)
     if k < 1:
         raise ContractViolation(f"mode index must be >= 1, got {k}")
-    require_resolved(k, mesh.N)
+    require_resolved(k, mesh)
     lam, amp, theta = _modes(k, mesh)
     cm = canonical_mesh(mesh)
     return DispersionRecord(k=k, lambda_k=float(lam), phi_k=float(np.sqrt(lam / amp)),

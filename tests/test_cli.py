@@ -188,18 +188,22 @@ def test_unresolvable_harmonic_profile_k_exits_2_at_load(tmp_path, capsys, slot)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("k, code", [(2 ** 52 - 1, 2), (2 ** 52, 3), (10 ** 30, 3), (10 ** 400, 3)],
+                         ids=["2^52-1", "2^52", "1e30", "1e400"])
 @pytest.mark.parametrize("where", ["harmonic", "profile"])
-def test_harmonic_k_beyond_the_float_range_exits_2_at_load(tmp_path, capsys, where):
-    # the sufficient N is found in integers: (k + 1) / N overflows a float
-    k = 10 ** 400
+def test_harmonic_k_that_no_mesh_resolves_exits_3_at_load(tmp_path, capsys, where, k, code):
+    # on N = 8, M = 16 the least N 2^e that resolves k = 2^52 - 1 is 2^52, with
+    # M = 2^53 = MAX_CELLS: a finer mesh to name (exit 2); no mesh of N, M <=
+    # MAX_CELLS resolves k = 2^52, nor a k past the float range (exit 3)
     data = ({"harmonic": {"j": 1, "k": k}} if where == "harmonic"
             else {"u0": {"form": "harmonic", "k": k}})
-    cfg = _write_config(tmp_path, {"kind": "solve", "mesh": _mesh(16), "data": data,
+    cfg = _write_config(tmp_path, {"kind": "solve", "mesh": _mesh(8), "data": data,
                                    "out_dir": str(tmp_path / "out")})
-    assert main(["solve", "--config", str(cfg)]) == 2
+    assert main(["solve", "--config", str(cfg)]) == code
     err = capsys.readouterr().err
-    finer = 16 * 2 ** math.ceil(math.log2(k // 16 + 1))  # k // 16 + 1 is no power of 2
-    assert f"mode index k = {k} exceeds N - 1 = 15; N >= {finer} suffices" in err
+    assert (f"mode index k = {k} exceeds N - 1 = 7; N >= {2 ** 52} suffices at the same tau/h"
+            if code == 2 else f"configuration error: mode index k = {k} exceeds N - 1 on every "
+            f"mesh of N, M <= {2 ** 53} at the tau/h of the N=8, M=16 mesh") in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
@@ -432,8 +436,12 @@ def test_out_dir_that_is_a_file_exits_3_before_any_rung(tmp_path, capsys, monkey
     assert taken.read_text() == "kept" and not (tmp_path / "out").exists()
 
 
-_ONE_PROCESS_CONFIGS = {
+_JOBS_CONFIGS = {
     "solve": {"kind": "solve", "mesh": _mesh(8), "data": {"harmonic": {"j": 0, "k": 1}}},
+    "converge": {"kind": "converge", "mesh": _mesh(8, refinements=2),
+                 "data": {"harmonic": {"j": 0, "k": 1}}},
+    "sharpness": {"kind": "sharpness", "mesh": _mesh(16, refinements=1),
+                  "data": {"harmonic": {"j": 0}}},
     "oracle-check": {"kind": "oracle_check", "mesh": _mesh(8),
                      "data": {"harmonic": {"j": 0, "k": 1}}},
     "stability-probe": {"kind": "stability_probe", "mesh": _mesh(8), "n_random": 2,
@@ -442,27 +450,32 @@ _ONE_PROCESS_CONFIGS = {
 
 
 @pytest.mark.parametrize("command, jobs, code", [
-    ("converge", "2", 0), ("converge", "0", 3), ("converge", "-2", 3),
-    ("solve", "2", 3), ("oracle-check", "2", 3), ("stability-probe", "4", 3),
-    ("stability-probe", "1", 0)],
-    ids=["2-0", "0-3", "-2-3", "solve-2-3", "oracle-check-2-3", "stability-probe-4-3",
-         "stability-probe-1-0"])
+    ("solve", "1", 0), ("converge", "1", 0), ("sharpness", "1", 0), ("oracle-check", "1", 0),
+    ("stability-probe", "1", 0), ("converge", "2", 3), ("converge", "0", 3),
+    ("converge", "-2", 3), ("sharpness", "2", 3), ("solve", "2", 3), ("oracle-check", "2", 3),
+    ("stability-probe", "4", 3)],
+    ids=["solve-1-0", "converge-1-0", "sharpness-1-0", "oracle-check-1-0",
+         "stability-probe-1-0", "converge-2-3", "0-3", "-2-3", "sharpness-2-3", "solve-2-3",
+         "oracle-check-2-3", "stability-probe-4-3"])
 def test_jobs_flag_runs_rungs_in_parallel_and_refuses_below_1(tmp_path, capsys, command, jobs,
                                                               code):
-    # only converge and sharpness run rungs in parallel: --jobs above 1 on
-    # another subcommand is refused, naming it, instead of doing nothing
-    cfg = _write_config(tmp_path, {
-        **_ONE_PROCESS_CONFIGS.get(command, {
-            "kind": "converge", "mesh": _mesh(8, refinements=2),
-            "data": {"harmonic": {"j": 0, "k": 1}}}),
-        "out_dir": str(tmp_path / "out"),
-    })
+    # no run starts a worker process: --jobs 1, which the benchmark passes, runs
+    # as no flag does, and any other value is refused, naming the flag
+    out, plain = tmp_path / "out", tmp_path / "plain"
+    cfg = _write_config(tmp_path, {**_JOBS_CONFIGS[command], "out_dir": str(out)})
     assert main([command, "--config", str(cfg), "--jobs", jobs]) == code
+    printed, err = capsys.readouterr()
     if code:
-        err = capsys.readouterr().err
-        assert (f"--jobs must be an integer >= 1, got {jobs}" if int(jobs) < 1
-                else f"--jobs {jobs} is not read by {command}") in err
-        assert "Traceback" not in err and not (tmp_path / "out").exists()
+        assert f"configuration error: --jobs {jobs} is not read" in err
+        assert "Traceback" not in err and not out.exists()
+        return
+    assert main([command, "--config", str(cfg), "--out", str(plain)]) == 0
+    assert capsys.readouterr().out == printed.replace(str(out), str(plain))
+    names = sorted(path.name for path in out.iterdir())
+    assert names == sorted(path.name for path in plain.iterdir())
+    for name in names:  # the summary's timings and the npz's zip timestamps differ
+        if name.endswith(".csv") or name == "error_report.json":
+            assert (out / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("what", ["directory", "not_utf8"])
@@ -618,6 +631,9 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
      {"data": {"preset": "hat_step", "u1": {"form": "harmonic", "k": 2}}}),
     ("sharpness", "data.harmonic.k 7 is not read by sharpness runs",
      {"data": {"harmonic": {"j": 0, "k": 7}}}),
+    # a harmonic profile's k is named as such, not as a sine_series mode
+    *[("solve", f"profile k must be an integer >= 1, got {k}",
+       {"data": {"u0": {"form": "harmonic", "k": k}}}) for k in (0, -3)],
 ], ids=["mesh_N", "mesh_N_2", "mesh_rungs_N_2",
         "n_pairs", "forcing_without_space", "decimate", "mesh_X",
         "mesh_X_null", "mesh_T", "mesh_a", "mesh_eps0", "mesh_M_missing", "alpha",
@@ -637,7 +653,8 @@ _NO_SPACE_FORCING = {"u0": None, "u1": None,
         "mesh_X_subnormal", "probe_eps0_squared_underflows", "mesh_N_huge", "mesh_M_huge", "mesh_rungs_N_huge",
         "data_key_misspelled", "profile_key_misspelled", "piecewise_key_misspelled",
         "time_profile_key_misspelled", "forcing_key_misspelled", "harmonic_key_misspelled",
-        "data_harmonic_and_preset", "data_preset_and_profiles", "sharpness_harmonic_k"])
+        "data_harmonic_and_preset", "data_preset_and_profiles", "sharpness_harmonic_k",
+        "profile_k_zero", "profile_k_negative"])
 def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     cfg = _write_config(tmp_path, {
         "kind": kind, "mesh": _mesh(16), "data": None,
@@ -792,8 +809,8 @@ def test_non_numeric_value_in_any_numeric_key_exits_3(section_key, value):
 
 def test_importing_the_cli_skips_scipy_linalg_and_the_process_pool():
     # the package import of scipy.linalg, for two LAPACK routines, would be
-    # half of every run's start-up; the process pool is imported only when a
-    # pool starts, and difflib only when a config key is unknown
+    # half of every run's start-up; no run starts a process pool, and difflib
+    # is imported only when a config key is unknown
     probe = ("import sys, wavecompact.cli; print(sorted(m for m in sys.modules if m in "
              "('scipy.linalg', 'concurrent.futures.process', 'difflib')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

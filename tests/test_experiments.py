@@ -608,47 +608,6 @@ def test_random_dataspec_properties():
         assert all(len(c) <= 4 for p in profiles for c in p.pieces)
 
 
-def test_rung_pool_has_no_more_workers_than_rungs(monkeypatch):
-    # a huge jobs value must not become a huge pool; the fake pool starts no
-    # process and maps in this one
-    import concurrent.futures
-
-    import wavecompact.experiments as experiments
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    assert experiments._map_rungs(abs, [-1, -2, -3], 10 ** 6) == [1, 2, 3]
-    assert experiments._map_rungs(abs, [-1, -2, -3], 2) == [1, 2, 3]
-    assert sizes == [3, 2]
-
-
-def test_parallel_rungs_match_sequential():
-    base = {
-        "kind": "converge",
-        "mesh": _base_mesh_cfg(8, refinements=2),
-        "data": {"harmonic": {"j": 0, "k": 2}},
-    }
-    seq = run_convergence(config_from_dict(base), emit=False)
-    par_config = config_from_dict(base)
-    par_config.jobs = 2
-    par = run_convergence(par_config, emit=False)
-    for a, b in zip(seq.rows, par.rows):
-        assert a.err_energy == pytest.approx(b.err_energy, rel=1e-14)
-
-
 # --------------------------------------------------------------------------
 # measured rungs: converge and sharpness hold O(N) levels per rung
 
@@ -671,10 +630,10 @@ def test_a_measured_rung_allocates_less_than_half_a_trajectory():
     for config, rung in zip(_rung_configs(256, 512),
                             (experiments._sharpness_rung, experiments._converge_rung)):
         mesh = config.rungs[0]
-        rung((config, mesh))  # the factor caches and lazy imports
+        rung(config, mesh)  # the factor caches and lazy imports
         tracemalloc.start()
         try:
-            rung((config, mesh))
+            rung(config, mesh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -688,13 +647,12 @@ def _unforced_level_bytes(N, M):
     return (69 * (N + 1) + 48 * (N - 1) + 6 * M + 3) * 8
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_measured_rungs_have_summary_rows(tmp_path, jobs):
-    # one run-summary row per rung, from the workers too: its size, its
-    # step-and-measure time, its largest residual and the bytes of the
-    # buffers it allocated, O(N + M) where a stored trajectory is O(M N)
+def test_measured_rungs_have_summary_rows(tmp_path):
+    # one run-summary row per rung: its size, its step-and-measure time, its
+    # largest residual and the bytes of the buffers it allocated, O(N + M)
+    # where a stored trajectory is O(M N)
     for config in _rung_configs(32, 256):
-        config.out_dir, config.jobs = tmp_path / config.kind, jobs
+        config.out_dir = tmp_path / config.kind
         (run_sharpness if config.kind == "sharpness" else run_convergence)(config)
         rows = json.loads((config.out_dir / "run_summary.json").read_text())["rungs"]
         assert [(r["N"], r["M"]) for r in rows] == [(m.N, m.M) for m in config.rungs]

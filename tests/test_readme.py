@@ -1,5 +1,5 @@
-"""The README's code runs, its Layout names every module and its table of
-scalar config keys is the config's."""
+"""The README's code runs, its Layout names every module, its table of
+scalar config keys is the config's and its flags are the parser's."""
 
 import json
 import re
@@ -37,3 +37,17 @@ def test_readme_table_of_scalar_keys_is_the_configs():
     table = {key: (json.loads(default), tuple(re.findall(r"`(\w+)`", readers)))
              for key, default, readers in rows}
     assert table == {key: (default, readers) for key, (default, _, readers) in _SCALARS.items()}
+
+
+def test_readme_and_cli_docstring_name_the_flags_of_help():
+    # the flags sentence of the README's "Command line" and the cli module's
+    # usage line name exactly the options that --help shows
+    from wavecompact import cli
+    shown = set(re.findall(r"--[\w-]+", cli._parser().format_help())) - {"--help"}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (sentence,) = re.findall(r"^Subcommands: .*?; flags (.*?)\.  ",
+                             text.split("## Command line", 1)[1], re.M | re.S)
+    (usage,) = re.findall(r"^    wavecompact <.*?\n\n", cli.__doc__, re.M | re.S)
+    assert shown == {"--config", "--out"}
+    assert set(re.findall(r"--[\w-]+", sentence)) == shown
+    assert set(re.findall(r"--[\w-]+", usage)) == shown
