@@ -62,7 +62,9 @@ a forced run for the probe, plus 256 KiB for its data descriptors, row views and
 numpy's iteration buffers, and per pair of n_pairs the larger of its draws' and
 margins' 8 (N+1) floats and its two rows with their CSV cells, plus the rows of
 the rungs before (they are kept until emit); plus reference.reference_bytes
-where a run builds it.  Runs step one rung at a time: that is all they hold.
+where a run builds it, or reference.build_bytes if larger: the reference is
+built before the run's arrays are.  Runs step one rung at a time: that is all
+they hold.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .data import PRESETS, U1_VARIANTS, DataSpec, Forcing, Profile, TimeProfile
 from .errors import ConfigurationError
 from .grid import MAX_CELLS, MeshSpec, build_mesh, check_stable
 from .oracle import HarmonicData, harmonic_dataspec, require_resolved
-from .reference import reference_bytes, reference_refusal
+from .reference import build_bytes, reference_bytes, reference_refusal
 from .scheme import ERROR_MODES, level_bytes
 
 KINDS = ("solve", "converge", "sharpness", "oracle_check", "stability_probe")
@@ -383,7 +385,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         check_stable(mesh)
         held = (8 * (mesh.M + 1) * (mesh.N + 1) if kind == "solve"
                 else columns * level_bytes(mesh, forced))
-        held += builds and reference_bytes(mesh, modes)
+        if builds:  # the reference is built before the run's arrays are allocated
+            held = max(held + reference_bytes(mesh, modes), build_bytes(mesh, modes, data))
         # the probe: what does not grow with the mesh, and per pair the larger of its
         # draws' and margins' 8 (N+1) floats and its two rows, plus the two rows of each
         # rung before (kept until emit), each row with its CSV cells

@@ -156,7 +156,7 @@ class Profile:
             for k, c in zip(self.modes, self.coeffs):
                 out += c * root * np.sin(np.pi * k * x / self.X)
             return out
-        return _period_values(_period_pieces([self], 1.0), x)[0]
+        return _period_values(_period_pieces([self], 1.0), _on_period(x, self.X))[0]
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,7 @@ def average_qh(w, mesh: MeshSpec) -> GridFn:
                        lambda p: extension_sampler(p, False, mesh.h)[1](0.0, mesh.N + 1),
                        lambda ps: _hat_averages(
                            _hat_average_table(_period_pieces(ps, -1.0), mesh.h),
-                           mesh.h * np.arange(mesh.N + 1)))
+                           _on_period(mesh.h * np.arange(mesh.N + 1), ps[0].X)))
     out[..., ::mesh.N] = 0.0
     return out
 
@@ -395,28 +395,47 @@ def average_qtau(g, mesh: MeshSpec) -> np.ndarray:
     return _by_form(g, "polynomial", harmonic, polynomial)
 
 
+class SamplePoints:
+    """The points y = start + j h, j = 0..count-1, one row per start, of
+    extension_sampler's calls, as given (y) and on a period [-X, X)
+    (on_period(X)); the reduction is made once per X and shared by every
+    sampler called on the same points."""
+
+    def __init__(self, start, count: int, h: float):
+        self.y, self._reduced = np.add.outer(start, h * np.arange(count)), {}
+
+    def on_period(self, X: float) -> np.ndarray:
+        if X not in self._reduced:
+            self._reduced[X] = _on_period(self.y, X)
+        return self._reduced[X]
+
+
 def extension_sampler(w: Profile, antiderivative: bool, h: float):
     """(evaluate, average) of W at y = start + j h, j = 0..count-1, called as
     f(start, count) with h bound here: one row per start, a number or an array
-    of them.  evaluate gives W and average its hat averages, W being the odd
-    2X-periodic extension of w or, with antiderivative set, the even periodic
-    antiderivative of that extension.
+    of them; or called as f(points) on SamplePoints(start, count, h), which
+    samplers of one period share.  evaluate gives W and average its hat
+    averages, W being the odd 2X-periodic extension of w or, with
+    antiderivative set, the even periodic antiderivative of that extension.
 
     A sine series is its own extension, its antiderivative the cosine series,
     and each mode's hat average is its eigenfactor times the mode; a row is
     one matrix-vector product, with the bits of its call alone.  A piecewise
-    profile is one _period_pieces table, all rows in one call.
+    profile is one _period_pieces table, all rows in one call on the points
+    reduced onto its period.
     """
-    def points(start, count):
-        return np.add.outer(start, h * np.arange(count))
+    def sampler(kernel):  # kernel of the SamplePoints
+        def sample(start, count=None):
+            return kernel(start if count is None else SamplePoints(start, count, h))
+        return sample
     if w.form == "sine_series":
         omega = np.pi * np.array(w.modes, dtype=float) / w.X
         amps = np.array(w.coeffs) * math.sqrt(2.0 / w.X)
         wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
 
         def rows(a):  # one matrix-vector product per row
-            return lambda start, count: np.apply_along_axis(
-                lambda y: wave(np.outer(y, omega)) @ a, -1, points(start, count))
+            return sampler(lambda points: np.apply_along_axis(
+                lambda y: wave(np.outer(y, omega)) @ a, -1, points.y))
         return rows(amps), rows(amps * hat_average_factor(omega * h))
     if antiderivative:
         b, pieces, value = w.breakpoints, [], 0.0
@@ -426,8 +445,8 @@ def extension_sampler(w: Profile, antiderivative: bool, h: float):
         w = Profile.piecewise_poly(b, pieces)
     period = _period_pieces([w], 1.0 if antiderivative else -1.0)
     table = _hat_average_table(period, h)
-    return (lambda start, count: _period_values(period, points(start, count))[0],
-            lambda start, count: _hat_averages(table, points(start, count))[0])
+    return (sampler(lambda points: _period_values(period, points.on_period(period[0]))[0]),
+            sampler(lambda points: _hat_averages(table, points.on_period(period[0]))[0]))
 
 
 def _period_pieces(ws, sign: float):
@@ -450,14 +469,15 @@ def _on_period(y, X: float) -> np.ndarray:
     return np.where(r >= X, r - 2.0 * X, r)
 
 
-def _period_values(pieces, y) -> np.ndarray:
-    """W of a _period_pieces table at the points y, as (B,) + y.shape rows: one
-    piece lookup and one Horner pass.  Within 1e-13 X of an edge W is the mean
-    of its two sides there, exactly 0 at 0 and +-X for an odd W, where an even
-    W is one-sided.  Horner at -x of a mirrored piece is that of the piece at
-    x, negated for an odd W: the values of w folded onto [0, X]."""
+def _period_values(pieces, r) -> np.ndarray:
+    """W of a _period_pieces table at the points r on its period (_on_period),
+    as (B,) + r.shape rows: one piece lookup and one Horner pass.  Within
+    1e-13 X of an edge W is the mean of its two sides there, exactly 0 at 0 and
+    +-X for an odd W, where an even W is one-sided.  Horner at -x of a mirrored
+    piece is that of the piece at x, negated for an odd W: the values of w
+    folded onto [0, X]."""
     X, sign, ends, coeffs = pieces
-    r, tol = _on_period(y, X).reshape(1, -1), 1e-13 * X
+    shape, r, tol = np.shape(r), np.reshape(r, (1, -1)), 1e-13 * X
     first = np.arange(len(ends))[:, None] * ends.shape[1]  # row b's edges and pieces, flat
     last = np.count_nonzero(~np.isnan(ends), axis=1)[:, None] - 1  # each row's edge at X
     k = np.array([row[1:].searchsorted(r[0] + tol, side="right") for row in ends])  # edge k:
@@ -474,7 +494,7 @@ def _period_values(pieces, y) -> np.ndarray:
         k, at, last, first = k[b, i], at[b, i], last[b, 0], first[b, 0]
         out[b, i] = 0.5 * (horner(first + (k - 1) % last, np.where(k == 0, X, at))
                            + horner(first + k % last, np.where(k == last, -X, at)))
-    return out.reshape((len(ends),) + np.shape(y))
+    return out.reshape((len(ends),) + shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing data: non-finite averages
@@ -522,10 +542,10 @@ def _hat_average_table(pieces, h: float):
     return X, np.where(np.isnan(cuts), np.inf, cuts), table
 
 
-def _hat_averages(table, y) -> np.ndarray:
-    """Q of a _hat_average_table at the points y, as (B,) + y.shape rows."""
-    X, cuts, coeffs = table
-    r = _on_period(y, X)
+def _hat_averages(table, r) -> np.ndarray:
+    """Q of a _hat_average_table at the points r on its period (_on_period),
+    as (B,) + r.shape rows."""
+    _, cuts, coeffs = table
     at = (np.array([row.searchsorted(r, side="right") for row in cuts])  # the interval of each r
           + np.arange(-1, cuts.size - 1, cuts.shape[1]).reshape((-1,) + (1,) * r.ndim))
     return npoly.polyval(r - cuts.ravel().take(at), coeffs.take(at, axis=1), tensor=False)
@@ -536,7 +556,7 @@ def sample_nodes(w, mesh: MeshSpec) -> GridFn:
     profiles: w through its even extension (the mean of the sides at a jump)."""
     x = mesh.nodes()
     return _by_form(w, "piecewise", lambda p: p(x),
-                    lambda ps: _period_values(_period_pieces(ps, 1.0), x))
+                    lambda ps: _period_values(_period_pieces(ps, 1.0), _on_period(x, ps[0].X)))
 
 
 def build_u1h(variant: str, u1, mesh: MeshSpec) -> GridFn:

@@ -157,9 +157,11 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
         dt = np.diff(v, axis=1) / mesh.tau
         dt_norms = space_norm(dt.reshape(-1, N + 1), "mass", mesh).reshape(len(v), -1)
         d = grid._backward_diff(v, mesh.h)  # dt is now the energy's scratch
-        energy = grid._energy_from_differences(v[:, :-1], v[:, 1:], d[:, :-1], d[:, 1:], mesh, dt)
+        d_sq = grid._sq_sum(d[..., :-1], mesh.h)
+        energy = grid._energy_from_differences(v[:, :-1], v[:, 1:], d[:, :-1], d[:, 1:], mesh, dt,
+                                               sq=(d_sq[:, :-1], d_sq[:, 1:]))
         np.maximum(maxima, [energy.max(axis=1), dt_norms.max(axis=1),
-                            np.sqrt(grid._sq_sum(d[..., :-1], mesh.h)).max(axis=1)], out=maxima)
+                            np.sqrt(d_sq).max(axis=1)], out=maxima)
         del dt, d  # no block-sized array is held while the next block steps
     stepped = time.perf_counter()
     # the data norms of all columns, one call each

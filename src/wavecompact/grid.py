@@ -43,11 +43,20 @@ D w = (w[i] - w[i-1]) / h of the two levels:
     ||w||_B^2 = ||w||_l2^2 - (h^2/6) ||D w||^2,    ||w||_S^2 = ||D w||^2,
 
 so a caller that already holds the differences of its levels, as
-scheme.measure_error does, reuses them; _energy_from_differences is the
-package's one energy formula, and _sq_sum, one row dot product (np.vecdot,
-the BLAS ddot) per level, its one sum of squares.  The mass and stiffness
-norms of space_norm keep the three-point forms _mass_form and
-_stiffness_form, so summation by parts can be checked against them.
+scheme.measure_error does, reuses them, and with them the row sums of
+squares ||D w||^2 of its dx norms: the average term comes from those by the
+parallelogram law,
+
+    ||D st v||^2 = (||D v_prev||^2 + ||D v_curr||^2) / 2 - tau^2 ||D dt v||^2 / 4,
+
+so D st v is never formed.  dt v and D dt v are formed, times 1/tau, before
+they are squared: the sums then overflow exactly where the three-point forms
+do, and data too large to measure is refused rather than measured finite.
+_energy_from_differences is the package's one energy formula, and _sq_sum,
+one row dot product (np.vecdot, the BLAS ddot) per level, its one sum of
+squares.  The mass and stiffness norms of space_norm keep the three-point
+forms _mass_form and _stiffness_form, so summation by parts can be checked
+against them.
 """
 
 from __future__ import annotations
@@ -234,13 +243,14 @@ def _sq_sum(x: np.ndarray, h: float):
 
 
 def _backward_diff(w: np.ndarray, h: float, out=None):
-    """(w[i] - w[i-1]) / h for i = 1..N, of one level or of each level of a
-    C-contiguous stack, in the first N columns of out (new if None), as wide as
-    w, and zero in its last: one flat pass, as is every later pass over out."""
+    """(w[i] - w[i-1]) * (1/h) for i = 1..N (within an ulp of the quotient), of
+    one level or of each level of a C-contiguous stack, in the first N columns
+    of out (new if None), as wide as w, and zero in its last: one flat pass, as
+    is every later pass over out."""
     flat, out = w.reshape(-1, copy=False), np.empty(w.shape) if out is None else out
     np.subtract(flat[1:], flat[:-1], out=out.reshape(-1, copy=False)[:-1])
     out[..., -1] = 0.0  # the seams between rows
-    return np.divide(out, h, out=out)
+    return np.multiply(out, 1.0 / h, out=out)
 
 
 SPACE_NORM_KINDS = ("l2", "diff_l2", "l1", "mass", "stiffness")
@@ -310,27 +320,40 @@ def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec):
         v_prev, v_curr, _backward_diff(v_prev, h), _backward_diff(v_curr, h), mesh))
 
 
-def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec, scratch=None):
-    """The energy norms of Dirichlet level pairs from their values and backward
-    differences d = (w[i] - w[i-1]) / h (or _backward_diff's zero-ended rows),
-    by summation by parts, in scratch (shaped as the levels) if given.
+def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec, scratch=None,
+                             sq=None):
+    """The energy norms of Dirichlet level pairs from their values, backward
+    differences d = (w[i] - w[i-1]) / h (or _backward_diff's zero-ended rows)
+    and the row sums of squares sq = (||D v_prev||^2, ||D v_curr||^2), which
+    the measurers hold from their dx norms (None: summed here from d), by
+    summation by parts, in scratch (shaped as the levels) if given.
 
-    dt v, D dt v and D st v are formed before squaring (times 1/tau, which is
-    within an ulp of the quotient), so the sums overflow where the three-point
-    forms do.  A radicand below -1e-12 times the sum of its terms' magnitudes
-    is an InvariantError naming the first such row of a stack; the caller has
+    dt v and D dt v are formed and scaled by 1/tau (within an ulp of the
+    quotient) before squaring, so the sums overflow where the three-point forms
+    do.  D st v is not formed: by the parallelogram law
+
+        ||D st v||^2 = (||D v_prev||^2 + ||D v_curr||^2) / 2 - tau^2 ||D dt v||^2 / 4,
+
+    three passes fewer than forming, halving and squaring it.  Its rounding is
+    relative to a^2 (||D v_prev||^2 + ||D v_curr||^2) / 2, which is at most
+    (3 / eps0^2 - 1/2) times the energy's square on an admissible mesh (the
+    mass term bounds tau^2 a^2 ||D dt v||^2 / 4), so of a pair of levels the
+    norm keeps its relative accuracy, even where D st v nearly vanishes.  A
+    radicand below -1e-12 times the sum of its terms' magnitudes is an
+    InvariantError naming the first such row of a stack; the caller has
     checked the mesh and the Dirichlet ends.
     """
     h, tau, a2, n = mesh.h, mesh.tau, mesh.a ** 2, mesh.N
+    sq_prev, sq_curr = ((_sq_sum(d_prev[..., :n], h), _sq_sum(d_curr[..., :n], h))
+                        if sq is None else sq)
     t = np.empty(np.shape(v_curr)) if scratch is None else scratch  # the one scratch array
     dt = np.subtract(v_curr, v_prev, out=t)  # the ends are not read
     dt_sq = _sq_sum(np.multiply(dt, 1.0 / tau, out=dt)[..., 1:-1], h)
     d_dt = np.subtract(d_curr, d_prev, out=t[..., :np.shape(d_curr)[-1]])
     d_dt_sq = _sq_sum(np.multiply(d_dt, 1.0 / tau, out=d_dt)[..., :n], h)
-    d_st = np.add(d_curr, d_prev, out=d_dt)
     term_b = dt_sq - h ** 2 / 6.0 * d_dt_sq  # ||dt v||_B^2 by summation by parts
     term_mid = (mesh.sigma - 0.25) * tau ** 2 * a2 * d_dt_sq
-    term_avg = a2 * _sq_sum(np.multiply(d_st, 0.5, out=d_st)[..., :n], h)
+    term_avg = a2 * (0.5 * (sq_prev + sq_curr) - 0.25 * tau ** 2 * d_dt_sq)  # a^2 ||D st v||^2
     total = term_b + term_mid + term_avg
     if not np.min(total) >= 0.0:  # no row can fail otherwise
         scale = np.abs(term_b) + np.abs(term_mid) + np.abs(term_avg)

@@ -34,8 +34,9 @@ as with aT = X (p/q = N/M) or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m
 = (q i +- p m) h/q lies on the lattice of spacing h/q: E and F are evaluated
 once on one period of it, L = 2Nq points in one call (filtered once), and
 kept as their q contiguous residue classes: the levels r, r + q, ... of
-E[qi + pm] or F[qi - pm] are rows of one.  Other meshes evaluate the levels
-served, one call per level for its rows x_i + a t_m and x_i - a t_m; the build
+E[qi + pm] or F[qi - pm] are rows of one.  A lattice is taken only where
+it is small, qN + pM + q <= 32 N + 2 M (_lattice).  Other meshes evaluate
+the levels served, one call per level for its rows x_i + a t_m and x_i - a t_m; the build
 evaluates level 0, which holds every value of U0 and V1 on (0, X), and every
 level refuses non-finite node values or averages alike, naming the datum (a
 filter beyond ~1e307 may overflow: the measurer refuses data that large).
@@ -49,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .data import DataSpec, Forcing, extension_sampler, hat_average_factor
+from .data import DataSpec, Forcing, SamplePoints, extension_sampler, hat_average_factor
 from .errors import ConfigurationError
 from .grid import MeshSpec, _three_point
 from .oracle import _duhamel, resonant
@@ -138,13 +139,46 @@ def reference_bytes(mesh: MeshSpec, modes: int) -> int:
     return 8 * (4 * (q * mesh.N + p * mesh.M + q) + 2 * modes * (mesh.N + 2))
 
 
+def build_bytes(mesh: MeshSpec, modes: int, data: DataSpec | None) -> int:
+    """Bytes dalembert_reference holds at once while it builds on mesh for data
+    forced by K = modes sine modes: what it keeps (reference_bytes), the M + 1
+    times of the levels, the 2K (N + 1) temporaries of the forced modes' shapes,
+    and those of its largest halves call, q rows of 2N points on a lattice or 2
+    rows of N + 1 per level.  That call holds per point 20 floats (the (2, rows,
+    count) output, E + F, the filter's padded copies and the samplers' own) and
+    the coefficients of the widest piece of the hat average tables, 3 more than
+    a piece of u0 or u1, which the piecewise samplers gather per point; and per
+    point of one row 3 floats per mode of a sine series u0 or u1, whose (count,
+    K) product is formed a row at a time.  data None is a harmonic datum, one
+    mode."""
+    lattice = _lattice(mesh)
+    rows, count = (lattice[1], 2 * mesh.N) if lattice else (2, mesh.N + 1)
+    profiles = (data.u0, data.u1) if data is not None else ()
+    width = max((len(piece) + 3 for w in profiles for piece in w.pieces or ()), default=0)
+    series = max((len(w.modes) for w in profiles if w.form == "sine_series"),
+                 default=0 if profiles else 1)
+    return reference_bytes(mesh, modes) + 8 * (
+        (20 + width) * rows * count + 3 * series * count + 2 * modes * (mesh.N + 1) + mesh.M + 1)
+
+
+# a lattice's E and F of both views, 4 (qN + pM + q) floats, are kept only up to 4
+# (32 N + 2 M): about a measured run's buffers, 117 N + 6 M floats (scheme.level_bytes)
+_LATTICE_FLOATS_PER_NODE, _LATTICE_FLOATS_PER_LEVEL = 32, 2
+
+
 def _lattice(mesh: MeshSpec):
-    """(p, q) with a tau / h = p / q to 1e-12 and q <= M, else None."""
+    """(p, q) with a tau / h = p / q to 1e-12 and q <= M, if E and F of both
+    views on the lattice hold at most 4 (32 N + 2 M) floats; else None, and
+    the reference is served level by level, in O(N)."""
     ratio = mesh.a * mesh.tau / mesh.h
     frac = Fraction(ratio).limit_denominator(mesh.M)
     if abs(frac - ratio) > 1e-12 * ratio:
         return None
-    return frac.numerator, frac.denominator
+    p, q = frac.numerator, frac.denominator
+    if (q * mesh.N + p * mesh.M + q
+            > _LATTICE_FLOATS_PER_NODE * mesh.N + _LATTICE_FLOATS_PER_LEVEL * mesh.M):
+        return None
+    return p, q
 
 
 # finite data may overflow in the forced modes: refuse names the datum
@@ -175,28 +209,38 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
 
     @np.errstate(over="ignore", invalid="ignore")  # it serves after the build too
     def halves(view, starts, count):
-        """E and F, U0/2 +- V1/(2a), at starts + j h, one row per start; view 1 the
-        q_2h filter of their hat averages, each row read as periodic (Reference
-        zeroes a level's ends)."""
-        out = np.empty((2, len(starts), count))
+        """E and F, U0/2 +- V1/(2a), at starts + j h, one row per start, as one
+        (2, len(starts), count) array; view 1 the q_2h filter of their hat
+        averages, each row read as periodic (Reference zeroes a level's ends).
+        The samplers share the points and, for piecewise data, their reduction."""
+        out, points = np.empty((2, len(starts), count)), SamplePoints(starts, count, h)
         for d, (name, sampler, scale) in enumerate(data_terms):
-            out[d] = np.multiply(sampler[view](starts, count), scale)
+            np.multiply(sampler[view](points), scale, out=out[d])
             if not np.all(np.isfinite(out[d])):
                 refuse(name)
-        e_f = out[0] + out[1], out[0] - out[1]
-        return _three_point(out, np.take(e_f, range(-1, count + 1), axis=2, mode="wrap"),
-                            -14.0, -12.0) if view else e_f
+        e = out[0] + out[1]
+        np.subtract(out[0], out[1], out=out[1])
+        out[0] = e
+        del e  # before the filter's padded copy
+        return _three_point(out, np.take(out, range(-1, count + 1), axis=2, mode="wrap"),
+                            -14.0, -12.0) if view else out
 
     lattice = _lattice(mesh)
     if lattice is not None:
         p, q = lattice
-        flat = q * np.arange(n + p * m // q + 1) + np.arange(q)[:, None]  # class c, entry j
+        entries = np.arange(n + p * m // q + 1)  # of each residue class
         classes = []
-        for view in (0, 1):  # flat entry q j + c of one period holds y = (q j + c) h/q
-            period = np.swapaxes(halves(view, np.arange(q) * h / q, 2 * n), 1, 2)
-            # the residue classes of E from y = 0 and of F from y = -pM h/q; levels
+        for view in (0, 1):  # row c, entry j of a period holds y = (q j + c) h/q
+            period = halves(view, np.arange(q) * h / q, 2 * n)
+            # the residue classes of E from y = 0 and of F from y = -pM h/q: entry
+            # q j + c - pM is entry j + (c - pM) // q of row (c - pM) % q; levels
             # r + q t, r < q, read E at q i + p (r + q t) and F at q i + p (M - r - q t)
-            e, f = (np.take(w, flat + shift, mode="wrap") for w, shift in zip(period, (0, -p * m)))
+            e = np.take(period[0], entries, axis=1, mode="wrap")
+            f = np.empty_like(e)
+            for c in range(q):
+                np.take(period[1, (c - p * m) % q], entries + (c - p * m) // q, mode="wrap",
+                        out=f[c])
+            del period
             classes.append([tuple(as_strided(w[s % q, s // q:], ((m - r) // q + 1, n + 1),
                                              (sign * p * w.itemsize, w.itemsize), writeable=False)
                                   for w, s, sign in ((e, p * r, 1), (f, p * (m - r), -1)))

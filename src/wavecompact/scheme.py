@@ -46,11 +46,16 @@ Error reports compare a run against a reference solution in two modes:
 One block measurer, _measure, reads the blocks of _march or, in
 measure_error, the same blocks of a stored trajectory: the errors of a block
 and their backward space differences, in buffers allocated once per call,
-computed once and read by every norm of the block, the energy norm included
-(grid._energy_from_differences, the formula energy_norm_pair evaluates), each
-sum of squares one row dot product (grid._sq_sum), each L1 norm h sum |e|.
-The reference serves its views into err_buf, the q_2h view (filtered by the
-reference) once the node errors are read: the filtered error is one subtraction.
+computed once and read by every norm of the block, each sum of squares one
+row dot product (grid._sq_sum), each L1 norm h sum |e| (np.add.reduce, the
+bits of np.sum).  The dx norms' row sums of squares feed the energy norm
+(grid._energy_from_differences, the formula energy_norm_pair evaluates),
+which forms only dt e and D dt e: per block of n levels and N + 1 columns,
+node_sampled mode makes 15 passes over n (N + 1) values (serving e, e - v,
+the difference and its 1/h, the dx sums, two passes for each L1 norm and six
+for the energy), where forming D st e made 18.  The reference serves its
+views into err_buf, the q_2h view (filtered by the reference) once the node
+errors are read: the filtered error is one subtraction.
 """
 
 from __future__ import annotations
@@ -365,19 +370,21 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
             np.subtract(err, v, out=err)
             err[:, 0] = err[:, -1] = 0.0
             d = _backward_diff(err, h, out=diff_buf[:rows])
-            dx[levels] = np.sqrt(_sq_sum(d[:, :-1], h))
+            d_sq = _sq_sum(d[:, :-1], h)
+            dx[levels] = np.sqrt(d_sq)
             if mode == "node_sampled":
-                energy[start:stop] = _energy_from_differences(err[:-1], err[1:], d[:-1], d[1:],
-                                                              mesh, energy_buf[:rows - 1])
+                energy[start:stop] = _energy_from_differences(
+                    err[:-1], err[1:], d[:-1], d[1:], mesh, energy_buf[:rows - 1],
+                    sq=(d_sq[:-1], d_sq[1:]))
             # |e| and |De| in place, after their last reader; the ends of e are
             # zero, so the trapezoid's end weights vanish
-            l1[levels] = np.sum(np.abs(err, out=err), axis=-1) * h
-            l1_dx[levels] = np.sum(np.abs(d, out=d)[:, :-1], axis=-1) * h
+            l1[levels] = np.add.reduce(np.abs(err, out=err), axis=-1) * h
+            l1_dx[levels] = np.add.reduce(np.abs(d, out=d)[:, :-1], axis=-1) * h
             if mode == "q2h_filtered":  # q_2h u - v over the read errors
                 err = np.subtract(reference.q2h_values(levels, out=err), v, out=err)
                 dt = np.subtract(err[1:], err[:-1], out=diff_buf[:rows - 1])  # d is read
-                energy[start:stop] = (np.sqrt(_sq_sum(np.divide(dt, mesh.tau, out=dt)[:, 1:-1], h))
-                                      + dx[start + 1:stop + 1])
+                dt = np.multiply(dt, 1.0 / mesh.tau, out=dt)
+                energy[start:stop] = np.sqrt(_sq_sum(dt[:, 1:-1], h)) + dx[start + 1:stop + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         norms = (float(np.max(energy)), float(np.max(dx)),
                  time_aggregate(l1, mesh), time_aggregate(l1_dx, mesh))

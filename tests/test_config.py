@@ -305,6 +305,31 @@ def test_a_rung_beyond_physical_memory_is_refused_at_load(tmp_path, capsys, kind
     assert not (tmp_path / "o").exists()
 
 
+def test_a_lattice_build_beyond_physical_memory_is_counted_at_load(tmp_path, capsys):
+    # a tau / h = 4/5 at N = 1e9: building the q = 5 lattice holds more than
+    # the run's buffers and the lattice together, and the refusal names the
+    # build's bytes, before any array is allocated
+    import tracemalloc
+    from wavecompact.reference import build_bytes, reference_bytes
+    from wavecompact.scheme import level_bytes
+    n, m = 10 ** 9, 5 * 10 ** 9 // 4
+    mesh = build_mesh(math.pi, math.pi, n, m, eps0=0.5)
+    held = build_bytes(mesh, 0, PRESETS["hat_step"].make(math.pi))
+    assert held > level_bytes(mesh, False) + reference_bytes(mesh, 0)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": "converge", "data": {"preset": "hat_step"},
+                                "mesh": {"X": math.pi, "T": math.pi, "N": n, "M": m,
+                                         "eps0": 0.5, "refinements": 2}}))
+    tracemalloc.start()
+    try:
+        code = main(["converge", "--config", str(path), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 2 ** 20
+    assert f"the N={n}, M={m} rung holds {held} bytes of arrays at once" in capsys.readouterr().err
+
+
 def test_converge_refuses_data_it_cannot_measure_at_load():
     base = {"kind": "converge",
             "mesh": {"X": math.pi, "T": math.pi, "N": 8, "M": 16, "refinements": 2}}

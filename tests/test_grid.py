@@ -296,6 +296,51 @@ def test_energy_kernel_refuses_a_negative_radicand_naming_the_row():
         0.0, mesh.a * math.sqrt(mesh.X), 0.0]
 
 
+def _energy_with_d_st_formed(v_prev, v_curr, mesh):
+    """The energy norm with D st v formed, halved and squared, term by term as
+    the kernel computed it before the parallelogram law."""
+    h, tau, a2 = mesh.h, mesh.tau, mesh.a ** 2
+    d_prev, d_curr = np.diff(v_prev) * (1.0 / h), np.diff(v_curr) * (1.0 / h)
+    dt = (v_curr - v_prev) * (1.0 / tau)
+    d_dt = (d_curr - d_prev) * (1.0 / tau)
+    d_st = (d_curr + d_prev) * 0.5
+    d_dt_sq = np.vecdot(d_dt, d_dt) * h
+    return np.sqrt(np.vecdot(dt[..., 1:-1], dt[..., 1:-1]) * h - h ** 2 / 6.0 * d_dt_sq
+                   + (mesh.sigma - 0.25) * tau ** 2 * a2 * d_dt_sq
+                   + a2 * np.vecdot(d_st, d_st) * h)
+
+
+@pytest.mark.parametrize("n, m, eps0", [(32, 64, 1.0), (256, 512, 1.0), (64, 80, 0.6)])
+def test_energy_kernel_by_the_parallelogram_law_matches_d_st_formed(n, m, eps0):
+    # ||D st v||^2 from the row sums of squares and ||D dt v||^2, against D st v
+    # formed explicitly: random pairs of magnitudes 1e-5..1e5, pairs with
+    # d_curr = -d_prev or nearly (D st v nearly vanishes), and pairs of a
+    # smooth solution at consecutive levels
+    rng = np.random.default_rng(n + m)
+    mesh = build_mesh(math.pi, math.pi, n, m, eps0=eps0)
+    x, t = mesh.nodes(), mesh.times()
+    rows = rng.standard_normal((3, 40, n + 1)) * 10.0 ** rng.uniform(-5, 5, (3, 40, 1))
+    prev, curr = rows[0], rows[1]
+    opposite_prev = rows[2]
+    opposite_curr = -opposite_prev + 10.0 ** rng.uniform(-12, -2, (40, 1)) * rows[0]
+    opposite_curr[0] = -opposite_prev[0]
+    smooth = (np.sin(np.outer(t[:41], [1.0, 3.0, 7.0]) @ rng.uniform(-1, 1, (3, 1)))
+              * np.sin(np.outer(np.arange(1, 4), x)).sum(axis=0))  # (41, N+1)
+    for v_prev, v_curr in ((prev, curr), (opposite_prev, opposite_curr),
+                           (smooth[:-1], smooth[1:])):
+        v_prev, v_curr = v_prev.copy(), v_curr.copy()
+        for v in (v_prev, v_curr):
+            v[:, ::n] = 0.0
+        expected = _energy_with_d_st_formed(v_prev, v_curr, mesh)
+        got = energy_norm_pair(v_prev, v_curr, mesh)
+        np.testing.assert_allclose(got, expected, rtol=2e-15, atol=0)
+        d_prev, d_curr = np.diff(v_prev) / mesh.h, np.diff(v_curr) / mesh.h
+        kernel = _energy_from_differences(
+            v_prev, v_curr, d_prev, d_curr, mesh,
+            sq=(np.vecdot(d_prev, d_prev) * mesh.h, np.vecdot(d_curr, d_curr) * mesh.h))
+        np.testing.assert_allclose(kernel, expected, rtol=2e-15, atol=0)
+
+
 def test_energy_lower_bounds_on_random_pairs():
     # eps0^2 |dt v|_B^2 + a^2 |st v|_S^2 <= E^2  and the eps1^2 = eps0^2/3 variant
     rng = np.random.default_rng(7)

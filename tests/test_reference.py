@@ -4,6 +4,8 @@ quadrature."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -517,3 +519,145 @@ def test_forced_coefficients_keep_the_bits_of_the_duhamel_response(T):
                                                 mesh.times()[levels, None])
         got = coeffs(levels)
         assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def test_halves_reduces_its_points_once_for_piecewise_data(monkeypatch):
+    # U0 and V1 of piecewise data share one period: each halves call reduces
+    # its points once, the build's two calls and one per level served, and
+    # every level keeps the bits of the samplers called on their own points
+    calls = []
+
+    def counting(y, X, on_period=data_mod._on_period):
+        calls.append(np.shape(y))
+        return on_period(y, X)
+    monkeypatch.setattr(data_mod, "_on_period", counting)
+    data = PRESETS["hat_step"].make(math.pi)
+    for T, lattice in ((math.pi, True), (2.5, False)):
+        mesh = build_mesh(math.pi, T, 16, 32 if lattice else 48)
+        assert (reference._lattice(mesh) is not None) == lattice
+        del calls[:]
+        ref = dalembert_reference(mesh, data)
+        assert len(calls) == 2
+        for v, view in enumerate((ref.values, ref.q2h_values)):
+            del calls[:]
+            served = view(slice(0, 17))
+            assert len(calls) == (0 if lattice else 17)
+            if lattice:
+                continue
+            terms = ((extension_sampler(data.u0, False, mesh.h), 0.5),
+                     (extension_sampler(data.u1, True, mesh.h), 0.5 / mesh.a))
+            view_of = q2h_from_qh if v else (lambda w: w)
+            for m, s in enumerate(mesh.a * mesh.times()[:17]):
+                e = np.add(*(np.multiply(sampler[v](s, mesh.N + 1), scale)
+                             for sampler, scale in terms))
+                f = np.subtract(*(np.multiply(sampler[v](-s, mesh.N + 1), scale)
+                                  for sampler, scale in terms))
+                expected = view_of(e) + view_of(f)
+                expected[::mesh.N] = 0.0
+                assert served[m].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("N, M, eps0, lattice", [
+    *[(128 * 2 ** i, 256 * 2 ** i, 1.0, (1, 2)) for i in range(5)],  # the bench's ladders
+    *[(n, 4 * n, 1.0, (1, 4)) for n in (64, 128, 256, 512)],  # a tau / h = 0.25
+    *[(n, 5 * n // 4, 0.5, (4, 5)) for n in (64, 128, 256, 512)],  # a tau / h = 0.8
+    *[(n, 11 * n // 10, 0.3, (10, 11)) for n in (640, 1280)],  # M = 1.1 N
+    (512, 563, 0.3, None), (2048, 2253, 0.3, None),  # M = round(1.1 N): q = M
+])
+def test_a_lattice_only_where_it_holds_at_most_4_32n_2m_floats(N, M, eps0, lattice):
+    # E and F of both views on the lattice, 4 (qN + pM + q) floats, against
+    # 4 (32 N + 2 M), about a measured run's buffers: the q = 2, 4 and 5 meshes
+    # of the bench and the rate tests keep their lattice, and so does M = 1.1 N
+    # (q = 11); a q = M lattice is served per level
+    mesh = build_mesh(math.pi, math.pi, N, M, eps0=eps0)
+    assert reference._lattice(mesh) == lattice
+    p, q = Fraction(N, M).limit_denominator(M).as_integer_ratio()
+    assert (q * N + p * M + q <= 32 * N + 2 * M) == (lattice is not None)
+
+
+def test_a_mesh_moved_off_the_lattice_keeps_its_errors(monkeypatch):
+    # N = 256, M = 282: a tau / h = 128/141, a lattice of 2.3 MB against 0.25 MB
+    # of a measured run's buffers, served per level; the errors of hat_step move by at most
+    # 1e-12 relative, in both modes
+    from wavecompact.scheme import evolve_measured, prepare_inputs
+    mesh = build_mesh(math.pi, math.pi, 256, 282, eps0=0.3)
+    data = PRESETS["hat_step"].make(math.pi)
+    inputs = prepare_inputs(mesh, data, "v2")
+    per_level = dalembert_reference(mesh, data)
+    monkeypatch.setattr(reference, "_LATTICE_FLOATS_PER_NODE", math.inf)
+    assert reference._lattice(mesh) == (128, 141)
+    on_lattice = dalembert_reference(mesh, data)
+    for mode in ("node_sampled", "q2h_filtered"):
+        moved, _ = evolve_measured(mesh, *inputs, per_level, mode)
+        kept, _ = evolve_measured(mesh, *inputs, on_lattice, mode)
+        for got, want in zip(astuple(moved)[:4], astuple(kept)[:4]):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_the_reference_of_a_q_m_mesh_builds_in_o_n():
+    # N = 2048, M = 2253 held a 305 MB lattice whose build peaked near 1.3 GB;
+    # per level, the build peaks below ten times a measured run's buffers
+    from wavecompact.scheme import level_bytes
+    mesh = build_mesh(math.pi, math.pi, 2048, 2253, eps0=0.3)
+    assert reference._lattice(mesh) is None
+    tracemalloc.start()
+    try:
+        dalembert_reference(mesh, PRESETS["hat_step"].make(math.pi))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * level_bytes(mesh, False)
+
+
+def _wide_data(preset, X):
+    """Data whose samplers are wide: sine series of 300 modes, or degree 12
+    pieces; forced by 300 modes."""
+    rng = np.random.default_rng(11)
+    if preset == "sine_300":
+        return DataSpec(u0=Profile.sine_series(rng.standard_normal(300) / 300, X),
+                        u1=Profile.sine_series(rng.standard_normal(300) / 300, X))
+    if preset == "degree_12":
+        b = np.linspace(0.0, X, 5)
+        return DataSpec(u0=Profile.piecewise_poly(b, 0.1 * rng.standard_normal((4, 13))),
+                        u1=Profile.piecewise_poly(b, 0.1 * rng.standard_normal((4, 13))))
+    return DataSpec(u0=Profile.zero(X), u1=Profile.zero(X),
+                    f=Forcing(space=Profile.sine_series(rng.standard_normal(300), X),
+                              time=TimeProfile.harmonic_sin(0.3)))
+
+
+@pytest.mark.parametrize("preset", ["hat_step", "quad_spline_hat", "sine", "forced",
+                                    "sine_300", "degree_12", "forced_300"])
+@pytest.mark.parametrize("T, M, eps0", [(math.pi, 512, 1.0), (math.pi, 320, 0.5), (2.5, 512, 1.0)],
+                         ids=["q2_lattice", "q5_lattice", "per_level"])
+def test_build_bytes_bound_the_peak_of_a_build(preset, T, M, eps0):
+    # what config counts for a run that builds the reference: its peak while
+    # building, temporaries included, whatever the samplers' width
+    mesh = build_mesh(math.pi, T, 256, M, eps0=eps0)
+    assert (reference._lattice(mesh) is None) == (T == 2.5)
+    if preset == "sine":
+        data = DataSpec(u0=Profile.sine_series([1.0, 0.5, 0.2], math.pi),
+                        u1=Profile.sine_series([0.3, 0.1], math.pi))
+    elif preset == "forced":
+        data = _forced_sine_series_data(mesh.X)
+    elif preset in PRESETS:
+        data = PRESETS[preset].make(math.pi)
+    else:
+        data = _wide_data(preset, mesh.X)
+    modes = len(data.f.space.modes) if data.f else 0
+    tracemalloc.start()
+    try:
+        dalembert_reference(mesh, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reference.reference_bytes(mesh, modes) < peak <= reference.build_bytes(mesh, modes, data)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_build_bytes_of_a_harmonic_datum(j):
+    # config counts a sharpness run's reference without its datum (data None):
+    # one sine mode, forced for j = 2
+    mesh = build_mesh(math.pi, math.pi, 256, 512)
+    data = harmonic_dataspec(HarmonicData(j=j, k=17), mesh)
+    modes = 1 if j == 2 else 0
+    assert reference.build_bytes(mesh, modes, data) <= reference.build_bytes(mesh, modes, None)

@@ -677,6 +677,31 @@ def test_measured_run_is_the_stored_run_measured_bit_for_bit(m_levels, mode, for
     assert np.array_equal(residual_max, run.residual_max)
 
 
+@pytest.mark.parametrize("m_levels", [37, 150])
+@pytest.mark.parametrize("mode", ERROR_MODES)
+def test_the_l1_series_keep_the_bits_of_np_sum(monkeypatch, m_levels, mode):
+    # the measurer sums |e| and |De| per level with np.add.reduce: the series
+    # it aggregates in time have the bits of np.sum(np.abs(e), axis=-1) * h
+    # (and of De, the backward differences times 1/h, zero ends of e implied)
+    series = []
+
+    def recording(y, mesh, aggregate=scheme.time_aggregate):
+        series.append(np.array(y))
+        return aggregate(y, mesh)
+    monkeypatch.setattr(scheme, "time_aggregate", recording)
+    mesh = build_mesh(math.pi, math.pi / 2, 32, m_levels)
+    rng = np.random.default_rng(m_levels)
+    slices = rng.standard_normal((mesh.M + 1, mesh.N + 1)) * 10.0 ** rng.uniform(-3, 3)
+    reference = _random_reference(mesh, rng)
+    measure_error(mesh, slices, reference, mode)
+    e = reference.values(slice(None)) - slices
+    e[:, ::mesh.N] = 0.0
+    de = np.diff(e) * (1.0 / mesh.h)
+    l1, l1_dx = series
+    assert l1.tobytes() == (np.sum(np.abs(e), axis=-1) * mesh.h).tobytes()
+    assert l1_dx.tobytes() == (np.sum(np.abs(de), axis=-1) * mesh.h).tobytes()
+
+
 def test_a_measured_run_takes_one_data_set_and_checks_it():
     # evolve_grid's entry checks, one data set and not a stack, a known mode
     # and a stable mesh
