@@ -63,8 +63,9 @@ numpy's iteration buffers, and per pair of n_pairs the larger of its draws' and
 margins' 8 (N+1) floats and its two rows with their CSV cells, plus the rows of
 the rungs before (they are kept until emit); plus reference.reference_bytes
 where a run builds it, or reference.build_bytes if larger: the reference is
-built before the run's arrays are.  Runs step one rung at a time: that is all
-they hold.
+built before the run's arrays are, and its build count reads only the mesh
+and the forced modes, its samplers holding O(points) whatever the data.
+Runs step one rung at a time: that is all they hold.
 """
 
 from __future__ import annotations
@@ -386,7 +387,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         held = (8 * (mesh.M + 1) * (mesh.N + 1) if kind == "solve"
                 else columns * level_bytes(mesh, forced))
         if builds:  # the reference is built before the run's arrays are allocated
-            held = max(held + reference_bytes(mesh, modes), build_bytes(mesh, modes, data))
+            held = max(held + reference_bytes(mesh, modes), build_bytes(mesh, modes))
         # the probe: what does not grow with the mesh, and per pair the larger of its
         # draws' and margins' 8 (N+1) floats and its two rows, plus the two rows of each
         # rung before (kept until emit), each row with its CSV cells

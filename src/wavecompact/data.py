@@ -34,6 +34,12 @@ coefficient table; the padding adds only exact zeros, in a fixed order, so
 every row has the bits of its descriptor alone.  Sine series and harmonic
 factors take their closed forms row by row.
 
+Every evaluation holds O(points) floats, whatever the data: a sine series
+is summed one mode at a time (_sine_sum, which Profile.__call__ and the
+samplers share), and a piece table's polynomials are evaluated by Horner's
+rule one gathered coefficient row at a time (_horner, with npoly.polyval's
+bits).
+
 Descriptors refuse non-finite entries with a ConfigurationError naming the
 entry.  PRESETS holds the rough data of the convergence studies, hat_step
 (smoothness 3/2) and quad_spline_hat (5/2).
@@ -151,11 +157,7 @@ class Profile:
         through its even 2X-periodic extension, beyond it."""
         x = np.asarray(x, dtype=float)
         if self.form == "sine_series":
-            out = np.zeros_like(x)
-            root = np.sqrt(2.0 / self.X)
-            for k, c in zip(self.modes, self.coeffs):
-                out += c * root * np.sin(np.pi * k * x / self.X)
-            return out
+            return _sine_sum(*_sine_modes(self), np.sin, x)
         return _period_values(_period_pieces([self], 1.0), _on_period(x, self.X))[0]
 
 
@@ -188,12 +190,6 @@ class TimeProfile:
     @staticmethod
     def polynomial(coeffs) -> "TimeProfile":
         return TimeProfile(form="polynomial", coeffs=tuple(float(c) for c in coeffs))
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.form == "harmonic_sin":
-            return np.sin(self.omega * t)
-        return npoly.polyval(t, self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -334,6 +330,34 @@ def _by_form(w, form: str, closed, batched):
     return out if isinstance(w, (list, tuple)) else float(out[0]) if out.ndim == 1 else out[0]
 
 
+def _horner(coeffs, piece, x) -> np.ndarray:
+    """The polynomials coeffs[:, piece] (ascending, one per point of x) at x,
+    with npoly.polyval's bits: its Horner steps, one coefficient row gathered
+    at a time."""
+    out = coeffs[-1].take(piece)
+    out += x * 0.0
+    for row in coeffs[-2::-1]:
+        out *= x
+        out += row.take(piece)
+    return out
+
+
+def _sine_modes(w: Profile):
+    """(a_k, omega_k) of a sine series: its amplitudes c_k sqrt(2/X) and
+    frequencies pi k / X."""
+    return (np.array(w.coeffs) * math.sqrt(2.0 / w.X),
+            np.pi * np.array(w.modes, dtype=float) / w.X)
+
+
+def _sine_sum(amps, omega, wave, y) -> np.ndarray:
+    """sum_k amps_k wave(omega_k y) at the points y, one mode at a time: the
+    terms wave(y omega_k) amps_k added in mode order."""
+    out, term = np.zeros(np.shape(y)), np.empty(np.shape(y))
+    for a, w in zip(amps.tolist(), omega.tolist()):
+        out += np.multiply(wave(np.multiply(y, w, out=term), out=term), a, out=term)
+    return out
+
+
 def hat_average_factor(y):
     """Eigenfactor (sin(y/2) / (y/2))^2 of the hat average on frequency y = w*step."""
     y = np.asarray(y, dtype=float)
@@ -419,24 +443,22 @@ def extension_sampler(w: Profile, antiderivative: bool, h: float):
     antiderivative set, the even periodic antiderivative of that extension.
 
     A sine series is its own extension, its antiderivative the cosine series,
-    and each mode's hat average is its eigenfactor times the mode; a row is
-    one matrix-vector product, with the bits of its call alone.  A piecewise
-    profile is one _period_pieces table, all rows in one call on the points
-    reduced onto its period.
+    and each mode's hat average is its eigenfactor times the mode, summed by
+    _sine_sum.  A piecewise profile is one _period_pieces table, all rows in
+    one call on the points reduced onto its period.  Either way a call holds
+    a few arrays of the points' shape, whatever the modes or the degree.
     """
     def sampler(kernel):  # kernel of the SamplePoints
         def sample(start, count=None):
             return kernel(start if count is None else SamplePoints(start, count, h))
         return sample
     if w.form == "sine_series":
-        omega = np.pi * np.array(w.modes, dtype=float) / w.X
-        amps = np.array(w.coeffs) * math.sqrt(2.0 / w.X)
+        amps, omega = _sine_modes(w)
         wave, amps = (np.cos, -amps / omega) if antiderivative else (np.sin, amps)
 
-        def rows(a):  # one matrix-vector product per row
-            return sampler(lambda points: np.apply_along_axis(
-                lambda y: wave(np.outer(y, omega)) @ a, -1, points.y))
-        return rows(amps), rows(amps * hat_average_factor(omega * h))
+        def series(a):
+            return sampler(lambda points: _sine_sum(a, omega, wave, points.y))
+        return series(amps), series(amps * hat_average_factor(omega * h))
     if antiderivative:
         b, pieces, value = w.breakpoints, [], 0.0
         for lo, hi, piece in zip(b, b[1:], w.pieces):
@@ -483,17 +505,16 @@ def _period_values(pieces, r) -> np.ndarray:
     k = np.array([row[1:].searchsorted(r[0] + tol, side="right") for row in ends])  # edge k:
     at = ends.take(first + k)  # the rightmost up to r + tol, or -X (a row may end below X)
 
-    def horner(piece, x):  # npoly.polyval's bits, piece of the flat table
-        return npoly.polyval(x, coeffs.reshape(len(coeffs), -1).take(piece, axis=1), tensor=False)
-    out = horner(first + np.maximum(k - (at > r), 0), r)
+    coeffs = coeffs.reshape(len(coeffs), -1)  # row b's piece j is column first[b] + j
+    out = _horner(coeffs, first + np.maximum(k - (at > r), 0), r)
     near = np.abs(r - at) <= tol
     if sign > 0:  # an even W's 0 and +-X are no jumps
         near[near] = np.abs(at[near]) % X != 0.0
     if near.any():  # the mean of edge k's sides; at +-X the last piece at X, the first at -X
         b, i = np.nonzero(near)
         k, at, last, first = k[b, i], at[b, i], last[b, 0], first[b, 0]
-        out[b, i] = 0.5 * (horner(first + (k - 1) % last, np.where(k == 0, X, at))
-                           + horner(first + k % last, np.where(k == last, -X, at)))
+        out[b, i] = 0.5 * (_horner(coeffs, first + (k - 1) % last, np.where(k == 0, X, at))
+                           + _horner(coeffs, first + k % last, np.where(k == last, -X, at)))
     return out.reshape((len(ends),) + shape)
 
 
@@ -548,7 +569,7 @@ def _hat_averages(table, r) -> np.ndarray:
     _, cuts, coeffs = table
     at = (np.array([row.searchsorted(r, side="right") for row in cuts])  # the interval of each r
           + np.arange(-1, cuts.size - 1, cuts.shape[1]).reshape((-1,) + (1,) * r.ndim))
-    return npoly.polyval(r - cuts.ravel().take(at), coeffs.take(at, axis=1), tensor=False)
+    return _horner(coeffs, at, r - cuts.ravel().take(at))
 
 
 def sample_nodes(w, mesh: MeshSpec) -> GridFn:

@@ -40,6 +40,9 @@ the levels served, one call per level for its rows x_i + a t_m and x_i - a t_m; 
 evaluates level 0, which holds every value of U0 and V1 on (0, X), and every
 level refuses non-finite node values or averages alike, naming the datum (a
 filter beyond ~1e307 may overflow: the measurer refuses data that large).
+The samplers hold O(points) floats per call whatever the data, so the
+build's memory count, build_bytes, depends on the mesh and the number of
+forced modes alone.
 """
 
 from __future__ import annotations
@@ -139,26 +142,18 @@ def reference_bytes(mesh: MeshSpec, modes: int) -> int:
     return 8 * (4 * (q * mesh.N + p * mesh.M + q) + 2 * modes * (mesh.N + 2))
 
 
-def build_bytes(mesh: MeshSpec, modes: int, data: DataSpec | None) -> int:
+def build_bytes(mesh: MeshSpec, modes: int) -> int:
     """Bytes dalembert_reference holds at once while it builds on mesh for data
     forced by K = modes sine modes: what it keeps (reference_bytes), the M + 1
     times of the levels, the 2K (N + 1) temporaries of the forced modes' shapes,
-    and those of its largest halves call, q rows of 2N points on a lattice or 2
-    rows of N + 1 per level.  That call holds per point 20 floats (the (2, rows,
-    count) output, E + F, the filter's padded copies and the samplers' own) and
-    the coefficients of the widest piece of the hat average tables, 3 more than
-    a piece of u0 or u1, which the piecewise samplers gather per point; and per
-    point of one row 3 floats per mode of a sine series u0 or u1, whose (count,
-    K) product is formed a row at a time.  data None is a harmonic datum, one
-    mode."""
+    and 20 floats per point of its largest halves call, q rows of 2N points on
+    a lattice or 2 rows of N + 1 per level: the (2, rows, count) output, E + F,
+    the filter's padded copies and the samplers' own, which hold O(points)
+    whatever the data."""
     lattice = _lattice(mesh)
     rows, count = (lattice[1], 2 * mesh.N) if lattice else (2, mesh.N + 1)
-    profiles = (data.u0, data.u1) if data is not None else ()
-    width = max((len(piece) + 3 for w in profiles for piece in w.pieces or ()), default=0)
-    series = max((len(w.modes) for w in profiles if w.form == "sine_series"),
-                 default=0 if profiles else 1)
     return reference_bytes(mesh, modes) + 8 * (
-        (20 + width) * rows * count + 3 * series * count + 2 * modes * (mesh.N + 1) + mesh.M + 1)
+        20 * rows * count + 2 * modes * (mesh.N + 1) + mesh.M + 1)
 
 
 # a lattice's E and F of both views, 4 (qN + pM + q) floats, are kept only up to 4

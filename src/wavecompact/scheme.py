@@ -53,9 +53,9 @@ bits of np.sum).  The dx norms' row sums of squares feed the energy norm
 which forms only dt e and D dt e: per block of n levels and N + 1 columns,
 node_sampled mode makes 15 passes over n (N + 1) values (serving e, e - v,
 the difference and its 1/h, the dx sums, two passes for each L1 norm and six
-for the energy), where forming D st e made 18.  The reference serves its
-views into err_buf, the q_2h view (filtered by the reference) once the node
-errors are read: the filtered error is one subtraction.
+for the energy).  The reference serves its views into err_buf, the q_2h view
+(filtered by the reference) once the node errors are read: the filtered
+error is one subtraction.
 """
 
 from __future__ import annotations

@@ -817,3 +817,17 @@ def test_importing_the_cli_skips_scipy_linalg_and_the_process_pool():
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_violated_probe_row_is_printed_and_exits_1(tmp_path, capsys, monkeypatch):
+    # a negative margin fails its row: the CLI names the check, the mesh and
+    # both sides, and exits 1
+    import wavecompact.experiments as experiments
+    monkeypatch.setattr(experiments, "energy_lower_bound_margins",
+                        lambda mesh, prev, curr: (np.full(len(prev), -0.5), np.ones(len(prev))))
+    cfg = _write_config(tmp_path, {"kind": "stability_probe", "mesh": _mesh(8),
+                                   "n_random": 2, "n_pairs": 3, "seed": 1})
+    assert main(["stability-probe", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["10 inequality checks, 3 violations"] + [
+        "VIOLATED lower_bound_1 on N=8: lhs=0.5 rhs=0.0"] * 3

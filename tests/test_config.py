@@ -314,7 +314,7 @@ def test_a_lattice_build_beyond_physical_memory_is_counted_at_load(tmp_path, cap
     from wavecompact.scheme import level_bytes
     n, m = 10 ** 9, 5 * 10 ** 9 // 4
     mesh = build_mesh(math.pi, math.pi, n, m, eps0=0.5)
-    held = build_bytes(mesh, 0, PRESETS["hat_step"].make(math.pi))
+    held = build_bytes(mesh, 0)
     assert held > level_bytes(mesh, False) + reference_bytes(mesh, 0)
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kind": "converge", "data": {"preset": "hat_step"},
@@ -479,3 +479,11 @@ def test_malformed_whole_configs_are_refused_or_load(kind, data):
     with alarm(2), contextlib.suppress(ConfigurationError, UnstableMeshError,
                                        MeshTooCoarseError):
         config_from_dict(raw)
+
+
+def test_a_config_file_holding_a_json_list_exits_3(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([{"kind": "solve"}]))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "configuration error: config must be a JSON object\n"
+    assert not (tmp_path / "o").exists()

@@ -54,6 +54,19 @@ def test_profile_validation():
         Profile.piecewise_poly((1.0,), ())
     with pytest.raises(ConfigurationError, match="pieces"):
         Profile.piecewise_poly((0.0, 0.5, 1.0), ((1.0,), ()))
+    for make, message in [
+            (lambda: Profile(X=1.0, form="cosine"), "unknown profile form 'cosine'"),
+            (lambda: Profile(X=1.0, form="piecewise", breakpoints=(0.0, 1.0)),
+             "piecewise profile needs breakpoints and pieces"),
+            (lambda: Profile(X=1.0, form="piecewise", pieces=((1.0,),)),
+             "piecewise profile needs breakpoints and pieces"),
+            (lambda: Profile.piecewise_poly((0.0, 0.7, 0.3, 1.0), ((1.0,),) * 3),
+             "breakpoints must be strictly increasing"),
+            (lambda: TimeProfile(form="cosine"), "unknown time profile form 'cosine'"),
+            (lambda: TimeProfile(form="harmonic_sin"), "harmonic_sin needs omega")]:
+        with pytest.raises(ConfigurationError) as refused:
+            make()
+        assert str(refused.value) == message
     # non-finite entries are refused where they enter, naming the entry;
     # finite but huge ones stay accepted
     nan, inf = math.nan, math.inf
@@ -99,7 +112,7 @@ def test_piecewise_eval_has_the_bits_of_polyval_per_piece(widths, data):
 
 def test_harmonic_mode_is_a_one_coefficient_sine_series():
     # at X = pi, sqrt(X/2) sqrt(2/X) is exactly 1: the series reproduces the
-    # direct sin(pi k x / X) arithmetic of a single mode bit for bit
+    # direct sin(omega x), omega = pi k / X, of a single mode bit for bit
     X = math.pi
     mesh = build_mesh(X, X, 16, 64)
     x = mesh.nodes()
@@ -107,8 +120,8 @@ def test_harmonic_mode_is_a_one_coefficient_sine_series():
         w = Profile.harmonic_mode(k, X)
         assert w.form == "sine_series"
         assert w == Profile.sine_series([0.0] * (k - 1) + [math.sqrt(X / 2)], X)
-        assert sample_nodes(w, mesh).tobytes() == np.sin(np.pi * k * x / X).tobytes()
         omega = np.pi * k / X
+        assert sample_nodes(w, mesh).tobytes() == np.sin(x * omega).tobytes()
         qh = hat_average_factor(omega * mesh.h) * np.sin(omega * x)
         qh[0] = qh[-1] = 0.0
         assert average_qh(w, mesh).tobytes() == qh.tobytes()
@@ -720,12 +733,13 @@ def test_sparse_sine_series_evaluate_with_the_bits_of_the_dense_loop():
         dense[modes - 1] = rng.standard_normal(len(modes))
         w = Profile.sine_series(dense, X)
         assert w.modes == tuple(modes.tolist())
-        # the former dense loop, which skipped the zero coefficients
+        # the dense loop, which skips the zero coefficients: amplitude
+        # c_k sqrt(2/X) times sin(x omega_k), omega_k = pi k / X, in mode order
         expected = np.zeros_like(x)
-        root = np.sqrt(2.0 / X)
+        root = math.sqrt(2.0 / X)
         for k, c in enumerate(dense.tolist(), start=1):
             if c != 0.0:
-                expected += c * root * np.sin(np.pi * k * x / X)
+                expected += np.sin(x * (np.pi * k / X)) * (c * root)
         assert w(x).tobytes() == expected.tobytes()
 
 
@@ -744,3 +758,41 @@ def test_a_high_mode_holds_nothing_of_the_size_of_its_index():
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
     assert w.modes == data.f.space.modes == (2 ** 40,)
+
+
+@pytest.mark.parametrize("form", ["sine_3", "sine_300", "degree_1", "degree_12"])
+def test_a_sampler_call_holds_a_few_floats_per_point(form):
+    # neither a sine series' modes nor a piece's degree multiplies a call's
+    # memory: its peak, output and points included, is at most 10 floats per point
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    X = math.pi
+    if form.startswith("sine"):
+        w = Profile.sine_series(rng.standard_normal(int(form[5:])), X)
+    else:
+        w = Profile.piecewise_poly(np.linspace(0.0, X, 5),
+                                   rng.standard_normal((4, int(form[7:]) + 1)))
+    starts, count = np.array([0.0, -0.3, 1.7]), 3000
+    for antiderivative in (False, True):
+        for sample in extension_sampler(w, antiderivative, X / 512):
+            sample(starts, 8)  # first calls fill lazy caches
+            tracemalloc.start()
+            try:
+                sample(starts, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10 * 8 * len(starts) * count, (antiderivative, peak)
+
+
+def test_average_qh_refuses_a_profile_of_another_domain_length():
+    for w in (hat_profile(2.0), [hat_profile(MESH.X), hat_profile(2.0)]):
+        with pytest.raises(ContractViolation, match="^profile and mesh domain lengths differ$"):
+            average_qh(w, MESH)
+
+
+def test_the_l1_norm_of_a_zero_frequency_harmonic_is_zero():
+    # sin(0 t) vanishes: no division by omega
+    assert time_l1_norm(TimeProfile.harmonic_sin(0.0), 2.0) == 0.0
+    norms = time_l1_norm([TimeProfile.harmonic_sin(-0.0), TimeProfile.harmonic_sin(1.0)], math.pi)
+    assert norms[0] == 0.0 and norms[1] == pytest.approx(2.0, rel=1e-15)

@@ -368,6 +368,24 @@ def test_run_stability_probe_no_violations(tmp_path):
         assert back["passed"] == ("True" if row.passed else "False")
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stability_probe_holds_at_the_courant_edge(seed):
+    # eps0 = 0.3, a = 2.3, T = pi / a and M = ceil(N / sqrt(1 - eps0^2 / 2)):
+    # a tau / h = N / M just inside the stability condition; no inequality fails
+    a, eps0 = 2.3, 0.3
+    rungs = [[n, math.ceil(n / math.sqrt(1.0 - eps0 ** 2 / 2.0))] for n in (16, 32, 64)]
+    assert rungs == [[16, 17], [32, 33], [64, 66]]
+    cfg = config_from_dict({
+        "kind": "stability_probe",
+        "mesh": {"X": math.pi, "T": math.pi / a, "a": a, "eps0": eps0, "rungs": rungs},
+        "n_random": 20,
+        "seed": seed,
+    })
+    rows = run_stability_probe(cfg, emit=False)
+    assert len(rows) == len(rungs) * 2 * (cfg.n_random + cfg.n_pairs)
+    assert [r for r in rows if not r.passed] == []
+
+
 def test_stability_probe_steps_each_data_set_once(monkeypatch):
     # both bounds of a random data set read one run: each mesh makes one
     # scheme._march call, whose columns are its n_random data sets, and none

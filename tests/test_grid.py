@@ -65,6 +65,10 @@ def test_space_norm_zero_for_all_kinds():
     z = MESH.zeros()
     for kind in ("l2", "diff_l2", "l1", "mass", "stiffness"):
         assert space_norm(z, kind, MESH) == 0.0
+    with pytest.raises(ContractViolation) as refused:
+        space_norm(z, "l3", MESH)
+    assert str(refused.value) == ("unknown space norm kind 'l3'; expected one of "
+                                  "('l2', 'diff_l2', 'l1', 'mass', 'stiffness')")
 
 
 def test_l2_norm_of_sine_brute_force():
@@ -366,3 +370,16 @@ def test_unstable_mesh_error_message_names_inequality():
     from wavecompact.grid import check_stable
     with pytest.raises(UnstableMeshError, match="tau"):
         check_stable(unstable)
+
+
+def test_ends_within_the_dirichlet_tolerance_pass():
+    # ends that are not exact zeros pass within 1e-13 of the level's scale
+    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    w = np.full(9, 100.0)
+    w[0], w[-1] = 5e-12, -5e-12
+    assert require_dirichlet(w, mesh) is w
+    stack = np.stack([np.zeros(9), w])
+    assert require_dirichlet(stack, mesh) is stack
+    stack[1, -1] = 2e-11
+    with pytest.raises(ContractViolation, match=r"row 1\) must vanish at the boundary"):
+        require_dirichlet(stack, mesh)

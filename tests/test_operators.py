@@ -236,3 +236,11 @@ def test_the_lapack_loader_falls_back_to_the_public_import(tmp_path):
 
     dpttrf, dpttrs = operators._tridiagonal_lapack(tmp_path)  # no _flapack here
     assert dpttrf is lapack.dpttrf and dpttrs is lapack.dpttrs
+
+
+def test_stencil_refuses_an_unknown_kind():
+    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    with pytest.raises(ContractViolation) as refused:
+        stencil("gradient", mesh.zeros(), mesh)
+    assert str(refused.value) == ("unknown spatial operator 'gradient'; expected one of "
+                                  "('numerov', 'mass', 'laplacian')")

@@ -172,6 +172,8 @@ def test_harmonic_data_validation():
         HarmonicData(j=2, k=1)
     with pytest.raises(ContractViolation):
         HarmonicData(j=3, k=1)
+    with pytest.raises(ContractViolation, match="^k must be >= 1, got 0$"):
+        HarmonicData(j=0, k=0)
 
 
 # --------------------------------------------------------------------------
@@ -382,6 +384,9 @@ def test_choose_k_h_frequency_shift_trend():
 def test_choose_k_h_small_alpha_and_coarse_mesh():
     mesh = build_mesh(math.pi, math.pi, 64, 128)
     assert choose_k_h(1e-12, mesh) == 1
+    for alpha in (0.0, -2.0):
+        with pytest.raises(ContractViolation, match="^alpha must be positive$"):
+            choose_k_h(alpha, mesh)
     coarse = build_mesh(math.pi, math.pi, 4, 8)
     with pytest.raises(MeshTooCoarseError) as err:
         choose_k_h(2.0, coarse)
@@ -416,6 +421,9 @@ def test_asymptotic_constants():
     assert asymptotic_constant(1, math.pi) == pytest.approx(4.0, rel=1e-14)
     assert asymptotic_constant(0, math.pi / 2) == pytest.approx(2.0, rel=1e-14)
     assert asymptotic_constant(2, math.pi) == pytest.approx(math.pi, rel=1e-14)
+    for j, T in ((0, 0.0), (2, -1.0)):
+        with pytest.raises(ContractViolation, match="^T must be positive$"):
+            asymptotic_constant(j, T)
     # c_0(T) is twice the integral of |sin| over (0, T)
     for T in (1.0, 4.0, 9.5):
         kinks = [k * math.pi for k in range(1, int(T / math.pi) + 1)]
@@ -433,6 +441,8 @@ def test_sharpness_prediction_values():
     assert sharpness_prediction(2, 0, 10, math.pi) == pytest.approx(0.4, rel=1e-14)
     with pytest.raises(ContractViolation):
         sharpness_prediction(2, 0, 1, math.pi)
+    with pytest.raises(ContractViolation, match="^l must be 0 or 1$"):
+        sharpness_prediction(0, 2, 3, math.pi)
     for j in (3, -1):  # j names a family, not an index
         with pytest.raises(ContractViolation, match=f"j must be 0, 1 or 2, got {j}"):
             sharpness_prediction(j, 0, 5, 1.0)

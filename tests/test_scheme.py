@@ -859,3 +859,24 @@ def test_a_forced_measured_run_holds_no_forcing_array():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * mesh.M * (mesh.N + 1) * 8, peak
+
+
+def test_a_finite_stack_whose_sum_overflows_passes_the_column_walk():
+    # the one-pass sum overflows, so each column is checked alone: all are
+    # finite with zero ends, and the stack enters unchanged
+    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    w = np.zeros((3, 9))
+    w[:, 1:-1] = 1e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(w.sum())
+    assert scheme._entry_datum("v0", w, (3, 9), mesh, True) is w
+    w[2, 4] = np.inf
+    with pytest.raises(ConfigurationError, match="^v0 column 2 has values that are not finite$"):
+        scheme._entry_datum("v0", w, (3, 9), mesh, True)
+
+
+def test_measure_error_refuses_slices_of_the_wrong_shape():
+    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    with pytest.raises(ContractViolation) as refused:
+        measure_error(mesh, np.zeros((16, 9)), None)
+    assert str(refused.value) == "slices must have shape (17, 9), got (16, 9)"
