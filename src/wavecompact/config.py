@@ -6,7 +6,7 @@ A config file is a single JSON object:
       "kind": "solve" | "converge" | "sharpness" | "oracle_check" | "stability_probe",
       "mesh": {"X": ..., "T": ..., "N": ..., "M": ...,
                "refinements": 0, "a": 1.0, "eps0": 1.0,
-               "rungs": [[N1, M1], [N2, M2], ...]},             # optional, overrides N/M
+               "rungs": [[N1, M1], [N2, M2], ...]},             # optional, instead of N/M
       "data": {"harmonic": {"j": 0, "k": 3}}
               | {"preset": "hat_step"}
               | {"u0": {...}, "u1": {...}, "f": {...}}
@@ -268,6 +268,10 @@ def _build_rungs(mesh_cfg: dict) -> list[MeshSpec]:
         return build_mesh(X, T, N, M, a, eps0)
 
     if "rungs" in mesh_cfg:
+        for key in ("N", "M", "refinements"):
+            if key in mesh_cfg:
+                raise ConfigurationError(
+                    f"mesh.{key} is not read when mesh.rungs is given; drop it")
         pairs = mesh_cfg["rungs"]
         if not (isinstance(pairs, (list, tuple)) and pairs
                 and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):

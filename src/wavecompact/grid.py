@@ -315,18 +315,18 @@ def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec):
     check_stable(mesh)
     v_prev = require_dirichlet(v_prev, mesh, "energy-norm slice")
     v_curr = require_dirichlet(v_curr, mesh, "energy-norm slice")
-    h = mesh.h
-    return _reduced(_energy_from_differences(
-        v_prev, v_curr, _backward_diff(v_prev, h), _backward_diff(v_curr, h), mesh))
+    d_prev, d_curr = (_backward_diff(v, mesh.h)[..., :mesh.N] for v in (v_prev, v_curr))
+    sq = (_sq_sum(d_prev, mesh.h), _sq_sum(d_curr, mesh.h))
+    return _reduced(_energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh, sq=sq))
 
 
-def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec, scratch=None,
-                             sq=None):
+def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec, scratch=None, *,
+                             sq):
     """The energy norms of Dirichlet level pairs from their values, backward
     differences d = (w[i] - w[i-1]) / h (or _backward_diff's zero-ended rows)
     and the row sums of squares sq = (||D v_prev||^2, ||D v_curr||^2), which
-    the measurers hold from their dx norms (None: summed here from d), by
-    summation by parts, in scratch (shaped as the levels) if given.
+    the callers hold from their dx norms, by summation by parts, in scratch
+    (shaped as the levels) if given.
 
     dt v and D dt v are formed and scaled by 1/tau (within an ulp of the
     quotient) before squaring, so the sums overflow where the three-point forms
@@ -344,8 +344,7 @@ def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec, scr
     checked the mesh and the Dirichlet ends.
     """
     h, tau, a2, n = mesh.h, mesh.tau, mesh.a ** 2, mesh.N
-    sq_prev, sq_curr = ((_sq_sum(d_prev[..., :n], h), _sq_sum(d_curr[..., :n], h))
-                        if sq is None else sq)
+    sq_prev, sq_curr = sq
     t = np.empty(np.shape(v_curr)) if scratch is None else scratch  # the one scratch array
     dt = np.subtract(v_curr, v_prev, out=t)  # the ends are not read
     dt_sq = _sq_sum(np.multiply(dt, 1.0 / tau, out=dt)[..., 1:-1], h)

@@ -27,19 +27,20 @@ reference_refusal is the rule for which data this covers: any initial data,
 and forcing whose space factor is a sine series and whose time factor is
 harmonic_sin off resonance.
 
-One Reference class serves every mesh through one function, which gives
-E(x_i + a t_m) and F(x_i - a t_m) for just the view and the levels asked for;
-no (M+1, N+1) array is held.  When a tau / h = p / q is rational with q <= M,
-as with aT = X (p/q = N/M) or M = 2N and T = 0.8 X/a (2/5), every x_i +- a t_m
-= (q i +- p m) h/q lies on the lattice of spacing h/q: E and F are evaluated
-once on one period of it, L = 2Nq points in one call (filtered once), and
-kept as their q contiguous residue classes: the levels r, r + q, ... of
-E[qi + pm] or F[qi - pm] are rows of one.  A lattice is taken only where
-it is small, qN + pM + q <= 32 N + 2 M (_lattice).  Other meshes evaluate
-the levels served, one call per level for its rows x_i + a t_m and x_i - a t_m; the build
-evaluates level 0, which holds every value of U0 and V1 on (0, X), and every
-level refuses non-finite node values or averages alike, naming the datum (a
-filter beyond ~1e307 may overflow: the measurer refuses data that large).
+One Reference class serves every mesh through one function, which gives the
+pair E(x_i + a t_m), F(x_i - a t_m) for just the view and the levels asked
+for; no (M+1, N+1) array is held.  When a tau / h = p / q is rational with
+q <= M, as with aT = X (p/q = N/M) or M = 2N and T = 0.8 X/a (2/5), every
+x_i +- a t_m = (q i +- p m) h/q lies on the lattice of spacing h/q: E and F
+are evaluated once on one period of it, L = 2Nq points in one call (filtered
+once), and kept as one flat array of qN + pM + 1 values each, served as the
+read-only (M+1, N+1) strided views E[qi + pm] and F[qi - pm + pM].  A
+lattice is taken only where it is small, qN + pM + q <= 32 N + 2 M
+(_lattice).  Other meshes evaluate the levels served, one call per level for
+its rows x_i + a t_m and x_i - a t_m; the build evaluates level 0, which
+holds every value of U0 and V1 on (0, X), and every level refuses non-finite
+node values or averages alike, naming the datum (a filter beyond ~1e307 may
+overflow: the measurer refuses data that large).
 The samplers hold O(points) floats per call whatever the data, so the
 build's memory count, build_bytes, depends on the mesh and the number of
 forced modes alone.
@@ -60,26 +61,25 @@ from .oracle import _duhamel, resonant
 
 
 class Reference:
-    """The exact reference, both views, on the (M+1, N+1) grid of shape: view v
-    (0 node values, 1 q_2h-filtered values) at levels m is e + f in the rows of each
-    part (rows, e, f) of serve(v, m), plus, if forced is not None, coeffs(m) @
-    shapes[v] of the forced modes, with zero ends.  Each call builds just the
-    view and the levels asked for, into out if given."""
+    """The exact reference, both views: view v (0 node values, 1 q_2h-filtered
+    values) at levels m is, with zero ends, e + f of the pair (e, f) = serve(v, m)
+    of E and F at the levels' rows, added to coeffs(m) @ shapes[v] of the forced
+    modes if forced is not None.  Each call builds just the view and the levels
+    asked for, into out if given, shaped as e."""
 
-    def __init__(self, serve, shape, forced=None):
-        self._serve, self._shape, self._forced = serve, shape, forced
+    def __init__(self, serve, forced=None):
+        self._serve, self._forced = serve, forced
 
     def _view(self, view: int, levels, out) -> np.ndarray:
-        if out is None:  # the shape of the levels' rows
-            out = np.empty(np.broadcast_to(0.0, self._shape)[levels].shape)
-        if self._forced is not None:
+        e, f = self._serve(view, levels)
+        if out is None:
+            out = np.empty(e.shape)
+        if self._forced is None:
+            np.add(e, f, out=out)
+        else:  # (coeffs @ shapes + e) + f
             coeffs, shapes = self._forced
             np.matmul(coeffs(levels), shapes[view], out=out)
-        for rows, e, f in self._serve(view, levels):
-            if self._forced is None:
-                np.add(e, f, out=out[rows])
-            else:  # (coeffs @ shapes + e) + f
-                np.add(np.add(out[rows], e, out=out[rows]), f, out=out[rows])
+            np.add(np.add(out, e, out=out), f, out=out)
         out[..., ::out.shape[-1] - 1] = 0.0
         return out
 
@@ -136,10 +136,11 @@ def _forced_modes(mesh: MeshSpec, f: Forcing):
 
 def reference_bytes(mesh: MeshSpec, modes: int) -> int:
     """Bytes of the arrays dalembert_reference keeps on mesh for data forced by
-    K = modes sine modes: on a lattice, E and F of both views in q residue classes
-    of N + pM // q + 1 floats, at most 4 (qN + pM + q), and 2K (N + 2) of the modes."""
+    K = modes sine modes: on a lattice, E and F of both views, qN + pM + 1
+    floats each, and 2K (N + 2) floats of the modes."""
     p, q = _lattice(mesh) or (0, 0)
-    return 8 * (4 * (q * mesh.N + p * mesh.M + q) + 2 * modes * (mesh.N + 2))
+    flats = 4 * (q * mesh.N + p * mesh.M + 1) if q else 0
+    return 8 * (flats + 2 * modes * (mesh.N + 2))
 
 
 def build_bytes(mesh: MeshSpec, modes: int) -> int:
@@ -156,7 +157,7 @@ def build_bytes(mesh: MeshSpec, modes: int) -> int:
         20 * rows * count + 2 * modes * (mesh.N + 1) + mesh.M + 1)
 
 
-# a lattice's E and F of both views, 4 (qN + pM + q) floats, are kept only up to 4
+# a lattice's E and F of both views, 4 (qN + pM + 1) floats, are kept only up to 4
 # (32 N + 2 M): about a measured run's buffers, 117 N + 6 M floats (scheme.level_bytes)
 _LATTICE_FLOATS_PER_NODE, _LATTICE_FLOATS_PER_LEVEL = 32, 2
 
@@ -223,34 +224,21 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
     lattice = _lattice(mesh)
     if lattice is not None:
         p, q = lattice
-        entries = np.arange(n + p * m // q + 1)  # of each residue class
-        classes = []
-        for view in (0, 1):  # row c, entry j of a period holds y = (q j + c) h/q
-            period = halves(view, np.arange(q) * h / q, 2 * n)
-            # the residue classes of E from y = 0 and of F from y = -pM h/q: entry
-            # q j + c - pM is entry j + (c - pM) // q of row (c - pM) % q; levels
-            # r + q t, r < q, read E at q i + p (r + q t) and F at q i + p (M - r - q t)
-            e = np.take(period[0], entries, axis=1, mode="wrap")
-            f = np.empty_like(e)
-            for c in range(q):
-                np.take(period[1, (c - p * m) % q], entries + (c - p * m) // q, mode="wrap",
-                        out=f[c])
-            del period
-            classes.append([tuple(as_strided(w[s % q, s // q:], ((m - r) // q + 1, n + 1),
-                                             (sign * p * w.itemsize, w.itemsize), writeable=False)
-                                  for w, s, sign in ((e, p * r, 1), (f, p * (m - r), -1)))
-                            for r in range(q)])
+        entries, size = np.arange(q * n + p * m + 1), np.dtype(float).itemsize
+        flats = []
+        for view in (0, 1):  # entry q j + c of a period holds y = (q j + c) h/q
+            e, f = halves(view, np.arange(q) * h / q, 2 * n).transpose(0, 2, 1).reshape(2, -1)
+            # E from y = 0 and F from y = -pM h/q: level m, node i reads entry
+            # q i + p m of E and q i - p m + pM of F
+            e, f = e.take(entries, mode="wrap"), f.take(entries - p * m, mode="wrap")
+            flats.append((as_strided(e, (m + 1, n + 1), (p * size, q * size), writeable=False),
+                          as_strided(f[p * m:], (m + 1, n + 1), (-p * size, q * size),
+                                     writeable=False)))
 
         def serve(view, levels):
-            """(rows, E, F): per residue, the rows of its levels, contiguous."""
-            picked = range(m + 1)[levels]
-            if not isinstance(picked, range):
-                t, r = divmod(picked, q)
-                return [(..., *(w[t] for w in classes[view][r]))]
-            return [(slice(k, None, q), *(w[picked[k] // q::picked.step][:len(picked[k::q])]
-                                          for w in classes[view][picked[k] % q]))
-                    for k in range(min(q, len(picked)))]
-        return Reference(serve, (m + 1, n + 1), forced)
+            e, f = flats[view]
+            return e[levels], f[levels]
+        return Reference(serve, forced)
 
     def serve(view, levels):
         """E at x_i + a t_m and F at x_i - a t_m, m in levels, for the view."""
@@ -258,6 +246,6 @@ def dalembert_reference(mesh: MeshSpec, data: DataSpec):
         e, f = np.empty((2,) + np.shape(at) + (n + 1,))
         for j, s in np.ndenumerate(at):  # E of the row at s, F of the row at -s
             (e[j], _), (_, f[j]) = halves(view, np.array([s, -s]), n + 1)
-        return [(..., e, f)]
+        return e, f
     serve(0, 0), serve(1, 0)  # level 0 holds every value of U0 and V1 on (0, X)
-    return Reference(serve, (m + 1, n + 1), forced)
+    return Reference(serve, forced)

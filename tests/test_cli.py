@@ -665,6 +665,23 @@ def test_malformed_config_keys_exit_3(tmp_path, capsys, kind, key, edit):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["solve", "converge", "stability_probe"])
+@pytest.mark.parametrize("given, named", [
+    ({"N": "abc", "M": None, "refinements": 7}, "N"),
+    ({"N": 16}, "N"), ({"M": 32}, "M"), ({"refinements": 0}, "refinements"),
+], ids=["N_M_refinements", "N", "M", "refinements"])
+def test_a_mesh_key_beside_rungs_exits_3(tmp_path, capsys, kind, given, named):
+    # rungs give every N and M: N, M or refinements beside them would not be read
+    cfg = _write_config(tmp_path, {
+        "kind": kind, "mesh": {"X": math.pi, "T": math.pi, **given,
+                               "rungs": [[16, 32], [32, 64], [64, 128]]},
+        "data": None, "out_dir": str(tmp_path / "out")})
+    assert main([kind.replace("_", "-"), "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"mesh.{named} is not read when mesh.rungs is given; drop it" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def _piecewise_ending_at(end):
     return {"form": "piecewise", "breakpoints": [0.0, 1.0, end], "pieces": [[1.0], [0.0, 1.0]]}
 

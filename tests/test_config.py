@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavecompact import reference
 from wavecompact.cli import main
 from wavecompact.config import KINDS, config_from_dict, dataspec_from_dict, profile_from_dict
 from wavecompact.data import PRESETS, DataSpec, Forcing, Profile, TimeProfile
@@ -286,10 +287,10 @@ def test_a_rung_beyond_physical_memory_is_refused_at_load(tmp_path, capsys, kind
     if kind == "stability_probe":
         held = columns * level_bytes(mesh, True) + 2 ** 18 + 100 * 64 * (n + 1)
     # the runs that build the exact reference hold it too: a tau / h = 1/2, so
-    # E and F of both views are 4 (2N + M + 2) floats, and sharpness's j = 2
+    # E and F of both views are 4 (2N + M + 1) floats, and sharpness's j = 2
     # forces one mode, 2 (N + 2)
     if kind in ("solve", "converge", "sharpness"):
-        held += 8 * (4 * (2 * n + m + 2) + (kind == "sharpness") * 2 * (n + 2))
+        held += 8 * (4 * (2 * n + m + 1) + (kind == "sharpness") * 2 * (n + 2))
     refinements = 2 if kind == "converge" else 0
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kind": kind, "mesh": {"X": math.pi, "T": math.pi, "N": n, "M": m,
@@ -395,6 +396,20 @@ def test_benchmark_job_configs_load():
             config = config_from_dict(job.config)
             assert config.kind == job.command.replace("-", "_")
             assert [(mesh.N, mesh.M) for mesh in config.rungs] == job.rungs()
+
+
+def test_benchmark_ladders_read_the_lattice_reference():
+    # every rung of the benchmark's converge and sharpness jobs builds its
+    # exact reference on the lattice, so the benchmark measures that path; no
+    # workload serves the reference level by level (ROADMAP item 1)
+    kinds = set()
+    for workload in _bench_workloads().WORKLOADS.values():
+        for job in (*workload.make_jobs(0), *workload.make_jobs(1), *workload.warmup):
+            config = config_from_dict(job.config)
+            if config.kind in ("converge", "sharpness"):
+                kinds.add(config.kind)
+                assert all(reference._lattice(mesh) is not None for mesh in config.rungs)
+    assert kinds == {"converge", "sharpness"}
 
 
 def test_benchmark_warmup_jobs_run_and_pass_their_gates(tmp_path, capsys):

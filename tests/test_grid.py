@@ -292,12 +292,14 @@ def test_energy_kernel_refuses_a_negative_radicand_naming_the_row():
     values = np.zeros((3, mesh.N + 1))
     d_prev = np.zeros((3, mesh.N))
     d_prev[1] = 1.0
+    sq = (d_prev ** 2).sum(axis=-1) * mesh.h  # each row's ||D v||^2, for d_prev and -d_prev
     with pytest.raises(InvariantError, match="negative beyond tolerance in row 1"):
-        _energy_from_differences(values, values, d_prev, -d_prev, mesh)
+        _energy_from_differences(values, values, d_prev, -d_prev, mesh, sq=(sq, sq))
     with pytest.raises(InvariantError, match=r"negative beyond tolerance \(scale"):
-        _energy_from_differences(values[1], values[1], d_prev[1], -d_prev[1], mesh)
-    assert _energy_from_differences(values, values, d_prev, d_prev, mesh).tolist() == [
-        0.0, mesh.a * math.sqrt(mesh.X), 0.0]
+        _energy_from_differences(values[1], values[1], d_prev[1], -d_prev[1], mesh,
+                                 sq=(sq[1], sq[1]))
+    assert _energy_from_differences(values, values, d_prev, d_prev, mesh,
+                                    sq=(sq, sq)).tolist() == [0.0, mesh.a * math.sqrt(mesh.X), 0.0]
 
 
 def _energy_with_d_st_formed(v_prev, v_curr, mesh):

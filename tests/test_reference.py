@@ -357,17 +357,17 @@ def test_per_level_reference_is_served_block_by_block():
 def _lattice_formula(mesh, data, v, levels):
     """View v at levels as one array: the forced modes' coeffs @ shapes, plus
     E[qi + pm] + F[qi - pm] of E and F on one period of the lattice, flat entry
-    q j + r holding y = (q j + r) h/q, with zero ends; in view 1 each residue
-    class r is the q_2h filter of its hat averages on the period."""
+    q j + r holding y = (q j + r) h/q, with zero ends; in view 1 the points
+    r h/q + j h of each r < q are the q_2h filter of their hat averages."""
     p, q = reference._lattice(mesh)
     n, h = mesh.N, mesh.h
     view_of = q2h_periodic if v else (lambda w: w)
-    classes = [[np.multiply(sampler[v](r * h / q, 2 * n), scale)
-                for sampler, scale in ((extension_sampler(data.u0, False, h), 0.5),
-                                       (extension_sampler(data.u1, True, h), 0.5 / mesh.a))]
-               for r in range(q)]
+    starts = [[np.multiply(sampler[v](r * h / q, 2 * n), scale)
+               for sampler, scale in ((extension_sampler(data.u0, False, h), 0.5),
+                                      (extension_sampler(data.u1, True, h), 0.5 / mesh.a))]
+              for r in range(q)]
     m = np.arange(mesh.M + 1)[levels]
-    e, f = (np.take(np.stack([view_of(combine(u0, v1)) for u0, v1 in classes], axis=-1).ravel(),
+    e, f = (np.take(np.stack([view_of(combine(u0, v1)) for u0, v1 in starts], axis=-1).ravel(),
                     np.add.outer(sign * p * m, q * np.arange(n + 1)), mode="wrap")
             for combine, sign in ((np.add, 1), (np.subtract, -1)))
     if data.f is None:
@@ -385,9 +385,8 @@ def _lattice_formula(mesh, data, v, levels):
 @pytest.mark.parametrize("T, lattice", [(math.pi, (1, 2)), (0.8 * math.pi, (2, 5))],
                          ids=["q2", "q5"])
 def test_lattice_reference_serves_the_period_formula_bit_for_bit(T, lattice, forced):
-    # each residue class of the lattice is served as contiguous rows, for an
-    # int level, blocks that cross classes and steps other than 1, into out
-    # or not: the values of E[qi + pm] + F[qi - pm]
+    # the lattice serves, for an int level, blocks of levels and steps other
+    # than 1, into out or not, the values of E[qi + pm] + F[qi - pm]
     mesh = build_mesh(math.pi, T, 20, 40)
     assert reference._lattice(mesh) == lattice
     data = _forced_sine_series_data(mesh.X)
@@ -424,12 +423,15 @@ def test_forced_modes_are_evaluated_per_served_block():
         assert np.array_equal(np.concatenate(blocks), view(slice(None)))
 
 
-@pytest.mark.parametrize("T, forced", [(math.pi, False), (0.8 * math.pi, True), (2.5, True)],
-                         ids=["q2_lattice", "q5_lattice", "forced_per_level"])
+@pytest.mark.parametrize("T, forced", [(math.pi, False), (0.8 * math.pi, True), (2.5, True),
+                                       (0.8 * math.pi, False)],
+                         ids=["q2_lattice", "q5_lattice", "forced_per_level",
+                              "q5_unforced_lattice"])
 def test_the_reference_keeps_at_most_the_arrays_config_counts(T, forced):
     # the arrays a build keeps (the data's own samplers aside, which a
-    # per-level mesh keeps) are at most reference_bytes, the count config adds
-    # for the runs that build the reference, and most of it
+    # per-level mesh keeps) are exactly reference_bytes, the count config adds
+    # for the runs that build the reference: on a lattice, E and F of both
+    # views, qN + pM + 1 floats each
     mesh = build_mesh(math.pi, T, 64, 128)
     data = _forced_sine_series_data(mesh.X)
     data = data if forced else DataSpec(u0=data.u0, u1=data.u1)
@@ -443,8 +445,7 @@ def test_the_reference_keeps_at_most_the_arrays_config_counts(T, forced):
     finally:
         tracemalloc.stop()
     kept = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
-    counted = reference.reference_bytes(mesh, 6 if forced else 0)
-    assert 0.99 * counted <= kept <= counted
+    assert kept == reference.reference_bytes(mesh, 6 if forced else 0)
 
 
 def test_per_level_reference_holds_no_views_array():

@@ -32,9 +32,9 @@ def _zero_data(X=math.pi):
 
 def _stored_reference(values, q2h_values=None):
     """A Reference serving stored (M+1, N+1) node values and q_2h-filtered
-    values, the node values again if none are given."""
+    values, the node values again if none are given, as the pair (values, 0)."""
     views = (values, values if q2h_values is None else q2h_values)
-    return Reference(lambda view, levels: [(..., views[view][levels], 0.0)], values.shape)
+    return Reference(lambda view, levels: (views[view][levels], 0.0))
 
 
 def _harmonic_shape(mesh, k):
