@@ -28,11 +28,12 @@ and in each profile or time profile descriptor, whose keys are those of its
 form.  Of the removed keys only tail_fraction is ignored, as the benchmark's
 rough_ladder still sends it.  A data section is one of harmonic, preset or
 u0/u1/f; one that mixes them is refused, and so is a piecewise profile that
-does not end at the mesh's X, within 1e-12 X.  Besides the scalar keys, what
-a runner does not read is refused: a data.harmonic.k for sharpness (each
-rung chooses k_h), a data section but null for stability_probe (random
-data), more than one rung for solve, and a fit_drop_coarsest that leaves a
-converge fit fewer than two rungs.
+does not end at the mesh's X, within 1e-12 X.  Only an absent or null u0, u1
+or f is zero data or no forcing; any other value is parsed as a descriptor.
+Besides the scalar keys, what a runner does not read is refused: a
+data.harmonic.k for sharpness (each rung chooses k_h), a data section but
+null for stability_probe (random data), more than one rung for solve, and a
+fit_drop_coarsest that leaves a converge fit fewer than two rungs.
 
 Profile dictionaries use the forms of data.Profile, sine_series and piecewise,
 plus {"form": "harmonic", "k": k}, which parses to the one-mode sine series
@@ -175,11 +176,10 @@ def time_profile_from_dict(d: dict) -> TimeProfile:
 def dataspec_from_dict(d: dict, finest: MeshSpec) -> DataSpec:
     X = finest.X
     try:
-        u0 = profile_from_dict(d["u0"], finest) if d.get("u0") else Profile.zero(X)
-        u1 = profile_from_dict(d["u1"], finest) if d.get("u1") else Profile.zero(X)
+        u0 = Profile.zero(X) if d.get("u0") is None else profile_from_dict(d["u0"], finest)
+        u1 = Profile.zero(X) if d.get("u1") is None else profile_from_dict(d["u1"], finest)
         f = None
-        if d.get("f"):
-            fd = d["f"]
+        if (fd := d.get("f")) is not None:
             if not isinstance(fd, dict):
                 raise ConfigurationError(f"data.f must be an object, got {fd!r}")
             _refuse_unknown(fd, ("space", "time"), "data.f")

@@ -34,6 +34,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +137,8 @@ def stability_bound_sides(mesh: MeshSpec, datas: list[DataSpec]):
       RHS: sqrt(a^2 ||dx v0||^2 + eps0^-2 ||B^-1/2 u1h||^2)
            + eps0^-1 (tau ||B^-1/2 fh0|| + 2 tau sum_{m=1}^{M-1} ||B^-1/2 fh^m||).
     Data-norm bound (u1 through its hat average):
-      LHS: eps0 max( max_m ||dt v^m||_mass, max_m a/sqrt(6) ||dx v^m||_diff_l2 ).
+      LHS: eps0 max( max_m ||dt v^m||_mass, max_m a/sqrt(6) ||dx v^m||_diff_l2 ),
+           ||dt v^m||_mass by summation by parts, the energy norm's mass term.
       RHS: sqrt(a^2 ||dx u0||_L2^2 + eps0^-2 ||u1||_L2^2) + 2 eps0^-1 ||f||_L21.
     """
     return _stability_rung(mesh, datas)[0]
@@ -152,23 +154,18 @@ def _stability_rung(mesh: MeshSpec, datas: list[DataSpec]):
     assembled = time.perf_counter()
     residuals, maxima = np.empty((len(datas), M)), np.zeros((3, len(datas)))
     for _, v in scheme._march(mesh, v0s, u1hs, fhs, True, residuals):
-        # each column's largest E(v), ||dt v||_mass, ||dx v||, with the bits of energy_norm_pair
-        v = np.ascontiguousarray(v)  # the ring's rows of every column, in one array
-        dt = np.diff(v, axis=1) / mesh.tau
-        dt_norms = space_norm(dt.reshape(-1, N + 1), "mass", mesh).reshape(len(v), -1)
-        d = grid._backward_diff(v, mesh.h)  # dt is now the energy's scratch
-        d_sq = grid._sq_sum(d[..., :-1], mesh.h)
-        energy = grid._energy_from_differences(v[:, :-1], v[:, 1:], d[:, :-1], d[:, 1:], mesh, dt,
-                                               sq=(d_sq[:, :-1], d_sq[:, 1:]))
-        np.maximum(maxima, [energy.max(axis=1), dt_norms.max(axis=1),
-                            np.sqrt(d_sq).max(axis=1)], out=maxima)
-        del dt, d  # no block-sized array is held while the next block steps
+        # each column's largest E(v), ||dt v||_B^2 and ||D v||^2, from the ring's rows of
+        # every column in one array; D v is not bound, so no block-sized array is held
+        # while the next block steps
+        np.maximum(maxima, [norms.max(axis=-1) for norms in itemgetter(0, 1, 3)(
+            grid._pair_norms(np.ascontiguousarray(v), mesh))], out=maxima)
     stepped = time.perf_counter()
-    # both bounds' sides of all columns at once: one call per data norm
+    # both bounds' sides of all columns at once: one call per data norm (sqrt is monotone:
+    # the root of the largest square is the largest root)
     a, tau = mesh.a, mesh.tau
     rhs = np.sqrt(a ** 2 * space_norm(v0s, "stiffness", mesh) ** 2
                   + mass_inv_half_norm(u1hs, mesh) ** 2 / e0 ** 2)
-    lhs2 = e0 * np.maximum(maxima[1], a / math.sqrt(6.0) * maxima[2])
+    lhs2 = e0 * np.maximum(np.sqrt(maxima[1]), a / math.sqrt(6.0) * np.sqrt(maxima[2]))
     rhs2 = np.sqrt(a ** 2 * profile_h01_norm([data.u0 for data in datas]) ** 2
                    + profile_l2_norm([data.u1 for data in datas]) ** 2 / e0 ** 2)
     forced = [b for b, data in enumerate(datas) if data.f is not None]

@@ -40,21 +40,24 @@ The energy norm is evaluated by summation by parts, exact for Dirichlet
 levels, from the interior values and the backward differences
 D w = (w[i] - w[i-1]) / h of the two levels:
 
-    ||w||_B^2 = ||w||_l2^2 - (h^2/6) ||D w||^2,    ||w||_S^2 = ||D w||^2,
+    ||w||_B^2 = ||w||_l2^2 - (h^2/6) ||D w||^2,    ||w||_S^2 = ||D w||^2.
 
-so a caller that already holds the differences of its levels, as
-scheme.measure_error does, reuses them, and with them the row sums of
-squares ||D w||^2 of its dx norms: the average term comes from those by the
-parallelogram law,
+_pair_norms is the package's one energy formula: it takes a block of
+consecutive levels, forms their differences D w once and the row sums of
+squares ||D w||^2 of the dx norms, and pairs the levels for the energy, whose
+average term comes from those sums by the parallelogram law,
 
     ||D st v||^2 = (||D v_prev||^2 + ||D v_curr||^2) / 2 - tau^2 ||D dt v||^2 / 4,
 
 so D st v is never formed.  dt v and D dt v are formed, times 1/tau, before
 they are squared: the sums then overflow exactly where the three-point forms
 do, and data too large to measure is refused rather than measured finite.
-_energy_from_differences is the package's one energy formula, and _sq_sum,
-one row dot product (np.vecdot, the BLAS ddot) per level, its one sum of
-squares.  The mass and stiffness norms of space_norm keep the three-point
+It returns the differences, their row sums and the mass term ||dt v||_B^2
+beside the energy, so scheme's error measurement and the stability probe
+read every norm of a block from one call, and energy_norm_pair calls it on
+its two slices stacked.  _sq_sum, one row
+dot product (np.vecdot, the BLAS ddot) per level, is the package's one sum
+of squares.  The mass and stiffness norms of space_norm keep the three-point
 forms _mass_form and _stiffness_form, so summation by parts can be checked
 against them.
 """
@@ -307,26 +310,28 @@ def energy_norm_pair(v_prev, v_curr, mesh: MeshSpec):
     """Two-level energy norm of the slice pair (v_prev, v_curr).
 
     v_prev and v_curr are single levels (a float is returned) or stacks of
-    levels paired row by row (an array of L norms).  An unstable mesh, on
-    which the norm may lose definiteness, is an UnstableMeshError.  The radicand is evaluated in
+    levels of one shape paired row by row (an array of L norms); slices of
+    different shapes are a ContractViolation.  An unstable mesh, on which the
+    norm may lose definiteness, is an UnstableMeshError.  The radicand is evaluated in
     full; a negative value beyond -1e-12 times its own scale indicates a
     broken invariant and raises, naming the first such row of a stack.
     """
     check_stable(mesh)
     v_prev = require_dirichlet(v_prev, mesh, "energy-norm slice")
     v_curr = require_dirichlet(v_curr, mesh, "energy-norm slice")
-    d_prev, d_curr = (_backward_diff(v, mesh.h)[..., :mesh.N] for v in (v_prev, v_curr))
-    sq = (_sq_sum(d_prev, mesh.h), _sq_sum(d_curr, mesh.h))
-    return _reduced(_energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh, sq=sq))
+    if v_prev.shape != v_curr.shape:
+        raise ContractViolation(f"energy-norm slices must have one shape, got {v_prev.shape} "
+                                f"and {v_curr.shape}")
+    return _reduced(_pair_norms(np.stack((v_prev, v_curr), axis=-2), mesh)[0][..., 0])
 
 
-def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec, scratch=None, *,
-                             sq):
-    """The energy norms of Dirichlet level pairs from their values, backward
-    differences d = (w[i] - w[i-1]) / h (or _backward_diff's zero-ended rows)
-    and the row sums of squares sq = (||D v_prev||^2, ||D v_curr||^2), which
-    the callers hold from their dx norms, by summation by parts, in scratch
-    (shaped as the levels) if given.
+def _pair_norms(w, mesh: MeshSpec, d=None, scratch=None):
+    """(E, ||dt v||_B^2, D w, ||D w||^2) of a C-contiguous block w (..., L, N+1)
+    of Dirichlet levels: the energy norms and squared mass norms of dt v of its
+    L - 1 consecutive pairs (v_prev, v_curr) = (w[..., l, :], w[..., l+1, :]),
+    its backward differences (_backward_diff's zero-ended rows, into d if
+    given) and their row sums of squares, by summation by parts, in scratch
+    (shaped as L - 1 levels) if given.
 
     dt v and D dt v are formed and scaled by 1/tau (within an ulp of the
     quotient) before squaring, so the sums overflow where the three-point forms
@@ -340,29 +345,30 @@ def _energy_from_differences(v_prev, v_curr, d_prev, d_curr, mesh: MeshSpec, scr
     mass term bounds tau^2 a^2 ||D dt v||^2 / 4), so of a pair of levels the
     norm keeps its relative accuracy, even where D st v nearly vanishes.  A
     radicand below -1e-12 times the sum of its terms' magnitudes is an
-    InvariantError naming the first such row of a stack; the caller has
-    checked the mesh and the Dirichlet ends.
+    InvariantError naming the first such pair, row-major, of more than one;
+    the caller has checked the mesh and the Dirichlet ends.
     """
     h, tau, a2, n = mesh.h, mesh.tau, mesh.a ** 2, mesh.N
-    sq_prev, sq_curr = sq
-    t = np.empty(np.shape(v_curr)) if scratch is None else scratch  # the one scratch array
-    dt = np.subtract(v_curr, v_prev, out=t)  # the ends are not read
+    d = _backward_diff(w, h, out=d)
+    sq = _sq_sum(d[..., :-1], h)
+    t = np.empty(w[..., 1:, :].shape) if scratch is None else scratch  # the one scratch array
+    dt = np.subtract(w[..., 1:, :], w[..., :-1, :], out=t)  # the ends are not read
     dt_sq = _sq_sum(np.multiply(dt, 1.0 / tau, out=dt)[..., 1:-1], h)
-    d_dt = np.subtract(d_curr, d_prev, out=t[..., :np.shape(d_curr)[-1]])
+    d_dt = np.subtract(d[..., 1:, :], d[..., :-1, :], out=t)
     d_dt_sq = _sq_sum(np.multiply(d_dt, 1.0 / tau, out=d_dt)[..., :n], h)
     term_b = dt_sq - h ** 2 / 6.0 * d_dt_sq  # ||dt v||_B^2 by summation by parts
     term_mid = (mesh.sigma - 0.25) * tau ** 2 * a2 * d_dt_sq
-    term_avg = a2 * (0.5 * (sq_prev + sq_curr) - 0.25 * tau ** 2 * d_dt_sq)  # a^2 ||D st v||^2
+    term_avg = a2 * (0.5 * (sq[..., :-1] + sq[..., 1:]) - 0.25 * tau ** 2 * d_dt_sq)
     total = term_b + term_mid + term_avg
-    if not np.min(total) >= 0.0:  # no row can fail otherwise
+    if not np.min(total) >= 0.0:  # no pair can fail otherwise
         scale = np.abs(term_b) + np.abs(term_mid) + np.abs(term_avg)
         bad = np.flatnonzero(total < -1e-12 * np.maximum(scale, 1e-300))
         if bad.size:
             r = bad[0]
             raise InvariantError(
-                f"energy radicand {np.ravel(total)[r]:.3e} is negative beyond tolerance"
-                f"{f' in row {r}' if np.ndim(total) else ''} (scale {np.ravel(scale)[r]:.3e})")
-    return np.sqrt(np.maximum(total, 0.0))
+                f"energy radicand {total.flat[r]:.3e} is negative beyond tolerance"
+                f"{f' in row {r}' if total.size > 1 else ''} (scale {scale.flat[r]:.3e})")
+    return np.sqrt(np.maximum(total, 0.0)), term_b, d, sq
 
 
 def check_stable(mesh: MeshSpec) -> None:

@@ -48,14 +48,16 @@ measure_error, the same blocks of a stored trajectory: the errors of a block
 and their backward space differences, in buffers allocated once per call,
 computed once and read by every norm of the block, each sum of squares one
 row dot product (grid._sq_sum), each L1 norm h sum |e| (np.add.reduce, the
-bits of np.sum).  The dx norms' row sums of squares feed the energy norm
-(grid._energy_from_differences, the formula energy_norm_pair evaluates),
-which forms only dt e and D dt e: per block of n levels and N + 1 columns,
-node_sampled mode makes 15 passes over n (N + 1) values (serving e, e - v,
-the difference and its 1/h, the dx sums, two passes for each L1 norm and six
-for the energy).  The reference serves its views into err_buf, the q_2h view
-(filtered by the reference) once the node errors are read: the filtered
-error is one subtraction.
+bits of np.sum).  In node_sampled mode one call of grid._pair_norms, the
+formula energy_norm_pair evaluates, forms the differences, the dx norms' row
+sums of squares and, from those, the energy norm, forming only dt e and
+D dt e beside them; q2h_filtered mode forms the differences and sums
+itself.  Per block of n levels and N + 1 columns, node_sampled mode makes 15
+passes over n (N + 1) values (serving e, e - v, the difference and its 1/h,
+the dx sums, two passes for each L1 norm and six for the energy).  The
+reference serves its views into err_buf, the q_2h view (filtered by the
+reference) once the node errors are read: the filtered error is one
+subtraction.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigurationError, ContractViolation, InvariantError
-from .grid import (GridFn, MeshSpec, _backward_diff, _energy_from_differences, _sq_sum,
-                   _tridiagonal, check_stable, require_dirichlet, time_aggregate)
+from .grid import (GridFn, MeshSpec, _backward_diff, _pair_norms, _sq_sum, _tridiagonal,
+                   check_stable, require_dirichlet, time_aggregate)
 from .operators import _implicit_entries, _implicit_factor, dpttrs
 
 ERROR_MODES = ("node_sampled", "q2h_filtered")
@@ -369,13 +371,13 @@ def _measure(mesh: MeshSpec, blocks, reference, mode: str) -> ErrorReport:
             err = reference.values(levels, out=err_buf[:rows])
             np.subtract(err, v, out=err)
             err[:, 0] = err[:, -1] = 0.0
-            d = _backward_diff(err, h, out=diff_buf[:rows])
-            d_sq = _sq_sum(d[:, :-1], h)
-            dx[levels] = np.sqrt(d_sq)
             if mode == "node_sampled":
-                energy[start:stop] = _energy_from_differences(
-                    err[:-1], err[1:], d[:-1], d[1:], mesh, energy_buf[:rows - 1],
-                    sq=(d_sq[:-1], d_sq[1:]))
+                energy[start:stop], _, d, d_sq = _pair_norms(err, mesh, diff_buf[:rows],
+                                                             energy_buf[:rows - 1])
+            else:
+                d = _backward_diff(err, h, out=diff_buf[:rows])
+                d_sq = _sq_sum(d[:, :-1], h)
+            dx[levels] = np.sqrt(d_sq)
             # |e| and |De| in place, after their last reader; the ends of e are
             # zero, so the trapezoid's end weights vanish
             l1[levels] = np.add.reduce(np.abs(err, out=err), axis=-1) * h

@@ -682,6 +682,27 @@ def test_a_mesh_key_beside_rungs_exits_3(tmp_path, capsys, kind, given, named):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("u0", {}, "profile must be an object with a 'form' key, got {}"),
+    ("u0", 0, "profile must be an object with a 'form' key, got 0"),
+    ("u1", False, "profile must be an object with a 'form' key, got False"),
+    ("u0", "", "profile must be an object with a 'form' key, got ''"),
+    ("f", {}, "missing data key: 'space'"),
+    ("f", [], "data.f must be an object, got []"),
+], ids=["u0_empty_object", "u0_zero", "u1_false", "u0_empty_string", "f_empty_object",
+        "f_empty_list"])
+def test_a_falsy_data_descriptor_exits_3(tmp_path, capsys, key, value, message):
+    # only an absent or null datum is zero data or no forcing: a falsy
+    # descriptor is malformed, not a zero profile
+    data = {"u0": {"form": "harmonic", "k": 1}, "u1": {"form": "harmonic", "k": 2}, key: value}
+    cfg = _write_config(tmp_path, {"kind": "solve", "mesh": _mesh(16), "data": data,
+                                   "out_dir": str(tmp_path / "out")})
+    assert main(["solve", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _piecewise_ending_at(end):
     return {"form": "piecewise", "breakpoints": [0.0, 1.0, end], "pieces": [[1.0], [0.0, 1.0]]}
 

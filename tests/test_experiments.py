@@ -19,7 +19,8 @@ from wavecompact.experiments import (energy_lower_bound_margins, fit_order,
                                      random_dataspec, run_convergence,
                                      run_oracle_check, run_sharpness, run_solve,
                                      run_stability_probe, stability_bound_sides)
-from wavecompact.grid import build_mesh
+from wavecompact.grid import build_mesh, energy_norm_pair, space_norm
+from wavecompact.scheme import evolve_grid, stack_inputs
 
 from _harmonic import discrete_harmonic_trajectory
 from _sine_analysis import sine_coefficients
@@ -167,6 +168,30 @@ def test_stability_bounds_randomized_small():
     for (lhs, rhs), (lhs2, rhs2) in stability_bound_sides(mesh, datas):
         assert lhs <= rhs * (1 + 1e-11)
         assert lhs2 <= rhs2 * (1 + 1e-11)
+
+
+_COURANT_EDGE = {"X": math.pi, "T": math.pi / 2.3, "a": 2.3, "eps0": 0.3}
+
+
+@pytest.mark.parametrize("mesh", [
+    build_mesh(math.pi, math.pi, 16, 32),
+    *(build_mesh(N=n, M=m, **_COURANT_EDGE) for n, m in ((16, 17), (32, 33), (64, 66)))],
+    ids=["N16_M32", "courant_edge_N16", "courant_edge_N32", "courant_edge_N64"])
+def test_stability_bound_lhs_are_the_norms_of_the_stored_levels(mesh):
+    # the probe's 20 random data sets, stepped and stored by evolve_grid: the
+    # energy bound's LHS is the largest energy_norm_pair of the levels, the
+    # data-norm bound's eps0 max(max ||dt v||_mass, a/sqrt(6) max ||dx v||)
+    # with the three-point mass form, each within 1e-13 relative
+    rng = np.random.default_rng(0)
+    datas = [random_dataspec(rng, mesh.X) for _ in range(20)]
+    run = evolve_grid(mesh, *stack_inputs(mesh, [(data, "v2") for data in datas]))
+    for ((lhs, _), (lhs2, _)), v in zip(stability_bound_sides(mesh, datas), run.slices,
+                                        strict=True):
+        dt = space_norm((v[1:] - v[:-1]) / mesh.tau, "mass", mesh).max()
+        dx = space_norm(v, "diff_l2", mesh).max()
+        assert lhs == pytest.approx(energy_norm_pair(v[:-1], v[1:], mesh).max(), rel=1e-13, abs=0)
+        assert lhs2 == pytest.approx(mesh.eps0 * max(dt, mesh.a / math.sqrt(6.0) * dx),
+                                     rel=1e-13, abs=0)
 
 
 def test_lower_bound_margins_nonnegative():

@@ -1,14 +1,15 @@
 """Meshes, grid functions, norms: examples with brute-force oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wavecompact.errors import (ConfigurationError, ContractViolation, InvariantError,
                                UnstableMeshError)
-from wavecompact.grid import (_energy_from_differences, _mass_form, _stiffness_form, _three_point,
-                              build_mesh, energy_norm_pair, require_dirichlet, space_norm,
+from wavecompact.grid import (_mass_form, _pair_norms, _stiffness_form, _three_point, build_mesh,
+                              energy_norm_pair, require_dirichlet, space_norm,
                               time_aggregate)
 from wavecompact.operators import stencil
 
@@ -285,21 +286,37 @@ def test_energy_norm_matches_the_three_point_forms():
 
 
 def test_energy_kernel_refuses_a_negative_radicand_naming_the_row():
-    # differences that belong to no pair of levels: zero values, and
-    # d_curr = -d_prev leave only the D dt terms, whose coefficient
-    # -h^2/12 - tau^2 a^2/6 is negative
-    mesh = build_mesh(math.pi, math.pi, 8, 16)
-    values = np.zeros((3, mesh.N + 1))
-    d_prev = np.zeros((3, mesh.N))
-    d_prev[1] = 1.0
-    sq = (d_prev ** 2).sum(axis=-1) * mesh.h  # each row's ||D v||^2, for d_prev and -d_prev
+    # on an unstable mesh, which the kernel's callers refuse, the D dt terms'
+    # coefficient -h^2/12 - tau^2 a^2/6 outweighs the others: at N = 8, M = 2
+    # the pair of the alternating mode and its negation has radicand -41.06
+    mesh = build_mesh(math.pi, math.pi, 8, 2)
+    alternating = np.zeros(mesh.N + 1)
+    alternating[1:-1] = (-1.0) ** np.arange(1, mesh.N)
+    stack = np.zeros((3, 2, mesh.N + 1))  # three stacked pairs, the middle one bad
+    stack[1] = alternating, -alternating
     with pytest.raises(InvariantError, match="negative beyond tolerance in row 1"):
-        _energy_from_differences(values, values, d_prev, -d_prev, mesh, sq=(sq, sq))
+        _pair_norms(stack, mesh)
     with pytest.raises(InvariantError, match=r"negative beyond tolerance \(scale"):
-        _energy_from_differences(values[1], values[1], d_prev[1], -d_prev[1], mesh,
-                                 sq=(sq[1], sq[1]))
-    assert _energy_from_differences(values, values, d_prev, d_prev, mesh,
-                                    sq=(sq, sq)).tolist() == [0.0, mesh.a * math.sqrt(mesh.X), 0.0]
+        _pair_norms(stack[1], mesh)
+    # h = 1: the pair of w = (0, 1, 0, ..., 1, 0) and itself, D w = +-1, has
+    # energy a ||D w|| = a sqrt(X)
+    mesh = build_mesh(8.0, 8.0, 8, 16)
+    stack[1] = alternating < 0
+    energy, mass_sq, _, sq = _pair_norms(stack, mesh)
+    assert energy.tolist() == [[0.0], [mesh.a * math.sqrt(mesh.X)], [0.0]]
+    assert mass_sq.tolist() == [[0.0]] * 3 and sq.tolist() == [[0.0, 0.0], [8.0, 8.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("prev_shape, curr_shape", [((3, 9), (2, 9)), ((9,), (3, 9)),
+                                                     ((3, 9), (9,))],
+                         ids=["three_rows_against_two", "level_against_stack",
+                              "stack_against_level"])
+def test_energy_norm_pair_refuses_slices_of_different_shapes(prev_shape, curr_shape):
+    # slices are paired row by row: neither a row count that differs nor one
+    # level against a stack is broadcast
+    mesh = build_mesh(math.pi, math.pi, 8, 16)
+    with pytest.raises(ContractViolation, match=re.escape(f"{prev_shape} and {curr_shape}")):
+        energy_norm_pair(np.zeros(prev_shape), np.zeros(curr_shape), mesh)
 
 
 def _energy_with_d_st_formed(v_prev, v_curr, mesh):
@@ -340,11 +357,12 @@ def test_energy_kernel_by_the_parallelogram_law_matches_d_st_formed(n, m, eps0):
         expected = _energy_with_d_st_formed(v_prev, v_curr, mesh)
         got = energy_norm_pair(v_prev, v_curr, mesh)
         np.testing.assert_allclose(got, expected, rtol=2e-15, atol=0)
-        d_prev, d_curr = np.diff(v_prev) / mesh.h, np.diff(v_curr) / mesh.h
-        kernel = _energy_from_differences(
-            v_prev, v_curr, d_prev, d_curr, mesh,
-            sq=(np.vecdot(d_prev, d_prev) * mesh.h, np.vecdot(d_curr, d_curr) * mesh.h))
-        np.testing.assert_allclose(kernel, expected, rtol=2e-15, atol=0)
+        kernel, mass_sq, _, _ = _pair_norms(np.stack((v_prev, v_curr), axis=-2), mesh)
+        np.testing.assert_allclose(kernel[:, 0], expected, rtol=2e-15, atol=0)
+        # ||dt v||_B^2 by summation by parts, against the three-point mass form
+        np.testing.assert_allclose(
+            mass_sq[:, 0], space_norm((v_curr - v_prev) / mesh.tau, "mass", mesh) ** 2,
+            rtol=1e-13, atol=0)
 
 
 def test_energy_lower_bounds_on_random_pairs():
